@@ -6,8 +6,11 @@ Every block in a tree serializes to the same width, dummy or real:
 
 The payload width W is fixed per tree: the data tree carries a k1
 ciphertext of a vertex pair, position-map trees carry chi packed 8-byte
-leaf entries.  On the wire each block is individually encrypted under k2,
-so a slot occupies block_width + ciphertext overhead bytes.
+leaf entries.  A bucket is the concatenation of its Z serialized blocks,
+dummies included, encrypted under k2 as one AES-GCM ciphertext whose
+associated data is ``bucket_ad(tree_id, node)``; so a bucket occupies
+``ciphertext_width(Z * block_width)`` bytes and only decrypts at the tree
+and heap index it was written for.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
-from .crypto import CT_OVERHEAD, TOKEN_BYTES, ciphertext_width
+from .crypto import TOKEN_BYTES, ciphertext_width
 
 # payload of a data-tree block: ciphertext of an 8-byte pair padded to 12
 PAIR_PAD = 12
@@ -26,9 +29,21 @@ DATA_PAYLOAD_WIDTH = ciphertext_width(PAIR_PAD)
 ABSENT = (1 << 64) - 1
 
 _FIXED = TOKEN_BYTES * 2 + 8 + 8 + 1  # tk, next_tk, next_addr, leaf, flag
+_BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
 _BLOCK_STRUCTS: dict[int, struct.Struct] = {}
-_DUMMY_PLAIN: dict[int, bytes] = {}
+_DUMMY_FILLS: dict[tuple[int, int], list[bytes]] = {}
+
+
+def block_width(payload_width: int) -> int:
+    """Serialized width of one block carrying a payload of the given width;
+    the flag byte is the last byte, nonzero for real blocks."""
+    return _FIXED + payload_width
+
+
+def bucket_ad(tree_id: int, node: int) -> bytes:
+    """Associated data binding a bucket ciphertext to its tree and node."""
+    return _BUCKET_AD.pack(tree_id, node)
 
 
 def _block_struct(payload_width: int) -> struct.Struct:
@@ -63,13 +78,16 @@ def unpack_block(raw: bytes, payload_width: int) -> Block:
     return Block(tk, next_tk, next_addr, payload, leaf, is_dummy=(flag == 0))
 
 
-def dummy_plaintext(payload_width: int) -> bytes:
-    """Serialized all-zero dummy block; constant per width, so buildable
-    once and re-encrypted freshly wherever a slot needs filling."""
-    cached = _DUMMY_PLAIN.get(payload_width)
-    if cached is None:
-        cached = _DUMMY_PLAIN[payload_width] = dummy_block(payload_width).pack(payload_width)
-    return cached
+def dummy_fills(payload_width: int, bucket_size: int) -> list[bytes]:
+    """Serialized all-zero dummy blocks, k of them at index k, for k up to
+    the bucket size; constant per width, so built once and appended to the
+    real blocks of every bucket that is not full."""
+    key = (payload_width, bucket_size)
+    fills = _DUMMY_FILLS.get(key)
+    if fills is None:
+        dummy = dummy_block(payload_width).pack(payload_width)
+        fills = _DUMMY_FILLS[key] = [dummy * k for k in range(bucket_size + 1)]
+    return fills
 
 
 def dummy_block(payload_width: int) -> Block:
@@ -101,42 +119,27 @@ class TreeParams:
 
     @cached_property
     def block_width(self) -> int:
-        return _FIXED + self.payload_width
+        return block_width(self.payload_width)
 
     @cached_property
-    def slot_width(self) -> int:
-        return self.block_width + CT_OVERHEAD
+    def bucket_plain_width(self) -> int:
+        """Z serialized blocks: the plaintext of one bucket ciphertext."""
+        return self.bucket_size * self.block_width
 
     @cached_property
     def bucket_width(self) -> int:
-        return self.bucket_size * self.slot_width
+        return ciphertext_width(self.bucket_plain_width)
 
     @cached_property
     def path_width(self) -> int:
         return (self.depth + 1) * self.bucket_width
 
-    def leaf_node(self, leaf: int) -> int:
-        return (1 << self.depth) - 1 + leaf
-
     def path_nodes(self, leaf: int) -> list[int]:
         """Heap indices of the buckets on the root-to-leaf path, root first."""
         if not (0 <= leaf < self.leaves):
             raise IndexError(f"leaf {leaf} out of range [0, {self.leaves})")
-        nodes = []
-        i = self.leaf_node(leaf)
-        while True:
-            nodes.append(i)
-            if i == 0:
-                break
-            i = (i - 1) // 2
-        nodes.reverse()
-        return nodes
-
-    def shares_bucket(self, leaf_a: int, leaf_b: int, level: int) -> bool:
-        """True when the paths to both leaves pass through the same bucket
-        at the given level (0 = root)."""
-        shift = self.depth - level
-        return (leaf_a >> shift) == (leaf_b >> shift)
+        d = self.depth
+        return [(1 << level) - 1 + (leaf >> (d - level)) for level in range(d + 1)]
 
 
 def tree_depth_for(real_slots: int, bucket_size: int) -> int:

@@ -2,7 +2,10 @@
 
 Tokens are 16-byte HMAC-SHA256 outputs.  Symmetric encryption is AES-GCM
 over a length-prefixed, zero-padded plaintext so that ciphertext width is a
-function of the padding target only, never of the plaintext content.
+function of the padding target only, never of the plaintext content.  An
+optional associated-data string is authenticated alongside the ciphertext
+but not stored in it: decryption succeeds only when the caller presents the
+same string, which is how ORAM buckets are bound to their tree and node.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ LEN_PREFIX = 2
 
 # fixed per-ciphertext overhead beyond the padded plaintext
 CT_OVERHEAD = NONCE_BYTES + LEN_PREFIX + TAG_BYTES
+# widest plaintext the length prefix can describe
+MAX_PLAINTEXT = (1 << (8 * LEN_PREFIX)) - 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ class Cipher:
     def __init__(self, key: bytes):
         self._aead = AESGCM(key)
 
-    def encrypt(self, plaintext: bytes, pad_to: int) -> bytes:
+    def encrypt(self, plaintext: bytes, pad_to: int, ad: bytes | None = None) -> bytes:
         n = len(plaintext)
         if n > pad_to:
             raise ValueError(f"plaintext of {n} bytes exceeds pad width {pad_to}")
@@ -89,15 +94,17 @@ class Cipher:
         else:
             padded = prefix + plaintext + b"\x00" * (pad_to - n)
         nonce = os.urandom(NONCE_BYTES)
-        return nonce + self._aead.encrypt(nonce, padded, None)
+        return nonce + self._aead.encrypt(nonce, padded, ad)
 
-    def decrypt(self, ct: bytes) -> bytes:
+    def decrypt(self, ct: bytes, ad: bytes | None = None) -> bytes:
         if len(ct) < NONCE_BYTES + LEN_PREFIX + TAG_BYTES:
             raise IntegrityError("ciphertext too short")
         try:
-            padded = self._aead.decrypt(ct[:NONCE_BYTES], ct[NONCE_BYTES:], None)
+            padded = self._aead.decrypt(ct[:NONCE_BYTES], ct[NONCE_BYTES:], ad)
         except InvalidTag:
-            raise IntegrityError("authentication failed: wrong key or tampered ciphertext")
+            raise IntegrityError(
+                "authentication failed: wrong key, wrong associated data or tampered ciphertext"
+            )
         n = int.from_bytes(padded[:LEN_PREFIX], "big")
         rest = len(padded) - LEN_PREFIX
         if n > rest:

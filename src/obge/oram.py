@@ -5,6 +5,14 @@ re-encrypted, so the storage owner sees a fixed-shape (read, write) pair
 per access and a leaf id that is always a fresh uniform sample.  Real
 blocks displaced from the path wait in the controller-side stash until a
 later write-back can evict them to a compatible bucket.
+
+The bucket is the unit of encryption: one AES-GCM ciphertext over its Z
+serialized blocks, dummies included, with (tree id, heap index) as
+associated data.  Every bucket on a path is re-encrypted under a fresh
+nonce on every write, so full, partly full and empty buckets look alike,
+and a bucket the host moves to another node or tree fails authentication
+on the next access that reads it.  The binding does not cover freshness:
+the host can still put back a node's own older ciphertext (rollback).
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ import random
 import secrets
 from dataclasses import dataclass
 
-from .blocks import Block, TreeParams, dummy_plaintext, tree_depth_for, unpack_block
-from .crypto import Cipher
-from .exceptions import CapacityError, IntegrityError, StashOverflowError
+from .blocks import Block, TreeParams, bucket_ad, dummy_fills, tree_depth_for, unpack_block
+from .crypto import MAX_PLAINTEXT, Cipher
+from .exceptions import CapacityError, ConfigError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
 
 DEFAULT_STASH_MAX = 128
@@ -71,19 +79,28 @@ class PathOram:
         """
         p = self.params
         is_real = tk is not None and cur_leaf is not None
+        if is_real and not (0 <= new_leaf < p.leaves):
+            raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
         x = cur_leaf if is_real else self.random_leaf()
+        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(x)]
         raw = self.store.read_path(self.tree_id, x)
+        if len(raw) != p.path_width:
+            raise IntegrityError(
+                f"tree {self.tree_id}: path read of {len(raw)} bytes, expected {p.path_width}"
+            )
 
         decrypt = self.cipher.decrypt
-        width = p.payload_width
-        for i in range(0, len(raw), p.slot_width):
-            plain = decrypt(raw[i : i + p.slot_width])
-            if plain[-1]:  # flag byte: dummies skip deserialization
-                self.stash.append(unpack_block(plain, width))
+        stash = self.stash
+        width, bw, cw = p.payload_width, p.block_width, p.bucket_width
+        for level, ad in enumerate(ads):
+            plain = decrypt(raw[level * cw : (level + 1) * cw], ad)
+            for end in range(bw, len(plain) + 1, bw):
+                if plain[end - 1]:  # flag byte: dummies skip deserialization
+                    stash.append(unpack_block(plain[end - bw : end], width))
 
         found: Block | None = None
         if is_real:
-            for blk in self.stash:
+            for blk in stash:
                 if blk.tk == tk:
                     found = blk
                     break
@@ -93,38 +110,41 @@ class PathOram:
             if update_payload is not None:
                 found.payload = update_payload(found.payload)
 
-        self._evict_and_write(x)
+        self._evict_and_write(x, ads)
         self.access_count += 1
-        if len(self.stash) > self.stash_max:
-            raise StashOverflowError(
-                f"stash holds {len(self.stash)} blocks, limit {self.stash_max}"
-            )
-        self.max_stash_seen = max(self.max_stash_seen, len(self.stash))
+        if len(stash) > self.stash_max:
+            raise StashOverflowError(f"stash holds {len(stash)} blocks, limit {self.stash_max}")
+        self.max_stash_seen = max(self.max_stash_seen, len(stash))
         return found
 
-    def _evict_and_write(self, x: int) -> None:
+    def _evict_and_write(self, x: int, ads: list[bytes]) -> None:
         """Greedy write-back: place stash blocks in the deepest bucket of
-        the path to x that their own leaf also passes through."""
+        the path to x that their own leaf also passes through.
+
+        One pass sorts the stash by that deepest level, the depth minus the
+        bit length of leaf XOR x; the buckets then fill from the leaf up,
+        and blocks that do not fit carry toward the root, where every block
+        is eligible.  What is left after the root stays in the stash.
+        """
         p = self.params
+        depth, z, width = p.depth, p.bucket_size, p.payload_width
+        by_level: list[list[Block]] = [[] for _ in range(depth + 1)]
+        for blk in self.stash:
+            by_level[depth - (blk.leaf ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
-        width, block_width, z = p.payload_width, p.block_width, p.bucket_size
-        dummy = dummy_plaintext(width)
-        chunks: list[bytes] = []
-        for level in range(p.depth, -1, -1):
-            picked: list[Block] = []
-            rest: list[Block] = []
-            for blk in self.stash:
-                if len(picked) < z and p.shares_bucket(blk.leaf, x, level):
-                    picked.append(blk)
-                else:
-                    rest.append(blk)
-            # in-place so external aliases (persisted party state) stay live
-            self.stash[:] = rest
-            slots = [encrypt(b.pack(width), block_width) for b in picked]
-            slots.extend(encrypt(dummy, block_width) for _ in range(z - len(picked)))
-            chunks.append(b"".join(slots))
-        chunks.reverse()
-        self.store.write_path(self.tree_id, x, b"".join(chunks))
+        plain_width = p.bucket_plain_width
+        fills = dummy_fills(width, z)
+        buckets = [b""] * (depth + 1)
+        carry: list[Block] = []
+        for level in range(depth, -1, -1):
+            carry += by_level[level]
+            picked = carry[:z]
+            del carry[:z]
+            plain = b"".join([b.pack(width) for b in picked]) + fills[z - len(picked)]
+            buckets[level] = encrypt(plain, plain_width, ads[level])
+        # in-place so external aliases (persisted party state) stay live
+        self.stash[:] = carry
+        self.store.write_path(self.tree_id, x, b"".join(buckets))
 
 
 @dataclass
@@ -152,13 +172,19 @@ def oram_init(
     The tree is sized for pad_slots real slots (defaults to the actual
     block count); each block gets an independent uniform leaf and is placed
     in the deepest free bucket on that leaf's path, overflowing into the
-    returned stash.  All remaining slots hold encrypted dummies.
+    returned stash.  Free slots hold dummies, and every bucket, empty or
+    not, is one ciphertext bound to (tree_id, node).
 
     Returns (TreeStorage, params, leaf assignment per input block, stash).
     """
     real_slots = len(blocks) if pad_slots is None else max(pad_slots, len(blocks))
     depth = tree_depth_for(real_slots, bucket_size)
     params = TreeParams(depth=depth, bucket_size=bucket_size, payload_width=payload_width)
+    if params.bucket_plain_width > MAX_PLAINTEXT:
+        raise ConfigError(
+            f"bucket of {bucket_size} blocks of {params.block_width} bytes exceeds "
+            f"the {MAX_PLAINTEXT}-byte ciphertext limit"
+        )
     if len(blocks) > params.node_count * bucket_size + stash_max:
         raise CapacityError(
             f"{len(blocks)} blocks exceed tree capacity "
@@ -168,26 +194,34 @@ def oram_init(
     leaves = [rng.randrange(params.leaves) for _ in blocks]
     placed: dict[int, list[Block]] = {}
     stash: list[Block] = []
+    first_leaf = params.leaves - 1  # heap index of leaf 0
     for inp, leaf in zip(blocks, leaves):
         blk = Block(inp.tk, inp.next_tk, inp.next_addr, inp.payload, leaf)
-        for node in reversed(params.path_nodes(leaf)):
-            slot_list = placed.setdefault(node, [])
+        node = first_leaf + leaf
+        while True:  # leaf bucket first, then up toward the root
+            slot_list = placed.get(node)
+            if slot_list is None:
+                placed[node] = [blk]
+                break
             if len(slot_list) < bucket_size:
                 slot_list.append(blk)
                 break
-        else:
-            stash.append(blk)
+            if node == 0:
+                stash.append(blk)
+                break
+            node = (node - 1) >> 1
     if len(stash) > stash_max:
         raise CapacityError(f"initial placement overflowed the stash ({len(stash)} blocks)")
 
-    buckets = bytearray()
-    dummy = dummy_plaintext(payload_width)
+    bw = params.bucket_width
+    buckets = bytearray(params.node_count * bw)
+    fills = dummy_fills(payload_width, bucket_size)
     for node in range(params.node_count):
-        slots = placed.get(node, [])
-        for blk in slots:
-            buckets += cipher.encrypt(blk.pack(payload_width), params.block_width)
-        for _ in range(bucket_size - len(slots)):
-            buckets += cipher.encrypt(dummy, params.block_width)
+        picked = placed.get(node, ())
+        plain = b"".join([b.pack(payload_width) for b in picked]) + fills[bucket_size - len(picked)]
+        buckets[node * bw : (node + 1) * bw] = cipher.encrypt(
+            plain, params.bucket_plain_width, bucket_ad(tree_id, node)
+        )
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
     return tree, params, leaves, stash
@@ -218,11 +252,12 @@ def verify_placement(tree, cipher: Cipher, position_map: dict[bytes, int], stash
     """Debug walker: decrypt the whole tree and confirm every mapped block
     sits either in the stash or on the path to its mapped leaf."""
     p = tree.params
+    bw = p.block_width
     located: dict[bytes, int] = {}
     for node in range(p.node_count):
-        raw = tree.get_bucket(node)
-        for i in range(0, len(raw), p.slot_width):
-            blk = unpack_block(cipher.decrypt(raw[i : i + p.slot_width]), p.payload_width)
+        plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
+        for off in range(0, len(plain), bw):
+            blk = unpack_block(plain[off : off + bw], p.payload_width)
             if not blk.is_dummy:
                 if blk.tk in located:
                     raise AssertionError("token stored twice in the tree")

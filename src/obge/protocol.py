@@ -26,8 +26,8 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, PAIR_PAD, TreeParams, unpack_block
-from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
+from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, PAIR_PAD, TreeParams, block_width, unpack_block
+from .crypto import TOKEN_BYTES, Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, PathOramKV, oram_init
@@ -400,6 +400,39 @@ def _pack_params(params: SchemeParams) -> bytes:
     )
 
 
+class _Reader:
+    """Cursor over the bytes of a state file.  Running past the end raises
+    ProtocolError, so a truncated file is reported as malformed input
+    rather than as whatever a short slice breaks later."""
+
+    def __init__(self, raw: bytes, what: str):
+        self.raw = raw
+        self.what = what
+        self.off = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.off + n
+        if end > len(self.raw):
+            raise ProtocolError(f"{self.what} is truncated: {len(self.raw)} bytes, needs at least {end}")
+        out = self.raw[self.off : end]
+        self.off = end
+        return out
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
+    def finish(self) -> None:
+        if self.off != len(self.raw):
+            raise ProtocolError(f"{self.what} has {len(self.raw) - self.off} unexpected trailing bytes")
+
+
+_COUNT = struct.Struct(">I")
+_LEAF = struct.Struct(">Q")
+_PM_ENTRY = struct.Struct(f">{TOKEN_BYTES}sQ")
+_RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
+_RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
+
+
 def _unpack_params(raw: bytes) -> SchemeParams:
     magic, ver, lam, mode, n, z, pad, smax, chi, budget, depth, pw = _KEYFILE.unpack(raw)
     if magic != KEY_MAGIC:
@@ -408,6 +441,8 @@ def _unpack_params(raw: bytes) -> SchemeParams:
         raise ProtocolError(f"unsupported key file version {ver}")
     if pw != DATA_PAYLOAD_WIDTH:
         raise ProtocolError("key file written by an incompatible block layout")
+    if lam not in (128, 256) or mode not in _MODE_NAME or pad not in _PAD_NAME:
+        raise ProtocolError(f"corrupt parameter block (lambda {lam}, mode {mode}, pad {pad})")
     return SchemeParams(
         vertex_count=n,
         lambda_bits=lam,
@@ -431,56 +466,44 @@ def save_keyfile(path: str | Path, client: TrivialState | EnhancedState) -> None
 
 
 def load_keyfile(path: str | Path) -> TrivialState | EnhancedState:
-    raw = Path(path).read_bytes()
-    params = _unpack_params(raw[: _KEYFILE.size])
-    off = _KEYFILE.size
-    (slen,) = struct.unpack(">B", raw[off : off + 1])
-    off += 1
-    session = raw[off : off + slen]
-    off += slen
+    r = _Reader(Path(path).read_bytes(), f"key file {path}")
+    params = _unpack_params(r.take(_KEYFILE.size))
+    session = r.take(r.take(1)[0])
     n = params.lambda_bits // 8
-    keys = KeySet(raw[off : off + n], raw[off + n : off + 2 * n], raw[off + 2 * n : off + 3 * n])
+    keys = KeySet(r.take(n), r.take(n), r.take(n))
+    r.finish()
     if params.mode == MODE_ENHANCED:
         return EnhancedState(keys=keys, params=params, session_key=session)
     return TrivialState(keys=keys, params=params, position_map={}, stash=[])
 
 
 def _pack_stash(stash: list[Block], payload_width: int) -> bytes:
-    return struct.pack(">I", len(stash)) + b"".join(b.pack(payload_width) for b in stash)
+    return _COUNT.pack(len(stash)) + b"".join(b.pack(payload_width) for b in stash)
 
 
-def _unpack_stash(raw: bytes, off: int, payload_width: int) -> tuple[list[Block], int]:
-    (count,) = struct.unpack(">I", raw[off : off + 4])
-    off += 4
-    width = payload_width + 49
-    stash = []
-    for _ in range(count):
-        stash.append(unpack_block(raw[off : off + width], payload_width))
-        off += width
-    return stash, off
+def _unpack_stash(r: _Reader, payload_width: int) -> list[Block]:
+    (count,) = r.unpack(_COUNT)
+    width = block_width(payload_width)
+    return [unpack_block(r.take(width), payload_width) for _ in range(count)]
 
 
 def save_client_state(path: str | Path, state: TrivialState) -> None:
     """Position map and stash for the trivial deployment; rewritten after
     every query because accesses remap blocks."""
-    blob = struct.pack(">I", len(state.position_map))
-    for tk, leaf in state.position_map.items():
-        blob += tk + struct.pack(">Q", leaf)
-    blob += _pack_stash(state.stash, DATA_PAYLOAD_WIDTH)
-    Path(path).write_bytes(blob)
+    pm = state.position_map
+    parts = [_COUNT.pack(len(pm))]
+    parts += map(_PM_ENTRY.pack, pm.keys(), pm.values())
+    parts.append(_pack_stash(state.stash, DATA_PAYLOAD_WIDTH))
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_client_state(path: str | Path, state: TrivialState) -> None:
-    raw = Path(path).read_bytes()
-    (count,) = struct.unpack(">I", raw[:4])
-    off = 4
-    pm: dict[bytes, int] = {}
-    for _ in range(count):
-        tk = raw[off : off + 16]
-        (leaf,) = struct.unpack(">Q", raw[off + 16 : off + 24])
-        pm[tk] = leaf
-        off += 24
-    stash, off = _unpack_stash(raw, off, DATA_PAYLOAD_WIDTH)
+    r = _Reader(Path(path).read_bytes(), f"client state file {path}")
+    (count,) = r.unpack(_COUNT)
+    entries = r.take(count * _PM_ENTRY.size)
+    pm = dict(_PM_ENTRY.iter_unpack(entries))
+    stash = _unpack_stash(r, DATA_PAYLOAD_WIDTH)
+    r.finish()
     state.position_map = pm
     state.stash = stash
 
@@ -492,48 +515,41 @@ def save_controller(path: str | Path, state: ControllerState) -> None:
     blob += _pack_params(p)[3:]  # parameter block sans magic and version
     blob += state.k2 + state.kprf + state.session_key
     blob += _pack_stash(state.stash, DATA_PAYLOAD_WIDTH)
-    blob += struct.pack(">QQB", rpm.address_space, rpm.data_leaves, len(rpm.levels))
+    blob += _RPM_HEADER.pack(rpm.address_space, rpm.data_leaves, len(rpm.levels))
     for lvl in rpm.levels:
         tp = lvl.engine.params
-        blob += struct.pack(">IBBH", lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width)
+        blob += _RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width)
         blob += _pack_stash(lvl.engine.stash, tp.payload_width)
-    blob += struct.pack(">Q", len(rpm.top))
-    blob += b"".join(struct.pack(">Q", e) for e in rpm.top)
+    blob += _LEAF.pack(len(rpm.top))
+    blob += b"".join(_LEAF.pack(e) for e in rpm.top)
     Path(path).write_bytes(blob)
 
 
 def load_controller(path: str | Path, rng: random.Random | None = None) -> tuple[ControllerState, _StoreBinder]:
-    raw = Path(path).read_bytes()
-    if raw[:2] != CTRL_MAGIC or raw[2] != 1:
+    r = _Reader(Path(path).read_bytes(), f"controller state file {path}")
+    if r.take(3) != CTRL_MAGIC + b"\x01":
         raise ProtocolError("bad controller state file")
-    off = 3
-    params = _unpack_params(KEY_MAGIC + b"\x01" + raw[off : off + _KEYFILE.size - 3])
-    off += _KEYFILE.size - 3
+    params = _unpack_params(KEY_MAGIC + b"\x01" + r.take(_KEYFILE.size - 3))
     n = params.lambda_bits // 8
-    k2 = raw[off : off + n]
-    kprf = raw[off + n : off + 2 * n]
-    session = raw[off + 2 * n : off + 3 * n]
-    off += 3 * n
-    stash, off = _unpack_stash(raw, off, DATA_PAYLOAD_WIDTH)
-    a_space, data_leaves, n_levels = struct.unpack(">QQB", raw[off : off + 17])
-    off += 17
+    k2, kprf, session = r.take(n), r.take(n), r.take(n)
+    stash = _unpack_stash(r, DATA_PAYLOAD_WIDTH)
+    a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
     rng = rng if rng is not None else secrets.SystemRandom()
     binder = _StoreBinder()
     cipher = Cipher(k2)
     levels = []
     for i in range(n_levels):
-        n_blocks, depth, z, pw = struct.unpack(">IBBH", raw[off : off + 8])
-        off += 8
-        lstash, off = _unpack_stash(raw, off, pw)
+        n_blocks, depth, z, pw = r.unpack(_RPM_LEVEL)
+        lstash = _unpack_stash(r, pw)
         tp = TreeParams(depth, z, pw)
         engine = PathOram(
             DATA_TREE_ID + 1 + i, tp, binder, cipher,
             stash=lstash, stash_max=params.stash_max, rng=rng,
         )
         levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
-    (top_len,) = struct.unpack(">Q", raw[off : off + 8])
-    off += 8
-    top = [v[0] for v in struct.iter_unpack(">Q", raw[off : off + 8 * top_len])]
+    (top_len,) = r.unpack(_LEAF)
+    top = [v[0] for v in _LEAF.iter_unpack(r.take(_LEAF.size * top_len))]
+    r.finish()
     rpm = RecursivePM(
         address_space=a_space,
         data_leaves=data_leaves,

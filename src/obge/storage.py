@@ -4,6 +4,14 @@ A TreeStorage holds the raw encrypted buckets of one ORAM tree in heap
 order and serves whole root-to-leaf paths.  Every path read or write is
 appended to an AccessTrace, which records exactly what the storage owner
 can observe: operation, tree, leaf id, and byte count.
+
+Tree file format, version 2: a header (magic, version, tree id, depth L,
+bucket size Z, payload width) followed by the 2^(L+1) - 1 buckets in heap
+order.  Each bucket is one AES-GCM ciphertext of Z serialized blocks whose
+associated data is (tree id, heap index), so the storage side cannot move,
+copy or swap buckets within or across trees without the next access that
+reads them failing.  Version 1 encrypted every slot separately with no
+associated data and is rejected on load.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 1
+TREE_VERSION = 2
 _HEADER = struct.Struct(">2sBBBBH")  # magic, version, tree_id, L, Z, payload_width
 
 

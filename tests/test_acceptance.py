@@ -227,7 +227,7 @@ def test_bandwidth_accounting():
         path = client.query_path(0, plen)
         assert path is not None and len(path) - 1 == plen
         moved = sum(
-            r.byte_count // params.slot_width
+            r.byte_count // params.bucket_width * z
             for r in host.trace.records[before:]
             if r.msg_type in ("ReadPath", "WritePath")
         )

@@ -81,6 +81,24 @@ class TestQueryCommand:
                    "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 1
 
+    def test_truncated_keyfile_is_protocol_error(self, daemon, capsys):
+        out, d = daemon
+        keys = out / "keys.bin"
+        keys.write_bytes(keys.read_bytes()[:-5])
+        rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
+
+    def test_truncated_client_state_is_protocol_error(self, daemon, capsys):
+        out, d = daemon
+        state = out / "client_state.bin"
+        state.write_bytes(state.read_bytes()[:30])
+        rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
+                   "--addr", f"127.0.0.1:{d.port}"])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_no_path_reported(self, daemon, capsys):
         out, d = daemon
         rc = main(["query", "3", "0", "--keys", str(out / "keys.bin"),

@@ -5,7 +5,7 @@ from obge.blocks import DATA_PAYLOAD_WIDTH, tree_depth_for
 from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.oram import BlockInput, PathOram, PathOramKV, oram_init, verify_placement
-from obge.storage import StorageHost
+from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
 
 
 def make_blocks(keys, count, payload_cipher=None):
@@ -117,6 +117,13 @@ class TestAccess:
         with pytest.raises(IntegrityError):
             engine.access(b"\xbb" * 16, 0, 1)  # never stored
 
+    def test_new_leaf_out_of_range_rejected_before_io(self, rng):
+        keys = keygen(128)
+        blocks, _, params, host, engine, pm = build(keys, 10, rng)
+        with pytest.raises(IndexError):
+            engine.access(blocks[0].tk, pm[blocks[0].tk], params.leaves)
+        assert len(host.trace) == 0
+
     def test_placement_invariant_after_random_ops(self, rng):
         keys = keygen(128)
         blocks, tree, params, host, engine, pm = build(keys, 48, rng)
@@ -177,10 +184,10 @@ class TestWireShape:
                 return self.last_read
 
             def write_path(self, tree_id, leaf, data):
-                w = params.slot_width
+                w = params.bucket_width
                 old = [self.last_read[i : i + w] for i in range(0, len(self.last_read), w)]
                 new = [data[i : i + w] for i in range(0, len(data), w)]
-                assert not (set(old) & set(new)), "a slot was written back unchanged"
+                assert not (set(old) & set(new)), "a bucket was written back unchanged"
                 self.inner.write_path(tree_id, leaf, data)
 
         engine.store = Spy(host)
@@ -229,3 +236,89 @@ class TestPathIO:
         _, tree, params, host, _, _ = build(keys, 6, rng)
         with pytest.raises(ProtocolError):
             host.write_path(0, 0, b"short")
+
+
+class FixedLeaf:
+    """Leaf sampler that always answers the same leaf, so a dummy round
+    reads a chosen path."""
+
+    def __init__(self, leaf):
+        self.leaf = leaf
+
+    def randrange(self, n):
+        return self.leaf
+
+
+class TestBucketBinding:
+    """Each bucket authenticates its (tree id, heap index): the host cannot
+    move, copy or swap buckets without the next access that reads them
+    failing.  Rollback of a node to its own older ciphertext is not covered
+    by this binding."""
+
+    def test_bucket_copied_over_root_is_rejected(self, rng):
+        keys = keygen(128)
+        blocks, tree, params, host, engine, pm = build(keys, 40, rng)  # depth 3
+        kv = PathOramKV(engine, pm)
+        assert kv.access(blocks[0].tk) is not None
+        tree.set_bucket(0, tree.get_bucket(params.node_count - 1))
+        with pytest.raises(IntegrityError, match="authentication failed"):
+            kv.access(blocks[1].tk)  # every path reads the root
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_swapped_siblings_are_rejected(self, rng, side):
+        keys = keygen(128)
+        _, tree, params, host, engine, _ = build(keys, 40, rng)
+        leaf = 0 if side == "left" else params.leaves - 1  # path through node 1 or node 2
+        engine.rng = FixedLeaf(leaf)
+        engine.access(None, None, None)
+        left, right = tree.get_bucket(1), tree.get_bucket(2)
+        tree.set_bucket(1, right)
+        tree.set_bucket(2, left)
+        with pytest.raises(IntegrityError, match="authentication failed"):
+            engine.access(None, None, None)
+
+    def test_bucket_from_another_tree_is_rejected(self, rng):
+        keys = keygen(128)
+        k2 = Cipher(keys.k2)
+        blocks = make_blocks(keys, 40)
+        tree0, params, _, stash = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=0)
+        tree1, params1, _, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=1)
+        assert params1 == params
+        tree0.set_bucket(0, tree1.get_bucket(0))  # same node and width, other tree
+        host = StorageHost()
+        host.add_tree(tree0)
+        engine = PathOram(0, params, host, k2, stash=stash, rng=rng)
+        with pytest.raises(IntegrityError, match="authentication failed"):
+            engine.access(None, None, None)
+
+    def test_verify_placement_rejects_a_moved_bucket(self, rng):
+        keys = keygen(128)
+        _, tree, _, _, engine, pm = build(keys, 40, rng)
+        verify_placement(tree, Cipher(keys.k2), pm, engine.stash)
+        tree.set_bucket(3, tree.get_bucket(4))
+        with pytest.raises(IntegrityError):
+            verify_placement(tree, Cipher(keys.k2), pm, engine.stash)
+
+    def test_short_path_read_is_rejected(self, rng):
+        keys = keygen(128)
+        _, _, params, host, engine, _ = build(keys, 6, rng)
+
+        class Truncating:
+            def read_path(self, tree_id, leaf):
+                return host.read_path(tree_id, leaf)[:-1]
+
+        engine.store = Truncating()
+        with pytest.raises(IntegrityError, match="expected"):
+            engine.access(None, None, None)
+
+    def test_version_one_tree_file_is_rejected(self, rng, tmp_path):
+        keys = keygen(128)
+        _, tree, params, _, _, _ = build(keys, 6, rng)
+        path = tmp_path / "tree.bin"
+        tree.save(path)
+        assert TreeStorage.load(path).buckets == tree.buckets
+        raw = path.read_bytes()
+        v1 = _HEADER.pack(TREE_MAGIC, 1, 0, params.depth, params.bucket_size, params.payload_width)
+        path.write_bytes(v1 + raw[_HEADER.size :])
+        with pytest.raises(ProtocolError, match="version 1"):
+            TreeStorage.load(path)

@@ -1,7 +1,9 @@
 import random
+import struct
 
 import pytest
 
+from obge.blocks import DATA_PAYLOAD_WIDTH, Block
 from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
@@ -212,3 +214,93 @@ class TestPersistence:
             for v in range(20):
                 got = client2.query_path(u, v)
                 assert got == spath_oracle(g, u, v), (u, v)
+
+    def test_controller_round_trip_keeps_position_map_stash(self, tmp_path, rng):
+        # Z=1 keeps the level stash busy; chi=64 gives 512-byte level payloads
+        g = random_graph(rng, 20, 0.2)
+        result, host, server, client = deploy(g, "enhanced", budget=512, bucket_size=1)
+        levels = server.controller.state.positions.levels
+        assert [lvl.engine.params.payload_width for lvl in levels] == [512]
+        pairs = [(u, v) for u in range(20) for v in range(20)]
+        for u, v in pairs:
+            client.query_path(u, v)
+            if levels[0].engine.stash:
+                break
+        saved_stash = list(levels[0].engine.stash)
+        assert saved_stash, "no level stash to persist"
+        path = tmp_path / "controller.bin"
+        save_controller(path, server.controller.state)
+        state, binder = load_controller(path, rng=random.Random(9))
+        assert state.positions.levels[0].engine.stash == saved_stash
+        assert state.stash == server.controller.state.stash
+        server2 = ObgeServer(host)
+        istore = InternalStore(server2)
+        binder.bind(istore)
+        server2.controller = EnclaveController(state, istore, rng=random.Random(9))
+        from obge.protocol import EnhancedClient
+        from obge.server import LoopbackConnection, enclave_transport
+        client2 = EnhancedClient(result.client, enclave_transport(LoopbackConnection(server2)))
+        for u, v in pairs:
+            assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
+
+    def test_client_state_bytes_follow_the_documented_layout(self, tmp_path, four_vertex_directed):
+        # count, then (token, leaf) per entry, then the stash: count and blocks
+        result, _, _, client = deploy(four_vertex_directed, "trivial")
+        state = result.client
+        for u in range(4):
+            client.query(u, 3)
+        state.stash.append(Block(b"\x11" * 16, b"\x22" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
+        want = struct.pack(">I", len(state.position_map))
+        for tk, leaf in state.position_map.items():
+            want += tk + struct.pack(">Q", leaf)
+        want += struct.pack(">I", len(state.stash))
+        for blk in state.stash:
+            want += blk.pack(DATA_PAYLOAD_WIDTH)
+        path = tmp_path / "state.bin"
+        save_client_state(path, state)
+        assert path.read_bytes() == want
+        fresh = load_keyfile_for(tmp_path, result)
+        load_client_state(path, fresh)
+        assert fresh.position_map == state.position_map and fresh.stash == state.stash
+
+
+def load_keyfile_for(tmp_path, result):
+    keyfile = tmp_path / "keys.bin"
+    save_keyfile(keyfile, result.client)
+    return load_keyfile(keyfile)
+
+
+class TestTruncatedStateFiles:
+    """Every prefix of a state file is malformed input: ProtocolError, never
+    a bare struct.error or a silently short key."""
+
+    def _assert_every_prefix_rejected(self, path, load):
+        raw = path.read_bytes()
+        for cut in sorted({0, 1, 2, 3, 10, 30, len(raw) // 2, len(raw) - 17, len(raw) - 1}):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ProtocolError):
+                load(path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ProtocolError, match="trailing"):
+            load(path)
+
+    def test_keyfile(self, tmp_path, four_vertex_directed):
+        for mode in ("trivial", "enhanced"):
+            result, _, _, _ = deploy(four_vertex_directed, mode)
+            path = tmp_path / f"keys-{mode}.bin"
+            save_keyfile(path, result.client)
+            self._assert_every_prefix_rejected(path, load_keyfile)
+
+    def test_client_state(self, tmp_path, four_vertex_directed):
+        result, _, _, _ = deploy(four_vertex_directed, "trivial")
+        path = tmp_path / "state.bin"
+        save_client_state(path, result.client)
+        fresh = load_keyfile_for(tmp_path, result)
+        self._assert_every_prefix_rejected(path, lambda p: load_client_state(p, fresh))
+
+    def test_controller(self, tmp_path, rng):
+        g = random_graph(rng, 12, 0.3)
+        result, _, server, _ = deploy(g, "enhanced", budget=256, chi=8)
+        path = tmp_path / "controller.bin"
+        save_controller(path, server.controller.state)
+        self._assert_every_prefix_rejected(path, load_controller)

@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from obge import wire
+from obge.crypto import ciphertext_width
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
 from obge.protocol import TrivialClient, save_client_state, save_keyfile, setup
@@ -39,7 +40,8 @@ class TestDispatch:
         params = host.trees[0].params
         resp = conn.request(wire.ReadPath(0, 0))
         assert isinstance(resp, wire.PathData)
-        assert len(resp.buckets) == (params.depth + 1) * params.bucket_size * params.slot_width
+        assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
+        assert len(resp.buckets) == (params.depth + 1) * params.bucket_width
 
     def test_unknown_msg_type_keeps_connection(self):
         _, _, _, server, _ = make_deployment()
