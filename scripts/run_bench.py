@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Latency vs path length experiment.
 
-Runs the loopback deployment over a chain graph and reports per-length
+Runs the in-process deployment over a chain graph and reports per-length
 means plus the least-squares slope, reproducing the query-response-time
 curve shape.  Writes the raw CSV next to the summary.
 """

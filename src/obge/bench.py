@@ -1,4 +1,4 @@
-"""Latency-versus-path-length measurement over the loopback deployment."""
+"""Latency-versus-path-length measurement over the in-process deployment."""
 
 from __future__ import annotations
 

@@ -75,9 +75,6 @@ def cmd_setup(args) -> int:
         mode=args.mode,
         tree_path=str(out),
         listen_addr=args.listen,
-        budget_bytes=args.budget,
-        Z=args.Z,
-        stash_max=args.stash_max,
         trace_path=str(out / "trace.csv"),
     )
     save_config(out / "server.cfg", cfg)

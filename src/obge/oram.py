@@ -59,9 +59,6 @@ class PathOram:
         self.max_stash_seen = len(self.stash)
         self.access_count = 0
 
-    def random_leaf(self) -> int:
-        return self.rng.randrange(self.params.leaves)
-
     def access(
         self,
         tk: bytes | None,
@@ -81,7 +78,7 @@ class PathOram:
         is_real = tk is not None and cur_leaf is not None
         if is_real and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
-        x = cur_leaf if is_real else self.random_leaf()
+        x = cur_leaf if is_real else self.rng.randrange(p.leaves)
         ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(x)]
         raw = self.store.read_path(self.tree_id, x)
         if len(raw) != p.path_width:
@@ -227,30 +224,10 @@ def oram_init(
     return tree, params, leaves, stash
 
 
-class PathOramKV:
-    """Token-keyed view with an internal flat position map.
-
-    This is the client-held-state deployment: lookups hit the local map,
-    unknown tokens trigger a dummy round so hits and misses are
-    indistinguishable on the wire.
-    """
-
-    def __init__(self, engine: PathOram, position_map: dict[bytes, int]):
-        self.engine = engine
-        self.position_map = position_map
-
-    def access(self, tk: bytes) -> Block | None:
-        leaf = self.position_map.get(tk)
-        if leaf is None:
-            return self.engine.access(None, None, None)
-        new_leaf = self.engine.random_leaf()
-        self.position_map[tk] = new_leaf
-        return self.engine.access(tk, leaf, new_leaf)
-
-
-def verify_placement(tree, cipher: Cipher, position_map: dict[bytes, int], stash: list[Block]) -> None:
-    """Debug walker: decrypt the whole tree and confirm every mapped block
-    sits either in the stash or on the path to its mapped leaf."""
+def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[Block]) -> None:
+    """Debug walker: decrypt the whole tree and confirm every block named
+    in leaf_of (token -> mapped leaf) sits either in the stash or on the
+    path to its mapped leaf."""
     p = tree.params
     bw = p.block_width
     located: dict[bytes, int] = {}
@@ -265,7 +242,7 @@ def verify_placement(tree, cipher: Cipher, position_map: dict[bytes, int], stash
     stash_tokens = {b.tk for b in stash}
     if len(stash_tokens) != len(stash):
         raise AssertionError("token appears twice in the stash")
-    for tk, leaf in position_map.items():
+    for tk, leaf in leaf_of.items():
         if tk in stash_tokens:
             continue
         node = located.get(tk)

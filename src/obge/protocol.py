@@ -1,20 +1,27 @@
 """The graph encryption scheme: setup, query, reveal, and both deployments.
 
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
-tokens and loads them into a Path ORAM tree.  A query chases the token
-chain with one oblivious access per hop plus a terminating miss round, so
-the storage side observes only the round count.  Reveal decrypts the
+tokens, loads them into a Path ORAM tree, and maps each block's dense
+address u*|V|+v to its leaf.  A query chases the chain of addresses and
+tokens with one oblivious access per hop plus a terminating miss round,
+so the storage side observes only the round count.  Reveal decrypts the
 collected payloads into the plaintext path.
 
-Two deployments share the same wire behavior:
+Both deployments run the one QueryEngine: the data tree's Path ORAM, a
+RecursivePM position map, the PRF key and the vertex range check.  They
+differ only in where the engine runs:
 
-* trivial  -- the client keeps the position map and stash and drives every
-  access itself.
+* trivial  -- the client hosts it and drives every access over its store
+  connection; the position map is flat.
 * enhanced -- a controller behind the server's trust boundary (the TEE
-  stand-in) keeps position map and stash; the client exchanges a single
-  encrypted request/response pair per query over an emulated secure
-  channel.  The position map is held flat or in a recursive ORAM chain,
-  whichever fits the configured memory budget.
+  stand-in) hosts it; the client exchanges a single encrypted
+  request/response pair per query over an emulated secure channel.  The
+  position map is flat or a recursive ORAM chain, whichever fits the
+  configured memory budget.
+
+The engine state -- data stash, position-map level stashes and the sparse
+top map -- has one codec, shared by client_state.bin (trivial) and
+controller.bin (enhanced); both files start with a magic and a version.
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, PAIR_PAD, TreeParams, block_width, unpack_block
-from .crypto import TOKEN_BYTES, Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
+from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, PathOramKV, oram_init
-from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, rpm_build, _StoreBinder
+from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, oram_init
+from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, rpm_build
 from .storage import TreeStorage
 
 DATA_TREE_ID = 0
@@ -73,11 +80,13 @@ class SchemeParams:
 
 @dataclass
 class TrivialState:
-    """Everything the client keeps in the client-held-state deployment."""
+    """Everything the client keeps in the trivial deployment: the keys and
+    the engine state (flat position map and data stash); the engine state
+    is None until it is loaded from client_state.bin."""
 
     keys: KeySet
     params: SchemeParams
-    position_map: dict[bytes, int]
+    positions: RecursivePM | None = None
     stash: list[Block] = field(default_factory=list)
 
 
@@ -109,7 +118,6 @@ class SetupResult:
     keys: KeySet
     client: TrivialState | EnhancedState
     controller: ControllerState | None
-    rpm_binder: _StoreBinder | None
     spdx_size: int
 
 
@@ -185,26 +193,26 @@ def setup(
     )
     params.data_depth = data_params.depth
 
-    if mode == MODE_TRIVIAL:
-        pm = {inp.tk: leaf for inp, leaf in zip(inputs, leaves)}
-        client = TrivialState(keys=keys, params=params, position_map=pm, stash=stash)
-        return SetupResult([tree], params, keys, client, None, None, len(inputs))
-
-    session_key = os.urandom(lambda_bits // 8)
-    assignments = dict(zip(addresses, leaves))
-    effective_budget = budget if budget is not None else params.address_space * ENTRY_BYTES
-    rpm, pm_trees, binder = rpm_build(
-        assignments,
+    # the trivial client keeps the whole map; a controller is held to its budget
+    flat = params.address_space * ENTRY_BYTES
+    rpm, pm_trees = rpm_build(
+        zip(addresses, leaves),
         address_space=params.address_space,
         data_leaves=data_params.leaves,
         chi=chi,
-        budget=effective_budget,
+        budget=budget if mode == MODE_ENHANCED and budget is not None else flat,
         bucket_size=bucket_size,
         cipher=k2,
         rng=rng,
         stash_max=stash_max,
         first_tree_id=DATA_TREE_ID + 1,
     )
+    trees = [tree] + pm_trees
+    if mode == MODE_TRIVIAL:
+        client = TrivialState(keys=keys, params=params, positions=rpm, stash=stash)
+        return SetupResult(trees, params, keys, client, None, len(inputs))
+
+    session_key = os.urandom(lambda_bits // 8)
     controller = ControllerState(
         k2=keys.k2,
         kprf=keys.kprf,
@@ -214,7 +222,7 @@ def setup(
         stash=stash,
     )
     client = EnhancedState(keys=keys, params=params, session_key=session_key)
-    return SetupResult([tree] + pm_trees, params, keys, client, controller, binder, len(inputs))
+    return SetupResult(trees, params, keys, client, controller, len(inputs))
 
 
 def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | None:
@@ -232,75 +240,71 @@ def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | 
     return [source] + [w for w, _ in hops]
 
 
+class QueryEngine:
+    """The Query loop both deployments run.
+
+    Holds the data tree's Path ORAM over the state's stash, the state's
+    position map and the PRF key.  Every path read and write goes through
+    store; the position map's level engines are attached to the same store
+    when the engine is built.
+    """
+
+    def __init__(
+        self, state: TrivialState | ControllerState, kprf: bytes, k2: bytes, store,
+        rng: random.Random | None = None,
+    ):
+        rng = rng if rng is not None else secrets.SystemRandom()
+        p = self.params = state.params
+        self.kprf = kprf
+        self.positions = state.positions
+        self.positions.attach(store, rng)
+        self.oram = PathOram(
+            DATA_TREE_ID, p.data_params, store, Cipher(k2),
+            stash=state.stash, stash_max=p.stash_max, rng=rng,
+        )
+
+    def query(self, u: int, v: int) -> list[bytes]:
+        """Chase the chain from (u, v): one access per hop, then one on a
+        missing address; returns the encrypted path.  An out-of-range pair
+        raises IndexError before any storage access."""
+        n = self.params.vertex_count
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
+        resp: list[bytes] = []
+        addr = u * n + v
+        tk = prf_eval(self.kprf, encode_pair(u, v))
+        while True:
+            old_leaf, new_leaf = self.positions.get_and_remap(addr)
+            if old_leaf == ABSENT:
+                self.oram.access(None, None, new_leaf)
+                return resp
+            blk = self.oram.access(tk, old_leaf, new_leaf)
+            resp.append(blk.payload)
+            addr, tk = blk.next_addr, blk.next_tk
+
+
 class TrivialClient:
-    """Query driver for the client-held-state deployment."""
+    """Trivial deployment: the client hosts the query engine over its store."""
 
     def __init__(self, state: TrivialState, store, rng: random.Random | None = None):
         self.state = state
-        self.keys = state.keys
-        p = state.params
-        self.engine = PathOram(
-            DATA_TREE_ID,
-            p.data_params,
-            store,
-            Cipher(self.keys.k2),
-            stash=state.stash,
-            stash_max=p.stash_max,
-            rng=rng if rng is not None else secrets.SystemRandom(),
-        )
-        self.kv = PathOramKV(self.engine, state.position_map)
-        self.last_rounds = 0
+        self.engine = QueryEngine(state, state.keys.kprf, state.keys.k2, store, rng)
 
     def query(self, u: int, v: int) -> list[bytes]:
-        """Chase the token chain; returns the encrypted path."""
-        self._check(u)
-        self._check(v)
-        resp: list[bytes] = []
-        curr = prf_eval(self.keys.kprf, encode_pair(u, v))
-        rounds = 0
-        while True:
-            blk = self.kv.access(curr)
-            rounds += 1
-            if blk is None:
-                break
-            resp.append(blk.payload)
-            curr = blk.next_tk
-        self.last_rounds = rounds
-        return resp
+        return self.engine.query(u, v)
 
     def query_path(self, u: int, v: int) -> list[int] | None:
-        return reveal(self.query(u, v), u, v, self.keys.k1)
-
-    def _check(self, x: int) -> None:
-        if not (0 <= x < self.state.params.vertex_count):
-            raise IndexError(f"vertex {x} out of range [0, {self.state.params.vertex_count})")
+        return reveal(self.query(u, v), u, v, self.state.keys.k1)
 
 
 class EnclaveController:
-    """The TEE stand-in: holds position map and stash, runs the access loop
-    next to the storage, and talks to the client only through an
-    authenticated session channel."""
+    """The TEE stand-in: hosts the query engine next to the storage and
+    talks to the client only through an authenticated session channel."""
 
     def __init__(self, state: ControllerState, store, rng: random.Random | None = None):
         self.state = state
-        self.params = state.params
         self.session = Cipher(state.session_key)
-        self.kprf = state.kprf
-        rng = rng if rng is not None else secrets.SystemRandom()
-        state.positions.rng = rng
-        self.engine = PathOram(
-            DATA_TREE_ID,
-            state.params.data_params,
-            store,
-            Cipher(state.k2),
-            stash=state.stash,
-            stash_max=state.params.stash_max,
-            rng=rng,
-        )
-        self.last_rounds = 0
-
-    def bind_store(self, store) -> None:
-        self.engine.store = store
+        self.engine = QueryEngine(state, state.kprf, state.k2, store, rng)
 
     def handle_request(self, ct: bytes) -> bytes:
         """Decrypt one (u, v) request, run the query loop, and return the
@@ -309,40 +313,14 @@ class EnclaveController:
         raw = self.session.decrypt(ct)
         if len(raw) != 8:
             raise ProtocolError("malformed query request")
-        u, v = decode_pair(raw)
-        n = self.params.vertex_count
-        if u >= n or v >= n:
-            raise ProtocolError(f"vertex pair ({u},{v}) out of range for {n} vertices")
-        resp = self.query_loop(u, v)
+        resp = self.engine.query(*decode_pair(raw))
         blob = struct.pack(">H", len(resp)) + b"".join(resp)
         return self.session.encrypt(blob, pad_to=len(blob))
-
-    def query_loop(self, u: int, v: int) -> list[bytes]:
-        n = self.params.vertex_count
-        resp: list[bytes] = []
-        addr = u * n + v
-        tk = prf_eval(self.kprf, encode_pair(u, v))
-        rounds = 0
-        while True:
-            old_leaf, new_leaf = self.state.positions.get_and_remap(addr)
-            if old_leaf == ABSENT:
-                self.engine.access(None, None, new_leaf)
-                rounds += 1
-                break
-            blk = self.engine.access(tk, old_leaf, new_leaf)
-            rounds += 1
-            if blk is None:  # cannot happen while positions and tree agree
-                raise IntegrityError("mapped address yielded no block")
-            resp.append(blk.payload)
-            addr = blk.next_addr
-            tk = blk.next_tk
-        self.last_rounds = rounds
-        return resp
 
     def resident_bytes(self) -> int:
         """Controller-resident bytes: position state, data stash, keys."""
         key_bytes = len(self.state.k2) + len(self.state.kprf) + len(self.state.session_key)
-        stash_bytes = len(self.engine.stash) * self.params.data_params.block_width
+        stash_bytes = len(self.engine.oram.stash) * self.engine.oram.params.block_width
         return self.state.positions.resident_bytes() + stash_bytes + key_bytes
 
 
@@ -376,7 +354,10 @@ class EnhancedClient:
 
 _KEYFILE = struct.Struct(">2sBHB IBBIIQ B H")  # magic ver lambda mode | V Z pad smax chi budget | depth | payload
 KEY_MAGIC = b"OK"
+CLIENT_MAGIC = b"OS"
 CTRL_MAGIC = b"OC"
+# client_state.bin and controller.bin; version 1 client states had no header
+STATE_VERSION = 2
 _MODE_CODE = {MODE_TRIVIAL: 0, MODE_ENHANCED: 1}
 _MODE_NAME = {0: MODE_TRIVIAL, 1: MODE_ENHANCED}
 _PAD_CODE = {PAD_NONE: 0, PAD_FULL: 1}
@@ -428,7 +409,7 @@ class _Reader:
 
 _COUNT = struct.Struct(">I")
 _LEAF = struct.Struct(">Q")
-_PM_ENTRY = struct.Struct(f">{TOKEN_BYTES}sQ")
+_TOP_ENTRY = struct.Struct(">QQ")  # index, leaf
 _RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
 _RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
 
@@ -474,7 +455,7 @@ def load_keyfile(path: str | Path) -> TrivialState | EnhancedState:
     r.finish()
     if params.mode == MODE_ENHANCED:
         return EnhancedState(keys=keys, params=params, session_key=session)
-    return TrivialState(keys=keys, params=params, position_map={}, stash=[])
+    return TrivialState(keys=keys, params=params)
 
 
 def _pack_stash(stash: list[Block], payload_width: int) -> bytes:
@@ -487,78 +468,93 @@ def _unpack_stash(r: _Reader, payload_width: int) -> list[Block]:
     return [unpack_block(r.take(width), payload_width) for _ in range(count)]
 
 
-def save_client_state(path: str | Path, state: TrivialState) -> None:
-    """Position map and stash for the trivial deployment; rewritten after
-    every query because accesses remap blocks."""
-    pm = state.position_map
-    parts = [_COUNT.pack(len(pm))]
-    parts += map(_PM_ENTRY.pack, pm.keys(), pm.values())
-    parts.append(_pack_stash(state.stash, DATA_PAYLOAD_WIDTH))
-    Path(path).write_bytes(b"".join(parts))
-
-
-def load_client_state(path: str | Path, state: TrivialState) -> None:
-    r = _Reader(Path(path).read_bytes(), f"client state file {path}")
-    (count,) = r.unpack(_COUNT)
-    entries = r.take(count * _PM_ENTRY.size)
-    pm = dict(_PM_ENTRY.iter_unpack(entries))
-    stash = _unpack_stash(r, DATA_PAYLOAD_WIDTH)
-    r.finish()
-    state.position_map = pm
-    state.stash = stash
-
-
-def save_controller(path: str | Path, state: ControllerState) -> None:
-    p = state.params
-    rpm = state.positions
-    blob = CTRL_MAGIC + struct.pack(">B", 1)
-    blob += _pack_params(p)[3:]  # parameter block sans magic and version
-    blob += state.k2 + state.kprf + state.session_key
-    blob += _pack_stash(state.stash, DATA_PAYLOAD_WIDTH)
-    blob += _RPM_HEADER.pack(rpm.address_space, rpm.data_leaves, len(rpm.levels))
-    for lvl in rpm.levels:
+def _pack_engine(positions: RecursivePM, stash: list[Block]) -> bytes:
+    """Engine state: the data stash, the map header, each level's shape and
+    stash, then the top map as (index, leaf) pairs."""
+    parts = [
+        _pack_stash(stash, DATA_PAYLOAD_WIDTH),
+        _RPM_HEADER.pack(positions.address_space, positions.data_leaves, len(positions.levels)),
+    ]
+    for lvl in positions.levels:
         tp = lvl.engine.params
-        blob += _RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width)
-        blob += _pack_stash(lvl.engine.stash, tp.payload_width)
-    blob += _LEAF.pack(len(rpm.top))
-    blob += b"".join(_LEAF.pack(e) for e in rpm.top)
-    Path(path).write_bytes(blob)
+        parts.append(_RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width))
+        parts.append(_pack_stash(lvl.engine.stash, tp.payload_width))
+    top = positions.top
+    parts.append(_LEAF.pack(len(top)))
+    parts += map(_TOP_ENTRY.pack, top.keys(), top.values())
+    return b"".join(parts)
 
 
-def load_controller(path: str | Path, rng: random.Random | None = None) -> tuple[ControllerState, _StoreBinder]:
-    r = _Reader(Path(path).read_bytes(), f"controller state file {path}")
-    if r.take(3) != CTRL_MAGIC + b"\x01":
-        raise ProtocolError("bad controller state file")
-    params = _unpack_params(KEY_MAGIC + b"\x01" + r.take(_KEYFILE.size - 3))
-    n = params.lambda_bits // 8
-    k2, kprf, session = r.take(n), r.take(n), r.take(n)
+def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[Block]]:
+    """Inverse of _pack_engine.  The level engines get their store, and the
+    map its leaf sampler, when a query engine is built over them."""
     stash = _unpack_stash(r, DATA_PAYLOAD_WIDTH)
     a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
-    rng = rng if rng is not None else secrets.SystemRandom()
-    binder = _StoreBinder()
     cipher = Cipher(k2)
     levels = []
     for i in range(n_levels):
         n_blocks, depth, z, pw = r.unpack(_RPM_LEVEL)
         lstash = _unpack_stash(r, pw)
-        tp = TreeParams(depth, z, pw)
         engine = PathOram(
-            DATA_TREE_ID + 1 + i, tp, binder, cipher,
-            stash=lstash, stash_max=params.stash_max, rng=rng,
+            DATA_TREE_ID + 1 + i, TreeParams(depth, z, pw), None, cipher,
+            stash=lstash, stash_max=params.stash_max,
         )
         levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
     (top_len,) = r.unpack(_LEAF)
-    top = [v[0] for v in _LEAF.iter_unpack(r.take(_LEAF.size * top_len))]
-    r.finish()
+    top = dict(_TOP_ENTRY.iter_unpack(r.take(_TOP_ENTRY.size * top_len)))
     rpm = RecursivePM(
         address_space=a_space,
         data_leaves=data_leaves,
         chi=params.chi,
         levels=levels,
         top=top,
-        rng=rng,
     )
-    state = ControllerState(
-        k2=k2, kprf=kprf, session_key=session, params=params, positions=rpm, stash=stash
+    return rpm, stash
+
+
+def _open_state(path: str | Path, magic: bytes, what: str) -> _Reader:
+    r = _Reader(Path(path).read_bytes(), f"{what} file {path}")
+    head = r.take(3)
+    if head[:2] != magic:
+        raise ProtocolError(f"{what} file {path}: bad magic {head[:2]!r}")
+    if head[2] != STATE_VERSION:
+        raise ProtocolError(
+            f"{what} file {path}: unsupported version {head[2]}, expected {STATE_VERSION}; "
+            "set the deployment up again"
+        )
+    return r
+
+
+def save_client_state(path: str | Path, state: TrivialState) -> None:
+    """The trivial client's engine state; rewritten after every query
+    because accesses remap blocks."""
+    head = CLIENT_MAGIC + bytes([STATE_VERSION])
+    Path(path).write_bytes(head + _pack_engine(state.positions, state.stash))
+
+
+def load_client_state(path: str | Path, state: TrivialState) -> None:
+    r = _open_state(path, CLIENT_MAGIC, "client state")
+    positions, stash = _unpack_engine(r, state.params, state.keys.k2)
+    r.finish()
+    state.positions = positions
+    state.stash = stash
+
+
+def save_controller(path: str | Path, state: ControllerState) -> None:
+    blob = CTRL_MAGIC + bytes([STATE_VERSION])
+    blob += _pack_params(state.params)[3:]  # parameter block sans magic and version
+    blob += state.k2 + state.kprf + state.session_key
+    blob += _pack_engine(state.positions, state.stash)
+    Path(path).write_bytes(blob)
+
+
+def load_controller(path: str | Path) -> ControllerState:
+    r = _open_state(path, CTRL_MAGIC, "controller state")
+    params = _unpack_params(KEY_MAGIC + b"\x01" + r.take(_KEYFILE.size - 3))
+    n = params.lambda_bits // 8
+    k2, kprf, session = r.take(n), r.take(n), r.take(n)
+    positions, stash = _unpack_engine(r, params, k2)
+    r.finish()
+    return ControllerState(
+        k2=k2, kprf=kprf, session_key=session, params=params, positions=positions, stash=stash
     )
-    return state, binder

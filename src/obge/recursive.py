@@ -1,16 +1,27 @@
-"""Recursive position map: the map itself lives in smaller ORAM trees.
+"""Position map of the query engine, flat or recursive.
 
-Level 0 packs the data blocks' leaf positions, chi 8-byte entries per
-block; level i+1 packs the positions of level-i blocks; levels are added
-until the remaining top-level array fits the configured memory budget.
-The controller then keeps only the top array and the per-level stashes
-resident, emulating an enclave with bounded internal storage.
+The map sends each dense address u*|V|+v to the data leaf of its block.
+When the whole map, counted as a dense array of 8-byte entries, exceeds
+the memory budget, it moves into smaller ORAM trees: level 0 packs the data
+leaves, chi entries per block; level i+1 packs the leaves of level-i
+blocks; levels are added until the remaining top array fits the budget.
+The holder then keeps only the top map and the per-level stashes resident,
+emulating an enclave with bounded internal storage.  With no levels this
+is the flat map of Path ORAM's recursive construction, which the trivial
+client uses as is.
+
+The top map is sparse, {index: leaf}: a flat map holds only the addresses
+that have a block, and no dense |V|^2 array is ever built.  The chain
+depth still follows the dense rule above, so trace shapes do not depend
+on how many addresses are present.
 """
 
 from __future__ import annotations
 
 import random
+import secrets
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .blocks import ABSENT
@@ -29,11 +40,11 @@ def level_token(level: int, index: int) -> bytes:
 
 
 def pack_entries(entries: list[int]) -> bytes:
-    return b"".join(struct.pack(">Q", e) for e in entries)
+    return struct.pack(f">{len(entries)}Q", *entries)
 
 
 def unpack_entries(raw: bytes) -> list[int]:
-    return [v[0] for v in struct.iter_unpack(">Q", raw)]
+    return list(struct.unpack(f">{len(raw) // ENTRY_BYTES}Q", raw))
 
 
 @dataclass
@@ -46,8 +57,10 @@ class RecursivePM:
     """Position lookup with remap-on-access through the level chain.
 
     levels[0] holds data positions; levels[-1] is the level whose block
-    positions sit in the plain top array.  An empty chain is the flat
-    base case: the top array holds the data positions directly.
+    positions sit in the top map.  An empty chain is the flat base case:
+    the top map holds the data positions directly, and addresses with no
+    block are missing from it.  The level engines read and write through
+    the store handed to ``attach``.
     """
 
     def __init__(
@@ -56,23 +69,32 @@ class RecursivePM:
         data_leaves: int,
         chi: int,
         levels: list[RpmLevel],
-        top: list[int],
-        rng: random.Random,
+        top: dict[int, int],
+        rng: random.Random | None = None,
     ):
         self.address_space = address_space
         self.data_leaves = data_leaves
         self.chi = chi
         self.levels = levels
         self.top = top
-        self.rng = rng
+        self.rng = rng if rng is not None else secrets.SystemRandom()
 
     @property
     def chain_depth(self) -> int:
         return len(self.levels)
 
+    def attach(self, store, rng: random.Random) -> None:
+        """Reach the level trees through store and draw fresh leaves from rng."""
+        self.rng = rng
+        for lvl in self.levels:
+            lvl.engine.store = store
+
     def resident_bytes(self) -> int:
-        """Controller-resident state: top array plus all level stashes."""
-        total = len(self.top) * ENTRY_BYTES
+        """Resident state: the top map at the dense width the budget rule
+        counts (one entry per address, or per last-level block), plus all
+        level stashes."""
+        top_size = self.levels[-1].n_blocks if self.levels else self.address_space
+        total = top_size * ENTRY_BYTES
         for lvl in self.levels:
             total += len(lvl.engine.stash) * lvl.engine.params.block_width
         return total
@@ -89,57 +111,45 @@ class RecursivePM:
             raise IndexError(f"address {addr} out of range [0, {self.address_space})")
 
         if not self.levels:
-            old = self.top[addr]
+            old = self.top.get(addr, ABSENT)
             fresh = self.rng.randrange(self.data_leaves)
             if old != ABSENT:
                 self.top[addr] = fresh
             return old, fresh
 
-        # block index containing the entry, per level
-        indices = []
-        i = addr
-        for _ in self.levels:
-            i //= self.chi
-            indices.append(i)
+        # (old, fresh) walks down the chain: the current and the new leaf of
+        # the block holding the entry at each level, from the top map's
+        # entry to the data leaf itself
+        depth = len(self.levels)
+        top_idx = addr // self.chi**depth
+        old = self.top.get(top_idx, ABSENT)
+        fresh = self.rng.randrange(self.levels[-1].engine.params.leaves)
+        if old != ABSENT:
+            self.top[top_idx] = fresh
 
-        top_idx = indices[-1]
-        cur_leaf = self.top[top_idx]
-        incoming = self.rng.randrange(self.levels[-1].engine.params.leaves)
-        self.top[top_idx] = incoming
-
-        for j in range(len(self.levels) - 1, -1, -1):
-            lvl = self.levels[j]
+        for j in range(depth - 1, -1, -1):
+            index = addr // self.chi ** (j + 1)
+            if old == ABSENT:
+                raise IntegrityError(f"position block {index} at level {j} is unmapped")
             offset = (addr // self.chi**j) % self.chi
-            if j > 0:
-                fresh = self.rng.randrange(self.levels[j - 1].engine.params.leaves)
-            else:
-                fresh = self.rng.randrange(self.data_leaves)
-
+            below = self.levels[j - 1].engine.params.leaves if j > 0 else self.data_leaves
+            new = self.rng.randrange(below)
             captured: list[int] = []
 
-            def rewrite(payload: bytes, offset=offset, fresh=fresh, captured=captured) -> bytes:
+            def rewrite(payload: bytes, offset=offset, new=new, captured=captured) -> bytes:
                 entries = unpack_entries(payload)
                 captured.append(entries[offset])
                 if entries[offset] != ABSENT:
-                    entries[offset] = fresh
+                    entries[offset] = new
                 return pack_entries(entries)
 
-            blk = lvl.engine.access(level_token(j, indices[j]), cur_leaf, incoming, rewrite)
-            if blk is None or not captured:
-                raise IntegrityError(f"position block {indices[j]} missing at level {j}")
-            old_entry = captured[0]
-            if j > 0:
-                if old_entry == ABSENT:
-                    raise IntegrityError(f"level {j} entry unexpectedly absent")
-                cur_leaf = old_entry
-                incoming = fresh
-            else:
-                return old_entry, fresh
-        raise AssertionError("unreachable")
+            self.levels[j].engine.access(level_token(j, index), old, fresh, rewrite)
+            old, fresh = captured[0], new
+        return old, fresh
 
 
 def rpm_build(
-    assignments: dict[int, int],
+    assignments: Iterable[tuple[int, int]],
     address_space: int,
     data_leaves: int,
     chi: int,
@@ -149,13 +159,12 @@ def rpm_build(
     rng: random.Random,
     stash_max: int = DEFAULT_STASH_MAX,
     first_tree_id: int = 1,
-) -> tuple[RecursivePM, list[TreeStorage], "object"]:
-    """Build the chain for a data-level leaf assignment.
+) -> tuple[RecursivePM, list[TreeStorage]]:
+    """Build the map for a data-level leaf assignment, given as (address,
+    leaf) pairs.
 
-    Returns (map, level trees to hand to the server, store binder): the
-    engines inside the map read and write paths through whatever store the
-    binder is later pointed at; call ``binder.bind(store)`` once the trees
-    are registered.
+    Returns the map and the level trees to hand to the server; the level
+    engines have no store until the map is attached to one.
     """
     if chi < 2:
         raise ConfigError(f"packing factor chi must be >= 2, got {chi}")
@@ -164,25 +173,27 @@ def rpm_build(
             f"budget of {budget} bytes is smaller than one packed block ({chi * ENTRY_BYTES} bytes)"
         )
 
-    entries = [ABSENT] * address_space
-    for addr, leaf in assignments.items():
-        entries[addr] = leaf
-
-    binder = _StoreBinder()
     levels: list[RpmLevel] = []
     trees: list[TreeStorage] = []
-    cur = entries
-    level_no = 0
+    pairs, size = assignments, address_space
     tree_id = first_tree_id
-    while len(cur) * ENTRY_BYTES > budget:
-        n_blocks = -(-len(cur) // chi)
-        inputs = []
-        for b in range(n_blocks):
-            chunk = cur[b * chi : (b + 1) * chi]
-            chunk += [ABSENT] * (chi - len(chunk))
-            inputs.append(
-                BlockInput(level_token(level_no, b), b"\x00" * 16, 0, pack_entries(chunk))
+    empty = pack_entries([ABSENT] * chi)
+    while size * ENTRY_BYTES > budget:
+        n_blocks = -(-size // chi)
+        chunks: dict[int, list[int]] = {}  # only the blocks that hold entries
+        for index, leaf in pairs:
+            b, offset = divmod(index, chi)
+            chunk = chunks.get(b)
+            if chunk is None:
+                chunk = chunks[b] = [ABSENT] * chi
+            chunk[offset] = leaf
+        inputs = [
+            BlockInput(
+                level_token(len(levels), b), b"\x00" * 16, 0,
+                pack_entries(chunks[b]) if b in chunks else empty,
             )
+            for b in range(n_blocks)
+        ]
         tree, params, leaves, stash = oram_init(
             inputs,
             bucket_size=bucket_size,
@@ -192,11 +203,10 @@ def rpm_build(
             stash_max=stash_max,
             tree_id=tree_id,
         )
-        engine = PathOram(tree_id, params, binder, cipher, stash=stash, stash_max=stash_max, rng=rng)
+        engine = PathOram(tree_id, params, None, cipher, stash=stash, stash_max=stash_max, rng=rng)
         levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
         trees.append(tree)
-        cur = list(leaves)
-        level_no += 1
+        pairs, size = enumerate(leaves), n_blocks
         tree_id += 1
 
     rpm = RecursivePM(
@@ -204,24 +214,7 @@ def rpm_build(
         data_leaves=data_leaves,
         chi=chi,
         levels=levels,
-        top=cur,
+        top=dict(pairs),
         rng=rng,
     )
-    return rpm, trees, binder
-
-
-class _StoreBinder:
-    """Late-bound store handle so engines can be built before the trees are
-    registered with their eventual host."""
-
-    def __init__(self):
-        self._store = None
-
-    def bind(self, store) -> None:
-        self._store = store
-
-    def read_path(self, tree_id: int, leaf: int) -> bytes:
-        return self._store.read_path(tree_id, leaf)
-
-    def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
-        self._store.write_path(tree_id, leaf, data)
+    return rpm, trees

@@ -1,9 +1,16 @@
 """Server daemon, transports, and deployment wiring.
 
-The server owns the bucket storage (and, in the controller deployment, the
-trust-boundary controller).  All interaction happens through wire
-messages; the in-process loopback runs the identical byte-level framing so
-tests observe exactly the shapes a TCP peer would.
+The server owns the bucket storage (and, in the enhanced deployment, the
+trust-boundary controller).  All interaction happens through wire messages
+handed to ``ObgeServer.dispatch``.  TCP peers reach it through
+``handle_raw``, which decodes their frames and, on an enhanced server,
+refuses path reads and writes, so only the controller touches storage.
+In-process peers -- the controller's own path traffic and clients deployed
+in the same process -- use ``InProcessConnection``, which hands message
+objects to ``dispatch`` without encoding frames.  The storage host records
+the same widths either way, so traces match what a TCP peer would cause.
+``RemoteStore`` turns either connection into the path store an engine
+reads and writes through.
 """
 
 from __future__ import annotations
@@ -51,62 +58,41 @@ class ObgeServer:
                     ct = self.controller.handle_request(msg.ct)
                 self.host.trace.append("EnclaveResponse", None, None, len(ct))
                 return wire.EnclaveResponse(ct)
-            if isinstance(msg, wire.UploadTree):
-                tree = TreeStorage.from_bytes(msg.blob)
-                self.host.add_tree(tree)
-                self.host.trace.append("UploadTree", tree.tree_id, None, len(msg.blob))
-                return wire.Ack()
         except (ProtocolError, IntegrityError, IndexError) as exc:
             return wire.Error(wire.ERR_PROTOCOL, str(exc))
         except CapacityError as exc:
             return wire.Error(wire.ERR_CAPACITY, str(exc))
         return wire.Error(wire.ERR_PROTOCOL, f"unsupported message {type(msg).__name__}")
 
-    def handle_frame(self, frame: bytes) -> bytes:
-        try:
-            msg = wire.decode(frame)
-        except ProtocolError as exc:
-            return wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc)))
-        return wire.encode(self.dispatch(msg))
-
     def handle_raw(self, mt: int, payload: bytes) -> bytes:
+        """Answer one frame from a TCP peer.  With a controller deployed,
+        only the controller may read or write paths."""
         try:
             msg = wire.decode_payload(mt, payload)
         except ProtocolError as exc:
             return wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc)))
+        if self.controller is not None and isinstance(msg, (wire.ReadPath, wire.WritePath)):
+            return wire.encode(
+                wire.Error(wire.ERR_USAGE, "path access is reserved to the controller on this server")
+            )
         return wire.encode(self.dispatch(msg))
 
 
-class LoopbackConnection:
-    """Byte-exact in-process transport: frames are encoded, dispatched, and
-    decoded just as over a socket."""
+def _reply(resp: wire.Message) -> wire.Message:
+    if isinstance(resp, wire.Error):
+        raise ProtocolError(f"server error {resp.code}: {resp.detail}")
+    return resp
+
+
+class InProcessConnection:
+    """Connection to a server in the same process: message objects go
+    straight to ``dispatch``, with no frame encoding."""
 
     def __init__(self, server: ObgeServer):
         self.server = server
 
     def request(self, msg: wire.Message) -> wire.Message:
-        resp = wire.decode(self.server.handle_frame(wire.encode(msg)))
-        if isinstance(resp, wire.Error):
-            raise ProtocolError(f"server error {resp.code}: {resp.detail}")
-        return resp
-
-    def close(self) -> None:
-        pass
-
-
-class MessageConnection:
-    """In-process transport at message granularity, skipping byte framing.
-    Shapes and traces are identical to the framed path (widths are recorded
-    by the storage host), just without the encode/decode cost."""
-
-    def __init__(self, server: ObgeServer):
-        self.server = server
-
-    def request(self, msg: wire.Message) -> wire.Message:
-        resp = self.server.dispatch(msg)
-        if isinstance(resp, wire.Error):
-            raise ProtocolError(f"server error {resp.code}: {resp.detail}")
-        return resp
+        return _reply(self.server.dispatch(msg))
 
     def close(self) -> None:
         pass
@@ -124,10 +110,7 @@ class TcpConnection:
         got = wire.read_frame(self._rfile)
         if got is None:
             raise ProtocolError("connection closed by server")
-        resp = wire.decode_payload(*got)
-        if isinstance(resp, wire.Error):
-            raise ProtocolError(f"server error {resp.code}: {resp.detail}")
-        return resp
+        return _reply(wire.decode_payload(*got))
 
     def close(self) -> None:
         self._rfile.close()
@@ -135,7 +118,7 @@ class TcpConnection:
 
 
 class RemoteStore:
-    """Path store adapter over any connection with ``request``."""
+    """Path store over a connection with ``request``: in-process or TCP."""
 
     def __init__(self, conn):
         self.conn = conn
@@ -152,25 +135,6 @@ class RemoteStore:
             raise ProtocolError(f"expected Ack, got {type(resp).__name__}")
 
 
-class InternalStore:
-    """The controller's view of storage: messages through the dispatcher,
-    never direct bucket access, so the trace records the full boundary."""
-
-    def __init__(self, server: ObgeServer):
-        self.server = server
-
-    def read_path(self, tree_id: int, leaf: int) -> bytes:
-        resp = self.server.dispatch(wire.ReadPath(tree_id, leaf))
-        if isinstance(resp, wire.Error):
-            raise ProtocolError(resp.detail)
-        return resp.buckets
-
-    def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
-        resp = self.server.dispatch(wire.WritePath(tree_id, leaf, data))
-        if isinstance(resp, wire.Error):
-            raise ProtocolError(resp.detail)
-
-
 def enclave_transport(conn):
     """Request/response closure the EnhancedClient drives."""
 
@@ -184,21 +148,16 @@ def enclave_transport(conn):
 
 
 def deploy_inprocess(
-    result: SetupResult, rng: random.Random | None = None, framed: bool = True
+    result: SetupResult, rng: random.Random | None = None
 ) -> tuple[StorageHost, ObgeServer, TrivialClient | EnhancedClient]:
-    """Wire a setup result into a loopback server and a ready client.
-
-    framed=False skips byte-level frame encoding on the in-process hop;
-    useful for statistics-heavy test workloads."""
+    """Wire a setup result into an in-process server and a ready client."""
     host = StorageHost()
     for tree in result.trees:
         host.add_tree(tree)
     server = ObgeServer(host)
-    conn = LoopbackConnection(server) if framed else MessageConnection(server)
+    conn = InProcessConnection(server)
     if result.controller is not None:
-        istore = InternalStore(server)
-        result.rpm_binder.bind(istore)
-        server.controller = EnclaveController(result.controller, istore, rng=rng)
+        server.controller = EnclaveController(result.controller, RemoteStore(conn), rng=rng)
         client = EnhancedClient(result.client, enclave_transport(conn))
     else:
         client = TrivialClient(result.client, RemoteStore(conn), rng=rng)
@@ -213,9 +172,6 @@ class ServerConfig:
     mode: str = "trivial"
     tree_path: str = "."
     listen_addr: str = "127.0.0.1:7399"
-    budget_bytes: int | None = None
-    Z: int = 5
-    stash_max: int = 128
     trace_path: str | None = None
 
     @property
@@ -240,12 +196,6 @@ def load_config(path: str | Path) -> ServerConfig:
             cfg.tree_path = value
         elif key == "listen_addr":
             cfg.listen_addr = value
-        elif key == "budget_bytes":
-            cfg.budget_bytes = int(value) or None
-        elif key == "Z":
-            cfg.Z = int(value)
-        elif key == "stash_max":
-            cfg.stash_max = int(value)
         elif key == "trace_path":
             cfg.trace_path = value
         else:
@@ -258,9 +208,6 @@ def save_config(path: str | Path, cfg: ServerConfig) -> None:
         f"mode = {cfg.mode}",
         f"tree_path = {cfg.tree_path}",
         f"listen_addr = {cfg.listen_addr}",
-        f"budget_bytes = {cfg.budget_bytes or 0}",
-        f"Z = {cfg.Z}",
-        f"stash_max = {cfg.stash_max}",
     ]
     if cfg.trace_path:
         lines.append(f"trace_path = {cfg.trace_path}")
@@ -284,10 +231,8 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
         state_path = Path(cfg.tree_path) / "controller.bin"
         if not state_path.exists():
             raise ProtocolError(f"enhanced mode needs {state_path}")
-        state, binder = load_controller(state_path, rng=rng)
-        istore = InternalStore(server)
-        binder.bind(istore)
-        server.controller = EnclaveController(state, istore, rng=rng)
+        state = load_controller(state_path)
+        server.controller = EnclaveController(state, RemoteStore(InProcessConnection(server)), rng=rng)
     return server
 
 
@@ -299,8 +244,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 try:
                     got = wire.read_frame(rfile)
                 except ProtocolError as exc:
+                    # the frame boundary is lost: answer once, then close
                     self.request.sendall(wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc))))
-                    continue
+                    return
                 if got is None:
                     return
                 self.request.sendall(self.server.obge.handle_raw(*got))

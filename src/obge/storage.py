@@ -146,7 +146,8 @@ class TreeStorage:
         )
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "TreeStorage":
+    def load(cls, path: str | Path) -> "TreeStorage":
+        raw = Path(path).read_bytes()
         if len(raw) < _HEADER.size:
             raise ProtocolError("tree file truncated")
         magic, version, tree_id, depth, z, payload_width = _HEADER.unpack(raw[: _HEADER.size])
@@ -156,10 +157,6 @@ class TreeStorage:
             raise ProtocolError(f"unsupported tree version {version}")
         params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width)
         return cls(tree_id=tree_id, params=params, buckets=bytearray(raw[_HEADER.size :]))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TreeStorage":
-        return cls.from_bytes(Path(path).read_bytes())
 
 
 class StorageHost:

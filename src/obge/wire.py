@@ -23,19 +23,7 @@ MSG_WRITE_PATH = 0x03
 MSG_ACK = 0x04
 MSG_ENCLAVE_REQUEST = 0x05
 MSG_ENCLAVE_RESPONSE = 0x06
-MSG_UPLOAD_TREE = 0x07
 MSG_ERROR = 0x7F
-
-MSG_NAMES = {
-    MSG_READ_PATH: "ReadPath",
-    MSG_PATH_DATA: "PathData",
-    MSG_WRITE_PATH: "WritePath",
-    MSG_ACK: "Ack",
-    MSG_ENCLAVE_REQUEST: "EnclaveRequest",
-    MSG_ENCLAVE_RESPONSE: "EnclaveResponse",
-    MSG_UPLOAD_TREE: "UploadTree",
-    MSG_ERROR: "Error",
-}
 
 ERR_USAGE = 1
 ERR_PROTOCOL = 2
@@ -76,17 +64,12 @@ class EnclaveResponse:
 
 
 @dataclass
-class UploadTree:
-    blob: bytes  # tree header followed by the bucket stream
-
-
-@dataclass
 class Error:
     code: int
     detail: str
 
 
-Message = ReadPath | PathData | WritePath | Ack | EnclaveRequest | EnclaveResponse | UploadTree | Error
+Message = ReadPath | PathData | WritePath | Ack | EnclaveRequest | EnclaveResponse | Error
 
 
 def encode(msg: Message) -> bytes:
@@ -102,8 +85,6 @@ def encode(msg: Message) -> bytes:
         mt, payload = MSG_ENCLAVE_REQUEST, msg.ct
     elif isinstance(msg, EnclaveResponse):
         mt, payload = MSG_ENCLAVE_RESPONSE, msg.ct
-    elif isinstance(msg, UploadTree):
-        mt, payload = MSG_UPLOAD_TREE, msg.blob
     elif isinstance(msg, Error):
         detail = msg.detail.encode()
         mt, payload = MSG_ERROR, struct.pack(">B", msg.code) + detail
@@ -117,14 +98,20 @@ def decode(frame: bytes) -> Message:
     return decode_payload(header, payload)
 
 
-def split_frame(frame: bytes) -> tuple[int, bytes]:
-    if len(frame) < _FRAME_HEADER.size:
-        raise ProtocolError("frame shorter than header")
-    magic, version, mt, n = _FRAME_HEADER.unpack(frame[: _FRAME_HEADER.size])
+def _parse_header(header: bytes) -> tuple[int, int]:
+    """Message type and payload length of a frame header of this protocol."""
+    magic, version, mt, n = _FRAME_HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unsupported version {version}")
+    return mt, n
+
+
+def split_frame(frame: bytes) -> tuple[int, bytes]:
+    if len(frame) < _FRAME_HEADER.size:
+        raise ProtocolError("frame shorter than header")
+    mt, n = _parse_header(frame[: _FRAME_HEADER.size])
     payload = frame[_FRAME_HEADER.size :]
     if len(payload) != n:
         raise ProtocolError(f"payload is {len(payload)} bytes, header says {n}")
@@ -152,8 +139,6 @@ def decode_payload(mt: int, payload: bytes) -> Message:
         return EnclaveRequest(payload)
     if mt == MSG_ENCLAVE_RESPONSE:
         return EnclaveResponse(payload)
-    if mt == MSG_UPLOAD_TREE:
-        return UploadTree(payload)
     if mt == MSG_ERROR:
         if not payload:
             raise ProtocolError("Error payload too short")
@@ -167,11 +152,7 @@ def read_frame(stream) -> tuple[int, bytes] | None:
     header = _read_exact(stream, _FRAME_HEADER.size)
     if header is None:
         return None
-    magic, version, mt, n = _FRAME_HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported version {version}")
+    mt, n = _parse_header(header)
     payload = _read_exact(stream, n) if n else b""
     if payload is None:
         raise ProtocolError("stream closed mid-frame")

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
+from obge.blocks import DATA_PAYLOAD_WIDTH, PAIR_PAD
+from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
+from obge.oram import BlockInput, oram_init
+from obge.protocol import SchemeParams, TrivialClient, TrivialState
+from obge.recursive import RecursivePM
+from obge.storage import StorageHost
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, directed: bool = True) -> Graph:
@@ -15,6 +21,50 @@ def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, d
                 w = rng.randint(1, 9) if weighted else 1
                 g.add_edge(u, v, w)
     return g
+
+
+def chain_blocks(keys, chains, length):
+    """Next-hop entries of chains 0 -> 1 -> ... -> length-1 -> d, one per
+    destination d in [length, length + chains), built without a graph.
+
+    Entry (u, d) points to u+1, and the last one to d itself, so query
+    (u, d) makes length - u hits and then one miss round on the absent
+    address of (d, d).  Returns the vertex count, the blocks in order u
+    within d, and their dense addresses u*n+d.
+    """
+    n = length + chains
+    k1 = Cipher(keys.k1)
+    blocks, addrs = [], []
+    for d in range(length, n):
+        for u in range(length):
+            w = u + 1 if u + 1 < length else d
+            blocks.append(
+                BlockInput(
+                    tk=prf_eval(keys.kprf, encode_pair(u, d)),
+                    next_tk=prf_eval(keys.kprf, encode_pair(w, d)),
+                    next_addr=w * n + d,
+                    payload=k1.encrypt(encode_pair(w, d), PAIR_PAD),
+                )
+            )
+            addrs.append(u * n + d)
+    return n, blocks, addrs
+
+
+def chain_engine(keys, chains, length, rng, Z=5, pad_slots=None, stash_max=128):
+    """The trivial client's query engine over chain_blocks, driven by a flat
+    position map, with the data tree in its own storage host.  Returns
+    (engine, host, tree, blocks, addrs)."""
+    n, blocks, addrs = chain_blocks(keys, chains, length)
+    k2 = Cipher(keys.k2)
+    tree, tp, leaves, stash = oram_init(
+        blocks, Z, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=pad_slots, stash_max=stash_max
+    )
+    host = StorageHost()
+    host.add_tree(tree)
+    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth)
+    positions = RecursivePM(n * n, tp.leaves, chi=64, levels=[], top=dict(zip(addrs, leaves)))
+    state = TrivialState(keys, params, positions, stash)
+    return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 
 
 @pytest.fixture

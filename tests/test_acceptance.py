@@ -22,15 +22,12 @@ from obge.audit import (
     two_sample_pvalue,
     uniformity_pvalue,
 )
-from obge.blocks import DATA_PAYLOAD_WIDTH
-from obge.crypto import Cipher, keygen
+from obge.crypto import keygen
 from obge.gkt import GktScheme
 from obge.graph import Graph, PathOracle, compute_spdx
-from obge.oram import BlockInput, PathOram, PathOramKV, oram_init
 from obge.protocol import setup
 from obge.server import deploy_inprocess
-from obge.storage import StorageHost
-from conftest import random_graph
+from conftest import chain_engine, random_graph
 
 SIG = 0.01
 
@@ -183,28 +180,24 @@ def test_access_pattern_indistinguishability():
 # Criterion 4: empirical stash bound at Z=5, depth 12
 
 def test_stash_bound_z5_depth12():
-    """10^5 uniform accesses on a maximally packed depth-12 tree: observed
-    stash occupancy stays at most 64 and never trips stash_max=128."""
+    """10^5 accesses on a maximally packed depth-12 tree, made by the query
+    engine over a flat position map: observed stash occupancy stays at most
+    64 and never trips stash_max=128.  The blocks form 160 chains of 128
+    hops; each query walks one whole chain and ends with one miss round, so
+    128 of every 129 accesses remap a real block."""
     rng = random.Random(0x57A5)
     keys = keygen(128)
-    k2 = Cipher(keys.k2)
-    count = 5 * 4096  # fills every slot the sizing rule budgets for depth 12
-    blocks = [
-        BlockInput(i.to_bytes(16, "big"), b"\x00" * 16, 0, b"\x00" * DATA_PAYLOAD_WIDTH)
-        for i in range(count)
-    ]
-    tree, params, leaves, stash = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng)
-    assert params.depth == 12
-    host = StorageHost()
-    host.add_tree(tree)
-    engine = PathOram(0, params, host, k2, stash=stash, stash_max=128, rng=rng)
-    kv = PathOramKV(engine, {b.tk: leaf for b, leaf in zip(blocks, leaves)})
-    for i in range(100_000):
-        kv.access(rng.randrange(count).to_bytes(16, "big"))
-    assert engine.max_stash_seen <= 64, f"stash peaked at {engine.max_stash_seen}"
+    chains, length = 160, 128  # 5 * 4096 blocks fill every slot depth 12 budgets for
+    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, stash_max=128)
+    assert tree.params.depth == 12
+    oram = engine.oram
+    while oram.access_count < 100_000:
+        engine.query(0, length + rng.randrange(chains))
+    assert oram.max_stash_seen <= 64, f"stash peaked at {oram.max_stash_seen}"
     _report(
         "stash-bound",
-        f"Z=5, depth 12, {count} blocks, 10^5 accesses, max stash {engine.max_stash_seen} <= 64",
+        f"Z=5, depth 12, {chains * length} blocks, {oram.access_count} accesses, "
+        f"max stash {oram.max_stash_seen} <= 64",
     )
 
 
@@ -257,7 +250,7 @@ def test_recursive_pm_budget():
         host, server, client = deploy_inprocess(result, rng=run_rng)
         controller = server.controller
         assert controller.state.positions.chain_depth >= 1
-        block_widths = [controller.engine.params.block_width] + [
+        block_widths = [controller.engine.oram.params.block_width] + [
             lvl.engine.params.block_width for lvl in controller.state.positions.levels
         ]
         slack = max(block_widths)

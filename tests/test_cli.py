@@ -1,6 +1,7 @@
 """End-to-end CLI flows against a live daemon in a scratch directory."""
 
 import random
+import struct
 
 import pytest
 
@@ -98,6 +99,17 @@ class TestQueryCommand:
                    "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_old_layout_client_state_is_protocol_error(self, daemon, capsys):
+        # the token-keyed layout: entry count, (token, leaf) pairs, stash count
+        out, d = daemon
+        old = struct.pack(">I", 1) + b"\x11" * 16 + struct.pack(">QI", 3, 0)
+        (out / "client_state.bin").write_bytes(old)
+        rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
+                   "--addr", f"127.0.0.1:{d.port}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad magic" in err and "Traceback" not in err
 
     def test_no_path_reported(self, daemon, capsys):
         out, d = daemon

@@ -2,48 +2,53 @@ import pytest
 from scipy import stats
 
 from obge.blocks import DATA_PAYLOAD_WIDTH, tree_depth_for
-from obge.crypto import Cipher, encode_pair, keygen, prf_eval
+from obge.crypto import Cipher, encode_pair, keygen
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
-from obge.oram import BlockInput, PathOram, PathOramKV, oram_init, verify_placement
+from obge.oram import PathOram, oram_init, verify_placement
+from obge.protocol import QueryEngine, TrivialState, reveal
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
+from conftest import chain_blocks, chain_engine
 
 
-def make_blocks(keys, count, payload_cipher=None):
-    c = payload_cipher or Cipher(keys.k1)
-    blocks = []
-    for i in range(count):
-        blocks.append(
-            BlockInput(
-                tk=prf_eval(keys.kprf, encode_pair(i, 10_000)),
-                next_tk=prf_eval(keys.kprf, encode_pair(i + 1, 10_000)),
-                next_addr=i,
-                payload=c.encrypt(encode_pair(i, i + 1), 12),
-            )
-        )
-    return blocks
+def build(keys, count, rng, **kw):
+    """One chain of count blocks toward destination count: query (u, count)
+    walks blocks u..count-1, then one miss round."""
+    return chain_engine(keys, 1, count, rng, **kw)
 
 
-def build(keys, count, rng, Z=5, pad_slots=None, stash_max=128):
-    k2 = Cipher(keys.k2)
-    blocks = make_blocks(keys, count)
-    tree, params, leaves, stash = oram_init(
-        blocks, Z, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=pad_slots, stash_max=stash_max
-    )
-    host = StorageHost()
-    host.add_tree(tree)
-    engine = PathOram(0, params, host, k2, stash=stash, stash_max=stash_max, rng=rng)
-    pm = {b.tk: leaf for b, leaf in zip(blocks, leaves)}
-    return blocks, tree, params, host, engine, pm
+def make_blocks(keys, count):
+    return chain_blocks(keys, 1, count)[1]
+
+
+def leaf_of(engine, blocks, addrs):
+    """Token -> mapped leaf, read from the engine's flat position map."""
+    return {b.tk: engine.positions.top[a] for b, a in zip(blocks, addrs)}
+
+
+def run_queries(engine, rng, accesses):
+    """Random chain queries until the data tree has seen `accesses` accesses."""
+    count = engine.params.vertex_count - 1
+    while engine.oram.access_count < accesses:
+        engine.query(rng.randrange(count), count)
+
+
+class AllZero:
+    """Leaf sampler that piles every block onto the path to leaf 0."""
+
+    @staticmethod
+    def randrange(n):
+        return 0
 
 
 class TestSizing:
     def test_six_blocks_z5(self, rng):
         keys = keygen(128)
-        _, tree, params, _, _, pm = build(keys, 6, rng)
+        engine, _, tree, _, _ = build(keys, 6, rng)
+        params = tree.params
         assert params.depth == 1
         assert params.node_count == 3
         assert params.node_count * params.bucket_size == 15
-        assert len(pm) == 6
+        assert len(engine.positions.top) == 6
 
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen(128)
@@ -67,12 +72,6 @@ class TestSizing:
         # with no stash allowance the overflow must surface at build time
         keys = keygen(128)
         k2 = Cipher(keys.k2)
-
-        class AllZero:
-            @staticmethod
-            def randrange(n):
-                return 0
-
         with pytest.raises(CapacityError):
             oram_init(make_blocks(keys, 50), 1, DATA_PAYLOAD_WIDTH, k2, AllZero(), stash_max=0)
 
@@ -80,99 +79,81 @@ class TestSizing:
 class TestAccess:
     def test_lookup_returns_payload(self, rng):
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 40, rng)
-        kv = PathOramKV(engine, pm)
+        engine, _, _, _, _ = build(keys, 40, rng)
         k1 = Cipher(keys.k1)
         for i in (0, 13, 39):
-            blk = kv.access(blocks[i].tk)
-            assert blk is not None
-            assert k1.decrypt(blk.payload) == encode_pair(i, i + 1)
+            resp = engine.query(i, 40)
+            hops = list(range(i + 1, 40)) + [40]
+            assert [k1.decrypt(ct) for ct in resp] == [encode_pair(w, 40) for w in hops]
+            assert reveal(resp, i, 40, keys.k1) == [i] + hops
 
     def test_missing_token_dummy_access(self, rng):
         keys = keygen(128)
-        _, _, _, host, engine, pm = build(keys, 10, rng)
-        kv = PathOramKV(engine, pm)
+        engine, host, _, _, _ = build(keys, 10, rng)
         before = len(host.trace)
-        assert kv.access(b"\xaa" * 16) is None
+        assert engine.query(3, 5) == []  # no entry toward vertex 5
         # dummy round is shape-identical: one read, one write
         msgs = [r.msg_type for r in host.trace.records[before:]]
         assert msgs == ["ReadPath", "WritePath"]
 
     def test_remap_changes_position(self, rng):
         keys = keygen(128)
-        blocks, _, params, host, engine, pm = build(keys, 64, rng)
-        kv = PathOramKV(engine, pm)
-        tk = blocks[3].tk
+        engine, _, _, _, addrs = build(keys, 64, rng)
         seen = set()
         for _ in range(50):
-            kv.access(tk)
-            seen.add(pm[tk])
+            engine.query(63, 64)  # one hit on the last block, then a miss
+            seen.add(engine.positions.top[addrs[-1]])
         # 50 independent uniform draws over >= 16 leaves collide with all
         # previous ones only with negligible probability
         assert len(seen) > 5
 
     def test_mapped_block_must_exist(self, rng):
         keys = keygen(128)
-        _, _, _, _, engine, pm = build(keys, 10, rng)
+        engine, _, _, _, _ = build(keys, 10, rng)
         with pytest.raises(IntegrityError):
-            engine.access(b"\xbb" * 16, 0, 1)  # never stored
+            engine.oram.access(b"\xbb" * 16, 0, 1)  # never stored
 
     def test_new_leaf_out_of_range_rejected_before_io(self, rng):
         keys = keygen(128)
-        blocks, _, params, host, engine, pm = build(keys, 10, rng)
+        engine, host, tree, blocks, addrs = build(keys, 10, rng)
         with pytest.raises(IndexError):
-            engine.access(blocks[0].tk, pm[blocks[0].tk], params.leaves)
+            engine.oram.access(blocks[0].tk, engine.positions.top[addrs[0]], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 48, rng)
-        kv = PathOramKV(engine, pm)
-        for _ in range(200):
-            kv.access(blocks[rng.randrange(48)].tk)
-        verify_placement(tree, Cipher(keys.k2), pm, engine.stash)
+        engine, _, tree, blocks, addrs = build(keys, 48, rng)
+        run_queries(engine, rng, 200)
+        verify_placement(tree, Cipher(keys.k2), leaf_of(engine, blocks, addrs), engine.oram.stash)
 
     def test_stash_overflow_surfaces(self, rng):
         # remapping every accessed block to leaf 0 exceeds that single
         # path's capacity, so the stash must eventually trip its limit
         keys = keygen(128)
-        k2 = Cipher(keys.k2)
-        blocks = make_blocks(keys, 60)
-        tree, params, leaves, stash = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng)
-        host = StorageHost()
-        host.add_tree(tree)
-
-        class AllZero:
-            @staticmethod
-            def randrange(n):
-                return 0
-
-        engine = PathOram(0, params, host, k2, stash=stash, stash_max=8, rng=AllZero())
-        pm = {b.tk: leaf for b, leaf in zip(blocks, leaves)}
-        kv = PathOramKV(engine, pm)
+        built, host, _, _, _ = build(keys, 60, rng, stash_max=8)
+        state = TrivialState(keys, built.params, built.positions, built.oram.stash)
+        engine = QueryEngine(state, keys.kprf, keys.k2, host, rng=AllZero())
         with pytest.raises(StashOverflowError):
             for i in range(120):
-                kv.access(blocks[i % 60].tk)
+                engine.query(i % 60, 60)
 
 
 class TestWireShape:
     def test_constant_shapes_and_fresh_encryption(self, rng):
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 32, rng)
-        kv = PathOramKV(engine, pm)
-        path_bytes = set()
+        engine, host, tree, _, _ = build(keys, 32, rng)
         for i in range(60):
-            tk = blocks[rng.randrange(32)].tk if i % 3 else b"\x99" * 16
-            kv.access(tk)
+            engine.query(rng.randrange(32), 32 if i % 3 else 0)  # every third misses
         reads = [r for r in host.trace.records if r.msg_type == "ReadPath"]
         writes = [r for r in host.trace.records if r.msg_type == "WritePath"]
-        assert len(reads) == len(writes) == 60
-        assert {r.byte_count for r in reads} == {params.path_width}
-        assert {w.byte_count for w in writes} == {params.path_width}
+        assert len(reads) == len(writes) == engine.oram.access_count
+        assert {r.byte_count for r in reads} == {tree.params.path_width}
+        assert {w.byte_count for w in writes} == {tree.params.path_width}
 
     def test_rewrite_never_replays_old_bytes(self, rng):
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 16, rng)
+        engine, host, tree, _, _ = build(keys, 16, rng)
+        params = tree.params
 
         class Spy:
             def __init__(self, inner):
@@ -190,20 +171,16 @@ class TestWireShape:
                 assert not (set(old) & set(new)), "a bucket was written back unchanged"
                 self.inner.write_path(tree_id, leaf, data)
 
-        engine.store = Spy(host)
-        kv = PathOramKV(engine, pm)
-        for _ in range(40):
-            kv.access(blocks[rng.randrange(16)].tk)
+        engine.oram.store = Spy(host)
+        run_queries(engine, rng, 40)
 
     def test_uniform_leaf_distribution(self, rng):
         """Chi-square uniformity of observed leaves at n >= 100 * leaf count."""
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 40, rng)  # depth 3, 8 leaves
-        kv = PathOramKV(engine, pm)
-        n = 100 * params.leaves
-        for _ in range(n):
-            kv.access(blocks[rng.randrange(40)].tk)
-        counts = [0] * params.leaves
+        engine, host, tree, _, _ = build(keys, 40, rng)  # depth 3, 8 leaves
+        leaves = tree.params.leaves
+        run_queries(engine, rng, 100 * leaves)
+        counts = [0] * leaves
         for r in host.trace.records:
             if r.msg_type == "ReadPath":
                 counts[r.leaf] += 1
@@ -213,27 +190,29 @@ class TestWireShape:
 class TestPathIO:
     def test_path_length(self, rng):
         keys = keygen(128)
-        _, tree, params, host, _, _ = build(keys, 6, rng)  # depth 1
+        _, host, tree, _, _ = build(keys, 6, rng)  # depth 1
+        params = tree.params
         assert params.depth == 1
         data = host.read_path(0, 0)
         assert len(data) == 2 * params.bucket_width  # two buckets on an L=1 path
 
     def test_write_read_round_trip(self, rng):
         keys = keygen(128)
-        _, tree, params, host, _, _ = build(keys, 6, rng)
+        _, host, tree, _, _ = build(keys, 6, rng)
+        params = tree.params
         blob = bytes(rng.randrange(256) for _ in range(params.path_width))
         host.write_path(0, 1, blob)
         assert host.read_path(0, 1) == blob
 
     def test_leaf_out_of_range(self, rng):
         keys = keygen(128)
-        _, tree, params, host, _, _ = build(keys, 6, rng)
+        _, host, tree, _, _ = build(keys, 6, rng)
         with pytest.raises(IndexError):
-            host.read_path(0, params.leaves)
+            host.read_path(0, tree.params.leaves)
 
     def test_bad_width_write_rejected(self, rng):
         keys = keygen(128)
-        _, tree, params, host, _, _ = build(keys, 6, rng)
+        _, host, _, _, _ = build(keys, 6, rng)
         with pytest.raises(ProtocolError):
             host.write_path(0, 0, b"short")
 
@@ -257,25 +236,25 @@ class TestBucketBinding:
 
     def test_bucket_copied_over_root_is_rejected(self, rng):
         keys = keygen(128)
-        blocks, tree, params, host, engine, pm = build(keys, 40, rng)  # depth 3
-        kv = PathOramKV(engine, pm)
-        assert kv.access(blocks[0].tk) is not None
-        tree.set_bucket(0, tree.get_bucket(params.node_count - 1))
+        engine, _, tree, _, _ = build(keys, 40, rng)  # depth 3
+        assert engine.query(39, 40) != []
+        tree.set_bucket(0, tree.get_bucket(tree.params.node_count - 1))
         with pytest.raises(IntegrityError, match="authentication failed"):
-            kv.access(blocks[1].tk)  # every path reads the root
+            engine.query(38, 40)  # every path reads the root
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_swapped_siblings_are_rejected(self, rng, side):
         keys = keygen(128)
-        _, tree, params, host, engine, _ = build(keys, 40, rng)
-        leaf = 0 if side == "left" else params.leaves - 1  # path through node 1 or node 2
-        engine.rng = FixedLeaf(leaf)
-        engine.access(None, None, None)
+        engine, _, tree, _, _ = build(keys, 40, rng)
+        oram = engine.oram
+        leaf = 0 if side == "left" else tree.params.leaves - 1  # path through node 1 or node 2
+        oram.rng = FixedLeaf(leaf)
+        oram.access(None, None, None)
         left, right = tree.get_bucket(1), tree.get_bucket(2)
         tree.set_bucket(1, right)
         tree.set_bucket(2, left)
         with pytest.raises(IntegrityError, match="authentication failed"):
-            engine.access(None, None, None)
+            oram.access(None, None, None)
 
     def test_bucket_from_another_tree_is_rejected(self, rng):
         keys = keygen(128)
@@ -293,27 +272,29 @@ class TestBucketBinding:
 
     def test_verify_placement_rejects_a_moved_bucket(self, rng):
         keys = keygen(128)
-        _, tree, _, _, engine, pm = build(keys, 40, rng)
-        verify_placement(tree, Cipher(keys.k2), pm, engine.stash)
+        engine, _, tree, blocks, addrs = build(keys, 40, rng)
+        mapped = leaf_of(engine, blocks, addrs)
+        verify_placement(tree, Cipher(keys.k2), mapped, engine.oram.stash)
         tree.set_bucket(3, tree.get_bucket(4))
         with pytest.raises(IntegrityError):
-            verify_placement(tree, Cipher(keys.k2), pm, engine.stash)
+            verify_placement(tree, Cipher(keys.k2), mapped, engine.oram.stash)
 
     def test_short_path_read_is_rejected(self, rng):
         keys = keygen(128)
-        _, _, params, host, engine, _ = build(keys, 6, rng)
+        engine, host, _, _, _ = build(keys, 6, rng)
 
         class Truncating:
             def read_path(self, tree_id, leaf):
                 return host.read_path(tree_id, leaf)[:-1]
 
-        engine.store = Truncating()
+        engine.oram.store = Truncating()
         with pytest.raises(IntegrityError, match="expected"):
-            engine.access(None, None, None)
+            engine.oram.access(None, None, None)
 
     def test_version_one_tree_file_is_rejected(self, rng, tmp_path):
         keys = keygen(128)
-        _, tree, params, _, _, _ = build(keys, 6, rng)
+        _, _, tree, _, _ = build(keys, 6, rng)
+        params = tree.params
         path = tmp_path / "tree.bin"
         tree.save(path)
         assert TreeStorage.load(path).buckets == tree.buckets

@@ -9,6 +9,7 @@ from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
 from obge.protocol import (
     EnclaveController,
+    EnhancedClient,
     load_client_state,
     load_controller,
     load_keyfile,
@@ -18,7 +19,14 @@ from obge.protocol import (
     save_keyfile,
     setup,
 )
-from obge.server import InternalStore, ObgeServer, deploy_inprocess
+from obge.recursive import RecursivePM
+from obge.server import (
+    InProcessConnection,
+    ObgeServer,
+    RemoteStore,
+    deploy_inprocess,
+    enclave_transport,
+)
 from conftest import random_graph
 
 
@@ -29,10 +37,29 @@ def deploy(g, mode, rng_seed=1, **kw):
     return result, host, server, client
 
 
+def redeploy(host, state, client_state):
+    """A fresh server over the same storage, hosting a reloaded controller."""
+    server = ObgeServer(host)
+    conn = InProcessConnection(server)
+    server.controller = EnclaveController(state, RemoteStore(conn), rng=random.Random(9))
+    return EnhancedClient(client_state, enclave_transport(conn))
+
+
 class TestSetup:
     def test_four_vertex_undirected_pm_size(self, four_vertex_undirected):
         result, _, _, _ = deploy(four_vertex_undirected, "trivial")
-        assert len(result.client.position_map) == 12  # ordered connected pairs
+        assert len(result.client.positions.top) == 12  # ordered connected pairs
+
+    def test_trivial_map_is_flat_and_sparse(self, rng):
+        # the trivial client keeps one top entry per stored block, never a
+        # dense |V|^2 array, and no position-map trees, whatever the budget
+        g = random_graph(rng, 40, 0.05)
+        result, host, _, _ = deploy(g, "trivial", budget=64 * 8)
+        positions = result.client.positions
+        assert isinstance(positions, RecursivePM)
+        assert positions.levels == [] and result.controller is None
+        assert len(positions.top) == result.spdx_size < 40 * 40
+        assert sorted(host.trees) == [0]
 
     def test_empty_graph_answers_everything_empty(self):
         g = Graph(3, directed=True)
@@ -193,8 +220,9 @@ class TestPersistence:
         save_client_state(statefile, result.client)
         fresh = load_keyfile(keyfile)
         load_client_state(statefile, fresh)
-        assert fresh.position_map == result.client.position_map
-        assert len(fresh.stash) == len(result.client.stash)
+        assert fresh.positions.top == result.client.positions.top
+        assert fresh.positions.levels == []
+        assert fresh.stash == result.client.stash
 
     def test_controller_round_trip_preserves_answers(self, tmp_path, rng):
         g = random_graph(rng, 20, 0.2)
@@ -202,14 +230,7 @@ class TestPersistence:
         want = {(u, v): client.query_path(u, v) for u in range(20) for v in range(20)}
         path = tmp_path / "controller.bin"
         save_controller(path, server.controller.state)
-        state, binder = load_controller(path, rng=random.Random(9))
-        server2 = ObgeServer(host)
-        istore = InternalStore(server2)
-        binder.bind(istore)
-        server2.controller = EnclaveController(state, istore, rng=random.Random(9))
-        from obge.protocol import EnhancedClient
-        from obge.server import LoopbackConnection, enclave_transport
-        client2 = EnhancedClient(result.client, enclave_transport(LoopbackConnection(server2)))
+        client2 = redeploy(host, load_controller(path), result.client)
         for u in range(20):
             for v in range(20):
                 got = client2.query_path(u, v)
@@ -230,38 +251,52 @@ class TestPersistence:
         assert saved_stash, "no level stash to persist"
         path = tmp_path / "controller.bin"
         save_controller(path, server.controller.state)
-        state, binder = load_controller(path, rng=random.Random(9))
+        state = load_controller(path)
         assert state.positions.levels[0].engine.stash == saved_stash
         assert state.stash == server.controller.state.stash
-        server2 = ObgeServer(host)
-        istore = InternalStore(server2)
-        binder.bind(istore)
-        server2.controller = EnclaveController(state, istore, rng=random.Random(9))
-        from obge.protocol import EnhancedClient
-        from obge.server import LoopbackConnection, enclave_transport
-        client2 = EnhancedClient(result.client, enclave_transport(LoopbackConnection(server2)))
+        assert state.positions.top == server.controller.state.positions.top
+        client2 = redeploy(host, state, result.client)
         for u, v in pairs:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path, four_vertex_directed):
-        # count, then (token, leaf) per entry, then the stash: count and blocks
+        # magic, version; the engine state: the data stash (count, blocks),
+        # the map header (address space, data leaves, no levels), then the
+        # top map as a count and (address, leaf) pairs
         result, _, _, client = deploy(four_vertex_directed, "trivial")
         state = result.client
         for u in range(4):
             client.query(u, 3)
         state.stash.append(Block(b"\x11" * 16, b"\x22" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
-        want = struct.pack(">I", len(state.position_map))
-        for tk, leaf in state.position_map.items():
-            want += tk + struct.pack(">Q", leaf)
-        want += struct.pack(">I", len(state.stash))
+        want = b"OS\x02" + struct.pack(">I", len(state.stash))
         for blk in state.stash:
             want += blk.pack(DATA_PAYLOAD_WIDTH)
+        want += struct.pack(">QQB", 16, 1 << result.params.data_depth, 0)
+        want += struct.pack(">Q", len(state.positions.top))
+        for addr, leaf in state.positions.top.items():
+            want += struct.pack(">QQ", addr, leaf)
         path = tmp_path / "state.bin"
         save_client_state(path, state)
         assert path.read_bytes() == want
         fresh = load_keyfile_for(tmp_path, result)
         load_client_state(path, fresh)
-        assert fresh.position_map == state.position_map and fresh.stash == state.stash
+        assert fresh.positions.top == state.positions.top and fresh.stash == state.stash
+
+    def test_old_state_layouts_are_rejected(self, tmp_path, four_vertex_directed, rng):
+        # a client state without magic (the token-keyed layout) and a
+        # version-1 controller state must be set up again
+        result, _, _, _ = deploy(four_vertex_directed, "trivial")
+        old = struct.pack(">I", 1) + b"\x11" * 16 + struct.pack(">Q", 3) + struct.pack(">I", 0)
+        path = tmp_path / "state.bin"
+        path.write_bytes(old)
+        with pytest.raises(ProtocolError, match="magic"):
+            load_client_state(path, load_keyfile_for(tmp_path, result))
+        _, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced")
+        path = tmp_path / "controller.bin"
+        save_controller(path, server.controller.state)
+        path.write_bytes(b"OC\x01" + path.read_bytes()[3:])
+        with pytest.raises(ProtocolError, match="version 1"):
+            load_controller(path)
 
 
 def load_keyfile_for(tmp_path, result):

@@ -14,14 +14,14 @@ from obge.storage import StorageHost
 def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
     keys = keygen(128)
     k2 = Cipher(keys.k2)
-    rpm, trees, binder = rpm_build(
-        assignments, address_space, data_leaves, chi=chi, budget=budget,
+    rpm, trees = rpm_build(
+        assignments.items(), address_space, data_leaves, chi=chi, budget=budget,
         bucket_size=Z, cipher=k2, rng=rng,
     )
     host = StorageHost()
     for t in trees:
         host.add_tree(t)
-    binder.bind(host)
+    rpm.attach(host, rng)
     return rpm, host
 
 

@@ -10,8 +10,7 @@ from obge.graph import Graph
 from obge.protocol import TrivialClient, save_client_state, save_keyfile, setup
 from obge.server import (
     Daemon,
-    LoopbackConnection,
-    ObgeServer,
+    InProcessConnection,
     RemoteStore,
     ServerConfig,
     TcpConnection,
@@ -20,7 +19,7 @@ from obge.server import (
     load_config,
     save_config,
 )
-from obge.storage import StorageHost, TreeStorage
+from obge.storage import TreeStorage
 
 
 def make_deployment(mode="trivial", n=6, seed=4):
@@ -36,7 +35,7 @@ def make_deployment(mode="trivial", n=6, seed=4):
 class TestDispatch:
     def test_read_path_shape(self):
         _, result, host, server, _ = make_deployment()
-        conn = LoopbackConnection(server)
+        conn = InProcessConnection(server)
         params = host.trees[0].params
         resp = conn.request(wire.ReadPath(0, 0))
         assert isinstance(resp, wire.PathData)
@@ -45,32 +44,34 @@ class TestDispatch:
 
     def test_unknown_msg_type_keeps_connection(self):
         _, _, _, server, _ = make_deployment()
-        frame = bytearray(wire.encode(wire.Ack()))
-        frame[3] = 0xFE
-        resp = wire.decode(server.handle_frame(bytes(frame)))
+        resp = wire.decode(server.handle_raw(0xFE, b""))
         assert isinstance(resp, wire.Error)
         # the dispatcher is still usable afterwards
-        ok = wire.decode(server.handle_frame(wire.encode(wire.ReadPath(0, 0))))
+        ok = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.ReadPath(0, 0)))))
         assert isinstance(ok, wire.PathData)
+
+    def test_type_0x07_frame_cannot_replace_a_tree(self, tmp_path):
+        # 0x07 once uploaded a whole tree file; it is no longer a message type
+        _, _, host, server, _ = make_deployment()
+        _, other, _, _, _ = make_deployment(seed=5)
+        other.trees[0].save(tmp_path / "tree.bin")
+        blob = (tmp_path / "tree.bin").read_bytes()
+        frame = bytearray(wire.encode(wire.EnclaveRequest(blob)))  # opaque payload
+        frame[3] = 0x07
+        trees = {tid: bytes(t.buckets) for tid, t in host.trees.items()}
+        resp = wire.decode(server.handle_raw(*wire.split_frame(bytes(frame))))
+        assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+        assert {tid: bytes(t.buckets) for tid, t in host.trees.items()} == trees
 
     def test_leaf_out_of_range_is_protocol_error(self):
         _, _, _, server, _ = make_deployment()
-        resp = wire.decode(server.handle_frame(wire.encode(wire.ReadPath(0, 2**40))))
+        resp = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.ReadPath(0, 2**40)))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
 
     def test_enclave_request_without_controller(self):
         _, _, _, server, _ = make_deployment(mode="trivial")
         resp = server.dispatch(wire.EnclaveRequest(b"x" * 42))
         assert isinstance(resp, wire.Error)
-
-    def test_upload_tree_round_trip(self):
-        _, _, host, server, _ = make_deployment()
-        tree = host.trees[0]
-        blob = tree.header_bytes() + bytes(tree.buckets)
-        empty = ObgeServer(StorageHost())
-        resp = empty.dispatch(wire.UploadTree(blob))
-        assert isinstance(resp, wire.Ack)
-        assert empty.host.trees[0].buckets == tree.buckets
 
 
 class TestConfig:
@@ -79,9 +80,6 @@ class TestConfig:
             mode="enhanced",
             tree_path=str(tmp_path),
             listen_addr="127.0.0.1:9911",
-            budget_bytes=4096,
-            Z=5,
-            stash_max=64,
             trace_path=str(tmp_path / "t.csv"),
         )
         save_config(tmp_path / "server.cfg", cfg)
@@ -159,11 +157,40 @@ class TestDaemon:
         try:
             s = socket.create_connection(("127.0.0.1", daemon.port), timeout=10)
             s.sendall(b"GARBAGE-NOT-A-FRAME" + b"\x00" * 20)
-            data = s.recv(4096)
-            assert data  # server answered with an error frame instead of dying
-            resp = wire.decode_payload(*wire.read_frame(_Reader(data)))
-            assert isinstance(resp, wire.Error)
+            data = b""
+            while chunk := s.recv(4096):  # read to EOF
+                data += chunk
             s.close()
+            # one error frame instead of dying, then the server closes the
+            # stream rather than parse the rest of the garbage as headers
+            stream = _Reader(data)
+            resp = wire.decode_payload(*wire.read_frame(stream))
+            assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+            assert wire.read_frame(stream) is None
+        finally:
+            daemon.shutdown()
+
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_tcp_path_access_only_without_controller(self, tmp_path, mode):
+        g, result, cfg, daemon = self._spin_up(tmp_path, mode=mode)
+        try:
+            conn = TcpConnection(("127.0.0.1", daemon.port))
+            store = RemoteStore(conn)
+            host = daemon.server.host
+            tree = host.trees[0]
+            before = bytes(tree.buckets)
+            if mode == "trivial":
+                path = store.read_path(0, 0)
+                store.write_path(0, 0, path)
+                assert len(path) == tree.params.path_width
+            else:
+                for op in (lambda: store.read_path(0, 0),
+                           lambda: store.write_path(0, 0, bytes(tree.params.path_width))):
+                    with pytest.raises(ProtocolError, match=f"server error {wire.ERR_USAGE}:"):
+                        op()
+                assert bytes(tree.buckets) == before
+                assert [r.msg_type for r in host.trace.records] == []
+            conn.close()
         finally:
             daemon.shutdown()
 
@@ -190,7 +217,7 @@ class _Reader:
 
 def test_concurrent_readers_are_serialized():
     _, result, host, server, _ = make_deployment()
-    conn = LoopbackConnection(server)
+    conn = InProcessConnection(server)
     errors = []
 
     def hammer():

@@ -13,7 +13,6 @@ MESSAGES = [
     wire.Ack(),
     wire.EnclaveRequest(b"ct-bytes"),
     wire.EnclaveResponse(b"resp"),
-    wire.UploadTree(b"OT\x01\x00\x02\x05\x00\x2a" + b"\x00" * 10),
     wire.Error(2, "something broke"),
 ]
 
@@ -35,7 +34,7 @@ def test_write_path_fuzz(tree, leaf, blob):
 
 @given(blob=st.binary(max_size=300))
 def test_opaque_payload_fuzz(blob):
-    for ctor in (wire.PathData, wire.EnclaveRequest, wire.EnclaveResponse, wire.UploadTree):
+    for ctor in (wire.PathData, wire.EnclaveRequest, wire.EnclaveResponse):
         assert wire.decode(wire.encode(ctor(blob))) == ctor(blob)
 
 
