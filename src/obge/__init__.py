@@ -16,7 +16,7 @@ from .exceptions import (
     StashOverflowError,
 )
 from .graph import Graph, compute_sp_matrix, compute_spdx, load_graph, spath_oracle
-from .crypto import KeySet, keygen, prf_eval, ske_decrypt, ske_encrypt
+from .crypto import KeySet, keygen, prf_eval
 from .protocol import reveal, setup
 from .server import deploy_inprocess
 
@@ -38,8 +38,6 @@ __all__ = [
     "prf_eval",
     "reveal",
     "setup",
-    "ske_decrypt",
-    "ske_encrypt",
     "spath_oracle",
 ]
 

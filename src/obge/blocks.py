@@ -1,16 +1,18 @@
 """Fixed-width block serialization and binary-tree geometry.
 
-Every block in a tree serializes to the same width, dummy or real:
+Every block in a tree serializes to the same width:
 
-    tk (16) | next_tk (16) | next_addr (8) | payload (W) | leaf (8) | flag (1)
+    tk (16) | next_addr (8) | payload (W) | leaf (8) | flag (1)
 
-The payload width W is fixed per tree: the data tree carries a k1
-ciphertext of a vertex pair, position-map trees carry chi packed 8-byte
-leaf entries.  A bucket is the concatenation of its Z serialized blocks,
-dummies included, encrypted under k2 as one AES-GCM ciphertext whose
-associated data is ``bucket_ad(tree_id, node)``; so a bucket occupies
-``ciphertext_width(Z * block_width)`` bytes and only decrypts at the tree
-and heap index it was written for.
+The flag byte is 1 for a real block; a dummy slot is all zero bytes.  A
+block names its next hop by dense address only; the query engine derives
+that hop's token with the PRF key.  The payload width W is fixed per tree:
+the data tree carries a k1 ciphertext of a vertex pair, position-map trees
+carry chi packed 8-byte leaf entries.  A bucket is the concatenation of its
+Z serialized blocks, dummies included, encrypted under k2 as one AES-GCM
+ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
+bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only
+decrypts at the tree and heap index it was written for.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from functools import cached_property
 
 from .crypto import TOKEN_BYTES, ciphertext_width
 
-# payload of a data-tree block: ciphertext of an 8-byte pair padded to 12
-PAIR_PAD = 12
-DATA_PAYLOAD_WIDTH = ciphertext_width(PAIR_PAD)
+# payload of a data-tree block: k1 ciphertext of an 8-byte encoded pair
+DATA_PAYLOAD_WIDTH = ciphertext_width(8)
 
 # reserved leaf value marking "no block stored at this address"
 ABSENT = (1 << 64) - 1
 
-_FIXED = TOKEN_BYTES * 2 + 8 + 8 + 1  # tk, next_tk, next_addr, leaf, flag
+_FIXED = TOKEN_BYTES + 8 + 8 + 1  # tk, next_addr, leaf, flag
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
 _BLOCK_STRUCTS: dict[int, struct.Struct] = {}
@@ -49,56 +50,41 @@ def bucket_ad(tree_id: int, node: int) -> bytes:
 def _block_struct(payload_width: int) -> struct.Struct:
     s = _BLOCK_STRUCTS.get(payload_width)
     if s is None:
-        s = _BLOCK_STRUCTS[payload_width] = struct.Struct(f">16s16sQ{payload_width}sQB")
+        s = _BLOCK_STRUCTS[payload_width] = struct.Struct(f">16sQ{payload_width}sQB")
     return s
 
 
 @dataclass
 class Block:
     tk: bytes
-    next_tk: bytes
     next_addr: int
     payload: bytes
     leaf: int
-    is_dummy: bool = False
 
     def pack(self, payload_width: int) -> bytes:
         if len(self.payload) != payload_width:
             raise ValueError(f"payload is {len(self.payload)} bytes, tree expects {payload_width}")
-        return _block_struct(payload_width).pack(
-            self.tk, self.next_tk, self.next_addr, self.payload, self.leaf,
-            0 if self.is_dummy else 1,
-        )
+        return _block_struct(payload_width).pack(self.tk, self.next_addr, self.payload, self.leaf, 1)
 
 
 def unpack_block(raw: bytes, payload_width: int) -> Block:
+    """The block in a slot whose flag byte is set; callers check the flag."""
     if len(raw) != _FIXED + payload_width:
         raise ValueError(f"block is {len(raw)} bytes, expected {_FIXED + payload_width}")
-    tk, next_tk, next_addr, payload, leaf, flag = _block_struct(payload_width).unpack(raw)
-    return Block(tk, next_tk, next_addr, payload, leaf, is_dummy=(flag == 0))
+    tk, next_addr, payload, leaf, _ = _block_struct(payload_width).unpack(raw)
+    return Block(tk, next_addr, payload, leaf)
 
 
 def dummy_fills(payload_width: int, bucket_size: int) -> list[bytes]:
-    """Serialized all-zero dummy blocks, k of them at index k, for k up to
-    the bucket size; constant per width, so built once and appended to the
-    real blocks of every bucket that is not full."""
+    """All-zero dummy slots, k of them at index k, for k up to the bucket
+    size; constant per width, so built once and appended to the real blocks
+    of every bucket that is not full."""
     key = (payload_width, bucket_size)
     fills = _DUMMY_FILLS.get(key)
     if fills is None:
-        dummy = dummy_block(payload_width).pack(payload_width)
-        fills = _DUMMY_FILLS[key] = [dummy * k for k in range(bucket_size + 1)]
+        width = block_width(payload_width)
+        fills = _DUMMY_FILLS[key] = [bytes(width * k) for k in range(bucket_size + 1)]
     return fills
-
-
-def dummy_block(payload_width: int) -> Block:
-    return Block(
-        tk=b"\x00" * TOKEN_BYTES,
-        next_tk=b"\x00" * TOKEN_BYTES,
-        next_addr=0,
-        payload=b"\x00" * payload_width,
-        leaf=0,
-        is_dummy=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -122,13 +108,9 @@ class TreeParams:
         return block_width(self.payload_width)
 
     @cached_property
-    def bucket_plain_width(self) -> int:
-        """Z serialized blocks: the plaintext of one bucket ciphertext."""
-        return self.bucket_size * self.block_width
-
-    @cached_property
     def bucket_width(self) -> int:
-        return ciphertext_width(self.bucket_plain_width)
+        """One ciphertext of Z serialized blocks."""
+        return ciphertext_width(self.bucket_size * self.block_width)
 
     @cached_property
     def path_width(self) -> int:

@@ -1,9 +1,10 @@
 """Keyed PRF, randomized authenticated encryption, and key generation.
 
 Tokens are 16-byte HMAC-SHA256 outputs.  Symmetric encryption is AES-GCM
-over a length-prefixed, zero-padded plaintext so that ciphertext width is a
-function of the padding target only, never of the plaintext content.  An
-optional associated-data string is authenticated alongside the ciphertext
+under a fresh nonce, stored as nonce || ciphertext || tag: CT_OVERHEAD bytes
+wider than the plaintext.  Nothing is padded, because every caller encrypts
+plaintexts whose width public parameters fix.  An optional
+associated-data string is authenticated alongside the ciphertext
 but not stored in it: decryption succeeds only when the caller presents the
 same string, which is how ORAM buckets are bound to their tree and node.
 """
@@ -24,12 +25,9 @@ from .exceptions import ConfigError, IntegrityError
 TOKEN_BYTES = 16
 NONCE_BYTES = 12
 TAG_BYTES = 16
-LEN_PREFIX = 2
 
-# fixed per-ciphertext overhead beyond the padded plaintext
-CT_OVERHEAD = NONCE_BYTES + LEN_PREFIX + TAG_BYTES
-# widest plaintext the length prefix can describe
-MAX_PLAINTEXT = (1 << (8 * LEN_PREFIX)) - 1
+# fixed per-ciphertext overhead beyond the plaintext
+CT_OVERHEAD = NONCE_BYTES + TAG_BYTES
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,8 @@ def decode_pair(raw: bytes) -> tuple[int, int]:
     return struct.unpack(">II", raw)
 
 
-def ciphertext_width(pad_to: int) -> int:
-    return pad_to + CT_OVERHEAD
-
-
-_LEN_PREFIXES = [n.to_bytes(LEN_PREFIX, "big") for n in range(4096)]
+def ciphertext_width(plaintext_width: int) -> int:
+    return plaintext_width + CT_OVERHEAD
 
 
 class Cipher:
@@ -84,39 +79,16 @@ class Cipher:
     def __init__(self, key: bytes):
         self._aead = AESGCM(key)
 
-    def encrypt(self, plaintext: bytes, pad_to: int, ad: bytes | None = None) -> bytes:
-        n = len(plaintext)
-        if n > pad_to:
-            raise ValueError(f"plaintext of {n} bytes exceeds pad width {pad_to}")
-        prefix = _LEN_PREFIXES[n] if n < 4096 else n.to_bytes(LEN_PREFIX, "big")
-        if n == pad_to:  # hot path: block serializations arrive full width
-            padded = prefix + plaintext
-        else:
-            padded = prefix + plaintext + b"\x00" * (pad_to - n)
+    def encrypt(self, plaintext: bytes, ad: bytes | None = None) -> bytes:
         nonce = os.urandom(NONCE_BYTES)
-        return nonce + self._aead.encrypt(nonce, padded, ad)
+        return nonce + self._aead.encrypt(nonce, plaintext, ad)
 
     def decrypt(self, ct: bytes, ad: bytes | None = None) -> bytes:
-        if len(ct) < NONCE_BYTES + LEN_PREFIX + TAG_BYTES:
+        if len(ct) < CT_OVERHEAD:
             raise IntegrityError("ciphertext too short")
         try:
-            padded = self._aead.decrypt(ct[:NONCE_BYTES], ct[NONCE_BYTES:], ad)
+            return self._aead.decrypt(ct[:NONCE_BYTES], ct[NONCE_BYTES:], ad)
         except InvalidTag:
             raise IntegrityError(
                 "authentication failed: wrong key, wrong associated data or tampered ciphertext"
             )
-        n = int.from_bytes(padded[:LEN_PREFIX], "big")
-        rest = len(padded) - LEN_PREFIX
-        if n > rest:
-            raise IntegrityError("corrupt length prefix")
-        if n == rest:
-            return padded[LEN_PREFIX:]
-        return padded[LEN_PREFIX : LEN_PREFIX + n]
-
-
-def ske_encrypt(key: bytes, plaintext: bytes, pad_to: int) -> bytes:
-    return Cipher(key).encrypt(plaintext, pad_to)
-
-
-def ske_decrypt(key: bytes, ct: bytes) -> bytes:
-    return Cipher(key).decrypt(ct)

@@ -14,10 +14,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import PAIR_PAD
-from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
-from .exceptions import IntegrityError
+from .crypto import Cipher, KeySet, encode_pair, keygen, prf_eval
 from .graph import Graph, compute_spdx
+from .protocol import reveal
 
 
 @dataclass
@@ -33,13 +32,13 @@ class GktScheme:
     def __init__(self, g: Graph, keys: KeySet | None = None):
         self.keys = keys if keys is not None else keygen(128)
         self.vertex_count = g.vertex_count
-        self._k1 = Cipher(self.keys.k1)
+        k1 = Cipher(self.keys.k1)
         entries: dict[bytes, tuple[bytes, bytes]] = {}
         for (u, v), (w, _) in compute_spdx(g).items():
             tk = prf_eval(self.keys.kprf, encode_pair(u, v))
             entries[tk] = (
                 prf_eval(self.keys.kprf, encode_pair(w, v)),
-                self._k1.encrypt(encode_pair(w, v), PAIR_PAD),
+                k1.encrypt(encode_pair(w, v)),
             )
         self.server = GktEncryptedDict(entries)
 
@@ -63,12 +62,7 @@ class GktScheme:
         return resp, seq
 
     def reveal(self, resp: list[bytes], source: int, dest: int) -> list[int] | None:
-        if not resp:
-            return [] if source == dest else None
-        hops = [decode_pair(self._k1.decrypt(ct)) for ct in resp]
-        if hops[-1] != (dest, dest):
-            raise IntegrityError("response does not terminate at the queried destination")
-        return [source] + [w for w, _ in hops]
+        return reveal(resp, source, dest, self.keys.k1)
 
 
 def save_token_log(path: str | Path, sequences: list[list[bytes]], truths: list[tuple[int, int]] | None = None) -> None:

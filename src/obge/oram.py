@@ -7,12 +7,13 @@ blocks displaced from the path wait in the controller-side stash until a
 later write-back can evict them to a compatible bucket.
 
 The bucket is the unit of encryption: one AES-GCM ciphertext over its Z
-serialized blocks, dummies included, with (tree id, heap index) as
-associated data.  Every bucket on a path is re-encrypted under a fresh
-nonce on every write, so full, partly full and empty buckets look alike,
-and a bucket the host moves to another node or tree fails authentication
-on the next access that reads it.  The binding does not cover freshness:
-the host can still put back a node's own older ciphertext (rollback).
+serialized blocks, dummies included, so always of the same width, with
+(tree id, heap index) as associated data.  Every bucket on a path is
+re-encrypted under a fresh nonce on every write, so full, partly full and
+empty buckets look alike, and a bucket the host moves to another node or
+tree fails authentication on the next access that reads it.  The binding
+does not cover freshness: the host can still put back a node's own older
+ciphertext (rollback).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import secrets
 from dataclasses import dataclass
 
 from .blocks import Block, TreeParams, bucket_ad, dummy_fills, tree_depth_for, unpack_block
-from .crypto import MAX_PLAINTEXT, Cipher
-from .exceptions import CapacityError, ConfigError, IntegrityError, StashOverflowError
+from .crypto import Cipher
+from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
 
 DEFAULT_STASH_MAX = 128
@@ -129,7 +130,6 @@ class PathOram:
         for blk in self.stash:
             by_level[depth - (blk.leaf ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
-        plain_width = p.bucket_plain_width
         fills = dummy_fills(width, z)
         buckets = [b""] * (depth + 1)
         carry: list[Block] = []
@@ -138,7 +138,7 @@ class PathOram:
             picked = carry[:z]
             del carry[:z]
             plain = b"".join([b.pack(width) for b in picked]) + fills[z - len(picked)]
-            buckets[level] = encrypt(plain, plain_width, ads[level])
+            buckets[level] = encrypt(plain, ads[level])
         # in-place so external aliases (persisted party state) stay live
         self.stash[:] = carry
         self.store.write_path(self.tree_id, x, b"".join(buckets))
@@ -149,7 +149,6 @@ class BlockInput:
     """One real block to load at initialization time."""
 
     tk: bytes
-    next_tk: bytes
     next_addr: int
     payload: bytes
 
@@ -177,11 +176,6 @@ def oram_init(
     real_slots = len(blocks) if pad_slots is None else max(pad_slots, len(blocks))
     depth = tree_depth_for(real_slots, bucket_size)
     params = TreeParams(depth=depth, bucket_size=bucket_size, payload_width=payload_width)
-    if params.bucket_plain_width > MAX_PLAINTEXT:
-        raise ConfigError(
-            f"bucket of {bucket_size} blocks of {params.block_width} bytes exceeds "
-            f"the {MAX_PLAINTEXT}-byte ciphertext limit"
-        )
     if len(blocks) > params.node_count * bucket_size + stash_max:
         raise CapacityError(
             f"{len(blocks)} blocks exceed tree capacity "
@@ -193,7 +187,7 @@ def oram_init(
     stash: list[Block] = []
     first_leaf = params.leaves - 1  # heap index of leaf 0
     for inp, leaf in zip(blocks, leaves):
-        blk = Block(inp.tk, inp.next_tk, inp.next_addr, inp.payload, leaf)
+        blk = Block(inp.tk, inp.next_addr, inp.payload, leaf)
         node = first_leaf + leaf
         while True:  # leaf bucket first, then up toward the root
             slot_list = placed.get(node)
@@ -216,9 +210,7 @@ def oram_init(
     for node in range(params.node_count):
         picked = placed.get(node, ())
         plain = b"".join([b.pack(payload_width) for b in picked]) + fills[bucket_size - len(picked)]
-        buckets[node * bw : (node + 1) * bw] = cipher.encrypt(
-            plain, params.bucket_plain_width, bucket_ad(tree_id, node)
-        )
+        buckets[node * bw : (node + 1) * bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
     return tree, params, leaves, stash
@@ -233,9 +225,9 @@ def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: lis
     located: dict[bytes, int] = {}
     for node in range(p.node_count):
         plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
-        for off in range(0, len(plain), bw):
-            blk = unpack_block(plain[off : off + bw], p.payload_width)
-            if not blk.is_dummy:
+        for end in range(bw, len(plain) + 1, bw):
+            if plain[end - 1]:
+                blk = unpack_block(plain[end - bw : end], p.payload_width)
                 if blk.tk in located:
                     raise AssertionError("token stored twice in the tree")
                 located[blk.tk] = node

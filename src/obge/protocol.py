@@ -1,10 +1,11 @@
 """The graph encryption scheme: setup, query, reveal, and both deployments.
 
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
-tokens, loads them into a Path ORAM tree, and maps each block's dense
-address u*|V|+v to its leaf.  A query chases the chain of addresses and
-tokens with one oblivious access per hop plus a terminating miss round,
-so the storage side observes only the round count.  Reveal decrypts the
+tokens, one PRF call per entry, loads them into a Path ORAM tree, and maps
+each block's dense address u*|V|+v to its leaf.  A query chases the chain
+of addresses, deriving each hop's token from its address, with one
+oblivious access per hop plus a terminating miss round, so the storage
+side observes only the round count.  Reveal decrypts the
 collected payloads into the plaintext path.
 
 Both deployments run the one QueryEngine: the data tree's Path ORAM, a
@@ -21,7 +22,8 @@ differ only in where the engine runs:
 
 The engine state -- data stash, position-map level stashes and the sparse
 top map -- has one codec, shared by client_state.bin (trivial) and
-controller.bin (enhanced); both files start with a magic and a version.
+controller.bin (enhanced); both files start with a magic and a version,
+and are replaced atomically.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, PAIR_PAD, TreeParams, block_width, unpack_block
+from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, TreeParams, block_width, unpack_block
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, oram_init
 from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, rpm_build
-from .storage import TreeStorage
+from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
 
@@ -125,8 +127,8 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[list[BlockInput], list[int]]:
     """Tokenize and encrypt the next-hop dictionary.
 
     Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v),
-    whose chain pointer is P(w,v) plus the dense address w*|V|+v, and whose
-    payload is the pair (w,v) encrypted under k1.
+    whose chain pointer is the dense address w*|V|+v, and whose payload is
+    the pair (w,v) encrypted under k1: one PRF call per entry.
     """
     k1 = Cipher(keys.k1)
     n = g.vertex_count
@@ -137,9 +139,8 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[list[BlockInput], list[int]]:
         inputs.append(
             BlockInput(
                 tk=prf_eval(keys.kprf, encode_pair(u, v)),
-                next_tk=prf_eval(keys.kprf, encode_pair(w, v)),
                 next_addr=w * n + v,
-                payload=k1.encrypt(encode_pair(w, v), PAIR_PAD),
+                payload=k1.encrypt(encode_pair(w, v)),
             )
         )
         addresses.append(u * n + v)
@@ -265,22 +266,23 @@ class QueryEngine:
 
     def query(self, u: int, v: int) -> list[bytes]:
         """Chase the chain from (u, v): one access per hop, then one on a
-        missing address; returns the encrypted path.  An out-of-range pair
-        raises IndexError before any storage access."""
+        missing address; returns the encrypted path.  A hop's token is
+        derived from its address, the pair (addr // |V|, v).  An
+        out-of-range pair raises IndexError before any storage access."""
         n = self.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
         resp: list[bytes] = []
         addr = u * n + v
-        tk = prf_eval(self.kprf, encode_pair(u, v))
         while True:
             old_leaf, new_leaf = self.positions.get_and_remap(addr)
             if old_leaf == ABSENT:
                 self.oram.access(None, None, new_leaf)
                 return resp
+            tk = prf_eval(self.kprf, encode_pair(addr // n, v))
             blk = self.oram.access(tk, old_leaf, new_leaf)
             resp.append(blk.payload)
-            addr, tk = blk.next_addr, blk.next_tk
+            addr = blk.next_addr
 
 
 class TrivialClient:
@@ -315,7 +317,7 @@ class EnclaveController:
             raise ProtocolError("malformed query request")
         resp = self.engine.query(*decode_pair(raw))
         blob = struct.pack(">H", len(resp)) + b"".join(resp)
-        return self.session.encrypt(blob, pad_to=len(blob))
+        return self.session.encrypt(blob)
 
     def resident_bytes(self) -> int:
         """Controller-resident bytes: position state, data stash, keys."""
@@ -336,7 +338,7 @@ class EnhancedClient:
         n = self.state.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
-        request = self.session.encrypt(encode_pair(u, v), pad_to=PAIR_PAD)
+        request = self.session.encrypt(encode_pair(u, v))
         blob = self.session.decrypt(self.transport(request))
         (count,) = struct.unpack(">H", blob[:2])
         body = blob[2:]
@@ -356,8 +358,9 @@ _KEYFILE = struct.Struct(">2sBHB IBBIIQ B H")  # magic ver lambda mode | V Z pad
 KEY_MAGIC = b"OK"
 CLIENT_MAGIC = b"OS"
 CTRL_MAGIC = b"OC"
-# client_state.bin and controller.bin; version 1 client states had no header
-STATE_VERSION = 2
+# client_state.bin and controller.bin; version 1 client states had no header,
+# version 2 blocks carried the next hop's token
+STATE_VERSION = 3
 _MODE_CODE = {MODE_TRIVIAL: 0, MODE_ENHANCED: 1}
 _MODE_NAME = {0: MODE_TRIVIAL, 1: MODE_ENHANCED}
 _PAD_CODE = {PAD_NONE: 0, PAD_FULL: 1}
@@ -443,7 +446,7 @@ def save_keyfile(path: str | Path, client: TrivialState | EnhancedState) -> None
     blob = _pack_params(client.params)
     blob += struct.pack(">B", len(session)) + session
     blob += keys.k1 + keys.k2 + keys.kprf
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_keyfile(path: str | Path) -> TrivialState | EnhancedState:
@@ -529,7 +532,7 @@ def save_client_state(path: str | Path, state: TrivialState) -> None:
     """The trivial client's engine state; rewritten after every query
     because accesses remap blocks."""
     head = CLIENT_MAGIC + bytes([STATE_VERSION])
-    Path(path).write_bytes(head + _pack_engine(state.positions, state.stash))
+    write_atomic(path, head, _pack_engine(state.positions, state.stash))
 
 
 def load_client_state(path: str | Path, state: TrivialState) -> None:
@@ -545,7 +548,7 @@ def save_controller(path: str | Path, state: ControllerState) -> None:
     blob += _pack_params(state.params)[3:]  # parameter block sans magic and version
     blob += state.k2 + state.kprf + state.session_key
     blob += _pack_engine(state.positions, state.stash)
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_controller(path: str | Path) -> ControllerState:

@@ -188,10 +188,7 @@ def rpm_build(
                 chunk = chunks[b] = [ABSENT] * chi
             chunk[offset] = leaf
         inputs = [
-            BlockInput(
-                level_token(len(levels), b), b"\x00" * 16, 0,
-                pack_entries(chunks[b]) if b in chunks else empty,
-            )
+            BlockInput(level_token(len(levels), b), 0, pack_entries(chunks[b]) if b in chunks else empty)
             for b in range(n_blocks)
         ]
         tree, params, leaves, stash = oram_init(

@@ -5,17 +5,19 @@ order and serves whole root-to-leaf paths.  Every path read or write is
 appended to an AccessTrace, which records exactly what the storage owner
 can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 2: a header (magic, version, tree id, depth L,
+Tree file format, version 3: a header (magic, version, tree id, depth L,
 bucket size Z, payload width) followed by the 2^(L+1) - 1 buckets in heap
 order.  Each bucket is one AES-GCM ciphertext of Z serialized blocks whose
 associated data is (tree id, heap index), so the storage side cannot move,
 copy or swap buckets within or across trees without the next access that
-reads them failing.  Version 1 encrypted every slot separately with no
-associated data and is rejected on load.
+reads them failing.  Version 1 (one ciphertext per slot) and version 2
+(next-hop tokens in blocks, length-prefixed buckets) are rejected on load.
+Tree, key and state files are replaced through ``write_atomic``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import time
@@ -26,8 +28,26 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 2
+TREE_VERSION = 3
 _HEADER = struct.Struct(">2sBBBBH")  # magic, version, tree_id, L, Z, payload_width
+
+
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Replace the file at path with the concatenated chunks: write a
+    sibling temp file, flush and fsync it, then rename it over path.  A
+    failure part-way removes the temp file and leaves path as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -120,20 +140,19 @@ class TreeStorage:
 
     def read_path(self, leaf: int) -> bytes:
         """All buckets on the root-to-leaf path, root first, concatenated."""
-        return b"".join(self.get_bucket(n) for n in self.params.path_nodes(leaf))
+        w, buckets = self.params.bucket_width, self.buckets
+        return b"".join([buckets[n * w : (n + 1) * w] for n in self.params.path_nodes(leaf)])
 
     def write_path(self, leaf: int, data: bytes) -> None:
         nodes = self.params.path_nodes(leaf)
-        w = self.params.bucket_width
+        w, buckets = self.params.bucket_width, self.buckets
         if len(data) != len(nodes) * w:
             raise ProtocolError(f"path write of {len(data)} bytes, expected {len(nodes) * w}")
         for i, n in enumerate(nodes):
-            self.set_bucket(n, data[i * w : (i + 1) * w])
+            buckets[n * w : (n + 1) * w] = data[i * w : (i + 1) * w]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as f:
-            f.write(self.header_bytes())
-            f.write(self.buckets)
+        write_atomic(path, self.header_bytes(), self.buckets)
 
     def header_bytes(self) -> bytes:
         return _HEADER.pack(

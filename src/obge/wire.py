@@ -3,7 +3,8 @@
 Frame layout: magic (2) | version (1) | msg_type (1) | payload_len (4, BE)
 | payload.  Big-endian throughout; every request gets exactly one response.
 Payload widths are content-independent per message type so the recorded
-trace shapes carry no query information beyond round counts.
+trace shapes carry no query information beyond round counts.  A header
+declaring more than MAX_PAYLOAD bytes is refused before its payload is read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .exceptions import ProtocolError
 MAGIC = b"OB"
 VERSION = 1
 _FRAME_HEADER = struct.Struct(">2sBBI")
+# far above the widest path frame of a desk-scale tree
+MAX_PAYLOAD = 64 << 20
 
 MSG_READ_PATH = 0x01
 MSG_PATH_DATA = 0x02
@@ -105,6 +108,8 @@ def _parse_header(header: bytes) -> tuple[int, int]:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unsupported version {version}")
+    if n > MAX_PAYLOAD:
+        raise ProtocolError(f"declared payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte limit")
     return mt, n
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from obge.blocks import DATA_PAYLOAD_WIDTH, PAIR_PAD
+from obge.blocks import DATA_PAYLOAD_WIDTH
 from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import BlockInput, oram_init
@@ -41,9 +41,8 @@ def chain_blocks(keys, chains, length):
             blocks.append(
                 BlockInput(
                     tk=prf_eval(keys.kprf, encode_pair(u, d)),
-                    next_tk=prf_eval(keys.kprf, encode_pair(w, d)),
                     next_addr=w * n + d,
-                    payload=k1.encrypt(encode_pair(w, d), PAIR_PAD),
+                    payload=k1.encrypt(encode_pair(w, d)),
                 )
             )
             addrs.append(u * n + d)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge.crypto import (
+    CT_OVERHEAD,
     Cipher,
     ciphertext_width,
     decode_pair,
     encode_pair,
     keygen,
     prf_eval,
-    ske_decrypt,
-    ske_encrypt,
 )
 from obge.exceptions import ConfigError, IntegrityError
 
@@ -67,44 +66,42 @@ class TestPairEncoding:
 
 class TestSke:
     def test_round_trip(self):
-        k = os.urandom(16)
+        c = Cipher(os.urandom(16))
         for size in (0, 1, 17, 64):
             m = os.urandom(size)
-            assert ske_decrypt(k, ske_encrypt(k, m, 64)) == m
+            assert c.decrypt(c.encrypt(m)) == m
 
     def test_randomized(self):
-        k = os.urandom(16)
-        a = ske_encrypt(k, b"hello", 64)
-        b = ske_encrypt(k, b"hello", 64)
+        c = Cipher(os.urandom(16))
+        a = c.encrypt(b"hello")
+        b = c.encrypt(b"hello")
         assert a != b and len(a) == len(b)
 
     def test_wrong_key_fails(self):
-        ct = ske_encrypt(os.urandom(16), b"m", 64)
+        ct = Cipher(os.urandom(16)).encrypt(b"m")
         with pytest.raises(IntegrityError):
-            ske_decrypt(os.urandom(16), ct)
+            Cipher(os.urandom(16)).decrypt(ct)
 
     def test_tamper_fails(self):
-        k = os.urandom(16)
-        ct = bytearray(ske_encrypt(k, b"m", 64))
+        c = Cipher(os.urandom(16))
+        ct = bytearray(c.encrypt(b"m" * 12))
         ct[20] ^= 1
         with pytest.raises(IntegrityError):
-            ske_decrypt(k, bytes(ct))
+            c.decrypt(bytes(ct))
 
-    def test_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            ske_encrypt(os.urandom(16), b"x" * 13, 12)
-
-    def test_width_depends_only_on_pad(self):
-        """Exhaustive over plaintext lengths 0..pad_to."""
-        k = os.urandom(16)
-        cipher = Cipher(k)
-        for pad_to in (12, 40):
-            widths = {len(cipher.encrypt(b"a" * n, pad_to)) for n in range(pad_to + 1)}
-            assert widths == {ciphertext_width(pad_to)}
+    def test_width_is_plaintext_width_plus_overhead(self):
+        """Exhaustive over plaintext lengths 0..64; anything shorter than
+        nonce plus tag is not a ciphertext."""
+        c = Cipher(os.urandom(16))
+        assert CT_OVERHEAD == 28
+        for n in range(65):
+            assert len(c.encrypt(b"a" * n)) == n + 28 == ciphertext_width(n)
+        for n in range(28):
+            with pytest.raises(IntegrityError):
+                c.decrypt(os.urandom(n))
 
     @settings(max_examples=50)
-    @given(data=st.binary(max_size=40), pad=st.integers(40, 64))
-    def test_round_trip_fuzz(self, data, pad):
-        k = b"\x07" * 16
-        c = Cipher(k)
-        assert c.decrypt(c.encrypt(data, pad)) == data
+    @given(data=st.binary(max_size=64), ad=st.binary(max_size=9))
+    def test_round_trip_fuzz(self, data, ad):
+        c = Cipher(b"\x07" * 16)
+        assert c.decrypt(c.encrypt(data, ad), ad) == data

@@ -1,8 +1,10 @@
+import os
 import random
 import struct
 
 import pytest
 
+from obge import protocol, storage
 from obge.blocks import DATA_PAYLOAD_WIDTH, Block
 from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
@@ -27,6 +29,7 @@ from obge.server import (
     deploy_inprocess,
     enclave_transport,
 )
+from obge.storage import TreeStorage
 from conftest import random_graph
 
 
@@ -80,6 +83,22 @@ class TestSetup:
         for u in range(4):
             for v in range(4):
                 assert encode_pair(u, v) not in blob
+
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_one_prf_call_per_entry_and_per_hit(self, monkeypatch, rng, mode):
+        # blocks carry no next-hop token: setup derives one token per entry,
+        # a query one per hop it finds and none on its miss round
+        calls = []
+        prf = protocol.prf_eval
+        monkeypatch.setattr(protocol, "prf_eval", lambda k, m: calls.append(m) or prf(k, m))
+        g = random_graph(rng, 16, 0.2)
+        result, _, _, client = deploy(g, mode, budget=256, chi=8)
+        assert len(calls) == result.spdx_size > 0
+        for u, v in [(0, 9), (3, 3), (9, 0), (5, 12)]:
+            calls.clear()
+            path = client.query_path(u, v)
+            assert path == spath_oracle(g, u, v)
+            assert len(calls) == (len(path) - 1 if path else 0)
 
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
         result, host, _, _ = deploy(four_vertex_directed, "trivial", pad_mode="full")
@@ -164,7 +183,7 @@ class TestController:
     def test_request_width_content_independent(self, four_vertex_directed):
         result, _, _, client = deploy(four_vertex_directed, "enhanced")
         session = Cipher(result.client.session_key)
-        widths = {len(session.encrypt(encode_pair(u, v), 12)) for u in range(4) for v in range(4)}
+        widths = {len(session.encrypt(encode_pair(u, v))) for u in range(4) for v in range(4)}
         assert len(widths) == 1
 
     def test_repeated_query_fresh_trace(self, four_vertex_directed):
@@ -191,7 +210,7 @@ class TestController:
         session = Cipher(result.client.session_key)
         before = len(host.trace)
         with pytest.raises(ProtocolError):
-            client.transport(session.encrypt(encode_pair(0, 99), 12))
+            client.transport(session.encrypt(encode_pair(0, 99)))
         storage_msgs = [
             r for r in host.trace.records[before:] if r.msg_type in ("ReadPath", "WritePath")
         ]
@@ -260,17 +279,18 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path, four_vertex_directed):
-        # magic, version; the engine state: the data stash (count, blocks),
-        # the map header (address space, data leaves, no levels), then the
-        # top map as a count and (address, leaf) pairs
+        # magic, version; the engine state: the data stash (count, then per
+        # block tk, next address, payload, leaf and flag 1), the map header
+        # (address space, data leaves, no levels), then the top map as a
+        # count and (address, leaf) pairs
         result, _, _, client = deploy(four_vertex_directed, "trivial")
         state = result.client
         for u in range(4):
             client.query(u, 3)
-        state.stash.append(Block(b"\x11" * 16, b"\x22" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
-        want = b"OS\x02" + struct.pack(">I", len(state.stash))
+        state.stash.append(Block(b"\x11" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
+        want = b"OS\x03" + struct.pack(">I", len(state.stash))
         for blk in state.stash:
-            want += blk.pack(DATA_PAYLOAD_WIDTH)
+            want += blk.tk + struct.pack(">Q", blk.next_addr) + blk.payload + struct.pack(">QB", blk.leaf, 1)
         want += struct.pack(">QQB", 16, 1 << result.params.data_depth, 0)
         want += struct.pack(">Q", len(state.positions.top))
         for addr, leaf in state.positions.top.items():
@@ -297,6 +317,54 @@ class TestPersistence:
         path.write_bytes(b"OC\x01" + path.read_bytes()[3:])
         with pytest.raises(ProtocolError, match="version 1"):
             load_controller(path)
+
+    def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
+        # version 2 blocks carried the next hop's token: every tree and state
+        # file of that format must be set up again
+        result, _, _, _ = deploy(four_vertex_directed, "trivial")
+        _, _, server, _ = deploy(four_vertex_directed, "enhanced")
+        result.trees[0].save(tmp_path / "tree.bin")
+        save_client_state(tmp_path / "state.bin", result.client)
+        save_controller(tmp_path / "controller.bin", server.controller.state)
+        fresh = load_keyfile_for(tmp_path, result)
+        loaders = {
+            "tree.bin": TreeStorage.load,
+            "state.bin": lambda p: load_client_state(p, fresh),
+            "controller.bin": load_controller,
+        }
+        for name, load in loaders.items():
+            path = tmp_path / name
+            raw = path.read_bytes()
+            assert raw[2] == 3
+            path.write_bytes(raw[:2] + b"\x02" + raw[3:])
+            with pytest.raises(ProtocolError, match="version 2"):
+                load(path)
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch, rng):
+        # a write that fails part-way (here at fsync, after the new bytes
+        # went out) keeps the old file byte for byte and leaves no temp file
+        result, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256, chi=8)
+        trivial, _, _, client = deploy(random_graph(rng, 12, 0.3), "trivial")
+        savers = {
+            "keys.bin": lambda p: save_keyfile(p, result.client),
+            "controller.bin": lambda p: save_controller(p, server.controller.state),
+            "client_state.bin": lambda p: save_client_state(p, trivial.client),
+            "tree_000.bin": trivial.trees[0].save,
+        }
+        for name, save in savers.items():
+            save(tmp_path / name)
+        before = {name: (tmp_path / name).read_bytes() for name in savers}
+        client.query(0, 5)  # remaps blocks: the state and tree bytes change
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(storage.os, "fsync", failing_fsync)
+        for name, save in savers.items():
+            with pytest.raises(OSError, match="disk full"):
+                save(tmp_path / name)
+            assert (tmp_path / name).read_bytes() == before[name]
+        assert sorted(os.listdir(tmp_path)) == sorted(savers)
 
 
 def load_keyfile_for(tmp_path, result):

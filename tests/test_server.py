@@ -170,6 +170,29 @@ class TestDaemon:
         finally:
             daemon.shutdown()
 
+    def test_oversized_frame_is_refused_before_its_payload(self, tmp_path):
+        import socket
+        import struct
+
+        g, result, cfg, daemon = self._spin_up(tmp_path)
+        try:
+            s = socket.create_connection(("127.0.0.1", daemon.port), timeout=10)
+            # a header alone, declaring one byte past the cap: the server must
+            # answer without waiting for a payload that never comes
+            header = struct.pack(">2sBBI", wire.MAGIC, wire.VERSION, wire.MSG_WRITE_PATH, wire.MAX_PAYLOAD + 1)
+            s.sendall(header)
+            data = b""
+            while chunk := s.recv(4096):  # read to EOF
+                data += chunk
+            s.close()
+            stream = _Reader(data)
+            resp = wire.decode_payload(*wire.read_frame(stream))
+            assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+            assert "exceeds" in resp.detail
+            assert wire.read_frame(stream) is None
+        finally:
+            daemon.shutdown()
+
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_tcp_path_access_only_without_controller(self, tmp_path, mode):
         g, result, cfg, daemon = self._spin_up(tmp_path, mode=mode)
