@@ -32,26 +32,10 @@ ABSENT = (1 << 64) - 1
 _FIXED = TOKEN_BYTES + 8 + 8 + 1  # tk, next_addr, leaf, flag
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
-_BLOCK_STRUCTS: dict[int, struct.Struct] = {}
-_DUMMY_FILLS: dict[tuple[int, int], list[bytes]] = {}
-
-
-def block_width(payload_width: int) -> int:
-    """Serialized width of one block carrying a payload of the given width;
-    the flag byte is the last byte, nonzero for real blocks."""
-    return _FIXED + payload_width
-
 
 def bucket_ad(tree_id: int, node: int) -> bytes:
     """Associated data binding a bucket ciphertext to its tree and node."""
     return _BUCKET_AD.pack(tree_id, node)
-
-
-def _block_struct(payload_width: int) -> struct.Struct:
-    s = _BLOCK_STRUCTS.get(payload_width)
-    if s is None:
-        s = _BLOCK_STRUCTS[payload_width] = struct.Struct(f">16sQ{payload_width}sQB")
-    return s
 
 
 @dataclass
@@ -61,30 +45,17 @@ class Block:
     payload: bytes
     leaf: int
 
-    def pack(self, payload_width: int) -> bytes:
-        if len(self.payload) != payload_width:
-            raise ValueError(f"payload is {len(self.payload)} bytes, tree expects {payload_width}")
-        return _block_struct(payload_width).pack(self.tk, self.next_addr, self.payload, self.leaf, 1)
+    def pack(self, params: TreeParams) -> bytes:
+        # struct would pad a short payload with zeros without complaint
+        if len(self.payload) != params.payload_width:
+            raise ValueError(f"payload is {len(self.payload)} bytes, tree expects {params.payload_width}")
+        return params.block_struct.pack(self.tk, self.next_addr, self.payload, self.leaf, 1)
 
 
-def unpack_block(raw: bytes, payload_width: int) -> Block:
+def unpack_block(raw: bytes, params: TreeParams) -> Block:
     """The block in a slot whose flag byte is set; callers check the flag."""
-    if len(raw) != _FIXED + payload_width:
-        raise ValueError(f"block is {len(raw)} bytes, expected {_FIXED + payload_width}")
-    tk, next_addr, payload, leaf, _ = _block_struct(payload_width).unpack(raw)
+    tk, next_addr, payload, leaf, _ = params.block_struct.unpack(raw)
     return Block(tk, next_addr, payload, leaf)
-
-
-def dummy_fills(payload_width: int, bucket_size: int) -> list[bytes]:
-    """All-zero dummy slots, k of them at index k, for k up to the bucket
-    size; constant per width, so built once and appended to the real blocks
-    of every bucket that is not full."""
-    key = (payload_width, bucket_size)
-    fills = _DUMMY_FILLS.get(key)
-    if fills is None:
-        width = block_width(payload_width)
-        fills = _DUMMY_FILLS[key] = [bytes(width * k) for k in range(bucket_size + 1)]
-    return fills
 
 
 @dataclass(frozen=True)
@@ -105,7 +76,17 @@ class TreeParams:
 
     @cached_property
     def block_width(self) -> int:
-        return block_width(self.payload_width)
+        return _FIXED + self.payload_width
+
+    @cached_property
+    def block_struct(self) -> struct.Struct:
+        return struct.Struct(f">16sQ{self.payload_width}sQB")
+
+    @cached_property
+    def dummy_fills(self) -> list[bytes]:
+        """All-zero dummy slots, k of them at index k, for k up to Z;
+        appended to the real blocks of every bucket that is not full."""
+        return [bytes(self.block_width * k) for k in range(self.bucket_size + 1)]
 
     @cached_property
     def bucket_width(self) -> int:

@@ -39,13 +39,7 @@ def _parse_lengths(expr: str) -> list[int]:
 
 
 def cmd_setup(args) -> int:
-    from .protocol import (
-        MODE_ENHANCED,
-        save_client_state,
-        save_controller,
-        save_keyfile,
-        setup,
-    )
+    from .protocol import MODE_ENHANCED, save_state, setup
     from .server import ServerConfig, save_config
 
     with open(args.graph) as f:
@@ -66,11 +60,9 @@ def cmd_setup(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for tree in result.trees:
         tree.save(out / f"tree_{tree.tree_id:03d}.bin")
-    save_keyfile(out / "keys.bin", result.client)
+    save_state(out / "keys.bin", result.client)
     if result.controller is not None:
-        save_controller(out / "controller.bin", result.controller)
-    else:
-        save_client_state(out / "client_state.bin", result.client)
+        save_state(out / "controller.bin", result.controller)
     cfg = ServerConfig(
         mode=args.mode,
         tree_path=str(out),
@@ -111,33 +103,23 @@ def cmd_serve(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .protocol import (
-        EnhancedClient,
-        MODE_ENHANCED,
-        TrivialClient,
-        load_client_state,
-        load_keyfile,
-        save_client_state,
-    )
+    from .protocol import EnhancedClient, EnhancedState, TrivialClient, TrivialState, load_state, save_state
     from .server import RemoteStore, TcpConnection, enclave_transport
 
-    client_state = load_keyfile(args.keys)
-    n = client_state.params.vertex_count
+    state = load_state(args.keys, TrivialState, EnhancedState)
+    n = state.params.vertex_count
     if not (0 <= args.u < n and 0 <= args.v < n):
         print(f"vertex pair ({args.u},{args.v}) out of range for {n} vertices", file=sys.stderr)
         return EXIT_USAGE
     host, _, port = args.addr.rpartition(":")
     conn = TcpConnection((host or "127.0.0.1", int(port)))
     try:
-        if client_state.params.mode == MODE_ENHANCED:
-            driver = EnhancedClient(client_state, enclave_transport(conn))
-            path = driver.query_path(args.u, args.v)
+        if isinstance(state, EnhancedState):
+            path = EnhancedClient(state, enclave_transport(conn)).query_path(args.u, args.v)
         else:
-            state_path = Path(args.state) if args.state else Path(args.keys).parent / "client_state.bin"
-            load_client_state(state_path, client_state)
-            driver = TrivialClient(client_state, RemoteStore(conn))
-            path = driver.query_path(args.u, args.v)
-            save_client_state(state_path, client_state)
+            # accesses remap blocks: the engine state is saved after each query
+            path = TrivialClient(state, RemoteStore(conn)).query_path(args.u, args.v)
+            save_state(args.keys, state)
     finally:
         conn.close()
     if path is None:
@@ -227,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
     p.add_argument("--keys", required=True)
-    p.add_argument("--state", default=None, help="client state file (trivial mode)")
     p.add_argument("--addr", default="127.0.0.1:7399")
     p.set_defaults(func=cmd_query)
 

@@ -22,7 +22,7 @@ import random
 import secrets
 from dataclasses import dataclass
 
-from .blocks import Block, TreeParams, bucket_ad, dummy_fills, tree_depth_for, unpack_block
+from .blocks import Block, TreeParams, bucket_ad, tree_depth_for, unpack_block
 from .crypto import Cipher
 from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
@@ -89,12 +89,12 @@ class PathOram:
 
         decrypt = self.cipher.decrypt
         stash = self.stash
-        width, bw, cw = p.payload_width, p.block_width, p.bucket_width
+        bw, cw = p.block_width, p.bucket_width
         for level, ad in enumerate(ads):
             plain = decrypt(raw[level * cw : (level + 1) * cw], ad)
             for end in range(bw, len(plain) + 1, bw):
                 if plain[end - 1]:  # flag byte: dummies skip deserialization
-                    stash.append(unpack_block(plain[end - bw : end], width))
+                    stash.append(unpack_block(plain[end - bw : end], p))
 
         found: Block | None = None
         if is_real:
@@ -125,19 +125,19 @@ class PathOram:
         is eligible.  What is left after the root stays in the stash.
         """
         p = self.params
-        depth, z, width = p.depth, p.bucket_size, p.payload_width
+        depth, z = p.depth, p.bucket_size
         by_level: list[list[Block]] = [[] for _ in range(depth + 1)]
         for blk in self.stash:
             by_level[depth - (blk.leaf ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
-        fills = dummy_fills(width, z)
+        fills = p.dummy_fills
         buckets = [b""] * (depth + 1)
         carry: list[Block] = []
         for level in range(depth, -1, -1):
             carry += by_level[level]
             picked = carry[:z]
             del carry[:z]
-            plain = b"".join([b.pack(width) for b in picked]) + fills[z - len(picked)]
+            plain = b"".join([b.pack(p) for b in picked]) + fills[z - len(picked)]
             buckets[level] = encrypt(plain, ads[level])
         # in-place so external aliases (persisted party state) stay live
         self.stash[:] = carry
@@ -206,10 +206,10 @@ def oram_init(
 
     bw = params.bucket_width
     buckets = bytearray(params.node_count * bw)
-    fills = dummy_fills(payload_width, bucket_size)
+    fills = params.dummy_fills
     for node in range(params.node_count):
         picked = placed.get(node, ())
-        plain = b"".join([b.pack(payload_width) for b in picked]) + fills[bucket_size - len(picked)]
+        plain = b"".join([b.pack(params) for b in picked]) + fills[bucket_size - len(picked)]
         buckets[node * bw : (node + 1) * bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
@@ -227,7 +227,7 @@ def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: lis
         plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
         for end in range(bw, len(plain) + 1, bw):
             if plain[end - 1]:
-                blk = unpack_block(plain[end - bw : end], p.payload_width)
+                blk = unpack_block(plain[end - bw : end], p)
                 if blk.tk in located:
                     raise AssertionError("token stored twice in the tree")
                 located[blk.tk] = node

@@ -20,10 +20,21 @@ differ only in where the engine runs:
   position map is flat or a recursive ORAM chain, whichever fits the
   configured memory budget.
 
+Each party keeps its state in one file, written by save_state and read by
+load_state: the magic "OS", the format version, a party byte (trivial
+client, enhanced client, controller) that also fixes the deployment mode,
+and the parameter block, followed by
+
+* trivial client: k1 k2 kprf, then the engine state (keys.bin, rewritten
+  after every query because accesses remap blocks);
+* enhanced client: k1 k2 kprf, then the session key (keys.bin);
+* controller: k2 kprf and the session key, then the engine state
+  (controller.bin, next to the trees).
+
 The engine state -- data stash, position-map level stashes and the sparse
-top map -- has one codec, shared by client_state.bin (trivial) and
-controller.bin (enhanced); both files start with a magic and a version,
-and are replaced atomically.
+top map -- has one codec.  Files are replaced atomically and readable by
+their owner only; a file of an older version, or of a party the caller did
+not ask for, raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, TreeParams, block_width, unpack_block
+from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, TreeParams, unpack_block
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
@@ -83,12 +94,11 @@ class SchemeParams:
 @dataclass
 class TrivialState:
     """Everything the client keeps in the trivial deployment: the keys and
-    the engine state (flat position map and data stash); the engine state
-    is None until it is loaded from client_state.bin."""
+    the engine state (flat position map and data stash)."""
 
     keys: KeySet
     params: SchemeParams
-    positions: RecursivePM | None = None
+    positions: RecursivePM
     stash: list[Block] = field(default_factory=list)
 
 
@@ -354,34 +364,17 @@ class EnhancedClient:
 # ---------------------------------------------------------------------------
 # state persistence
 
-_KEYFILE = struct.Struct(">2sBHB IBBIIQ B H")  # magic ver lambda mode | V Z pad smax chi budget | depth | payload
-KEY_MAGIC = b"OK"
-CLIENT_MAGIC = b"OS"
-CTRL_MAGIC = b"OC"
-# client_state.bin and controller.bin; version 1 client states had no header,
-# version 2 blocks carried the next hop's token
-STATE_VERSION = 3
-_MODE_CODE = {MODE_TRIVIAL: 0, MODE_ENHANCED: 1}
-_MODE_NAME = {0: MODE_TRIVIAL, 1: MODE_ENHANCED}
+_PREFIX = struct.Struct(">2sBB")  # magic, version, party
+_PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
+STATE_MAGIC = b"OS"
+# version 3 kept the trivial client's engine state in a file of its own and
+# gave controller.bin its own magic; version 2 blocks carried the next hop's token
+STATE_VERSION = 4
+# the party byte indexes this tuple; it also fixes the deployment mode
+_PARTIES = (TrivialState, EnhancedState, ControllerState)
+_PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
 _PAD_CODE = {PAD_NONE: 0, PAD_FULL: 1}
 _PAD_NAME = {0: PAD_NONE, 1: PAD_FULL}
-
-
-def _pack_params(params: SchemeParams) -> bytes:
-    return _KEYFILE.pack(
-        KEY_MAGIC,
-        1,
-        params.lambda_bits,
-        _MODE_CODE[params.mode],
-        params.vertex_count,
-        params.bucket_size,
-        _PAD_CODE[params.pad_mode],
-        params.stash_max,
-        params.chi,
-        params.budget if params.budget is not None else 0,
-        params.data_depth,
-        DATA_PAYLOAD_WIDTH,
-    )
 
 
 class _Reader:
@@ -417,71 +410,27 @@ _RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
 _RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
 
 
-def _unpack_params(raw: bytes) -> SchemeParams:
-    magic, ver, lam, mode, n, z, pad, smax, chi, budget, depth, pw = _KEYFILE.unpack(raw)
-    if magic != KEY_MAGIC:
-        raise ProtocolError(f"bad key file magic {magic!r}")
-    if ver != 1:
-        raise ProtocolError(f"unsupported key file version {ver}")
-    if pw != DATA_PAYLOAD_WIDTH:
-        raise ProtocolError("key file written by an incompatible block layout")
-    if lam not in (128, 256) or mode not in _MODE_NAME or pad not in _PAD_NAME:
-        raise ProtocolError(f"corrupt parameter block (lambda {lam}, mode {mode}, pad {pad})")
-    return SchemeParams(
-        vertex_count=n,
-        lambda_bits=lam,
-        bucket_size=z,
-        pad_mode=_PAD_NAME[pad],
-        mode=_MODE_NAME[mode],
-        chi=chi,
-        budget=budget or None,
-        stash_max=smax,
-        data_depth=depth,
-    )
+def _pack_stash(stash: list[Block], params: TreeParams) -> bytes:
+    return _COUNT.pack(len(stash)) + b"".join(b.pack(params) for b in stash)
 
 
-def save_keyfile(path: str | Path, client: TrivialState | EnhancedState) -> None:
-    keys = client.keys
-    session = client.session_key if isinstance(client, EnhancedState) else b""
-    blob = _pack_params(client.params)
-    blob += struct.pack(">B", len(session)) + session
-    blob += keys.k1 + keys.k2 + keys.kprf
-    write_atomic(path, blob)
-
-
-def load_keyfile(path: str | Path) -> TrivialState | EnhancedState:
-    r = _Reader(Path(path).read_bytes(), f"key file {path}")
-    params = _unpack_params(r.take(_KEYFILE.size))
-    session = r.take(r.take(1)[0])
-    n = params.lambda_bits // 8
-    keys = KeySet(r.take(n), r.take(n), r.take(n))
-    r.finish()
-    if params.mode == MODE_ENHANCED:
-        return EnhancedState(keys=keys, params=params, session_key=session)
-    return TrivialState(keys=keys, params=params)
-
-
-def _pack_stash(stash: list[Block], payload_width: int) -> bytes:
-    return _COUNT.pack(len(stash)) + b"".join(b.pack(payload_width) for b in stash)
-
-
-def _unpack_stash(r: _Reader, payload_width: int) -> list[Block]:
+def _unpack_stash(r: _Reader, params: TreeParams) -> list[Block]:
     (count,) = r.unpack(_COUNT)
-    width = block_width(payload_width)
-    return [unpack_block(r.take(width), payload_width) for _ in range(count)]
+    return [unpack_block(r.take(params.block_width), params) for _ in range(count)]
 
 
-def _pack_engine(positions: RecursivePM, stash: list[Block]) -> bytes:
+def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     """Engine state: the data stash, the map header, each level's shape and
     stash, then the top map as (index, leaf) pairs."""
+    positions = state.positions
     parts = [
-        _pack_stash(stash, DATA_PAYLOAD_WIDTH),
+        _pack_stash(state.stash, state.params.data_params),
         _RPM_HEADER.pack(positions.address_space, positions.data_leaves, len(positions.levels)),
     ]
     for lvl in positions.levels:
         tp = lvl.engine.params
         parts.append(_RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width))
-        parts.append(_pack_stash(lvl.engine.stash, tp.payload_width))
+        parts.append(_pack_stash(lvl.engine.stash, tp))
     top = positions.top
     parts.append(_LEAF.pack(len(top)))
     parts += map(_TOP_ENTRY.pack, top.keys(), top.values())
@@ -491,16 +440,16 @@ def _pack_engine(positions: RecursivePM, stash: list[Block]) -> bytes:
 def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[Block]]:
     """Inverse of _pack_engine.  The level engines get their store, and the
     map its leaf sampler, when a query engine is built over them."""
-    stash = _unpack_stash(r, DATA_PAYLOAD_WIDTH)
+    stash = _unpack_stash(r, params.data_params)
     a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
     cipher = Cipher(k2)
     levels = []
     for i in range(n_levels):
         n_blocks, depth, z, pw = r.unpack(_RPM_LEVEL)
-        lstash = _unpack_stash(r, pw)
+        tp = TreeParams(depth, z, pw)
         engine = PathOram(
-            DATA_TREE_ID + 1 + i, TreeParams(depth, z, pw), None, cipher,
-            stash=lstash, stash_max=params.stash_max,
+            DATA_TREE_ID + 1 + i, tp, None, cipher,
+            stash=_unpack_stash(r, tp), stash_max=params.stash_max,
         )
         levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
     (top_len,) = r.unpack(_LEAF)
@@ -515,49 +464,66 @@ def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[Recursi
     return rpm, stash
 
 
-def _open_state(path: str | Path, magic: bytes, what: str) -> _Reader:
-    r = _Reader(Path(path).read_bytes(), f"{what} file {path}")
-    head = r.take(3)
-    if head[:2] != magic:
-        raise ProtocolError(f"{what} file {path}: bad magic {head[:2]!r}")
-    if head[2] != STATE_VERSION:
+def save_state(path: str | Path, state: TrivialState | EnhancedState | ControllerState) -> None:
+    """Write one party's state file, replacing it atomically: the prefix
+    (magic, version, party), the parameter block, then the party's keys and
+    its engine state or session key."""
+    p = state.params
+    head = _PREFIX.pack(STATE_MAGIC, STATE_VERSION, _PARTIES.index(type(state))) + _PARAMS.pack(
+        p.lambda_bits, p.vertex_count, p.bucket_size, _PAD_CODE[p.pad_mode],
+        p.stash_max, p.chi, p.budget or 0, p.data_depth,
+    )
+    if isinstance(state, ControllerState):
+        write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
+        return
+    keys = state.keys
+    tail = state.session_key if isinstance(state, EnhancedState) else _pack_engine(state)
+    write_atomic(path, head, keys.k1, keys.k2, keys.kprf, tail)
+
+
+def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState | ControllerState:
+    """Read a state file written by save_state.  The party it holds must be
+    one of kinds (TrivialState, EnhancedState, ControllerState); anything
+    else, and any malformed or older file, raises ProtocolError."""
+    r = _Reader(Path(path).read_bytes(), f"state file {path}")
+    magic, version, party = r.unpack(_PREFIX)
+    if magic != STATE_MAGIC:
+        raise ProtocolError(f"state file {path}: bad magic {magic!r}")
+    if version != STATE_VERSION:
         raise ProtocolError(
-            f"{what} file {path}: unsupported version {head[2]}, expected {STATE_VERSION}; "
+            f"state file {path}: unsupported version {version}, expected {STATE_VERSION}; "
             "set the deployment up again"
         )
-    return r
-
-
-def save_client_state(path: str | Path, state: TrivialState) -> None:
-    """The trivial client's engine state; rewritten after every query
-    because accesses remap blocks."""
-    head = CLIENT_MAGIC + bytes([STATE_VERSION])
-    write_atomic(path, head, _pack_engine(state.positions, state.stash))
-
-
-def load_client_state(path: str | Path, state: TrivialState) -> None:
-    r = _open_state(path, CLIENT_MAGIC, "client state")
-    positions, stash = _unpack_engine(r, state.params, state.keys.k2)
-    r.finish()
-    state.positions = positions
-    state.stash = stash
-
-
-def save_controller(path: str | Path, state: ControllerState) -> None:
-    blob = CTRL_MAGIC + bytes([STATE_VERSION])
-    blob += _pack_params(state.params)[3:]  # parameter block sans magic and version
-    blob += state.k2 + state.kprf + state.session_key
-    blob += _pack_engine(state.positions, state.stash)
-    write_atomic(path, blob)
-
-
-def load_controller(path: str | Path) -> ControllerState:
-    r = _open_state(path, CTRL_MAGIC, "controller state")
-    params = _unpack_params(KEY_MAGIC + b"\x01" + r.take(_KEYFILE.size - 3))
-    n = params.lambda_bits // 8
-    k2, kprf, session = r.take(n), r.take(n), r.take(n)
-    positions, stash = _unpack_engine(r, params, k2)
-    r.finish()
-    return ControllerState(
-        k2=k2, kprf=kprf, session_key=session, params=params, positions=positions, stash=stash
+    kind = _PARTIES[party] if party < len(_PARTIES) else None
+    if kind not in kinds:
+        held = _PARTY_NAME.get(kind, f"unknown party {party}")
+        wanted = " or ".join(_PARTY_NAME[k] for k in kinds)
+        raise ProtocolError(f"state file {path} holds {held} state, expected {wanted}")
+    lam, n, z, pad, smax, chi, budget, depth = r.unpack(_PARAMS)
+    if lam not in (128, 256) or pad not in _PAD_NAME:
+        raise ProtocolError(f"state file {path}: corrupt parameter block (lambda {lam}, pad {pad})")
+    params = SchemeParams(
+        vertex_count=n,
+        lambda_bits=lam,
+        bucket_size=z,
+        pad_mode=_PAD_NAME[pad],
+        mode=MODE_TRIVIAL if kind is TrivialState else MODE_ENHANCED,
+        chi=chi,
+        budget=budget or None,
+        stash_max=smax,
+        data_depth=depth,
     )
+    k = lam // 8
+    if kind is ControllerState:
+        k2, kprf, session = r.take(k), r.take(k), r.take(k)
+        positions, stash = _unpack_engine(r, params, k2)
+        state = ControllerState(k2, kprf, session, params, positions, stash)
+    else:
+        keys = KeySet(r.take(k), r.take(k), r.take(k))
+        if kind is EnhancedState:
+            state = EnhancedState(keys, params, r.take(k))
+        else:
+            positions, stash = _unpack_engine(r, params, keys.k2)
+            state = TrivialState(keys, params, positions, stash)
+    r.finish()
+    return state

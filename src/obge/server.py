@@ -1,16 +1,19 @@
 """Server daemon, transports, and deployment wiring.
 
 The server owns the bucket storage (and, in the enhanced deployment, the
-trust-boundary controller).  All interaction happens through wire messages
-handed to ``ObgeServer.dispatch``.  TCP peers reach it through
-``handle_raw``, which decodes their frames and, on an enhanced server,
-refuses path reads and writes, so only the controller touches storage.
-In-process peers -- the controller's own path traffic and clients deployed
-in the same process -- use ``InProcessConnection``, which hands message
-objects to ``dispatch`` without encoding frames.  The storage host records
-the same widths either way, so traces match what a TCP peer would cause.
-``RemoteStore`` turns either connection into the path store an engine
-reads and writes through.
+trust-boundary controller).  TCP peers send wire frames to ``handle_raw``,
+which decodes them, refuses path reads and writes on an enhanced server (so
+only the controller touches storage), and hands the message to
+``dispatch``.  ``RemoteStore`` turns a ``TcpConnection`` into the path
+store a remote trivial client's engine reads and writes through, and
+``enclave_transport`` into an enhanced client's request/response channel.
+
+Engines inside the server process -- the controller, and clients deployed
+in the same process -- are handed the ``StorageHost`` itself, which has the
+``read_path``/``write_path`` interface ``PathOram`` calls; an in-process
+enhanced client calls ``ObgeServer.enclave``.  Their errors arrive as the
+named exceptions rather than as wire error codes.  The storage host records
+every path access, so traces are the same whichever way it is reached.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from pathlib import Path
 from . import wire
 from .exceptions import CapacityError, IntegrityError, ObgeError, ProtocolError
 from .protocol import (
+    MODE_ENHANCED,
+    ControllerState,
     EnclaveController,
     EnhancedClient,
     SetupResult,
     TrivialClient,
-    load_controller,
-    MODE_ENHANCED,
+    load_state,
+    save_state,
 )
 from .storage import StorageHost, TreeStorage
 
@@ -53,16 +58,23 @@ class ObgeServer:
             if isinstance(msg, wire.EnclaveRequest):
                 if self.controller is None:
                     return wire.Error(wire.ERR_USAGE, "no controller deployed on this server")
-                self.host.trace.append("EnclaveRequest", None, None, len(msg.ct))
-                with self._ctrl_lock:  # controller state admits one query at a time
-                    ct = self.controller.handle_request(msg.ct)
-                self.host.trace.append("EnclaveResponse", None, None, len(ct))
-                return wire.EnclaveResponse(ct)
+                return wire.EnclaveResponse(self.enclave(msg.ct))
         except (ProtocolError, IntegrityError, IndexError) as exc:
             return wire.Error(wire.ERR_PROTOCOL, str(exc))
         except CapacityError as exc:
             return wire.Error(wire.ERR_CAPACITY, str(exc))
         return wire.Error(wire.ERR_PROTOCOL, f"unsupported message {type(msg).__name__}")
+
+    def enclave(self, ct: bytes) -> bytes:
+        """Hand one session-encrypted query to the controller and return its
+        session-encrypted answer; the host sees both widths."""
+        if self.controller is None:
+            raise ProtocolError("no controller deployed on this server")
+        self.host.trace.append("EnclaveRequest", None, None, len(ct))
+        with self._ctrl_lock:  # controller state admits one query at a time
+            out = self.controller.handle_request(ct)
+        self.host.trace.append("EnclaveResponse", None, None, len(out))
+        return out
 
     def handle_raw(self, mt: int, payload: bytes) -> bytes:
         """Answer one frame from a TCP peer.  With a controller deployed,
@@ -78,39 +90,30 @@ class ObgeServer:
         return wire.encode(self.dispatch(msg))
 
 
-def _reply(resp: wire.Message) -> wire.Message:
-    if isinstance(resp, wire.Error):
-        raise ProtocolError(f"server error {resp.code}: {resp.detail}")
-    return resp
-
-
-class InProcessConnection:
-    """Connection to a server in the same process: message objects go
-    straight to ``dispatch``, with no frame encoding."""
-
-    def __init__(self, server: ObgeServer):
-        self.server = server
-
-    def request(self, msg: wire.Message) -> wire.Message:
-        return _reply(self.server.dispatch(msg))
-
-    def close(self) -> None:
-        pass
-
-
 class TcpConnection:
-    """Client end of the TCP transport."""
+    """Client end of the TCP transport.  Socket failures, from connecting
+    or mid-request, surface as ProtocolError naming the server address."""
 
     def __init__(self, address: tuple[str, int], timeout: float = 30.0):
-        self.sock = socket.create_connection(address, timeout=timeout)
+        self.peer = f"{address[0]}:{address[1]}"
+        try:
+            self.sock = socket.create_connection(address, timeout=timeout)
+        except OSError as exc:
+            raise ProtocolError(f"cannot connect to {self.peer}: {exc}") from exc
         self._rfile = self.sock.makefile("rb")
 
     def request(self, msg: wire.Message) -> wire.Message:
-        self.sock.sendall(wire.encode(msg))
-        got = wire.read_frame(self._rfile)
+        try:
+            self.sock.sendall(wire.encode(msg))
+            got = wire.read_frame(self._rfile)
+        except OSError as exc:
+            raise ProtocolError(f"connection to {self.peer} failed: {exc}") from exc
         if got is None:
-            raise ProtocolError("connection closed by server")
-        return _reply(wire.decode_payload(*got))
+            raise ProtocolError(f"connection closed by server {self.peer}")
+        resp = wire.decode_payload(*got)
+        if isinstance(resp, wire.Error):
+            raise ProtocolError(f"server error {resp.code}: {resp.detail}")
+        return resp
 
     def close(self) -> None:
         self._rfile.close()
@@ -118,7 +121,7 @@ class TcpConnection:
 
 
 class RemoteStore:
-    """Path store over a connection with ``request``: in-process or TCP."""
+    """Path store over a connection with ``request``."""
 
     def __init__(self, conn):
         self.conn = conn
@@ -155,12 +158,11 @@ def deploy_inprocess(
     for tree in result.trees:
         host.add_tree(tree)
     server = ObgeServer(host)
-    conn = InProcessConnection(server)
     if result.controller is not None:
-        server.controller = EnclaveController(result.controller, RemoteStore(conn), rng=rng)
-        client = EnhancedClient(result.client, enclave_transport(conn))
+        server.controller = EnclaveController(result.controller, host, rng=rng)
+        client = EnhancedClient(result.client, server.enclave)
     else:
-        client = TrivialClient(result.client, RemoteStore(conn), rng=rng)
+        client = TrivialClient(result.client, host, rng=rng)
     return host, server, client
 
 
@@ -231,8 +233,7 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
         state_path = Path(cfg.tree_path) / "controller.bin"
         if not state_path.exists():
             raise ProtocolError(f"enhanced mode needs {state_path}")
-        state = load_controller(state_path)
-        server.controller = EnclaveController(state, RemoteStore(InProcessConnection(server)), rng=rng)
+        server.controller = EnclaveController(load_state(state_path, ControllerState), host, rng=rng)
     return server
 
 
@@ -297,8 +298,6 @@ class Daemon:
         for tree_id, tree in self.server.host.trees.items():
             tree.save(out / f"tree_{tree_id:03d}.bin")
         if self.server.controller is not None:
-            from .protocol import save_controller
-
-            save_controller(out / "controller.bin", self.server.controller.state)
+            save_state(out / "controller.bin", self.server.controller.state)
         if self.cfg.trace_path:
             self.server.host.trace.save(self.cfg.trace_path)

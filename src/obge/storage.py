@@ -12,7 +12,9 @@ associated data is (tree id, heap index), so the storage side cannot move,
 copy or swap buckets within or across trees without the next access that
 reads them failing.  Version 1 (one ciphertext per slot) and version 2
 (next-hop tokens in blocks, length-prefixed buckets) are rejected on load.
-Tree, key and state files are replaced through ``write_atomic``.
+``TreeStorage.load`` checks the file size the header implies before it
+allocates anything, then reads the buckets into one buffer.  Tree and state
+files are replaced through ``write_atomic``, as mode 0600 files.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ _HEADER = struct.Struct(">2sBBBBH")  # magic, version, tree_id, L, Z, payload_wi
 
 def write_atomic(path: str | Path, *chunks: bytes) -> None:
     """Replace the file at path with the concatenated chunks: write a
-    sibling temp file, flush and fsync it, then rename it over path.  A
-    failure part-way removes the temp file and leaves path as it was."""
+    sibling temp file of mode 0600, flush and fsync it, then rename it over
+    path.  A failure part-way removes the temp file and leaves path as it
+    was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as f:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
             f.flush()
@@ -166,16 +169,24 @@ class TreeStorage:
 
     @classmethod
     def load(cls, path: str | Path) -> "TreeStorage":
-        raw = Path(path).read_bytes()
-        if len(raw) < _HEADER.size:
-            raise ProtocolError("tree file truncated")
-        magic, version, tree_id, depth, z, payload_width = _HEADER.unpack(raw[: _HEADER.size])
-        if magic != TREE_MAGIC:
-            raise ProtocolError(f"bad tree magic {magic!r}")
-        if version != TREE_VERSION:
-            raise ProtocolError(f"unsupported tree version {version}")
-        params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width)
-        return cls(tree_id=tree_id, params=params, buckets=bytearray(raw[_HEADER.size :]))
+        with open(path, "rb") as f:
+            head = f.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ProtocolError(f"tree file {path} truncated")
+            magic, version, tree_id, depth, z, payload_width = _HEADER.unpack(head)
+            if magic != TREE_MAGIC:
+                raise ProtocolError(f"bad tree magic {magic!r}")
+            if version != TREE_VERSION:
+                raise ProtocolError(f"unsupported tree version {version}")
+            params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width)
+            size = params.node_count * params.bucket_width
+            held = os.fstat(f.fileno()).st_size - _HEADER.size
+            if held != size:
+                raise ProtocolError(f"tree file {path}: header declares {size} bytes of buckets, file holds {held}")
+            buckets = bytearray(size)
+            if f.readinto(buckets) != size:
+                raise ProtocolError(f"tree file {path} shrank while it was read")
+        return cls(tree_id=tree_id, params=params, buckets=buckets)
 
 
 class StorageHost:

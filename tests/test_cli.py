@@ -1,6 +1,8 @@
 """End-to-end CLI flows against a live daemon in a scratch directory."""
 
+import os
 import random
+import socket
 import struct
 
 import pytest
@@ -40,16 +42,13 @@ def daemon(tmp_path, graph_file):
 
 class TestSetupCommand:
     def test_writes_artifacts(self, tmp_path, graph_file):
+        # one state file for the trivial client: keys and engine state
         out = run_setup(tmp_path, graph_file)
-        assert (out / "tree_000.bin").exists()
-        assert (out / "keys.bin").exists()
-        assert (out / "client_state.bin").exists()
-        assert (out / "server.cfg").exists()
+        assert sorted(os.listdir(out)) == ["keys.bin", "server.cfg", "tree_000.bin"]
 
     def test_enhanced_writes_controller(self, tmp_path, graph_file):
         out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
-        assert (out / "controller.bin").exists()
-        assert not (out / "client_state.bin").exists()
+        assert sorted(os.listdir(out)) == ["controller.bin", "keys.bin", "server.cfg", "tree_000.bin"]
 
     def test_bad_graph_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -69,12 +68,15 @@ class TestQueryCommand:
         assert capsys.readouterr().out.strip() == "0 2 3"
 
     def test_state_persists_between_invocations(self, daemon, capsys):
+        # each query remaps blocks, so keys.bin is replaced after each one
         out, d = daemon
+        keys = out / "keys.bin"
         for _ in range(3):
-            rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
-                       "--addr", f"127.0.0.1:{d.port}"])
+            before = keys.stat().st_ino
+            rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
             assert rc == 0
             assert capsys.readouterr().out.strip() == "0 2 3"
+            assert keys.stat().st_ino != before
 
     def test_out_of_range_vertex_usage_error(self, daemon, capsys):
         out, d = daemon
@@ -85,18 +87,18 @@ class TestQueryCommand:
     def test_truncated_keyfile_is_protocol_error(self, daemon, capsys):
         out, d = daemon
         keys = out / "keys.bin"
-        keys.write_bytes(keys.read_bytes()[:-5])
+        keys.write_bytes(keys.read_bytes()[:30])  # inside the parameter block
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "truncated" in err and "Traceback" not in err
 
     def test_truncated_client_state_is_protocol_error(self, daemon, capsys):
+        # cut inside the engine state that follows the keys
         out, d = daemon
-        state = out / "client_state.bin"
-        state.write_bytes(state.read_bytes()[:30])
-        rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
-                   "--addr", f"127.0.0.1:{d.port}"])
+        keys = out / "keys.bin"
+        keys.write_bytes(keys.read_bytes()[:-5])
+        rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
 
@@ -104,12 +106,35 @@ class TestQueryCommand:
         # the token-keyed layout: entry count, (token, leaf) pairs, stash count
         out, d = daemon
         old = struct.pack(">I", 1) + b"\x11" * 16 + struct.pack(">QI", 3, 0)
-        (out / "client_state.bin").write_bytes(old)
+        (out / "keys.bin").write_bytes(old)
         rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
                    "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad magic" in err and "Traceback" not in err
+
+    def test_controller_file_as_keys_is_protocol_error(self, tmp_path, graph_file, capsys):
+        out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
+        capsys.readouterr()
+        rc = main(["query", "0", "3", "--keys", str(out / "controller.bin"), "--addr", "127.0.0.1:1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "holds controller state" in err and "Traceback" not in err
+
+    def test_no_daemon_is_protocol_error(self, tmp_path, graph_file, capsys):
+        # a freshly closed port: the connection is refused
+        out = run_setup(tmp_path, graph_file)
+        capsys.readouterr()
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        keys = out / "keys.bin"
+        before = keys.read_bytes()
+        rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{port}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"127.0.0.1:{port}" in err and "Traceback" not in err
+        assert keys.read_bytes() == before
 
     def test_no_path_reported(self, daemon, capsys):
         out, d = daemon

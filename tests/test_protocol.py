@@ -3,6 +3,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
 from obge.blocks import DATA_PAYLOAD_WIDTH, Block
@@ -10,27 +11,22 @@ from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
 from obge.protocol import (
+    ControllerState,
     EnclaveController,
     EnhancedClient,
-    load_client_state,
-    load_controller,
-    load_keyfile,
+    EnhancedState,
+    TrivialState,
+    load_state,
     reveal,
-    save_client_state,
-    save_controller,
-    save_keyfile,
+    save_state,
     setup,
 )
 from obge.recursive import RecursivePM
-from obge.server import (
-    InProcessConnection,
-    ObgeServer,
-    RemoteStore,
-    deploy_inprocess,
-    enclave_transport,
-)
+from obge.server import ObgeServer, deploy_inprocess
 from obge.storage import TreeStorage
 from conftest import random_graph
+
+PARTIES = (TrivialState, EnhancedState, ControllerState)
 
 
 def deploy(g, mode, rng_seed=1, **kw):
@@ -43,9 +39,8 @@ def deploy(g, mode, rng_seed=1, **kw):
 def redeploy(host, state, client_state):
     """A fresh server over the same storage, hosting a reloaded controller."""
     server = ObgeServer(host)
-    conn = InProcessConnection(server)
-    server.controller = EnclaveController(state, RemoteStore(conn), rng=random.Random(9))
-    return EnhancedClient(client_state, enclave_transport(conn))
+    server.controller = EnclaveController(state, host, rng=random.Random(9))
+    return EnhancedClient(client_state, server.enclave)
 
 
 class TestSetup:
@@ -198,7 +193,7 @@ class TestController:
     def test_malformed_session_frame_rejected_before_access(self, four_vertex_directed):
         result, host, server, client = deploy(four_vertex_directed, "enhanced")
         before = len(host.trace)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(IntegrityError):
             client.transport(b"\x00" * 42)
         storage_msgs = [
             r for r in host.trace.records[before:] if r.msg_type in ("ReadPath", "WritePath")
@@ -209,7 +204,7 @@ class TestController:
         result, host, server, client = deploy(four_vertex_directed, "enhanced")
         session = Cipher(result.client.session_key)
         before = len(host.trace)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(IndexError):
             client.transport(session.encrypt(encode_pair(0, 99)))
         storage_msgs = [
             r for r in host.trace.records[before:] if r.msg_type in ("ReadPath", "WritePath")
@@ -220,25 +215,25 @@ class TestController:
 class TestPersistence:
     def test_keyfile_round_trip(self, tmp_path, four_vertex_directed):
         for mode in ("trivial", "enhanced"):
-            result, _, _, _ = deploy(four_vertex_directed, mode)
+            result, _, _, _ = deploy(four_vertex_directed, mode, budget=4096)
             path = tmp_path / f"keys-{mode}.bin"
-            save_keyfile(path, result.client)
-            loaded = load_keyfile(path)
+            save_state(path, result.client)
+            loaded = load_state(path, TrivialState, EnhancedState)
+            assert type(loaded) is type(result.client)
             assert loaded.keys == result.keys
+            assert loaded.params == result.params
             assert loaded.params.mode == mode
-            assert loaded.params.vertex_count == 4
             if mode == "enhanced":
                 assert loaded.session_key == result.client.session_key
 
     def test_client_state_round_trip(self, tmp_path, four_vertex_directed):
+        # the trivial client's engine state lives in its keys.bin
         result, _, _, client = deploy(four_vertex_directed, "trivial")
         client.query(0, 3)
         keyfile = tmp_path / "keys.bin"
-        statefile = tmp_path / "state.bin"
-        save_keyfile(keyfile, result.client)
-        save_client_state(statefile, result.client)
-        fresh = load_keyfile(keyfile)
-        load_client_state(statefile, fresh)
+        save_state(keyfile, result.client)
+        fresh = load_state(keyfile, TrivialState)
+        assert fresh.keys == result.keys
         assert fresh.positions.top == result.client.positions.top
         assert fresh.positions.levels == []
         assert fresh.stash == result.client.stash
@@ -248,8 +243,8 @@ class TestPersistence:
         result, host, server, client = deploy(g, "enhanced", budget=512, chi=8)
         want = {(u, v): client.query_path(u, v) for u in range(20) for v in range(20)}
         path = tmp_path / "controller.bin"
-        save_controller(path, server.controller.state)
-        client2 = redeploy(host, load_controller(path), result.client)
+        save_state(path, server.controller.state)
+        client2 = redeploy(host, load_state(path, ControllerState), result.client)
         for u in range(20):
             for v in range(20):
                 got = client2.query_path(u, v)
@@ -269,8 +264,8 @@ class TestPersistence:
         saved_stash = list(levels[0].engine.stash)
         assert saved_stash, "no level stash to persist"
         path = tmp_path / "controller.bin"
-        save_controller(path, server.controller.state)
-        state = load_controller(path)
+        save_state(path, server.controller.state)
+        state = load_state(path, ControllerState)
         assert state.positions.levels[0].engine.stash == saved_stash
         assert state.stash == server.controller.state.stash
         assert state.positions.top == server.controller.state.positions.top
@@ -279,66 +274,95 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path, four_vertex_directed):
-        # magic, version; the engine state: the data stash (count, then per
-        # block tk, next address, payload, leaf and flag 1), the map header
-        # (address space, data leaves, no levels), then the top map as a
-        # count and (address, leaf) pairs
+        # the trivial client's keys.bin: magic, version 4, party 0; the
+        # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
+        # depth); k1 k2 kprf; then the engine state: the data stash (count,
+        # then per block tk, next address, payload, leaf and flag 1), the map
+        # header (address space, data leaves, no levels), then the top map as
+        # a count and (address, leaf) pairs
         result, _, _, client = deploy(four_vertex_directed, "trivial")
         state = result.client
         for u in range(4):
             client.query(u, 3)
         state.stash.append(Block(b"\x11" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
-        want = b"OS\x03" + struct.pack(">I", len(state.stash))
+        depth = result.params.data_depth
+        want = b"OS\x04\x00" + struct.pack(">HIBBIIQB", 128, 4, 5, 0, 128, 64, 0, depth)
+        want += state.keys.k1 + state.keys.k2 + state.keys.kprf
+        want += struct.pack(">I", len(state.stash))
         for blk in state.stash:
             want += blk.tk + struct.pack(">Q", blk.next_addr) + blk.payload + struct.pack(">QB", blk.leaf, 1)
-        want += struct.pack(">QQB", 16, 1 << result.params.data_depth, 0)
+        want += struct.pack(">QQB", 16, 1 << depth, 0)
         want += struct.pack(">Q", len(state.positions.top))
         for addr, leaf in state.positions.top.items():
             want += struct.pack(">QQ", addr, leaf)
-        path = tmp_path / "state.bin"
-        save_client_state(path, state)
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
         assert path.read_bytes() == want
-        fresh = load_keyfile_for(tmp_path, result)
-        load_client_state(path, fresh)
+        fresh = load_state(path, TrivialState)
         assert fresh.positions.top == state.positions.top and fresh.stash == state.stash
 
     def test_old_state_layouts_are_rejected(self, tmp_path, four_vertex_directed, rng):
-        # a client state without magic (the token-keyed layout) and a
-        # version-1 controller state must be set up again
+        # a client state without magic (the token-keyed layout), and the
+        # separate key ("OK") and controller ("OC") formats, must be set up
+        # again
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
-        old = struct.pack(">I", 1) + b"\x11" * 16 + struct.pack(">Q", 3) + struct.pack(">I", 0)
-        path = tmp_path / "state.bin"
-        path.write_bytes(old)
-        with pytest.raises(ProtocolError, match="magic"):
-            load_client_state(path, load_keyfile_for(tmp_path, result))
         _, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced")
-        path = tmp_path / "controller.bin"
-        save_controller(path, server.controller.state)
-        path.write_bytes(b"OC\x01" + path.read_bytes()[3:])
-        with pytest.raises(ProtocolError, match="version 1"):
-            load_controller(path)
+        path = tmp_path / "state.bin"
+        path.write_bytes(struct.pack(">I", 1) + b"\x11" * 16 + struct.pack(">Q", 3) + struct.pack(">I", 0))
+        with pytest.raises(ProtocolError, match="magic"):
+            load_state(path, *PARTIES)
+        for old, state in ((b"OK\x01", result.client), (b"OC\x03", server.controller.state)):
+            save_state(path, state)
+            path.write_bytes(old + path.read_bytes()[3:])
+            with pytest.raises(ProtocolError, match="bad magic"):
+                load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # version 2 blocks carried the next hop's token: every tree and state
-        # file of that format must be set up again
+        # version 2 blocks carried the next hop's token, so trees of that
+        # format must be set up again; so must state files of version 3,
+        # which kept the trivial client's engine in a file of its own
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
-        _, _, server, _ = deploy(four_vertex_directed, "enhanced")
+        enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
-        save_client_state(tmp_path / "state.bin", result.client)
-        save_controller(tmp_path / "controller.bin", server.controller.state)
-        fresh = load_keyfile_for(tmp_path, result)
+        save_state(tmp_path / "keys.bin", result.client)
+        save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
+        save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": TreeStorage.load,
-            "state.bin": lambda p: load_client_state(p, fresh),
-            "controller.bin": load_controller,
+            "tree.bin": (3, 2, TreeStorage.load),
+            "keys.bin": (4, 3, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (4, 3, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (4, 3, lambda p: load_state(p, ControllerState)),
         }
-        for name, load in loaders.items():
+        for name, (current, old, load) in loaders.items():
             path = tmp_path / name
             raw = path.read_bytes()
-            assert raw[2] == 3
-            path.write_bytes(raw[:2] + b"\x02" + raw[3:])
-            with pytest.raises(ProtocolError, match="version 2"):
+            assert raw[2] == current
+            path.write_bytes(raw[:2] + bytes([old]) + raw[3:])
+            with pytest.raises(ProtocolError, match=f"version {old}"):
                 load(path)
+
+    def test_party_kind_must_match(self, tmp_path, four_vertex_directed):
+        # a state file of the wrong party is refused, naming both kinds
+        result, _, server, _ = deploy(four_vertex_directed, "enhanced")
+        save_state(tmp_path / "controller.bin", server.controller.state)
+        save_state(tmp_path / "keys.bin", result.client)
+        with pytest.raises(ProtocolError, match="holds controller state, expected trivial client or enhanced client"):
+            load_state(tmp_path / "controller.bin", TrivialState, EnhancedState)
+        with pytest.raises(ProtocolError, match="holds enhanced client state, expected controller"):
+            load_state(tmp_path / "keys.bin", ControllerState)
+
+    def test_state_and_tree_files_are_owner_only(self, tmp_path, four_vertex_directed):
+        # state files hold keys: mode 0600 whatever the umask
+        result, _, server, _ = deploy(four_vertex_directed, "enhanced")
+        old_umask = os.umask(0)
+        try:
+            save_state(tmp_path / "keys.bin", result.client)
+            save_state(tmp_path / "controller.bin", server.controller.state)
+            result.trees[0].save(tmp_path / "tree_000.bin")
+        finally:
+            os.umask(old_umask)
+        for name in ("keys.bin", "controller.bin", "tree_000.bin"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o600, name
 
     def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch, rng):
         # a write that fails part-way (here at fsync, after the new bytes
@@ -346,9 +370,9 @@ class TestPersistence:
         result, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256, chi=8)
         trivial, _, _, client = deploy(random_graph(rng, 12, 0.3), "trivial")
         savers = {
-            "keys.bin": lambda p: save_keyfile(p, result.client),
-            "controller.bin": lambda p: save_controller(p, server.controller.state),
-            "client_state.bin": lambda p: save_client_state(p, trivial.client),
+            "keys.bin": lambda p: save_state(p, result.client),
+            "controller.bin": lambda p: save_state(p, server.controller.state),
+            "trivial-keys.bin": lambda p: save_state(p, trivial.client),
             "tree_000.bin": trivial.trees[0].save,
         }
         for name, save in savers.items():
@@ -367,43 +391,98 @@ class TestPersistence:
         assert sorted(os.listdir(tmp_path)) == sorted(savers)
 
 
-def load_keyfile_for(tmp_path, result):
-    keyfile = tmp_path / "keys.bin"
-    save_keyfile(keyfile, result.client)
-    return load_keyfile(keyfile)
+def load_any(path):
+    return load_state(path, *PARTIES)
 
 
 class TestTruncatedStateFiles:
     """Every prefix of a state file is malformed input: ProtocolError, never
     a bare struct.error or a silently short key."""
 
-    def _assert_every_prefix_rejected(self, path, load):
+    def _assert_every_prefix_rejected(self, path):
         raw = path.read_bytes()
         for cut in sorted({0, 1, 2, 3, 10, 30, len(raw) // 2, len(raw) - 17, len(raw) - 1}):
             path.write_bytes(raw[:cut])
             with pytest.raises(ProtocolError):
-                load(path)
+                load_any(path)
         path.write_bytes(raw + b"\x00")
         with pytest.raises(ProtocolError, match="trailing"):
-            load(path)
+            load_any(path)
 
     def test_keyfile(self, tmp_path, four_vertex_directed):
-        for mode in ("trivial", "enhanced"):
-            result, _, _, _ = deploy(four_vertex_directed, mode)
-            path = tmp_path / f"keys-{mode}.bin"
-            save_keyfile(path, result.client)
-            self._assert_every_prefix_rejected(path, load_keyfile)
+        result, _, _, _ = deploy(four_vertex_directed, "enhanced")
+        path = tmp_path / "keys.bin"
+        save_state(path, result.client)
+        self._assert_every_prefix_rejected(path)
 
     def test_client_state(self, tmp_path, four_vertex_directed):
-        result, _, _, _ = deploy(four_vertex_directed, "trivial")
-        path = tmp_path / "state.bin"
-        save_client_state(path, result.client)
-        fresh = load_keyfile_for(tmp_path, result)
-        self._assert_every_prefix_rejected(path, lambda p: load_client_state(p, fresh))
+        # the trivial client's keys.bin, engine state included
+        result, _, _, client = deploy(four_vertex_directed, "trivial")
+        client.query(0, 3)
+        path = tmp_path / "keys.bin"
+        save_state(path, result.client)
+        self._assert_every_prefix_rejected(path)
 
     def test_controller(self, tmp_path, rng):
         g = random_graph(rng, 12, 0.3)
         result, _, server, _ = deploy(g, "enhanced", budget=256, chi=8)
         path = tmp_path / "controller.bin"
-        save_controller(path, server.controller.state)
-        self._assert_every_prefix_rejected(path, load_controller)
+        save_state(path, server.controller.state)
+        self._assert_every_prefix_rejected(path)
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """raw cut short, with one byte overwritten, or with bytes appended."""
+    how = draw(st.sampled_from(["truncate", "overwrite", "append"]))
+    if how == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "overwrite":
+        # headers are short: aim at the first bytes as often as anywhere else
+        i = draw(st.integers(0, 40) | st.integers(0, len(raw) - 1))
+        return raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1 :]
+    return raw + draw(st.binary(min_size=1, max_size=64))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid state file of each party kind and a valid tree file, as bytes,
+    and a directory to write damaged copies into."""
+    work = tmp_path_factory.mktemp("fuzz")
+    g = random_graph(random.Random(5), 12, 0.3)
+    trivial, _, _, client = deploy(g, "trivial")
+    client.query(0, 5)
+    enhanced, _, server, _ = deploy(g, "enhanced", budget=256, chi=8)
+    for name, state in (("trivial", trivial.client), ("enhanced", enhanced.client),
+                        ("controller", server.controller.state)):
+        save_state(work / name, state)
+    trivial.trees[0].save(work / "tree")
+    return work, {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+class TestLoaderFuzz:
+    """A damaged state or tree file either loads or raises ProtocolError;
+    no other exception escapes the loaders."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_state_loader(self, valid_files, data):
+        work, files = valid_files
+        raw = files[data.draw(st.sampled_from(["trivial", "enhanced", "controller"]))]
+        path = work / "damaged"
+        path.write_bytes(data.draw(damaged(raw)))
+        try:
+            assert isinstance(load_any(path), PARTIES)
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tree_loader(self, valid_files, data):
+        work, files = valid_files
+        path = work / "damaged"
+        path.write_bytes(data.draw(damaged(files["tree"])))
+        try:
+            assert isinstance(TreeStorage.load(path), TreeStorage)
+        except ProtocolError:
+            pass

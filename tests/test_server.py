@@ -7,10 +7,9 @@ from obge import wire
 from obge.crypto import ciphertext_width
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
-from obge.protocol import TrivialClient, save_client_state, save_keyfile, setup
+from obge.protocol import TrivialClient, save_state, setup
 from obge.server import (
     Daemon,
-    InProcessConnection,
     RemoteStore,
     ServerConfig,
     TcpConnection,
@@ -35,9 +34,8 @@ def make_deployment(mode="trivial", n=6, seed=4):
 class TestDispatch:
     def test_read_path_shape(self):
         _, result, host, server, _ = make_deployment()
-        conn = InProcessConnection(server)
         params = host.trees[0].params
-        resp = conn.request(wire.ReadPath(0, 0))
+        resp = server.dispatch(wire.ReadPath(0, 0))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
         assert len(resp.buckets) == (params.depth + 1) * params.bucket_width
@@ -72,6 +70,9 @@ class TestDispatch:
         _, _, _, server, _ = make_deployment(mode="trivial")
         resp = server.dispatch(wire.EnclaveRequest(b"x" * 42))
         assert isinstance(resp, wire.Error)
+        with pytest.raises(ProtocolError, match="no controller"):
+            server.enclave(b"x" * 42)
+        assert len(server.host.trace) == 0
 
 
 class TestConfig:
@@ -102,13 +103,9 @@ class TestDaemon:
         g, result, host, _, _ = make_deployment(mode=mode)
         for tree in result.trees:
             tree.save(tmp_path / f"tree_{tree.tree_id:03d}.bin")
-        save_keyfile(tmp_path / "keys.bin", result.client)
+        save_state(tmp_path / "keys.bin", result.client)
         if result.controller is not None:
-            from obge.protocol import save_controller
-
-            save_controller(tmp_path / "controller.bin", result.controller)
-        else:
-            save_client_state(tmp_path / "client_state.bin", result.client)
+            save_state(tmp_path / "controller.bin", result.controller)
         cfg = ServerConfig(
             mode=mode,
             tree_path=str(tmp_path),
@@ -240,13 +237,12 @@ class _Reader:
 
 def test_concurrent_readers_are_serialized():
     _, result, host, server, _ = make_deployment()
-    conn = InProcessConnection(server)
     errors = []
 
     def hammer():
         try:
             for _ in range(50):
-                conn.request(wire.ReadPath(0, 0))
+                host.read_path(0, 0)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 

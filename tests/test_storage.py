@@ -1,0 +1,47 @@
+"""Tree file loading: the memory held while a tree loads, and headers that
+claim more buckets than the file holds."""
+
+import tracemalloc
+
+import pytest
+
+from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams
+from obge.exceptions import ProtocolError
+from obge.storage import _HEADER, TREE_MAGIC, TREE_VERSION, TreeStorage
+
+
+def traced_peak(fn):
+    """(result, peak traced bytes) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_the_tree_once(tmp_path):
+    tree = TreeStorage(tree_id=0, params=TreeParams(12, 5, DATA_PAYLOAD_WIDTH))
+    tree.buckets[::7] = b"\x5a" * len(tree.buckets[::7])
+    path = tmp_path / "tree.bin"
+    tree.save(path)
+    loaded, peak = traced_peak(lambda: TreeStorage.load(path))
+    assert loaded == tree
+    assert peak < 1.5 * len(tree.buckets)
+
+
+def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
+    # a depth-30 data tree would need about 800 GB of buckets
+    path = tmp_path / "tree.bin"
+    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 30, 5, DATA_PAYLOAD_WIDTH) + bytes(1000))
+    claimed = TreeParams(30, 5, DATA_PAYLOAD_WIDTH)
+    claimed_bytes = claimed.node_count * claimed.bucket_width
+
+    def load():
+        with pytest.raises(ProtocolError) as exc:
+            TreeStorage.load(path)
+        return str(exc.value)
+
+    msg, peak = traced_peak(load)
+    assert f"declares {claimed_bytes} bytes" in msg and "holds 1000" in msg
+    assert peak < 1 << 20
