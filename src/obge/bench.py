@@ -1,9 +1,14 @@
-"""Latency-versus-path-length measurement over the in-process deployment."""
+"""Latency-versus-path-length measurement over the in-process deployment.
+
+A sample is the querying thread's CPU time for one query.  In-process the
+whole query runs in that thread, so this is its latency less any time the
+thread spends descheduled, which a stall on a shared machine would add."""
 
 from __future__ import annotations
 
 import gc
 import random
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -56,9 +61,9 @@ def run_bench(
     try:
         for rep in range(reps):
             for plen in lengths:
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 client.query(0, plen)
-                rows.append(BenchRow(plen, rep, (time.perf_counter() - t0) * 1e6))
+                rows.append(BenchRow(plen, rep, (time.thread_time() - t0) * 1e6))
     finally:
         gc.enable()
     rows.sort(key=lambda r: (r.path_len, r.rep))
@@ -66,19 +71,22 @@ def run_bench(
 
 
 def latency_stats(rows: list[BenchRow]) -> dict:
-    """Per-length means and the one-sided p-value for a positive
-    least-squares slope of latency against path length."""
-    means: dict[int, float] = {}
-    for plen in sorted({r.path_len for r in rows}):
-        vals = [r.micros for r in rows if r.path_len == plen]
-        means[plen] = sum(vals) / len(vals)
+    """Per-length means and medians, whether the medians rise strictly
+    with path length, and the one-sided p-value for a positive
+    least-squares slope of latency against path length.  Monotonicity is
+    judged on medians, which one scheduling stall cannot move."""
+    by_len: dict[int, list[float]] = {}
+    for r in sorted(rows, key=lambda r: r.path_len):
+        by_len.setdefault(r.path_len, []).append(r.micros)
+    medians = [statistics.median(vals) for vals in by_len.values()]
     reg = stats.linregress([r.path_len for r in rows], [r.micros for r in rows])
     one_sided = reg.pvalue / 2 if reg.slope > 0 else 1 - reg.pvalue / 2
     return {
-        "means": means,
+        "means": {plen: statistics.fmean(vals) for plen, vals in by_len.items()},
+        "medians": dict(zip(by_len, medians)),
         "slope": reg.slope,
         "p_one_sided": one_sided,
-        "monotone": all(b > a for a, b in zip(list(means.values()), list(means.values())[1:])),
+        "monotone": all(b > a for a, b in zip(medians, medians[1:])),
     }
 
 

@@ -1,15 +1,17 @@
-"""Fixed-width block serialization and binary-tree geometry.
+"""Fixed-width block layout and binary-tree geometry.
 
-Every block in a tree serializes to the same width:
+The only module that knows the block layout.  Every block in a tree is the
+same number of packed bytes, a head and a tail:
 
-    tk (16) | next_addr (8) | payload (W) | leaf (8) | flag (1)
+    tk (16) | next_addr (8) | payload (W)  ||  leaf (8) | flag (1)
 
+A block's token is ``blk[TOKEN]`` and its tail starts at ``head_width``.
 The flag byte is 1 for a real block; a dummy slot is all zero bytes.  A
 block names its next hop by dense address only; the query engine derives
 that hop's token with the PRF key.  The payload width W is fixed per tree:
 the data tree carries a k1 ciphertext of a vertex pair, position-map trees
 carry chi packed 8-byte leaf entries.  A bucket is the concatenation of its
-Z serialized blocks, dummies included, encrypted under k2 as one AES-GCM
+Z packed blocks, dummies included, encrypted under k2 as one AES-GCM
 ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
 bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only
 decrypts at the tree and heap index it was written for.
@@ -29,13 +31,20 @@ DATA_PAYLOAD_WIDTH = ciphertext_width(8)
 # reserved leaf value marking "no block stored at this address"
 ABSENT = (1 << 64) - 1
 
-_FIXED = TOKEN_BYTES + 8 + 8 + 1  # tk, next_addr, leaf, flag
+_HEAD = struct.Struct(f">{TOKEN_BYTES}sQ")  # tk, next_addr; the payload follows
+TOKEN = slice(0, TOKEN_BYTES)
+TAIL = struct.Struct(">QB")  # leaf, flag; at offset head_width
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
 
 def bucket_ad(tree_id: int, node: int) -> bytes:
     """Associated data binding a bucket ciphertext to its tree and node."""
     return _BUCKET_AD.pack(tree_id, node)
+
+
+def block_head(tk: bytes, next_addr: int, payload: bytes) -> bytes:
+    """The leaf-independent part of a block; placement appends the tail."""
+    return _HEAD.pack(tk, next_addr) + payload
 
 
 @dataclass
@@ -46,9 +55,6 @@ class Block:
     leaf: int
 
     def pack(self, params: TreeParams) -> bytes:
-        # struct would pad a short payload with zeros without complaint
-        if len(self.payload) != params.payload_width:
-            raise ValueError(f"payload is {len(self.payload)} bytes, tree expects {params.payload_width}")
         return params.block_struct.pack(self.tk, self.next_addr, self.payload, self.leaf, 1)
 
 
@@ -75,8 +81,12 @@ class TreeParams:
         return (1 << (self.depth + 1)) - 1
 
     @cached_property
+    def head_width(self) -> int:  # and so the offset of the tail
+        return _HEAD.size + self.payload_width
+
+    @cached_property
     def block_width(self) -> int:
-        return _FIXED + self.payload_width
+        return self.head_width + TAIL.size
 
     @cached_property
     def block_struct(self) -> struct.Struct:

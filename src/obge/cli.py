@@ -143,7 +143,7 @@ def cmd_bench(args) -> int:
     st = latency_stats(rows)
     print(
         f"slope {st['slope']:.1f} us/hop, one-sided p={st['p_one_sided']:.2e}, "
-        f"monotone means: {st['monotone']}",
+        f"strictly increasing medians: {st['monotone']}",
         file=sys.stderr,
     )
     return EXIT_OK

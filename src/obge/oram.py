@@ -3,8 +3,9 @@
 Every access, hit or miss, reads one root-to-leaf path and writes it back
 re-encrypted, so the storage owner sees a fixed-shape (read, write) pair
 per access and a leaf id that is always a fresh uniform sample.  Real
-blocks displaced from the path wait in the controller-side stash until a
-later write-back can evict them to a compatible bucket.
+blocks displaced from the path wait in the controller-side stash, as the
+packed bytes of their bucket slots, until a later write-back can evict them
+to a compatible bucket; an access decodes only the block it returns.
 
 The bucket is the unit of encryption: one AES-GCM ciphertext over its Z
 serialized blocks, dummies included, so always of the same width, with
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass
 
-from .blocks import Block, TreeParams, bucket_ad, tree_depth_for, unpack_block
+from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, tree_depth_for, unpack_block
 from .crypto import Cipher
 from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
@@ -46,7 +46,7 @@ class PathOram:
         params: TreeParams,
         store,
         cipher: Cipher,
-        stash: list[Block] | None = None,
+        stash: list[bytes] | None = None,
         stash_max: int = DEFAULT_STASH_MAX,
         rng: random.Random | None = None,
     ):
@@ -54,7 +54,7 @@ class PathOram:
         self.params = params
         self.store = store
         self.cipher = cipher
-        self.stash: list[Block] = stash if stash is not None else []
+        self.stash: list[bytes] = stash if stash is not None else []
         self.stash_max = stash_max
         self.rng = rng if rng is not None else secrets.SystemRandom()
         self.max_stash_seen = len(self.stash)
@@ -93,20 +93,21 @@ class PathOram:
         for level, ad in enumerate(ads):
             plain = decrypt(raw[level * cw : (level + 1) * cw], ad)
             for end in range(bw, len(plain) + 1, bw):
-                if plain[end - 1]:  # flag byte: dummies skip deserialization
-                    stash.append(unpack_block(plain[end - bw : end], p))
+                if plain[end - 1]:  # flag byte: dummies stay behind
+                    stash.append(plain[end - bw : end])
 
         found: Block | None = None
         if is_real:
-            for blk in stash:
-                if blk.tk == tk:
-                    found = blk
+            for i, blk in enumerate(stash):
+                if blk[TOKEN] == tk:
                     break
-            if found is None:
+            else:
                 raise IntegrityError("mapped block missing from its path and stash")
+            found = unpack_block(blk, p)
             found.leaf = new_leaf
             if update_payload is not None:
                 found.payload = update_payload(found.payload)
+            stash[i] = found.pack(p)
 
         self._evict_and_write(x, ads)
         self.access_count += 1
@@ -125,36 +126,28 @@ class PathOram:
         is eligible.  What is left after the root stays in the stash.
         """
         p = self.params
-        depth, z = p.depth, p.bucket_size
-        by_level: list[list[Block]] = [[] for _ in range(depth + 1)]
+        depth, z, hw = p.depth, p.bucket_size, p.head_width
+        tail_at = TAIL.unpack_from
+        by_level: list[list[bytes]] = [[] for _ in range(depth + 1)]
         for blk in self.stash:
-            by_level[depth - (blk.leaf ^ x).bit_length()].append(blk)
+            by_level[depth - (tail_at(blk, hw)[0] ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
         fills = p.dummy_fills
         buckets = [b""] * (depth + 1)
-        carry: list[Block] = []
+        carry: list[bytes] = []
         for level in range(depth, -1, -1):
             carry += by_level[level]
             picked = carry[:z]
             del carry[:z]
-            plain = b"".join([b.pack(p) for b in picked]) + fills[z - len(picked)]
+            plain = b"".join(picked) + fills[z - len(picked)]
             buckets[level] = encrypt(plain, ads[level])
         # in-place so external aliases (persisted party state) stay live
         self.stash[:] = carry
         self.store.write_path(self.tree_id, x, b"".join(buckets))
 
 
-@dataclass
-class BlockInput:
-    """One real block to load at initialization time."""
-
-    tk: bytes
-    next_addr: int
-    payload: bytes
-
-
 def oram_init(
-    blocks: list[BlockInput],
+    heads: list[bytes],
     bucket_size: int,
     payload_width: int,
     cipher: Cipher,
@@ -163,31 +156,35 @@ def oram_init(
     stash_max: int = DEFAULT_STASH_MAX,
     tree_id: int = 0,
 ):
-    """Build the encrypted tree for a set of real blocks.
+    """Build the encrypted tree for a set of real blocks, given as heads.
 
     The tree is sized for pad_slots real slots (defaults to the actual
-    block count); each block gets an independent uniform leaf and is placed
-    in the deepest free bucket on that leaf's path, overflowing into the
-    returned stash.  Free slots hold dummies, and every bucket, empty or
-    not, is one ciphertext bound to (tree_id, node).
+    block count); each block gets an independent uniform leaf in its tail
+    and is placed in the deepest free bucket on that leaf's path,
+    overflowing into the returned stash.  Free slots hold dummies, and every
+    bucket, empty or not, is one ciphertext bound to (tree_id, node).  A
+    head of the wrong width would shift its bucket's later slots: ValueError.
 
-    Returns (TreeStorage, params, leaf assignment per input block, stash).
+    Returns (TreeStorage, params, leaf assignment per head, stash).
     """
-    real_slots = len(blocks) if pad_slots is None else max(pad_slots, len(blocks))
+    real_slots = len(heads) if pad_slots is None else max(pad_slots, len(heads))
     depth = tree_depth_for(real_slots, bucket_size)
     params = TreeParams(depth=depth, bucket_size=bucket_size, payload_width=payload_width)
-    if len(blocks) > params.node_count * bucket_size + stash_max:
+    if len(heads) > params.node_count * bucket_size + stash_max:
         raise CapacityError(
-            f"{len(blocks)} blocks exceed tree capacity "
+            f"{len(heads)} blocks exceed tree capacity "
             f"{params.node_count * bucket_size} plus stash {stash_max}"
         )
 
-    leaves = [rng.randrange(params.leaves) for _ in blocks]
-    placed: dict[int, list[Block]] = {}
-    stash: list[Block] = []
+    leaves = [rng.randrange(params.leaves) for _ in heads]
+    placed: dict[int, list[bytes]] = {}
+    stash: list[bytes] = []
     first_leaf = params.leaves - 1  # heap index of leaf 0
-    for inp, leaf in zip(blocks, leaves):
-        blk = Block(inp.tk, inp.next_addr, inp.payload, leaf)
+    hw, tail = params.head_width, TAIL.pack
+    for head, leaf in zip(heads, leaves):
+        if len(head) != hw:
+            raise ValueError(f"block head is {len(head)} bytes, tree expects {hw}")
+        blk = head + tail(leaf, 1)
         node = first_leaf + leaf
         while True:  # leaf bucket first, then up toward the root
             slot_list = placed.get(node)
@@ -209,14 +206,14 @@ def oram_init(
     fills = params.dummy_fills
     for node in range(params.node_count):
         picked = placed.get(node, ())
-        plain = b"".join([b.pack(params) for b in picked]) + fills[bucket_size - len(picked)]
+        plain = b"".join(picked) + fills[bucket_size - len(picked)]
         buckets[node * bw : (node + 1) * bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
     return tree, params, leaves, stash
 
 
-def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[Block]) -> None:
+def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[bytes]) -> None:
     """Debug walker: decrypt the whole tree and confirm every block named
     in leaf_of (token -> mapped leaf) sits either in the stash or on the
     path to its mapped leaf."""
@@ -227,11 +224,11 @@ def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: lis
         plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
         for end in range(bw, len(plain) + 1, bw):
             if plain[end - 1]:
-                blk = unpack_block(plain[end - bw : end], p)
-                if blk.tk in located:
+                tk = plain[end - bw : end][TOKEN]
+                if tk in located:
                     raise AssertionError("token stored twice in the tree")
-                located[blk.tk] = node
-    stash_tokens = {b.tk for b in stash}
+                located[tk] = node
+    stash_tokens = {b[TOKEN] for b in stash}
     if len(stash_tokens) != len(stash):
         raise AssertionError("token appears twice in the stash")
     for tk, leaf in leaf_of.items():

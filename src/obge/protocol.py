@@ -32,9 +32,11 @@ and the parameter block, followed by
   (controller.bin, next to the trees).
 
 The engine state -- data stash, position-map level stashes and the sparse
-top map -- has one codec.  Files are replaced atomically and readable by
-their owner only; a file of an older version, or of a party the caller did
-not ask for, raises ProtocolError.
+top map -- has one codec; a stash is a block count and the packed blocks,
+each checked on load to be real and mapped to a leaf of its tree.  Files
+are replaced atomically and readable by their owner only; a file of an
+older version, or of a party the caller did not ask for, raises
+ProtocolError.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ABSENT, Block, DATA_PAYLOAD_WIDTH, TreeParams, unpack_block
+from .blocks import ABSENT, DATA_PAYLOAD_WIDTH, TAIL, TreeParams, block_head
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, oram_init
-from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, rpm_build
+from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
+from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, check_chi, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -79,8 +81,10 @@ class SchemeParams:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.pad_mode not in (PAD_NONE, PAD_FULL):
             raise ConfigError(f"unknown pad mode {self.pad_mode!r}")
-        if self.bucket_size < 1:
-            raise ConfigError("bucket size must be >= 1")
+        # tree headers and state files store Z in one byte
+        if not 1 <= self.bucket_size <= 255:
+            raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
+        check_chi(self.chi)
 
     @property
     def address_space(self) -> int:
@@ -99,7 +103,7 @@ class TrivialState:
     keys: KeySet
     params: SchemeParams
     positions: RecursivePM
-    stash: list[Block] = field(default_factory=list)
+    stash: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -120,7 +124,7 @@ class ControllerState:
     session_key: bytes
     params: SchemeParams
     positions: RecursivePM
-    stash: list[Block] = field(default_factory=list)
+    stash: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -133,8 +137,8 @@ class SetupResult:
     spdx_size: int
 
 
-def build_blocks(g: Graph, keys: KeySet) -> tuple[list[BlockInput], list[int]]:
-    """Tokenize and encrypt the next-hop dictionary.
+def build_blocks(g: Graph, keys: KeySet) -> tuple[list[bytes], list[int]]:
+    """Tokenize and encrypt the next-hop dictionary into block heads.
 
     Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v),
     whose chain pointer is the dense address w*|V|+v, and whose payload is
@@ -143,18 +147,13 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[list[BlockInput], list[int]]:
     k1 = Cipher(keys.k1)
     n = g.vertex_count
     spdx = compute_spdx(g)
-    inputs = []
+    heads = []
     addresses = []
     for (u, v), (w, _) in spdx.items():
-        inputs.append(
-            BlockInput(
-                tk=prf_eval(keys.kprf, encode_pair(u, v)),
-                next_addr=w * n + v,
-                payload=k1.encrypt(encode_pair(w, v)),
-            )
-        )
+        tk = prf_eval(keys.kprf, encode_pair(u, v))
+        heads.append(block_head(tk, w * n + v, k1.encrypt(encode_pair(w, v))))
         addresses.append(u * n + v)
-    return inputs, addresses
+    return heads, addresses
 
 
 def setup(
@@ -188,12 +187,12 @@ def setup(
     keys = keygen(lambda_bits)
     k2 = Cipher(keys.k2)
 
-    inputs, addresses = build_blocks(g, keys)
+    heads, addresses = build_blocks(g, keys)
     pad_slots = None
     if pad_mode == PAD_FULL:
         pad_slots = max(1, params.address_space - g.vertex_count)
     tree, data_params, leaves, stash = oram_init(
-        inputs,
+        heads,
         bucket_size=bucket_size,
         payload_width=DATA_PAYLOAD_WIDTH,
         cipher=k2,
@@ -221,7 +220,7 @@ def setup(
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, stash=stash)
-        return SetupResult(trees, params, keys, client, None, len(inputs))
+        return SetupResult(trees, params, keys, client, None, len(heads))
 
     session_key = os.urandom(lambda_bits // 8)
     controller = ControllerState(
@@ -233,7 +232,7 @@ def setup(
         stash=stash,
     )
     client = EnhancedState(keys=keys, params=params, session_key=session_key)
-    return SetupResult(trees, params, keys, client, controller, len(inputs))
+    return SetupResult(trees, params, keys, client, controller, len(heads))
 
 
 def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | None:
@@ -410,13 +409,20 @@ _RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
 _RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
 
 
-def _pack_stash(stash: list[Block], params: TreeParams) -> bytes:
-    return _COUNT.pack(len(stash)) + b"".join(b.pack(params) for b in stash)
+def _pack_stash(stash: list[bytes]) -> bytes:
+    return _COUNT.pack(len(stash)) + b"".join(stash)
 
 
-def _unpack_stash(r: _Reader, params: TreeParams) -> list[Block]:
+def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
+    """Inverse of _pack_stash.  A block flagged as a dummy, or mapped past
+    the tree's last leaf (eviction would put it off its path), is refused."""
     (count,) = r.unpack(_COUNT)
-    return [unpack_block(r.take(params.block_width), params) for _ in range(count)]
+    stash = [r.take(params.block_width) for _ in range(count)]
+    for blk in stash:
+        leaf, flag = TAIL.unpack_from(blk, params.head_width)
+        if flag != 1 or leaf >= params.leaves:
+            raise ProtocolError(f"{r.what}: bad tree {tree_id} stash block (flag {flag}, leaf {leaf} of {params.leaves})")
+    return stash
 
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
@@ -424,32 +430,33 @@ def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     stash, then the top map as (index, leaf) pairs."""
     positions = state.positions
     parts = [
-        _pack_stash(state.stash, state.params.data_params),
+        _pack_stash(state.stash),
         _RPM_HEADER.pack(positions.address_space, positions.data_leaves, len(positions.levels)),
     ]
     for lvl in positions.levels:
         tp = lvl.engine.params
         parts.append(_RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width))
-        parts.append(_pack_stash(lvl.engine.stash, tp))
+        parts.append(_pack_stash(lvl.engine.stash))
     top = positions.top
     parts.append(_LEAF.pack(len(top)))
     parts += map(_TOP_ENTRY.pack, top.keys(), top.values())
     return b"".join(parts)
 
 
-def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[Block]]:
+def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[bytes]]:
     """Inverse of _pack_engine.  The level engines get their store, and the
     map its leaf sampler, when a query engine is built over them."""
-    stash = _unpack_stash(r, params.data_params)
+    stash = _unpack_stash(r, params.data_params, DATA_TREE_ID)
     a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
     cipher = Cipher(k2)
     levels = []
     for i in range(n_levels):
         n_blocks, depth, z, pw = r.unpack(_RPM_LEVEL)
         tp = TreeParams(depth, z, pw)
+        tree_id = DATA_TREE_ID + 1 + i
         engine = PathOram(
-            DATA_TREE_ID + 1 + i, tp, None, cipher,
-            stash=_unpack_stash(r, tp), stash_max=params.stash_max,
+            tree_id, tp, None, cipher,
+            stash=_unpack_stash(r, tp, tree_id), stash_max=params.stash_max,
         )
         levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
     (top_len,) = r.unpack(_LEAF)

@@ -13,7 +13,8 @@ client uses as is.
 The top map is sparse, {index: leaf}: a flat map holds only the addresses
 that have a block, and no dense |V|^2 array is ever built.  The chain
 depth still follows the dense rule above, so trace shapes do not depend
-on how many addresses are present.
+on how many addresses are present.  A remap rewrites in place the one
+8-byte entry it touches in a level block's payload.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .blocks import ABSENT
+from .blocks import ABSENT, block_head
 from .crypto import Cipher
 from .exceptions import ConfigError, IntegrityError
-from .oram import DEFAULT_STASH_MAX, BlockInput, PathOram, oram_init
+from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
 from .storage import TreeStorage
 
 ENTRY_BYTES = 8
+_ENTRY = struct.Struct(">Q")
+# a level block's payload holds chi entries; tree headers store its width in 16 bits
+MAX_CHI = 0xFFFF // ENTRY_BYTES
 
 
 def level_token(level: int, index: int) -> bytes:
@@ -39,12 +43,9 @@ def level_token(level: int, index: int) -> bytes:
     return b"\xf0" + bytes([level]) + index.to_bytes(14, "big")
 
 
-def pack_entries(entries: list[int]) -> bytes:
-    return struct.pack(f">{len(entries)}Q", *entries)
-
-
-def unpack_entries(raw: bytes) -> list[int]:
-    return list(struct.unpack(f">{len(raw) // ENTRY_BYTES}Q", raw))
+def check_chi(chi: int) -> None:
+    if not 2 <= chi <= MAX_CHI:
+        raise ConfigError(f"packing factor chi must be in [2, {MAX_CHI}], got {chi}")
 
 
 @dataclass
@@ -136,12 +137,12 @@ class RecursivePM:
             new = self.rng.randrange(below)
             captured: list[int] = []
 
-            def rewrite(payload: bytes, offset=offset, new=new, captured=captured) -> bytes:
-                entries = unpack_entries(payload)
-                captured.append(entries[offset])
-                if entries[offset] != ABSENT:
-                    entries[offset] = new
-                return pack_entries(entries)
+            def rewrite(payload: bytes, at=offset * ENTRY_BYTES, new=new, captured=captured) -> bytes:
+                (entry,) = _ENTRY.unpack_from(payload, at)
+                captured.append(entry)
+                if entry == ABSENT:
+                    return payload
+                return payload[:at] + _ENTRY.pack(new) + payload[at + ENTRY_BYTES :]
 
             self.levels[j].engine.access(level_token(j, index), old, fresh, rewrite)
             old, fresh = captured[0], new
@@ -166,8 +167,7 @@ def rpm_build(
     Returns the map and the level trees to hand to the server; the level
     engines have no store until the map is attached to one.
     """
-    if chi < 2:
-        raise ConfigError(f"packing factor chi must be >= 2, got {chi}")
+    check_chi(chi)
     if address_space * ENTRY_BYTES > budget and budget < chi * ENTRY_BYTES:
         raise ConfigError(
             f"budget of {budget} bytes is smaller than one packed block ({chi * ENTRY_BYTES} bytes)"
@@ -177,7 +177,8 @@ def rpm_build(
     trees: list[TreeStorage] = []
     pairs, size = assignments, address_space
     tree_id = first_tree_id
-    empty = pack_entries([ABSENT] * chi)
+    entries = struct.Struct(f">{chi}Q")
+    empty = entries.pack(*[ABSENT] * chi)
     while size * ENTRY_BYTES > budget:
         n_blocks = -(-size // chi)
         chunks: dict[int, list[int]] = {}  # only the blocks that hold entries
@@ -187,12 +188,12 @@ def rpm_build(
             if chunk is None:
                 chunk = chunks[b] = [ABSENT] * chi
             chunk[offset] = leaf
-        inputs = [
-            BlockInput(level_token(len(levels), b), 0, pack_entries(chunks[b]) if b in chunks else empty)
+        heads = [
+            block_head(level_token(len(levels), b), 0, entries.pack(*chunks[b]) if b in chunks else empty)
             for b in range(n_blocks)
         ]
         tree, params, leaves, stash = oram_init(
-            inputs,
+            heads,
             bucket_size=bucket_size,
             payload_width=chi * ENTRY_BYTES,
             cipher=cipher,

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from obge.blocks import DATA_PAYLOAD_WIDTH
+from obge.blocks import DATA_PAYLOAD_WIDTH, block_head
 from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
-from obge.oram import BlockInput, oram_init
+from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
 from obge.recursive import RecursivePM
 from obge.storage import StorageHost
@@ -29,8 +29,9 @@ def chain_blocks(keys, chains, length):
 
     Entry (u, d) points to u+1, and the last one to d itself, so query
     (u, d) makes length - u hits and then one miss round on the absent
-    address of (d, d).  Returns the vertex count, the blocks in order u
-    within d, and their dense addresses u*n+d.
+    address of (d, d).  Returns the vertex count, the block heads in order
+    u within d (each starts with its 16-byte token), and their dense
+    addresses u*n+d.
     """
     n = length + chains
     k1 = Cipher(keys.k1)
@@ -39,11 +40,7 @@ def chain_blocks(keys, chains, length):
         for u in range(length):
             w = u + 1 if u + 1 < length else d
             blocks.append(
-                BlockInput(
-                    tk=prf_eval(keys.kprf, encode_pair(u, d)),
-                    next_addr=w * n + d,
-                    payload=k1.encrypt(encode_pair(w, d)),
-                )
+                block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d, k1.encrypt(encode_pair(w, d)))
             )
             addrs.append(u * n + d)
     return n, blocks, addrs

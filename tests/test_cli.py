@@ -58,6 +58,20 @@ class TestSetupCommand:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["setup", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--Z", "256"], ["--mode", "enhanced", "--budget", "72000", "--chi", "9000"]],
+        ids=["Z-256", "chi-9000"],
+    )
+    def test_widths_past_the_file_fields_are_usage_errors(self, tmp_path, extra):
+        # tree files store Z in one byte and a level's payload width, chi * 8,
+        # in two; both are refused before any file is written
+        chain = tmp_path / "chain.tsv"
+        chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(99)))
+        out = tmp_path / "deploy"
+        assert main(["setup", str(chain), "--out", str(out), "--seed", "7", *extra]) == 1
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestQueryCommand:
     def test_prints_path(self, daemon, capsys):

@@ -22,7 +22,7 @@ def make_blocks(keys, count):
 
 def leaf_of(engine, blocks, addrs):
     """Token -> mapped leaf, read from the engine's flat position map."""
-    return {b.tk: engine.positions.top[a] for b, a in zip(blocks, addrs)}
+    return {b[:16]: engine.positions.top[a] for b, a in zip(blocks, addrs)}
 
 
 def run_queries(engine, rng, accesses):
@@ -66,6 +66,13 @@ class TestSizing:
         )
         assert params.node_count * params.bucket_size >= 12
         assert params.depth == tree_depth_for(12, 5) == 2
+
+    def test_head_of_the_wrong_width_is_rejected(self, rng):
+        # a short head would shift every later slot of its bucket
+        keys = keygen(128)
+        heads = make_blocks(keys, 3)
+        with pytest.raises(ValueError, match="block head"):
+            oram_init([heads[0], heads[1][:-1], heads[2]], 5, DATA_PAYLOAD_WIDTH, Cipher(keys.k2), rng)
 
     def test_capacity_error(self):
         # an adversarial leaf sampler piles every block onto one path;
@@ -117,7 +124,7 @@ class TestAccess:
         keys = keygen(128)
         engine, host, tree, blocks, addrs = build(keys, 10, rng)
         with pytest.raises(IndexError):
-            engine.oram.access(blocks[0].tk, engine.positions.top[addrs[0]], tree.params.leaves)
+            engine.oram.access(blocks[0][:16], engine.positions.top[addrs[0]], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import DATA_PAYLOAD_WIDTH, Block
+from obge.blocks import DATA_PAYLOAD_WIDTH
 from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
@@ -284,13 +284,15 @@ class TestPersistence:
         state = result.client
         for u in range(4):
             client.query(u, 3)
-        state.stash.append(Block(b"\x11" * 16, 7, b"\x33" * DATA_PAYLOAD_WIDTH, 1))
+        # one more stash block, packed by hand: tk 11.., next address 7, leaf 1
+        state.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 1, 1))
         depth = result.params.data_depth
         want = b"OS\x04\x00" + struct.pack(">HIBBIIQB", 128, 4, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(state.stash))
-        for blk in state.stash:
-            want += blk.tk + struct.pack(">Q", blk.next_addr) + blk.payload + struct.pack(">QB", blk.leaf, 1)
+        for raw in state.stash:
+            tk, next_addr, payload, leaf, _ = struct.unpack(f">16sQ{DATA_PAYLOAD_WIDTH}sQB", raw)
+            want += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, 1)
         want += struct.pack(">QQB", 16, 1 << depth, 0)
         want += struct.pack(">Q", len(state.positions.top))
         for addr, leaf in state.positions.top.items():
@@ -300,6 +302,19 @@ class TestPersistence:
         assert path.read_bytes() == want
         fresh = load_state(path, TrivialState)
         assert fresh.positions.top == state.positions.top and fresh.stash == state.stash
+
+    @pytest.mark.parametrize("bad", ["dummy-flag", "leaf-past-tree"])
+    def test_bad_stash_block_is_rejected(self, tmp_path, four_vertex_directed, bad):
+        # a stash block flagged as a dummy would vanish, and one mapped to
+        # leaf 2^L would be evicted into whichever path is written next
+        result, _, _, _ = deploy(four_vertex_directed, "trivial")
+        state = result.client
+        leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
+        state.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        with pytest.raises(ProtocolError, match="bad tree 0 stash block"):
+            load_state(path, TrivialState)
 
     def test_old_state_layouts_are_rejected(self, tmp_path, four_vertex_directed, rng):
         # a client state without magic (the token-keyed layout), and the
