@@ -15,6 +15,11 @@ Z packed blocks, dummies included, encrypted under k2 as one AES-GCM
 ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
 bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only
 decrypts at the tree and heap index it was written for.
+
+The engine holding a tree may keep its top ``cached`` levels, heap nodes
+0..2^k-2, as plaintext buckets; the host then stores only levels k..L, and
+``path_width`` is the width of the host's part of a path.  ``cached_levels``
+is the rule that sizes that cache from a byte allowance.
 """
 
 from __future__ import annotations
@@ -66,11 +71,13 @@ def unpack_block(raw: bytes, params: TreeParams) -> Block:
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Geometry of one ORAM tree: depth, bucket size, block payload width."""
+    """Geometry of one ORAM tree: depth, bucket size, block payload width,
+    and how many top levels the engine caches as plaintext."""
 
     depth: int  # L; path holds depth+1 buckets
     bucket_size: int  # Z
     payload_width: int
+    cached: int = 0  # k; levels 0..k-1 stay with the engine, the host holds k..L
 
     @cached_property
     def leaves(self) -> int:
@@ -99,20 +106,53 @@ class TreeParams:
         return [bytes(self.block_width * k) for k in range(self.bucket_size + 1)]
 
     @cached_property
+    def plain_width(self) -> int:
+        """Z serialized blocks: a cached bucket, or a bucket before encryption."""
+        return self.bucket_size * self.block_width
+
+    @cached_property
     def bucket_width(self) -> int:
         """One ciphertext of Z serialized blocks."""
-        return ciphertext_width(self.bucket_size * self.block_width)
+        return ciphertext_width(self.plain_width)
+
+    @cached_property
+    def cache_nodes(self) -> int:
+        """Buckets the engine caches, heap nodes 0..2^k-2; also the heap
+        index of the host's first bucket."""
+        return (1 << self.cached) - 1
+
+    @cached_property
+    def host_nodes(self) -> int:
+        return self.node_count - self.cache_nodes
+
+    @cached_property
+    def host_levels(self) -> int:
+        """Buckets on the host's part of a path: levels k..L."""
+        return self.depth + 1 - self.cached
 
     @cached_property
     def path_width(self) -> int:
-        return (self.depth + 1) * self.bucket_width
+        """Bytes of one path read or write on the host."""
+        return self.host_levels * self.bucket_width
 
-    def path_nodes(self, leaf: int) -> list[int]:
-        """Heap indices of the buckets on the root-to-leaf path, root first."""
+    def path_nodes(self, leaf: int, top: int = 0, base: int = 0) -> list[int]:
+        """Heap indices less base of the buckets on the path to leaf from
+        level top down: by default the root-to-leaf path, root first.  With
+        top k and base 2^k - 1 they are the positions of the host's buckets
+        in its array of levels k..L."""
         if not (0 <= leaf < self.leaves):
             raise IndexError(f"leaf {leaf} out of range [0, {self.leaves})")
-        d = self.depth
-        return [(1 << level) - 1 + (leaf >> (d - level)) for level in range(d + 1)]
+        d, off = self.depth, base + 1
+        return [(1 << level) - off + (leaf >> (d - level)) for level in range(top, d + 1)]
+
+
+def cached_levels(params: TreeParams, allowance: int) -> int:
+    """Cache rule: the largest k <= L whose 2^k - 1 plaintext buckets fit in
+    allowance bytes."""
+    k = 0
+    while k < params.depth and ((2 << k) - 1) * params.plain_width <= allowance:
+        k += 1
+    return k
 
 
 def tree_depth_for(real_slots: int, bucket_size: int) -> int:

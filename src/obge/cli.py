@@ -7,6 +7,7 @@ Subcommands: setup, serve, query, bench, audit, attack.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import logging
 import random
 import signal
 import sys
@@ -39,7 +40,7 @@ def _parse_lengths(expr: str) -> list[int]:
 
 
 def cmd_setup(args) -> int:
-    from .protocol import MODE_ENHANCED, save_state, setup
+    from .protocol import MODE_ENHANCED, MODE_TRIVIAL, save_state, setup
     from .server import ServerConfig, save_config
 
     with open(args.graph) as f:
@@ -70,10 +71,13 @@ def cmd_setup(args) -> int:
         trace_path=str(out / "trace.csv"),
     )
     save_config(out / "server.cfg", cfg)
-    depth = result.params.data_depth
+    tp = result.trees[0].params
+    holder = "client" if args.mode == MODE_TRIVIAL else "controller"
     print(
         f"encrypted {g.vertex_count} vertices / {result.spdx_size} next-hop entries "
-        f"into {len(result.trees)} tree(s), data depth {depth}; wrote {out}/"
+        f"into {len(result.trees)} tree(s), data depth {tp.depth}; top {tp.cached} level(s) cached "
+        f"by the {holder}, host path {tp.host_levels} buckets ({tp.path_width:,} bytes); "
+        f"wrote {out}/"
     )
     if args.mode == MODE_ENHANCED:
         print(f"position map: chain depth {result.controller.positions.chain_depth}")
@@ -83,6 +87,9 @@ def cmd_setup(args) -> int:
 def cmd_serve(args) -> int:
     from .server import Daemon, build_server, load_config
 
+    logging.basicConfig(
+        level=logging.INFO, stream=sys.stderr, format="%(asctime)s %(name)s %(levelname)s %(message)s"
+    )
     cfg = load_config(args.config)
     server = build_server(cfg)
     daemon = Daemon(server, cfg)
@@ -91,14 +98,12 @@ def cmd_serve(args) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _stop)
-    print(f"serving {cfg.mode} mode on {cfg.listen_addr} (trees: {sorted(server.host.trees)})")
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         daemon.shutdown()
-        print("state flushed, bye")
     return EXIT_OK
 
 

@@ -15,6 +15,13 @@ empty buckets look alike, and a bucket the host moves to another node or
 tree fails authentication on the next access that reads it.  The binding
 does not cover freshness: the host can still put back a node's own older
 ciphertext (rollback).
+
+Tree-top cache: the engine may keep the top k levels of its tree (heap
+nodes 0..2^k-2, ``params.cached``) as plaintext buckets in ``cache``.  An
+access reads the cached buckets on its path as it reads decrypted ones,
+and eviction places blocks exactly as without the cache, storing cached
+levels' plaintext instead of encrypting it; only levels k..L cross to the
+host.  Cached buckets are still buckets, so the stash bound is unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ class PathOram:
     and ``write_path(tree_id, leaf, data)``; local storage and the wire
     client both qualify.  Position lookup is the caller's job: access takes
     the block's current leaf (or None for a dummy round) and the fresh leaf
-    it should move to.  One access may be in flight at a time.
+    it should move to.  One access may be in flight at a time.  cache holds
+    the plaintext of the 2^k - 1 cached buckets, heap nodes in order.
     """
 
     def __init__(
@@ -49,12 +57,19 @@ class PathOram:
         stash: list[bytes] | None = None,
         stash_max: int = DEFAULT_STASH_MAX,
         rng: random.Random | None = None,
+        cache: list[bytes] | None = None,
     ):
         self.tree_id = tree_id
         self.params = params
         self.store = store
         self.cipher = cipher
         self.stash: list[bytes] = stash if stash is not None else []
+        self.cache: list[bytes] = cache if cache is not None else []
+        if len(self.cache) != params.cache_nodes:
+            raise ValueError(
+                f"tree {tree_id}: cache of {len(self.cache)} buckets, "
+                f"{params.cached} cached levels need {params.cache_nodes}"
+            )
         self.stash_max = stash_max
         self.rng = rng if rng is not None else secrets.SystemRandom()
         self.max_stash_seen = len(self.stash)
@@ -80,20 +95,30 @@ class PathOram:
         if is_real and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
         x = cur_leaf if is_real else self.rng.randrange(p.leaves)
-        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(x)]
+        nodes = p.path_nodes(x)
+        k = p.cached
+        ads = [bucket_ad(self.tree_id, node) for node in nodes[k:]]
         raw = self.store.read_path(self.tree_id, x)
         if len(raw) != p.path_width:
             raise IntegrityError(
                 f"tree {self.tree_id}: path read of {len(raw)} bytes, expected {p.path_width}"
             )
 
-        decrypt = self.cipher.decrypt
         stash = self.stash
         bw, cw = p.block_width, p.bucket_width
-        for level, ad in enumerate(ads):
-            plain = decrypt(raw[level * cw : (level + 1) * cw], ad)
-            for end in range(bw, len(plain) + 1, bw):
-                if plain[end - 1]:  # flag byte: dummies stay behind
+        ends = range(bw, p.plain_width + 1, bw)  # each slot ends in its flag byte
+        # root to leaf: the cached levels, then the host's; two loops keep a
+        # per-level test off the path
+        for node in nodes[:k]:
+            plain = self.cache[node]
+            for end in ends:
+                if plain[end - 1]:  # dummies stay behind
+                    stash.append(plain[end - bw : end])
+        decrypt = self.cipher.decrypt
+        for i, ad in enumerate(ads):
+            plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
+            for end in ends:
+                if plain[end - 1]:
                     stash.append(plain[end - bw : end])
 
         found: Block | None = None
@@ -109,14 +134,14 @@ class PathOram:
                 found.payload = update_payload(found.payload)
             stash[i] = found.pack(p)
 
-        self._evict_and_write(x, ads)
+        self._evict_and_write(x, nodes, ads)
         self.access_count += 1
         if len(stash) > self.stash_max:
             raise StashOverflowError(f"stash holds {len(stash)} blocks, limit {self.stash_max}")
         self.max_stash_seen = max(self.max_stash_seen, len(stash))
         return found
 
-    def _evict_and_write(self, x: int, ads: list[bytes]) -> None:
+    def _evict_and_write(self, x: int, nodes: list[int], ads: list[bytes]) -> None:
         """Greedy write-back: place stash blocks in the deepest bucket of
         the path to x that their own leaf also passes through.
 
@@ -124,25 +149,32 @@ class PathOram:
         bit length of leaf XOR x; the buckets then fill from the leaf up,
         and blocks that do not fit carry toward the root, where every block
         is eligible.  What is left after the root stays in the stash.
+        Levels below k go to the cache as plaintext; the rest are encrypted
+        under ads, which starts at level k, and written to the host.
         """
         p = self.params
-        depth, z, hw = p.depth, p.bucket_size, p.head_width
+        depth, z, hw, k = p.depth, p.bucket_size, p.head_width, p.cached
         tail_at = TAIL.unpack_from
         by_level: list[list[bytes]] = [[] for _ in range(depth + 1)]
         for blk in self.stash:
             by_level[depth - (tail_at(blk, hw)[0] ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
         fills = p.dummy_fills
-        buckets = [b""] * (depth + 1)
         carry: list[bytes] = []
-        for level in range(depth, -1, -1):
+        buckets: list[bytes] = []  # the host's levels, leaf first
+        for level, ad in zip(range(depth, k - 1, -1), reversed(ads)):
             carry += by_level[level]
             picked = carry[:z]
             del carry[:z]
-            plain = b"".join(picked) + fills[z - len(picked)]
-            buckets[level] = encrypt(plain, ads[level])
+            buckets.append(encrypt(b"".join(picked) + fills[z - len(picked)], ad))
+        for level in range(k - 1, -1, -1):  # then the cached levels
+            carry += by_level[level]
+            picked = carry[:z]
+            del carry[:z]
+            self.cache[nodes[level]] = b"".join(picked) + fills[z - len(picked)]
         # in-place so external aliases (persisted party state) stay live
         self.stash[:] = carry
+        buckets.reverse()
         self.store.write_path(self.tree_id, x, b"".join(buckets))
 
 
@@ -155,21 +187,29 @@ def oram_init(
     pad_slots: int | None = None,
     stash_max: int = DEFAULT_STASH_MAX,
     tree_id: int = 0,
+    cached: int = 0,
 ):
     """Build the encrypted tree for a set of real blocks, given as heads.
 
     The tree is sized for pad_slots real slots (defaults to the actual
     block count); each block gets an independent uniform leaf in its tail
     and is placed in the deepest free bucket on that leaf's path,
-    overflowing into the returned stash.  Free slots hold dummies, and every
-    bucket, empty or not, is one ciphertext bound to (tree_id, node).  A
-    head of the wrong width would shift its bucket's later slots: ValueError.
+    overflowing into the returned stash.  Free slots hold dummies.  The top
+    cached levels (at most the depth) stay plaintext in the returned cache;
+    every other bucket, empty or not, is one ciphertext bound to (tree_id,
+    node) and goes to the host's TreeStorage.  A head of the wrong width
+    would shift its bucket's later slots: ValueError.
 
-    Returns (TreeStorage, params, leaf assignment per head, stash).
+    Returns (TreeStorage, params, leaf assignment per head, stash, cache).
     """
-    real_slots = len(heads) if pad_slots is None else max(pad_slots, len(heads))
-    depth = tree_depth_for(real_slots, bucket_size)
-    params = TreeParams(depth=depth, bucket_size=bucket_size, payload_width=payload_width)
+    params = TreeParams(
+        depth=tree_depth_for(max(len(heads), pad_slots or 0), bucket_size),
+        bucket_size=bucket_size,
+        payload_width=payload_width,
+        cached=cached,
+    )
+    if not 0 <= cached <= params.depth:
+        raise ValueError(f"cannot cache {cached} levels of a depth-{params.depth} tree")
     if len(heads) > params.node_count * bucket_size + stash_max:
         raise CapacityError(
             f"{len(heads)} blocks exceed tree capacity "
@@ -201,27 +241,37 @@ def oram_init(
     if len(stash) > stash_max:
         raise CapacityError(f"initial placement overflowed the stash ({len(stash)} blocks)")
 
-    bw = params.bucket_width
-    buckets = bytearray(params.node_count * bw)
+    bw, first = params.bucket_width, params.cache_nodes
+    buckets = bytearray(params.host_nodes * bw)
+    cache: list[bytes] = []
     fills = params.dummy_fills
     for node in range(params.node_count):
         picked = placed.get(node, ())
         plain = b"".join(picked) + fills[bucket_size - len(picked)]
-        buckets[node * bw : (node + 1) * bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
+        if node < first:
+            cache.append(plain)
+        else:
+            at = (node - first) * bw
+            buckets[at : at + bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
-    return tree, params, leaves, stash
+    return tree, params, leaves, stash, cache
 
 
-def verify_placement(tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[bytes]) -> None:
-    """Debug walker: decrypt the whole tree and confirm every block named
-    in leaf_of (token -> mapped leaf) sits either in the stash or on the
-    path to its mapped leaf."""
+def verify_placement(
+    tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[bytes], cache: list[bytes] = ()
+) -> None:
+    """Debug walker: read the cached buckets from cache and decrypt the
+    host's, and confirm every block named in leaf_of (token -> mapped leaf)
+    sits either in the stash or on the path to its mapped leaf."""
     p = tree.params
     bw = p.block_width
     located: dict[bytes, int] = {}
     for node in range(p.node_count):
-        plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
+        if node < p.cache_nodes:
+            plain = cache[node]
+        else:
+            plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
         for end in range(bw, len(plain) + 1, bw):
             if plain[end - 1]:
                 tk = plain[end - bw : end][TOKEN]

@@ -13,12 +13,15 @@ RecursivePM position map, the PRF key and the vertex range check.  They
 differ only in where the engine runs:
 
 * trivial  -- the client hosts it and drives every access over its store
-  connection; the position map is flat.
+  connection; the position map is flat, and the client also keeps the top
+  levels of the data tree as plaintext buckets (the tree-top cache), as
+  many as fit in the memory its flat map is counted at.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel.  The
   position map is flat or a recursive ORAM chain, whichever fits the
-  configured memory budget.
+  configured memory budget; the budget leaves nothing for a tree-top
+  cache, so the host holds every level.
 
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
@@ -31,9 +34,12 @@ and the parameter block, followed by
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
-The engine state -- data stash, position-map level stashes and the sparse
-top map -- has one codec; a stash is a block count and the packed blocks,
-each checked on load to be real and mapped to a leaf of its tree.  Files
+The engine state -- data stash, the data tree's cached buckets,
+position-map level stashes and the sparse top map -- has one codec.  A
+stash is a block count and the packed blocks, each checked on load to be
+real and mapped to a leaf of its tree.  The cache is a bucket count, 2^k - 1
+for k cached levels, and the plaintext buckets in heap order; each slot must
+be a dummy or a real block mapped to a leaf of the data tree.  Files
 are replaced atomically and readable by their owner only; a file of an
 older version, or of a party the caller did not ask for, raises
 ProtocolError.
@@ -48,7 +54,15 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blocks import ABSENT, DATA_PAYLOAD_WIDTH, TAIL, TreeParams, block_head
+from .blocks import (
+    ABSENT,
+    DATA_PAYLOAD_WIDTH,
+    TAIL,
+    TreeParams,
+    block_head,
+    cached_levels,
+    tree_depth_for,
+)
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
@@ -75,6 +89,9 @@ class SchemeParams:
     budget: int | None = None
     stash_max: int = DEFAULT_STASH_MAX
     data_depth: int = 0
+    # top levels of the data tree the engine keeps; a state file carries it
+    # as the cache's bucket count, not in the parameter block
+    data_cached: int = 0
 
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
@@ -92,18 +109,19 @@ class SchemeParams:
 
     @property
     def data_params(self) -> TreeParams:
-        return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH)
+        return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, self.data_cached)
 
 
 @dataclass
 class TrivialState:
     """Everything the client keeps in the trivial deployment: the keys and
-    the engine state (flat position map and data stash)."""
+    the engine state (flat position map, data stash and cached buckets)."""
 
     keys: KeySet
     params: SchemeParams
     positions: RecursivePM
     stash: list[bytes] = field(default_factory=list)
+    cache: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -125,6 +143,7 @@ class ControllerState:
     params: SchemeParams
     positions: RecursivePM
     stash: list[bytes] = field(default_factory=list)
+    cache: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -191,7 +210,13 @@ def setup(
     pad_slots = None
     if pad_mode == PAD_FULL:
         pad_slots = max(1, params.address_space - g.vertex_count)
-    tree, data_params, leaves, stash = oram_init(
+    # the trivial client keeps the whole map, counted at its dense width,
+    # and a tree-top cache of at most the same size; a controller is held
+    # to its budget, which its map and stashes already take
+    flat = params.address_space * ENTRY_BYTES
+    params.data_depth = tree_depth_for(max(len(heads), pad_slots or 0), bucket_size)
+    params.data_cached = cached_levels(params.data_params, flat if mode == MODE_TRIVIAL else 0)
+    tree, data_params, leaves, stash, cache = oram_init(
         heads,
         bucket_size=bucket_size,
         payload_width=DATA_PAYLOAD_WIDTH,
@@ -200,11 +225,9 @@ def setup(
         pad_slots=pad_slots,
         stash_max=stash_max,
         tree_id=DATA_TREE_ID,
+        cached=params.data_cached,
     )
-    params.data_depth = data_params.depth
 
-    # the trivial client keeps the whole map; a controller is held to its budget
-    flat = params.address_space * ENTRY_BYTES
     rpm, pm_trees = rpm_build(
         zip(addresses, leaves),
         address_space=params.address_space,
@@ -219,7 +242,7 @@ def setup(
     )
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
-        client = TrivialState(keys=keys, params=params, positions=rpm, stash=stash)
+        client = TrivialState(keys=keys, params=params, positions=rpm, stash=stash, cache=cache)
         return SetupResult(trees, params, keys, client, None, len(heads))
 
     session_key = os.urandom(lambda_bits // 8)
@@ -230,6 +253,7 @@ def setup(
         params=params,
         positions=rpm,
         stash=stash,
+        cache=cache,
     )
     client = EnhancedState(keys=keys, params=params, session_key=session_key)
     return SetupResult(trees, params, keys, client, controller, len(heads))
@@ -253,10 +277,10 @@ def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | 
 class QueryEngine:
     """The Query loop both deployments run.
 
-    Holds the data tree's Path ORAM over the state's stash, the state's
-    position map and the PRF key.  Every path read and write goes through
-    store; the position map's level engines are attached to the same store
-    when the engine is built.
+    Holds the data tree's Path ORAM over the state's stash and cache, the
+    state's position map and the PRF key.  Every path read and write goes
+    through store; the position map's level engines are attached to the
+    same store when the engine is built.
     """
 
     def __init__(
@@ -270,7 +294,7 @@ class QueryEngine:
         self.positions.attach(store, rng)
         self.oram = PathOram(
             DATA_TREE_ID, p.data_params, store, Cipher(k2),
-            stash=state.stash, stash_max=p.stash_max, rng=rng,
+            stash=state.stash, stash_max=p.stash_max, rng=rng, cache=state.cache,
         )
 
     def query(self, u: int, v: int) -> list[bytes]:
@@ -329,10 +353,11 @@ class EnclaveController:
         return self.session.encrypt(blob)
 
     def resident_bytes(self) -> int:
-        """Controller-resident bytes: position state, data stash, keys."""
+        """Controller-resident bytes: position state, data stash and cache, keys."""
         key_bytes = len(self.state.k2) + len(self.state.kprf) + len(self.state.session_key)
-        stash_bytes = len(self.engine.oram.stash) * self.engine.oram.params.block_width
-        return self.state.positions.resident_bytes() + stash_bytes + key_bytes
+        oram = self.engine.oram
+        data_bytes = len(oram.stash) * oram.params.block_width + len(oram.cache) * oram.params.plain_width
+        return self.state.positions.resident_bytes() + data_bytes + key_bytes
 
 
 class EnhancedClient:
@@ -366,9 +391,10 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 3 kept the trivial client's engine state in a file of its own and
-# gave controller.bin its own magic; version 2 blocks carried the next hop's token
-STATE_VERSION = 4
+# version 4 had no tree-top cache in the engine state; version 3 kept the
+# trivial client's engine state in a file of its own and gave controller.bin
+# its own magic; version 2 blocks carried the next hop's token
+STATE_VERSION = 5
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -409,13 +435,15 @@ _RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
 _RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
 
 
-def _pack_stash(stash: list[bytes]) -> bytes:
-    return _COUNT.pack(len(stash)) + b"".join(stash)
+def _pack_counted(items: list[bytes]) -> bytes:
+    """A stash or a cache: the count, then the fixed-width items."""
+    return _COUNT.pack(len(items)) + b"".join(items)
 
 
 def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
-    """Inverse of _pack_stash.  A block flagged as a dummy, or mapped past
-    the tree's last leaf (eviction would put it off its path), is refused."""
+    """Inverse of _pack_counted for a stash.  A block flagged as a dummy, or
+    mapped past the tree's last leaf (eviction would put it off its path),
+    is refused."""
     (count,) = r.unpack(_COUNT)
     stash = [r.take(params.block_width) for _ in range(count)]
     for blk in stash:
@@ -425,28 +453,59 @@ def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
     return stash
 
 
+def _unpack_cache(r: _Reader, params: SchemeParams) -> list[bytes]:
+    """Inverse of _pack_counted for the data tree's cache; sets
+    params.data_cached from its count.  A count that is not 2^k - 1 for k up
+    to the data depth, a slot flag other than 0 or 1, or a real slot mapped
+    past the last leaf is refused, naming the node."""
+    (count,) = r.unpack(_COUNT)
+    k = count.bit_length()
+    if count != (1 << k) - 1 or k > params.data_depth:
+        raise ProtocolError(
+            f"{r.what}: cache of {count} buckets, expected 2^k - 1 for k up to the data depth {params.data_depth}"
+        )
+    params.data_cached = k
+    tp = params.data_params
+    pw, bw, hw = tp.plain_width, tp.block_width, tp.head_width
+    raw = r.take(count * pw)
+    cache = [raw[i * pw : (i + 1) * pw] for i in range(count)]
+    for node, plain in enumerate(cache):
+        for at in range(hw, pw, bw):
+            leaf, flag = TAIL.unpack_from(plain, at)
+            if flag > 1 or (flag and leaf >= tp.leaves):
+                raise ProtocolError(
+                    f"{r.what}: bad cached node {node} of tree {DATA_TREE_ID} "
+                    f"(flag {flag}, leaf {leaf} of {tp.leaves})"
+                )
+    return cache
+
+
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
-    """Engine state: the data stash, the map header, each level's shape and
-    stash, then the top map as (index, leaf) pairs."""
+    """Engine state: the data stash, the data tree's cached buckets, the map
+    header, each level's shape and stash, then the top map as (index, leaf)
+    pairs."""
     positions = state.positions
     parts = [
-        _pack_stash(state.stash),
+        _pack_counted(state.stash),
+        _pack_counted(state.cache),
         _RPM_HEADER.pack(positions.address_space, positions.data_leaves, len(positions.levels)),
     ]
     for lvl in positions.levels:
         tp = lvl.engine.params
         parts.append(_RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width))
-        parts.append(_pack_stash(lvl.engine.stash))
+        parts.append(_pack_counted(lvl.engine.stash))
     top = positions.top
     parts.append(_LEAF.pack(len(top)))
     parts += map(_TOP_ENTRY.pack, top.keys(), top.values())
     return b"".join(parts)
 
 
-def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[bytes]]:
-    """Inverse of _pack_engine.  The level engines get their store, and the
-    map its leaf sampler, when a query engine is built over them."""
+def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[bytes], list[bytes]]:
+    """Inverse of _pack_engine: the map, the data stash and the cache.  The
+    level engines get their store, and the map its leaf sampler, when a
+    query engine is built over them."""
     stash = _unpack_stash(r, params.data_params, DATA_TREE_ID)
+    cache = _unpack_cache(r, params)
     a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
     cipher = Cipher(k2)
     levels = []
@@ -468,7 +527,7 @@ def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[Recursi
         levels=levels,
         top=top,
     )
-    return rpm, stash
+    return rpm, stash, cache
 
 
 def save_state(path: str | Path, state: TrivialState | EnhancedState | ControllerState) -> None:
@@ -523,14 +582,14 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
     k = lam // 8
     if kind is ControllerState:
         k2, kprf, session = r.take(k), r.take(k), r.take(k)
-        positions, stash = _unpack_engine(r, params, k2)
-        state = ControllerState(k2, kprf, session, params, positions, stash)
+        positions, stash, cache = _unpack_engine(r, params, k2)
+        state = ControllerState(k2, kprf, session, params, positions, stash, cache)
     else:
         keys = KeySet(r.take(k), r.take(k), r.take(k))
         if kind is EnhancedState:
             state = EnhancedState(keys, params, r.take(k))
         else:
-            positions, stash = _unpack_engine(r, params, keys.k2)
-            state = TrivialState(keys, params, positions, stash)
+            positions, stash, cache = _unpack_engine(r, params, keys.k2)
+            state = TrivialState(keys, params, positions, stash, cache)
     r.finish()
     return state

@@ -192,7 +192,7 @@ def rpm_build(
             block_head(level_token(len(levels), b), 0, entries.pack(*chunks[b]) if b in chunks else empty)
             for b in range(n_blocks)
         ]
-        tree, params, leaves, stash = oram_init(
+        tree, params, leaves, stash, _ = oram_init(
             heads,
             bucket_size=bucket_size,
             payload_width=chi * ENTRY_BYTES,

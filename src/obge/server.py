@@ -14,10 +14,16 @@ in the same process -- are handed the ``StorageHost`` itself, which has the
 enhanced client calls ``ObgeServer.enclave``.  Their errors arrive as the
 named exceptions rather than as wire error codes.  The storage host records
 every path access, so traces are the same whichever way it is reached.
+
+The daemon logs to the ``obge.server`` logger: its start (address, mode,
+and each tree's id, depth, cached levels and host path width), each flush
+(the files written) and each malformed frame answered with an error frame.
+Nothing is logged per request, and nothing the host does not already see.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 import socket
 import socketserver
@@ -38,6 +44,8 @@ from .protocol import (
     save_state,
 )
 from .storage import StorageHost, TreeStorage
+
+log = logging.getLogger(__name__)
 
 
 class ObgeServer:
@@ -82,6 +90,7 @@ class ObgeServer:
         try:
             msg = wire.decode_payload(mt, payload)
         except ProtocolError as exc:
+            log.warning("answered a malformed frame with an error: %s", exc)
             return wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc)))
         if self.controller is not None and isinstance(msg, (wire.ReadPath, wire.WritePath)):
             return wire.encode(
@@ -246,6 +255,8 @@ class _Handler(socketserver.BaseRequestHandler):
                     got = wire.read_frame(rfile)
                 except ProtocolError as exc:
                     # the frame boundary is lost: answer once, then close
+                    log.warning("answered a malformed frame from %s with an error and closed: %s",
+                                self.client_address[0], exc)
                     self.request.sendall(wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc))))
                     return
                 if got is None:
@@ -280,11 +291,23 @@ class Daemon:
         return self.tcp.server_address[1]
 
     def start(self) -> None:
+        self._log_start()
         self._thread = threading.Thread(target=self.tcp.serve_forever, daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
+        self._log_start()
         self.tcp.serve_forever()
+
+    def _log_start(self) -> None:
+        host, port = self.tcp.server_address[:2]
+        log.info("serving %s mode on %s:%d", self.cfg.mode, host, port)
+        for tree_id, tree in sorted(self.server.host.trees.items()):
+            p = tree.params
+            log.info(
+                "tree %d: depth %d, %d cached levels, host path %d buckets (%d bytes)",
+                tree_id, p.depth, p.cached, p.host_levels, p.path_width,
+            )
 
     def shutdown(self) -> None:
         self.tcp.shutdown()
@@ -295,9 +318,14 @@ class Daemon:
 
     def flush(self) -> None:
         out = Path(self.cfg.tree_path)
+        written = []
         for tree_id, tree in self.server.host.trees.items():
-            tree.save(out / f"tree_{tree_id:03d}.bin")
+            written.append(out / f"tree_{tree_id:03d}.bin")
+            tree.save(written[-1])
         if self.server.controller is not None:
-            save_state(out / "controller.bin", self.server.controller.state)
+            written.append(out / "controller.bin")
+            save_state(written[-1], self.server.controller.state)
         if self.cfg.trace_path:
-            self.server.host.trace.save(self.cfg.trace_path)
+            written.append(Path(self.cfg.trace_path))
+            self.server.host.trace.save(written[-1])
+        log.info("flushed %s", ", ".join(map(str, written)))

@@ -1,17 +1,21 @@
 """Server-side bucket storage: the untrusted half of the access protocol.
 
-A TreeStorage holds the raw encrypted buckets of one ORAM tree in heap
-order and serves whole root-to-leaf paths.  Every path read or write is
-appended to an AccessTrace, which records exactly what the storage owner
-can observe: operation, tree, leaf id, and byte count.
+A TreeStorage holds the raw encrypted buckets of one ORAM tree that the
+host stores, levels k..L below the engine's tree-top cache, in heap order,
+and serves the host's part of each root-to-leaf path.  Every path read or
+write is appended to an AccessTrace, which records exactly what the storage
+owner can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 3: a header (magic, version, tree id, depth L,
-bucket size Z, payload width) followed by the 2^(L+1) - 1 buckets in heap
-order.  Each bucket is one AES-GCM ciphertext of Z serialized blocks whose
-associated data is (tree id, heap index), so the storage side cannot move,
-copy or swap buckets within or across trees without the next access that
-reads them failing.  Version 1 (one ciphertext per slot) and version 2
-(next-hop tokens in blocks, length-prefixed buckets) are rejected on load.
+Tree file format, version 4: a header (magic, version, tree id, depth L,
+cached levels k, bucket size Z, payload width) followed by the buckets of
+levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
+engine holding the tree keeps levels 0..k-1 itself, so a path read or write
+moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of Z serialized
+blocks whose associated data is (tree id, heap index), so the storage side
+cannot move, copy or swap buckets within or across trees without the next
+access that reads them failing.  Version 1 (one ciphertext per slot),
+version 2 (next-hop tokens in blocks, length-prefixed buckets) and version 3
+(every level on the host) are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer.  Tree and state
 files are replaced through ``write_atomic``, as mode 0600 files.
@@ -30,8 +34,8 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 3
-_HEADER = struct.Struct(">2sBBBBH")  # magic, version, tree_id, L, Z, payload_width
+TREE_VERSION = 4
+_HEADER = struct.Struct(">2sBBBBBH")  # magic, version, tree_id, L, k, Z, payload_width
 
 
 def write_atomic(path: str | Path, *chunks: bytes) -> None:
@@ -116,14 +120,15 @@ class AccessTrace:
 
 @dataclass
 class TreeStorage:
-    """Encrypted buckets of one tree, addressed by heap index."""
+    """The host's encrypted buckets of one tree, levels k..L, addressed by
+    heap index."""
 
     tree_id: int
     params: TreeParams
     buckets: bytearray = field(default_factory=bytearray)
 
     def __post_init__(self):
-        expected = self.params.node_count * self.params.bucket_width
+        expected = self.params.host_nodes * self.params.bucket_width
         if not self.buckets:
             self.buckets = bytearray(expected)
         elif len(self.buckets) != expected:
@@ -131,24 +136,32 @@ class TreeStorage:
                 f"tree {self.tree_id}: storage is {len(self.buckets)} bytes, expected {expected}"
             )
 
+    def _offset(self, node: int) -> int:
+        p = self.params
+        if not p.cache_nodes <= node < p.node_count:
+            raise IndexError(f"tree {self.tree_id}: node {node} is not stored on the host")
+        return (node - p.cache_nodes) * p.bucket_width
+
     def get_bucket(self, node: int) -> bytes:
-        w = self.params.bucket_width
-        return bytes(self.buckets[node * w : (node + 1) * w])
+        at = self._offset(node)
+        return bytes(self.buckets[at : at + self.params.bucket_width])
 
     def set_bucket(self, node: int, data: bytes) -> None:
         w = self.params.bucket_width
         if len(data) != w:
             raise ProtocolError(f"bucket write of {len(data)} bytes, expected {w}")
-        self.buckets[node * w : (node + 1) * w] = data
+        at = self._offset(node)
+        self.buckets[at : at + w] = data
 
     def read_path(self, leaf: int) -> bytes:
-        """All buckets on the root-to-leaf path, root first, concatenated."""
-        w, buckets = self.params.bucket_width, self.buckets
-        return b"".join([buckets[n * w : (n + 1) * w] for n in self.params.path_nodes(leaf)])
+        """The host's buckets on the root-to-leaf path, level k first, concatenated."""
+        p, buckets = self.params, self.buckets
+        w, nodes = p.bucket_width, p.path_nodes(leaf, p.cached, p.cache_nodes)
+        return b"".join([buckets[n * w : (n + 1) * w] for n in nodes])
 
     def write_path(self, leaf: int, data: bytes) -> None:
-        nodes = self.params.path_nodes(leaf)
-        w, buckets = self.params.bucket_width, self.buckets
+        p, buckets = self.params, self.buckets
+        nodes, w = p.path_nodes(leaf, p.cached, p.cache_nodes), p.bucket_width
         if len(data) != len(nodes) * w:
             raise ProtocolError(f"path write of {len(data)} bytes, expected {len(nodes) * w}")
         for i, n in enumerate(nodes):
@@ -163,6 +176,7 @@ class TreeStorage:
             TREE_VERSION,
             self.tree_id,
             self.params.depth,
+            self.params.cached,
             self.params.bucket_size,
             self.params.payload_width,
         )
@@ -173,13 +187,15 @@ class TreeStorage:
             head = f.read(_HEADER.size)
             if len(head) < _HEADER.size:
                 raise ProtocolError(f"tree file {path} truncated")
-            magic, version, tree_id, depth, z, payload_width = _HEADER.unpack(head)
+            magic, version, tree_id, depth, cached, z, payload_width = _HEADER.unpack(head)
             if magic != TREE_MAGIC:
                 raise ProtocolError(f"bad tree magic {magic!r}")
             if version != TREE_VERSION:
                 raise ProtocolError(f"unsupported tree version {version}")
-            params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width)
-            size = params.node_count * params.bucket_width
+            if cached > depth:
+                raise ProtocolError(f"tree file {path}: {cached} cached levels in a depth-{depth} tree")
+            params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width, cached=cached)
+            size = params.host_nodes * params.bucket_width
             held = os.fstat(f.fileno()).st_size - _HEADER.size
             if held != size:
                 raise ProtocolError(f"tree file {path}: header declares {size} bytes of buckets, file holds {held}")
@@ -192,32 +208,37 @@ class TreeStorage:
 class StorageHost:
     """The set of trees one server instance stores, plus its trace.
 
-    Path operations on a single tree are serialized by a lock; the trace
-    append is atomic.  This is the only object the untrusted side owns.
+    Each tree is held with its own lock, which serializes path operations
+    on it; the trace append is atomic.  This is the only object the
+    untrusted side owns.
     """
 
     def __init__(self):
-        self.trees: dict[int, TreeStorage] = {}
+        self._held: dict[int, tuple[TreeStorage, threading.Lock]] = {}
         self.trace = AccessTrace()
-        self._locks: dict[int, threading.Lock] = {}
+
+    @property
+    def trees(self) -> dict[int, TreeStorage]:
+        return {tree_id: tree for tree_id, (tree, _) in self._held.items()}
 
     def add_tree(self, tree: TreeStorage) -> None:
-        self.trees[tree.tree_id] = tree
-        self._locks[tree.tree_id] = threading.Lock()
+        self._held[tree.tree_id] = (tree, threading.Lock())
 
-    def tree(self, tree_id: int) -> TreeStorage:
+    def _hold(self, tree_id: int) -> tuple[TreeStorage, threading.Lock]:
         try:
-            return self.trees[tree_id]
+            return self._held[tree_id]
         except KeyError:
-            raise ProtocolError(f"unknown tree id {tree_id}")
+            raise ProtocolError(f"unknown tree id {tree_id}") from None
 
     def read_path(self, tree_id: int, leaf: int) -> bytes:
-        with self._locks.setdefault(tree_id, threading.Lock()):
-            data = self.tree(tree_id).read_path(leaf)
+        tree, lock = self._hold(tree_id)
+        with lock:
+            data = tree.read_path(leaf)
         self.trace.append("ReadPath", tree_id, leaf, len(data))
         return data
 
     def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
-        with self._locks.setdefault(tree_id, threading.Lock()):
-            self.tree(tree_id).write_path(leaf, data)
+        tree, lock = self._hold(tree_id)
+        with lock:
+            tree.write_path(leaf, data)
         self.trace.append("WritePath", tree_id, leaf, len(data))

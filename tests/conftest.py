@@ -46,20 +46,23 @@ def chain_blocks(keys, chains, length):
     return n, blocks, addrs
 
 
-def chain_engine(keys, chains, length, rng, Z=5, pad_slots=None, stash_max=128):
+def chain_engine(keys, chains, length, rng, Z=5, pad_slots=None, stash_max=128, cached=0):
     """The trivial client's query engine over chain_blocks, driven by a flat
-    position map, with the data tree in its own storage host.  Returns
-    (engine, host, tree, blocks, addrs)."""
+    position map, with the data tree's top `cached` levels in the engine and
+    the rest in its own storage host.  Returns (engine, host, tree, blocks,
+    addrs)."""
     n, blocks, addrs = chain_blocks(keys, chains, length)
     k2 = Cipher(keys.k2)
-    tree, tp, leaves, stash = oram_init(
-        blocks, Z, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=pad_slots, stash_max=stash_max
+    tree, tp, leaves, stash, cache = oram_init(
+        blocks, Z, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=pad_slots, stash_max=stash_max, cached=cached
     )
     host = StorageHost()
     host.add_tree(tree)
-    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth)
+    params = SchemeParams(
+        vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth, data_cached=cached
+    )
     positions = RecursivePM(n * n, tp.leaves, chi=64, levels=[], top=dict(zip(addrs, leaves)))
-    state = TrivialState(keys, params, positions, stash)
+    state = TrivialState(keys, params, positions, stash, cache)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 
 

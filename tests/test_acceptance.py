@@ -179,26 +179,36 @@ def test_access_pattern_indistinguishability():
 # ---------------------------------------------------------------------------
 # Criterion 4: empirical stash bound at Z=5, depth 12
 
-def test_stash_bound_z5_depth12():
+def _stash_bound_z5_depth12(cached: int) -> None:
     """10^5 accesses on a maximally packed depth-12 tree, made by the query
-    engine over a flat position map: observed stash occupancy stays at most
-    64 and never trips stash_max=128.  The blocks form 160 chains of 128
-    hops; each query walks one whole chain and ends with one miss round, so
-    128 of every 129 accesses remap a real block."""
+    engine over a flat position map, with the top `cached` levels in the
+    engine: observed stash occupancy stays at most 64 and never trips
+    stash_max=128.  The blocks form 160 chains of 128 hops; each query walks
+    one whole chain and ends with one miss round, so 128 of every 129
+    accesses remap a real block."""
     rng = random.Random(0x57A5)
     keys = keygen(128)
     chains, length = 160, 128  # 5 * 4096 blocks fill every slot depth 12 budgets for
-    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, stash_max=128)
-    assert tree.params.depth == 12
+    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, stash_max=128, cached=cached)
+    assert tree.params.depth == 12 and tree.params.cached == cached
     oram = engine.oram
     while oram.access_count < 100_000:
         engine.query(0, length + rng.randrange(chains))
     assert oram.max_stash_seen <= 64, f"stash peaked at {oram.max_stash_seen}"
     _report(
         "stash-bound",
-        f"Z=5, depth 12, {chains * length} blocks, {oram.access_count} accesses, "
-        f"max stash {oram.max_stash_seen} <= 64",
+        f"Z=5, depth 12, {cached} cached levels, {chains * length} blocks, "
+        f"{oram.access_count} accesses, max stash {oram.max_stash_seen} <= 64",
     )
+
+
+def test_stash_bound_z5_depth12():
+    _stash_bound_z5_depth12(cached=0)
+
+
+def test_stash_bound_z5_depth12_cached_top():
+    # cached buckets are still buckets: eviction, and so the bound, is unchanged
+    _stash_bound_z5_depth12(cached=6)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +222,7 @@ def test_bandwidth_accounting():
     result = setup(g, mode="trivial", rng=rng)
     host, _, client = deploy_inprocess(result, rng=rng)
     params = host.trees[0].params
+    assert params.cached == 1  # the client's 512-byte flat map holds the root
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size
     lines = []
@@ -224,7 +235,7 @@ def test_bandwidth_accounting():
             for r in host.trace.records[before:]
             if r.msg_type in ("ReadPath", "WritePath")
         )
-        expected = 2 * (plen + 1) * z * (params.depth + 1)
+        expected = 2 * (plen + 1) * z * (params.depth + 1 - params.cached)
         formula = 2 * plen * z * log_n
         assert moved == expected, f"|p|={plen}: moved {moved}, expected {expected}"
         assert formula / 2 <= moved <= 2 * formula, (
@@ -232,7 +243,7 @@ def test_bandwidth_accounting():
         )
         lines.append(f"|p|={plen}: measured {moved}, reference {formula}")
     print("\n" + "\n".join(lines))
-    _report("bandwidth", f"7 path lengths, measured = 2(|p|+1)Z(L+1), within 2x of 2|p|Z·logN")
+    _report("bandwidth", f"7 path lengths, measured = 2(|p|+1)Z(L+1-k), within 2x of 2|p|Z·logN")
 
 
 # ---------------------------------------------------------------------------

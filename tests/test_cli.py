@@ -50,6 +50,21 @@ class TestSetupCommand:
         out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
         assert sorted(os.listdir(out)) == ["controller.bin", "keys.bin", "server.cfg", "tree_000.bin"]
 
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("trivial", "data depth 4; top 1 level(s) cached by the client, host path 4 buckets (1,492 bytes)"),
+            ("enhanced", "data depth 4; top 0 level(s) cached by the controller, host path 5 buckets (1,865 bytes)"),
+        ],
+    )
+    def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
+        # an 11-vertex chain: 55 entries in a depth-4 tree of 373-byte
+        # buckets; the trivial client's 968-byte flat map fits one level
+        chain = tmp_path / "chain.tsv"
+        chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(10)))
+        run_setup(tmp_path, chain, "--mode", mode)
+        assert line in capsys.readouterr().out
+
     def test_bad_graph_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("3\t3\n")

@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from scipy import stats
 
-from obge.blocks import DATA_PAYLOAD_WIDTH, tree_depth_for
-from obge.crypto import Cipher, encode_pair, keygen
+from obge.bench import chain_graph
+from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, cached_levels, tree_depth_for
+from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
+from obge.graph import spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
-from obge.protocol import QueryEngine, TrivialState, reveal
+from obge.protocol import QueryEngine, TrivialState, reveal, setup
+from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine
+from conftest import chain_blocks, chain_engine, random_graph
 
 
 def build(keys, count, rng, **kw):
@@ -53,7 +58,7 @@ class TestSizing:
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen(128)
         k2 = Cipher(keys.k2)
-        tree, params, leaves, stash = oram_init([], 5, DATA_PAYLOAD_WIDTH, k2, rng)
+        tree, params, leaves, stash, _ = oram_init([], 5, DATA_PAYLOAD_WIDTH, k2, rng)
         assert params.depth == 0 and params.node_count == 1
         assert leaves == [] and stash == []
 
@@ -61,7 +66,7 @@ class TestSizing:
         # capacity must cover |V|^2 - |V| = 12 real slots even with fewer blocks
         keys = keygen(128)
         k2 = Cipher(keys.k2)
-        tree, params, _, _ = oram_init(
+        tree, params, _, _, _ = oram_init(
             make_blocks(keys, 6), 5, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=12
         )
         assert params.node_count * params.bucket_size >= 12
@@ -267,8 +272,8 @@ class TestBucketBinding:
         keys = keygen(128)
         k2 = Cipher(keys.k2)
         blocks = make_blocks(keys, 40)
-        tree0, params, _, stash = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=0)
-        tree1, params1, _, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=1)
+        tree0, params, _, stash, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=0)
+        tree1, params1, _, _, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=1)
         assert params1 == params
         tree0.set_bucket(0, tree1.get_bucket(0))  # same node and width, other tree
         host = StorageHost()
@@ -306,7 +311,83 @@ class TestBucketBinding:
         tree.save(path)
         assert TreeStorage.load(path).buckets == tree.buckets
         raw = path.read_bytes()
-        v1 = _HEADER.pack(TREE_MAGIC, 1, 0, params.depth, params.bucket_size, params.payload_width)
+        v1 = _HEADER.pack(TREE_MAGIC, 1, 0, params.depth, params.cached, params.bucket_size, params.payload_width)
         path.write_bytes(v1 + raw[_HEADER.size :])
         with pytest.raises(ProtocolError, match="version 1"):
             TreeStorage.load(path)
+
+
+class TestTreeTopCache:
+    """The engine keeps the top k levels as plaintext buckets; the host
+    stores and moves only levels k..L."""
+
+    def test_rule_at_the_benchmark_scale(self):
+        # the |V|=200 data tree: depth 13, 345-byte bucket plaintext, and a
+        # flat map counted at 200^2 * 8 bytes: 511 buckets, 176,295 bytes
+        tp = TreeParams(13, 5, DATA_PAYLOAD_WIDTH)
+        assert tp.plain_width == 345
+        assert cached_levels(tp, 200 * 200 * 8) == 9
+        assert cached_levels(tp, 0) == 0
+
+    def test_rule_never_passes_the_depth_or_the_allowance(self):
+        for depth in range(15):
+            tp = TreeParams(depth, 5, DATA_PAYLOAD_WIDTH)
+            for allowance in (0, 344, 345, 1034, 1035, 10**6, 10**12):
+                k = cached_levels(tp, allowance)
+                assert 0 <= k <= depth
+                assert ((1 << k) - 1) * tp.plain_width <= allowance
+                assert k == depth or ((2 << k) - 1) * tp.plain_width > allowance
+
+    @pytest.mark.parametrize("mode, k", [("trivial", 1), ("enhanced", 0)])
+    def test_setup_applies_the_rule(self, mode, k):
+        # obge bench's 11-vertex chain: a 968-byte flat map fits one
+        # level; a controller's budget leaves nothing for a cache
+        result = setup(chain_graph(11), mode=mode, budget=10**9, rng=random.Random(1))
+        assert result.params.data_cached == k
+        assert result.trees[0].params.cached == k
+        party = result.client if mode == "trivial" else result.controller
+        assert len(party.cache) == (1 << k) - 1
+
+    def test_host_holds_and_moves_only_the_uncached_levels(self, rng):
+        g = random_graph(rng, 40, 0.1)
+        result = setup(g, mode="trivial", rng=rng)
+        host, _, client = deploy_inprocess(result, rng=rng)
+        tp = host.trees[0].params
+        k = tp.cached
+        assert k == cached_levels(TreeParams(tp.depth, 5, DATA_PAYLOAD_WIDTH), 40 * 40 * 8) >= 2
+        assert len(host.trees[0].buckets) == (tp.node_count - ((1 << k) - 1)) * tp.bucket_width
+        for u in range(40):
+            for v in range(0, 40, 3):
+                assert client.query_path(u, v) == spath_oracle(g, u, v)
+        widths = {r.byte_count for r in host.trace.records if r.msg_type in ("ReadPath", "WritePath")}
+        assert widths == {(tp.depth + 1 - k) * tp.bucket_width} == {tp.path_width}
+        engine = client.engine
+        mapped = {
+            prf_eval(result.keys.kprf, encode_pair(addr // 40, addr % 40)): leaf
+            for addr, leaf in engine.positions.top.items()
+        }
+        verify_placement(host.trees[0], Cipher(result.keys.k2), mapped, engine.oram.stash, engine.oram.cache)
+        with pytest.raises(IndexError, match="not stored on the host"):
+            host.trees[0].get_bucket(0)
+
+    def test_swap_on_the_first_host_level_is_rejected(self, rng):
+        keys = keygen(128)
+        engine, _, tree, _, _ = build(keys, 40, rng, cached=1)  # depth 3: nodes 1 and 2 on the host
+        oram = engine.oram
+        oram.rng = FixedLeaf(0)
+        oram.access(None, None, None)
+        left, right = tree.get_bucket(1), tree.get_bucket(2)
+        tree.set_bucket(1, right)
+        tree.set_bucket(2, left)
+        with pytest.raises(IntegrityError, match="authentication failed"):
+            oram.access(None, None, None)
+
+    def test_cache_must_match_the_cached_levels(self, rng):
+        keys = keygen(128)
+        k2 = Cipher(keys.k2)
+        tree, params, _, stash, cache = oram_init(make_blocks(keys, 40), 5, DATA_PAYLOAD_WIDTH, k2, rng, cached=2)
+        assert len(cache) == 3 and all(len(b) == params.plain_width for b in cache)
+        with pytest.raises(ValueError, match="cache of 2 buckets"):
+            PathOram(0, params, None, k2, stash=stash, cache=cache[:2])
+        with pytest.raises(ValueError, match="cannot cache 4 levels"):
+            oram_init(make_blocks(keys, 40), 5, DATA_PAYLOAD_WIDTH, k2, rng, cached=4)

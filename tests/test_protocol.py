@@ -15,6 +15,7 @@ from obge.protocol import (
     EnclaveController,
     EnhancedClient,
     EnhancedState,
+    TrivialClient,
     TrivialState,
     load_state,
     reveal,
@@ -24,6 +25,7 @@ from obge.protocol import (
 from obge.recursive import RecursivePM
 from obge.server import ObgeServer, deploy_inprocess
 from obge.storage import TreeStorage
+from obge.bench import chain_graph
 from conftest import random_graph
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
@@ -273,27 +275,35 @@ class TestPersistence:
         for u, v in pairs:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
-    def test_client_state_bytes_follow_the_documented_layout(self, tmp_path, four_vertex_directed):
-        # the trivial client's keys.bin: magic, version 4, party 0; the
+    def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
+        # the trivial client's keys.bin: magic, version 5, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
         # depth); k1 k2 kprf; then the engine state: the data stash (count,
-        # then per block tk, next address, payload, leaf and flag 1), the map
-        # header (address space, data leaves, no levels), then the top map as
-        # a count and (address, leaf) pairs
-        result, _, _, client = deploy(four_vertex_directed, "trivial")
+        # then per block tk, next address, payload, leaf and flag 1), the
+        # cache (count 2^k - 1, then per cached bucket its Z slots in the
+        # same layout, a dummy slot all zero), the map header (address
+        # space, data leaves, no levels), then the top map as a count and
+        # (address, leaf) pairs
+        result, _, _, client = deploy(chain_graph(8), "trivial")
         state = result.client
-        for u in range(4):
-            client.query(u, 3)
+        for u in range(7):
+            client.query(u, 7)
         # one more stash block, packed by hand: tk 11.., next address 7, leaf 1
         state.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 1, 1))
         depth = result.params.data_depth
-        want = b"OS\x04\x00" + struct.pack(">HIBBIIQB", 128, 4, 5, 0, 128, 64, 0, depth)
+        assert result.params.data_cached == 1 and len(state.cache) == 1
+
+        def slots(raw):
+            out = b""
+            for tk, next_addr, payload, leaf, flag in struct.iter_unpack(f">16sQ{DATA_PAYLOAD_WIDTH}sQB", raw):
+                out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
+            return out
+
+        want = b"OS\x05\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
-        want += struct.pack(">I", len(state.stash))
-        for raw in state.stash:
-            tk, next_addr, payload, leaf, _ = struct.unpack(f">16sQ{DATA_PAYLOAD_WIDTH}sQB", raw)
-            want += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, 1)
-        want += struct.pack(">QQB", 16, 1 << depth, 0)
+        want += struct.pack(">I", len(state.stash)) + slots(b"".join(state.stash))
+        want += struct.pack(">I", 1) + slots(state.cache[0])
+        want += struct.pack(">QQB", 64, 1 << depth, 0)
         want += struct.pack(">Q", len(state.positions.top))
         for addr, leaf in state.positions.top.items():
             want += struct.pack(">QQ", addr, leaf)
@@ -316,6 +326,49 @@ class TestPersistence:
         with pytest.raises(ProtocolError, match="bad tree 0 stash block"):
             load_state(path, TrivialState)
 
+    def test_cache_round_trip_is_byte_identical(self, tmp_path):
+        # the trivial client's cached buckets, as eviction left them, come
+        # back unchanged, and the engine built over them answers as before
+        g = chain_graph(11)
+        result, host, _, client = deploy(g, "trivial")
+        state = result.client
+        assert result.params.data_cached == 1
+        for u in range(10):
+            client.query(u, 10)
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        fresh = load_state(path, TrivialState)
+        assert fresh.cache == state.cache and fresh.params == state.params
+        client2 = TrivialClient(fresh, host, rng=random.Random(3))
+        for u in range(11):
+            assert client2.query_path(u, 10) == spath_oracle(g, u, 10)
+
+    @pytest.mark.parametrize("bad", ["flag-2", "leaf-past-tree"])
+    def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
+        result, _, _, _ = deploy(chain_graph(11), "trivial")
+        state = result.client
+        tp = result.params.data_params
+        slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
+        slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
+        state.cache[0] = state.cache[0][: -tp.block_width] + slot  # the root's last slot
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        with pytest.raises(ProtocolError, match="bad cached node 0 of tree 0"):
+            load_state(path, TrivialState)
+
+    @pytest.mark.parametrize("count", [2, 31])
+    def test_cache_count_must_be_a_whole_top_of_the_tree(self, tmp_path, count):
+        # 2 buckets are no whole number of levels; 31 are five levels of a
+        # depth-4 tree, more than it may cache
+        result, _, _, _ = deploy(chain_graph(11), "trivial")
+        state = result.client
+        assert result.params.data_depth == 4
+        state.cache[:] = [bytes(result.params.data_params.plain_width)] * count
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        with pytest.raises(ProtocolError, match=f"cache of {count} buckets"):
+            load_state(path, TrivialState)
+
     def test_old_state_layouts_are_rejected(self, tmp_path, four_vertex_directed, rng):
         # a client state without magic (the token-keyed layout), and the
         # separate key ("OK") and controller ("OC") formats, must be set up
@@ -333,9 +386,9 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # version 2 blocks carried the next hop's token, so trees of that
-        # format must be set up again; so must state files of version 3,
-        # which kept the trivial client's engine in a file of its own
+        # tree files of version 3 held every level on the host, and state
+        # files of version 4 had no tree-top cache, so both must be set up
+        # again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -343,10 +396,10 @@ class TestPersistence:
         save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": (3, 2, TreeStorage.load),
-            "keys.bin": (4, 3, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (4, 3, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (4, 3, lambda p: load_state(p, ControllerState)),
+            "tree.bin": (4, 3, TreeStorage.load),
+            "keys.bin": (5, 4, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (5, 4, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (5, 4, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

@@ -1,3 +1,4 @@
+import logging
 import random
 import threading
 
@@ -18,7 +19,7 @@ from obge.server import (
     load_config,
     save_config,
 )
-from obge.storage import TreeStorage
+from obge.storage import StorageHost, TreeStorage
 
 
 def make_deployment(mode="trivial", n=6, seed=4):
@@ -33,12 +34,15 @@ def make_deployment(mode="trivial", n=6, seed=4):
 
 class TestDispatch:
     def test_read_path_shape(self):
-        _, result, host, server, _ = make_deployment()
+        # an 11-vertex chain: the client caches the data tree's root, so
+        # the host's path is levels 1..L
+        _, result, host, server, _ = make_deployment(n=11)
         params = host.trees[0].params
+        assert params.cached == 1
         resp = server.dispatch(wire.ReadPath(0, 0))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
-        assert len(resp.buckets) == (params.depth + 1) * params.bucket_width
+        assert len(resp.buckets) == (params.depth + 1 - params.cached) * params.bucket_width
 
     def test_unknown_msg_type_keeps_connection(self):
         _, _, _, server, _ = make_deployment()
@@ -60,6 +64,13 @@ class TestDispatch:
         resp = wire.decode(server.handle_raw(*wire.split_frame(bytes(frame))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
         assert {tid: bytes(t.buckets) for tid, t in host.trees.items()} == trees
+
+    def test_unknown_tree_adds_no_lock(self):
+        host = StorageHost()
+        for op in (lambda: host.read_path(5, 0), lambda: host.write_path(9, 0, b"")):
+            with pytest.raises(ProtocolError, match="unknown tree id"):
+                op()
+        assert host._held == {} and host.trees == {}
 
     def test_leaf_out_of_range_is_protocol_error(self):
         _, _, _, server, _ = make_deployment()
@@ -147,7 +158,21 @@ class TestDaemon:
         finally:
             daemon.shutdown()
 
-    def test_garbage_bytes_get_error_frame(self, tmp_path):
+    def test_start_and_flush_are_logged(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="obge.server")
+        g, result, cfg, daemon = self._spin_up(tmp_path)
+        daemon.shutdown()
+        p = result.trees[0].params
+        messages = [r.getMessage() for r in caplog.records if r.name == "obge.server"]
+        assert messages[0] == f"serving trivial mode on 127.0.0.1:{daemon.port}"
+        assert messages[1] == (
+            f"tree 0: depth {p.depth}, {p.cached} cached levels, "
+            f"host path {p.depth + 1 - p.cached} buckets ({p.path_width} bytes)"
+        )
+        assert messages[2] == f"flushed {tmp_path / 'tree_000.bin'}, {tmp_path / 'trace.csv'}"
+        assert len(messages) == 3
+
+    def test_garbage_bytes_get_error_frame(self, tmp_path, caplog):
         import socket
 
         g, result, cfg, daemon = self._spin_up(tmp_path)
@@ -166,6 +191,8 @@ class TestDaemon:
             assert wire.read_frame(stream) is None
         finally:
             daemon.shutdown()
+        warnings = [r for r in caplog.records if r.name == "obge.server" and r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "malformed frame" in warnings[0].getMessage()
 
     def test_oversized_frame_is_refused_before_its_payload(self, tmp_path):
         import socket

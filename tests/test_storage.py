@@ -1,5 +1,6 @@
-"""Tree file loading: the memory held while a tree loads, and headers that
-claim more buckets than the file holds."""
+"""Tree file loading: the memory held while a tree loads, the host's share
+of a tree with a cached top, and headers that claim more buckets than the
+file holds."""
 
 import tracemalloc
 
@@ -33,7 +34,7 @@ def test_load_holds_the_tree_once(tmp_path):
 def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
     # a depth-30 data tree would need about 800 GB of buckets
     path = tmp_path / "tree.bin"
-    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 30, 5, DATA_PAYLOAD_WIDTH) + bytes(1000))
+    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 30, 0, 5, DATA_PAYLOAD_WIDTH) + bytes(1000))
     claimed = TreeParams(30, 5, DATA_PAYLOAD_WIDTH)
     claimed_bytes = claimed.node_count * claimed.bucket_width
 
@@ -45,3 +46,27 @@ def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
     msg, peak = traced_peak(load)
     assert f"declares {claimed_bytes} bytes" in msg and "holds 1000" in msg
     assert peak < 1 << 20
+
+
+def test_a_cached_top_leaves_only_the_lower_levels_on_the_host(tmp_path):
+    # depth 13 with 9 cached levels: 16,383 - 511 buckets in the file, and
+    # a path of 5 buckets
+    params = TreeParams(13, 5, DATA_PAYLOAD_WIDTH, cached=9)
+    tree = TreeStorage(tree_id=0, params=params)
+    assert len(tree.buckets) == (16_383 - 511) * 373
+    assert params.path_width == 5 * 373 == 1_865
+    path = tmp_path / "tree.bin"
+    tree.save(path)
+    assert path.stat().st_size == _HEADER.size + len(tree.buckets)
+    assert TreeStorage.load(path) == tree
+    blob = bytes(range(256)) * 8
+    tree.write_path(3, blob[: params.path_width])
+    assert tree.read_path(3) == blob[: params.path_width]
+    assert tree.get_bucket(511) == blob[:373]  # level 9's node on the path to leaf 3
+
+
+def test_more_cached_levels_than_the_depth_is_refused(tmp_path):
+    path = tmp_path / "tree.bin"
+    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 2, 3, 5, DATA_PAYLOAD_WIDTH))
+    with pytest.raises(ProtocolError, match="3 cached levels in a depth-2 tree"):
+        TreeStorage.load(path)
