@@ -34,15 +34,17 @@ and the parameter block, followed by
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
-The engine state -- data stash, the data tree's cached buckets,
-position-map level stashes and the sparse top map -- has one codec.  A
-stash is a block count and the packed blocks, each checked on load to be
-real and mapped to a leaf of its tree.  The cache is a bucket count, 2^k - 1
-for k cached levels, and the plaintext buckets in heap order; each slot must
-be a dummy or a real block mapped to a leaf of the data tree.  Files
-are replaced atomically and readable by their owner only; a file of an
-older version, or of a party the caller did not ask for, raises
-ProtocolError.
+The engine state -- data stash, the data tree's cached buckets, each
+position-map level's stash and the map's top array -- has one codec and
+stores no shape: load_state validates the parameter block and derives the
+cached levels (``cached_levels``) and the map's shape (``map_shape``) from
+it, as setup does.  A stash is a block count and the packed blocks, each
+checked on load to be real and mapped to a leaf of its tree.  The cache is
+the 2^k - 1 plaintext buckets in heap order; each slot must be a dummy or a
+real block mapped to a leaf of the data tree.  The top is its entries as
+big-endian 8-byte words.  Files are replaced atomically and readable by
+their owner only; a file of an older version, of a party the caller did not
+ask for, or with a parameter block setup would refuse raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
-from .recursive import ENTRY_BYTES, RecursivePM, RpmLevel, check_chi, rpm_build
+from .recursive import ENTRY_BYTES, RecursivePM, big_endian, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -89,9 +91,7 @@ class SchemeParams:
     budget: int | None = None
     stash_max: int = DEFAULT_STASH_MAX
     data_depth: int = 0
-    # top levels of the data tree the engine keeps; a state file carries it
-    # as the cache's bucket count, not in the parameter block
-    data_cached: int = 0
+    data_cached: int = 0  # derived by the cache rule, never stored
 
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
@@ -102,10 +102,30 @@ class SchemeParams:
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
         check_chi(self.chi)
+        most = tree_depth_for(self.full_slots, self.bucket_size)
+        if self.data_depth > most:
+            raise ConfigError(f"data depth {self.data_depth} exceeds {most}, a tree padded to every vertex pair")
 
     @property
     def address_space(self) -> int:
         return self.vertex_count * self.vertex_count
+
+    @property
+    def full_slots(self) -> int:
+        """Real slots of a data tree padded to every ordered vertex pair."""
+        return max(1, self.address_space - self.vertex_count)
+
+    # the trivial client keeps the whole map, counted at its dense width,
+    # and a tree-top cache of at most the same size; a controller is held
+    # to its budget, which its map and stashes already take
+    @property
+    def map_budget(self) -> int:
+        enhanced = self.mode == MODE_ENHANCED and self.budget is not None
+        return self.budget if enhanced else self.address_space * ENTRY_BYTES
+
+    @property
+    def cache_allowance(self) -> int:
+        return self.address_space * ENTRY_BYTES if self.mode == MODE_TRIVIAL else 0
 
     @property
     def data_params(self) -> TreeParams:
@@ -207,15 +227,9 @@ def setup(
     k2 = Cipher(keys.k2)
 
     heads, addresses = build_blocks(g, keys)
-    pad_slots = None
-    if pad_mode == PAD_FULL:
-        pad_slots = max(1, params.address_space - g.vertex_count)
-    # the trivial client keeps the whole map, counted at its dense width,
-    # and a tree-top cache of at most the same size; a controller is held
-    # to its budget, which its map and stashes already take
-    flat = params.address_space * ENTRY_BYTES
+    pad_slots = params.full_slots if pad_mode == PAD_FULL else None
     params.data_depth = tree_depth_for(max(len(heads), pad_slots or 0), bucket_size)
-    params.data_cached = cached_levels(params.data_params, flat if mode == MODE_TRIVIAL else 0)
+    params.data_cached = cached_levels(params.data_params, params.cache_allowance)
     tree, data_params, leaves, stash, cache = oram_init(
         heads,
         bucket_size=bucket_size,
@@ -233,7 +247,7 @@ def setup(
         address_space=params.address_space,
         data_leaves=data_params.leaves,
         chi=chi,
-        budget=budget if mode == MODE_ENHANCED and budget is not None else flat,
+        budget=params.map_budget,
         bucket_size=bucket_size,
         cipher=k2,
         rng=rng,
@@ -391,10 +405,11 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 4 had no tree-top cache in the engine state; version 3 kept the
-# trivial client's engine state in a file of its own and gave controller.bin
-# its own magic; version 2 blocks carried the next hop's token
-STATE_VERSION = 5
+# version 5 stored the map's shape and (index, leaf) pairs; version 4 had no
+# tree-top cache; version 3 kept the trivial client's engine state in a file
+# of its own and gave controller.bin its own magic; version 2 blocks carried
+# the next hop's token
+STATE_VERSION = 6
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -429,14 +444,10 @@ class _Reader:
 
 
 _COUNT = struct.Struct(">I")
-_LEAF = struct.Struct(">Q")
-_TOP_ENTRY = struct.Struct(">QQ")  # index, leaf
-_RPM_HEADER = struct.Struct(">QQB")  # address space, data leaves, level count
-_RPM_LEVEL = struct.Struct(">IBBH")  # block count, depth, Z, payload width
 
 
 def _pack_counted(items: list[bytes]) -> bytes:
-    """A stash or a cache: the count, then the fixed-width items."""
+    """A stash: the count, then the fixed-width blocks."""
     return _COUNT.pack(len(items)) + b"".join(items)
 
 
@@ -453,22 +464,13 @@ def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
     return stash
 
 
-def _unpack_cache(r: _Reader, params: SchemeParams) -> list[bytes]:
-    """Inverse of _pack_counted for the data tree's cache; sets
-    params.data_cached from its count.  A count that is not 2^k - 1 for k up
-    to the data depth, a slot flag other than 0 or 1, or a real slot mapped
-    past the last leaf is refused, naming the node."""
-    (count,) = r.unpack(_COUNT)
-    k = count.bit_length()
-    if count != (1 << k) - 1 or k > params.data_depth:
-        raise ProtocolError(
-            f"{r.what}: cache of {count} buckets, expected 2^k - 1 for k up to the data depth {params.data_depth}"
-        )
-    params.data_cached = k
-    tp = params.data_params
+def _unpack_cache(r: _Reader, tp: TreeParams) -> list[bytes]:
+    """The data tree's cached buckets, 2^k - 1 of them for k cached levels.
+    A slot flag other than 0 or 1, or a real slot mapped past the last
+    leaf, is refused, naming the node."""
     pw, bw, hw = tp.plain_width, tp.block_width, tp.head_width
-    raw = r.take(count * pw)
-    cache = [raw[i * pw : (i + 1) * pw] for i in range(count)]
+    raw = r.take(tp.cache_nodes * pw)
+    cache = [raw[i * pw : (i + 1) * pw] for i in range(tp.cache_nodes)]
     for node, plain in enumerate(cache):
         for at in range(hw, pw, bw):
             leaf, flag = TAIL.unpack_from(plain, at)
@@ -481,48 +483,33 @@ def _unpack_cache(r: _Reader, params: SchemeParams) -> list[bytes]:
 
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
-    """Engine state: the data stash, the data tree's cached buckets, the map
-    header, each level's shape and stash, then the top map as (index, leaf)
-    pairs."""
+    """Engine state: the data stash, the data tree's cached buckets, each
+    level's stash, then the top array's entries."""
     positions = state.positions
-    parts = [
-        _pack_counted(state.stash),
-        _pack_counted(state.cache),
-        _RPM_HEADER.pack(positions.address_space, positions.data_leaves, len(positions.levels)),
-    ]
-    for lvl in positions.levels:
-        tp = lvl.engine.params
-        parts.append(_RPM_LEVEL.pack(lvl.n_blocks, tp.depth, tp.bucket_size, tp.payload_width))
-        parts.append(_pack_counted(lvl.engine.stash))
-    top = positions.top
-    parts.append(_LEAF.pack(len(top)))
-    parts += map(_TOP_ENTRY.pack, top.keys(), top.values())
+    parts = [_pack_counted(state.stash), *state.cache]
+    parts += [_pack_counted(engine.stash) for engine in positions.levels]
+    parts.append(big_endian(positions.top).tobytes())
     return b"".join(parts)
 
 
-def _unpack_engine(r: _Reader, params: SchemeParams, k2: bytes) -> tuple[RecursivePM, list[bytes], list[bytes]]:
-    """Inverse of _pack_engine: the map, the data stash and the cache.  The
-    level engines get their store, and the map its leaf sampler, when a
-    query engine is built over them."""
+def _unpack_engine(
+    r: _Reader, params: SchemeParams, shape: tuple[list[tuple[int, TreeParams]], int], k2: bytes
+) -> tuple[RecursivePM, list[bytes], list[bytes]]:
+    """Inverse of _pack_engine, for the map of the given shape: the map, the
+    data stash and the cache.  The level engines get their store, and the
+    map its leaf sampler, when a query engine is built over them."""
     stash = _unpack_stash(r, params.data_params, DATA_TREE_ID)
-    cache = _unpack_cache(r, params)
-    a_space, data_leaves, n_levels = r.unpack(_RPM_HEADER)
+    cache = _unpack_cache(r, params.data_params)
     cipher = Cipher(k2)
-    levels = []
-    for i in range(n_levels):
-        n_blocks, depth, z, pw = r.unpack(_RPM_LEVEL)
-        tp = TreeParams(depth, z, pw)
-        tree_id = DATA_TREE_ID + 1 + i
-        engine = PathOram(
-            tree_id, tp, None, cipher,
-            stash=_unpack_stash(r, tp, tree_id), stash_max=params.stash_max,
-        )
-        levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
-    (top_len,) = r.unpack(_LEAF)
-    top = dict(_TOP_ENTRY.iter_unpack(r.take(_TOP_ENTRY.size * top_len)))
+    level_shapes, top_width = shape
+    levels = [
+        PathOram(tree_id, tp, None, cipher, stash=_unpack_stash(r, tp, tree_id), stash_max=params.stash_max)
+        for tree_id, (_, tp) in enumerate(level_shapes, DATA_TREE_ID + 1)
+    ]
+    top = big_endian(r.take(top_width * ENTRY_BYTES))
     rpm = RecursivePM(
-        address_space=a_space,
-        data_leaves=data_leaves,
+        address_space=params.address_space,
+        data_leaves=params.data_params.leaves,
         chi=params.chi,
         levels=levels,
         top=top,
@@ -550,7 +537,8 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
 def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState | ControllerState:
     """Read a state file written by save_state.  The party it holds must be
     one of kinds (TrivialState, EnhancedState, ControllerState); anything
-    else, and any malformed or older file, raises ProtocolError."""
+    else, and any malformed or older file, raises ProtocolError, as does a
+    parameter block that setup would refuse."""
     r = _Reader(Path(path).read_bytes(), f"state file {path}")
     magic, version, party = r.unpack(_PREFIX)
     if magic != STATE_MAGIC:
@@ -579,17 +567,23 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         stash_max=smax,
         data_depth=depth,
     )
+    try:  # every shape below is derived from the parameter block
+        params.validate()
+        shape = map_shape(params.address_space, chi, params.map_budget, z)
+    except ConfigError as exc:
+        raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
+    params.data_cached = cached_levels(params.data_params, params.cache_allowance)
     k = lam // 8
     if kind is ControllerState:
         k2, kprf, session = r.take(k), r.take(k), r.take(k)
-        positions, stash, cache = _unpack_engine(r, params, k2)
+        positions, stash, cache = _unpack_engine(r, params, shape, k2)
         state = ControllerState(k2, kprf, session, params, positions, stash, cache)
     else:
         keys = KeySet(r.take(k), r.take(k), r.take(k))
         if kind is EnhancedState:
             state = EnhancedState(keys, params, r.take(k))
         else:
-            positions, stash, cache = _unpack_engine(r, params, keys.k2)
+            positions, stash, cache = _unpack_engine(r, params, shape, keys.k2)
             state = TrivialState(keys, params, positions, stash, cache)
     r.finish()
     return state

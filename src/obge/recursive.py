@@ -1,20 +1,20 @@
 """Position map of the query engine, flat or recursive.
 
 The map sends each dense address u*|V|+v to the data leaf of its block.
-When the whole map, counted as a dense array of 8-byte entries, exceeds
-the memory budget, it moves into smaller ORAM trees: level 0 packs the data
-leaves, chi entries per block; level i+1 packs the leaves of level-i
-blocks; levels are added until the remaining top array fits the budget.
-The holder then keeps only the top map and the per-level stashes resident,
-emulating an enclave with bounded internal storage.  With no levels this
-is the flat map of Path ORAM's recursive construction, which the trivial
-client uses as is.
+When the whole map, as a dense array of 8-byte entries, exceeds the memory
+budget, it moves into smaller ORAM trees: level 0 packs the data leaves,
+chi entries per block; level i+1 packs the leaves of level-i blocks; levels
+are added until the remaining top array fits the budget.  The holder then
+keeps only the top array and the per-level stashes resident, emulating an
+enclave with bounded internal storage.  With no levels this is the flat map
+of Path ORAM's recursive construction, which the trivial client uses as is.
 
-The top map is sparse, {index: leaf}: a flat map holds only the addresses
-that have a block, and no dense |V|^2 array is ever built.  The chain
-depth still follows the dense rule above, so trace shapes do not depend
-on how many addresses are present.  A remap rewrites in place the one
-8-byte entry it touches in a level block's payload.
+The top is one dense ``array('Q')``: a flat map holds |V|^2 entries, ABSENT
+where no block exists; a chain holds one entry per last-level block.  Its
+width, the level count and each level's tree geometry follow from the
+address space, chi, the budget and Z alone (``map_shape``), so a state file
+stores only contents.  A remap rewrites in place the one 8-byte entry it
+touches, in the top or in a level block's payload.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from __future__ import annotations
 import random
 import secrets
 import struct
+import sys
+from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .blocks import ABSENT, block_head
+from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
 from .crypto import Cipher
 from .exceptions import ConfigError, IntegrityError
 from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
@@ -48,20 +49,40 @@ def check_chi(chi: int) -> None:
         raise ConfigError(f"packing factor chi must be in [2, {MAX_CHI}], got {chi}")
 
 
-@dataclass
-class RpmLevel:
-    engine: PathOram
-    n_blocks: int
+def big_endian(entries: array | bytes) -> array:
+    """A copy of entries with each word's bytes in big-endian order, the
+    layout of a level payload; applied twice, the identity."""
+    out = array("Q", entries)
+    if sys.byteorder == "little":
+        out.byteswap()
+    return out
+
+
+def map_shape(address_space: int, chi: int, budget: int, bucket_size: int) -> tuple[list[tuple[int, TreeParams]], int]:
+    """Shape rule of the map: each level's block count and tree geometry,
+    level 0 first, and the top array's width.  While the array above, at 8
+    bytes per entry, exceeds budget, a level packs it chi entries per block
+    into a tree sized for that many blocks."""
+    check_chi(chi)
+    if address_space * ENTRY_BYTES > budget and budget < chi * ENTRY_BYTES:
+        raise ConfigError(f"budget of {budget} bytes is smaller than one packed block ({chi * ENTRY_BYTES} bytes)")
+    levels = []
+    width = address_space
+    while width * ENTRY_BYTES > budget:
+        width = -(-width // chi)
+        levels.append((width, TreeParams(tree_depth_for(width, bucket_size), bucket_size, chi * ENTRY_BYTES)))
+    return levels, width
 
 
 class RecursivePM:
     """Position lookup with remap-on-access through the level chain.
 
-    levels[0] holds data positions; levels[-1] is the level whose block
-    positions sit in the top map.  An empty chain is the flat base case:
-    the top map holds the data positions directly, and addresses with no
-    block are missing from it.  The level engines read and write through
-    the store handed to ``attach``.
+    levels holds each level's Path ORAM engine: levels[0] holds data
+    positions; levels[-1] is the level whose block positions sit in the top
+    array.  An empty chain is the flat base case:
+    the top holds the data positions directly, ABSENT for addresses with no
+    block.  The level engines read and write through the store handed to
+    ``attach``.
     """
 
     def __init__(
@@ -69,8 +90,8 @@ class RecursivePM:
         address_space: int,
         data_leaves: int,
         chi: int,
-        levels: list[RpmLevel],
-        top: dict[int, int],
+        levels: list[PathOram],
+        top: array,
         rng: random.Random | None = None,
     ):
         self.address_space = address_space
@@ -87,17 +108,14 @@ class RecursivePM:
     def attach(self, store, rng: random.Random) -> None:
         """Reach the level trees through store and draw fresh leaves from rng."""
         self.rng = rng
-        for lvl in self.levels:
-            lvl.engine.store = store
+        for engine in self.levels:
+            engine.store = store
 
     def resident_bytes(self) -> int:
-        """Resident state: the top map at the dense width the budget rule
-        counts (one entry per address, or per last-level block), plus all
-        level stashes."""
-        top_size = self.levels[-1].n_blocks if self.levels else self.address_space
-        total = top_size * ENTRY_BYTES
-        for lvl in self.levels:
-            total += len(lvl.engine.stash) * lvl.engine.params.block_width
+        """Resident state: the top array plus all level stashes."""
+        total = len(self.top) * ENTRY_BYTES
+        for engine in self.levels:
+            total += len(engine.stash) * engine.params.block_width
         return total
 
     def get_and_remap(self, addr: int) -> tuple[int, int]:
@@ -111,20 +129,13 @@ class RecursivePM:
         if not (0 <= addr < self.address_space):
             raise IndexError(f"address {addr} out of range [0, {self.address_space})")
 
-        if not self.levels:
-            old = self.top.get(addr, ABSENT)
-            fresh = self.rng.randrange(self.data_leaves)
-            if old != ABSENT:
-                self.top[addr] = fresh
-            return old, fresh
-
         # (old, fresh) walks down the chain: the current and the new leaf of
-        # the block holding the entry at each level, from the top map's
-        # entry to the data leaf itself
+        # the block holding the entry at each level, from the top's entry to
+        # the data leaf itself
         depth = len(self.levels)
         top_idx = addr // self.chi**depth
-        old = self.top.get(top_idx, ABSENT)
-        fresh = self.rng.randrange(self.levels[-1].engine.params.leaves)
+        old = self.top[top_idx]
+        fresh = self.rng.randrange(self.levels[-1].params.leaves if depth else self.data_leaves)
         if old != ABSENT:
             self.top[top_idx] = fresh
 
@@ -133,7 +144,7 @@ class RecursivePM:
             if old == ABSENT:
                 raise IntegrityError(f"position block {index} at level {j} is unmapped")
             offset = (addr // self.chi**j) % self.chi
-            below = self.levels[j - 1].engine.params.leaves if j > 0 else self.data_leaves
+            below = self.levels[j - 1].params.leaves if j > 0 else self.data_leaves
             new = self.rng.randrange(below)
             captured: list[int] = []
 
@@ -144,7 +155,7 @@ class RecursivePM:
                     return payload
                 return payload[:at] + _ENTRY.pack(new) + payload[at + ENTRY_BYTES :]
 
-            self.levels[j].engine.access(level_token(j, index), old, fresh, rewrite)
+            self.levels[j].access(level_token(j, index), old, fresh, rewrite)
             old, fresh = captured[0], new
         return old, fresh
 
@@ -167,52 +178,39 @@ def rpm_build(
     Returns the map and the level trees to hand to the server; the level
     engines have no store until the map is attached to one.
     """
-    check_chi(chi)
-    if address_space * ENTRY_BYTES > budget and budget < chi * ENTRY_BYTES:
-        raise ConfigError(
-            f"budget of {budget} bytes is smaller than one packed block ({chi * ENTRY_BYTES} bytes)"
-        )
+    shape, _ = map_shape(address_space, chi, budget, bucket_size)
+    top = array("Q", [ABSENT]) * address_space
+    for addr, leaf in assignments:
+        top[addr] = leaf
 
-    levels: list[RpmLevel] = []
+    levels: list[PathOram] = []
     trees: list[TreeStorage] = []
-    pairs, size = assignments, address_space
-    tree_id = first_tree_id
-    entries = struct.Struct(f">{chi}Q")
-    empty = entries.pack(*[ABSENT] * chi)
-    while size * ENTRY_BYTES > budget:
-        n_blocks = -(-size // chi)
-        chunks: dict[int, list[int]] = {}  # only the blocks that hold entries
-        for index, leaf in pairs:
-            b, offset = divmod(index, chi)
-            chunk = chunks.get(b)
-            if chunk is None:
-                chunk = chunks[b] = [ABSENT] * chi
-            chunk[offset] = leaf
-        heads = [
-            block_head(level_token(len(levels), b), 0, entries.pack(*chunks[b]) if b in chunks else empty)
-            for b in range(n_blocks)
-        ]
-        tree, params, leaves, stash, _ = oram_init(
+    width = chi * ENTRY_BYTES
+    for i, (n_blocks, params) in enumerate(shape):
+        # the array above becomes this level's payloads, its last block
+        # padded with ABSENT entries (all one bits in either byte order)
+        raw = big_endian(top).tobytes().ljust(n_blocks * width, b"\xff")
+        heads = [block_head(level_token(i, b), 0, raw[b * width : (b + 1) * width]) for b in range(n_blocks)]
+        tree_id = first_tree_id + i
+        tree, _, leaves, stash, _ = oram_init(
             heads,
             bucket_size=bucket_size,
-            payload_width=chi * ENTRY_BYTES,
+            payload_width=width,
             cipher=cipher,
             rng=rng,
             stash_max=stash_max,
             tree_id=tree_id,
         )
-        engine = PathOram(tree_id, params, None, cipher, stash=stash, stash_max=stash_max, rng=rng)
-        levels.append(RpmLevel(engine=engine, n_blocks=n_blocks))
+        levels.append(PathOram(tree_id, params, None, cipher, stash=stash, stash_max=stash_max, rng=rng))
         trees.append(tree)
-        pairs, size = enumerate(leaves), n_blocks
-        tree_id += 1
+        top = array("Q", leaves)
 
     rpm = RecursivePM(
         address_space=address_space,
         data_leaves=data_leaves,
         chi=chi,
         levels=levels,
-        top=dict(pairs),
+        top=top,
         rng=rng,
     )
     return rpm, trees

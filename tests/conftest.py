@@ -7,7 +7,7 @@ from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
-from obge.recursive import RecursivePM
+from obge.recursive import rpm_build
 from obge.storage import StorageHost
 
 
@@ -61,7 +61,8 @@ def chain_engine(keys, chains, length, rng, Z=5, pad_slots=None, stash_max=128, 
     params = SchemeParams(
         vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth, data_cached=cached
     )
-    positions = RecursivePM(n * n, tp.leaves, chi=64, levels=[], top=dict(zip(addrs, leaves)))
+    # a budget of the whole dense map keeps it flat, with no level trees
+    positions, _ = rpm_build(zip(addrs, leaves), n * n, tp.leaves, 64, n * n * 8, Z, k2, rng)
     state = TrivialState(keys, params, positions, stash, cache)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 

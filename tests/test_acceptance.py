@@ -262,7 +262,7 @@ def test_recursive_pm_budget():
         controller = server.controller
         assert controller.state.positions.chain_depth >= 1
         block_widths = [controller.engine.oram.params.block_width] + [
-            lvl.engine.params.block_width for lvl in controller.state.positions.levels
+            lvl.params.block_width for lvl in controller.state.positions.levels
         ]
         slack = max(block_widths)
         oracle = PathOracle(g)

@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from obge.bench import chain_graph
-from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, cached_levels, tree_depth_for
+from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, cached_levels, tree_depth_for
 from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import spath_oracle
@@ -53,7 +53,9 @@ class TestSizing:
         assert params.depth == 1
         assert params.node_count == 3
         assert params.node_count * params.bucket_size == 15
-        assert len(engine.positions.top) == 6
+        top = engine.positions.top
+        assert len(top) == 7 * 7  # dense over the 7 vertices' pairs
+        assert sum(leaf != ABSENT for leaf in top) == 6
 
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen(128)
@@ -364,7 +366,8 @@ class TestTreeTopCache:
         engine = client.engine
         mapped = {
             prf_eval(result.keys.kprf, encode_pair(addr // 40, addr % 40)): leaf
-            for addr, leaf in engine.positions.top.items()
+            for addr, leaf in enumerate(engine.positions.top)
+            if leaf != ABSENT
         }
         verify_placement(host.trees[0], Cipher(result.keys.k2), mapped, engine.oram.stash, engine.oram.cache)
         with pytest.raises(IndexError, match="not stored on the host"):

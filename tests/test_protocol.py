@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import DATA_PAYLOAD_WIDTH
+from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH
 from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
@@ -48,17 +48,20 @@ def redeploy(host, state, client_state):
 class TestSetup:
     def test_four_vertex_undirected_pm_size(self, four_vertex_undirected):
         result, _, _, _ = deploy(four_vertex_undirected, "trivial")
-        assert len(result.client.positions.top) == 12  # ordered connected pairs
+        top = result.client.positions.top
+        assert len(top) == 16
+        assert sum(leaf != ABSENT for leaf in top) == 12  # ordered connected pairs
 
-    def test_trivial_map_is_flat_and_sparse(self, rng):
-        # the trivial client keeps one top entry per stored block, never a
-        # dense |V|^2 array, and no position-map trees, whatever the budget
+    def test_trivial_map_is_flat_and_dense(self, rng):
+        # the trivial client keeps one top entry per address, ABSENT where
+        # no block is stored, and no position-map trees, whatever the budget
         g = random_graph(rng, 40, 0.05)
         result, host, _, _ = deploy(g, "trivial", budget=64 * 8)
         positions = result.client.positions
         assert isinstance(positions, RecursivePM)
         assert positions.levels == [] and result.controller is None
-        assert len(positions.top) == result.spdx_size < 40 * 40
+        assert len(positions.top) == 40 * 40
+        assert sum(leaf != ABSENT for leaf in positions.top) == result.spdx_size
         assert sorted(host.trees) == [0]
 
     def test_empty_graph_answers_everything_empty(self):
@@ -257,18 +260,18 @@ class TestPersistence:
         g = random_graph(rng, 20, 0.2)
         result, host, server, client = deploy(g, "enhanced", budget=512, bucket_size=1)
         levels = server.controller.state.positions.levels
-        assert [lvl.engine.params.payload_width for lvl in levels] == [512]
+        assert [lvl.params.payload_width for lvl in levels] == [512]
         pairs = [(u, v) for u in range(20) for v in range(20)]
         for u, v in pairs:
             client.query_path(u, v)
-            if levels[0].engine.stash:
+            if levels[0].stash:
                 break
-        saved_stash = list(levels[0].engine.stash)
+        saved_stash = list(levels[0].stash)
         assert saved_stash, "no level stash to persist"
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
         state = load_state(path, ControllerState)
-        assert state.positions.levels[0].engine.stash == saved_stash
+        assert state.positions.levels[0].stash == saved_stash
         assert state.stash == server.controller.state.stash
         assert state.positions.top == server.controller.state.positions.top
         client2 = redeploy(host, state, result.client)
@@ -276,14 +279,13 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 5, party 0; the
+        # the trivial client's keys.bin: magic, version 6, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
         # depth); k1 k2 kprf; then the engine state: the data stash (count,
         # then per block tk, next address, payload, leaf and flag 1), the
-        # cache (count 2^k - 1, then per cached bucket its Z slots in the
-        # same layout, a dummy slot all zero), the map header (address
-        # space, data leaves, no levels), then the top map as a count and
-        # (address, leaf) pairs
+        # 2^k - 1 cached buckets (per bucket its Z slots in the same layout,
+        # a dummy slot all zero), then the flat map's |V|^2 leaves, ABSENT
+        # where no block is stored; no count or shape is stored
         result, _, _, client = deploy(chain_graph(8), "trivial")
         state = result.client
         for u in range(7):
@@ -299,14 +301,13 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x05\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x06\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(state.stash)) + slots(b"".join(state.stash))
-        want += struct.pack(">I", 1) + slots(state.cache[0])
-        want += struct.pack(">QQB", 64, 1 << depth, 0)
-        want += struct.pack(">Q", len(state.positions.top))
-        for addr, leaf in state.positions.top.items():
-            want += struct.pack(">QQ", addr, leaf)
+        want += slots(state.cache[0])
+        assert len(state.positions.top) == 64
+        for leaf in state.positions.top:
+            want += struct.pack(">Q", leaf)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         assert path.read_bytes() == want
@@ -356,18 +357,50 @@ class TestPersistence:
         with pytest.raises(ProtocolError, match="bad cached node 0 of tree 0"):
             load_state(path, TrivialState)
 
-    @pytest.mark.parametrize("count", [2, 31])
-    def test_cache_count_must_be_a_whole_top_of_the_tree(self, tmp_path, count):
-        # 2 buckets are no whole number of levels; 31 are five levels of a
-        # depth-4 tree, more than it may cache
-        result, _, _, _ = deploy(chain_graph(11), "trivial")
-        state = result.client
-        assert result.params.data_depth == 4
-        state.cache[:] = [bytes(result.params.data_params.plain_width)] * count
-        path = tmp_path / "keys.bin"
+    @pytest.mark.parametrize(
+        "mode, kw, depth",
+        [("trivial", {}, 0), ("enhanced", {}, 0), ("enhanced", {"budget": 256, "chi": 8}, 1)],
+        ids=["trivial", "enhanced-flat", "enhanced-chain"],
+    )
+    def test_loaded_map_has_the_shape_setup_built(self, tmp_path, rng, mode, kw, depth):
+        # the map's shape is derived from the parameter block, not read from
+        # the file: no file can claim data leaves, a top width or level
+        # trees other than those setup built (a stored header once claimed
+        # 2 data leaves for a 128-leaf tree, and every remap then went to
+        # leaf 0 or 1 until the stash overflowed)
+        result, _, server, _ = deploy(random_graph(rng, 12, 0.3), mode, **kw)
+        state = result.client if mode == "trivial" else server.controller.state
+        path = tmp_path / "state.bin"
         save_state(path, state)
-        with pytest.raises(ProtocolError, match=f"cache of {count} buckets"):
-            load_state(path, TrivialState)
+        loaded = load_state(path, type(state))
+        want, got = state.positions, loaded.positions
+        assert loaded.params == state.params
+        assert got.chain_depth == want.chain_depth == depth
+        assert got.address_space == want.address_space == 144
+        assert got.data_leaves == want.data_leaves == result.trees[0].params.leaves
+        assert len(got.top) == len(want.top)
+        assert [lvl.params for lvl in got.levels] == [t.params for t in result.trees[1:]]
+        assert [lvl.tree_id for lvl in got.levels] == [t.tree_id for t in result.trees[1:]]
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [(5, 0, "chi must be"), (2, 0, "bucket size must be"), (7, 40, "data depth 40 exceeds")],
+        ids=["chi-0", "Z-0", "depth-40"],
+    )
+    def test_parameter_block_is_validated_on_load(self, tmp_path, rng, field, value, match):
+        # a parameter block setup would refuse is refused before any shape
+        # is derived from it: with chi 0 the first query divided by zero,
+        # and with Z 0 it blamed the host for a path of the wrong width
+        _, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256, chi=8)
+        path = tmp_path / "controller.bin"
+        save_state(path, server.controller.state)
+        raw = path.read_bytes()
+        at, size = protocol._PREFIX.size, protocol._PARAMS.size
+        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # lambda, |V|, Z, pad, stash max, chi, budget, depth
+        fields[field] = value
+        path.write_bytes(raw[:at] + protocol._PARAMS.pack(*fields) + raw[at + size :])
+        with pytest.raises(ProtocolError, match=f"corrupt parameter block: .*{match}"):
+            load_state(path, ControllerState)
 
     def test_old_state_layouts_are_rejected(self, tmp_path, four_vertex_directed, rng):
         # a client state without magic (the token-keyed layout), and the
@@ -387,8 +420,8 @@ class TestPersistence:
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 3 held every level on the host, and state
-        # files of version 4 had no tree-top cache, so both must be set up
-        # again (as must older ones)
+        # files of version 5 stored the map's shape and a sparse top, so
+        # both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -397,9 +430,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (4, 3, TreeStorage.load),
-            "keys.bin": (5, 4, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (5, 4, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (5, 4, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (6, 5, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (6, 5, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (6, 5, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

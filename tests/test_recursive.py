@@ -7,7 +7,7 @@ from scipy import stats
 from obge.blocks import ABSENT
 from obge.crypto import Cipher, keygen
 from obge.exceptions import ConfigError
-from obge.recursive import rpm_build
+from obge.recursive import map_shape, rpm_build
 from obge.storage import StorageHost
 
 
@@ -30,7 +30,7 @@ class TestBuild:
         assignments = {a: rng.randrange(256) for a in range(0, 4096, 2)}
         rpm, _ = build_rpm(assignments, 4096, 256, chi=64, budget=1024, rng=rng)
         assert rpm.chain_depth == 1
-        assert rpm.levels[0].n_blocks == 64
+        assert map_shape(4096, 64, 1024, 5) == ([(64, rpm.levels[0].params)], 64)
         assert len(rpm.top) == 64
         assert len(rpm.top) * 8 <= 1024
 
@@ -116,9 +116,10 @@ def test_budget_compliance_under_load(rng):
     budget = space * 8 // 16
     rpm, _ = build_rpm(assignments, space, 128, chi=64, budget=budget, rng=rng)
     assert rpm.chain_depth >= 1
+    slack = max(lvl.params.block_width for lvl in rpm.levels)
     for _ in range(500):
         rpm.get_and_remap(rng.randrange(space))
-        assert rpm.resident_bytes() <= budget + 64 * 8 + 49
+        assert rpm.resident_bytes() <= budget + slack
 
 def test_per_level_uniform_leaves(rng):
     space = 1024
@@ -128,14 +129,14 @@ def test_per_level_uniform_leaves(rng):
     for _ in range(3000):
         rpm.get_and_remap(rng.randrange(space))
     for lvl in rpm.levels:
-        if lvl.engine.params.leaves < 2:
+        if lvl.params.leaves < 2:
             continue
         leaves = [
             r.leaf
             for r in host.trace.records
-            if r.msg_type == "ReadPath" and r.tree_id == lvl.engine.tree_id
+            if r.msg_type == "ReadPath" and r.tree_id == lvl.tree_id
         ]
-        counts = [0] * lvl.engine.params.leaves
+        counts = [0] * lvl.params.leaves
         for leaf in leaves:
             counts[leaf] += 1
         assert stats.chisquare(counts).pvalue >= 0.01
