@@ -22,14 +22,19 @@ access reads the cached buckets on its path as it reads decrypted ones,
 and eviction places blocks exactly as without the cache, storing cached
 levels' plaintext instead of encrypting it; only levels k..L cross to the
 host.  Cached buckets are still buckets, so the stash bound is unchanged.
+
+The engine is the only holder of its stash and cache.  ``oram_init``
+builds it with its tree, a state file's loader builds it from the saved
+contents, and a deployment only gives it a store and a leaf sampler; a
+party's state holds the engine itself, so saving the state writes what
+the last access left.
 """
 
 from __future__ import annotations
 
 import random
-import secrets
 
-from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, tree_depth_for, unpack_block
+from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, unpack_block
 from .crypto import Cipher
 from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
@@ -40,38 +45,38 @@ DEFAULT_STASH_MAX = 128
 class PathOram:
     """Controller-side access logic for one tree.
 
-    The store argument is anything exposing ``read_path(tree_id, leaf)``
-    and ``write_path(tree_id, leaf, data)``; local storage and the wire
-    client both qualify.  Position lookup is the caller's job: access takes
-    the block's current leaf (or None for a dummy round) and the fresh leaf
-    it should move to.  One access may be in flight at a time.  cache holds
-    the plaintext of the 2^k - 1 cached buckets, heap nodes in order.
+    The store is anything exposing ``read_path(tree_id, leaf)`` and
+    ``write_path(tree_id, leaf, data)``; local storage and the wire client
+    both qualify.  An engine is built without one: whoever runs it sets
+    ``store``, and ``rng``, which draws the leaves of dummy rounds.
+    Position lookup is the caller's job: access takes the block's current
+    leaf (or None for a dummy round) and the fresh leaf it should move to.
+    One access may be in flight at a time.  cache holds the plaintext of
+    the 2^k - 1 cached buckets, heap nodes in order.
     """
 
     def __init__(
         self,
         tree_id: int,
         params: TreeParams,
-        store,
         cipher: Cipher,
-        stash: list[bytes] | None = None,
+        stash: list[bytes],
+        cache: list[bytes],
         stash_max: int = DEFAULT_STASH_MAX,
-        rng: random.Random | None = None,
-        cache: list[bytes] | None = None,
     ):
         self.tree_id = tree_id
         self.params = params
-        self.store = store
+        self.store = None
         self.cipher = cipher
-        self.stash: list[bytes] = stash if stash is not None else []
-        self.cache: list[bytes] = cache if cache is not None else []
-        if len(self.cache) != params.cache_nodes:
+        self.stash = stash
+        self.cache = cache
+        if len(cache) != params.cache_nodes:
             raise ValueError(
-                f"tree {tree_id}: cache of {len(self.cache)} buckets, "
+                f"tree {tree_id}: cache of {len(cache)} buckets, "
                 f"{params.cached} cached levels need {params.cache_nodes}"
             )
         self.stash_max = stash_max
-        self.rng = rng if rng is not None else secrets.SystemRandom()
+        self.rng = None
         self.max_stash_seen = len(self.stash)
         self.access_count = 0
 
@@ -136,9 +141,9 @@ class PathOram:
 
         self._evict_and_write(x, nodes, ads)
         self.access_count += 1
-        if len(stash) > self.stash_max:
-            raise StashOverflowError(f"stash holds {len(stash)} blocks, limit {self.stash_max}")
-        self.max_stash_seen = max(self.max_stash_seen, len(stash))
+        if len(self.stash) > self.stash_max:
+            raise StashOverflowError(f"stash holds {len(self.stash)} blocks, limit {self.stash_max}")
+        self.max_stash_seen = max(self.max_stash_seen, len(self.stash))
         return found
 
     def _evict_and_write(self, x: int, nodes: list[int], ads: list[bytes]) -> None:
@@ -172,44 +177,36 @@ class PathOram:
             picked = carry[:z]
             del carry[:z]
             self.cache[nodes[level]] = b"".join(picked) + fills[z - len(picked)]
-        # in-place so external aliases (persisted party state) stay live
-        self.stash[:] = carry
+        self.stash = carry
         buckets.reverse()
         self.store.write_path(self.tree_id, x, b"".join(buckets))
 
 
 def oram_init(
     heads: list[bytes],
-    bucket_size: int,
-    payload_width: int,
+    params: TreeParams,
     cipher: Cipher,
     rng: random.Random,
-    pad_slots: int | None = None,
     stash_max: int = DEFAULT_STASH_MAX,
     tree_id: int = 0,
-    cached: int = 0,
-):
-    """Build the encrypted tree for a set of real blocks, given as heads.
+) -> tuple[PathOram, TreeStorage, list[int]]:
+    """Build the encrypted tree of the given geometry for a set of real
+    blocks, given as heads, and the engine over it.
 
-    The tree is sized for pad_slots real slots (defaults to the actual
-    block count); each block gets an independent uniform leaf in its tail
-    and is placed in the deepest free bucket on that leaf's path,
-    overflowing into the returned stash.  Free slots hold dummies.  The top
-    cached levels (at most the depth) stay plaintext in the returned cache;
-    every other bucket, empty or not, is one ciphertext bound to (tree_id,
-    node) and goes to the host's TreeStorage.  A head of the wrong width
-    would shift its bucket's later slots: ValueError.
+    Each block gets an independent uniform leaf in its tail and is placed
+    in the deepest free bucket on that leaf's path, overflowing into the
+    engine's stash.  Free slots hold dummies.  The top params.cached levels
+    (at most the depth) stay plaintext in the engine's cache; every other
+    bucket, empty or not, is one ciphertext bound to (tree_id, node) and
+    goes to the host's TreeStorage.  A head of the wrong width would shift
+    its bucket's later slots: ValueError.
 
-    Returns (TreeStorage, params, leaf assignment per head, stash, cache).
+    Returns (engine, TreeStorage, leaf assignment per head); the engine has
+    no store yet.
     """
-    params = TreeParams(
-        depth=tree_depth_for(max(len(heads), pad_slots or 0), bucket_size),
-        bucket_size=bucket_size,
-        payload_width=payload_width,
-        cached=cached,
-    )
-    if not 0 <= cached <= params.depth:
-        raise ValueError(f"cannot cache {cached} levels of a depth-{params.depth} tree")
+    bucket_size = params.bucket_size
+    if not 0 <= params.cached <= params.depth:
+        raise ValueError(f"cannot cache {params.cached} levels of a depth-{params.depth} tree")
     if len(heads) > params.node_count * bucket_size + stash_max:
         raise CapacityError(
             f"{len(heads)} blocks exceed tree capacity "
@@ -255,16 +252,15 @@ def oram_init(
             buckets[at : at + bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
-    return tree, params, leaves, stash, cache
+    return PathOram(tree_id, params, cipher, stash, cache, stash_max), tree, leaves
 
 
-def verify_placement(
-    tree, cipher: Cipher, leaf_of: dict[bytes, int], stash: list[bytes], cache: list[bytes] = ()
-) -> None:
-    """Debug walker: read the cached buckets from cache and decrypt the
-    host's, and confirm every block named in leaf_of (token -> mapped leaf)
-    sits either in the stash or on the path to its mapped leaf."""
-    p = tree.params
+def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:
+    """Debug walker: read the engine's cached buckets and decrypt the host's
+    with its cipher, and confirm every block named in leaf_of (token ->
+    mapped leaf) sits either in the engine's stash or on the path to its
+    mapped leaf."""
+    p, cipher, stash, cache = tree.params, engine.cipher, engine.stash, engine.cache
     bw = p.block_width
     located: dict[bytes, int] = {}
     for node in range(p.node_count):

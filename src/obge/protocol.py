@@ -23,6 +23,13 @@ differ only in where the engine runs:
   configured memory budget; the budget leaves nothing for a tree-top
   cache, so the host holds every level.
 
+The party that hosts the engine holds its ORAM engines in its state: the
+data tree's PathOram, which owns the data stash and cached buckets, and the
+map with its level engines.  Each is built once, by setup with its tree or
+by load_state from the file; a QueryEngine over the state only attaches a
+store and a leaf sampler, so saving the state writes what the last query
+left.
+
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
 client, enhanced client, controller) that also fixes the deployment mode,
@@ -42,7 +49,9 @@ it, as setup does.  A stash is a block count and the packed blocks, each
 checked on load to be real and mapped to a leaf of its tree.  The cache is
 the 2^k - 1 plaintext buckets in heap order; each slot must be a dummy or a
 real block mapped to a leaf of the data tree.  The top is its entries as
-big-endian 8-byte words.  Files are replaced atomically and readable by
+big-endian 8-byte words, each a leaf of the tree it points into: the data
+tree in a flat map, where ABSENT is allowed too, and the last level's tree
+in a chain.  Files are replaced atomically and readable by
 their owner only; a file of an older version, of a party the caller did not
 ask for, or with a parameter block setup would refuse raises ProtocolError.
 """
@@ -53,7 +62,7 @@ import os
 import random
 import secrets
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .blocks import (
@@ -91,7 +100,6 @@ class SchemeParams:
     budget: int | None = None
     stash_max: int = DEFAULT_STASH_MAX
     data_depth: int = 0
-    data_cached: int = 0  # derived by the cache rule, never stored
 
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
@@ -129,19 +137,20 @@ class SchemeParams:
 
     @property
     def data_params(self) -> TreeParams:
-        return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, self.data_cached)
+        """The data tree's geometry; the cache rule gives its cached levels."""
+        tp = TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH)
+        return replace(tp, cached=cached_levels(tp, self.cache_allowance))
 
 
 @dataclass
 class TrivialState:
-    """Everything the client keeps in the trivial deployment: the keys and
-    the engine state (flat position map, data stash and cached buckets)."""
+    """Everything the client keeps in the trivial deployment: the keys, the
+    flat position map and the data tree's engine (stash and cached buckets)."""
 
     keys: KeySet
     params: SchemeParams
     positions: RecursivePM
-    stash: list[bytes] = field(default_factory=list)
-    cache: list[bytes] = field(default_factory=list)
+    oram: PathOram
 
 
 @dataclass
@@ -155,15 +164,14 @@ class EnhancedState:
 
 @dataclass
 class ControllerState:
-    """Controller-resident secrets and ORAM state (never includes k1)."""
+    """Controller-resident secrets and ORAM engines (never includes k1)."""
 
     k2: bytes
     kprf: bytes
     session_key: bytes
     params: SchemeParams
     positions: RecursivePM
-    stash: list[bytes] = field(default_factory=list)
-    cache: list[bytes] = field(default_factory=list)
+    oram: PathOram
 
 
 @dataclass
@@ -227,20 +235,10 @@ def setup(
     k2 = Cipher(keys.k2)
 
     heads, addresses = build_blocks(g, keys)
-    pad_slots = params.full_slots if pad_mode == PAD_FULL else None
-    params.data_depth = tree_depth_for(max(len(heads), pad_slots or 0), bucket_size)
-    params.data_cached = cached_levels(params.data_params, params.cache_allowance)
-    tree, data_params, leaves, stash, cache = oram_init(
-        heads,
-        bucket_size=bucket_size,
-        payload_width=DATA_PAYLOAD_WIDTH,
-        cipher=k2,
-        rng=rng,
-        pad_slots=pad_slots,
-        stash_max=stash_max,
-        tree_id=DATA_TREE_ID,
-        cached=params.data_cached,
-    )
+    slots = params.full_slots if pad_mode == PAD_FULL else len(heads)
+    params.data_depth = tree_depth_for(max(len(heads), slots), bucket_size)
+    data_params = params.data_params
+    oram, tree, leaves = oram_init(heads, data_params, k2, rng, stash_max, DATA_TREE_ID)
 
     rpm, pm_trees = rpm_build(
         zip(addresses, leaves),
@@ -256,7 +254,7 @@ def setup(
     )
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
-        client = TrivialState(keys=keys, params=params, positions=rpm, stash=stash, cache=cache)
+        client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
         return SetupResult(trees, params, keys, client, None, len(heads))
 
     session_key = os.urandom(lambda_bits // 8)
@@ -266,8 +264,7 @@ def setup(
         session_key=session_key,
         params=params,
         positions=rpm,
-        stash=stash,
-        cache=cache,
+        oram=oram,
     )
     client = EnhancedState(keys=keys, params=params, session_key=session_key)
     return SetupResult(trees, params, keys, client, controller, len(heads))
@@ -291,25 +288,22 @@ def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | 
 class QueryEngine:
     """The Query loop both deployments run.
 
-    Holds the data tree's Path ORAM over the state's stash and cache, the
-    state's position map and the PRF key.  Every path read and write goes
-    through store; the position map's level engines are attached to the
-    same store when the engine is built.
+    Runs the state's data tree engine and position map with the PRF key.
+    Building it attaches store and rng to the data engine and to every
+    level engine of the map, so every path read and write goes through
+    store and every fresh leaf comes from rng.
     """
 
     def __init__(
-        self, state: TrivialState | ControllerState, kprf: bytes, k2: bytes, store,
-        rng: random.Random | None = None,
+        self, state: TrivialState | ControllerState, kprf: bytes, store, rng: random.Random | None = None
     ):
         rng = rng if rng is not None else secrets.SystemRandom()
-        p = self.params = state.params
+        self.params = state.params
         self.kprf = kprf
+        self.oram = state.oram
         self.positions = state.positions
+        self.oram.store, self.oram.rng = store, rng
         self.positions.attach(store, rng)
-        self.oram = PathOram(
-            DATA_TREE_ID, p.data_params, store, Cipher(k2),
-            stash=state.stash, stash_max=p.stash_max, rng=rng, cache=state.cache,
-        )
 
     def query(self, u: int, v: int) -> list[bytes]:
         """Chase the chain from (u, v): one access per hop, then one on a
@@ -337,7 +331,7 @@ class TrivialClient:
 
     def __init__(self, state: TrivialState, store, rng: random.Random | None = None):
         self.state = state
-        self.engine = QueryEngine(state, state.keys.kprf, state.keys.k2, store, rng)
+        self.engine = QueryEngine(state, state.keys.kprf, store, rng)
 
     def query(self, u: int, v: int) -> list[bytes]:
         return self.engine.query(u, v)
@@ -353,7 +347,7 @@ class EnclaveController:
     def __init__(self, state: ControllerState, store, rng: random.Random | None = None):
         self.state = state
         self.session = Cipher(state.session_key)
-        self.engine = QueryEngine(state, state.kprf, state.k2, store, rng)
+        self.engine = QueryEngine(state, state.kprf, store, rng)
 
     def handle_request(self, ct: bytes) -> bytes:
         """Decrypt one (u, v) request, run the query loop, and return the
@@ -369,7 +363,7 @@ class EnclaveController:
     def resident_bytes(self) -> int:
         """Controller-resident bytes: position state, data stash and cache, keys."""
         key_bytes = len(self.state.k2) + len(self.state.kprf) + len(self.state.session_key)
-        oram = self.engine.oram
+        oram = self.state.oram
         data_bytes = len(oram.stash) * oram.params.block_width + len(oram.cache) * oram.params.plain_width
         return self.state.positions.resident_bytes() + data_bytes + key_bytes
 
@@ -464,10 +458,10 @@ def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
     return stash
 
 
-def _unpack_cache(r: _Reader, tp: TreeParams) -> list[bytes]:
-    """The data tree's cached buckets, 2^k - 1 of them for k cached levels.
-    A slot flag other than 0 or 1, or a real slot mapped past the last
-    leaf, is refused, naming the node."""
+def _unpack_cache(r: _Reader, tp: TreeParams, tree_id: int) -> list[bytes]:
+    """A tree's cached buckets, 2^k - 1 of them for k cached levels.  A
+    slot flag other than 0 or 1, or a real slot mapped past the last leaf,
+    is refused, naming the node."""
     pw, bw, hw = tp.plain_width, tp.block_width, tp.head_width
     raw = r.take(tp.cache_nodes * pw)
     cache = [raw[i * pw : (i + 1) * pw] for i in range(tp.cache_nodes)]
@@ -476,45 +470,66 @@ def _unpack_cache(r: _Reader, tp: TreeParams) -> list[bytes]:
             leaf, flag = TAIL.unpack_from(plain, at)
             if flag > 1 or (flag and leaf >= tp.leaves):
                 raise ProtocolError(
-                    f"{r.what}: bad cached node {node} of tree {DATA_TREE_ID} "
+                    f"{r.what}: bad cached node {node} of tree {tree_id} "
                     f"(flag {flag}, leaf {leaf} of {tp.leaves})"
                 )
     return cache
 
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
-    """Engine state: the data stash, the data tree's cached buckets, each
-    level's stash, then the top array's entries."""
+    """Engine state: the data stash and the data tree's cached buckets, each
+    level's stash (level trees cache nothing), then the top array's
+    entries."""
     positions = state.positions
-    parts = [_pack_counted(state.stash), *state.cache]
-    parts += [_pack_counted(engine.stash) for engine in positions.levels]
+    parts = []
+    for engine in (state.oram, *positions.levels):
+        parts += [_pack_counted(engine.stash), *engine.cache]
     parts.append(big_endian(positions.top).tobytes())
     return b"".join(parts)
 
 
 def _unpack_engine(
     r: _Reader, params: SchemeParams, shape: tuple[list[tuple[int, TreeParams]], int], k2: bytes
-) -> tuple[RecursivePM, list[bytes], list[bytes]]:
-    """Inverse of _pack_engine, for the map of the given shape: the map, the
-    data stash and the cache.  The level engines get their store, and the
-    map its leaf sampler, when a query engine is built over them."""
-    stash = _unpack_stash(r, params.data_params, DATA_TREE_ID)
-    cache = _unpack_cache(r, params.data_params)
+) -> tuple[RecursivePM, PathOram]:
+    """Inverse of _pack_engine, for the map of the given shape: the map and
+    the data tree's engine.  The engines get their store, and the map its
+    leaf sampler, when a query engine is built over them."""
     cipher = Cipher(k2)
     level_shapes, top_width = shape
-    levels = [
-        PathOram(tree_id, tp, None, cipher, stash=_unpack_stash(r, tp, tree_id), stash_max=params.stash_max)
-        for tree_id, (_, tp) in enumerate(level_shapes, DATA_TREE_ID + 1)
-    ]
+
+    def engine(tree_id: int, tp: TreeParams) -> PathOram:
+        stash = _unpack_stash(r, tp, tree_id)
+        return PathOram(tree_id, tp, cipher, stash, _unpack_cache(r, tp, tree_id), params.stash_max)
+
+    oram = engine(DATA_TREE_ID, params.data_params)
+    levels = [engine(tree_id, tp) for tree_id, (_, tp) in enumerate(level_shapes, DATA_TREE_ID + 1)]
+
+    # the top holds leaves of the data tree, ABSENT where no block exists,
+    # in a flat map, and of the last level's tree in a chain.  numpy checks
+    # all |V|^2 entries of a flat map in one pass; it is imported here, as
+    # nothing but this loader needs it
+    import numpy as np
+
     top = big_endian(r.take(top_width * ENTRY_BYTES))
+    entries = np.frombuffer(top, dtype=np.uint64)
+    last = levels[-1] if levels else oram
+    bad = entries >= last.params.leaves
+    if not levels:
+        bad &= entries != ABSENT
+    if bad.any():
+        at = int(bad.argmax())
+        raise ProtocolError(
+            f"{r.what}: top entry {at} is leaf {int(entries[at])}, "
+            f"but tree {last.tree_id} has {last.params.leaves} leaves"
+        )
     rpm = RecursivePM(
         address_space=params.address_space,
-        data_leaves=params.data_params.leaves,
+        data_leaves=oram.params.leaves,
         chi=params.chi,
         levels=levels,
         top=top,
     )
-    return rpm, stash, cache
+    return rpm, oram
 
 
 def save_state(path: str | Path, state: TrivialState | EnhancedState | ControllerState) -> None:
@@ -572,18 +587,15 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         shape = map_shape(params.address_space, chi, params.map_budget, z)
     except ConfigError as exc:
         raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
-    params.data_cached = cached_levels(params.data_params, params.cache_allowance)
     k = lam // 8
     if kind is ControllerState:
         k2, kprf, session = r.take(k), r.take(k), r.take(k)
-        positions, stash, cache = _unpack_engine(r, params, shape, k2)
-        state = ControllerState(k2, kprf, session, params, positions, stash, cache)
+        state = ControllerState(k2, kprf, session, params, *_unpack_engine(r, params, shape, k2))
     else:
         keys = KeySet(r.take(k), r.take(k), r.take(k))
         if kind is EnhancedState:
             state = EnhancedState(keys, params, r.take(k))
         else:
-            positions, stash, cache = _unpack_engine(r, params, shape, keys.k2)
-            state = TrivialState(keys, params, positions, stash, cache)
+            state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
     r.finish()
     return state

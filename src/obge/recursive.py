@@ -9,6 +9,10 @@ keeps only the top array and the per-level stashes resident, emulating an
 enclave with bounded internal storage.  With no levels this is the flat map
 of Path ORAM's recursive construction, which the trivial client uses as is.
 
+Each level is a PathOram engine, built with its tree by ``rpm_build`` or
+from a state file by the loader, and holding its own stash; ``attach``
+hands every level the deployment's store and the map its leaf sampler.
+
 The top is one dense ``array('Q')``: a flat map holds |V|^2 entries, ABSENT
 where no block exists; a chain holds one entry per last-level block.  Its
 width, the level count and each level's tree geometry follow from the
@@ -106,10 +110,10 @@ class RecursivePM:
         return len(self.levels)
 
     def attach(self, store, rng: random.Random) -> None:
-        """Reach the level trees through store and draw fresh leaves from rng."""
+        """Reach the level trees through store and draw every fresh leaf from rng."""
         self.rng = rng
         for engine in self.levels:
-            engine.store = store
+            engine.store, engine.rng = store, rng
 
     def resident_bytes(self) -> int:
         """Resident state: the top array plus all level stashes."""
@@ -191,17 +195,8 @@ def rpm_build(
         # padded with ABSENT entries (all one bits in either byte order)
         raw = big_endian(top).tobytes().ljust(n_blocks * width, b"\xff")
         heads = [block_head(level_token(i, b), 0, raw[b * width : (b + 1) * width]) for b in range(n_blocks)]
-        tree_id = first_tree_id + i
-        tree, _, leaves, stash, _ = oram_init(
-            heads,
-            bucket_size=bucket_size,
-            payload_width=width,
-            cipher=cipher,
-            rng=rng,
-            stash_max=stash_max,
-            tree_id=tree_id,
-        )
-        levels.append(PathOram(tree_id, params, None, cipher, stash=stash, stash_max=stash_max, rng=rng))
+        engine, tree, leaves = oram_init(heads, params, cipher, rng, stash_max, first_tree_id + i)
+        levels.append(engine)
         trees.append(tree)
         top = array("Q", leaves)
 

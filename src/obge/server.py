@@ -15,8 +15,9 @@ enhanced client calls ``ObgeServer.enclave``.  Their errors arrive as the
 named exceptions rather than as wire error codes.  The storage host records
 every path access, so traces are the same whichever way it is reached.
 
-The daemon logs to the ``obge.server`` logger: its start (address, mode,
-and each tree's id, depth, cached levels and host path width), each flush
+The daemon logs to the ``obge.server`` logger: its start (address, the
+mode it serves, enhanced exactly when a controller is deployed, and each
+tree's id, depth, cached levels and host path width), each flush
 (the files written) and each malformed frame answered with an error frame.
 Nothing is logged per request, and nothing the host does not already see.
 """
@@ -35,6 +36,7 @@ from . import wire
 from .exceptions import CapacityError, IntegrityError, ObgeError, ProtocolError
 from .protocol import (
     MODE_ENHANCED,
+    MODE_TRIVIAL,
     ControllerState,
     EnclaveController,
     EnhancedClient,
@@ -166,13 +168,10 @@ def deploy_inprocess(
     host = StorageHost()
     for tree in result.trees:
         host.add_tree(tree)
-    server = ObgeServer(host)
-    if result.controller is not None:
-        server.controller = EnclaveController(result.controller, host, rng=rng)
-        client = EnhancedClient(result.client, server.enclave)
-    else:
-        client = TrivialClient(result.client, host, rng=rng)
-    return host, server, client
+    if result.controller is None:
+        return host, ObgeServer(host), TrivialClient(result.client, host, rng=rng)
+    server = ObgeServer(host, EnclaveController(result.controller, host, rng=rng))
+    return host, server, EnhancedClient(result.client, server.enclave)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +236,12 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
     for f in files:
         host.add_tree(TreeStorage.load(f))
-    server = ObgeServer(host)
-    if cfg.mode == MODE_ENHANCED:
-        state_path = Path(cfg.tree_path) / "controller.bin"
-        if not state_path.exists():
-            raise ProtocolError(f"enhanced mode needs {state_path}")
-        server.controller = EnclaveController(load_state(state_path, ControllerState), host, rng=rng)
-    return server
+    if cfg.mode != MODE_ENHANCED:
+        return ObgeServer(host)
+    state_path = Path(cfg.tree_path) / "controller.bin"
+    if not state_path.exists():
+        raise ProtocolError(f"enhanced mode needs {state_path}")
+    return ObgeServer(host, EnclaveController(load_state(state_path, ControllerState), host, rng=rng))
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -301,7 +299,8 @@ class Daemon:
 
     def _log_start(self) -> None:
         host, port = self.tcp.server_address[:2]
-        log.info("serving %s mode on %s:%d", self.cfg.mode, host, port)
+        mode = MODE_TRIVIAL if self.server.controller is None else MODE_ENHANCED
+        log.info("serving %s mode on %s:%d", mode, host, port)
         for tree_id, tree in sorted(self.server.host.trees.items()):
             p = tree.params
             log.info(

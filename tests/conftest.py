@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from obge.blocks import DATA_PAYLOAD_WIDTH, block_head
+from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
 from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
@@ -46,24 +46,28 @@ def chain_blocks(keys, chains, length):
     return n, blocks, addrs
 
 
-def chain_engine(keys, chains, length, rng, Z=5, pad_slots=None, stash_max=128, cached=0):
+def data_tree(count, Z=5, cached=0):
+    """Geometry of a data tree sized for count real blocks, by the depth rule
+    setup uses, with the top `cached` levels in the engine."""
+    return TreeParams(tree_depth_for(count, Z), Z, DATA_PAYLOAD_WIDTH, cached)
+
+
+def chain_engine(keys, chains, length, rng, Z=5, stash_max=128, cached=0):
     """The trivial client's query engine over chain_blocks, driven by a flat
     position map, with the data tree's top `cached` levels in the engine and
-    the rest in its own storage host.  Returns (engine, host, tree, blocks,
-    addrs)."""
+    the rest in its own storage host.  The tree's geometry is its own, not
+    the one setup would derive for the scheme parameters, so any `cached`
+    can be chosen.  Returns (engine, host, tree, blocks, addrs)."""
     n, blocks, addrs = chain_blocks(keys, chains, length)
     k2 = Cipher(keys.k2)
-    tree, tp, leaves, stash, cache = oram_init(
-        blocks, Z, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=pad_slots, stash_max=stash_max, cached=cached
-    )
+    tp = data_tree(len(blocks), Z, cached)
+    oram, tree, leaves = oram_init(blocks, tp, k2, rng, stash_max)
     host = StorageHost()
     host.add_tree(tree)
-    params = SchemeParams(
-        vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth, data_cached=cached
-    )
+    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth)
     # a budget of the whole dense map keeps it flat, with no level trees
     positions, _ = rpm_build(zip(addrs, leaves), n * n, tp.leaves, 64, n * n * 8, Z, k2, rng)
-    state = TrivialState(keys, params, positions, stash, cache)
+    state = TrivialState(keys, params, positions, oram)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 
 

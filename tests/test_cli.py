@@ -131,6 +131,18 @@ class TestQueryCommand:
         assert rc == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
+        # the flat map's entry for (0, 3), the last of 16, set past the
+        # data tree's 2 leaves: refused on load, not an IndexError mid-query
+        out, d = daemon
+        keys = out / "keys.bin"
+        raw = keys.read_bytes()
+        keys.write_bytes(raw[: -13 * 8] + struct.pack(">Q", 2) + raw[-12 * 8 :])
+        rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "top entry 3 is leaf 2, but tree 0 has 2 leaves" in err and "Traceback" not in err
+
     def test_old_layout_client_state_is_protocol_error(self, daemon, capsys):
         # the token-keyed layout: entry count, (token, leaf) pairs, stash count
         out, d = daemon

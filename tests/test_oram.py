@@ -12,7 +12,7 @@ from obge.oram import PathOram, oram_init, verify_placement
 from obge.protocol import QueryEngine, TrivialState, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine, random_graph
+from conftest import chain_blocks, chain_engine, data_tree, random_graph
 
 
 def build(keys, count, rng, **kw):
@@ -60,26 +60,25 @@ class TestSizing:
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen(128)
         k2 = Cipher(keys.k2)
-        tree, params, leaves, stash, _ = oram_init([], 5, DATA_PAYLOAD_WIDTH, k2, rng)
-        assert params.depth == 0 and params.node_count == 1
-        assert leaves == [] and stash == []
+        engine, tree, leaves = oram_init([], data_tree(0), k2, rng)
+        assert tree.params.depth == 0 and tree.params.node_count == 1
+        assert leaves == [] and engine.stash == []
 
-    def test_pad_full_four_vertices(self, rng):
+    def test_pad_full_four_vertices(self, rng, four_vertex_directed):
         # capacity must cover |V|^2 - |V| = 12 real slots even with fewer blocks
-        keys = keygen(128)
-        k2 = Cipher(keys.k2)
-        tree, params, _, _, _ = oram_init(
-            make_blocks(keys, 6), 5, DATA_PAYLOAD_WIDTH, k2, rng, pad_slots=12
-        )
+        result = setup(four_vertex_directed, pad_mode="full", rng=rng)
+        params = result.trees[0].params
+        assert result.spdx_size == 6
         assert params.node_count * params.bucket_size >= 12
         assert params.depth == tree_depth_for(12, 5) == 2
+        assert setup(four_vertex_directed, rng=rng).trees[0].params.depth == tree_depth_for(6, 5) == 1
 
     def test_head_of_the_wrong_width_is_rejected(self, rng):
         # a short head would shift every later slot of its bucket
         keys = keygen(128)
         heads = make_blocks(keys, 3)
         with pytest.raises(ValueError, match="block head"):
-            oram_init([heads[0], heads[1][:-1], heads[2]], 5, DATA_PAYLOAD_WIDTH, Cipher(keys.k2), rng)
+            oram_init([heads[0], heads[1][:-1], heads[2]], data_tree(3), Cipher(keys.k2), rng)
 
     def test_capacity_error(self):
         # an adversarial leaf sampler piles every block onto one path;
@@ -87,7 +86,7 @@ class TestSizing:
         keys = keygen(128)
         k2 = Cipher(keys.k2)
         with pytest.raises(CapacityError):
-            oram_init(make_blocks(keys, 50), 1, DATA_PAYLOAD_WIDTH, k2, AllZero(), stash_max=0)
+            oram_init(make_blocks(keys, 50), data_tree(50, Z=1), k2, AllZero(), stash_max=0)
 
 
 class TestAccess:
@@ -138,15 +137,15 @@ class TestAccess:
         keys = keygen(128)
         engine, _, tree, blocks, addrs = build(keys, 48, rng)
         run_queries(engine, rng, 200)
-        verify_placement(tree, Cipher(keys.k2), leaf_of(engine, blocks, addrs), engine.oram.stash)
+        verify_placement(tree, engine.oram, leaf_of(engine, blocks, addrs))
 
     def test_stash_overflow_surfaces(self, rng):
         # remapping every accessed block to leaf 0 exceeds that single
         # path's capacity, so the stash must eventually trip its limit
         keys = keygen(128)
         built, host, _, _, _ = build(keys, 60, rng, stash_max=8)
-        state = TrivialState(keys, built.params, built.positions, built.oram.stash)
-        engine = QueryEngine(state, keys.kprf, keys.k2, host, rng=AllZero())
+        state = TrivialState(keys, built.params, built.positions, built.oram)
+        engine = QueryEngine(state, keys.kprf, host, rng=AllZero())
         with pytest.raises(StashOverflowError):
             for i in range(120):
                 engine.query(i % 60, 60)
@@ -274,13 +273,12 @@ class TestBucketBinding:
         keys = keygen(128)
         k2 = Cipher(keys.k2)
         blocks = make_blocks(keys, 40)
-        tree0, params, _, stash, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=0)
-        tree1, params1, _, _, _ = oram_init(blocks, 5, DATA_PAYLOAD_WIDTH, k2, rng, tree_id=1)
-        assert params1 == params
+        engine, tree0, _ = oram_init(blocks, data_tree(40), k2, rng, tree_id=0)
+        _, tree1, _ = oram_init(blocks, data_tree(40), k2, rng, tree_id=1)
         tree0.set_bucket(0, tree1.get_bucket(0))  # same node and width, other tree
         host = StorageHost()
         host.add_tree(tree0)
-        engine = PathOram(0, params, host, k2, stash=stash, rng=rng)
+        engine.store, engine.rng = host, rng
         with pytest.raises(IntegrityError, match="authentication failed"):
             engine.access(None, None, None)
 
@@ -288,10 +286,10 @@ class TestBucketBinding:
         keys = keygen(128)
         engine, _, tree, blocks, addrs = build(keys, 40, rng)
         mapped = leaf_of(engine, blocks, addrs)
-        verify_placement(tree, Cipher(keys.k2), mapped, engine.oram.stash)
+        verify_placement(tree, engine.oram, mapped)
         tree.set_bucket(3, tree.get_bucket(4))
         with pytest.raises(IntegrityError):
-            verify_placement(tree, Cipher(keys.k2), mapped, engine.oram.stash)
+            verify_placement(tree, engine.oram, mapped)
 
     def test_short_path_read_is_rejected(self, rng):
         keys = keygen(128)
@@ -345,10 +343,11 @@ class TestTreeTopCache:
         # obge bench's 11-vertex chain: a 968-byte flat map fits one
         # level; a controller's budget leaves nothing for a cache
         result = setup(chain_graph(11), mode=mode, budget=10**9, rng=random.Random(1))
-        assert result.params.data_cached == k
+        assert result.params.data_params.cached == k
         assert result.trees[0].params.cached == k
         party = result.client if mode == "trivial" else result.controller
-        assert len(party.cache) == (1 << k) - 1
+        assert party.oram.params == result.trees[0].params
+        assert len(party.oram.cache) == (1 << k) - 1
 
     def test_host_holds_and_moves_only_the_uncached_levels(self, rng):
         g = random_graph(rng, 40, 0.1)
@@ -369,7 +368,7 @@ class TestTreeTopCache:
             for addr, leaf in enumerate(engine.positions.top)
             if leaf != ABSENT
         }
-        verify_placement(host.trees[0], Cipher(result.keys.k2), mapped, engine.oram.stash, engine.oram.cache)
+        verify_placement(host.trees[0], engine.oram, mapped)
         with pytest.raises(IndexError, match="not stored on the host"):
             host.trees[0].get_bucket(0)
 
@@ -388,9 +387,11 @@ class TestTreeTopCache:
     def test_cache_must_match_the_cached_levels(self, rng):
         keys = keygen(128)
         k2 = Cipher(keys.k2)
-        tree, params, _, stash, cache = oram_init(make_blocks(keys, 40), 5, DATA_PAYLOAD_WIDTH, k2, rng, cached=2)
+        params = data_tree(40, cached=2)  # depth 3
+        engine, _, _ = oram_init(make_blocks(keys, 40), params, k2, rng)
+        cache = engine.cache
         assert len(cache) == 3 and all(len(b) == params.plain_width for b in cache)
         with pytest.raises(ValueError, match="cache of 2 buckets"):
-            PathOram(0, params, None, k2, stash=stash, cache=cache[:2])
+            PathOram(0, params, k2, engine.stash, cache[:2])
         with pytest.raises(ValueError, match="cannot cache 4 levels"):
-            oram_init(make_blocks(keys, 40), 5, DATA_PAYLOAD_WIDTH, k2, rng, cached=4)
+            oram_init(make_blocks(keys, 40), data_tree(40, cached=4), k2, rng)

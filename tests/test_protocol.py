@@ -40,8 +40,7 @@ def deploy(g, mode, rng_seed=1, **kw):
 
 def redeploy(host, state, client_state):
     """A fresh server over the same storage, hosting a reloaded controller."""
-    server = ObgeServer(host)
-    server.controller = EnclaveController(state, host, rng=random.Random(9))
+    server = ObgeServer(host, EnclaveController(state, host, rng=random.Random(9)))
     return EnhancedClient(client_state, server.enclave)
 
 
@@ -233,7 +232,10 @@ class TestPersistence:
 
     def test_client_state_round_trip(self, tmp_path, four_vertex_directed):
         # the trivial client's engine state lives in its keys.bin
+        # the client's engine is the state's own, so the saved file holds
+        # what the query left
         result, _, _, client = deploy(four_vertex_directed, "trivial")
+        assert client.engine.oram is result.client.oram
         client.query(0, 3)
         keyfile = tmp_path / "keys.bin"
         save_state(keyfile, result.client)
@@ -241,7 +243,8 @@ class TestPersistence:
         assert fresh.keys == result.keys
         assert fresh.positions.top == result.client.positions.top
         assert fresh.positions.levels == []
-        assert fresh.stash == result.client.stash
+        assert fresh.oram.stash == result.client.oram.stash
+        assert fresh.oram.params == result.trees[0].params
 
     def test_controller_round_trip_preserves_answers(self, tmp_path, rng):
         g = random_graph(rng, 20, 0.2)
@@ -272,7 +275,7 @@ class TestPersistence:
         save_state(path, server.controller.state)
         state = load_state(path, ControllerState)
         assert state.positions.levels[0].stash == saved_stash
-        assert state.stash == server.controller.state.stash
+        assert state.oram.stash == server.controller.state.oram.stash
         assert state.positions.top == server.controller.state.positions.top
         client2 = redeploy(host, state, result.client)
         for u, v in pairs:
@@ -291,9 +294,10 @@ class TestPersistence:
         for u in range(7):
             client.query(u, 7)
         # one more stash block, packed by hand: tk 11.., next address 7, leaf 1
-        state.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 1, 1))
+        stash = state.oram.stash
+        stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 1, 1))
         depth = result.params.data_depth
-        assert result.params.data_cached == 1 and len(state.cache) == 1
+        assert result.params.data_params.cached == 1 and len(state.oram.cache) == 1
 
         def slots(raw):
             out = b""
@@ -303,8 +307,8 @@ class TestPersistence:
 
         want = b"OS\x06\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
-        want += struct.pack(">I", len(state.stash)) + slots(b"".join(state.stash))
-        want += slots(state.cache[0])
+        want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
+        want += slots(state.oram.cache[0])
         assert len(state.positions.top) == 64
         for leaf in state.positions.top:
             want += struct.pack(">Q", leaf)
@@ -312,7 +316,7 @@ class TestPersistence:
         save_state(path, state)
         assert path.read_bytes() == want
         fresh = load_state(path, TrivialState)
-        assert fresh.positions.top == state.positions.top and fresh.stash == state.stash
+        assert fresh.positions.top == state.positions.top and fresh.oram.stash == stash
 
     @pytest.mark.parametrize("bad", ["dummy-flag", "leaf-past-tree"])
     def test_bad_stash_block_is_rejected(self, tmp_path, four_vertex_directed, bad):
@@ -321,7 +325,7 @@ class TestPersistence:
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         state = result.client
         leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
-        state.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
+        state.oram.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match="bad tree 0 stash block"):
@@ -333,13 +337,13 @@ class TestPersistence:
         g = chain_graph(11)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
-        assert result.params.data_cached == 1
+        assert result.params.data_params.cached == 1
         for u in range(10):
             client.query(u, 10)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         fresh = load_state(path, TrivialState)
-        assert fresh.cache == state.cache and fresh.params == state.params
+        assert fresh.oram.cache == state.oram.cache and fresh.params == state.params
         client2 = TrivialClient(fresh, host, rng=random.Random(3))
         for u in range(11):
             assert client2.query_path(u, 10) == spath_oracle(g, u, 10)
@@ -351,7 +355,8 @@ class TestPersistence:
         tp = result.params.data_params
         slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
         slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
-        state.cache[0] = state.cache[0][: -tp.block_width] + slot  # the root's last slot
+        cache = state.oram.cache
+        cache[0] = cache[0][: -tp.block_width] + slot  # the root's last slot
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match="bad cached node 0 of tree 0"):
@@ -381,6 +386,29 @@ class TestPersistence:
         assert len(got.top) == len(want.top)
         assert [lvl.params for lvl in got.levels] == [t.params for t in result.trees[1:]]
         assert [lvl.tree_id for lvl in got.levels] == [t.tree_id for t in result.trees[1:]]
+
+    @pytest.mark.parametrize(
+        "mode, tree, entry",
+        [("trivial", 0, "leaves"), ("trivial", 0, "ABSENT-1"), ("enhanced", 1, "leaves"), ("enhanced", 1, "ABSENT")],
+        ids=["flat-past", "flat-below-absent", "chain-past", "chain-absent"],
+    )
+    def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree, entry):
+        # a flat map's entries are data leaves or ABSENT; a chain's are
+        # leaves of its last level, all present.  An entry past its tree
+        # loaded, and the first query that read it raised IndexError
+        kw = {"budget": 256, "chi": 8} if mode == "enhanced" else {}
+        result, _, server, _ = deploy(random_graph(random.Random(5), 12, 0.3), mode, **kw)
+        state = result.client if mode == "trivial" else server.controller.state
+        assert state.positions.chain_depth == tree
+        leaves = result.trees[tree].params.leaves
+        value = {"leaves": leaves, "ABSENT-1": ABSENT - 1, "ABSENT": ABSENT}[entry]
+        path = tmp_path / "state.bin"
+        save_state(path, state)
+        raw = path.read_bytes()
+        at = len(raw) - len(state.positions.top) * 8 + 3 * 8  # top entry 3
+        path.write_bytes(raw[:at] + struct.pack(">Q", value) + raw[at + 8 :])
+        with pytest.raises(ProtocolError, match=f"top entry 3 is leaf {value}, but tree {tree} has {leaves} leaves"):
+            load_state(path, type(state))
 
     @pytest.mark.parametrize(
         "field, value, match",

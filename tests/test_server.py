@@ -172,6 +172,17 @@ class TestDaemon:
         assert messages[2] == f"flushed {tmp_path / 'tree_000.bin'}, {tmp_path / 'trace.csv'}"
         assert len(messages) == 3
 
+    def test_logged_mode_is_the_one_served(self, tmp_path, caplog):
+        # a daemon over an enhanced deployment whose config leaves the mode
+        # at its default still serves, and so logs, enhanced mode
+        caplog.set_level(logging.INFO, logger="obge.server")
+        _, _, _, server, _ = make_deployment(mode="enhanced")
+        daemon = Daemon(server, ServerConfig(tree_path=str(tmp_path), listen_addr="127.0.0.1:0"))
+        daemon.start()
+        daemon.shutdown()
+        messages = [r.getMessage() for r in caplog.records if r.name == "obge.server"]
+        assert messages[0] == f"serving enhanced mode on 127.0.0.1:{daemon.port}"
+
     def test_garbage_bytes_get_error_frame(self, tmp_path, caplog):
         import socket
 
