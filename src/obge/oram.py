@@ -47,8 +47,10 @@ class PathOram:
 
     The store is anything exposing ``read_path(tree_id, leaf)`` and
     ``write_path(tree_id, leaf, data)``; local storage and the wire client
-    both qualify.  An engine is built without one: whoever runs it sets
-    ``store``, and ``rng``, which draws the leaves of dummy rounds.
+    both qualify; the wire client holds a write back until its next read,
+    and flushing it is the caller's job.  An engine is built without one:
+    whoever runs it sets ``store``, and ``rng``, which draws the leaves of
+    dummy rounds.
     Position lookup is the caller's job: access takes the block's current
     leaf (or None for a dummy round) and the fresh leaf it should move to.
     One access may be in flight at a time.  cache holds the plaintext of

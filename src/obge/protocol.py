@@ -291,7 +291,8 @@ class QueryEngine:
     Runs the state's data tree engine and position map with the PRF key.
     Building it attaches store and rng to the data engine and to every
     level engine of the map, so every path read and write goes through
-    store and every fresh leaf comes from rng.
+    store and every fresh leaf comes from rng.  A query flushes the store
+    before it returns or raises, so no write of it is left held back.
     """
 
     def __init__(
@@ -302,6 +303,7 @@ class QueryEngine:
         self.kprf = kprf
         self.oram = state.oram
         self.positions = state.positions
+        self.store = store
         self.oram.store, self.oram.rng = store, rng
         self.positions.attach(store, rng)
 
@@ -315,15 +317,18 @@ class QueryEngine:
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
         resp: list[bytes] = []
         addr = u * n + v
-        while True:
-            old_leaf, new_leaf = self.positions.get_and_remap(addr)
-            if old_leaf == ABSENT:
-                self.oram.access(None, None, new_leaf)
-                return resp
-            tk = prf_eval(self.kprf, encode_pair(addr // n, v))
-            blk = self.oram.access(tk, old_leaf, new_leaf)
-            resp.append(blk.payload)
-            addr = blk.next_addr
+        try:
+            while True:
+                old_leaf, new_leaf = self.positions.get_and_remap(addr)
+                if old_leaf == ABSENT:
+                    self.oram.access(None, None, new_leaf)
+                    return resp
+                tk = prf_eval(self.kprf, encode_pair(addr // n, v))
+                blk = self.oram.access(tk, old_leaf, new_leaf)
+                resp.append(blk.payload)
+                addr = blk.next_addr
+        finally:
+            self.store.flush()
 
 
 class TrivialClient:

@@ -2,15 +2,26 @@
 
 The server owns the bucket storage (and, in the enhanced deployment, the
 trust-boundary controller).  TCP peers send wire frames to ``handle_raw``,
-which decodes them, refuses path reads and writes on an enhanced server (so
+which decodes them, refuses ``Access`` frames on an enhanced server (so
 only the controller touches storage), and hands the message to
-``dispatch``.  ``RemoteStore`` turns a ``TcpConnection`` into the path
-store a remote trivial client's engine reads and writes through, and
-``enclave_transport`` into an enhanced client's request/response channel.
+``dispatch``, which applies an ``Access``'s write and then its read.
+``RemoteStore`` turns a ``TcpConnection`` into the path store a remote
+trivial client's engine reads and writes through, and ``enclave_transport``
+into an enhanced client's request/response channel.
+
+A path store has three methods: ``read_path``, ``write_path`` and
+``flush``.  ``RemoteStore`` holds each write back and sends it in the
+``Access`` frame of the next read, so an ORAM round is one round trip;
+``flush`` sends a held write on its own, and the query engine calls it
+before every query returns, on success or error, so that the server has
+every write of a query once the query is over.  A write the server refuses
+therefore surfaces from the next read or the flush, from the same query.
+The host applies and records each write before the read it travels with,
+so its trace is the one two separate requests would leave.
 
 Engines inside the server process -- the controller, and clients deployed
 in the same process -- are handed the ``StorageHost`` itself, which has the
-``read_path``/``write_path`` interface ``PathOram`` calls; an in-process
+same three methods (its ``flush`` has nothing to do); an in-process
 enhanced client calls ``ObgeServer.enclave``.  Their errors arrive as the
 named exceptions rather than as wire error codes.  The storage host records
 every path access, so traces are the same whichever way it is reached.
@@ -60,11 +71,10 @@ class ObgeServer:
 
     def dispatch(self, msg: wire.Message) -> wire.Message:
         try:
-            if isinstance(msg, wire.ReadPath):
-                return wire.PathData(self.host.read_path(msg.tree_id, msg.leaf))
-            if isinstance(msg, wire.WritePath):
-                self.host.write_path(msg.tree_id, msg.leaf, msg.buckets)
-                return wire.Ack()
+            if isinstance(msg, wire.Access):
+                if msg.write is not None:
+                    self.host.write_path(*msg.write)
+                return wire.PathData(b"" if msg.read is None else self.host.read_path(*msg.read))
             if isinstance(msg, wire.EnclaveRequest):
                 if self.controller is None:
                     return wire.Error(wire.ERR_USAGE, "no controller deployed on this server")
@@ -88,13 +98,14 @@ class ObgeServer:
 
     def handle_raw(self, mt: int, payload: bytes) -> bytes:
         """Answer one frame from a TCP peer.  With a controller deployed,
-        only the controller may read or write paths."""
+        only the controller may read or write paths: every Access is
+        refused."""
         try:
             msg = wire.decode_payload(mt, payload)
         except ProtocolError as exc:
             log.warning("answered a malformed frame with an error: %s", exc)
             return wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc)))
-        if self.controller is not None and isinstance(msg, (wire.ReadPath, wire.WritePath)):
+        if self.controller is not None and isinstance(msg, wire.Access):
             return wire.encode(
                 wire.Error(wire.ERR_USAGE, "path access is reserved to the controller on this server")
             )
@@ -132,21 +143,31 @@ class TcpConnection:
 
 
 class RemoteStore:
-    """Path store over a connection with ``request``."""
+    """Path store over a connection with ``request``.  A write waits in
+    ``pending`` and goes in the frame of the next read, or alone on flush;
+    it leaves ``pending`` when its frame is sent, whatever the answer."""
 
     def __init__(self, conn):
         self.conn = conn
+        self.pending: tuple[int, int, bytes] | None = None
 
     def read_path(self, tree_id: int, leaf: int) -> bytes:
-        resp = self.conn.request(wire.ReadPath(tree_id, leaf))
+        return self._access((tree_id, leaf))
+
+    def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
+        self.flush()
+        self.pending = (tree_id, leaf, data)
+
+    def flush(self) -> None:
+        if self.pending is not None and self._access(None):
+            raise ProtocolError("server answered a lone write with path data")
+
+    def _access(self, read: tuple[int, int] | None) -> bytes:
+        write, self.pending = self.pending, None
+        resp = self.conn.request(wire.Access(write, read))
         if not isinstance(resp, wire.PathData):
             raise ProtocolError(f"expected PathData, got {type(resp).__name__}")
         return resp.buckets
-
-    def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
-        resp = self.conn.request(wire.WritePath(tree_id, leaf, data))
-        if not isinstance(resp, wire.Ack):
-            raise ProtocolError(f"expected Ack, got {type(resp).__name__}")
 
 
 def enclave_transport(conn):

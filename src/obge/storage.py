@@ -242,3 +242,6 @@ class StorageHost:
         with lock:
             tree.write_path(leaf, data)
         self.trace.append("WritePath", tree_id, leaf, len(data))
+
+    def flush(self) -> None:
+        """Nothing to send: every write is applied when it is made."""

@@ -2,9 +2,25 @@
 
 Frame layout: magic (2) | version (1) | msg_type (1) | payload_len (4, BE)
 | payload.  Big-endian throughout; every request gets exactly one response.
-Payload widths are content-independent per message type so the recorded
-trace shapes carry no query information beyond round counts.  A header
-declaring more than MAX_PAYLOAD bytes is refused before its payload is read.
+A header declaring more than MAX_PAYLOAD bytes is refused before its
+payload is read.
+
+Path traffic is one request type and one reply.  An ``Access`` carries an
+optional path write and an optional path read:
+
+    flags (1: bit 0 write, bit 1 read) | write tree id (1) | write leaf (8)
+    | read tree id (1) | read leaf (8) | write buckets
+
+where each (tree id, leaf) is present only with its flag, and the buckets,
+present exactly with the write flag, run to the end of the payload.  The
+server applies the write, then the read, and answers ``PathData`` with the
+read path's buckets, empty when the request has no read.  A trivial client
+defers each path write-back and sends it in the frame of its next read, so
+a round costs one round trip; the last write of a query goes alone.  Widths
+depend only on which parts are present and on the tree, so the recorded
+trace shapes carry no query information beyond round counts.  Version 1,
+which sent ReadPath/PathData and WritePath/Ack as two round trips, is
+refused by its version number.
 """
 
 from __future__ import annotations
@@ -15,15 +31,15 @@ from dataclasses import dataclass
 from .exceptions import ProtocolError
 
 MAGIC = b"OB"
-VERSION = 1
+VERSION = 2
 _FRAME_HEADER = struct.Struct(">2sBBI")
 # far above the widest path frame of a desk-scale tree
 MAX_PAYLOAD = 64 << 20
 
-MSG_READ_PATH = 0x01
+# 0x03, 0x04 (version 1's WritePath and Ack) and 0x07 (a tree upload) stay
+# unassigned, so a stray old frame is refused as an unknown type
+MSG_ACCESS = 0x01
 MSG_PATH_DATA = 0x02
-MSG_WRITE_PATH = 0x03
-MSG_ACK = 0x04
 MSG_ENCLAVE_REQUEST = 0x05
 MSG_ENCLAVE_RESPONSE = 0x06
 MSG_ERROR = 0x7F
@@ -32,28 +48,22 @@ ERR_USAGE = 1
 ERR_PROTOCOL = 2
 ERR_CAPACITY = 3
 
+_WRITE, _READ = 0x01, 0x02  # Access flag bits
+_PATH_REF = struct.Struct(">BQ")  # tree id, leaf
+
 
 @dataclass
-class ReadPath:
-    tree_id: int
-    leaf: int
+class Access:
+    """Write (tree id, leaf, buckets) if given, then read (tree id, leaf)
+    if given."""
+
+    write: tuple[int, int, bytes] | None = None
+    read: tuple[int, int] | None = None
 
 
 @dataclass
 class PathData:
     buckets: bytes
-
-
-@dataclass
-class WritePath:
-    tree_id: int
-    leaf: int
-    buckets: bytes
-
-
-@dataclass
-class Ack:
-    pass
 
 
 @dataclass
@@ -72,18 +82,14 @@ class Error:
     detail: str
 
 
-Message = ReadPath | PathData | WritePath | Ack | EnclaveRequest | EnclaveResponse | Error
+Message = Access | PathData | EnclaveRequest | EnclaveResponse | Error
 
 
 def encode(msg: Message) -> bytes:
-    if isinstance(msg, ReadPath):
-        mt, payload = MSG_READ_PATH, struct.pack(">BQ", msg.tree_id, msg.leaf)
+    if isinstance(msg, Access):
+        mt, payload = MSG_ACCESS, _encode_access(msg)
     elif isinstance(msg, PathData):
         mt, payload = MSG_PATH_DATA, msg.buckets
-    elif isinstance(msg, WritePath):
-        mt, payload = MSG_WRITE_PATH, struct.pack(">BQ", msg.tree_id, msg.leaf) + msg.buckets
-    elif isinstance(msg, Ack):
-        mt, payload = MSG_ACK, b""
     elif isinstance(msg, EnclaveRequest):
         mt, payload = MSG_ENCLAVE_REQUEST, msg.ct
     elif isinstance(msg, EnclaveResponse):
@@ -94,6 +100,44 @@ def encode(msg: Message) -> bytes:
     else:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
     return _FRAME_HEADER.pack(MAGIC, VERSION, mt, len(payload)) + payload
+
+
+def _encode_access(msg: Access) -> bytes:
+    flags, parts, buckets = 0, [], b""
+    if msg.write is not None:
+        tree_id, leaf, buckets = msg.write
+        if not buckets:
+            raise ProtocolError("Access write carries no buckets")
+        flags |= _WRITE
+        parts.append(_PATH_REF.pack(tree_id, leaf))
+    if msg.read is not None:
+        flags |= _READ
+        parts.append(_PATH_REF.pack(*msg.read))
+    return bytes([flags]) + b"".join(parts) + buckets
+
+
+def _decode_access(payload: bytes) -> Access:
+    flags = payload[0] if payload else 0
+    if flags & ~(_WRITE | _READ):
+        raise ProtocolError(f"Access has unknown flag bits 0x{flags:02x}")
+    head = 1 + _PATH_REF.size * (bool(flags & _WRITE) + bool(flags & _READ))
+    if len(payload) < head:
+        raise ProtocolError("Access payload too short")
+    write = read = None
+    at = 1
+    if flags & _WRITE:
+        write = _PATH_REF.unpack_from(payload, at)
+        at += _PATH_REF.size
+    if flags & _READ:
+        read = _PATH_REF.unpack_from(payload, at)
+    buckets = payload[head:]
+    if write is None:
+        if buckets:
+            raise ProtocolError("Access carries buckets without a write")
+        return Access(None, read)
+    if not buckets:
+        raise ProtocolError("Access write carries no buckets")
+    return Access((*write, buckets), read)
 
 
 def decode(frame: bytes) -> Message:
@@ -124,22 +168,10 @@ def split_frame(frame: bytes) -> tuple[int, bytes]:
 
 
 def decode_payload(mt: int, payload: bytes) -> Message:
-    if mt == MSG_READ_PATH:
-        if len(payload) != 9:
-            raise ProtocolError("ReadPath payload must be 9 bytes")
-        tree_id, leaf = struct.unpack(">BQ", payload)
-        return ReadPath(tree_id, leaf)
+    if mt == MSG_ACCESS:
+        return _decode_access(payload)
     if mt == MSG_PATH_DATA:
         return PathData(payload)
-    if mt == MSG_WRITE_PATH:
-        if len(payload) < 9:
-            raise ProtocolError("WritePath payload too short")
-        tree_id, leaf = struct.unpack(">BQ", payload[:9])
-        return WritePath(tree_id, leaf, payload[9:])
-    if mt == MSG_ACK:
-        if payload:
-            raise ProtocolError("Ack carries no payload")
-        return Ack()
     if mt == MSG_ENCLAVE_REQUEST:
         return EnclaveRequest(payload)
     if mt == MSG_ENCLAVE_RESPONSE:

@@ -8,7 +8,7 @@ from obge import wire
 from obge.crypto import ciphertext_width
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
-from obge.protocol import TrivialClient, save_state, setup
+from obge.protocol import TrivialClient, TrivialState, load_state, save_state, setup
 from obge.server import (
     Daemon,
     RemoteStore,
@@ -18,6 +18,7 @@ from obge.server import (
     deploy_inprocess,
     load_config,
     save_config,
+    tree_files,
 )
 from obge.storage import StorageHost, TreeStorage
 
@@ -39,17 +40,31 @@ class TestDispatch:
         _, result, host, server, _ = make_deployment(n=11)
         params = host.trees[0].params
         assert params.cached == 1
-        resp = server.dispatch(wire.ReadPath(0, 0))
+        resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
         assert len(resp.buckets) == (params.depth + 1 - params.cached) * params.bucket_width
+
+    def test_access_writes_then_reads(self):
+        # one frame carries a write-back and the next read; the host applies
+        # and records them in that order, as two separate requests would be
+        _, _, host, server, _ = make_deployment()
+        w = host.trees[0].params.path_width
+        path = server.dispatch(wire.Access(read=(0, 1))).buckets
+        resp = server.dispatch(wire.Access(write=(0, 1, path), read=(0, 0)))
+        assert isinstance(resp, wire.PathData) and len(resp.buckets) == w
+        assert server.dispatch(wire.Access(write=(0, 0, resp.buckets))) == wire.PathData(b"")
+        assert server.dispatch(wire.Access()) == wire.PathData(b"")
+        assert [(r.msg_type, r.tree_id, r.leaf, r.byte_count) for r in host.trace.records] == [
+            ("ReadPath", 0, 1, w), ("WritePath", 0, 1, w), ("ReadPath", 0, 0, w), ("WritePath", 0, 0, w),
+        ]
 
     def test_unknown_msg_type_keeps_connection(self):
         _, _, _, server, _ = make_deployment()
         resp = wire.decode(server.handle_raw(0xFE, b""))
         assert isinstance(resp, wire.Error)
         # the dispatcher is still usable afterwards
-        ok = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.ReadPath(0, 0)))))
+        ok = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.Access(read=(0, 0))))))
         assert isinstance(ok, wire.PathData)
 
     def test_type_0x07_frame_cannot_replace_a_tree(self, tmp_path):
@@ -74,7 +89,7 @@ class TestDispatch:
 
     def test_leaf_out_of_range_is_protocol_error(self):
         _, _, _, server, _ = make_deployment()
-        resp = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.ReadPath(0, 2**40)))))
+        resp = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.Access(read=(0, 2**40))))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
 
     def test_enclave_request_without_controller(self):
@@ -214,7 +229,7 @@ class TestDaemon:
             s = socket.create_connection(("127.0.0.1", daemon.port), timeout=10)
             # a header alone, declaring one byte past the cap: the server must
             # answer without waiting for a payload that never comes
-            header = struct.pack(">2sBBI", wire.MAGIC, wire.VERSION, wire.MSG_WRITE_PATH, wire.MAX_PAYLOAD + 1)
+            header = struct.pack(">2sBBI", wire.MAGIC, wire.VERSION, wire.MSG_ACCESS, wire.MAX_PAYLOAD + 1)
             s.sendall(header)
             data = b""
             while chunk := s.recv(4096):  # read to EOF
@@ -240,14 +255,94 @@ class TestDaemon:
             if mode == "trivial":
                 path = store.read_path(0, 0)
                 store.write_path(0, 0, path)
+                store.flush()
                 assert len(path) == tree.params.path_width
+                assert [r.msg_type for r in host.trace.records] == ["ReadPath", "WritePath"]
             else:
-                for op in (lambda: store.read_path(0, 0),
-                           lambda: store.write_path(0, 0, bytes(tree.params.path_width))):
+                # a write is refused when it is sent: on flush, or with the next read
+                def write_then_flush():
+                    store.write_path(0, 0, bytes(tree.params.path_width))
+                    store.flush()
+
+                for op in (write_then_flush, lambda: store.read_path(0, 0)):
                     with pytest.raises(ProtocolError, match=f"server error {wire.ERR_USAGE}:"):
                         op()
+                    assert store.pending is None
                 assert bytes(tree.buckets) == before
                 assert [r.msg_type for r in host.trace.records] == []
+            conn.close()
+        finally:
+            daemon.shutdown()
+
+    def test_enhanced_server_refuses_raw_write_and_read(self, tmp_path):
+        import socket
+
+        g, result, cfg, daemon = self._spin_up(tmp_path, mode="enhanced")
+        try:
+            host = daemon.server.host
+            tree = host.trees[0]
+            before = bytes(tree.buckets)
+            access = wire.Access(write=(0, 0, bytes(tree.params.path_width)), read=(0, 1))
+            with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as s:
+                s.sendall(wire.encode(access))
+                with s.makefile("rb") as rfile:
+                    resp = wire.decode_payload(*wire.read_frame(rfile))
+            assert isinstance(resp, wire.Error) and resp.code == wire.ERR_USAGE
+            assert bytes(tree.buckets) == before
+            assert len(host.trace) == 0
+        finally:
+            daemon.shutdown()
+
+    def test_tcp_and_inprocess_deployments_agree(self, tmp_path):
+        # over TCP each round's write-back rides with the next round's read
+        # and the query flushes the last one before it returns
+        g, result, cfg, daemon = self._spin_up(tmp_path)
+        try:
+            # the same setup in process: trees and keys from the files the
+            # daemon loaded, and the same leaf sampler seed
+            host = StorageHost()
+            for f in tree_files(tmp_path):
+                host.add_tree(TreeStorage.load(f))
+            local = TrivialClient(load_state(tmp_path / "keys.bin", TrivialState), host, rng=random.Random(3))
+            conn = TcpConnection(("127.0.0.1", daemon.port))
+            store = RemoteStore(conn)
+            remote = TrivialClient(result.client, store, rng=random.Random(3))
+            tcp_trace = daemon.server.host.trace.records
+            pairs = random.Random(11)
+            for _ in range(40):
+                u, v = pairs.randrange(6), pairs.randrange(6)
+                assert remote.query_path(u, v) == local.query_path(u, v)
+                assert store.pending is None
+                # every record of the query is on the host when it returns
+                assert len(tcp_trace) == len(host.trace.records)
+            conn.close()
+        finally:
+            daemon.shutdown()
+
+        def shape(records):
+            return [(r.msg_type, r.tree_id, r.leaf, r.byte_count) for r in records]
+
+        assert shape(tcp_trace) == shape(host.trace.records)
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0)], ids=["six-rounds", "one-round"])
+    def test_refused_write_fails_its_query(self, tmp_path, monkeypatch, pair):
+        # the first write is refused: with the second round's read, or, in
+        # a one-round query, by the flush
+        g, result, cfg, daemon = self._spin_up(tmp_path)
+        try:
+            host = daemon.server.host
+
+            def refuse(tree_id, leaf, data):
+                raise ProtocolError("storage refuses writes")
+
+            monkeypatch.setattr(host, "write_path", refuse)
+            conn = TcpConnection(("127.0.0.1", daemon.port))
+            store = RemoteStore(conn)
+            client = TrivialClient(result.client, store, rng=random.Random(3))
+            with pytest.raises(ProtocolError, match=f"server error {wire.ERR_PROTOCOL}: storage refuses writes"):
+                client.query_path(*pair)
+            assert store.pending is None
+            assert [r.msg_type for r in host.trace.records] == ["ReadPath"]
             conn.close()
         finally:
             daemon.shutdown()
