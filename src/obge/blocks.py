@@ -17,9 +17,10 @@ bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only
 decrypts at the tree and heap index it was written for.
 
 The engine holding a tree may keep its top ``cached`` levels, heap nodes
-0..2^k-2, as plaintext buckets; the host then stores only levels k..L, and
-``path_width`` is the width of the host's part of a path.  ``cached_levels``
-is the rule that sizes that cache from a byte allowance.
+0..2^k-2, itself, as held blocks (see ``oram``); the host then stores only
+levels k..L, and ``path_width`` is the width of the host's part of a path.
+``cached_levels`` is the rule that sizes k from a byte allowance, counted
+as 2^k - 1 plaintext buckets.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def unpack_block(raw: bytes, params: TreeParams) -> Block:
 @dataclass(frozen=True)
 class TreeParams:
     """Geometry of one ORAM tree: depth, bucket size, block payload width,
-    and how many top levels the engine caches as plaintext."""
+    and how many top levels the engine keeps from the host."""
 
     depth: int  # L; path holds depth+1 buckets
     bucket_size: int  # Z
@@ -107,7 +108,7 @@ class TreeParams:
 
     @cached_property
     def plain_width(self) -> int:
-        """Z serialized blocks: a cached bucket, or a bucket before encryption."""
+        """Z serialized blocks: a bucket before encryption."""
         return self.bucket_size * self.block_width
 
     @cached_property
@@ -117,8 +118,8 @@ class TreeParams:
 
     @cached_property
     def cache_nodes(self) -> int:
-        """Buckets the engine caches, heap nodes 0..2^k-2; also the heap
-        index of the host's first bucket."""
+        """Buckets of the top k levels, heap nodes 0..2^k-2, which the host
+        does not store; also the heap index of the host's first bucket."""
         return (1 << self.cached) - 1
 
     @cached_property
@@ -148,7 +149,8 @@ class TreeParams:
 
 def cached_levels(params: TreeParams, allowance: int) -> int:
     """Cache rule: the largest k <= L whose 2^k - 1 plaintext buckets fit in
-    allowance bytes."""
+    allowance bytes; the engine holds their blocks, at most that many
+    beyond its stash (``oram.held_limit``)."""
     k = 0
     while k < params.depth and ((2 << k) - 1) * params.plain_width <= allowance:
         k += 1

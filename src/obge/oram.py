@@ -3,8 +3,8 @@
 Every access, hit or miss, reads one root-to-leaf path and writes it back
 re-encrypted, so the storage owner sees a fixed-shape (read, write) pair
 per access and a leaf id that is always a fresh uniform sample.  Real
-blocks displaced from the path wait in the controller-side stash, as the
-packed bytes of their bucket slots, until a later write-back can evict them
+blocks that a write-back cannot place stay with the engine, held as the
+packed bytes of their bucket slots until a later write-back can evict them
 to a compatible bucket; an access decodes only the block it returns.
 
 The bucket is the unit of encryption: one AES-GCM ciphertext over its Z
@@ -16,18 +16,23 @@ tree fails authentication on the next access that reads it.  The binding
 does not cover freshness: the host can still put back a node's own older
 ciphertext (rollback).
 
-Tree-top cache: the engine may keep the top k levels of its tree (heap
-nodes 0..2^k-2, ``params.cached``) as plaintext buckets in ``cache``.  An
-access reads the cached buckets on its path as it reads decrypted ones,
-and eviction places blocks exactly as without the cache, storing cached
-levels' plaintext instead of encrypting it; only levels k..L cross to the
-host.  Cached buckets are still buckets, so the stash bound is unchanged.
+Held blocks: the engine may keep the top k levels of its tree
+(``params.cached``), and the host then stores only levels k..L.  Those
+levels never leave the engine, so it keeps no buckets for them: every
+block it holds, whether it would sit in a top bucket or in the stash, is
+in one of 2^k groups keyed by the top k bits of its leaf.  An access to
+path x reads the host's levels of that path into group x >> (L-k), the
+only group whose blocks may go on them, searches that group alone, moves
+the remapped block to its new leaf's group, and evicts the group into
+levels k..L, leaf first; what does not fit stays held.  The host sees the
+reads and writes it would see with the top levels kept as buckets.  At
+k=0 there is one group, the stash.  ``held_limit`` bounds the held blocks
+at the memory of the stash and the 2^k - 1 top buckets together.
 
-The engine is the only holder of its stash and cache.  ``oram_init``
-builds it with its tree, a state file's loader builds it from the saved
-contents, and a deployment only gives it a store and a leaf sampler; a
-party's state holds the engine itself, so saving the state writes what
-the last access left.
+The engine is the only holder of its held blocks.  ``oram_init`` builds it
+with its tree, a state file's loader builds it from the saved blocks, and a
+deployment only gives it a store and a leaf sampler; a party's state holds
+the engine itself, so saving the state writes what the last access left.
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ from .storage import TreeStorage
 DEFAULT_STASH_MAX = 128
 
 
+def held_limit(params: TreeParams, stash_max: int) -> int:
+    """Most blocks an engine may hold: the stash allowance plus the Z slots
+    of each of the 2^k - 1 top buckets whose place the held blocks take."""
+    return stash_max + params.bucket_size * params.cache_nodes
+
+
 class PathOram:
     """Controller-side access logic for one tree.
 
@@ -53,8 +64,9 @@ class PathOram:
     dummy rounds.
     Position lookup is the caller's job: access takes the block's current
     leaf (or None for a dummy round) and the fresh leaf it should move to.
-    One access may be in flight at a time.  cache holds the plaintext of
-    the 2^k - 1 cached buckets, heap nodes in order.
+    One access may be in flight at a time.  held[g] holds the blocks whose
+    leaf has top k bits g; held_count is their total and max_stash_seen
+    its peak.
     """
 
     def __init__(
@@ -62,25 +74,26 @@ class PathOram:
         tree_id: int,
         params: TreeParams,
         cipher: Cipher,
-        stash: list[bytes],
-        cache: list[bytes],
+        held: list[bytes],
         stash_max: int = DEFAULT_STASH_MAX,
     ):
         self.tree_id = tree_id
         self.params = params
         self.store = None
         self.cipher = cipher
-        self.stash = stash
-        self.cache = cache
-        if len(cache) != params.cache_nodes:
-            raise ValueError(
-                f"tree {tree_id}: cache of {len(cache)} buckets, "
-                f"{params.cached} cached levels need {params.cache_nodes}"
-            )
-        self.stash_max = stash_max
+        shift, hw = params.depth - params.cached, params.head_width
+        self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
+        for blk in held:
+            self.held[TAIL.unpack_from(blk, hw)[0] >> shift].append(blk)
+        self.held_count = len(held)
+        self.held_max = held_limit(params, stash_max)
         self.rng = None
-        self.max_stash_seen = len(self.stash)
+        self.max_stash_seen = len(held)
         self.access_count = 0
+
+    def held_blocks(self) -> list[bytes]:
+        """Every held block, group by group."""
+        return [blk for group in self.held for blk in group]
 
     def access(
         self,
@@ -92,96 +105,95 @@ class PathOram:
         """One oblivious access.
 
         With a token and its current leaf: fetch the path, pull the block
-        into the stash, remap it to new_leaf, optionally rewrite its
-        payload, evict, and return it.  With tk or cur_leaf None: a dummy
-        round over a uniformly random path with identical wire shape,
-        returning None.
+        from the path or its held group, remap it to new_leaf, optionally
+        rewrite its payload, evict, and return it.  With tk or cur_leaf
+        None: a dummy round over a uniformly random path with identical
+        wire shape, returning None.
         """
         p = self.params
         is_real = tk is not None and cur_leaf is not None
         if is_real and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
         x = cur_leaf if is_real else self.rng.randrange(p.leaves)
-        nodes = p.path_nodes(x)
-        k = p.cached
-        ads = [bucket_ad(self.tree_id, node) for node in nodes[k:]]
+        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(x, p.cached)]
         raw = self.store.read_path(self.tree_id, x)
         if len(raw) != p.path_width:
             raise IntegrityError(
                 f"tree {self.tree_id}: path read of {len(raw)} bytes, expected {p.path_width}"
             )
 
-        stash = self.stash
+        shift = p.depth - p.cached
+        group = self.held[x >> shift]
+        before = len(group)
         bw, cw = p.block_width, p.bucket_width
         ends = range(bw, p.plain_width + 1, bw)  # each slot ends in its flag byte
-        # root to leaf: the cached levels, then the host's; two loops keep a
-        # per-level test off the path
-        for node in nodes[:k]:
-            plain = self.cache[node]
-            for end in ends:
-                if plain[end - 1]:  # dummies stay behind
-                    stash.append(plain[end - bw : end])
         decrypt = self.cipher.decrypt
         for i, ad in enumerate(ads):
             plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
             for end in ends:
-                if plain[end - 1]:
-                    stash.append(plain[end - bw : end])
+                if plain[end - 1]:  # dummies stay behind
+                    group.append(plain[end - bw : end])
 
         found: Block | None = None
+        moved = 0
         if is_real:
-            for i, blk in enumerate(stash):
+            for i, blk in enumerate(group):
                 if blk[TOKEN] == tk:
                     break
             else:
-                raise IntegrityError("mapped block missing from its path and stash")
+                raise IntegrityError("mapped block missing from its path and held blocks")
             found = unpack_block(blk, p)
             found.leaf = new_leaf
             if update_payload is not None:
                 found.payload = update_payload(found.payload)
-            stash[i] = found.pack(p)
+            if new_leaf >> shift == x >> shift:
+                group[i] = found.pack(p)
+            else:  # its new path leaves this one above level k
+                del group[i]
+                self.held[new_leaf >> shift].append(found.pack(p))
+                moved = 1
 
-        self._evict_and_write(x, nodes, ads)
+        left = self._evict_and_write(x, group, ads)
+        self.held[x >> shift] = left
+        self.held_count += len(left) - before + moved
         self.access_count += 1
-        if len(self.stash) > self.stash_max:
-            raise StashOverflowError(f"stash holds {len(self.stash)} blocks, limit {self.stash_max}")
-        self.max_stash_seen = max(self.max_stash_seen, len(self.stash))
+        if self.held_count > self.held_max:
+            raise StashOverflowError(
+                f"tree {self.tree_id}: {self.held_count} held blocks, limit {self.held_max}"
+            )
+        if self.held_count > self.max_stash_seen:
+            self.max_stash_seen = self.held_count
         return found
 
-    def _evict_and_write(self, x: int, nodes: list[int], ads: list[bytes]) -> None:
-        """Greedy write-back: place stash blocks in the deepest bucket of
-        the path to x that their own leaf also passes through.
+    def _evict_and_write(self, x: int, group: list[bytes], ads: list[bytes]) -> list[bytes]:
+        """Greedy write-back of x's group into the host's levels k..L of the
+        path to x; returns the blocks that stay held.
 
-        One pass sorts the stash by that deepest level, the depth minus the
-        bit length of leaf XOR x; the buckets then fill from the leaf up,
-        and blocks that do not fit carry toward the root, where every block
-        is eligible.  What is left after the root stays in the stash.
-        Levels below k go to the cache as plaintext; the rest are encrypted
-        under ads, which starts at level k, and written to the host.
+        Each block goes to the deepest bucket of the path that its own leaf
+        also passes through, level L minus the bit length of leaf XOR x,
+        which the group's shared top k bits keep at k or below.  One pass
+        sorts the group by that level; the buckets then fill from the leaf
+        up, and blocks that do not fit carry toward level k.  Each bucket is
+        encrypted under its entry of ads, level k first.
         """
         p = self.params
-        depth, z, hw, k = p.depth, p.bucket_size, p.head_width, p.cached
+        z, hw, top = p.bucket_size, p.head_width, p.host_levels - 1
         tail_at = TAIL.unpack_from
-        by_level: list[list[bytes]] = [[] for _ in range(depth + 1)]
-        for blk in self.stash:
-            by_level[depth - (tail_at(blk, hw)[0] ^ x).bit_length()].append(blk)
+        by_level: list[list[bytes]] = [[] for _ in range(top + 1)]  # index 0 is level k
+        for blk in group:
+            by_level[top - (tail_at(blk, hw)[0] ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
         fills = p.dummy_fills
         carry: list[bytes] = []
-        buckets: list[bytes] = []  # the host's levels, leaf first
-        for level, ad in zip(range(depth, k - 1, -1), reversed(ads)):
-            carry += by_level[level]
+        buckets: list[bytes] = []  # leaf first
+        for level, ad in zip(reversed(by_level), reversed(ads)):
+            carry += level
             picked = carry[:z]
             del carry[:z]
             buckets.append(encrypt(b"".join(picked) + fills[z - len(picked)], ad))
-        for level in range(k - 1, -1, -1):  # then the cached levels
-            carry += by_level[level]
-            picked = carry[:z]
-            del carry[:z]
-            self.cache[nodes[level]] = b"".join(picked) + fills[z - len(picked)]
-        self.stash = carry
         buckets.reverse()
         self.store.write_path(self.tree_id, x, b"".join(buckets))
+        return carry
 
 
 def oram_init(
@@ -196,12 +208,12 @@ def oram_init(
     blocks, given as heads, and the engine over it.
 
     Each block gets an independent uniform leaf in its tail and is placed
-    in the deepest free bucket on that leaf's path, overflowing into the
-    engine's stash.  Free slots hold dummies.  The top params.cached levels
-    (at most the depth) stay plaintext in the engine's cache; every other
-    bucket, empty or not, is one ciphertext bound to (tree_id, node) and
-    goes to the host's TreeStorage.  A head of the wrong width would shift
-    its bucket's later slots: ValueError.
+    in the deepest free bucket on that leaf's path among the host's levels
+    k..L (k = params.cached, at most the depth); a block they cannot take
+    is held by the engine.  Free slots hold dummies.  Every host bucket,
+    empty or not, is one ciphertext bound to (tree_id, node) and goes to
+    the host's TreeStorage.  A head of the wrong width would shift its
+    bucket's later slots: ValueError.
 
     Returns (engine, TreeStorage, leaf assignment per head); the engine has
     no store yet.
@@ -209,23 +221,23 @@ def oram_init(
     bucket_size = params.bucket_size
     if not 0 <= params.cached <= params.depth:
         raise ValueError(f"cannot cache {params.cached} levels of a depth-{params.depth} tree")
-    if len(heads) > params.node_count * bucket_size + stash_max:
+    limit = held_limit(params, stash_max)
+    if len(heads) > params.host_nodes * bucket_size + limit:
         raise CapacityError(
-            f"{len(heads)} blocks exceed tree capacity "
-            f"{params.node_count * bucket_size} plus stash {stash_max}"
+            f"{len(heads)} blocks exceed {params.host_nodes * bucket_size} host slots plus {limit} held"
         )
 
     leaves = [rng.randrange(params.leaves) for _ in heads]
     placed: dict[int, list[bytes]] = {}
-    stash: list[bytes] = []
-    first_leaf = params.leaves - 1  # heap index of leaf 0
+    held: list[bytes] = []
+    first_leaf, first = params.leaves - 1, params.cache_nodes  # heap indices of leaf 0 and of level k
     hw, tail = params.head_width, TAIL.pack
     for head, leaf in zip(heads, leaves):
         if len(head) != hw:
             raise ValueError(f"block head is {len(head)} bytes, tree expects {hw}")
         blk = head + tail(leaf, 1)
         node = first_leaf + leaf
-        while True:  # leaf bucket first, then up toward the root
+        while node >= first:  # leaf bucket first, then up toward level k
             slot_list = placed.get(node)
             if slot_list is None:
                 placed[node] = [blk]
@@ -233,57 +245,60 @@ def oram_init(
             if len(slot_list) < bucket_size:
                 slot_list.append(blk)
                 break
-            if node == 0:
-                stash.append(blk)
-                break
             node = (node - 1) >> 1
-    if len(stash) > stash_max:
-        raise CapacityError(f"initial placement overflowed the stash ({len(stash)} blocks)")
-
-    bw, first = params.bucket_width, params.cache_nodes
-    buckets = bytearray(params.host_nodes * bw)
-    cache: list[bytes] = []
-    fills = params.dummy_fills
-    for node in range(params.node_count):
-        picked = placed.get(node, ())
-        plain = b"".join(picked) + fills[bucket_size - len(picked)]
-        if node < first:
-            cache.append(plain)
         else:
-            at = (node - first) * bw
-            buckets[at : at + bw] = cipher.encrypt(plain, bucket_ad(tree_id, node))
+            held.append(blk)
+    if len(held) > limit:
+        raise CapacityError(f"initial placement left {len(held)} blocks held, limit {limit}")
+
+    bw = params.bucket_width
+    buckets = bytearray(params.host_nodes * bw)
+    fills = params.dummy_fills
+    for node in range(first, params.node_count):
+        picked = placed.get(node, ())
+        at = (node - first) * bw
+        buckets[at : at + bw] = cipher.encrypt(
+            b"".join(picked) + fills[bucket_size - len(picked)], bucket_ad(tree_id, node)
+        )
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
-    return PathOram(tree_id, params, cipher, stash, cache, stash_max), tree, leaves
+    return PathOram(tree_id, params, cipher, held, stash_max), tree, leaves
 
 
 def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:
-    """Debug walker: read the engine's cached buckets and decrypt the host's
-    with its cipher, and confirm every block named in leaf_of (token ->
-    mapped leaf) sits either in the engine's stash or on the path to its
-    mapped leaf."""
-    p, cipher, stash, cache = tree.params, engine.cipher, engine.stash, engine.cache
-    bw = p.block_width
+    """Debug walker: decrypt the host's buckets with the engine's cipher and
+    confirm that every held block sits in the group of its leaf's top k
+    bits, that held_count counts them, that no token is stored twice, held
+    and on the host included, and that every block named in leaf_of (token
+    -> mapped leaf) is held or on the path to its mapped leaf."""
+    p, cipher = tree.params, engine.cipher
+    bw, hw, shift = p.block_width, p.head_width, p.depth - p.cached
+    if len(engine.held) != 1 << p.cached:
+        raise AssertionError(f"{len(engine.held)} held groups for {p.cached} cached levels")
+    held: set[bytes] = set()
+    for g, group in enumerate(engine.held):
+        for blk in group:
+            if TAIL.unpack_from(blk, hw)[0] >> shift != g:
+                raise AssertionError("held block outside its leaf's group")
+            if blk[TOKEN] in held:
+                raise AssertionError("token held twice")
+            held.add(blk[TOKEN])
+    if engine.held_count != len(held):
+        raise AssertionError(f"held_count {engine.held_count}, but {len(held)} blocks held")
     located: dict[bytes, int] = {}
-    for node in range(p.node_count):
-        if node < p.cache_nodes:
-            plain = cache[node]
-        else:
-            plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
+    for node in range(p.cache_nodes, p.node_count):
+        plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
         for end in range(bw, len(plain) + 1, bw):
             if plain[end - 1]:
                 tk = plain[end - bw : end][TOKEN]
-                if tk in located:
-                    raise AssertionError("token stored twice in the tree")
+                if tk in located or tk in held:
+                    raise AssertionError("token stored twice")
                 located[tk] = node
-    stash_tokens = {b[TOKEN] for b in stash}
-    if len(stash_tokens) != len(stash):
-        raise AssertionError("token appears twice in the stash")
     for tk, leaf in leaf_of.items():
-        if tk in stash_tokens:
+        if tk in held:
             continue
         node = located.get(tk)
         if node is None:
-            raise AssertionError("mapped block absent from tree and stash")
+            raise AssertionError("mapped block absent from tree and held blocks")
         if node not in p.path_nodes(leaf):
             raise AssertionError("block stored off the path to its mapped leaf")

@@ -14,18 +14,19 @@ differ only in where the engine runs:
 
 * trivial  -- the client hosts it and drives every access over its store
   connection; the position map is flat, and the client also keeps the top
-  levels of the data tree as plaintext buckets (the tree-top cache), as
-  many as fit in the memory its flat map is counted at.
+  levels of the data tree (the tree-top cache), as many as fit, as
+  buckets, in the memory its flat map is counted at; their blocks are
+  held by the engine (see ``oram``).
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel.  The
   position map is flat or a recursive ORAM chain, whichever fits the
   configured memory budget; the budget leaves nothing for a tree-top
-  cache, so the host holds every level.
+  cache, so the host holds every level and the engine holds only a stash.
 
 The party that hosts the engine holds its ORAM engines in its state: the
-data tree's PathOram, which owns the data stash and cached buckets, and the
-map with its level engines.  Each is built once, by setup with its tree or
+data tree's PathOram, which owns the blocks it holds, and the map with its
+level engines.  Each is built once, by setup with its tree or
 by load_state from the file; a QueryEngine over the state only attaches a
 store and a leaf sampler, so saving the state writes what the last query
 left.
@@ -41,19 +42,20 @@ and the parameter block, followed by
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
-The engine state -- data stash, the data tree's cached buckets, each
-position-map level's stash and the map's top array -- has one codec and
-stores no shape: load_state validates the parameter block and derives the
-cached levels (``cached_levels``) and the map's shape (``map_shape``) from
-it, as setup does.  A stash is a block count and the packed blocks, each
-checked on load to be real and mapped to a leaf of its tree.  The cache is
-the 2^k - 1 plaintext buckets in heap order; each slot must be a dummy or a
-real block mapped to a leaf of the data tree.  The top is its entries as
-big-endian 8-byte words, each a leaf of the tree it points into: the data
-tree in a flat map, where ABSENT is allowed too, and the last level's tree
-in a chain.  Files are replaced atomically and readable by
-their owner only; a file of an older version, of a party the caller did not
-ask for, or with a parameter block setup would refuse raises ProtocolError.
+The engine state -- the data tree's held blocks, each position-map
+level's stash and the map's top array -- has one codec and stores no
+shape: load_state validates the parameter block and derives the cached
+levels (``cached_levels``) and the map's shape (``map_shape``) from it, as
+setup does.  Held blocks and a stash are stored alike: a block count and
+the packed blocks, group by group, each checked on load to be real and
+mapped to a leaf of its tree, and the count checked against the engine's
+``held_limit``; the engine rebuilds its groups from the leaves.  The top
+is its entries as big-endian 8-byte words, each a leaf of the tree it
+points into: the data tree in a flat map, where ABSENT is allowed too, and
+the last level's tree in a chain.  Files are replaced atomically and
+readable by their owner only; a file of an older version, of a party the
+caller did not ask for, or with a parameter block setup would refuse raises
+ProtocolError.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .blocks import (
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
+from .oram import DEFAULT_STASH_MAX, PathOram, held_limit, oram_init
 from .recursive import ENTRY_BYTES, RecursivePM, big_endian, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
@@ -145,7 +147,7 @@ class SchemeParams:
 @dataclass
 class TrivialState:
     """Everything the client keeps in the trivial deployment: the keys, the
-    flat position map and the data tree's engine (stash and cached buckets)."""
+    flat position map and the data tree's engine with its held blocks."""
 
     keys: KeySet
     params: SchemeParams
@@ -366,11 +368,10 @@ class EnclaveController:
         return self.session.encrypt(blob)
 
     def resident_bytes(self) -> int:
-        """Controller-resident bytes: position state, data stash and cache, keys."""
+        """Controller-resident bytes: position state, held data blocks, keys."""
         key_bytes = len(self.state.k2) + len(self.state.kprf) + len(self.state.session_key)
         oram = self.state.oram
-        data_bytes = len(oram.stash) * oram.params.block_width + len(oram.cache) * oram.params.plain_width
-        return self.state.positions.resident_bytes() + data_bytes + key_bytes
+        return self.state.positions.resident_bytes() + oram.held_count * oram.params.block_width + key_bytes
 
 
 class EnhancedClient:
@@ -404,11 +405,12 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 5 stored the map's shape and (index, leaf) pairs; version 4 had no
-# tree-top cache; version 3 kept the trivial client's engine state in a file
-# of its own and gave controller.bin its own magic; version 2 blocks carried
-# the next hop's token
-STATE_VERSION = 6
+# version 6 stored the tree-top cache as 2^k - 1 plaintext buckets after a
+# stash; version 5 stored the map's shape and (index, leaf) pairs; version 4
+# had no tree-top cache; version 3 kept the trivial client's engine state in
+# a file of its own and gave controller.bin its own magic; version 2 blocks
+# carried the next hop's token
+STATE_VERSION = 7
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -445,50 +447,33 @@ class _Reader:
 _COUNT = struct.Struct(">I")
 
 
-def _pack_counted(items: list[bytes]) -> bytes:
-    """A stash: the count, then the fixed-width blocks."""
-    return _COUNT.pack(len(items)) + b"".join(items)
+def _pack_held(engine: PathOram) -> bytes:
+    """An engine's held blocks: the count, then the fixed-width blocks."""
+    held = engine.held_blocks()
+    return _COUNT.pack(len(held)) + b"".join(held)
 
 
-def _unpack_stash(r: _Reader, params: TreeParams, tree_id: int) -> list[bytes]:
-    """Inverse of _pack_counted for a stash.  A block flagged as a dummy, or
-    mapped past the tree's last leaf (eviction would put it off its path),
-    is refused."""
+def _unpack_held(r: _Reader, params: TreeParams, tree_id: int, limit: int) -> list[bytes]:
+    """Inverse of _pack_held.  A count above the engine's limit, a block
+    flagged as a dummy, and a block mapped past the tree's last leaf
+    (eviction would put it off its path) are refused."""
     (count,) = r.unpack(_COUNT)
-    stash = [r.take(params.block_width) for _ in range(count)]
-    for blk in stash:
+    if count > limit:
+        raise ProtocolError(f"{r.what}: tree {tree_id} holds {count} blocks, limit {limit}")
+    held = [r.take(params.block_width) for _ in range(count)]
+    for blk in held:
         leaf, flag = TAIL.unpack_from(blk, params.head_width)
         if flag != 1 or leaf >= params.leaves:
-            raise ProtocolError(f"{r.what}: bad tree {tree_id} stash block (flag {flag}, leaf {leaf} of {params.leaves})")
-    return stash
-
-
-def _unpack_cache(r: _Reader, tp: TreeParams, tree_id: int) -> list[bytes]:
-    """A tree's cached buckets, 2^k - 1 of them for k cached levels.  A
-    slot flag other than 0 or 1, or a real slot mapped past the last leaf,
-    is refused, naming the node."""
-    pw, bw, hw = tp.plain_width, tp.block_width, tp.head_width
-    raw = r.take(tp.cache_nodes * pw)
-    cache = [raw[i * pw : (i + 1) * pw] for i in range(tp.cache_nodes)]
-    for node, plain in enumerate(cache):
-        for at in range(hw, pw, bw):
-            leaf, flag = TAIL.unpack_from(plain, at)
-            if flag > 1 or (flag and leaf >= tp.leaves):
-                raise ProtocolError(
-                    f"{r.what}: bad cached node {node} of tree {tree_id} "
-                    f"(flag {flag}, leaf {leaf} of {tp.leaves})"
-                )
-    return cache
+            raise ProtocolError(f"{r.what}: bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {params.leaves})")
+    return held
 
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
-    """Engine state: the data stash and the data tree's cached buckets, each
-    level's stash (level trees cache nothing), then the top array's
+    """Engine state: the data tree's held blocks, each level's (level trees
+    cache nothing, so these are their stashes), then the top array's
     entries."""
     positions = state.positions
-    parts = []
-    for engine in (state.oram, *positions.levels):
-        parts += [_pack_counted(engine.stash), *engine.cache]
+    parts = [_pack_held(engine) for engine in (state.oram, *positions.levels)]
     parts.append(big_endian(positions.top).tobytes())
     return b"".join(parts)
 
@@ -503,8 +488,8 @@ def _unpack_engine(
     level_shapes, top_width = shape
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:
-        stash = _unpack_stash(r, tp, tree_id)
-        return PathOram(tree_id, tp, cipher, stash, _unpack_cache(r, tp, tree_id), params.stash_max)
+        held = _unpack_held(r, tp, tree_id, held_limit(tp, params.stash_max))
+        return PathOram(tree_id, tp, cipher, held, params.stash_max)
 
     oram = engine(DATA_TREE_ID, params.data_params)
     levels = [engine(tree_id, tp) for tree_id, (_, tp) in enumerate(level_shapes, DATA_TREE_ID + 1)]

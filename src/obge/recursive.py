@@ -119,7 +119,7 @@ class RecursivePM:
         """Resident state: the top array plus all level stashes."""
         total = len(self.top) * ENTRY_BYTES
         for engine in self.levels:
-            total += len(engine.stash) * engine.params.block_width
+            total += engine.held_count * engine.params.block_width
         return total
 
     def get_and_remap(self, addr: int) -> tuple[int, int]:

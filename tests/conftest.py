@@ -59,6 +59,12 @@ def chain_engine(keys, chains, length, rng, Z=5, stash_max=128, cached=0):
     the one setup would derive for the scheme parameters, so any `cached`
     can be chosen.  Returns (engine, host, tree, blocks, addrs)."""
     n, blocks, addrs = chain_blocks(keys, chains, length)
+    return trivial_engine(keys, n, blocks, addrs, rng, Z, stash_max, cached)
+
+
+def trivial_engine(keys, n, blocks, addrs, rng, Z=5, stash_max=128, cached=0):
+    """chain_engine's engine over any block heads of an n-vertex graph and
+    their dense addresses, such as build_blocks makes."""
     k2 = Cipher(keys.k2)
     tp = data_tree(len(blocks), Z, cached)
     oram, tree, leaves = oram_init(blocks, tp, k2, rng, stash_max)

@@ -182,23 +182,27 @@ def test_access_pattern_indistinguishability():
 def _stash_bound_z5_depth12(cached: int) -> None:
     """10^5 accesses on a maximally packed depth-12 tree, made by the query
     engine over a flat position map, with the top `cached` levels in the
-    engine: observed stash occupancy stays at most 64 and never trips
-    stash_max=128.  The blocks form 160 chains of 128 hops; each query walks
-    one whole chain and ends with one miss round, so 128 of every 129
-    accesses remap a real block."""
+    engine: the blocks it holds peak at most at 64 plus the Z(2^k - 1)
+    slots of the top buckets, at k=0 a stash of at most 64, and never trip
+    the limit of stash_max=128 plus those slots.  The blocks form 160
+    chains of 128 hops; each query walks one whole chain and ends with one
+    miss round, so 128 of every 129 accesses remap a real block."""
     rng = random.Random(0x57A5)
     keys = keygen(128)
     chains, length = 160, 128  # 5 * 4096 blocks fill every slot depth 12 budgets for
     engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, stash_max=128, cached=cached)
     assert tree.params.depth == 12 and tree.params.cached == cached
     oram = engine.oram
+    top_slots = 5 * ((1 << cached) - 1)
+    assert oram.held_max == 128 + top_slots
     while oram.access_count < 100_000:
         engine.query(0, length + rng.randrange(chains))
-    assert oram.max_stash_seen <= 64, f"stash peaked at {oram.max_stash_seen}"
+    bound = 64 + top_slots
+    assert oram.max_stash_seen <= bound, f"held blocks peaked at {oram.max_stash_seen}"
     _report(
         "stash-bound",
         f"Z=5, depth 12, {cached} cached levels, {chains * length} blocks, "
-        f"{oram.access_count} accesses, max stash {oram.max_stash_seen} <= 64",
+        f"{oram.access_count} accesses, peak held {oram.max_stash_seen} <= {bound}",
     )
 
 
@@ -207,7 +211,8 @@ def test_stash_bound_z5_depth12():
 
 
 def test_stash_bound_z5_depth12_cached_top():
-    # cached buckets are still buckets: eviction, and so the bound, is unchanged
+    # the top 63 buckets' 315 slots are held blocks too: the bound counts
+    # them at the memory they took as buckets
     _stash_bound_z5_depth12(cached=6)
 
 

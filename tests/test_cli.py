@@ -295,6 +295,8 @@ class TestServeSignals:
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
         flushed = (out / "tree_000.bin").read_bytes()
         assert flushed != original_tree  # the query's write-backs were persisted

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from scipy import stats
@@ -7,12 +8,12 @@ from obge.bench import chain_graph
 from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, cached_levels, tree_depth_for
 from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
-from obge.graph import spath_oracle
+from obge.graph import PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
-from obge.protocol import QueryEngine, TrivialState, reveal, setup
+from obge.protocol import QueryEngine, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine, data_tree, random_graph
+from conftest import chain_blocks, chain_engine, data_tree, random_graph, trivial_engine
 
 
 def build(keys, count, rng, **kw):
@@ -62,7 +63,7 @@ class TestSizing:
         k2 = Cipher(keys.k2)
         engine, tree, leaves = oram_init([], data_tree(0), k2, rng)
         assert tree.params.depth == 0 and tree.params.node_count == 1
-        assert leaves == [] and engine.stash == []
+        assert leaves == [] and engine.held == [[]] and engine.held_count == 0
 
     def test_pad_full_four_vertices(self, rng, four_vertex_directed):
         # capacity must cover |V|^2 - |V| = 12 real slots even with fewer blocks
@@ -318,8 +319,9 @@ class TestBucketBinding:
 
 
 class TestTreeTopCache:
-    """The engine keeps the top k levels as plaintext buckets; the host
-    stores and moves only levels k..L."""
+    """The engine keeps the top k levels, as held blocks in 2^k groups by
+    the top k bits of their leaves; the host stores and moves only levels
+    k..L."""
 
     def test_rule_at_the_benchmark_scale(self):
         # the |V|=200 data tree: depth 13, 345-byte bucket plaintext, and a
@@ -347,7 +349,7 @@ class TestTreeTopCache:
         assert result.trees[0].params.cached == k
         party = result.client if mode == "trivial" else result.controller
         assert party.oram.params == result.trees[0].params
-        assert len(party.oram.cache) == (1 << k) - 1
+        assert len(party.oram.held) == 1 << k
 
     def test_host_holds_and_moves_only_the_uncached_levels(self, rng):
         g = random_graph(rng, 40, 0.1)
@@ -385,13 +387,79 @@ class TestTreeTopCache:
             oram.access(None, None, None)
 
     def test_cache_must_match_the_cached_levels(self, rng):
+        # k=2 of depth 3: four groups, group g holding the blocks whose leaf
+        # has top two bits g, and an engine built from the held blocks
+        # alone regroups them alike; k past the depth is refused
         keys = keygen(128)
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)  # depth 3
+        engine, tree, leaves = oram_init(make_blocks(keys, 40), params, k2, AllZero())
+        assert len(engine.held) == 4 and set(leaves) == {0}
+        # 40 blocks on the path to leaf 0: 10 fit in its two host buckets
+        assert engine.held_count == 30 and [len(g) for g in engine.held] == [30, 0, 0, 0]
+        verify_placement(tree, engine, {b[:16]: 0 for b in engine.held_blocks()})
         engine, _, _ = oram_init(make_blocks(keys, 40), params, k2, rng)
-        cache = engine.cache
-        assert len(cache) == 3 and all(len(b) == params.plain_width for b in cache)
-        with pytest.raises(ValueError, match="cache of 2 buckets"):
-            PathOram(0, params, k2, engine.stash, cache[:2])
+        rebuilt = PathOram(0, params, k2, engine.held_blocks())
+        assert rebuilt.held == engine.held and rebuilt.held_count == engine.held_count
         with pytest.raises(ValueError, match="cannot cache 4 levels"):
             oram_init(make_blocks(keys, 40), data_tree(40, cached=4), k2, rng)
+
+
+class TestHeldBlocks:
+    """Blocks the engine holds sit in the group of their leaf's top k bits;
+    an access searches and evicts only the group of its path."""
+
+    @pytest.mark.parametrize("k", ["0", "1", "L"])
+    def test_answers_match_the_oracle(self, rng, k):
+        g = random_graph(rng, 12, 0.25)
+        keys = keygen(128)
+        heads, addrs = build_blocks(g, keys)
+        depth = tree_depth_for(len(heads), 5)
+        cached = {"0": 0, "1": 1, "L": depth}[k]
+        engine, host, tree, _, _ = trivial_engine(keys, 12, heads, addrs, rng, cached=cached)
+        assert tree.params.depth == depth >= 3 and tree.params.cached == cached
+        oracle = PathOracle(g)
+        for u in range(12):
+            for v in range(12):
+                assert reveal(engine.query(u, v), u, v, keys.k1) == oracle.path(u, v), (u, v)
+        widths = {r.byte_count for r in host.trace.records}
+        assert widths == {(depth + 1 - cached) * tree.params.bucket_width}
+        verify_placement(tree, engine.oram, leaf_of(engine, heads, addrs))
+
+    def test_held_count_follows_moves_between_groups(self, rng):
+        # k=2: a remap usually moves the block to another group; the count
+        # stays the number of blocks held, and the peak bounds it
+        keys = keygen(128)
+        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        oram = engine.oram
+        for _ in range(30):
+            run_queries(engine, rng, oram.access_count + 20)
+            assert oram.held_count == sum(len(g) for g in oram.held) <= oram.max_stash_seen
+            verify_placement(tree, oram, leaf_of(engine, blocks, addrs))
+        assert oram.max_stash_seen <= oram.held_max == 128 + 5 * 3
+
+    def test_verify_placement_rejects_misplaced_held_blocks(self, rng):
+        keys = keygen(128)
+        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        run_queries(engine, rng, 100)
+        oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)
+        g = next(i for i, group in enumerate(oram.held) if group)
+        blk = oram.held[g].pop()
+        with pytest.raises(AssertionError, match="held_count"):
+            verify_placement(tree, oram, mapped)
+        oram.held[(g + 1) % 4].append(blk)
+        with pytest.raises(AssertionError, match="outside its leaf's group"):
+            verify_placement(tree, oram, mapped)
+        oram.held[(g + 1) % 4].pop()
+        oram.held_count -= 1
+        with pytest.raises(AssertionError, match="absent from tree and held blocks"):
+            verify_placement(tree, oram, mapped)
+        # a copy of a block the host stores, held as well
+        on_host = next(tk for tk in mapped if all(b[:16] != tk for grp in oram.held for b in grp))
+        copy = next(b for b in blocks if b[:16] == on_host)
+        leaf = mapped[on_host]
+        oram.held[g].append(blk)
+        oram.held[leaf >> (tree.params.depth - 2)].append(copy + struct.pack(">QB", leaf, 1))
+        oram.held_count += 2
+        with pytest.raises(AssertionError, match="stored twice"):
+            verify_placement(tree, oram, mapped)

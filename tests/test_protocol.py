@@ -243,7 +243,7 @@ class TestPersistence:
         assert fresh.keys == result.keys
         assert fresh.positions.top == result.client.positions.top
         assert fresh.positions.levels == []
-        assert fresh.oram.stash == result.client.oram.stash
+        assert fresh.oram.held == result.client.oram.held
         assert fresh.oram.params == result.trees[0].params
 
     def test_controller_round_trip_preserves_answers(self, tmp_path, rng):
@@ -267,37 +267,39 @@ class TestPersistence:
         pairs = [(u, v) for u in range(20) for v in range(20)]
         for u, v in pairs:
             client.query_path(u, v)
-            if levels[0].stash:
+            if levels[0].held_count:
                 break
-        saved_stash = list(levels[0].stash)
+        saved_stash = levels[0].held_blocks()
         assert saved_stash, "no level stash to persist"
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
         state = load_state(path, ControllerState)
-        assert state.positions.levels[0].stash == saved_stash
-        assert state.oram.stash == server.controller.state.oram.stash
+        assert state.positions.levels[0].held == [saved_stash]
+        assert state.oram.held == server.controller.state.oram.held
         assert state.positions.top == server.controller.state.positions.top
         client2 = redeploy(host, state, result.client)
         for u, v in pairs:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 6, party 0; the
+        # the trivial client's keys.bin: magic, version 7, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
-        # depth); k1 k2 kprf; then the engine state: the data stash (count,
-        # then per block tk, next address, payload, leaf and flag 1), the
-        # 2^k - 1 cached buckets (per bucket its Z slots in the same layout,
-        # a dummy slot all zero), then the flat map's |V|^2 leaves, ABSENT
-        # where no block is stored; no count or shape is stored
+        # depth); k1 k2 kprf; then the engine state: the data tree's held
+        # blocks (count, then per block tk, next address, payload, leaf and
+        # flag 1, group by group), then the flat map's |V|^2 leaves, ABSENT
+        # where no block is stored; no shape is stored
         result, _, _, client = deploy(chain_graph(8), "trivial")
         state = result.client
         for u in range(7):
             client.query(u, 7)
-        # one more stash block, packed by hand: tk 11.., next address 7, leaf 1
-        stash = state.oram.stash
-        stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 1, 1))
         depth = result.params.data_depth
-        assert result.params.data_params.cached == 1 and len(state.oram.cache) == 1
+        oram = state.oram
+        assert result.params.data_params.cached == 1 and len(oram.held) == 2
+        # one more held block, packed by hand: tk 11.., next address 7, in
+        # the second group at its last leaf
+        leaf = (1 << depth) - 1
+        oram.held[1].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, 1))
+        stash = oram.held_blocks()
 
         def slots(raw):
             out = b""
@@ -305,10 +307,9 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x06\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x07\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
-        want += slots(state.oram.cache[0])
         assert len(state.positions.top) == 64
         for leaf in state.positions.top:
             want += struct.pack(">Q", leaf)
@@ -316,51 +317,86 @@ class TestPersistence:
         save_state(path, state)
         assert path.read_bytes() == want
         fresh = load_state(path, TrivialState)
-        assert fresh.positions.top == state.positions.top and fresh.oram.stash == stash
+        assert fresh.positions.top == state.positions.top and fresh.oram.held == oram.held
 
     @pytest.mark.parametrize("bad", ["dummy-flag", "leaf-past-tree"])
     def test_bad_stash_block_is_rejected(self, tmp_path, four_vertex_directed, bad):
-        # a stash block flagged as a dummy would vanish, and one mapped to
-        # leaf 2^L would be evicted into whichever path is written next
+        # with no cached levels the held blocks are a stash.  A block
+        # flagged as a dummy would vanish, and one mapped to leaf 2^L would
+        # be evicted into whichever path is written next
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         state = result.client
+        assert result.params.data_params.cached == 0
         leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
-        state.oram.stash.append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
+        state.oram.held[0].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
         path = tmp_path / "keys.bin"
         save_state(path, state)
-        with pytest.raises(ProtocolError, match="bad tree 0 stash block"):
+        with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
             load_state(path, TrivialState)
 
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
-        # the trivial client's cached buckets, as eviction left them, come
-        # back unchanged, and the engine built over them answers as before
+        # the blocks the trivial client holds for its cached level, as
+        # eviction left them, come back byte for byte in the same groups,
+        # and the engine built over them answers as before
         g = chain_graph(11)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
         assert result.params.data_params.cached == 1
         for u in range(10):
             client.query(u, 10)
+            if state.oram.held_count:
+                break
+        assert state.oram.held_count > 0, "no held block to persist"
         path = tmp_path / "keys.bin"
         save_state(path, state)
         fresh = load_state(path, TrivialState)
-        assert fresh.oram.cache == state.oram.cache and fresh.params == state.params
+        assert fresh.oram.held == state.oram.held and fresh.params == state.params
+        assert fresh.oram.held_count == state.oram.held_count
         client2 = TrivialClient(fresh, host, rng=random.Random(3))
         for u in range(11):
             assert client2.query_path(u, 10) == spath_oracle(g, u, 10)
 
     @pytest.mark.parametrize("bad", ["flag-2", "leaf-past-tree"])
     def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
+        # with a cached level, a held block flagged neither real nor dummy,
+        # or mapped past the last leaf, is refused like a stash block
         result, _, _, _ = deploy(chain_graph(11), "trivial")
         state = result.client
         tp = result.params.data_params
+        assert tp.cached == 1
         slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
         slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
-        cache = state.oram.cache
-        cache[0] = cache[0][: -tp.block_width] + slot  # the root's last slot
+        state.oram.held[1].append(slot)
         path = tmp_path / "keys.bin"
         save_state(path, state)
-        with pytest.raises(ProtocolError, match="bad cached node 0 of tree 0"):
+        with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
             load_state(path, TrivialState)
+
+    @pytest.mark.parametrize("cached", [0, 1])
+    def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
+        # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
+        # slots of the top buckets.  The count is refused before the blocks
+        # it claims are read
+        result, _, _, _ = deploy(chain_graph(11 if cached else 4), "trivial")
+        state = result.client
+        tp = result.params.data_params
+        assert tp.cached == cached
+        limit = 128 + 5 * ((1 << cached) - 1)
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        raw = path.read_bytes()
+        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16  # the data tree's held count
+        for count, ok in ((limit, True), (limit + 1, False)):
+            blocks = [b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 0, 1)] * (
+                count - state.oram.held_count
+            )
+            path.write_bytes(raw[:at] + struct.pack(">I", count) + raw[at + 4 : at + 4 + state.oram.held_count * tp.block_width]
+                             + b"".join(blocks) + raw[at + 4 + state.oram.held_count * tp.block_width :])
+            if ok:
+                assert load_state(path, TrivialState).oram.held_count == limit
+            else:
+                with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 holds {count} blocks, limit {limit}"):
+                    load_state(path, TrivialState)
 
     @pytest.mark.parametrize(
         "mode, kw, depth",
@@ -448,8 +484,8 @@ class TestPersistence:
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 3 held every level on the host, and state
-        # files of version 5 stored the map's shape and a sparse top, so
-        # both must be set up again (as must older ones)
+        # files of version 6 stored the tree-top cache as plaintext buckets,
+        # so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -458,16 +494,18 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (4, 3, TreeStorage.load),
-            "keys.bin": (6, 5, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (6, 5, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (6, 5, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (7, 6, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (7, 6, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (7, 6, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name
             raw = path.read_bytes()
             assert raw[2] == current
             path.write_bytes(raw[:2] + bytes([old]) + raw[3:])
-            with pytest.raises(ProtocolError, match=f"version {old}"):
+            # a state file's refusal names the file as well
+            named = "" if name == "tree.bin" else f"state file {path}: "
+            with pytest.raises(ProtocolError, match=f"{named}unsupported (tree )?version {old}"):
                 load(path)
 
     def test_party_kind_must_match(self, tmp_path, four_vertex_directed):
