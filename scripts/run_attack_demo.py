@@ -12,8 +12,7 @@ import argparse
 import random
 from collections import Counter
 
-from obge.attack import QueryRecovery, length_candidates
-from obge.audit import path_length_classes
+from obge.attack import QueryRecovery, length_candidates, path_length_classes
 from obge.gkt import GktScheme
 from obge.graph import Graph, compute_spdx
 
@@ -51,12 +50,13 @@ def main() -> None:
     print(f"  exactly recovered queries: {exact}/{len(pairs)}")
     print(f"  candidate-set size histogram: {dict(sorted(gkt_sizes.items()))}")
 
-    obge_sizes = Counter(len(length_candidates(g, lengths[p])) for p in pairs)
+    class_size = {d: len(length_candidates(g, d)) for d in set(lengths.values())}
+    obge_sizes = Counter(class_size[lengths[p]] for p in pairs)
     print("\noblivious scheme (round-count leakage only):")
     print(f"  candidate-set size histogram: {dict(sorted(obge_sizes.items()))}")
 
     mean_gkt = sum(len(c) for c in candidates) / len(pairs)
-    mean_obge = sum(len(length_candidates(g, lengths[p])) for p in pairs) / len(pairs)
+    mean_obge = sum(class_size[lengths[p]] for p in pairs) / len(pairs)
     print(f"\nmean candidates per query: baseline {mean_gkt:.1f} vs length-only {mean_obge:.1f}")
 
 

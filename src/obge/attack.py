@@ -234,24 +234,25 @@ def query_recovery(
     return QueryRecovery(g).candidates(observed, assume_complete=assume_complete)
 
 
-def length_candidates(g: Graph, path_len: int) -> set[tuple[int, int]]:
-    """What round-count leakage alone admits: every pair at that distance.
-    Length 0 covers both diagonal and disconnected pairs."""
+def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:
+    """Edge count of the canonical shortest path for every connected pair."""
     matrix = compute_sp_matrix(g)
-    if path_len == 0:
-        connected = {(u, v) for (u, v), _ in matrix.items()}
-        return {
-            (u, v)
-            for u in range(g.vertex_count)
-            for v in range(g.vertex_count)
-            if (u, v) not in connected
-        }
-    dist: dict[tuple[int, int], int] = {}
+    out: dict[tuple[int, int], int] = {}
     for (u, v), _ in matrix.items():
         d = 0
         cur = u
         while cur != v:
             cur = matrix.next_hop(cur, v)
             d += 1
-        dist[(u, v)] = d
-    return {pair for pair, d in dist.items() if d == path_len}
+        out[(u, v)] = d
+    return out
+
+
+def length_candidates(g: Graph, path_len: int) -> set[tuple[int, int]]:
+    """What round-count leakage alone admits: every pair at that distance.
+    Length 0 covers both diagonal and disconnected pairs."""
+    lengths = path_length_classes(g)
+    if path_len == 0:
+        n = g.vertex_count
+        return {(u, v) for u in range(n) for v in range(n) if (u, v) not in lengths}
+    return {pair for pair, d in lengths.items() if d == path_len}

@@ -1,24 +1,31 @@
 """Leakage auditing over recorded access traces.
 
-Given the server-visible trace and the experimenter's ground truth, the
-auditor checks the scheme's observable contract: exactly path-length + 1
-rounds per query, constant message widths, uniformly distributed leaf
-ids, indistinguishable equal-length queries, and attack accuracy no
-better than uniform guessing within a length class.
+The host may learn each query's path length and nothing else, so every
+query must leave records of one shape (``QueryShape``): optionally framed
+by an ``EnclaveRequest`` of constant width and an ``EnclaveResponse``;
+inside, (|p|+1)(1+chain_depth) ``ReadPath``/``WritePath`` pairs in tree
+order, the top position-map level first and the data tree (tree 0) last,
+each pair on one tree and one leaf, each record exactly its tree's
+``path_width`` wide and each leaf below its tree's leaf count.  The
+geometry is the trees' own, read from the tree file headers; chain_depth
+is the number of trees after the data tree.
+
+Over the queries whose shape holds, the auditor then tests each tree's
+leaves for uniformity against its 2^depth leaves, and the data-tree leaves
+of the two most frequent queries of each path length for homogeneity.
 """
 
 from __future__ import annotations
 
-import random
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
+from .blocks import TreeParams
 from .exceptions import ProtocolError
-from .graph import Graph, compute_sp_matrix
 from .storage import AccessTrace, TraceRecord
 
 SIGNIFICANCE = 0.01
@@ -32,10 +39,6 @@ class QueryTruth:
     v: int
     path_len: int  # edge count; 0 for diagonal or disconnected pairs
 
-    @property
-    def expected_rounds(self) -> int:
-        return self.path_len + 1
-
     def to_csv(self) -> str:
         return f"{self.u},{self.v},{self.path_len}"
 
@@ -48,17 +51,22 @@ def save_query_log(path: str | Path, rows: list[QueryTruth]) -> None:
 
 
 def load_query_log(path: str | Path) -> list[QueryTruth]:
+    """A log saved by ``save_query_log``; a malformed line raises
+    ProtocolError naming the file and the line."""
     rows = []
     with open(path) as f:
         header = f.readline().strip()
         if header != "u,v,path_len":
-            raise ProtocolError(f"unrecognized query log header {header!r}")
-        for line in f:
+            raise ProtocolError(f"{path}: unrecognized query log header {header!r}")
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            u, v, plen = line.split(",")
-            rows.append(QueryTruth(int(u), int(v), int(plen)))
+            try:
+                u, v, plen = map(int, line.split(","))
+            except ValueError:
+                raise ProtocolError(f"{path}, line {lineno}: expected u,v,path_len integers, got {line!r}") from None
+            rows.append(QueryTruth(u, v, plen))
     return rows
 
 
@@ -73,7 +81,7 @@ def bin_leaves(leaves: list[int], leaf_space: int, max_bins: int = 64) -> np.nda
 
 
 def uniformity_pvalue(leaves: list[int], leaf_space: int, max_bins: int = 64) -> float:
-    if leaf_space == 1:
+    if leaf_space == 1 or not leaves:
         return 1.0
     counts = bin_leaves(leaves, leaf_space, max_bins)
     return float(stats.chisquare(counts).pvalue)
@@ -98,163 +106,150 @@ def repeat_rate_zscore(leaves: list[int], leaf_space: int) -> float:
     repeats = sum(1 for x, y in zip(leaves, leaves[1:]) if x == y)
     p = 1.0 / leaf_space
     sd = (n * p * (1 - p)) ** 0.5
-    if sd == 0:
-        return 0.0
     return (repeats - n * p) / sd
 
 
-@dataclass
-class QuerySlice:
-    truth: QueryTruth
-    data_reads: list[TraceRecord]
-    data_writes: list[TraceRecord]
-    pm_reads: list[TraceRecord]
+class QueryShape:
+    """The records one query may leave on the host, given each tree's
+    geometry (tree id -> TreeParams, ids 0..chain_depth).  The first query
+    checked fixes whether queries are framed and the request width."""
 
+    def __init__(self, trees: dict[int, TreeParams]):
+        if not trees or sorted(trees) != list(range(len(trees))):
+            raise ProtocolError(f"tree ids {sorted(trees)} are not 0..n-1")
+        self.trees = trees
+        self.order = list(range(len(trees) - 1, -1, -1))  # top map level first, data tree last
+        self.framed: bool | None = None
+        self.request_width: int | None = None
 
-def slice_trace(trace: AccessTrace, truths: list[QueryTruth], data_tree: int = 0) -> list[QuerySlice]:
-    """Partition a single-client trace into per-query segments.
+    def size(self, path_len: int, framed: bool) -> int:
+        """Records of one query with that path length."""
+        return 2 * (path_len + 1) * len(self.order) + 2 * framed
 
-    Queries ran sequentially, so the i-th query owns the next
-    expected_rounds data-tree read/write pairs (plus any position-map tree
-    work interleaved before its data rounds).
-    """
-    slices: list[QuerySlice] = []
-    reads = [r for r in trace.records if r.msg_type == "ReadPath"]
-    writes = [r for r in trace.records if r.msg_type == "WritePath"]
-    data_reads = [r for r in reads if r.tree_id == data_tree]
-    data_writes = [w for w in writes if w.tree_id == data_tree]
-    pm_reads = [r for r in reads if r.tree_id != data_tree]
-    expected_data = sum(t.expected_rounds for t in truths)
-    if len(data_reads) != expected_data or len(data_writes) != expected_data:
-        raise ProtocolError(
-            f"trace holds {len(data_reads)} data reads / {len(data_writes)} writes, "
-            f"ground truth implies {expected_data}"
-        )
-    pm_per_round = 0
-    if pm_reads:
-        if len(pm_reads) % expected_data:
-            raise ProtocolError("position-map rounds do not divide evenly across queries")
-        pm_per_round = len(pm_reads) // expected_data
-    ri = wi = pi = 0
-    for t in truths:
-        k = t.expected_rounds
-        slices.append(
-            QuerySlice(
-                truth=t,
-                data_reads=data_reads[ri : ri + k],
-                data_writes=data_writes[wi : wi + k],
-                pm_reads=pm_reads[pi : pi + k * pm_per_round],
-            )
-        )
-        ri += k
-        wi += k
-        pi += k * pm_per_round
-    return slices
+    def check(self, records: list[TraceRecord], path_len: int, first: int = 0) -> str | None:
+        """The first fault in one query's records, naming its index in the
+        trace (records[0] is record ``first``), or None."""
+        framed = bool(records) and records[0].msg_type == "EnclaveRequest"
+        if self.framed is None:
+            self.framed = framed
+        if framed != self.framed:
+            got = records[0].msg_type if records else "end of trace"
+            return f"record {first}: {got}, expected {'EnclaveRequest' if self.framed else 'ReadPath'}"
+        want = self.size(path_len, framed)
+        if len(records) != want:
+            return f"record {first + min(len(records), want)}: query has {len(records)} records, expected {want}"
+        path, at = records, first
+        if framed:
+            if self.request_width is None:
+                self.request_width = records[0].byte_count
+            if records[0].byte_count != self.request_width:
+                return f"record {first}: request of {records[0].byte_count} bytes, expected {self.request_width}"
+            if records[-1].msg_type != "EnclaveResponse":
+                return f"record {first + want - 1}: {records[-1].msg_type}, expected EnclaveResponse"
+            path, at = records[1:-1], first + 1
+        for i in range(0, len(path), 2):
+            tree = self.order[(i // 2) % len(self.order)]
+            p = self.trees[tree]
+            for j, kind in enumerate(("ReadPath", "WritePath")):
+                rec = path[i + j]
+                if rec.msg_type != kind or rec.tree_id != tree:
+                    return f"record {at + i + j}: {rec.msg_type} on tree {rec.tree_id}, expected {kind} on tree {tree}"
+                if rec.byte_count != p.path_width:
+                    return f"record {at + i + j}: {rec.byte_count} bytes, tree {tree} paths are {p.path_width}"
+                if rec.leaf is None or not 0 <= rec.leaf < p.leaves:
+                    return f"record {at + i + j}: leaf {rec.leaf} outside tree {tree}'s {p.leaves} leaves"
+            if path[i + 1].leaf != path[i].leaf:
+                return f"record {at + i + 1}: written at leaf {path[i + 1].leaf}, read at leaf {path[i].leaf}"
+        return None
 
 
 @dataclass
 class AuditReport:
     n_queries: int
-    rounds_ok: bool
-    round_mismatches: list[tuple[QueryTruth, int]]
-    widths_ok: bool
-    width_sets: dict[tuple[str, int], set[int]]
-    uniformity_p: float
-    uniformity_ok: bool
-    repeat_z: float
-    pairwise_p: dict[tuple[str, str], float] = field(default_factory=dict)
-    indistinguishable: bool = True
-    attack_rows: list[dict] = field(default_factory=list)
+    shape_fault: str | None  # the first query whose records break the shape
+    leaf_spaces: dict[int, int]  # tree id -> leaf count from its header
+    uniformity_p: dict[int, float]  # tree id -> p over its read leaves
+    repeat_z: float  # lag-1 repeats of the data tree's read leaves
+    pairwise_p: dict[tuple[str, str], float]
+
+    @property
+    def shape_ok(self) -> bool:
+        return self.shape_fault is None
+
+    @property
+    def uniformity_level(self) -> float:
+        """SIGNIFICANCE shared over the per-tree tests (Bonferroni)."""
+        return SIGNIFICANCE / len(self.uniformity_p)
+
+    @property
+    def uniformity_ok(self) -> bool:
+        return all(p >= self.uniformity_level for p in self.uniformity_p.values())
+
+    @property
+    def indistinguishable(self) -> bool:
+        return all(p >= SIGNIFICANCE for p in self.pairwise_p.values())
+
+    @property
+    def ok(self) -> bool:
+        return self.shape_ok and self.uniformity_ok and self.indistinguishable
 
     def summary(self) -> str:
+        verdict = {True: "PASS", False: "FAIL"}
         lines = [
             f"queries audited: {self.n_queries}",
-            f"rounds = path length + 1: {'PASS' if self.rounds_ok else 'FAIL'}"
-            + (f" ({len(self.round_mismatches)} mismatches)" if self.round_mismatches else ""),
-            f"constant message widths per tree: {'PASS' if self.widths_ok else 'FAIL'}",
-            f"leaf uniformity: p={self.uniformity_p:.4f} "
-            f"({'PASS' if self.uniformity_ok else 'FAIL'} at {SIGNIFICANCE})",
-            f"lag-1 repeat-rate z: {self.repeat_z:+.2f}",
+            f"query shape against the tree headers: {verdict[self.shape_ok]}"
+            + (f" ({self.shape_fault})" if self.shape_fault else ""),
         ]
+        for tree, p in self.uniformity_p.items():
+            lines.append(
+                f"leaf uniformity, tree {tree} ({self.leaf_spaces[tree]} leaves): p={p:.4f} "
+                f"({verdict[p >= self.uniformity_level]} at {self.uniformity_level:.4g})"
+            )
+        lines.append(f"lag-1 repeat-rate z, tree 0: {self.repeat_z:+.2f}")
         for pair, p in self.pairwise_p.items():
             lines.append(f"two-sample {pair[0]} vs {pair[1]}: p={p:.4f}")
-        lines.append(f"equal-length indistinguishability: {'PASS' if self.indistinguishable else 'FAIL'}")
-        for row in self.attack_rows:
-            lines.append(
-                "length {path_len}: class size {class_size}, attack accuracy {accuracy:.3f}, "
-                "uniform baseline {baseline:.3f}".format(**row)
-            )
+        lines.append(f"equal-length indistinguishability: {verdict[self.indistinguishable]}")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         rows = [
             ("n_queries", self.n_queries),
-            ("rounds_ok", int(self.rounds_ok)),
-            ("widths_ok", int(self.widths_ok)),
-            ("uniformity_p", f"{self.uniformity_p:.6f}"),
+            ("shape_ok", int(self.shape_ok)),
+            *((f"uniformity_p_tree_{t}", f"{p:.6f}") for t, p in self.uniformity_p.items()),
             ("repeat_z", f"{self.repeat_z:.4f}"),
             ("indistinguishable", int(self.indistinguishable)),
+            *((f"two_sample_{a}_{b}", f"{p:.6f}") for (a, b), p in self.pairwise_p.items()),
         ]
-        for pair, p in self.pairwise_p.items():
-            rows.append((f"two_sample_{pair[0]}_{pair[1]}", f"{p:.6f}"))
-        for row in self.attack_rows:
-            rows.append(
-                (f"attack_len_{row['path_len']}", f"{row['accuracy']:.6f};baseline={row['baseline']:.6f}")
-            )
         return "metric,value\n" + "\n".join(f"{k},{v}" for k, v in rows)
 
 
-def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:
-    """Edge count of the canonical shortest path for every connected pair."""
-    matrix = compute_sp_matrix(g)
-    out: dict[tuple[int, int], int] = {}
-    for (u, v), _ in matrix.items():
-        d = 0
-        cur = u
-        while cur != v:
-            cur = matrix.next_hop(cur, v)
-            d += 1
-        out[(u, v)] = d
-    return out
-
-
-def audit_trace(
-    trace: AccessTrace,
-    truths: list[QueryTruth],
-    graph: Graph | None = None,
-    data_tree: int = 0,
-    leaf_space: int | None = None,
-    rng: random.Random | None = None,
-) -> AuditReport:
-    """Full audit: round counts, shape constancy, leaf statistics, and
-    (when the plaintext graph is supplied) length-only attack accuracy
-    against the uniform-guess baseline."""
-    slices = slice_trace(trace, truths, data_tree=data_tree)
-
-    mismatches = [
-        (s.truth, len(s.data_reads))
-        for s in slices
-        if len(s.data_reads) != s.truth.expected_rounds or len(s.data_writes) != s.truth.expected_rounds
-    ]
-
-    width_sets: dict[tuple[str, int], set[int]] = defaultdict(set)
-    for rec in trace.records:
-        if rec.msg_type in ("ReadPath", "WritePath", "PathData", "EnclaveRequest"):
-            width_sets[(rec.msg_type, rec.tree_id if rec.tree_id is not None else -1)].add(rec.byte_count)
-    widths_ok = all(len(ws) == 1 for ws in width_sets.values())
-
-    leaves = [r.leaf for s in slices for r in s.data_reads]
-    if leaf_space is None:
-        leaf_space = 1 << max((r.leaf for r in trace.records if r.leaf is not None), default=0).bit_length()
-    uni_p = uniformity_pvalue(leaves, leaf_space)
-    rep_z = repeat_rate_zscore(leaves, leaf_space)
+def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, TreeParams]) -> AuditReport:
+    """Check each query's records against ``QueryShape`` in trace order, up
+    to the first fault, then test the leaves of the queries checked."""
+    shape = QueryShape(trees)
+    records = trace.records
+    leaves: dict[int, list[int]] = {t: [] for t in sorted(trees)}
+    by_query: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    fault = None
+    at = 0
+    for i, t in enumerate(truths):
+        framed = at < len(records) and records[at].msg_type == "EnclaveRequest"
+        part = records[at : at + shape.size(t.path_len, framed)]
+        fault = shape.check(part, t.path_len, at)
+        if fault is not None:
+            fault = f"query {i} ({t.u},{t.v}), {fault}"
+            break
+        reads = [r for r in part if r.msg_type == "ReadPath"]
+        for r in reads:
+            leaves[r.tree_id].append(r.leaf)
+        by_query[(t.u, t.v, t.path_len)].extend(r.leaf for r in reads if r.tree_id == 0)
+        at += len(part)
+    if fault is None and at < len(records):
+        fault = f"record {at}: {len(records) - at} record(s) after the last query, query {len(truths) - 1}"
 
     # two-sample tests between the two most frequent queries of equal length
-    by_query: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for s in slices:
-        by_query[(s.truth.u, s.truth.v, s.truth.path_len)].extend(r.leaf for r in s.data_reads)
+    data_leaves = trees[0].leaves
     pairwise: dict[tuple[str, str], float] = {}
-    indistinguishable = True
     by_len: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for key in by_query:
         by_len[key[2]].append(key)
@@ -263,49 +258,13 @@ def audit_trace(
         if len(keys) < 2:
             continue
         a, b = keys[0], keys[1]
-        p = two_sample_pvalue(by_query[a], by_query[b], leaf_space)
-        pairwise[(f"({a[0]},{a[1]})", f"({b[0]},{b[1]})")] = p
-        if p < SIGNIFICANCE:
-            indistinguishable = False
-
-    attack_rows: list[dict] = []
-    if graph is not None:
-        lengths = path_length_classes(graph)
-        class_sizes = Counter(lengths.values())
-        rng = rng if rng is not None else random.Random(0)
-        per_len: dict[int, list[QueryTruth]] = defaultdict(list)
-        for s in slices:
-            if s.truth.path_len >= 1:
-                per_len[s.truth.path_len].append(s.truth)
-        for plen, members in sorted(per_len.items()):
-            cls = [pair for pair, d in lengths.items() if d == plen]
-            if not cls:
-                continue
-            guesses = 10_000
-            hits = 0
-            for _ in range(guesses):
-                t = rng.choice(members)
-                if rng.choice(cls) == (t.u, t.v):
-                    hits += 1
-            attack_rows.append(
-                {
-                    "path_len": plen,
-                    "class_size": class_sizes[plen],
-                    "accuracy": hits / guesses,
-                    "baseline": 1.0 / len(cls),
-                }
-            )
+        pairwise[(f"({a[0]},{a[1]})", f"({b[0]},{b[1]})")] = two_sample_pvalue(by_query[a], by_query[b], data_leaves)
 
     return AuditReport(
         n_queries=len(truths),
-        rounds_ok=not mismatches,
-        round_mismatches=mismatches,
-        widths_ok=widths_ok,
-        width_sets=dict(width_sets),
-        uniformity_p=uni_p,
-        uniformity_ok=uni_p >= SIGNIFICANCE,
-        repeat_z=rep_z,
+        shape_fault=fault,
+        leaf_spaces={t: trees[t].leaves for t in leaves},
+        uniformity_p={t: uniformity_pvalue(ls, trees[t].leaves) for t, ls in leaves.items()},
+        repeat_z=repeat_rate_zscore(leaves[0], data_leaves),
         pairwise_p=pairwise,
-        indistinguishable=indistinguishable,
-        attack_rows=attack_rows,
     )

@@ -13,8 +13,6 @@ import signal
 import sys
 from pathlib import Path
 
-from .audit import audit_trace, load_query_log
-from .bench import latency_stats, rows_to_csv, run_bench
 from .exceptions import (
     CapacityError,
     ConfigError,
@@ -22,9 +20,7 @@ from .exceptions import (
     IntegrityError,
     ProtocolError,
 )
-from .gkt import load_token_log
 from .graph import load_graph
-from .storage import AccessTrace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,6 +131,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import latency_stats, rows_to_csv, run_bench
+
     lengths = _parse_lengths(args.lengths)
     if not lengths or min(lengths) < 1:
         print("lengths must be positive", file=sys.stderr)
@@ -155,22 +153,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    trace = AccessTrace.load(args.trace)
-    truths = load_query_log(args.queries)
-    graph = None
-    if args.graph:
-        with open(args.graph) as f:
-            graph = load_graph(f, directed=not args.undirected)
-    report = audit_trace(trace, truths, graph=graph)
+    from .audit import audit_trace, load_query_log
+    from .storage import AccessTrace, tree_geometry
+
+    report = audit_trace(AccessTrace.load(args.trace), load_query_log(args.queries), tree_geometry(args.trees))
     print(report.summary())
     if args.out:
         Path(args.out).write_text(report.to_csv() + "\n")
-    ok = report.rounds_ok and report.widths_ok and report.uniformity_ok and report.indistinguishable
-    return EXIT_OK if ok else EXIT_PROTOCOL
+    return EXIT_OK if report.ok else EXIT_PROTOCOL
 
 
 def cmd_attack(args) -> int:
     from .attack import query_recovery
+    from .gkt import load_token_log
 
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
@@ -229,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run leakage checks on an access trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--queries", required=True, help="ground-truth query log CSV")
-    p.add_argument("--graph", default=None)
-    p.add_argument("--undirected", action="store_true")
+    p.add_argument("--trees", required=True, help="directory of the tree files the trace was recorded on")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)
 

@@ -56,7 +56,7 @@ from .protocol import (
     load_state,
     save_state,
 )
-from .storage import StorageHost, TreeStorage
+from .storage import StorageHost, TreeStorage, tree_files
 
 log = logging.getLogger(__name__)
 
@@ -243,10 +243,6 @@ def save_config(path: str | Path, cfg: ServerConfig) -> None:
     if cfg.trace_path:
         lines.append(f"trace_path = {cfg.trace_path}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def tree_files(directory: str | Path) -> list[Path]:
-    return sorted(Path(directory).glob("tree_*.bin"))
 
 
 def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeServer:

@@ -17,7 +17,8 @@ access that reads them failing.  Version 1 (one ciphertext per slot),
 version 2 (next-hop tokens in blocks, length-prefixed buckets) and version 3
 (every level on the host) are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
-allocates anything, then reads the buckets into one buffer.  Tree and state
+allocates anything, then reads the buckets into one buffer;
+``tree_geometry`` reads only the headers of a directory's tree files.  Tree and state
 files are replaced through ``write_atomic``, as mode 0600 files.
 """
 
@@ -96,25 +97,25 @@ class AccessTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "AccessTrace":
+        """A trace saved by ``save``; a malformed line raises ProtocolError
+        naming the file and the line."""
         trace = cls()
         with open(path) as f:
             header = f.readline().strip()
             if header != cls.CSV_HEADER:
-                raise ProtocolError(f"unrecognized trace header {header!r}")
-            for line in f:
+                raise ProtocolError(f"{path}: unrecognized trace header {header!r}")
+            for lineno, line in enumerate(f, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                ts, msg, tree, leaf, count = line.split(",")
-                trace.records.append(
-                    TraceRecord(
-                        float(ts),
-                        msg,
-                        int(tree) if tree else None,
-                        int(leaf) if leaf else None,
-                        int(count),
+                try:
+                    ts, msg, tree, leaf, count = line.split(",")
+                    rec = TraceRecord(
+                        float(ts), msg, int(tree) if tree else None, int(leaf) if leaf else None, int(count)
                     )
-                )
+                except ValueError:
+                    raise ProtocolError(f"{path}, line {lineno}: malformed trace record {line!r}") from None
+                trace.records.append(rec)
         return trace
 
 
@@ -184,17 +185,7 @@ class TreeStorage:
     @classmethod
     def load(cls, path: str | Path) -> "TreeStorage":
         with open(path, "rb") as f:
-            head = f.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise ProtocolError(f"tree file {path} truncated")
-            magic, version, tree_id, depth, cached, z, payload_width = _HEADER.unpack(head)
-            if magic != TREE_MAGIC:
-                raise ProtocolError(f"bad tree magic {magic!r}")
-            if version != TREE_VERSION:
-                raise ProtocolError(f"unsupported tree version {version}")
-            if cached > depth:
-                raise ProtocolError(f"tree file {path}: {cached} cached levels in a depth-{depth} tree")
-            params = TreeParams(depth=depth, bucket_size=z, payload_width=payload_width, cached=cached)
+            tree_id, params = _read_header(f, path)
             size = params.host_nodes * params.bucket_width
             held = os.fstat(f.fileno()).st_size - _HEADER.size
             if held != size:
@@ -203,6 +194,37 @@ class TreeStorage:
             if f.readinto(buckets) != size:
                 raise ProtocolError(f"tree file {path} shrank while it was read")
         return cls(tree_id=tree_id, params=params, buckets=buckets)
+
+
+def _read_header(f, path: str | Path) -> tuple[int, TreeParams]:
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise ProtocolError(f"tree file {path} truncated")
+    magic, version, tree_id, depth, cached, z, payload_width = _HEADER.unpack(head)
+    if magic != TREE_MAGIC:
+        raise ProtocolError(f"bad tree magic {magic!r}")
+    if version != TREE_VERSION:
+        raise ProtocolError(f"unsupported tree version {version}")
+    if cached > depth:
+        raise ProtocolError(f"tree file {path}: {cached} cached levels in a depth-{depth} tree")
+    return tree_id, TreeParams(depth=depth, bucket_size=z, payload_width=payload_width, cached=cached)
+
+
+def tree_files(directory: str | Path) -> list[Path]:
+    return sorted(Path(directory).glob("tree_*.bin"))
+
+
+def tree_geometry(directory: str | Path) -> dict[int, TreeParams]:
+    """Tree id -> geometry of every tree file in directory, from the
+    headers alone."""
+    geometry = {}
+    for path in tree_files(directory):
+        with open(path, "rb") as f:
+            tree_id, params = _read_header(f, path)
+        geometry[tree_id] = params
+    if not geometry:
+        raise ProtocolError(f"no tree files under {str(directory)!r}")
+    return geometry
 
 
 class StorageHost:

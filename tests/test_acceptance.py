@@ -10,14 +10,14 @@ see README.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from obge.attack import QueryRecovery, ahu_label
+from obge.attack import QueryRecovery, ahu_label, length_candidates, path_length_classes
 from obge.audit import (
     QueryTruth,
     audit_trace,
-    path_length_classes,
     repeat_rate_zscore,
     two_sample_pvalue,
     uniformity_pvalue,
@@ -312,7 +312,7 @@ def test_latency_shape():
 def test_attack_separation():
     rng = random.Random(0xA77)
     unique_total = unique_hit = 0
-    obge_rows = 0
+    audited = 0
     for trial in range(20):
         n = rng.randint(10, 50)
         g = random_graph(rng, n, rng.uniform(1.2, 2.5) / n, directed=True)
@@ -326,8 +326,6 @@ def test_attack_separation():
         qr = QueryRecovery(g)
         cands = qr.candidates(seqs, assume_complete=True)
         trees = {t.root: t for t in qr.trees}
-        from collections import Counter
-
         sig_count = Counter()
         sigs = {}
         for u, v in pairs:
@@ -341,11 +339,13 @@ def test_attack_separation():
                 unique_total += 1
                 unique_hit += cs == {truth}
 
-        # oblivious scheme: the trace admits only length classes
+        # oblivious scheme: the trace has the audited shape, so it admits
+        # only length classes, and each query hides in all of its class
         run_rng = random.Random(trial)
         result = setup(g, mode="trivial", rng=run_rng)
         host, _, client = deploy_inprocess(result, rng=run_rng)
         lengths = path_length_classes(g)
+        class_sizes = Counter(lengths.values())
         workload = [p for p in pairs if lengths[p] >= 1]
         rng.shuffle(workload)
         workload = workload[:40]
@@ -353,17 +353,20 @@ def test_attack_separation():
         for u, v in workload:
             client.query(u, v)
             truths.append(QueryTruth(u, v, lengths[(u, v)]))
-        report = audit_trace(host.trace, truths, graph=g, rng=random.Random(trial))
-        for row in report.attack_rows:
-            assert abs(row["accuracy"] - row["baseline"]) <= 0.05, row
-            obge_rows += 1
+        report = audit_trace(host.trace, truths, {t: tree.params for t, tree in host.trees.items()})
+        assert report.ok, report.summary()
+        by_len = {d: length_candidates(g, d) for d in {t.path_len for t in truths}}
+        for t in truths:
+            assert (t.u, t.v) in by_len[t.path_len]
+            assert len(by_len[t.path_len]) == class_sizes[t.path_len]
+        audited += len(truths)
 
     accuracy = unique_hit / unique_total if unique_total else 1.0
     assert accuracy >= 0.9, f"unique-signature recovery only {accuracy:.2f}"
     _report(
         "attack-separation",
         f"baseline recovery {unique_hit}/{unique_total} on unique signatures; "
-        f"{obge_rows} oblivious length classes within 0.05 of uniform guessing",
+        f"{audited} oblivious queries pass the audit, each among its whole length class",
     )
 
 

@@ -1,32 +1,56 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from obge.audit import (
+    QueryShape,
     QueryTruth,
     audit_trace,
     load_query_log,
     save_query_log,
-    slice_trace,
     two_sample_pvalue,
     uniformity_pvalue,
 )
+from obge.cli import main
 from obge.exceptions import ProtocolError
 from obge.graph import Graph
 from obge.protocol import setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
+from conftest import random_graph
+
+# a query's shape fault names the query, then the record
+FAULT = re.compile(r"query \d+ \(\d+,\d+\), record \d+: ")
 
 
-def run_workload(g, queries, mode="trivial", seed=2):
+def run_workload(g, queries, mode="trivial", seed=2, **scheme):
     rng = random.Random(seed)
-    result = setup(g, mode=mode, rng=rng)
+    result = setup(g, mode=mode, rng=rng, **scheme)
     host, _, client = deploy_inprocess(result, rng=rng)
     truths = []
     for u, v in queries:
         path = client.query_path(u, v)
         truths.append(QueryTruth(u, v, len(path) - 1 if path else 0))
     return host, truths
+
+
+def geometry(host):
+    return {t: tree.params for t, tree in host.trees.items()}
+
+
+def cli_audit(tmp_path, host, truths, records=None):
+    """Write the trace (or records in its place), the query log and the tree
+    files, then run ``obge audit`` over them; returns its exit code."""
+    trace = AccessTrace()
+    trace.records = host.trace.records if records is None else records
+    trace.save(tmp_path / "trace.csv")
+    save_query_log(tmp_path / "queries.csv", truths)
+    for t, tree in host.trees.items():
+        tree.save(tmp_path / f"tree_{t:03d}.bin")
+    return main(["audit", "--trace", str(tmp_path / "trace.csv"), "--queries", str(tmp_path / "queries.csv"),
+                 "--trees", str(tmp_path)])
 
 
 @pytest.fixture
@@ -38,17 +62,37 @@ def two_branch_graph():
     return g
 
 
+@pytest.fixture(scope="module")
+def recursive_trace():
+    """An honest enhanced trace over a recursive map of chain depth 2:
+    |V|=24, chi 8, a 128-byte budget, 400 random queries."""
+    rng = random.Random(11)
+    g = random_graph(rng, 24, 0.12)
+    queries = [(rng.randrange(24), rng.randrange(24)) for _ in range(400)]
+    host, truths = run_workload(g, queries, mode="enhanced", chi=8, budget=128)
+    assert sorted(host.trees) == [0, 1, 2]
+    assert max(t.path_len for t in truths) >= 2
+    return host, truths
+
+
 class TestSlicing:
     def test_round_partition(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2), (3, 5), (0, 0), (5, 3)])
-        slices = slice_trace(host.trace, truths)
-        assert [len(s.data_reads) for s in slices] == [3, 3, 1, 1]
+        shape = QueryShape(geometry(host))
+        records, at, sizes = host.trace.records, 0, []
+        for t in truths:
+            n = shape.size(t.path_len, framed=False)
+            assert shape.check(records[at : at + n], t.path_len, at) is None
+            sizes.append(n)
+            at += n
+        assert sizes == [6, 6, 2, 2] and at == len(records)
 
     def test_mismatched_ground_truth_rejected(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2)])
         truths[0] = QueryTruth(0, 2, 5)
-        with pytest.raises(ProtocolError):
-            slice_trace(host.trace, truths)
+        report = audit_trace(host.trace, truths, geometry(host))
+        assert not report.ok
+        assert report.shape_fault == "query 0 (0,2), record 6: query has 6 records, expected 12"
 
 
 class TestStatistics:
@@ -72,32 +116,23 @@ class TestStatistics:
 
 
 class TestAuditReport:
-    def test_healthy_trace_passes(self, two_branch_graph, rng):
+    def test_healthy_trace_passes(self, two_branch_graph, tmp_path):
+        # trivial, in process
         queries = [(0, 2), (3, 5)] * 150 + [(0, 0)] * 20
         host, truths = run_workload(two_branch_graph, queries)
-        report = audit_trace(host.trace, truths, graph=two_branch_graph, leaf_space=1 << host.trees[0].params.depth)
-        assert report.rounds_ok
-        assert report.widths_ok
-        assert report.uniformity_ok
-        assert report.indistinguishable
+        report = audit_trace(host.trace, truths, geometry(host))
+        assert report.shape_ok and report.uniformity_ok and report.indistinguishable
         assert report.pairwise_p  # the two length-2 queries were compared
         summary = report.summary()
         assert "PASS" in summary and "FAIL" not in summary
-
-    def test_attack_rows_match_uniform_baseline(self, two_branch_graph):
-        queries = [(0, 2), (3, 5)] * 40
-        host, truths = run_workload(two_branch_graph, queries)
-        report = audit_trace(host.trace, truths, graph=two_branch_graph)
-        row = next(r for r in report.attack_rows if r["path_len"] == 2)
-        assert row["baseline"] == pytest.approx(0.5)
-        assert abs(row["accuracy"] - row["baseline"]) <= 0.05
+        assert cli_audit(tmp_path, host, truths) == 0
 
     def test_csv_emission(self, two_branch_graph, tmp_path):
         host, truths = run_workload(two_branch_graph, [(0, 2), (3, 5)])
-        report = audit_trace(host.trace, truths)
+        report = audit_trace(host.trace, truths, geometry(host))
         csv = report.to_csv()
         assert csv.startswith("metric,value")
-        assert "rounds_ok,1" in csv
+        assert "shape_ok,1" in csv and "uniformity_p_tree_0," in csv
 
 
 class TestPersistedArtifacts:
@@ -115,9 +150,127 @@ class TestPersistedArtifacts:
         save_query_log(tmp_path / "q.csv", rows)
         assert load_query_log(tmp_path / "q.csv") == rows
 
-    def test_enhanced_trace_audits_cleanly(self, two_branch_graph):
-        host, truths = run_workload(
-            two_branch_graph, [(0, 2), (3, 5)] * 30, mode="enhanced"
+    def test_enhanced_trace_audits_cleanly(self, two_branch_graph, tmp_path):
+        # flat map: the data tree is the only tree
+        host, truths = run_workload(two_branch_graph, [(0, 2), (3, 5)] * 30, mode="enhanced")
+        assert sorted(host.trees) == [0]
+        report = audit_trace(host.trace, truths, geometry(host))
+        assert report.ok, report.summary()
+        assert cli_audit(tmp_path, host, truths) == 0
+
+    def test_recursive_trace_audits_cleanly(self, recursive_trace, tmp_path):
+        host, truths = recursive_trace
+        report = audit_trace(host.trace, truths, geometry(host))
+        assert report.ok, report.summary()
+        assert sorted(report.uniformity_p) == [0, 1, 2]
+        assert cli_audit(tmp_path, host, truths) == 0
+
+
+class TestMalformedLines:
+    TRACE_LINES = {
+        "short": "1.0,ReadPath,0",
+        "extra": "1.0,ReadPath,0,3,1492,9",
+        "non-integer": "1.0,ReadPath,0,x,1492",
+    }
+    QUERY_LINES = {"short": "0,2", "extra": "0,2,2,7", "non-integer": "0,two,2"}
+
+    @pytest.mark.parametrize("kind", sorted(TRACE_LINES))
+    def test_trace_line_is_named(self, tmp_path, kind):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{AccessTrace.CSV_HEADER}\n1.0,ReadPath,0,3,1492\n{self.TRACE_LINES[kind]}\n")
+        with pytest.raises(ProtocolError, match=rf"{re.escape(str(path))}, line 3: "):
+            AccessTrace.load(path)
+
+    @pytest.mark.parametrize("kind", sorted(QUERY_LINES))
+    def test_query_log_line_is_named(self, tmp_path, kind):
+        path = tmp_path / "queries.csv"
+        path.write_text(f"u,v,path_len\n0,2,2\n\n{self.QUERY_LINES[kind]}\n")
+        with pytest.raises(ProtocolError, match=rf"{re.escape(str(path))}, line 4: "):
+            load_query_log(path)
+
+    def test_audit_command_exits_2_on_a_short_trace_line(self, two_branch_graph, tmp_path, capsys):
+        host, truths = run_workload(two_branch_graph, [(0, 2)])
+        cli_audit(tmp_path, host, truths)
+        with open(tmp_path / "trace.csv", "a") as f:
+            f.write("1.0,ReadPath,0\n")
+        capsys.readouterr()
+        rc = main(["audit", "--trace", str(tmp_path / "trace.csv"), "--queries", str(tmp_path / "queries.csv"),
+                   "--trees", str(tmp_path)])
+        assert rc == 2
+        assert "trace.csv, line 8: " in capsys.readouterr().err
+
+
+def _zero_writes(records, trees):
+    return [replace(r, leaf=0) if r.msg_type == "WritePath" else r for r in records]
+
+
+def _reverse(records, trees):
+    return records[::-1]
+
+
+def _widen_one(records, trees):
+    i = len(records) // 2
+    while records[i].tree_id is None:
+        i += 1
+    out = list(records)
+    out[i] = replace(out[i], byte_count=out[i].byte_count + trees[out[i].tree_id].bucket_width)
+    return out
+
+
+def _pair_past_last_leaf(records, trees):
+    i = len(records) // 2
+    while records[i].msg_type != "ReadPath":
+        i += 1
+    out = list(records)
+    leaves = trees[out[i].tree_id].leaves
+    out[i], out[i + 1] = replace(out[i], leaf=leaves), replace(out[i + 1], leaf=leaves)
+    return out
+
+
+def _drop_one(records, trees):
+    return records[: len(records) // 2] + records[len(records) // 2 + 1 :]
+
+
+def _append_one(records, trees):
+    return records + [records[1]]
+
+
+class TestMutations:
+    """Each edit of an honest recursive-map trace fails the audit, and the
+    shape faults name the query and the record."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_zero_writes, _reverse, _widen_one, _pair_past_last_leaf, _drop_one],
+        ids=lambda f: f.__name__.strip("_"),
+    )
+    def test_shape_fault_names_query_and_record(self, recursive_trace, mutate):
+        host, truths = recursive_trace
+        trace = AccessTrace()
+        trace.records = mutate(host.trace.records, geometry(host))
+        report = audit_trace(trace, truths, geometry(host))
+        assert not report.ok
+        assert FAULT.match(report.shape_fault), report.shape_fault
+
+    def test_record_after_the_last_query(self, recursive_trace, tmp_path):
+        host, truths = recursive_trace
+        records = _append_one(host.trace.records, geometry(host))
+        trace = AccessTrace()
+        trace.records = records
+        report = audit_trace(trace, truths, geometry(host))
+        assert report.shape_fault == (
+            f"record {len(records) - 1}: 1 record(s) after the last query, query {len(truths) - 1}"
         )
-        report = audit_trace(host.trace, truths, graph=two_branch_graph)
-        assert report.rounds_ok and report.widths_ok
+        assert cli_audit(tmp_path, host, truths, records) == 2
+
+    def test_zeroed_map_leaves_fail_uniformity_per_tree(self, recursive_trace):
+        host, truths = recursive_trace
+        trace = AccessTrace()
+        trace.records = [replace(r, leaf=0) if r.tree_id not in (None, 0) else r for r in host.trace.records]
+        report = audit_trace(trace, truths, geometry(host))
+        assert report.shape_ok and not report.ok
+        failing = [t for t, p in report.uniformity_p.items() if p < report.uniformity_level]
+        assert failing == [1, 2]
+        assert "leaf uniformity, tree 1 (" in report.summary()
+        assert "FAIL" in report.summary().splitlines()[3]
+

@@ -4,6 +4,9 @@ import os
 import random
 import socket
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from obge.gkt import GktScheme, save_token_log
 from obge.graph import load_graph
 from obge.server import Daemon, build_server, load_config
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 GRAPH_TSV = "0\t1\n1\t2\n2\t3\n0\t2\n"
 
 
@@ -234,10 +238,47 @@ class TestAuditCommand:
         qlog.write_text("u,v,path_len\n" + "0,3,2\n" * 20)
         capsys.readouterr()
         rc = main(["audit", "--trace", str(out / "trace.csv"), "--queries", str(qlog),
-                   "--graph", str(graph_file), "--out", str(tmp_path / "report.csv")])
+                   "--trees", str(out), "--out", str(tmp_path / "report.csv")])
         assert rc == 0
-        assert "rounds = path length + 1: PASS" in capsys.readouterr().out
+        assert "query shape against the tree headers: PASS" in capsys.readouterr().out
         assert (tmp_path / "report.csv").exists()
+
+    def test_wrong_trees_fail_the_shape(self, tmp_path, graph_file, capsys):
+        # the trace of a trivial deployment against the trees of a padded one
+        trivial = run_setup(tmp_path, graph_file)
+        padded = tmp_path / "padded"
+        assert main(["setup", str(graph_file), "--out", str(padded), "--mode", "enhanced", "--pad", "full"]) == 0
+        cfg = load_config(trivial / "server.cfg")
+        cfg.listen_addr = "127.0.0.1:0"
+        d = Daemon(build_server(cfg, rng=random.Random(3)), cfg)
+        d.start()
+        try:
+            assert main(["query", "0", "3", "--keys", str(trivial / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
+        finally:
+            d.shutdown()
+        qlog = tmp_path / "queries.csv"
+        qlog.write_text("u,v,path_len\n0,3,2\n")
+        capsys.readouterr()
+        rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(padded)])
+        assert rc == 2
+        assert "query 0 (0,3), record 0: 746 bytes, tree 0 paths are " in capsys.readouterr().out
+
+    def test_no_tree_files_is_protocol_error(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,msg_type,tree_id,leaf,byte_count\n")
+        qlog = tmp_path / "queries.csv"
+        qlog.write_text("u,v,path_len\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["audit", "--trace", str(trace), "--queries", str(qlog), "--trees", str(empty)]) == 2
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # audit and bench need scipy; obge query and the daemon should not pay for it
+    code = "import sys, obge.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestAttackCommand:
