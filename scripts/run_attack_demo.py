@@ -12,7 +12,7 @@ import argparse
 import random
 from collections import Counter
 
-from obge.attack import QueryRecovery, length_candidates, path_length_classes
+from obge.attack import QueryRecovery, length_classes, path_length_classes
 from obge.gkt import GktScheme
 from obge.graph import Graph, compute_spdx
 
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"  exactly recovered queries: {exact}/{len(pairs)}")
     print(f"  candidate-set size histogram: {dict(sorted(gkt_sizes.items()))}")
 
-    class_size = {d: len(length_candidates(g, d)) for d in set(lengths.values())}
+    class_size = {d: len(pairs) for d, pairs in length_classes(g).items()}
     obge_sizes = Counter(class_size[lengths[p]] for p in pairs)
     print("\noblivious scheme (round-count leakage only):")
     print(f"  candidate-set size histogram: {dict(sorted(obge_sizes.items()))}")

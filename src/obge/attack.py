@@ -248,11 +248,13 @@ def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:
     return out
 
 
-def length_candidates(g: Graph, path_len: int) -> set[tuple[int, int]]:
-    """What round-count leakage alone admits: every pair at that distance.
-    Length 0 covers both diagonal and disconnected pairs."""
+def length_classes(g: Graph) -> dict[int, set[tuple[int, int]]]:
+    """What round-count leakage alone admits: path length -> every pair of
+    that length, from one next-hop matrix.  Class 0 holds the diagonal and
+    the disconnected pairs."""
     lengths = path_length_classes(g)
-    if path_len == 0:
-        n = g.vertex_count
-        return {(u, v) for u in range(n) for v in range(n) if (u, v) not in lengths}
-    return {pair for pair, d in lengths.items() if d == path_len}
+    n = g.vertex_count
+    classes = {0: {(u, v) for u in range(n) for v in range(n) if (u, v) not in lengths}}
+    for pair, d in lengths.items():
+        classes.setdefault(d, set()).add(pair)
+    return classes

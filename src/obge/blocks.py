@@ -19,8 +19,8 @@ decrypts at the tree and heap index it was written for.
 The engine holding a tree may keep its top ``cached`` levels, heap nodes
 0..2^k-2, itself, as held blocks (see ``oram``); the host then stores only
 levels k..L, and ``path_width`` is the width of the host's part of a path.
-``cached_levels`` is the rule that sizes k from a byte allowance, counted
-as 2^k - 1 plaintext buckets.
+How many levels a party caches is the scheme's rule
+(``protocol.SchemeParams.data_params``).
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ class TreeParams:
             raise IndexError(f"leaf {leaf} out of range [0, {self.leaves})")
         d, off = self.depth, base + 1
         return [(1 << level) - off + (leaf >> (d - level)) for level in range(top, d + 1)]
-
-
-def cached_levels(params: TreeParams, allowance: int) -> int:
-    """Cache rule: the largest k <= L whose 2^k - 1 plaintext buckets fit in
-    allowance bytes; the engine holds their blocks, at most that many
-    beyond its stash (``oram.held_limit``)."""
-    k = 0
-    while k < params.depth and ((2 << k) - 1) * params.plain_width <= allowance:
-        k += 1
-    return k
 
 
 def tree_depth_for(real_slots: int, bucket_size: int) -> int:

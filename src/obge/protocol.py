@@ -14,15 +14,16 @@ differ only in where the engine runs:
 
 * trivial  -- the client hosts it and drives every access over its store
   connection; the position map is flat, and the client also keeps the top
-  levels of the data tree (the tree-top cache), as many as fit, as
-  buckets, in the memory its flat map is counted at; their blocks are
-  held by the engine (see ``oram``).
+  levels of the data tree (the tree-top cache) as blocks its engine holds
+  (see ``oram``): all but the bottom HOST_LEVELS levels, which the host
+  stores.  The count follows from the tree's depth alone, which the host
+  already knows, so the tree header's k tells it nothing more.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel.  The
   position map is flat or a recursive ORAM chain, whichever fits the
-  configured memory budget; the budget leaves nothing for a tree-top
-  cache, so the host holds every level and the engine holds only a stash.
+  configured memory budget; the controller keeps no tree-top cache, so
+  the host holds every level and the engine holds only a stash.
 
 The party that hosts the engine holds its ORAM engines in its state: the
 data tree's PathOram, which owns the blocks it holds, and the map with its
@@ -45,10 +46,10 @@ and the parameter block, followed by
 The engine state -- the data tree's held blocks, each position-map
 level's stash and the map's top array -- has one codec and stores no
 shape: load_state validates the parameter block and derives the cached
-levels (``cached_levels``) and the map's shape (``map_shape``) from it, as
-setup does.  Held blocks and a stash are stored alike: a block count and
-the packed blocks, group by group, each checked on load to be real and
-mapped to a leaf of its tree, and the count checked against the engine's
+levels (``SchemeParams.data_params``) and the map's shape (``map_shape``)
+from it, as setup does.  Held blocks and a stash are stored alike: a block
+count and the packed blocks, group by group, each checked on load to be
+real and mapped to a leaf of its tree, and the count checked against the engine's
 ``held_limit``; the engine rebuilds its groups from the leaves.  The top
 is its entries as big-endian 8-byte words, each a leaf of the tree it
 points into: the data tree in a flat map, where ABSENT is allowed too, and
@@ -64,7 +65,7 @@ import os
 import random
 import secrets
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import (
@@ -73,7 +74,6 @@ from .blocks import (
     TAIL,
     TreeParams,
     block_head,
-    cached_levels,
     tree_depth_for,
 )
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
@@ -89,6 +89,11 @@ MODE_TRIVIAL = "trivial"
 MODE_ENHANCED = "enhanced"
 PAD_NONE = "none"
 PAD_FULL = "full"
+
+# levels of the trivial client's data tree that the host stores: the
+# client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
+# fixed and k = L+1-HOST_LEVELS reveals nothing the depth L does not
+HOST_LEVELS = 5
 
 
 @dataclass
@@ -125,23 +130,19 @@ class SchemeParams:
         """Real slots of a data tree padded to every ordered vertex pair."""
         return max(1, self.address_space - self.vertex_count)
 
-    # the trivial client keeps the whole map, counted at its dense width,
-    # and a tree-top cache of at most the same size; a controller is held
-    # to its budget, which its map and stashes already take
+    # the trivial client keeps the whole map, counted at its dense width; a
+    # controller is held to its budget, which its map and stashes take
     @property
     def map_budget(self) -> int:
         enhanced = self.mode == MODE_ENHANCED and self.budget is not None
         return self.budget if enhanced else self.address_space * ENTRY_BYTES
 
     @property
-    def cache_allowance(self) -> int:
-        return self.address_space * ENTRY_BYTES if self.mode == MODE_TRIVIAL else 0
-
-    @property
     def data_params(self) -> TreeParams:
-        """The data tree's geometry; the cache rule gives its cached levels."""
-        tp = TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH)
-        return replace(tp, cached=cached_levels(tp, self.cache_allowance))
+        """The data tree's geometry.  The trivial client caches all but the
+        host's HOST_LEVELS levels; a controller caches none."""
+        cached = max(0, self.data_depth + 1 - HOST_LEVELS) if self.mode == MODE_TRIVIAL else 0
+        return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, cached)
 
 
 @dataclass
@@ -405,12 +406,13 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 6 stored the tree-top cache as 2^k - 1 plaintext buckets after a
-# stash; version 5 stored the map's shape and (index, leaf) pairs; version 4
+# version 7 sized the trivial client's tree-top cache from |V|^2 * 8 bytes,
+# so its k differs from the depth rule's; version 6 stored the tree-top
+# cache as 2^k - 1 plaintext buckets after a stash; version 5 stored the map's shape and (index, leaf) pairs; version 4
 # had no tree-top cache; version 3 kept the trivial client's engine state in
 # a file of its own and gave controller.bin its own magic; version 2 blocks
 # carried the next hop's token
-STATE_VERSION = 7
+STATE_VERSION = 8
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}

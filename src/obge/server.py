@@ -246,19 +246,36 @@ def save_config(path: str | Path, cfg: ServerConfig) -> None:
 
 
 def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeServer:
-    """Load persisted trees (and controller state) into a dispatcher."""
+    """Load persisted trees (and controller state) into a dispatcher.  In
+    enhanced mode every tree file must hold the geometry controller.bin
+    derives for its tree id, one file per tree, or the start is refused."""
     host = StorageHost()
     files = tree_files(cfg.tree_path)
     if not files:
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
-    for f in files:
-        host.add_tree(TreeStorage.load(f))
+    trees = [TreeStorage.load(f) for f in files]
+    for tree in trees:
+        host.add_tree(tree)
     if cfg.mode != MODE_ENHANCED:
         return ObgeServer(host)
     state_path = Path(cfg.tree_path) / "controller.bin"
     if not state_path.exists():
         raise ProtocolError(f"enhanced mode needs {state_path}")
-    return ObgeServer(host, EnclaveController(load_state(state_path, ControllerState), host, rng=rng))
+    state = load_state(state_path, ControllerState)
+    expected = {engine.tree_id: engine.params for engine in (state.oram, *state.positions.levels)}
+    ids = sorted(tree.tree_id for tree in trees)
+    if ids != sorted(expected):
+        raise ProtocolError(
+            f"{state_path} describes trees {sorted(expected)} (1 + chain depth {state.positions.chain_depth}), "
+            f"but the tree files under {cfg.tree_path!r} hold trees {ids}"
+        )
+    for f, tree in zip(files, trees):
+        if expected[tree.tree_id] != tree.params:
+            raise ProtocolError(
+                f"tree file {f}: tree {tree.tree_id} has geometry {tree.params}, but {state_path} "
+                f"derives {expected[tree.tree_id]}; set the deployment up again"
+            )
+    return ObgeServer(host, EnclaveController(state, host, rng=rng))
 
 
 class _Handler(socketserver.BaseRequestHandler):

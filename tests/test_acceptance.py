@@ -14,8 +14,9 @@ from collections import Counter
 
 import pytest
 
-from obge.attack import QueryRecovery, ahu_label, length_candidates, path_length_classes
+from obge.attack import QueryRecovery, ahu_label, length_classes, path_length_classes
 from obge.audit import (
+    QueryShape,
     QueryTruth,
     audit_trace,
     repeat_rate_zscore,
@@ -111,23 +112,18 @@ def test_leakage_round_counts(mode):
         run_rng = random.Random(trial)
         result = setup(g, mode=mode, rng=run_rng)
         host, _, client = deploy_inprocess(result, rng=run_rng)
-        oracle = PathOracle(g)
-        read_widths, write_widths = set(), set()
+        # the audit's one shape rule, with the geometry the host stores:
+        # |p|+1 rounds per tree in order, each of its tree's constant width
+        shape = QueryShape({t: tree.params for t, tree in host.trees.items()})
         for u in range(g.vertex_count):
             for v in range(g.vertex_count):
                 before = len(host.trace)
                 path = client.query_path(u, v)
                 plen = len(path) - 1 if path else 0
-                segment = host.trace.records[before:]
-                reads = [r for r in segment if r.msg_type == "ReadPath" and r.tree_id == 0]
-                writes = [r for r in segment if r.msg_type == "WritePath" and r.tree_id == 0]
-                assert len(reads) == plen + 1, f"({u},{v}): {len(reads)} rounds, |p|+1={plen + 1}"
-                assert len(writes) == plen + 1
-                read_widths.update(r.byte_count for r in reads)
-                write_widths.update(w.byte_count for w in writes)
+                fault = shape.check(host.trace.records[before:], plen, before)
+                assert fault is None, f"({u},{v}), |p|={plen}: {fault}"
                 checked += plen + 1
-        assert len(read_widths) == 1 and len(write_widths) == 1, "path widths varied"
-    _report(f"leakage-rounds[{mode}]", f"{checked} rounds, all |p|+1 with constant width")
+    _report(f"leakage-rounds[{mode}]", f"{checked} rounds, all of the audited shape")
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +216,14 @@ def test_stash_bound_z5_depth12_cached_top():
 # Criterion 5: bandwidth accounting vs the 2|p|Z·log N reference
 
 def test_bandwidth_accounting():
-    g = Graph(8, directed=True)
-    for i in range(7):
+    g = Graph(15, directed=True)
+    for i in range(14):
         g.add_edge(i, i + 1)
     rng = random.Random(0xBA4D)
     result = setup(g, mode="trivial", rng=rng)
     host, _, client = deploy_inprocess(result, rng=rng)
     params = host.trees[0].params
-    assert params.cached == 1  # the client's 512-byte flat map holds the root
+    assert (params.depth, params.cached) == (5, 1)  # the client keeps the root, the host 5 levels
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size
     lines = []
@@ -345,6 +341,7 @@ def test_attack_separation():
         result = setup(g, mode="trivial", rng=run_rng)
         host, _, client = deploy_inprocess(result, rng=run_rng)
         lengths = path_length_classes(g)
+        classes = length_classes(g)
         class_sizes = Counter(lengths.values())
         workload = [p for p in pairs if lengths[p] >= 1]
         rng.shuffle(workload)
@@ -355,10 +352,9 @@ def test_attack_separation():
             truths.append(QueryTruth(u, v, lengths[(u, v)]))
         report = audit_trace(host.trace, truths, {t: tree.params for t, tree in host.trees.items()})
         assert report.ok, report.summary()
-        by_len = {d: length_candidates(g, d) for d in {t.path_len for t in truths}}
         for t in truths:
-            assert (t.u, t.v) in by_len[t.path_len]
-            assert len(by_len[t.path_len]) == class_sizes[t.path_len]
+            assert (t.u, t.v) in classes[t.path_len]
+            assert len(classes[t.path_len]) == class_sizes[t.path_len]
         audited += len(truths)
 
     accuracy = unique_hit / unique_total if unique_total else 1.0

@@ -57,15 +57,16 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 4; top 1 level(s) cached by the client, host path 4 buckets (1,492 bytes)"),
-            ("enhanced", "data depth 4; top 0 level(s) cached by the controller, host path 5 buckets (1,865 bytes)"),
+            ("trivial", "data depth 5; top 1 level(s) cached by the client, host path 5 buckets (1,865 bytes)"),
+            ("enhanced", "data depth 5; top 0 level(s) cached by the controller, host path 6 buckets (2,238 bytes)"),
         ],
+        ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
-        # an 11-vertex chain: 55 entries in a depth-4 tree of 373-byte
-        # buckets; the trivial client's 968-byte flat map fits one level
+        # a 15-vertex chain: 105 entries in a depth-5 tree of 373-byte
+        # buckets; the trivial client leaves the host its bottom 5 levels
         chain = tmp_path / "chain.tsv"
-        chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(10)))
+        chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
         run_setup(tmp_path, chain, "--mode", mode)
         assert line in capsys.readouterr().out
 

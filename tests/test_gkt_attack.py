@@ -6,7 +6,7 @@ import pytest
 from obge.attack import (
     ahu_label,
     build_sp_trees,
-    length_candidates,
+    length_classes,
     query_recovery,
 )
 from obge.gkt import GktScheme, load_token_log, save_token_log
@@ -227,9 +227,22 @@ class TestSeparation:
         pairs = sorted(compute_spdx(g))
         seqs = [scheme.query(u, v)[1] for u, v in pairs]
         cands = query_recovery(g, seqs, assume_complete=True)
-        for (u, v), cs in zip(pairs, cands):
-            by_len = length_candidates(g, len(seqs[pairs.index((u, v))]) - 1)
-            assert cs <= by_len
+        classes = length_classes(g)
+        for seq, cs in zip(seqs, cands):
+            assert cs <= classes[len(seq) - 1]
+
+    def test_length_classes_partition_every_pair(self):
+        # 0 -> 1 -> 2 and 3 isolated: class 0 is the diagonal and every
+        # pair with no path; each other pair sits in its edge count's class
+        g = Graph(4, directed=True)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        classes = length_classes(g)
+        assert classes == {
+            0: {(u, v) for u in range(4) for v in range(4)} - {(0, 1), (1, 2), (0, 2)},
+            1: {(0, 1), (1, 2)},
+            2: {(0, 2)},
+        }
 
     def test_strict_separation_on_distinguishable_trees(self):
         # two same-length queries toward structurally different destinations:
@@ -243,11 +256,12 @@ class TestSeparation:
         cands = query_recovery(g, seqs, assume_complete=True)
         sizes = {p: len(c) for p, c in zip(pairs, cands)}
         lengths = {p: len(s) - 1 for p, s in zip(pairs, seqs)}
+        classes = length_classes(g)
         for p, cs in sizes.items():
-            assert cs <= len(length_candidates(g, lengths[p]))
+            assert cs <= len(classes[lengths[p]])
         # (0,2) and (3,6) both have length 2, but their destination trees
         # are non-isomorphic, so the attack separates them
-        assert sizes[(0, 2)] < len(length_candidates(g, 2))
+        assert sizes[(0, 2)] < len(classes[2])
 
 
 def test_token_log_round_trip(tmp_path, four_vertex_directed):

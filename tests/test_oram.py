@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 from obge.bench import chain_graph
-from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, cached_levels, tree_depth_for
+from obge.blocks import ABSENT, tree_depth_for
 from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
-from obge.protocol import QueryEngine, TrivialState, build_blocks, reveal, setup
+from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
 from conftest import chain_blocks, chain_engine, data_tree, random_graph, trivial_engine
@@ -324,27 +324,31 @@ class TestTreeTopCache:
     k..L."""
 
     def test_rule_at_the_benchmark_scale(self):
-        # the |V|=200 data tree: depth 13, 345-byte bucket plaintext, and a
-        # flat map counted at 200^2 * 8 bytes: 511 buckets, 176,295 bytes
-        tp = TreeParams(13, 5, DATA_PAYLOAD_WIDTH)
-        assert tp.plain_width == 345
-        assert cached_levels(tp, 200 * 200 * 8) == 9
-        assert cached_levels(tp, 0) == 0
+        # the |V|=200 data tree has depth 13: the trivial client keeps
+        # levels 0..8 and the host levels 9..13; a controller keeps none
+        params = SchemeParams(200, data_depth=13)
+        assert params.data_params.cached == 9 and params.data_params.host_levels == HOST_LEVELS == 5
+        assert SchemeParams(200, mode="enhanced", data_depth=13).data_params.cached == 0
 
-    def test_rule_never_passes_the_depth_or_the_allowance(self):
+    def test_rule_follows_the_depth_alone(self):
+        # neither |V| nor Z moves k: the host stores min(L+1, 5) levels of
+        # every trivial data tree of depth L
         for depth in range(15):
-            tp = TreeParams(depth, 5, DATA_PAYLOAD_WIDTH)
-            for allowance in (0, 344, 345, 1034, 1035, 10**6, 10**12):
-                k = cached_levels(tp, allowance)
-                assert 0 <= k <= depth
-                assert ((1 << k) - 1) * tp.plain_width <= allowance
-                assert k == depth or ((2 << k) - 1) * tp.plain_width > allowance
+            ks = {
+                SchemeParams(n, bucket_size=z, data_depth=depth).data_params.cached
+                for n in (200, 500, 5000)
+                for z in (1, 5, 255)
+            }
+            assert ks == {max(0, depth + 1 - HOST_LEVELS)}
+            tp = SchemeParams(5000, data_depth=depth).data_params
+            assert tp.host_levels == min(depth + 1, HOST_LEVELS)
 
     @pytest.mark.parametrize("mode, k", [("trivial", 1), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
-        # obge bench's 11-vertex chain: a 968-byte flat map fits one
-        # level; a controller's budget leaves nothing for a cache
-        result = setup(chain_graph(11), mode=mode, budget=10**9, rng=random.Random(1))
+        # a 15-vertex chain: 105 entries in a depth-5 tree, one level more
+        # than the host keeps; a controller caches nothing
+        result = setup(chain_graph(15), mode=mode, budget=10**9, rng=random.Random(1))
+        assert result.params.data_depth == 5
         assert result.params.data_params.cached == k
         assert result.trees[0].params.cached == k
         party = result.client if mode == "trivial" else result.controller
@@ -357,7 +361,7 @@ class TestTreeTopCache:
         host, _, client = deploy_inprocess(result, rng=rng)
         tp = host.trees[0].params
         k = tp.cached
-        assert k == cached_levels(TreeParams(tp.depth, 5, DATA_PAYLOAD_WIDTH), 40 * 40 * 8) >= 2
+        assert k == tp.depth + 1 - HOST_LEVELS >= 2
         assert len(host.trees[0].buckets) == (tp.node_count - ((1 << k) - 1)) * tp.bucket_width
         for u in range(40):
             for v in range(0, 40, 3):

@@ -99,6 +99,21 @@ class TestSetup:
             assert path == spath_oracle(g, u, v)
             assert len(calls) == (len(path) - 1 if path else 0)
 
+    def test_tree_header_reveals_the_depth_alone(self):
+        # the complete digraph on 52 vertices (2,652 entries) and the
+        # 80-vertex chain (3,160 entries) both have a depth-10 data tree;
+        # their headers, and so the host's path widths, must not tell them
+        # apart (a k sized from |V| gave 5 and 7)
+        complete = Graph(52, directed=True)
+        for u in range(52):
+            for v in range(52):
+                if u != v:
+                    complete.add_edge(u, v)
+        trees = [deploy(g, "trivial")[0].trees[0] for g in (complete, chain_graph(80))]
+        assert [t.params.depth for t in trees] == [10, 10]
+        assert trees[0].header_bytes() == trees[1].header_bytes()
+        assert trees[0].params.cached == 10 + 1 - protocol.HOST_LEVELS
+
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
         result, host, _, _ = deploy(four_vertex_directed, "trivial", pad_mode="full")
         params = host.trees[0].params
@@ -282,16 +297,16 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 7, party 0; the
+        # the trivial client's keys.bin: magic, version 8, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
         # depth); k1 k2 kprf; then the engine state: the data tree's held
         # blocks (count, then per block tk, next address, payload, leaf and
         # flag 1, group by group), then the flat map's |V|^2 leaves, ABSENT
         # where no block is stored; no shape is stored
-        result, _, _, client = deploy(chain_graph(8), "trivial")
+        result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
-        for u in range(7):
-            client.query(u, 7)
+        for u in range(14):
+            client.query(u, 14)
         depth = result.params.data_depth
         oram = state.oram
         assert result.params.data_params.cached == 1 and len(oram.held) == 2
@@ -307,10 +322,10 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x07\x00" + struct.pack(">HIBBIIQB", 128, 8, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x08\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
-        assert len(state.positions.top) == 64
+        assert len(state.positions.top) == 225
         for leaf in state.positions.top:
             want += struct.pack(">Q", leaf)
         path = tmp_path / "keys.bin"
@@ -338,12 +353,12 @@ class TestPersistence:
         # the blocks the trivial client holds for its cached level, as
         # eviction left them, come back byte for byte in the same groups,
         # and the engine built over them answers as before
-        g = chain_graph(11)
+        g = chain_graph(15)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
         assert result.params.data_params.cached == 1
-        for u in range(10):
-            client.query(u, 10)
+        for u in range(14):
+            client.query(u, 14)
             if state.oram.held_count:
                 break
         assert state.oram.held_count > 0, "no held block to persist"
@@ -353,14 +368,14 @@ class TestPersistence:
         assert fresh.oram.held == state.oram.held and fresh.params == state.params
         assert fresh.oram.held_count == state.oram.held_count
         client2 = TrivialClient(fresh, host, rng=random.Random(3))
-        for u in range(11):
-            assert client2.query_path(u, 10) == spath_oracle(g, u, 10)
+        for u in range(15):
+            assert client2.query_path(u, 14) == spath_oracle(g, u, 14)
 
     @pytest.mark.parametrize("bad", ["flag-2", "leaf-past-tree"])
     def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
         # with a cached level, a held block flagged neither real nor dummy,
         # or mapped past the last leaf, is refused like a stash block
-        result, _, _, _ = deploy(chain_graph(11), "trivial")
+        result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
         assert tp.cached == 1
@@ -377,7 +392,7 @@ class TestPersistence:
         # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The count is refused before the blocks
         # it claims are read
-        result, _, _, _ = deploy(chain_graph(11 if cached else 4), "trivial")
+        result, _, _, _ = deploy(chain_graph(15 if cached else 4), "trivial")
         state = result.client
         tp = result.params.data_params
         assert tp.cached == cached
@@ -484,8 +499,8 @@ class TestPersistence:
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 3 held every level on the host, and state
-        # files of version 6 stored the tree-top cache as plaintext buckets,
-        # so both must be set up again (as must older ones)
+        # files of version 7 sized the trivial client's tree-top cache from
+        # |V|, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -494,9 +509,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (4, 3, TreeStorage.load),
-            "keys.bin": (7, 6, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (7, 6, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (7, 6, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (8, 7, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (8, 7, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (8, 7, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

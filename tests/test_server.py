@@ -6,6 +6,7 @@ import pytest
 
 from obge import wire
 from obge.crypto import ciphertext_width
+from obge.bench import chain_graph
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
 from obge.protocol import TrivialClient, TrivialState, load_state, save_state, setup
@@ -35,9 +36,9 @@ def make_deployment(mode="trivial", n=6, seed=4):
 
 class TestDispatch:
     def test_read_path_shape(self):
-        # an 11-vertex chain: the client caches the data tree's root, so
+        # a 15-vertex chain: the client caches the data tree's root, so
         # the host's path is levels 1..L
-        _, result, host, server, _ = make_deployment(n=11)
+        _, result, host, server, _ = make_deployment(n=15)
         params = host.trees[0].params
         assert params.cached == 1
         resp = server.dispatch(wire.Access(read=(0, 0)))
@@ -122,6 +123,35 @@ class TestConfig:
         save_config(tmp_path / "server.cfg", ServerConfig(tree_path=str(tmp_path)))
         with pytest.raises(ProtocolError):
             build_server(load_config(tmp_path / "server.cfg"))
+
+    @pytest.mark.parametrize(
+        "donor, name, match",
+        [
+            (15, "tree_000.bin", "tree file .*tree_000.bin: tree 0 has geometry"),
+            (15, "tree_001.bin", "tree file .*tree_001.bin: tree 1 has geometry"),
+            (20, "tree_002.bin", r"describes trees \[0, 1\] \(1 \+ chain depth 1\), .* hold trees \[0, 1, 2\]"),
+        ],
+        ids=["data-tree", "map-level", "extra-level"],
+    )
+    def test_tree_file_from_another_setup_is_refused(self, tmp_path, donor, name, match):
+        # an enhanced deployment of a 12-vertex chain (a depth-4 data tree
+        # and one map level) with a tree file of another setup swapped or
+        # added in: the start is refused, naming the file, where once every
+        # query failed
+        def deploy_to(directory, n):
+            directory.mkdir()
+            result = setup(chain_graph(n), mode="enhanced", budget=256, chi=8, rng=random.Random(n))
+            for tree in result.trees:
+                tree.save(directory / f"tree_{tree.tree_id:03d}.bin")
+            save_state(directory / "controller.bin", result.controller)
+            return ServerConfig(mode="enhanced", tree_path=str(directory))
+
+        cfg = deploy_to(tmp_path / "ours", 12)
+        build_server(cfg)
+        deploy_to(tmp_path / "theirs", donor)
+        (tmp_path / "ours" / name).write_bytes((tmp_path / "theirs" / name).read_bytes())
+        with pytest.raises(ProtocolError, match=match):
+            build_server(cfg)
 
 
 class TestDaemon:
