@@ -10,7 +10,8 @@ The flag byte is 1 for a real block; a dummy slot is all zero bytes.  A
 block names its next hop by dense address only; the query engine derives
 that hop's token with the PRF key.  The payload width W is fixed per tree:
 the data tree carries a k1 ciphertext of a vertex pair, position-map trees
-carry chi packed 8-byte leaf entries.  A bucket is the concatenation of its
+carry 8*chi bytes of packed leaf entries, each as wide as the tree it points
+into needs (see ``recursive``).  A bucket is the concatenation of its
 Z packed blocks, dummies included, encrypted under k2 as one AES-GCM
 ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
 bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only

@@ -193,7 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad", choices=["none", "full"], default="none")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--budget", type=int, default=None, help="controller memory budget in bytes")
-    p.add_argument("--chi", type=int, default=64)
+    p.add_argument(
+        "--chi",
+        type=int,
+        default=64,
+        help="position-map level payload of 8*chi bytes, packing as many leaf entries as fit at the width "
+        "of the tree they point into",
+    )
     p.add_argument("--lambda-bits", type=int, default=128, dest="lambda_bits")
     p.add_argument("--stash-max", type=int, default=128, dest="stash_max")
     p.add_argument("--undirected", action="store_true")

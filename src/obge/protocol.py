@@ -80,7 +80,7 @@ from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import DEFAULT_STASH_MAX, PathOram, held_limit, oram_init
-from .recursive import ENTRY_BYTES, RecursivePM, big_endian, check_chi, map_shape, rpm_build
+from .recursive import TOP_ENTRY_BYTES, RecursivePM, big_endian, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -135,7 +135,7 @@ class SchemeParams:
     @property
     def map_budget(self) -> int:
         enhanced = self.mode == MODE_ENHANCED and self.budget is not None
-        return self.budget if enhanced else self.address_space * ENTRY_BYTES
+        return self.budget if enhanced else self.address_space * TOP_ENTRY_BYTES
 
     @property
     def data_params(self) -> TreeParams:
@@ -406,13 +406,14 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 7 sized the trivial client's tree-top cache from |V|^2 * 8 bytes,
-# so its k differs from the depth rule's; version 6 stored the tree-top
+# version 8 sized every level entry at 8 bytes, so its map shape differs
+# from the entry-width rule's; version 7 sized the trivial client's tree-top
+# cache from |V|^2 * 8 bytes, so its k differs from the depth rule's; version 6 stored the tree-top
 # cache as 2^k - 1 plaintext buckets after a stash; version 5 stored the map's shape and (index, leaf) pairs; version 4
 # had no tree-top cache; version 3 kept the trivial client's engine state in
 # a file of its own and gave controller.bin its own magic; version 2 blocks
 # carried the next hop's token
-STATE_VERSION = 8
+STATE_VERSION = 9
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -502,7 +503,7 @@ def _unpack_engine(
     # nothing but this loader needs it
     import numpy as np
 
-    top = big_endian(r.take(top_width * ENTRY_BYTES))
+    top = big_endian(r.take(top_width * TOP_ENTRY_BYTES))
     entries = np.frombuffer(top, dtype=np.uint64)
     last = levels[-1] if levels else oram
     bad = entries >= last.params.leaves
@@ -517,7 +518,6 @@ def _unpack_engine(
     rpm = RecursivePM(
         address_space=params.address_space,
         data_leaves=oram.params.leaves,
-        chi=params.chi,
         levels=levels,
         top=top,
     )
@@ -576,7 +576,7 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
     )
     try:  # every shape below is derived from the parameter block
         params.validate()
-        shape = map_shape(params.address_space, chi, params.map_budget, z)
+        shape = map_shape(params.address_space, chi, params.map_budget, z, params.data_params.leaves)
     except ConfigError as exc:
         raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
     k = lam // 8

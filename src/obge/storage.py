@@ -6,16 +6,18 @@ and serves the host's part of each root-to-leaf path.  Every path read or
 write is appended to an AccessTrace, which records exactly what the storage
 owner can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 4: a header (magic, version, tree id, depth L,
+Tree file format, version 5: a header (magic, version, tree id, depth L,
 cached levels k, bucket size Z, payload width) followed by the buckets of
 levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
 engine holding the tree keeps levels 0..k-1 itself, so a path read or write
 moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of Z serialized
 blocks whose associated data is (tree id, heap index), so the storage side
 cannot move, copy or swap buckets within or across trees without the next
-access that reads them failing.  Version 1 (one ciphertext per slot),
-version 2 (next-hop tokens in blocks, length-prefixed buckets) and version 3
-(every level on the host) are rejected on load.
+access that reads them failing.  A position-map tree's payloads pack
+entries as wide as the tree they point into needs (``recursive``).
+Version 1 (one ciphertext per slot), version 2 (next-hop tokens in blocks,
+length-prefixed buckets), version 3 (every level on the host) and version 4
+(8-byte position entries) are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  Tree and state
@@ -35,7 +37,7 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 4
+TREE_VERSION = 5
 _HEADER = struct.Struct(">2sBBBBBH")  # magic, version, tree_id, L, k, Z, payload_width
 
 

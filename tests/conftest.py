@@ -1,6 +1,8 @@
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
 from obge.crypto import Cipher, encode_pair, prf_eval
@@ -9,6 +11,15 @@ from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
 from obge.recursive import rpm_build
 from obge.storage import StorageHost
+
+# Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
+# where it detects a CI environment): a property test that sets no
+# max_examples runs 25 examples in a plain pytest run and 1,000 with
+# HYPOTHESIS_PROFILE=thorough
+_loaded = settings()
+settings.register_profile("quick", _loaded, max_examples=25)
+settings.register_profile("thorough", _loaded, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "quick"))
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, directed: bool = True) -> Graph:

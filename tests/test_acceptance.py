@@ -291,14 +291,16 @@ def test_recursive_pm_budget():
 def test_latency_shape():
     from obge.bench import latency_stats, run_bench
 
-    rows = run_bench(list(range(1, 11)), reps=50, seed=0xBE)
+    # 150 reps a length: at 50, drift in machine speed swapped two adjacent
+    # medians (about 60 us apart) in about one run of 50 to 100
+    rows = run_bench(list(range(1, 11)), reps=150, seed=0xBE)
     st = latency_stats(rows)
     assert st["monotone"], f"medians not strictly increasing: {st['medians']}"
     assert st["slope"] > 0
     assert st["p_one_sided"] < SIG, f"slope not significant: p={st['p_one_sided']:.3g}"
     _report(
         "latency-shape",
-        f"lengths 1..10 x50, slope {st['slope']:.0f}us/hop, p={st['p_one_sided']:.1e}",
+        f"lengths 1..10 x150, slope {st['slope']:.0f}us/hop, p={st['p_one_sided']:.1e}",
     )
 
 

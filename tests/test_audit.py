@@ -65,12 +65,14 @@ def two_branch_graph():
 @pytest.fixture(scope="module")
 def recursive_trace():
     """An honest enhanced trace over a recursive map of chain depth 2:
-    |V|=24, chi 8, a 128-byte budget, 400 random queries."""
+    |V|=36, chi 2, a 128-byte budget, 400 random queries.  The map's level
+    trees have 64 and 4 leaves, so zeroed leaves show in either."""
     rng = random.Random(11)
-    g = random_graph(rng, 24, 0.12)
-    queries = [(rng.randrange(24), rng.randrange(24)) for _ in range(400)]
-    host, truths = run_workload(g, queries, mode="enhanced", chi=8, budget=128)
+    g = random_graph(rng, 36, 0.12)
+    queries = [(rng.randrange(36), rng.randrange(36)) for _ in range(400)]
+    host, truths = run_workload(g, queries, mode="enhanced", chi=2, budget=128)
     assert sorted(host.trees) == [0, 1, 2]
+    assert [host.trees[t].params.leaves for t in (1, 2)] == [64, 4]
     assert max(t.path_len for t in truths) >= 2
     return host, truths
 

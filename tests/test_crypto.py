@@ -56,6 +56,7 @@ class TestPrf:
 
 
 class TestPairEncoding:
+    @settings(max_examples=100)
     @given(u=st.integers(0, 2**32 - 1), v=st.integers(0, 2**32 - 1))
     def test_round_trip(self, u, v):
         assert decode_pair(encode_pair(u, v)) == (u, v)

@@ -297,7 +297,7 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 8, party 0; the
+        # the trivial client's keys.bin: magic, version 9, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
         # depth); k1 k2 kprf; then the engine state: the data tree's held
         # blocks (count, then per block tk, next address, payload, leaf and
@@ -322,7 +322,7 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x08\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x09\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
         assert len(state.positions.top) == 225
@@ -446,8 +446,9 @@ class TestPersistence:
     def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree, entry):
         # a flat map's entries are data leaves or ABSENT; a chain's are
         # leaves of its last level, all present.  An entry past its tree
-        # loaded, and the first query that read it raised IndexError
-        kw = {"budget": 256, "chi": 8} if mode == "enhanced" else {}
+        # loaded, and the first query that read it raised IndexError.  chi 2
+        # packs 16 entries a block, so the chain's top has 9
+        kw = {"budget": 256, "chi": 2} if mode == "enhanced" else {}
         result, _, server, _ = deploy(random_graph(random.Random(5), 12, 0.3), mode, **kw)
         state = result.client if mode == "trivial" else server.controller.state
         assert state.positions.chain_depth == tree
@@ -498,9 +499,8 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree files of version 3 held every level on the host, and state
-        # files of version 7 sized the trivial client's tree-top cache from
-        # |V|, so both must be set up again (as must older ones)
+        # tree and state files of versions 4 and 8 packed every position
+        # entry in 8 bytes, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -508,10 +508,10 @@ class TestPersistence:
         save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": (4, 3, TreeStorage.load),
-            "keys.bin": (8, 7, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (8, 7, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (8, 7, lambda p: load_state(p, ControllerState)),
+            "tree.bin": (5, 4, TreeStorage.load),
+            "keys.bin": (9, 8, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (9, 8, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (9, 8, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from scipy import stats
 from obge.blocks import ABSENT
 from obge.crypto import Cipher, keygen
 from obge.exceptions import ConfigError
-from obge.recursive import map_shape, rpm_build
+from obge.recursive import entry_width, map_shape, pack_entries, rpm_build
 from obge.storage import StorageHost
 
 
@@ -25,14 +26,37 @@ def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
     return rpm, host
 
 
+def check_against_shadow(rpm, assignments, addresses):
+    """Each access returns exactly the leaf a flat shadow map tracking the
+    same remaps would."""
+    shadow = dict(assignments)
+    for a in addresses:
+        old, new = rpm.get_and_remap(a)
+        assert old == shadow.get(a, ABSENT)
+        if a in shadow:
+            shadow[a] = new
+
+
 class TestBuild:
     def test_chain_shape_4096_chi64_1kb(self, rng):
+        # 256 data leaves take 2-byte entries, 256 to a 512-byte payload
         assignments = {a: rng.randrange(256) for a in range(0, 4096, 2)}
         rpm, _ = build_rpm(assignments, 4096, 256, chi=64, budget=1024, rng=rng)
         assert rpm.chain_depth == 1
-        assert map_shape(4096, 64, 1024, 5) == ([(64, rpm.levels[0].params)], 64)
-        assert len(rpm.top) == 64
+        assert map_shape(4096, 64, 1024, 5, 256) == ([(16, rpm.levels[0].params)], 16)
+        assert (rpm.widths, rpm.per_block) == ([2], [256])
+        assert len(rpm.top) == 16
         assert len(rpm.top) * 8 <= 1024
+
+    def test_benchmark_shapes(self):
+        # |V|=200 at 4 KiB: 8,192 data leaves take 2-byte entries, 256 to a
+        # block, so one level of 157 blocks; |V|=500: 3-byte data leaves,
+        # 170 to a block, then 2-byte leaves of the 512-leaf level-0 tree
+        (level,), top = map_shape(40000, 64, 4096, 5, 8192)
+        assert (level[0], level[1].depth, top) == (157, 5, 157)
+        levels, top = map_shape(250000, 64, 4096, 5, 1 << 16)
+        assert [(n, tp.depth) for n, tp in levels] == [(1471, 9), (6, 1)]
+        assert top == 6
 
     def test_flat_when_budget_covers_map(self, rng):
         assignments = {a: rng.randrange(64) for a in range(100)}
@@ -49,15 +73,9 @@ class TestBuild:
 
     def test_deep_chain_still_correct(self, rng):
         assignments = {a: rng.randrange(32) for a in range(512)}
-        rpm, _ = build_rpm(assignments, 512, 32, chi=4, budget=64, rng=rng)
+        rpm, _ = build_rpm(assignments, 512, 32, chi=2, budget=64, rng=rng)
         assert rpm.chain_depth >= 2
-        shadow = dict(assignments)
-        for _ in range(400):
-            a = rng.randrange(512)
-            old, new = rpm.get_and_remap(a)
-            assert old == shadow.get(a, ABSENT)
-            if a in shadow:
-                shadow[a] = new
+        check_against_shadow(rpm, assignments, [rng.randrange(512) for _ in range(400)])
 
 
 class TestAccess:
@@ -90,30 +108,78 @@ class TestAccess:
             rpm.get_and_remap(16)
 
 
-@settings(max_examples=25, deadline=None)
+def test_entry_width_is_the_fewest_bytes_that_hold_every_leaf():
+    # a 2^depth-leaf tree's leaves need depth bits; ABSENT, the all-ones
+    # w-byte value, must stay above the last of them
+    for depth in range(25):
+        leaves = 1 << depth
+        w = entry_width(leaves)
+        assert leaves - 1 < (1 << 8 * w) - 1
+        assert w == 1 or leaves - 1 >= (1 << 8 * (w - 1)) - 1
+        assert w == depth // 8 + 1
+    assert [entry_width(1 << d) for d in (7, 8, 15, 16, 23, 24)] == [1, 2, 2, 3, 3, 4]
+    # one leaf short of a boundary still fits below the narrower ABSENT
+    assert [entry_width(n) for n in (255, 256, 65535, 65536)] == [1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 8])
+def test_pack_entries_matches_per_entry_encoding(rng, w):
+    # the byte-column pass against one int.to_bytes per entry: leaves keep
+    # their low w bytes, an 8-byte ABSENT becomes the w-byte one, and the
+    # cells past the entries are ABSENT
+    entries = array("Q", [rng.randrange((1 << 8 * w) - 1) for _ in range(37)] + [ABSENT, 0])
+    want = b"".join(((1 << 8 * w) - 1 if e == ABSENT else e).to_bytes(w, "big") for e in entries)
+    assert pack_entries(entries, w, 45) == want + b"\xff" * (6 * w)
+
+
+@settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), chi=st.integers(2, 16), ops=st.integers(1, 60))
 def test_shadow_map_equivalence(seed, chi, ops):
-    """Any access sequence returns exactly the leaves a flat shadow map
-    tracking the same remaps would."""
+    """Any access sequence matches the shadow map.  Data leaf counts on either side of the
+    8- and 16-bit boundaries give level 0 entries of 1, 2 or 3 bytes, and
+    the level trees above it 1- or 2-byte ones, so per-block counts differ
+    level by level."""
     rng = random.Random(seed)
-    space = rng.choice([64, 128, 300])
-    data_leaves = 32
+    space = rng.choice([64, 128, 300, 2000, 7000])
+    data_leaves = rng.choice([32, 255, 256, 65535, 65536])
     assignments = {a: rng.randrange(data_leaves) for a in range(space) if rng.random() < 0.6}
-    budget = max(chi * 8, space * 8 // rng.choice([4, 8, 16]))
+    budget = max(chi * 8, space * 8 // rng.choice([4, 8, 16, 64]))
     rpm, _ = build_rpm(assignments, space, data_leaves, chi=chi, budget=budget, rng=rng)
-    shadow = dict(assignments)
-    for _ in range(ops):
-        a = rng.randrange(space)
-        old, new = rpm.get_and_remap(a)
-        assert old == shadow.get(a, ABSENT)
-        if a in shadow:
-            shadow[a] = new
+    check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(ops)])
+
+
+def test_mixed_width_chain(rng):
+    # 3-byte data leaves, 5 to a 16-byte payload: 1,400 blocks in a
+    # 512-leaf tree; its 2-byte leaves, 8 to a block: 175 blocks in a
+    # 64-leaf tree; its 1-byte leaves, 16 to a block: 11 blocks on top
+    space, data_leaves = 7000, 1 << 16
+    assignments = {a: rng.randrange(data_leaves) for a in range(space) if rng.random() < 0.6}
+    rpm, _ = build_rpm(assignments, space, data_leaves, chi=2, budget=100, rng=rng)
+    assert (rpm.widths, rpm.per_block) == ([3, 2, 1], [5, 8, 16])
+    assert [lvl.params.leaves for lvl in rpm.levels] == [512, 64, 4]
+    assert len(rpm.top) == 11
+    check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(300)])
+
+
+def test_padded_last_block_reads_absent(rng):
+    # 300 addresses of 2-byte entries, 8 to a block: the last of 38 blocks
+    # holds addresses 296..299 and four ABSENT pad entries.  Its unassigned
+    # addresses read ABSENT and stay so; its assigned ones remap around them
+    assignments = {a: rng.randrange(256) for a in range(290)} | {297: 255, 299: 0}
+    rpm, _ = build_rpm(assignments, 300, 256, chi=2, budget=64, rng=rng)
+    assert (rpm.widths[0], rpm.per_block[0], rpm.levels[0].params.payload_width) == (2, 8, 16)
+    check_against_shadow(rpm, assignments, list(range(296, 300)) * 4)
+    with pytest.raises(IndexError):
+        rpm.get_and_remap(300)
 
 
 def test_budget_compliance_under_load(rng):
     space = 4096
     assignments = {a: rng.randrange(128) for a in range(space)}
-    budget = space * 8 // 16
+    # 1-byte entries, 512 to a block: 8 blocks, so a 64-byte top; the
+    # budget leaves the stash under two blocks of room, as 8-byte entries
+    # did at twice the budget
+    budget = space * 8 // 32
     rpm, _ = build_rpm(assignments, space, 128, chi=64, budget=budget, rng=rng)
     assert rpm.chain_depth >= 1
     slack = max(lvl.params.block_width for lvl in rpm.levels)
@@ -124,7 +190,8 @@ def test_budget_compliance_under_load(rng):
 def test_per_level_uniform_leaves(rng):
     space = 1024
     assignments = {a: rng.randrange(64) for a in range(space)}
-    rpm, host = build_rpm(assignments, space, 64, chi=16, budget=256, rng=rng)
+    # 1-byte entries, 16 to a block: 64 blocks in a 16-leaf tree, then 4
+    rpm, host = build_rpm(assignments, space, 64, chi=2, budget=256, rng=rng)
     assert rpm.chain_depth >= 1
     for _ in range(3000):
         rpm.get_and_remap(rng.randrange(space))

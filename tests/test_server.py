@@ -129,18 +129,19 @@ class TestConfig:
         [
             (15, "tree_000.bin", "tree file .*tree_000.bin: tree 0 has geometry"),
             (15, "tree_001.bin", "tree file .*tree_001.bin: tree 1 has geometry"),
-            (20, "tree_002.bin", r"describes trees \[0, 1\] \(1 \+ chain depth 1\), .* hold trees \[0, 1, 2\]"),
+            (24, "tree_002.bin", r"describes trees \[0, 1\] \(1 \+ chain depth 1\), .* hold trees \[0, 1, 2\]"),
         ],
         ids=["data-tree", "map-level", "extra-level"],
     )
     def test_tree_file_from_another_setup_is_refused(self, tmp_path, donor, name, match):
         # an enhanced deployment of a 12-vertex chain (a depth-4 data tree
-        # and one map level) with a tree file of another setup swapped or
-        # added in: the start is refused, naming the file, where once every
-        # query failed
+        # and one 2-leaf map level, 16 entries a block) with a tree file of
+        # another setup swapped or added in: the start is refused, naming
+        # the file, where once every query failed.  A 15-vertex chain's map
+        # level has 4 leaves; a 24-vertex chain's map has two levels
         def deploy_to(directory, n):
             directory.mkdir()
-            result = setup(chain_graph(n), mode="enhanced", budget=256, chi=8, rng=random.Random(n))
+            result = setup(chain_graph(n), mode="enhanced", budget=256, chi=2, rng=random.Random(n))
             for tree in result.trees:
                 tree.save(directory / f"tree_{tree.tree_id:03d}.bin")
             save_state(directory / "controller.bin", result.controller)

@@ -1,7 +1,7 @@
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from obge import wire
 from obge.exceptions import ProtocolError
@@ -32,6 +32,7 @@ def test_round_trip_identity(msg):
 path_refs = st.tuples(st.integers(0, 255), st.integers(0, 2**64 - 1))
 
 
+@settings(max_examples=100)
 @given(
     write=st.none() | st.tuples(st.integers(0, 255), st.integers(0, 2**64 - 1), st.binary(min_size=1, max_size=200)),
     read=st.none() | path_refs,
@@ -41,6 +42,7 @@ def test_access_fuzz(write, read):
     assert wire.decode(wire.encode(msg)) == msg
 
 
+@settings(max_examples=100)
 @given(tree=st.integers(0, 255), leaf=st.integers(0, 2**64 - 1), blob=st.binary(max_size=200))
 def test_write_path_fuzz(tree, leaf, blob):
     # a write of any tree, leaf and buckets round-trips; one without
@@ -53,6 +55,7 @@ def test_write_path_fuzz(tree, leaf, blob):
         assert wire.decode(wire.encode(msg)) == msg
 
 
+@settings(max_examples=100)
 @given(blob=st.binary(max_size=300))
 def test_opaque_payload_fuzz(blob):
     for ctor in (wire.PathData, wire.EnclaveRequest, wire.EnclaveResponse):
