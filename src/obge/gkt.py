@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .crypto import Cipher, KeySet, encode_pair, keygen, prf_eval
+from .exceptions import ProtocolError
 from .graph import Graph, compute_spdx
 from .protocol import reveal
 
@@ -77,18 +78,31 @@ def save_token_log(path: str | Path, sequences: list[list[bytes]], truths: list[
 
 
 def load_token_log(path: str | Path) -> tuple[list[list[bytes]], list[tuple[int, int]] | None]:
+    """A log saved by ``save_token_log``; a malformed line raises
+    ProtocolError naming the file and the line."""
     sequences: list[list[bytes]] = []
     truths: list[tuple[int, int]] = []
     have_truth = True
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            sequences.append([bytes.fromhex(t) for t in rec["tokens"]])
-            if "query" in rec:
-                truths.append(tuple(rec["query"]))
+            try:
+                rec = json.loads(line)
+                tokens, query = rec["tokens"], rec.get("query")
+                if not isinstance(tokens, list) or query is not None and not (
+                    isinstance(query, list) and len(query) == 2 and all(type(x) is int for x in query)
+                ):
+                    raise TypeError
+                sequences.append([bytes.fromhex(t) for t in tokens])
+            except (ValueError, KeyError, TypeError):
+                raise ProtocolError(
+                    f'{path}, line {lineno}: expected {{"tokens": [hex, ...]}} and optionally "query": [u, v], '
+                    f"got {line!r}"
+                ) from None
+            if query is not None:
+                truths.append(tuple(query))
             else:
                 have_truth = False
     return sequences, truths if have_truth and truths else None

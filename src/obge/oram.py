@@ -31,8 +31,14 @@ at the memory of the stash and the 2^k - 1 top buckets together.
 
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
 with its tree, a state file's loader builds it from the saved blocks, and a
-deployment only gives it a store and a leaf sampler; a party's state holds
-the engine itself, so saving the state writes what the last access left.
+deployment only gives it a store; a party's state holds the engine itself,
+so saving the state writes what the last access left.  Building an engine
+refuses held blocks it could not keep: more than ``held_limit``, a block
+flagged as a dummy, or one mapped past the tree's last leaf, which eviction
+would put off its path.
+
+The engine draws no leaves: the caller names the path of every access,
+including a dummy round's, which must be a fresh uniform leaf.
 """
 
 from __future__ import annotations
@@ -60,10 +66,10 @@ class PathOram:
     ``write_path(tree_id, leaf, data)``; local storage and the wire client
     both qualify; the wire client holds a write back until its next read,
     and flushing it is the caller's job.  An engine is built without one:
-    whoever runs it sets ``store``, and ``rng``, which draws the leaves of
-    dummy rounds.
-    Position lookup is the caller's job: access takes the block's current
-    leaf (or None for a dummy round) and the fresh leaf it should move to.
+    whoever runs it sets ``store``.
+    Position lookup is the caller's job: access takes the leaf of the path
+    to read, the block's current leaf or a dummy round's fresh one, and the
+    fresh leaf a block should move to.
     One access may be in flight at a time.  held[g] holds the blocks whose
     leaf has top k bits g; held_count is their total and max_stash_seen
     its peak.
@@ -81,13 +87,17 @@ class PathOram:
         self.params = params
         self.store = None
         self.cipher = cipher
-        shift, hw = params.depth - params.cached, params.head_width
+        self.held_max = held_limit(params, stash_max)
+        if len(held) > self.held_max:
+            raise CapacityError(f"tree {tree_id} holds {len(held)} blocks, limit {self.held_max}")
+        shift, hw, leaves = params.depth - params.cached, params.head_width, params.leaves
         self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
         for blk in held:
-            self.held[TAIL.unpack_from(blk, hw)[0] >> shift].append(blk)
+            leaf, flag = TAIL.unpack_from(blk, hw)
+            if flag != 1 or leaf >= leaves:
+                raise IntegrityError(f"bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {leaves})")
+            self.held[leaf >> shift].append(blk)
         self.held_count = len(held)
-        self.held_max = held_limit(params, stash_max)
-        self.rng = None
         self.max_stash_seen = len(held)
         self.access_count = 0
 
@@ -98,32 +108,30 @@ class PathOram:
     def access(
         self,
         tk: bytes | None,
-        cur_leaf: int | None,
-        new_leaf: int | None,
+        leaf: int,
+        new_leaf: int | None = None,
         update_payload=None,
     ) -> Block | None:
-        """One oblivious access.
+        """One oblivious access over the path to leaf.
 
-        With a token and its current leaf: fetch the path, pull the block
-        from the path or its held group, remap it to new_leaf, optionally
-        rewrite its payload, evict, and return it.  With tk or cur_leaf
-        None: a dummy round over a uniformly random path with identical
-        wire shape, returning None.
+        With a token, leaf is its block's current leaf: fetch the path,
+        pull the block from the path or its held group, remap it to
+        new_leaf, optionally rewrite its payload, evict, and return it.
+        With tk None: a dummy round with identical wire shape, returning
+        None; leaf must then be a fresh uniform sample.
         """
         p = self.params
-        is_real = tk is not None and cur_leaf is not None
-        if is_real and not (0 <= new_leaf < p.leaves):
+        if tk is not None and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
-        x = cur_leaf if is_real else self.rng.randrange(p.leaves)
-        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(x, p.cached)]
-        raw = self.store.read_path(self.tree_id, x)
+        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(leaf, p.cached)]
+        raw = self.store.read_path(self.tree_id, leaf)
         if len(raw) != p.path_width:
             raise IntegrityError(
                 f"tree {self.tree_id}: path read of {len(raw)} bytes, expected {p.path_width}"
             )
 
         shift = p.depth - p.cached
-        group = self.held[x >> shift]
+        group = self.held[leaf >> shift]
         before = len(group)
         bw, cw = p.block_width, p.bucket_width
         ends = range(bw, p.plain_width + 1, bw)  # each slot ends in its flag byte
@@ -136,7 +144,7 @@ class PathOram:
 
         found: Block | None = None
         moved = 0
-        if is_real:
+        if tk is not None:
             for i, blk in enumerate(group):
                 if blk[TOKEN] == tk:
                     break
@@ -146,15 +154,15 @@ class PathOram:
             found.leaf = new_leaf
             if update_payload is not None:
                 found.payload = update_payload(found.payload)
-            if new_leaf >> shift == x >> shift:
+            if new_leaf >> shift == leaf >> shift:
                 group[i] = found.pack(p)
             else:  # its new path leaves this one above level k
                 del group[i]
                 self.held[new_leaf >> shift].append(found.pack(p))
                 moved = 1
 
-        left = self._evict_and_write(x, group, ads)
-        self.held[x >> shift] = left
+        left = self._evict_and_write(leaf, group, ads)
+        self.held[leaf >> shift] = left
         self.held_count += len(left) - before + moved
         self.access_count += 1
         if self.held_count > self.held_max:
@@ -248,8 +256,7 @@ def oram_init(
             node = (node - 1) >> 1
         else:
             held.append(blk)
-    if len(held) > limit:
-        raise CapacityError(f"initial placement left {len(held)} blocks held, limit {limit}")
+    engine = PathOram(tree_id, params, cipher, held, stash_max)
 
     bw = params.bucket_width
     buckets = bytearray(params.host_nodes * bw)
@@ -262,7 +269,7 @@ def oram_init(
         )
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
-    return PathOram(tree_id, params, cipher, held, stash_max), tree, leaves
+    return engine, tree, leaves
 
 
 def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:

@@ -29,8 +29,8 @@ The party that hosts the engine holds its ORAM engines in its state: the
 data tree's PathOram, which owns the blocks it holds, and the map with its
 level engines.  Each is built once, by setup with its tree or
 by load_state from the file; a QueryEngine over the state only attaches a
-store and a leaf sampler, so saving the state writes what the last query
-left.
+store to the engines and a leaf sampler to the map, so saving the state
+writes what the last query left.
 
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
@@ -46,16 +46,15 @@ and the parameter block, followed by
 The engine state -- the data tree's held blocks, each position-map
 level's stash and the map's top array -- has one codec and stores no
 shape: load_state validates the parameter block and derives the cached
-levels (``SchemeParams.data_params``) and the map's shape (``map_shape``)
-from it, as setup does.  Held blocks and a stash are stored alike: a block
-count and the packed blocks, group by group, each checked on load to be
-real and mapped to a leaf of its tree, and the count checked against the engine's
-``held_limit``; the engine rebuilds its groups from the leaves.  The top
-is its entries as big-endian 8-byte words, each a leaf of the tree it
-points into: the data tree in a flat map, where ABSENT is allowed too, and
-the last level's tree in a chain.  Files are replaced atomically and
-readable by their owner only; a file of an older version, of a party the
-caller did not ask for, or with a parameter block setup would refuse raises
+levels (``SchemeParams.data_params``) and the map's shape
+(``SchemeParams.map_shape``) from it, as setup does.  Held blocks and a
+stash are stored alike: a block count and the packed blocks, group by
+group.  The top is its entries as big-endian 8-byte words.  The engines
+check what they are built with: ``PathOram`` its held blocks and
+``RecursivePM.load`` the top; load_state reports what they refuse as
+ProtocolError naming the file.  Files are replaced atomically and readable
+by their owner only; a file of an older version, of a party the caller did
+not ask for, or with a parameter block setup would refuse raises
 ProtocolError.
 """
 
@@ -68,19 +67,12 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blocks import (
-    ABSENT,
-    DATA_PAYLOAD_WIDTH,
-    TAIL,
-    TreeParams,
-    block_head,
-    tree_depth_for,
-)
+from .blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
 from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
-from .exceptions import ConfigError, IntegrityError, ProtocolError
+from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .oram import DEFAULT_STASH_MAX, PathOram, held_limit, oram_init
-from .recursive import TOP_ENTRY_BYTES, RecursivePM, big_endian, check_chi, map_shape, rpm_build
+from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
+from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, big_endian, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -143,6 +135,11 @@ class SchemeParams:
         host's HOST_LEVELS levels; a controller caches none."""
         cached = max(0, self.data_depth + 1 - HOST_LEVELS) if self.mode == MODE_TRIVIAL else 0
         return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, cached)
+
+    @property
+    def map_shape(self) -> MapShape:
+        """The position map's geometry, pointing into the data tree."""
+        return map_shape(self.address_space, self.chi, self.map_budget, self.bucket_size, self.data_params.leaves)
 
 
 @dataclass
@@ -240,21 +237,8 @@ def setup(
     heads, addresses = build_blocks(g, keys)
     slots = params.full_slots if pad_mode == PAD_FULL else len(heads)
     params.data_depth = tree_depth_for(max(len(heads), slots), bucket_size)
-    data_params = params.data_params
-    oram, tree, leaves = oram_init(heads, data_params, k2, rng, stash_max, DATA_TREE_ID)
-
-    rpm, pm_trees = rpm_build(
-        zip(addresses, leaves),
-        address_space=params.address_space,
-        data_leaves=data_params.leaves,
-        chi=chi,
-        budget=params.map_budget,
-        bucket_size=bucket_size,
-        cipher=k2,
-        rng=rng,
-        stash_max=stash_max,
-        first_tree_id=DATA_TREE_ID + 1,
-    )
+    oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, stash_max, DATA_TREE_ID)
+    rpm, pm_trees = rpm_build(zip(addresses, leaves), params.map_shape, k2, rng, stash_max, DATA_TREE_ID + 1)
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
@@ -292,10 +276,12 @@ class QueryEngine:
     """The Query loop both deployments run.
 
     Runs the state's data tree engine and position map with the PRF key.
-    Building it attaches store and rng to the data engine and to every
-    level engine of the map, so every path read and write goes through
-    store and every fresh leaf comes from rng.  A query flushes the store
-    before it returns or raises, so no write of it is left held back.
+    Building it attaches store to the data engine and to every level engine
+    of the map, and rng to the map, so every path read and write goes
+    through store and every fresh leaf comes from rng; a miss round reads
+    the fresh leaf the map returns for the absent address.  A query
+    flushes the store before it returns or raises, so no write of it is
+    left held back.
     """
 
     def __init__(
@@ -307,7 +293,7 @@ class QueryEngine:
         self.oram = state.oram
         self.positions = state.positions
         self.store = store
-        self.oram.store, self.oram.rng = store, rng
+        self.oram.store = store
         self.positions.attach(store, rng)
 
     def query(self, u: int, v: int) -> list[bytes]:
@@ -324,7 +310,7 @@ class QueryEngine:
             while True:
                 old_leaf, new_leaf = self.positions.get_and_remap(addr)
                 if old_leaf == ABSENT:
-                    self.oram.access(None, None, new_leaf)
+                    self.oram.access(None, new_leaf)
                     return resp
                 tk = prf_eval(self.kprf, encode_pair(addr // n, v))
                 blk = self.oram.access(tk, old_leaf, new_leaf)
@@ -406,13 +392,7 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# version 8 sized every level entry at 8 bytes, so its map shape differs
-# from the entry-width rule's; version 7 sized the trivial client's tree-top
-# cache from |V|^2 * 8 bytes, so its k differs from the depth rule's; version 6 stored the tree-top
-# cache as 2^k - 1 plaintext buckets after a stash; version 5 stored the map's shape and (index, leaf) pairs; version 4
-# had no tree-top cache; version 3 kept the trivial client's engine state in
-# a file of its own and gave controller.bin its own magic; version 2 blocks
-# carried the next hop's token
+# older versions are refused
 STATE_VERSION = 9
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
@@ -456,21 +436,6 @@ def _pack_held(engine: PathOram) -> bytes:
     return _COUNT.pack(len(held)) + b"".join(held)
 
 
-def _unpack_held(r: _Reader, params: TreeParams, tree_id: int, limit: int) -> list[bytes]:
-    """Inverse of _pack_held.  A count above the engine's limit, a block
-    flagged as a dummy, and a block mapped past the tree's last leaf
-    (eviction would put it off its path) are refused."""
-    (count,) = r.unpack(_COUNT)
-    if count > limit:
-        raise ProtocolError(f"{r.what}: tree {tree_id} holds {count} blocks, limit {limit}")
-    held = [r.take(params.block_width) for _ in range(count)]
-    for blk in held:
-        leaf, flag = TAIL.unpack_from(blk, params.head_width)
-        if flag != 1 or leaf >= params.leaves:
-            raise ProtocolError(f"{r.what}: bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {params.leaves})")
-    return held
-
-
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     """Engine state: the data tree's held blocks, each level's (level trees
     cache nothing, so these are their stashes), then the top array's
@@ -481,47 +446,27 @@ def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_engine(
-    r: _Reader, params: SchemeParams, shape: tuple[list[tuple[int, TreeParams]], int], k2: bytes
-) -> tuple[RecursivePM, PathOram]:
+def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes) -> tuple[RecursivePM, PathOram]:
     """Inverse of _pack_engine, for the map of the given shape: the map and
-    the data tree's engine.  The engines get their store, and the map its
-    leaf sampler, when a query engine is built over them."""
+    the data tree's engine.  What the engines refuse to be built with
+    raises ProtocolError naming the file.  The engines get their store, and
+    the map its leaf sampler, when a query engine is built over them."""
     cipher = Cipher(k2)
-    level_shapes, top_width = shape
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:
-        held = _unpack_held(r, tp, tree_id, held_limit(tp, params.stash_max))
+        (count,) = r.unpack(_COUNT)
+        bw = tp.block_width
+        raw = r.take(count * bw)
+        held = [raw[at : at + bw] for at in range(0, len(raw), bw)]
         return PathOram(tree_id, tp, cipher, held, params.stash_max)
 
-    oram = engine(DATA_TREE_ID, params.data_params)
-    levels = [engine(tree_id, tp) for tree_id, (_, tp) in enumerate(level_shapes, DATA_TREE_ID + 1)]
-
-    # the top holds leaves of the data tree, ABSENT where no block exists,
-    # in a flat map, and of the last level's tree in a chain.  numpy checks
-    # all |V|^2 entries of a flat map in one pass; it is imported here, as
-    # nothing but this loader needs it
-    import numpy as np
-
-    top = big_endian(r.take(top_width * TOP_ENTRY_BYTES))
-    entries = np.frombuffer(top, dtype=np.uint64)
-    last = levels[-1] if levels else oram
-    bad = entries >= last.params.leaves
-    if not levels:
-        bad &= entries != ABSENT
-    if bad.any():
-        at = int(bad.argmax())
-        raise ProtocolError(
-            f"{r.what}: top entry {at} is leaf {int(entries[at])}, "
-            f"but tree {last.tree_id} has {last.params.leaves} leaves"
-        )
-    rpm = RecursivePM(
-        address_space=params.address_space,
-        data_leaves=oram.params.leaves,
-        levels=levels,
-        top=top,
-    )
-    return rpm, oram
+    try:
+        oram = engine(DATA_TREE_ID, params.data_params)
+        levels = [engine(tree_id, level.params) for tree_id, level in enumerate(shape.levels, DATA_TREE_ID + 1)]
+        top = big_endian(r.take(shape.top_width * TOP_ENTRY_BYTES))
+        return RecursivePM.load(shape, levels, top), oram
+    except (CapacityError, IntegrityError) as exc:
+        raise ProtocolError(f"{r.what}: {exc}") from None
 
 
 def save_state(path: str | Path, state: TrivialState | EnhancedState | ControllerState) -> None:
@@ -576,7 +521,7 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
     )
     try:  # every shape below is derived from the parameter block
         params.validate()
-        shape = map_shape(params.address_space, chi, params.map_budget, z, params.data_params.leaves)
+        shape = params.map_shape
     except ConfigError as exc:
         raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
     k = lam // 8

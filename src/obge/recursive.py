@@ -16,26 +16,33 @@ level j packs c_j = 8*chi // w_j entries per block, and an address reaches
 level-j block addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) % c_j;
 the payload's last 8*chi - c_j*w_j bytes are unused.
 
+The map's geometry -- each level's tree, block count, entry width and
+entries per block, the spans c_0...c_j, the top array's width, and the
+leaf count of the tree each level's entries and the top's point into --
+follows from the address space, the data tree's leaf count, chi, the
+budget and Z alone.  ``map_shape`` works it out once, as a ``MapShape``
+that ``rpm_build``, the map and a state file's loader all read, so a state
+file stores only contents.
+
 Each level is a PathOram engine, built with its tree by ``rpm_build`` or
 from a state file by the loader, and holding its own stash; ``attach``
 hands every level the deployment's store and the map its leaf sampler.
 
 The top is one dense ``array('Q')`` of 8-byte words: a flat map holds
 |V|^2 entries, ABSENT where no block exists; a chain holds one entry per
-last-level block.  Its width, the level count and each level's tree
-geometry follow from the address space, the data tree's leaf count, chi,
-the budget and Z alone (``map_shape``), so a state file stores only
-contents.  A remap rewrites in place the one entry it touches, in the top
-or in a level block's payload.
+last-level block.  ``RecursivePM.load`` refuses a loaded top whose width
+is not the shape's or whose entries are not leaves of the tree they point
+into.  A remap rewrites in place the one entry it touches, in the top or
+in a level block's payload.
 """
 
 from __future__ import annotations
 
 import random
-import secrets
 import sys
 from array import array
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
 from .crypto import Cipher
@@ -67,12 +74,6 @@ def entry_width(leaves: int) -> int:
     return -(-leaves.bit_length() // 8)
 
 
-def level_widths(data_leaves: int, levels: list[TreeParams]) -> list[int]:
-    """Each level's entry width: level 0's entries point into the data
-    tree, level j's into level j-1's tree."""
-    return [entry_width(t) for t in [data_leaves] + [tp.leaves for tp in levels[:-1]]]
-
-
 def big_endian(entries: array | bytes) -> array:
     """A copy of entries with each word's bytes in big-endian order, the
     layout of the top array in a state file; applied twice, the identity."""
@@ -82,61 +83,85 @@ def big_endian(entries: array | bytes) -> array:
     return out
 
 
-def map_shape(
-    address_space: int, chi: int, budget: int, bucket_size: int, data_leaves: int
-) -> tuple[list[tuple[int, TreeParams]], int]:
-    """Shape rule of the map: each level's block count and tree geometry,
-    level 0 first, and the top array's width.  While the array above, at 8
-    bytes per entry, exceeds budget, a level packs it into 8*chi-byte
-    payloads, as many entries per block as fit at the width of the tree
-    they point into (the data tree's data_leaves for level 0), and into a
-    tree sized for that many blocks."""
+@dataclass(frozen=True)
+class MapLevel:
+    """One level of the chain: its tree, its block count, and the width in
+    bytes and the count c_j of the entries one block packs."""
+
+    params: TreeParams
+    blocks: int
+    width: int
+    per_block: int
+
+
+@dataclass(frozen=True)
+class MapShape:
+    """The map's geometry, level 0 first.  spans[j] = c_0...c_{j-1}
+    addresses share one level-j entry, and spans[depth] one top entry;
+    targets[j] is the leaf count of the tree that level j's entries point
+    into (the data tree's for level 0), and targets[depth] the top's."""
+
+    address_space: int
+    levels: tuple[MapLevel, ...]
+    spans: tuple[int, ...]
+    targets: tuple[int, ...]
+    top_width: int
+
+
+def map_shape(address_space: int, chi: int, budget: int, bucket_size: int, data_leaves: int) -> MapShape:
+    """Shape rule of the map.  While the array above, at 8 bytes per entry,
+    exceeds budget, a level packs it into 8*chi-byte payloads, as many
+    entries per block as fit at the width of the tree they point into (the
+    data tree's data_leaves for level 0), and into a tree sized for that
+    many blocks."""
     check_chi(chi)
     payload = chi * 8
     if address_space * TOP_ENTRY_BYTES > budget and budget < payload:
         raise ConfigError(f"budget of {budget} bytes is smaller than one packed block ({payload} bytes)")
-    levels = []
-    width, target = address_space, data_leaves
+    levels, spans, targets = [], [1], [data_leaves]
+    width = address_space
     while width * TOP_ENTRY_BYTES > budget:
-        width = -(-width // (payload // entry_width(target)))
+        w = entry_width(targets[-1])
+        per_block = payload // w
+        width = -(-width // per_block)
         params = TreeParams(tree_depth_for(width, bucket_size), bucket_size, payload)
-        levels.append((width, params))
-        target = params.leaves
-    return levels, width
+        levels.append(MapLevel(params, width, w, per_block))
+        spans.append(spans[-1] * per_block)
+        targets.append(params.leaves)
+    return MapShape(address_space, tuple(levels), tuple(spans), tuple(targets), width)
 
 
 class RecursivePM:
     """Position lookup with remap-on-access through the level chain.
 
-    levels holds each level's Path ORAM engine: levels[0] holds data
-    positions; levels[-1] is the level whose block positions sit in the top
-    array.  An empty chain is the flat base case:
+    levels holds each level's Path ORAM engine, one per level of shape:
+    levels[0] holds data positions; levels[-1] is the level whose block
+    positions sit in the top array.  An empty chain is the flat base case:
     the top holds the data positions directly, ABSENT for addresses with no
-    block.  The level engines read and write through the store handed to
-    ``attach``.
+    block.  The level engines read and write through the store, and the map
+    draws fresh leaves from the sampler, handed to ``attach``.
     """
 
-    def __init__(
-        self,
-        address_space: int,
-        data_leaves: int,
-        levels: list[PathOram],
-        top: array,
-        rng: random.Random | None = None,
-    ):
-        self.address_space = address_space
-        self.data_leaves = data_leaves
+    def __init__(self, shape: MapShape, levels: list[PathOram], top: array):
+        self.shape = shape
         self.levels = levels
         self.top = top
-        self.rng = rng if rng is not None else secrets.SystemRandom()
-        # a level-j block holds per_block[j] = c_j entries, and spans[j] =
-        # c_0...c_{j-1} addresses share one level-j entry (spans[depth], one
-        # top entry)
-        self.widths = level_widths(data_leaves, [engine.params for engine in levels])
-        self.per_block = [engine.params.payload_width // w for engine, w in zip(levels, self.widths)]
-        self.spans = [1]
-        for c in self.per_block:
-            self.spans.append(self.spans[-1] * c)
+        self.rng: random.Random | None = None
+
+    @classmethod
+    def load(cls, shape: MapShape, levels: list[PathOram], top: array) -> RecursivePM:
+        """The map over a top read from a state file, which must be
+        shape.top_width entries, each a leaf of the tree the top points
+        into, or ABSENT in a flat map: IntegrityError otherwise.  One pass
+        over the distinct entries finds any that is not."""
+        if len(top) != shape.top_width:
+            raise IntegrityError(f"top array of {len(top)} entries, the map's shape has {shape.top_width}")
+        leaves, flat = shape.targets[-1], not shape.levels
+        bad = [v for v in set(top) if v >= leaves and not (flat and v == ABSENT)]
+        if bad:
+            at = min(map(top.index, bad))
+            raise IntegrityError(f"top entry {at} is leaf {top[at]}, but its tree has {leaves} leaves")
+        return cls(shape, levels, top)
 
     @property
     def chain_depth(self) -> int:
@@ -146,7 +171,7 @@ class RecursivePM:
         """Reach the level trees through store and draw every fresh leaf from rng."""
         self.rng = rng
         for engine in self.levels:
-            engine.store, engine.rng = store, rng
+            engine.store = store
 
     def resident_bytes(self) -> int:
         """Resident state: the top array plus all level stashes."""
@@ -159,20 +184,23 @@ class RecursivePM:
         """Resolve the data leaf for an address and install a fresh one.
 
         Returns (old_leaf, new_leaf); old_leaf is ABSENT for addresses with
-        no stored block, in which case the stored entry stays ABSENT.  The
-        chain performs one full-shape oblivious access per level whether or
-        not the address is present.
+        no stored block, in which case the stored entry stays ABSENT and
+        new_leaf, stored nowhere, is a uniform data leaf for the miss
+        round.  The chain performs one full-shape oblivious access per
+        level whether or not the address is present.
         """
-        if not (0 <= addr < self.address_space):
-            raise IndexError(f"address {addr} out of range [0, {self.address_space})")
+        shape = self.shape
+        if not (0 <= addr < shape.address_space):
+            raise IndexError(f"address {addr} out of range [0, {shape.address_space})")
 
         # (old, fresh) walks down the chain: the current and the new leaf of
         # the block holding the entry at each level, from the top's entry to
         # the data leaf itself
-        depth, spans = len(self.levels), self.spans
+        spans, targets, randrange = shape.spans, shape.targets, self.rng.randrange
+        depth = len(self.levels)
         top_idx = addr // spans[depth]
         old = self.top[top_idx]
-        fresh = self.rng.randrange(self.levels[-1].params.leaves if depth else self.data_leaves)
+        fresh = randrange(targets[depth])
         if old != ABSENT:
             self.top[top_idx] = fresh
 
@@ -180,10 +208,10 @@ class RecursivePM:
             index = addr // spans[j + 1]
             if old == ABSENT:
                 raise IntegrityError(f"position block {index} at level {j} is unmapped")
-            w = self.widths[j]
-            offset = (addr // spans[j]) % self.per_block[j]
-            below = self.levels[j - 1].params.leaves if j > 0 else self.data_leaves
-            new = self.rng.randrange(below)
+            level = shape.levels[j]
+            w = level.width
+            offset = (addr // spans[j]) % level.per_block
+            new = randrange(targets[j])
             captured: list[int] = []
 
             def rewrite(payload: bytes, at=offset * w, w=w, new=new, captured=captured) -> bytes:
@@ -213,50 +241,38 @@ def pack_entries(entries: array, w: int, count: int) -> bytearray:
 
 def rpm_build(
     assignments: Iterable[tuple[int, int]],
-    address_space: int,
-    data_leaves: int,
-    chi: int,
-    budget: int,
-    bucket_size: int,
+    shape: MapShape,
     cipher: Cipher,
     rng: random.Random,
     stash_max: int = DEFAULT_STASH_MAX,
     first_tree_id: int = 1,
 ) -> tuple[RecursivePM, list[TreeStorage]]:
-    """Build the map for a data-level leaf assignment, given as (address,
-    leaf) pairs.
+    """Build the map of the given shape for a data-level leaf assignment,
+    given as (address, leaf) pairs.
 
     Returns the map and the level trees to hand to the server; the level
-    engines have no store until the map is attached to one.
+    engines have no store, and the map no leaf sampler, until the map is
+    attached.
     """
-    shape, _ = map_shape(address_space, chi, budget, bucket_size, data_leaves)
-    top = array("Q", [ABSENT]) * address_space
+    top = array("Q", [ABSENT]) * shape.address_space
     for addr, leaf in assignments:
         top[addr] = leaf
 
     levels: list[PathOram] = []
     trees: list[TreeStorage] = []
-    widths = level_widths(data_leaves, [params for _, params in shape])
-    for i, ((n_blocks, params), w) in enumerate(zip(shape, widths)):
+    for i, level in enumerate(shape.levels):
         # the array above becomes this level's payloads, as many entries to
         # a block as fit, the last block padded with ABSENT entries and each
         # payload's unused tail with one bits
-        per_block = params.payload_width // w
-        span, tail = per_block * w, b"\xff" * (params.payload_width - per_block * w)
-        cells = pack_entries(top, w, n_blocks * per_block)
+        params, w = level.params, level.width
+        span = level.per_block * w
+        tail = b"\xff" * (params.payload_width - span)
+        cells = pack_entries(top, w, level.blocks * level.per_block)
         heads = [
-            block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(n_blocks)
+            block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(level.blocks)
         ]
         engine, tree, leaves = oram_init(heads, params, cipher, rng, stash_max, first_tree_id + i)
         levels.append(engine)
         trees.append(tree)
         top = array("Q", leaves)
-
-    rpm = RecursivePM(
-        address_space=address_space,
-        data_leaves=data_leaves,
-        levels=levels,
-        top=top,
-        rng=rng,
-    )
-    return rpm, trees
+    return RecursivePM(shape, levels, top), trees

@@ -222,6 +222,10 @@ def load_config(path: str | Path) -> ServerConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "mode":
+            if value not in (MODE_TRIVIAL, MODE_ENHANCED):
+                raise ProtocolError(
+                    f"config line {line_no}: unknown mode {value!r}, expected {MODE_TRIVIAL!r} or {MODE_ENHANCED!r}"
+                )
             cfg.mode = value
         elif key == "tree_path":
             cfg.tree_path = value

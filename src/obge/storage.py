@@ -15,9 +15,7 @@ blocks whose associated data is (tree id, heap index), so the storage side
 cannot move, copy or swap buckets within or across trees without the next
 access that reads them failing.  A position-map tree's payloads pack
 entries as wide as the tree they point into needs (``recursive``).
-Version 1 (one ciphertext per slot), version 2 (next-hop tokens in blocks,
-length-prefixed buckets), version 3 (every level on the host) and version 4
-(8-byte position entries) are rejected on load.
+Older versions are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  Tree and state

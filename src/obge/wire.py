@@ -140,11 +140,6 @@ def _decode_access(payload: bytes) -> Access:
     return Access((*write, buckets), read)
 
 
-def decode(frame: bytes) -> Message:
-    header, payload = split_frame(frame)
-    return decode_payload(header, payload)
-
-
 def _parse_header(header: bytes) -> tuple[int, int]:
     """Message type and payload length of a frame header of this protocol."""
     magic, version, mt, n = _FRAME_HEADER.unpack(header)
@@ -155,16 +150,6 @@ def _parse_header(header: bytes) -> tuple[int, int]:
     if n > MAX_PAYLOAD:
         raise ProtocolError(f"declared payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte limit")
     return mt, n
-
-
-def split_frame(frame: bytes) -> tuple[int, bytes]:
-    if len(frame) < _FRAME_HEADER.size:
-        raise ProtocolError("frame shorter than header")
-    mt, n = _parse_header(frame[: _FRAME_HEADER.size])
-    payload = frame[_FRAME_HEADER.size :]
-    if len(payload) != n:
-        raise ProtocolError(f"payload is {len(payload)} bytes, header says {n}")
-    return mt, payload
 
 
 def decode_payload(mt: int, payload: bytes) -> Message:

@@ -1,9 +1,11 @@
+import io
 import os
 import random
 
 import pytest
 from hypothesis import settings
 
+from obge import wire
 from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
 from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
@@ -20,6 +22,21 @@ _loaded = settings()
 settings.register_profile("quick", _loaded, max_examples=25)
 settings.register_profile("thorough", _loaded, max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "quick"))
+
+
+def read_one_frame(frame: bytes) -> tuple[int, bytes]:
+    """(message type, payload) of exactly one frame, read as the daemon and
+    TcpConnection read their streams."""
+    stream = io.BytesIO(frame)
+    got = wire.read_frame(stream)
+    assert got is not None and stream.read() == b"", "not exactly one frame"
+    return got
+
+
+def decode_frame(frame: bytes) -> wire.Message:
+    """The message one frame carries, parsed as the daemon and TcpConnection
+    parse it: read_frame, then decode_payload."""
+    return wire.decode_payload(*read_one_frame(frame))
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, directed: bool = True) -> Graph:
@@ -82,8 +99,8 @@ def trivial_engine(keys, n, blocks, addrs, rng, Z=5, stash_max=128, cached=0):
     host = StorageHost()
     host.add_tree(tree)
     params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth)
-    # a budget of the whole dense map keeps it flat, with no level trees
-    positions, _ = rpm_build(zip(addrs, leaves), n * n, tp.leaves, 64, n * n * 8, Z, k2, rng)
+    # the trivial client's budget is the whole dense map, so it stays flat
+    positions, _ = rpm_build(zip(addrs, leaves), params.map_shape, k2, rng)
     state = TrivialState(keys, params, positions, oram)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 

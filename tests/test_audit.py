@@ -15,7 +15,7 @@ from obge.audit import (
 )
 from obge.cli import main
 from obge.exceptions import ProtocolError
-from obge.graph import Graph
+from obge.graph import Graph, PathOracle
 from obge.protocol import setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
@@ -166,6 +166,26 @@ class TestPersistedArtifacts:
         assert report.ok, report.summary()
         assert sorted(report.uniformity_p) == [0, 1, 2]
         assert cli_audit(tmp_path, host, truths) == 0
+
+
+    @pytest.mark.parametrize(
+        "mode, scheme, trees",
+        [("trivial", {}, [0]), ("enhanced", {"chi": 2, "budget": 128}, [0, 1, 2])],
+        ids=["trivial", "enhanced-chain-2"],
+    )
+    def test_miss_only_trace_is_uniform_per_tree(self, mode, scheme, trees):
+        # every data round of u = v and of unreachable pairs is a miss,
+        # which reads the fresh leaf the map drew for the absent address
+        rng = random.Random(13)
+        g = random_graph(rng, 36, 0.04)
+        oracle = PathOracle(g)
+        misses = [(u, v) for u in range(36) for v in range(36) if u == v or oracle.path(u, v) is None]
+        host, truths = run_workload(g, [rng.choice(misses) for _ in range(600)], mode=mode, **scheme)
+        assert sorted(host.trees) == trees
+        assert {t.path_len for t in truths} == {0}
+        report = audit_trace(host.trace, truths, geometry(host))
+        assert report.ok, report.summary()
+        assert sorted(report.uniformity_p) == trees
 
 
 class TestMalformedLines:

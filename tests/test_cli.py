@@ -146,7 +146,7 @@ class TestQueryCommand:
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "top entry 3 is leaf 2, but tree 0 has 2 leaves" in err and "Traceback" not in err
+        assert f"{keys}: top entry 3 is leaf 2, but its tree has 2 leaves" in err and "Traceback" not in err
 
     def test_old_layout_client_state_is_protocol_error(self, daemon, capsys):
         # the token-keyed layout: entry count, (token, leaf) pairs, stash count
@@ -354,3 +354,18 @@ class TestServeSignals:
             assert rc == 0
         finally:
             d.shutdown()
+
+
+def test_loading_state_files_leaves_numpy_unloaded():
+    # the engines check a loaded file without numpy, so obge query and the
+    # daemon start do not pay for its import
+    data = Path(__file__).parent / "data" / "state_v9"
+    code = (
+        "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
+        f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
+        f"load_state({str(data / 'controller.bin')!r}, ControllerState); "
+        "print('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,8 @@ from obge.attack import (
     length_classes,
     query_recovery,
 )
+from obge.cli import main
+from obge.exceptions import ProtocolError
 from obge.gkt import GktScheme, load_token_log, save_token_log
 from obge.graph import Graph, compute_spdx, spath_oracle
 from conftest import random_graph
@@ -270,3 +272,37 @@ def test_token_log_round_trip(tmp_path, four_vertex_directed):
     save_token_log(tmp_path / "log.jsonl", seqs, truths=[(0, 3), (1, 2)])
     loaded, truths = load_token_log(tmp_path / "log.jsonl")
     assert loaded == seqs and truths == [(0, 3), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{not json",
+        '{"query": [0, 3]}',
+        '{"tokens": ["zz"]}',
+        '{"tokens": ["abc"]}',
+        '{"tokens": [7]}',
+        '{"tokens": "ab"}',
+        '["ab"]',
+        '{"tokens": ["ab"], "query": [0]}',
+        '{"tokens": ["ab"], "query": "0,3"}',
+        '{"tokens": ["ab"], "query": [0, "3"]}',
+    ],
+    ids=["bad-json", "no-tokens", "bad-hex", "odd-hex", "token-not-string", "tokens-not-list", "not-an-object",
+         "query-one-vertex", "query-not-list", "query-not-int"],
+)
+def test_malformed_token_log_line_names_file_and_line(tmp_path, line):
+    good = '{"tokens": ["ab", "cd"], "query": [0, 3]}'
+    log = tmp_path / "log.jsonl"
+    log.write_text(f"{good}\n\n{line}\n{good}\n")
+    with pytest.raises(ProtocolError, match=f"{log}, line 3: expected"):
+        load_token_log(log)
+
+
+def test_attack_on_a_malformed_token_log_exits_2(tmp_path, capsys):
+    graph = tmp_path / "chain.tsv"
+    graph.write_text("0\t1\n")
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"query": [0, 1]}\n')
+    assert main(["attack", "--graph", str(graph), "--trace", str(log)]) == 2
+    assert f"{log}, line 1" in capsys.readouterr().err

@@ -110,6 +110,29 @@ class TestAccess:
         msgs = [r.msg_type for r in host.trace.records[before:]]
         assert msgs == ["ReadPath", "WritePath"]
 
+    def test_miss_round_reads_the_leaf_the_map_returned(self, rng):
+        # the data engine draws no leaf: each hit reads the block's old
+        # leaf, and the miss round the fresh leaf get_and_remap returned
+        # for the absent address, which the map does not store
+        keys = keygen(128)
+        engine, host, _, _, _ = build(keys, 10, rng)
+        positions, returned = engine.positions, []
+        remap = positions.get_and_remap
+
+        def recorded(addr):
+            returned.append((addr, *remap(addr)))
+            return returned[-1][1:]
+
+        positions.get_and_remap = recorded
+        for u, v in [(3, 5), (7, 10), (4, 4)]:  # no entry toward 5; three hits, then a miss; u = v
+            returned.clear()
+            before = len(host.trace)
+            engine.query(u, v)
+            reads = [r.leaf for r in host.trace.records[before:] if r.msg_type == "ReadPath"]
+            addr, old, fresh = returned[-1]
+            assert old == ABSENT and positions.top[addr] == ABSENT
+            assert reads == [o for _, o, _ in returned[:-1]] + [fresh]
+
     def test_remap_changes_position(self, rng):
         keys = keygen(128)
         engine, _, _, _, addrs = build(keys, 64, rng)
@@ -231,17 +254,6 @@ class TestPathIO:
             host.write_path(0, 0, b"short")
 
 
-class FixedLeaf:
-    """Leaf sampler that always answers the same leaf, so a dummy round
-    reads a chosen path."""
-
-    def __init__(self, leaf):
-        self.leaf = leaf
-
-    def randrange(self, n):
-        return self.leaf
-
-
 class TestBucketBinding:
     """Each bucket authenticates its (tree id, heap index): the host cannot
     move, copy or swap buckets without the next access that reads them
@@ -262,13 +274,12 @@ class TestBucketBinding:
         engine, _, tree, _, _ = build(keys, 40, rng)
         oram = engine.oram
         leaf = 0 if side == "left" else tree.params.leaves - 1  # path through node 1 or node 2
-        oram.rng = FixedLeaf(leaf)
-        oram.access(None, None, None)
+        oram.access(None, leaf)
         left, right = tree.get_bucket(1), tree.get_bucket(2)
         tree.set_bucket(1, right)
         tree.set_bucket(2, left)
         with pytest.raises(IntegrityError, match="authentication failed"):
-            oram.access(None, None, None)
+            oram.access(None, leaf)
 
     def test_bucket_from_another_tree_is_rejected(self, rng):
         keys = keygen(128)
@@ -279,9 +290,9 @@ class TestBucketBinding:
         tree0.set_bucket(0, tree1.get_bucket(0))  # same node and width, other tree
         host = StorageHost()
         host.add_tree(tree0)
-        engine.store, engine.rng = host, rng
+        engine.store = host
         with pytest.raises(IntegrityError, match="authentication failed"):
-            engine.access(None, None, None)
+            engine.access(None, rng.randrange(engine.params.leaves))  # every path reads the root
 
     def test_verify_placement_rejects_a_moved_bucket(self, rng):
         keys = keygen(128)
@@ -302,7 +313,7 @@ class TestBucketBinding:
 
         engine.oram.store = Truncating()
         with pytest.raises(IntegrityError, match="expected"):
-            engine.oram.access(None, None, None)
+            engine.oram.access(None, 0)
 
     def test_version_one_tree_file_is_rejected(self, rng, tmp_path):
         keys = keygen(128)
@@ -382,13 +393,12 @@ class TestTreeTopCache:
         keys = keygen(128)
         engine, _, tree, _, _ = build(keys, 40, rng, cached=1)  # depth 3: nodes 1 and 2 on the host
         oram = engine.oram
-        oram.rng = FixedLeaf(0)
-        oram.access(None, None, None)
+        oram.access(None, 0)
         left, right = tree.get_bucket(1), tree.get_bucket(2)
         tree.set_bucket(1, right)
         tree.set_bucket(2, left)
         with pytest.raises(IntegrityError, match="authentication failed"):
-            oram.access(None, None, None)
+            oram.access(None, 0)
 
     def test_cache_must_match_the_cached_levels(self, rng):
         # k=2 of depth 3: four groups, group g holding the blocks whose leaf

@@ -1,6 +1,7 @@
 import os
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,10 @@ from obge.bench import chain_graph
 from conftest import random_graph
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
+# format-9 state files written before the engines checked their own held
+# blocks and top (commit a9e9ba8): setup with Z=1 on a 12-vertex digraph,
+# then 60 queries
+STATE_V9 = Path(__file__).parent / "data" / "state_v9"
 
 
 def deploy(g, mode, rng_seed=1, **kw):
@@ -390,8 +395,8 @@ class TestPersistence:
     @pytest.mark.parametrize("cached", [0, 1])
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
         # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
-        # slots of the top buckets.  The count is refused before the blocks
-        # it claims are read
+        # slots of the top buckets.  The engine refuses the count before it
+        # looks at the blocks
         result, _, _, _ = deploy(chain_graph(15 if cached else 4), "trivial")
         state = result.client
         tp = result.params.data_params
@@ -432,9 +437,10 @@ class TestPersistence:
         want, got = state.positions, loaded.positions
         assert loaded.params == state.params
         assert got.chain_depth == want.chain_depth == depth
-        assert got.address_space == want.address_space == 144
-        assert got.data_leaves == want.data_leaves == result.trees[0].params.leaves
-        assert len(got.top) == len(want.top)
+        assert got.shape == want.shape == state.params.map_shape
+        assert got.shape.address_space == 144
+        assert got.shape.targets[0] == result.trees[0].params.leaves
+        assert len(got.top) == len(want.top) == got.shape.top_width
         assert [lvl.params for lvl in got.levels] == [t.params for t in result.trees[1:]]
         assert [lvl.tree_id for lvl in got.levels] == [t.tree_id for t in result.trees[1:]]
 
@@ -459,8 +465,25 @@ class TestPersistence:
         raw = path.read_bytes()
         at = len(raw) - len(state.positions.top) * 8 + 3 * 8  # top entry 3
         path.write_bytes(raw[:at] + struct.pack(">Q", value) + raw[at + 8 :])
-        with pytest.raises(ProtocolError, match=f"top entry 3 is leaf {value}, but tree {tree} has {leaves} leaves"):
+        with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
             load_state(path, type(state))
+
+    @pytest.mark.parametrize(
+        "name, kind, chain_depth, held",
+        [("trivial-keys.bin", TrivialState, 0, [10]), ("enhanced-keys.bin", EnhancedState, None, None),
+         ("controller.bin", ControllerState, 2, [2, 3, 0])],
+    )
+    def test_format_9_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 10 blocks over 16 groups (k=4 of a
+        # depth-8 tree); the controller's chain has depth 2 and held blocks
+        # in the data tree and level 0.  Loading and saving again gives
+        # the same bytes
+        state = load_state(STATE_V9 / name, kind)
+        if chain_depth is not None:
+            assert state.positions.chain_depth == chain_depth
+            assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
+        save_state(tmp_path / name, state)
+        assert (tmp_path / name).read_bytes() == (STATE_V9 / name).read_bytes()
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -642,11 +665,17 @@ def valid_files(tmp_path_factory):
     return work, {p.name: p.read_bytes() for p in work.iterdir()}
 
 
+# the loaders' checks live in the engines they build, and this is what
+# keeps every damaged file a ProtocolError: never fewer than 200 examples,
+# and the profile's count where that is more
+LOADER_EXAMPLES = max(200, settings().max_examples)
+
+
 class TestLoaderFuzz:
     """A damaged state or tree file either loads or raises ProtocolError;
     no other exception escapes the loaders."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=LOADER_EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_state_loader(self, valid_files, data):
         work, files = valid_files
@@ -658,7 +687,7 @@ class TestLoaderFuzz:
         except ProtocolError:
             pass
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=LOADER_EXAMPLES, deadline=None)
     @given(data=st.data())
     def test_tree_loader(self, valid_files, data):
         work, files = valid_files

@@ -7,18 +7,16 @@ from scipy import stats
 
 from obge.blocks import ABSENT
 from obge.crypto import Cipher, keygen
-from obge.exceptions import ConfigError
-from obge.recursive import entry_width, map_shape, pack_entries, rpm_build
+from obge.exceptions import ConfigError, IntegrityError
+from obge.recursive import RecursivePM, entry_width, map_shape, pack_entries, rpm_build
 from obge.storage import StorageHost
 
 
 def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
     keys = keygen(128)
     k2 = Cipher(keys.k2)
-    rpm, trees = rpm_build(
-        assignments.items(), address_space, data_leaves, chi=chi, budget=budget,
-        bucket_size=Z, cipher=k2, rng=rng,
-    )
+    shape = map_shape(address_space, chi, budget, Z, data_leaves)
+    rpm, trees = rpm_build(assignments.items(), shape, k2, rng)
     host = StorageHost()
     for t in trees:
         host.add_tree(t)
@@ -43,8 +41,12 @@ class TestBuild:
         assignments = {a: rng.randrange(256) for a in range(0, 4096, 2)}
         rpm, _ = build_rpm(assignments, 4096, 256, chi=64, budget=1024, rng=rng)
         assert rpm.chain_depth == 1
-        assert map_shape(4096, 64, 1024, 5, 256) == ([(16, rpm.levels[0].params)], 16)
-        assert (rpm.widths, rpm.per_block) == ([2], [256])
+        shape = map_shape(4096, 64, 1024, 5, 256)
+        assert rpm.shape == shape
+        assert [(lvl.blocks, lvl.params, lvl.width, lvl.per_block) for lvl in shape.levels] == [
+            (16, rpm.levels[0].params, 2, 256)
+        ]
+        assert (shape.spans, shape.targets, shape.top_width) == ((1, 256), (256, 4), 16)
         assert len(rpm.top) == 16
         assert len(rpm.top) * 8 <= 1024
 
@@ -52,11 +54,12 @@ class TestBuild:
         # |V|=200 at 4 KiB: 8,192 data leaves take 2-byte entries, 256 to a
         # block, so one level of 157 blocks; |V|=500: 3-byte data leaves,
         # 170 to a block, then 2-byte leaves of the 512-leaf level-0 tree
-        (level,), top = map_shape(40000, 64, 4096, 5, 8192)
-        assert (level[0], level[1].depth, top) == (157, 5, 157)
-        levels, top = map_shape(250000, 64, 4096, 5, 1 << 16)
-        assert [(n, tp.depth) for n, tp in levels] == [(1471, 9), (6, 1)]
-        assert top == 6
+        shape = map_shape(40000, 64, 4096, 5, 8192)
+        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == [(157, 5)]
+        assert shape.top_width == 157
+        shape = map_shape(250000, 64, 4096, 5, 1 << 16)
+        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == [(1471, 9), (6, 1)]
+        assert shape.top_width == 6
 
     def test_flat_when_budget_covers_map(self, rng):
         assignments = {a: rng.randrange(64) for a in range(100)}
@@ -101,6 +104,15 @@ class TestAccess:
         rpm.get_and_remap(9)
         reads = [r for r in host.trace.records[before:] if r.msg_type == "ReadPath"]
         assert len(reads) == depth
+
+    def test_loaded_top_must_have_the_shapes_width(self, rng):
+        # the loader reads the shape's width; a caller handing a top of any
+        # other width is refused before the map exists
+        rpm, _ = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
+        assert RecursivePM.load(rpm.shape, rpm.levels, rpm.top).top == rpm.top
+        for top in (rpm.top[:-1], rpm.top + rpm.top[:1]):
+            with pytest.raises(IntegrityError, match=f"top array of {len(top)} entries, the map's shape has {len(rpm.top)}"):
+                RecursivePM.load(rpm.shape, rpm.levels, top)
 
     def test_out_of_range(self, rng):
         rpm, _ = build_rpm({}, 16, 8, chi=8, budget=8 * 8, rng=rng)
@@ -155,7 +167,9 @@ def test_mixed_width_chain(rng):
     space, data_leaves = 7000, 1 << 16
     assignments = {a: rng.randrange(data_leaves) for a in range(space) if rng.random() < 0.6}
     rpm, _ = build_rpm(assignments, space, data_leaves, chi=2, budget=100, rng=rng)
-    assert (rpm.widths, rpm.per_block) == ([3, 2, 1], [5, 8, 16])
+    shape = rpm.shape
+    assert [(lvl.width, lvl.per_block) for lvl in shape.levels] == [(3, 5), (2, 8), (1, 16)]
+    assert shape.spans == (1, 5, 40, 640) and shape.targets == (data_leaves, 512, 64, 4)
     assert [lvl.params.leaves for lvl in rpm.levels] == [512, 64, 4]
     assert len(rpm.top) == 11
     check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(300)])
@@ -167,7 +181,8 @@ def test_padded_last_block_reads_absent(rng):
     # addresses read ABSENT and stay so; its assigned ones remap around them
     assignments = {a: rng.randrange(256) for a in range(290)} | {297: 255, 299: 0}
     rpm, _ = build_rpm(assignments, 300, 256, chi=2, budget=64, rng=rng)
-    assert (rpm.widths[0], rpm.per_block[0], rpm.levels[0].params.payload_width) == (2, 8, 16)
+    level = rpm.shape.levels[0]
+    assert (level.width, level.per_block, level.params.payload_width) == (2, 8, 16)
     check_against_shadow(rpm, assignments, list(range(296, 300)) * 4)
     with pytest.raises(IndexError):
         rpm.get_and_remap(300)

@@ -7,6 +7,7 @@ import pytest
 from obge import wire
 from obge.crypto import ciphertext_width
 from obge.bench import chain_graph
+from obge.cli import main
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
 from obge.protocol import TrivialClient, TrivialState, load_state, save_state, setup
@@ -22,6 +23,7 @@ from obge.server import (
     tree_files,
 )
 from obge.storage import StorageHost, TreeStorage
+from conftest import decode_frame, read_one_frame
 
 
 def make_deployment(mode="trivial", n=6, seed=4):
@@ -62,10 +64,10 @@ class TestDispatch:
 
     def test_unknown_msg_type_keeps_connection(self):
         _, _, _, server, _ = make_deployment()
-        resp = wire.decode(server.handle_raw(0xFE, b""))
+        resp = decode_frame(server.handle_raw(0xFE, b""))
         assert isinstance(resp, wire.Error)
         # the dispatcher is still usable afterwards
-        ok = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.Access(read=(0, 0))))))
+        ok = decode_frame(server.handle_raw(*read_one_frame(wire.encode(wire.Access(read=(0, 0))))))
         assert isinstance(ok, wire.PathData)
 
     def test_type_0x07_frame_cannot_replace_a_tree(self, tmp_path):
@@ -77,7 +79,7 @@ class TestDispatch:
         frame = bytearray(wire.encode(wire.EnclaveRequest(blob)))  # opaque payload
         frame[3] = 0x07
         trees = {tid: bytes(t.buckets) for tid, t in host.trees.items()}
-        resp = wire.decode(server.handle_raw(*wire.split_frame(bytes(frame))))
+        resp = decode_frame(server.handle_raw(*read_one_frame(bytes(frame))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
         assert {tid: bytes(t.buckets) for tid, t in host.trees.items()} == trees
 
@@ -90,7 +92,7 @@ class TestDispatch:
 
     def test_leaf_out_of_range_is_protocol_error(self):
         _, _, _, server, _ = make_deployment()
-        resp = wire.decode(server.handle_raw(*wire.split_frame(wire.encode(wire.Access(read=(0, 2**40))))))
+        resp = decode_frame(server.handle_raw(*read_one_frame(wire.encode(wire.Access(read=(0, 2**40))))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
 
     def test_enclave_request_without_controller(self):
@@ -118,6 +120,17 @@ class TestConfig:
         (tmp_path / "bad.cfg").write_text("nonsense = 1\n")
         with pytest.raises(ProtocolError):
             load_config(tmp_path / "bad.cfg")
+
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        # anything but "enhanced" once started a trivial server, so a
+        # misspelt enhanced deployment answered raw Access reads with no
+        # controller in front of its trees
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"tree_path = {tmp_path}\nmode = enhnced\n")
+        with pytest.raises(ProtocolError, match="config line 2: unknown mode 'enhnced'"):
+            load_config(cfg)
+        assert main(["serve", "--config", str(cfg)]) == 2
+        assert "config line 2" in capsys.readouterr().err
 
     def test_missing_trees_rejected(self, tmp_path):
         save_config(tmp_path / "server.cfg", ServerConfig(tree_path=str(tmp_path)))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from obge import wire
 from obge.exceptions import ProtocolError
+from conftest import decode_frame
 
 
 # ids name the version-1 message each frame replaces, where there is one:
@@ -26,7 +27,7 @@ MESSAGES = {
 
 @pytest.mark.parametrize("msg", MESSAGES.values(), ids=MESSAGES.keys())
 def test_round_trip_identity(msg):
-    assert wire.decode(wire.encode(msg)) == msg
+    assert decode_frame(wire.encode(msg)) == msg
 
 
 path_refs = st.tuples(st.integers(0, 255), st.integers(0, 2**64 - 1))
@@ -39,7 +40,7 @@ path_refs = st.tuples(st.integers(0, 255), st.integers(0, 2**64 - 1))
 )
 def test_access_fuzz(write, read):
     msg = wire.Access(write, read)
-    assert wire.decode(wire.encode(msg)) == msg
+    assert decode_frame(wire.encode(msg)) == msg
 
 
 @settings(max_examples=100)
@@ -52,14 +53,14 @@ def test_write_path_fuzz(tree, leaf, blob):
         with pytest.raises(ProtocolError, match="no buckets"):
             wire.encode(msg)
     else:
-        assert wire.decode(wire.encode(msg)) == msg
+        assert decode_frame(wire.encode(msg)) == msg
 
 
 @settings(max_examples=100)
 @given(blob=st.binary(max_size=300))
 def test_opaque_payload_fuzz(blob):
     for ctor in (wire.PathData, wire.EnclaveRequest, wire.EnclaveResponse):
-        assert wire.decode(wire.encode(ctor(blob))) == ctor(blob)
+        assert decode_frame(wire.encode(ctor(blob))) == ctor(blob)
 
 
 REF = struct.pack(">BQ", 0, 3)
@@ -90,7 +91,7 @@ def test_unknown_msg_type_rejected():
     frame = bytearray(wire.encode(wire.Access()))
     frame[3] = 0xFF
     with pytest.raises(ProtocolError, match="unknown message type"):
-        wire.decode(bytes(frame))
+        decode_frame(bytes(frame))
 
 
 @pytest.mark.parametrize("mt", [0x03, 0x04])
@@ -103,32 +104,32 @@ def test_retired_msg_types_rejected(mt):
 def test_bad_magic_rejected():
     frame = b"XX" + wire.encode(wire.Access())[2:]
     with pytest.raises(ProtocolError, match="magic"):
-        wire.decode(frame)
+        decode_frame(frame)
 
 
 def test_bad_version_rejected():
     frame = bytearray(wire.encode(wire.Access()))
     frame[2] = 9
     with pytest.raises(ProtocolError, match="version"):
-        wire.decode(bytes(frame))
+        decode_frame(bytes(frame))
 
 
 def test_version_one_frame_rejected():
     # a version-1 ReadPath(0, 5): refused by its version, not its type
     frame = struct.pack(">2sBBI", wire.MAGIC, 1, 0x01, 9) + struct.pack(">BQ", 0, 5)
     with pytest.raises(ProtocolError, match="unsupported version 1$"):
-        wire.decode(frame)
+        decode_frame(frame)
 
 
 def test_length_mismatch_rejected():
     frame = wire.encode(wire.PathData(b"abcd"))[:-1]
     with pytest.raises(ProtocolError):
-        wire.decode(frame)
+        decode_frame(frame)
 
 
 def test_truncated_header_rejected():
     with pytest.raises(ProtocolError):
-        wire.decode(b"OB\x02")
+        decode_frame(b"OB\x02")
 
 
 def test_request_payload_width_is_content_independent():
