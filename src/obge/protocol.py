@@ -15,9 +15,10 @@ differ only in where the engine runs:
 * trivial  -- the client hosts it and drives every access over its store
   connection; the position map is flat, and the client also keeps the top
   levels of the data tree (the tree-top cache) as blocks its engine holds
-  (see ``oram``): all but the bottom HOST_LEVELS levels, which the host
-  stores.  The count follows from the tree's depth alone, which the host
-  already knows, so the tree header's k tells it nothing more.
+  (see ``oram``): all but the bottom HOST_LEVELS = 2 levels, which the
+  host stores, so each round moves two buckets each way.  The count
+  follows from the tree's depth alone, which the host already knows, so
+  the tree header's k tells it nothing more.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel.  The
@@ -49,8 +50,10 @@ shape: load_state validates the parameter block and derives the cached
 levels (``SchemeParams.data_params``) and the map's shape
 (``SchemeParams.map_shape``) from it, as setup does.  Held blocks and a
 stash are stored alike: a block count and the packed blocks, group by
-group.  The top is its entries as big-endian 8-byte words.  The engines
-check what they are built with: ``PathOram`` its held blocks and
+group.  The top is its entries as big-endian cells as wide as the tree
+they point into needs (``recursive.entry_width``), ABSENT all ones: one
+byte each for a data tree of up to 128 leaves, two up to 32,768.  The
+engines check what they are built with: ``PathOram`` its held blocks and
 ``RecursivePM.load`` the top; load_state reports what they refuse as
 ProtocolError naming the file.  Files are replaced atomically and readable
 by their owner only; a file of an older version, of a party the caller did
@@ -72,7 +75,7 @@ from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
-from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, big_endian, check_chi, map_shape, rpm_build
+from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -84,8 +87,12 @@ PAD_FULL = "full"
 
 # levels of the trivial client's data tree that the host stores: the
 # client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
-# fixed and k = L+1-HOST_LEVELS reveals nothing the depth L does not
-HOST_LEVELS = 5
+# fixed and k = L+1-HOST_LEVELS reveals nothing the depth L does not.  At
+# |V|=200 (depth 13) the client keeps 12 levels, whose held blocks peaked
+# at about 2,550 over 3,000 queries, and the host path is 2 buckets.  A
+# state file's k is derived from its depth by this rule, so a new value
+# needs a new STATE_VERSION
+HOST_LEVELS = 2
 
 
 @dataclass
@@ -392,8 +399,9 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
 STATE_MAGIC = b"OS"
-# older versions are refused
-STATE_VERSION = 9
+# older versions are refused; 10 pairs each data depth with the k of
+# HOST_LEVELS = 2 and stores the top at the width of its tree
+STATE_VERSION = 10
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -438,11 +446,10 @@ def _pack_held(engine: PathOram) -> bytes:
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     """Engine state: the data tree's held blocks, each level's (level trees
-    cache nothing, so these are their stashes), then the top array's
-    entries."""
+    cache nothing, so these are their stashes), then the top's cells."""
     positions = state.positions
     parts = [_pack_held(engine) for engine in (state.oram, *positions.levels)]
-    parts.append(big_endian(positions.top).tobytes())
+    parts.append(positions.top_cells())
     return b"".join(parts)
 
 
@@ -463,8 +470,8 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
     try:
         oram = engine(DATA_TREE_ID, params.data_params)
         levels = [engine(tree_id, level.params) for tree_id, level in enumerate(shape.levels, DATA_TREE_ID + 1)]
-        top = big_endian(r.take(shape.top_width * TOP_ENTRY_BYTES))
-        return RecursivePM.load(shape, levels, top), oram
+        cells = r.take(shape.top_width * shape.top_entry_width)
+        return RecursivePM.load(shape, levels, cells), oram
     except (CapacityError, IntegrityError) as exc:
         raise ProtocolError(f"{r.what}: {exc}") from None
 

@@ -28,12 +28,15 @@ Each level is a PathOram engine, built with its tree by ``rpm_build`` or
 from a state file by the loader, and holding its own stash; ``attach``
 hands every level the deployment's store and the map its leaf sampler.
 
-The top is one dense ``array('Q')`` of 8-byte words: a flat map holds
-|V|^2 entries, ABSENT where no block exists; a chain holds one entry per
-last-level block.  ``RecursivePM.load`` refuses a loaded top whose width
-is not the shape's or whose entries are not leaves of the tree they point
-into.  A remap rewrites in place the one entry it touches, in the top or
-in a level block's payload.
+In memory the top is one dense ``array('Q')`` of 8-byte words: a flat map
+holds |V|^2 entries, ABSENT where no block exists; a chain holds one entry
+per last-level block.  A state file stores it narrow, as w-byte big-endian
+cells with w the entry width of the tree the top points into, ABSENT as
+the all-ones cell (``RecursivePM.top_cells``), so the |V|=200 flat map
+takes 80 KB in place of 320 KB.  ``RecursivePM.load`` refuses cells of
+another total width, and cells that are not leaves of the tree they point
+into, before it widens them back into the array.  A remap rewrites in
+place the one entry it touches, in the top or in a level block's payload.
 """
 
 from __future__ import annotations
@@ -107,6 +110,12 @@ class MapShape:
     targets: tuple[int, ...]
     top_width: int
 
+    @property
+    def top_entry_width(self) -> int:
+        """Bytes of a top cell in a state file: the entry width of the tree
+        the top points into."""
+        return entry_width(self.targets[-1])
+
 
 def map_shape(address_space: int, chi: int, budget: int, bucket_size: int, data_leaves: int) -> MapShape:
     """Shape rule of the map.  While the array above, at 8 bytes per entry,
@@ -149,19 +158,41 @@ class RecursivePM:
         self.rng: random.Random | None = None
 
     @classmethod
-    def load(cls, shape: MapShape, levels: list[PathOram], top: array) -> RecursivePM:
-        """The map over a top read from a state file, which must be
-        shape.top_width entries, each a leaf of the tree the top points
-        into, or ABSENT in a flat map: IntegrityError otherwise.  One pass
-        over the distinct entries finds any that is not."""
-        if len(top) != shape.top_width:
-            raise IntegrityError(f"top array of {len(top)} entries, the map's shape has {shape.top_width}")
-        leaves, flat = shape.targets[-1], not shape.levels
-        bad = [v for v in set(top) if v >= leaves and not (flat and v == ABSENT)]
-        if bad:
-            at = min(map(top.index, bad))
-            raise IntegrityError(f"top entry {at} is leaf {top[at]}, but its tree has {leaves} leaves")
-        return cls(shape, levels, top)
+    def load(cls, shape: MapShape, levels: list[PathOram], cells: bytes) -> RecursivePM:
+        """The map over a top read from a state file as ``top_cells`` wrote
+        it: shape.top_width cells of w bytes, each a leaf of the tree the
+        top points into, or all ones (ABSENT) in a flat map; IntegrityError
+        otherwise.  The leaf count is a power of two, so a cell is a leaf
+        exactly when its high byte is below leaves >> 8(w-1): one pass over
+        the high byte column checks every cell, and one big-int test per
+        other column checks that a high byte of all ones starts an all-ones
+        cell."""
+        leaves, w, n = shape.targets[-1], shape.top_entry_width, shape.top_width
+        if len(cells) != n * w:
+            raise IntegrityError(f"top of {len(cells)} bytes, the map's shape has {n} entries of {w} bytes")
+        flat, limit = not shape.levels, leaves >> 8 * (w - 1)
+        # each cell's high byte marked 0 for a leaf, 0xFF for a flat map's
+        # ABSENT if the rest of the cell is all ones too, and 1 otherwise
+        marks = cells[::w].translate(bytes(0 if b < limit else 0xFF if flat and b == 0xFF else 1 for b in range(256)))
+        absent = int.from_bytes(marks, "big")
+        if 1 in marks or any(int.from_bytes(cells[k::w], "big") & absent != absent for k in range(1, w)):
+            for at in range(n):
+                value = int.from_bytes(cells[at * w : (at + 1) * w], "big")
+                if value >= leaves and not (flat and value == (1 << 8 * w) - 1):
+                    raise IntegrityError(f"top entry {at} is leaf {value}, but its tree has {leaves} leaves")
+        # widen to big-endian words: the cell in the low w bytes, and the
+        # high 8-w bytes all ones exactly where the cell is ABSENT
+        words = bytearray(8 * n)
+        for k in range(w):
+            words[8 - w + k :: 8] = cells[k::w]
+        for k in range(8 - w):
+            words[k::8] = marks
+        return cls(shape, levels, big_endian(words))
+
+    def top_cells(self) -> bytearray:
+        """The top as a state file stores it: w-byte big-endian cells, w the
+        entry width of the tree the top points into, ABSENT all ones."""
+        return pack_entries(self.top, self.shape.top_entry_width, len(self.top))
 
     @property
     def chain_depth(self) -> int:

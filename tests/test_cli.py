@@ -57,14 +57,14 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 5; top 1 level(s) cached by the client, host path 5 buckets (1,865 bytes)"),
+            ("trivial", "data depth 5; top 4 level(s) cached by the client, host path 2 buckets (746 bytes)"),
             ("enhanced", "data depth 5; top 0 level(s) cached by the controller, host path 6 buckets (2,238 bytes)"),
         ],
         ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
         # a 15-vertex chain: 105 entries in a depth-5 tree of 373-byte
-        # buckets; the trivial client leaves the host its bottom 5 levels
+        # buckets; the trivial client leaves the host its bottom 2 levels
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
         run_setup(tmp_path, chain, "--mode", mode)
@@ -137,12 +137,13 @@ class TestQueryCommand:
         assert "truncated" in capsys.readouterr().err
 
     def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
-        # the flat map's entry for (0, 3), the last of 16, set past the
-        # data tree's 2 leaves: refused on load, not an IndexError mid-query
+        # the flat map's entry for (0, 3), the fourth of 16 one-byte cells,
+        # set past the data tree's 2 leaves: refused on load, not an
+        # IndexError mid-query
         out, d = daemon
         keys = out / "keys.bin"
         raw = keys.read_bytes()
-        keys.write_bytes(raw[: -13 * 8] + struct.pack(">Q", 2) + raw[-12 * 8 :])
+        keys.write_bytes(raw[:-13] + b"\x02" + raw[-12:])
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -359,7 +360,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v9"
+    data = Path(__file__).parent / "data" / "state_v10"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

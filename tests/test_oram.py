@@ -336,13 +336,13 @@ class TestTreeTopCache:
 
     def test_rule_at_the_benchmark_scale(self):
         # the |V|=200 data tree has depth 13: the trivial client keeps
-        # levels 0..8 and the host levels 9..13; a controller keeps none
+        # levels 0..11 and the host levels 12 and 13; a controller keeps none
         params = SchemeParams(200, data_depth=13)
-        assert params.data_params.cached == 9 and params.data_params.host_levels == HOST_LEVELS == 5
+        assert params.data_params.cached == 12 and params.data_params.host_levels == HOST_LEVELS == 2
         assert SchemeParams(200, mode="enhanced", data_depth=13).data_params.cached == 0
 
     def test_rule_follows_the_depth_alone(self):
-        # neither |V| nor Z moves k: the host stores min(L+1, 5) levels of
+        # neither |V| nor Z moves k: the host stores min(L+1, 2) levels of
         # every trivial data tree of depth L
         for depth in range(15):
             ks = {
@@ -354,9 +354,9 @@ class TestTreeTopCache:
             tp = SchemeParams(5000, data_depth=depth).data_params
             assert tp.host_levels == min(depth + 1, HOST_LEVELS)
 
-    @pytest.mark.parametrize("mode, k", [("trivial", 1), ("enhanced", 0)])
+    @pytest.mark.parametrize("mode, k", [("trivial", 6 - HOST_LEVELS), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
-        # a 15-vertex chain: 105 entries in a depth-5 tree, one level more
+        # a 15-vertex chain: 105 entries in a depth-5 tree, four levels more
         # than the host keeps; a controller caches nothing
         result = setup(chain_graph(15), mode=mode, budget=10**9, rng=random.Random(1))
         assert result.params.data_depth == 5

@@ -30,9 +30,14 @@ from obge.bench import chain_graph
 from conftest import random_graph
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
-# format-9 state files written before the engines checked their own held
-# blocks and top (commit a9e9ba8): setup with Z=1 on a 12-vertex digraph,
-# then 60 queries
+# format-10 state files: setup with Z=1 on random_graph(Random(5), 12, 0.3)
+# (the enhanced deployment with chi 2 and a 64-byte budget), then 60
+# queries; with their trees (not kept) both deployments answer all 144
+# pairs twice as PathOracle does
+STATE_V10 = Path(__file__).parent / "data" / "state_v10"
+# format-9 state files (Z=1, a 12-vertex digraph, 60 queries), written
+# when the trivial client kept all but 5 levels of its data tree and the
+# top took 8 bytes an entry
 STATE_V9 = Path(__file__).parent / "data" / "state_v9"
 
 
@@ -302,23 +307,24 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 9, party 0; the
+        # the trivial client's keys.bin: magic, version 10, party 0; the
         # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
         # depth); k1 k2 kprf; then the engine state: the data tree's held
         # blocks (count, then per block tk, next address, payload, leaf and
-        # flag 1, group by group), then the flat map's |V|^2 leaves, ABSENT
-        # where no block is stored; no shape is stored
+        # flag 1, group by group), then the flat map's |V|^2 leaves as cells
+        # as wide as the data tree's leaves need, one byte for 32 leaves,
+        # 0xFF where no block is stored; no shape is stored
         result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
         for u in range(14):
             client.query(u, 14)
         depth = result.params.data_depth
         oram = state.oram
-        assert result.params.data_params.cached == 1 and len(oram.held) == 2
+        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 4 and len(oram.held) == 16
         # one more held block, packed by hand: tk 11.., next address 7, in
-        # the second group at its last leaf
+        # the last group at its last leaf
         leaf = (1 << depth) - 1
-        oram.held[1].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, 1))
+        oram.held[-1].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, 1))
         stash = oram.held_blocks()
 
         def slots(raw):
@@ -327,12 +333,12 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x09\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x0a\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
-        assert len(state.positions.top) == 225
+        assert len(state.positions.top) == 225 and depth == 5
         for leaf in state.positions.top:
-            want += struct.pack(">Q", leaf)
+            want += struct.pack(">B", 0xFF if leaf == ABSENT else leaf)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         assert path.read_bytes() == want
@@ -361,7 +367,7 @@ class TestPersistence:
         g = chain_graph(15)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
-        assert result.params.data_params.cached == 1
+        assert result.params.data_params.cached == 6 - protocol.HOST_LEVELS
         for u in range(14):
             client.query(u, 14)
             if state.oram.held_count:
@@ -378,12 +384,12 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", ["flag-2", "leaf-past-tree"])
     def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
-        # with a cached level, a held block flagged neither real nor dummy,
+        # with cached levels, a held block flagged neither real nor dummy,
         # or mapped past the last leaf, is refused like a stash block
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 1
+        assert tp.cached == 6 - protocol.HOST_LEVELS
         slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
         slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
         state.oram.held[1].append(slot)
@@ -392,7 +398,7 @@ class TestPersistence:
         with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
             load_state(path, TrivialState)
 
-    @pytest.mark.parametrize("cached", [0, 1])
+    @pytest.mark.parametrize("cached", [0, 6 - protocol.HOST_LEVELS])
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
         # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The engine refuses the count before it
@@ -446,44 +452,62 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "mode, tree, entry",
-        [("trivial", 0, "leaves"), ("trivial", 0, "ABSENT-1"), ("enhanced", 1, "leaves"), ("enhanced", 1, "ABSENT")],
-        ids=["flat-past", "flat-below-absent", "chain-past", "chain-absent"],
+        [("trivial", 0, "leaves"), ("trivial", 0, "ABSENT-1"), ("enhanced", 1, "leaves"), ("enhanced", 1, "ABSENT"),
+         ("trivial", 0, "FF00")],
+        ids=["flat-past", "flat-below-absent", "chain-past", "chain-absent", "flat-high-byte-of-absent"],
     )
     def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree, entry):
         # a flat map's entries are data leaves or ABSENT; a chain's are
         # leaves of its last level, all present.  An entry past its tree
         # loaded, and the first query that read it raised IndexError.  chi 2
-        # packs 16 entries a block, so the chain's top has 9
-        kw = {"budget": 256, "chi": 2} if mode == "enhanced" else {}
+        # packs 16 entries a block, so the chain's top has 9.  The cells are
+        # one byte wide, for 32 data leaves or 2 level-0 leaves, but two at
+        # Z=1, for 256 data leaves: there a high byte of all ones must
+        # start an all-ones cell
+        kw = {"budget": 256, "chi": 2} if mode == "enhanced" else {"bucket_size": 1} if entry == "FF00" else {}
         result, _, server, _ = deploy(random_graph(random.Random(5), 12, 0.3), mode, **kw)
         state = result.client if mode == "trivial" else server.controller.state
         assert state.positions.chain_depth == tree
         leaves = result.trees[tree].params.leaves
-        value = {"leaves": leaves, "ABSENT-1": ABSENT - 1, "ABSENT": ABSENT}[entry]
+        w = 2 if entry == "FF00" else 1
+        assert state.positions.shape.top_entry_width == w
+        value = {"leaves": leaves, "ABSENT-1": 0xFE, "ABSENT": 0xFF, "FF00": 0xFF00}[entry]
         path = tmp_path / "state.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        at = len(raw) - len(state.positions.top) * 8 + 3 * 8  # top entry 3
-        path.write_bytes(raw[:at] + struct.pack(">Q", value) + raw[at + 8 :])
+        at = len(raw) - len(state.positions.top) * w + 3 * w  # top entry 3
+        path.write_bytes(raw[:at] + value.to_bytes(w, "big") + raw[at + w :])
         with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
             load_state(path, type(state))
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [10]), ("enhanced-keys.bin", EnhancedState, None, None),
-         ("controller.bin", ControllerState, 2, [2, 3, 0])],
+        [("trivial-keys.bin", TrivialState, 0, [40]), ("enhanced-keys.bin", EnhancedState, None, None),
+         ("controller.bin", ControllerState, 2, [1, 1, 0])],
     )
-    def test_format_9_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 10 blocks over 16 groups (k=4 of a
-        # depth-8 tree); the controller's chain has depth 2 and held blocks
-        # in the data tree and level 0.  Loading and saving again gives
-        # the same bytes
-        state = load_state(STATE_V9 / name, kind)
+    def test_format_10_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 40 blocks over 128 groups (k=7 of a
+        # depth-8 tree) and its top is 144 two-byte cells; the controller's
+        # chain has depth 2 and held blocks in the data tree and level 0.
+        # Loading and saving again gives the same bytes
+        state = load_state(STATE_V10 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
+        if kind is TrivialState:
+            assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V9 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V10 / name).read_bytes()
+
+    @pytest.mark.parametrize("name, kind", [("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
+                                            ("controller.bin", ControllerState)])
+    def test_format_9_files_are_refused(self, name, kind):
+        # a format-9 trivial keys.bin would otherwise load with k=7 for its
+        # depth-8 tree, whose host trees were written at k=4, and the first
+        # access would fail on a path width
+        with pytest.raises(ProtocolError, match=f"state file {STATE_V9 / name}: unsupported version 9, expected 10; "
+                                                "set the deployment up again"):
+            load_state(STATE_V9 / name, kind)
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -522,8 +546,9 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree and state files of versions 4 and 8 packed every position
-        # entry in 8 bytes, so both must be set up again (as must older ones)
+        # tree files of version 4 packed every position entry in 8 bytes,
+        # and state files of version 9 paired each data depth with the k of
+        # five host levels, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -532,9 +557,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (5, 4, TreeStorage.load),
-            "keys.bin": (9, 8, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (9, 8, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (9, 8, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (10, 9, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (10, 9, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (10, 9, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

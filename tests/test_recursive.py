@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from obge.blocks import ABSENT
+from obge.blocks import ABSENT, TreeParams
 from obge.crypto import Cipher, keygen
 from obge.exceptions import ConfigError, IntegrityError
-from obge.recursive import RecursivePM, entry_width, map_shape, pack_entries, rpm_build
+from obge.recursive import MapLevel, MapShape, RecursivePM, entry_width, map_shape, pack_entries, rpm_build
 from obge.storage import StorageHost
 
 
@@ -109,10 +109,13 @@ class TestAccess:
         # the loader reads the shape's width; a caller handing a top of any
         # other width is refused before the map exists
         rpm, _ = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
-        assert RecursivePM.load(rpm.shape, rpm.levels, rpm.top).top == rpm.top
-        for top in (rpm.top[:-1], rpm.top + rpm.top[:1]):
-            with pytest.raises(IntegrityError, match=f"top array of {len(top)} entries, the map's shape has {len(rpm.top)}"):
-                RecursivePM.load(rpm.shape, rpm.levels, top)
+        cells = bytes(rpm.top_cells())
+        w = rpm.shape.top_entry_width
+        assert len(cells) == len(rpm.top) * w
+        assert RecursivePM.load(rpm.shape, rpm.levels, cells).top == rpm.top
+        for bad in (cells[:-1], cells[:-w], cells + cells[:w]):
+            with pytest.raises(IntegrityError, match=f"top of {len(bad)} bytes, the map's shape has {len(rpm.top)} entries of {w} bytes"):
+                RecursivePM.load(rpm.shape, rpm.levels, bad)
 
     def test_out_of_range(self, rng):
         rpm, _ = build_rpm({}, 16, 8, chi=8, budget=8 * 8, rng=rng)
@@ -142,6 +145,34 @@ def test_pack_entries_matches_per_entry_encoding(rng, w):
     entries = array("Q", [rng.randrange((1 << 8 * w) - 1) for _ in range(37)] + [ABSENT, 0])
     want = b"".join(((1 << 8 * w) - 1 if e == ABSENT else e).to_bytes(w, "big") for e in entries)
     assert pack_entries(entries, w, 45) == want + b"\xff" * (6 * w)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "chain"])
+@pytest.mark.parametrize("depth", [0, 1, 7, 8, 15, 16, 24])
+def test_loaded_top_cells_follow_the_per_entry_rule(rng, flat, depth):
+    # the byte-column check and widening against one int per cell: a cell
+    # loads if it is a leaf of the top's tree, or all ones in a flat map,
+    # and comes back as that leaf or ABSENT; any other cell is named
+    leaves = 1 << depth
+    w = entry_width(leaves)
+    absent = (1 << 8 * w) - 1
+    good = [rng.randrange(leaves) for _ in range(37)] + [0, leaves - 1] + ([absent] * 3 if flat else [])
+    rng.shuffle(good)
+    level = MapLevel(TreeParams(depth, 5, 64), 1, w, 64 // w)
+    shape = MapShape(
+        len(good), () if flat else (level,), (1,) if flat else (1, 1), (leaves,) if flat else (1, leaves), len(good)
+    )
+    assert shape.top_entry_width == w
+    cells = b"".join(v.to_bytes(w, "big") for v in good)
+    rpm = RecursivePM.load(shape, [], cells)
+    assert list(rpm.top) == [ABSENT if v == absent else v for v in good]
+    assert rpm.top_cells() == cells
+    bad = {leaves, absent - 1, 0xFF << 8 * (w - 1)} | (set() if flat else {absent})
+    for value in sorted(v for v in bad if v >= leaves and (v != absent or not flat)):
+        at = rng.randrange(len(good))
+        damaged = cells[: at * w] + value.to_bytes(w, "big") + cells[(at + 1) * w :]
+        with pytest.raises(IntegrityError, match=f"top entry {at} is leaf {value}, but its tree has {leaves} leaves"):
+            RecursivePM.load(shape, [], damaged)
 
 
 @settings(deadline=None)

@@ -10,7 +10,7 @@ from obge.bench import chain_graph
 from obge.cli import main
 from obge.exceptions import ObgeError, ProtocolError
 from obge.graph import Graph
-from obge.protocol import TrivialClient, TrivialState, load_state, save_state, setup
+from obge.protocol import HOST_LEVELS, TrivialClient, TrivialState, load_state, save_state, setup
 from obge.server import (
     Daemon,
     RemoteStore,
@@ -38,11 +38,11 @@ def make_deployment(mode="trivial", n=6, seed=4):
 
 class TestDispatch:
     def test_read_path_shape(self):
-        # a 15-vertex chain: the client caches the data tree's root, so
-        # the host's path is levels 1..L
+        # a 15-vertex chain: the client caches the depth-5 data tree's top
+        # 4 levels, so the host's path is levels 4 and 5
         _, result, host, server, _ = make_deployment(n=15)
         params = host.trees[0].params
-        assert params.cached == 1
+        assert params.cached == params.depth + 1 - HOST_LEVELS == 4
         resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
