@@ -30,8 +30,9 @@ k=0 there is one group, the stash.  ``held_limit`` bounds the held blocks
 at the memory of the stash and the 2^k - 1 top buckets together.
 
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
-with its tree, a state file's loader builds it from the saved blocks, and a
-deployment only gives it a store; a party's state holds the engine itself,
+with its tree and a state file's loader from the saved blocks, both from
+the held blocks packed end to end as the file stores them; a deployment
+only gives it a store.  A party's state holds the engine itself,
 so saving the state writes what the last access left.  Building an engine
 refuses held blocks it could not keep: more than ``held_limit``, a block
 flagged as a dummy, or one mapped past the tree's last leaf, which eviction
@@ -44,6 +45,7 @@ including a dummy round's, which must be a fresh uniform leaf.
 from __future__ import annotations
 
 import random
+import struct
 
 from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, unpack_block
 from .crypto import Cipher
@@ -80,7 +82,7 @@ class PathOram:
         tree_id: int,
         params: TreeParams,
         cipher: Cipher,
-        held: list[bytes],
+        held: bytes,
         stash_max: int = DEFAULT_STASH_MAX,
     ):
         self.tree_id = tree_id
@@ -88,17 +90,22 @@ class PathOram:
         self.store = None
         self.cipher = cipher
         self.held_max = held_limit(params, stash_max)
-        if len(held) > self.held_max:
-            raise CapacityError(f"tree {tree_id} holds {len(held)} blocks, limit {self.held_max}")
-        shift, hw, leaves = params.depth - params.cached, params.head_width, params.leaves
+        bw, hw, leaves = params.block_width, params.head_width, params.leaves
+        count = len(held) // bw
+        if count > self.held_max:
+            raise CapacityError(f"tree {tree_id} holds {count} blocks, limit {self.held_max}")
+        # every block's tail (leaf, flag) in one pass; the flags, each
+        # block's last byte, in one comparison, and the largest leaf as the
+        # largest tail's
+        tails = list(struct.iter_unpack(f">{hw}x{TAIL.format[1:]}", held))
+        if held[bw - 1 :: bw] != b"\x01" * count or max(tails, default=(0,))[0] >= leaves:
+            leaf, flag = next(t for t in tails if t[1] != 1 or t[0] >= leaves)
+            raise IntegrityError(f"bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {leaves})")
+        shift = params.depth - params.cached
         self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
-        for blk in held:
-            leaf, flag = TAIL.unpack_from(blk, hw)
-            if flag != 1 or leaf >= leaves:
-                raise IntegrityError(f"bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {leaves})")
-            self.held[leaf >> shift].append(blk)
-        self.held_count = len(held)
-        self.max_stash_seen = len(held)
+        for at, (leaf, _) in zip(range(0, len(held), bw), tails):
+            self.held[leaf >> shift].append(held[at : at + bw])
+        self.held_count = self.max_stash_seen = count
         self.access_count = 0
 
     def held_blocks(self) -> list[bytes]:
@@ -256,7 +263,7 @@ def oram_init(
             node = (node - 1) >> 1
         else:
             held.append(blk)
-    engine = PathOram(tree_id, params, cipher, held, stash_max)
+    engine = PathOram(tree_id, params, cipher, b"".join(held), stash_max)
 
     bw = params.bucket_width
     buckets = bytearray(params.host_nodes * bw)

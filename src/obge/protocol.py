@@ -45,15 +45,16 @@ and the parameter block, followed by
   (controller.bin, next to the trees).
 
 The engine state -- the data tree's held blocks, each position-map
-level's stash and the map's top array -- has one codec and stores no
-shape: load_state validates the parameter block and derives the cached
-levels (``SchemeParams.data_params``) and the map's shape
+level's stash and the map's top -- has one codec and stores no shape:
+load_state validates the parameter block and derives the cached levels
+(``SchemeParams.data_params``) and the map's shape
 (``SchemeParams.map_shape``) from it, as setup does.  Held blocks and a
 stash are stored alike: a block count and the packed blocks, group by
-group.  The top is its entries as big-endian cells as wide as the tree
-they point into needs (``recursive.entry_width``), ABSENT all ones: one
-byte each for a data tree of up to 128 leaves, two up to 32,768.  The
-engines check what they are built with: ``PathOram`` its held blocks and
+group, which the engine is built from as they stand.  The top is stored
+as the map keeps it: big-endian cells as wide as the tree its entries
+point into needs (``recursive.entry_width``), ABSENT all ones: one byte
+each for a data tree of up to 128 leaves, two up to 32,768.  The engines
+check what they are built with: ``PathOram`` its held blocks and
 ``RecursivePM.load`` the top; load_state reports what they refuse as
 ProtocolError naming the file.  Files are replaced atomically and readable
 by their owner only; a file of an older version, of a party the caller did
@@ -116,6 +117,12 @@ class SchemeParams:
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
         check_chi(self.chi)
+        # state files store the stash allowance in 32 bits and the budget in
+        # 64, where 0 stands for none
+        if not 0 <= self.stash_max < 1 << 32:
+            raise ConfigError(f"stash max must be in [0, 2^32), got {self.stash_max}")
+        if self.budget is not None and not 1 <= self.budget < 1 << 64:
+            raise ConfigError(f"budget must be in [1, 2^64) bytes, got {self.budget}")
         most = tree_depth_for(self.full_slots, self.bucket_size)
         if self.data_depth > most:
             raise ConfigError(f"data depth {self.data_depth} exceeds {most}, a tree padded to every vertex pair")
@@ -447,10 +454,7 @@ def _pack_held(engine: PathOram) -> bytes:
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
     """Engine state: the data tree's held blocks, each level's (level trees
     cache nothing, so these are their stashes), then the top's cells."""
-    positions = state.positions
-    parts = [_pack_held(engine) for engine in (state.oram, *positions.levels)]
-    parts.append(positions.top_cells())
-    return b"".join(parts)
+    return b"".join(_pack_held(engine) for engine in (state.oram, *state.positions.levels)) + state.positions.top
 
 
 def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes) -> tuple[RecursivePM, PathOram]:
@@ -462,10 +466,7 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:
         (count,) = r.unpack(_COUNT)
-        bw = tp.block_width
-        raw = r.take(count * bw)
-        held = [raw[at : at + bw] for at in range(0, len(raw), bw)]
-        return PathOram(tree_id, tp, cipher, held, params.stash_max)
+        return PathOram(tree_id, tp, cipher, r.take(count * tp.block_width), params.stash_max)
 
     try:
         oram = engine(DATA_TREE_ID, params.data_params)

@@ -4,10 +4,11 @@ The map sends each dense address u*|V|+v to the data leaf of its block.
 When the whole map, as a dense array of 8-byte entries, exceeds the memory
 budget, it moves into smaller ORAM trees: level 0 packs the data leaves
 into blocks; level i+1 packs the leaves of level-i blocks; levels are added
-until the remaining top array fits the budget.  The holder then keeps only
-the top array and the per-level stashes resident, emulating an enclave with
-bounded internal storage.  With no levels this is the flat map of Path
-ORAM's recursive construction, which the trivial client uses as is.
+until the remaining top, still counted at 8 bytes an entry, fits the
+budget.  The holder then keeps only the top and the per-level stashes
+resident, emulating an enclave with bounded internal storage.  With no
+levels this is the flat map of Path ORAM's recursive construction, which
+the trivial client uses as is.
 
 A level block's payload is 8*chi bytes of entries, each as wide as the
 tree it points into needs (``entry_width``): the fewest whole bytes that
@@ -17,7 +18,7 @@ level-j block addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) % c_j;
 the payload's last 8*chi - c_j*w_j bytes are unused.
 
 The map's geometry -- each level's tree, block count, entry width and
-entries per block, the spans c_0...c_j, the top array's width, and the
+entries per block, the spans c_0...c_j, the top's width, and the
 leaf count of the tree each level's entries and the top's point into --
 follows from the address space, the data tree's leaf count, chi, the
 budget and Z alone.  ``map_shape`` works it out once, as a ``MapShape``
@@ -28,15 +29,15 @@ Each level is a PathOram engine, built with its tree by ``rpm_build`` or
 from a state file by the loader, and holding its own stash; ``attach``
 hands every level the deployment's store and the map its leaf sampler.
 
-In memory the top is one dense ``array('Q')`` of 8-byte words: a flat map
-holds |V|^2 entries, ABSENT where no block exists; a chain holds one entry
-per last-level block.  A state file stores it narrow, as w-byte big-endian
-cells with w the entry width of the tree the top points into, ABSENT as
-the all-ones cell (``RecursivePM.top_cells``), so the |V|=200 flat map
-takes 80 KB in place of 320 KB.  ``RecursivePM.load`` refuses cells of
-another total width, and cells that are not leaves of the tree they point
-into, before it widens them back into the array.  A remap rewrites in
-place the one entry it touches, in the top or in a level block's payload.
+The top has the layout of a level payload, in memory and in a state file
+alike: one ``bytearray`` of w-byte big-endian cells, w the entry width of
+the tree the top points into, ABSENT as the all-ones cell.  A flat map
+holds |V|^2 cells, ABSENT where no block exists, so the |V|=200 flat map
+takes 80 KB; a chain holds one cell per last-level block.
+``RecursivePM.load`` refuses cells of another total width, and cells that
+are not leaves of the tree they point into.  A remap rewrites the one
+entry it touches, in the top or in a level block's payload, through
+``read_entry`` and ``write_entry``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
 from .crypto import Cipher
@@ -53,7 +55,7 @@ from .exceptions import ConfigError, IntegrityError
 from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
 from .storage import TreeStorage
 
-# bytes of a top entry, and of a flat map's, whatever the tree it points into
+# bytes the shape rule counts per top entry, whatever the tree it points into
 TOP_ENTRY_BYTES = 8
 # a level block's payload is 8*chi bytes; tree headers store its width in 16 bits
 MAX_CHI = 0xFFFF // 8
@@ -77,13 +79,16 @@ def entry_width(leaves: int) -> int:
     return -(-leaves.bit_length() // 8)
 
 
-def big_endian(entries: array | bytes) -> array:
-    """A copy of entries with each word's bytes in big-endian order, the
-    layout of the top array in a state file; applied twice, the identity."""
-    out = array("Q", entries)
-    if sys.byteorder == "little":
-        out.byteswap()
-    return out
+def read_entry(cells: bytes | bytearray, at: int, w: int) -> int:
+    """The leaf in the w-byte cell at byte offset at, or ABSENT if the cell
+    is all ones."""
+    entry = int.from_bytes(cells[at : at + w], "big")
+    return ABSENT if entry == (1 << 8 * w) - 1 else entry
+
+
+def write_entry(cells: bytearray, at: int, w: int, leaf: int) -> None:
+    """Store leaf as the w-byte cell at byte offset at."""
+    cells[at : at + w] = leaf.to_bytes(w, "big")
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,10 @@ class MapShape:
     targets: tuple[int, ...]
     top_width: int
 
-    @property
+    @cached_property
     def top_entry_width(self) -> int:
-        """Bytes of a top cell in a state file: the entry width of the tree
-        the top points into."""
+        """Bytes of a top cell: the entry width of the tree the top points
+        into."""
         return entry_width(self.targets[-1])
 
 
@@ -145,13 +150,13 @@ class RecursivePM:
 
     levels holds each level's Path ORAM engine, one per level of shape:
     levels[0] holds data positions; levels[-1] is the level whose block
-    positions sit in the top array.  An empty chain is the flat base case:
+    positions sit in the top's cells.  An empty chain is the flat base case:
     the top holds the data positions directly, ABSENT for addresses with no
     block.  The level engines read and write through the store, and the map
     draws fresh leaves from the sampler, handed to ``attach``.
     """
 
-    def __init__(self, shape: MapShape, levels: list[PathOram], top: array):
+    def __init__(self, shape: MapShape, levels: list[PathOram], top: bytearray):
         self.shape = shape
         self.levels = levels
         self.top = top
@@ -159,9 +164,9 @@ class RecursivePM:
 
     @classmethod
     def load(cls, shape: MapShape, levels: list[PathOram], cells: bytes) -> RecursivePM:
-        """The map over a top read from a state file as ``top_cells`` wrote
-        it: shape.top_width cells of w bytes, each a leaf of the tree the
-        top points into, or all ones (ABSENT) in a flat map; IntegrityError
+        """The map over a top read from a state file, kept as it is read:
+        shape.top_width cells of w bytes, each a leaf of the tree the top
+        points into, or all ones (ABSENT) in a flat map; IntegrityError
         otherwise.  The leaf count is a power of two, so a cell is a leaf
         exactly when its high byte is below leaves >> 8(w-1): one pass over
         the high byte column checks every cell, and one big-int test per
@@ -180,19 +185,7 @@ class RecursivePM:
                 value = int.from_bytes(cells[at * w : (at + 1) * w], "big")
                 if value >= leaves and not (flat and value == (1 << 8 * w) - 1):
                     raise IntegrityError(f"top entry {at} is leaf {value}, but its tree has {leaves} leaves")
-        # widen to big-endian words: the cell in the low w bytes, and the
-        # high 8-w bytes all ones exactly where the cell is ABSENT
-        words = bytearray(8 * n)
-        for k in range(w):
-            words[8 - w + k :: 8] = cells[k::w]
-        for k in range(8 - w):
-            words[k::8] = marks
-        return cls(shape, levels, big_endian(words))
-
-    def top_cells(self) -> bytearray:
-        """The top as a state file stores it: w-byte big-endian cells, w the
-        entry width of the tree the top points into, ABSENT all ones."""
-        return pack_entries(self.top, self.shape.top_entry_width, len(self.top))
+        return cls(shape, levels, bytearray(cells))
 
     @property
     def chain_depth(self) -> int:
@@ -205,8 +198,8 @@ class RecursivePM:
             engine.store = store
 
     def resident_bytes(self) -> int:
-        """Resident state: the top array plus all level stashes."""
-        total = len(self.top) * TOP_ENTRY_BYTES
+        """Resident state: the top's cells plus all level stashes."""
+        total = len(self.top)
         for engine in self.levels:
             total += engine.held_count * engine.params.block_width
         return total
@@ -228,12 +221,12 @@ class RecursivePM:
         # the block holding the entry at each level, from the top's entry to
         # the data leaf itself
         spans, targets, randrange = shape.spans, shape.targets, self.rng.randrange
-        depth = len(self.levels)
-        top_idx = addr // spans[depth]
-        old = self.top[top_idx]
+        depth, w = len(self.levels), shape.top_entry_width
+        at = addr // spans[depth] * w
+        old = read_entry(self.top, at, w)
         fresh = randrange(targets[depth])
         if old != ABSENT:
-            self.top[top_idx] = fresh
+            write_entry(self.top, at, w, fresh)
 
         for j in range(depth - 1, -1, -1):
             index = addr // spans[j + 1]
@@ -245,13 +238,12 @@ class RecursivePM:
             new = randrange(targets[j])
             captured: list[int] = []
 
-            def rewrite(payload: bytes, at=offset * w, w=w, new=new, captured=captured) -> bytes:
-                entry = int.from_bytes(payload[at : at + w], "big")
-                if entry == (1 << 8 * w) - 1:
-                    captured.append(ABSENT)
-                    return payload
-                captured.append(entry)
-                return payload[:at] + new.to_bytes(w, "big") + payload[at + w :]
+            def rewrite(payload: bytes, at=offset * w, w=w, new=new, captured=captured) -> bytearray:
+                cells = bytearray(payload)
+                captured.append(read_entry(cells, at, w))
+                if captured[0] != ABSENT:
+                    write_entry(cells, at, w, new)
+                return cells
 
             self.levels[j].access(level_token(j, index), old, fresh, rewrite)
             old, fresh = captured[0], new
@@ -259,14 +251,15 @@ class RecursivePM:
 
 
 def pack_entries(entries: array, w: int, count: int) -> bytearray:
-    """count w-byte big-endian cells, the low w bytes of each entry and then
-    ABSENT (all one bits) to pad, built a byte column at a time.  An 8-byte
-    ABSENT truncates to the w-byte one."""
-    raw = big_endian(entries).tobytes()
+    """count w-byte big-endian cells, the low w bytes of each entry of an
+    array('Q') and then ABSENT (all one bits) to pad, built a byte column
+    at a time from the entries' native bytes.  An 8-byte ABSENT truncates
+    to the w-byte one."""
+    raw = entries.tobytes()
     cells = bytearray(b"\xff") * (count * w)
     end = len(entries) * w
-    for k in range(w):
-        cells[k:end:w] = raw[8 - w + k :: 8]
+    for k in range(w):  # the k-th most significant byte of every cell
+        cells[k:end:w] = raw[8 - w + k if sys.byteorder == "big" else w - 1 - k :: 8]
     return cells
 
 
@@ -285,25 +278,27 @@ def rpm_build(
     engines have no store, and the map no leaf sampler, until the map is
     attached.
     """
-    top = array("Q", [ABSENT]) * shape.address_space
+    entries = array("Q", [ABSENT]) * shape.address_space
     for addr, leaf in assignments:
-        top[addr] = leaf
+        entries[addr] = leaf
 
     levels: list[PathOram] = []
     trees: list[TreeStorage] = []
     for i, level in enumerate(shape.levels):
-        # the array above becomes this level's payloads, as many entries to
-        # a block as fit, the last block padded with ABSENT entries and each
-        # payload's unused tail with one bits
+        # the entries above become this level's payloads, as many entries
+        # to a block as fit at the width of the tree they point into, the
+        # last block padded with ABSENT entries and each payload's unused
+        # tail with one bits
         params, w = level.params, level.width
         span = level.per_block * w
         tail = b"\xff" * (params.payload_width - span)
-        cells = pack_entries(top, w, level.blocks * level.per_block)
+        cells = pack_entries(entries, w, level.blocks * level.per_block)
         heads = [
             block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(level.blocks)
         ]
         engine, tree, leaves = oram_init(heads, params, cipher, rng, stash_max, first_tree_id + i)
         levels.append(engine)
         trees.append(tree)
-        top = array("Q", leaves)
+        entries = array("Q", leaves)
+    top = pack_entries(entries, shape.top_entry_width, shape.top_width)
     return RecursivePM(shape, levels, top), trees

@@ -90,10 +90,12 @@ class ObgeServer:
         session-encrypted answer; the host sees both widths."""
         if self.controller is None:
             raise ProtocolError("no controller deployed on this server")
-        self.host.trace.append("EnclaveRequest", None, None, len(ct))
-        with self._ctrl_lock:  # controller state admits one query at a time
+        # controller state admits one query at a time, and the trace frames
+        # each query's path records with its own request and response
+        with self._ctrl_lock:
+            self.host.trace.append("EnclaveRequest", None, None, len(ct))
             out = self.controller.handle_request(ct)
-        self.host.trace.append("EnclaveResponse", None, None, len(out))
+            self.host.trace.append("EnclaveResponse", None, None, len(out))
         return out
 
     def handle_raw(self, mt: int, payload: bytes) -> bytes:

@@ -11,7 +11,7 @@ from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
-from obge.recursive import rpm_build
+from obge.recursive import read_entry, rpm_build
 from obge.storage import StorageHost
 
 # Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
@@ -72,6 +72,13 @@ def chain_blocks(keys, chains, length):
             )
             addrs.append(u * n + d)
     return n, blocks, addrs
+
+
+def top_entries(positions) -> list[int]:
+    """The position map's top entries, each read from its cell as the map
+    reads it: a leaf, or ABSENT."""
+    w = positions.shape.top_entry_width
+    return [read_entry(positions.top, at, w) for at in range(0, len(positions.top), w)]
 
 
 def data_tree(count, Z=5, cached=0):

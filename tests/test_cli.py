@@ -93,6 +93,28 @@ class TestSetupCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--stash-max", "-1"], "stash max must be in [0, 2^32), got -1"),
+            (["--stash-max", "5000000000"], "stash max must be in [0, 2^32), got 5000000000"),
+            (["--budget", "-5"], "budget must be in [1, 2^64) bytes, got -5"),
+            (["--mode", "enhanced", "--budget", str(1 << 64)], f"budget must be in [1, 2^64) bytes, got {1 << 64}"),
+        ],
+        ids=["stash-max-negative", "stash-max-past-32-bits", "trivial-budget-negative", "budget-past-64-bits"],
+    )
+    def test_values_past_the_state_file_fields_are_usage_errors(self, tmp_path, capsys, extra, message):
+        # state files store the stash allowance in 32 bits and the budget in
+        # 64; a value outside them is refused before the deployment
+        # directory exists, not by the state writer after the trees
+        chain = tmp_path / "chain.tsv"
+        chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(9)))
+        out = tmp_path / "deploy"
+        assert main(["setup", str(chain), "--out", str(out), "--seed", "7", *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
 class TestQueryCommand:
     def test_prints_path(self, daemon, capsys):
         out, d = daemon
@@ -300,21 +322,47 @@ class TestAttackCommand:
         assert "exactly recovered: 1/1" in out
 
 
+CHAIN_30_TSV = "".join(f"{i}\t{i + 1}\n" for i in range(29))
+
+
 class TestServeSignals:
-    def test_sigterm_flushes_state(self, tmp_path, graph_file):
+    @pytest.mark.parametrize(
+        "graph, extra, first",
+        [
+            (GRAPH_TSV, [], ("0", "3", "0 2 3")),
+            (CHAIN_30_TSV, ["--mode", "enhanced", "--budget", "256", "--chi", "8"], ("0", "29", " ".join(map(str, range(30))))),
+        ],
+        ids=["trivial", "enhanced-chain"],
+    )
+    def test_sigterm_flushes_state(self, tmp_path, capsys, graph, extra, first):
         """kill -TERM: the daemon exits cleanly, flushes the updated tree
-        and trace, and a restarted server answers from the flushed state."""
+        and trace, and a restarted server answers from the flushed state.
+        The enhanced case runs a 30-vertex chain whose controller keeps a
+        one-level map chain and a narrow top, which the flush rewrites in
+        controller.bin; the 4-vertex graph stays flat at any budget of
+        128 bytes or more.  Its first query, (0, 29), remaps all 15 top
+        cells, each to one of 4 leaves, so the flushed file differs from
+        the one setup wrote but for a chance of 4^-15."""
         import signal
         import socket
         import subprocess
         import sys
         import time
 
-        out = run_setup(tmp_path, graph_file)
+        from obge.protocol import ControllerState, load_state
+
+        graph_file = tmp_path / "graph.tsv"
+        graph_file.write_text(graph)
+        out = run_setup(tmp_path, graph_file, *extra)
+        controller = out / "controller.bin"
+        if extra:
+            assert load_state(controller, ControllerState).positions.chain_depth == 1
+            original_controller = controller.read_bytes()
         cfg_path = out / "server.cfg"
         text = cfg_path.read_text().replace("127.0.0.1:7399", "127.0.0.1:7461")
         cfg_path.write_text(text)
         original_tree = (out / "tree_000.bin").read_bytes()
+        capsys.readouterr()
 
         proc = subprocess.Popen(
             [sys.executable, "-m", "obge.cli", "serve", "--config", str(cfg_path)],
@@ -330,9 +378,9 @@ class TestServeSignals:
                     time.sleep(0.1)
             else:
                 raise AssertionError("daemon never came up")
-            rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
-                       "--addr", "127.0.0.1:7461"])
-            assert rc == 0
+            u, v, path = first
+            rc = main(["query", u, v, "--keys", str(out / "keys.bin"), "--addr", "127.0.0.1:7461"])
+            assert rc == 0 and capsys.readouterr().out.strip() == path
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=15) == 0
         finally:
@@ -343,6 +391,8 @@ class TestServeSignals:
 
         flushed = (out / "tree_000.bin").read_bytes()
         assert flushed != original_tree  # the query's write-backs were persisted
+        if extra:  # and the controller's remapped top and stashes
+            assert controller.read_bytes() != original_controller
         assert (out / "trace.csv").stat().st_size > 0
         # restart from the flushed state and query again
         cfg = load_config(cfg_path)
@@ -352,7 +402,7 @@ class TestServeSignals:
         try:
             rc = main(["query", "1", "3", "--keys", str(out / "keys.bin"),
                        "--addr", f"127.0.0.1:{d.port}"])
-            assert rc == 0
+            assert rc == 0 and capsys.readouterr().out.strip() == "1 2 3"
         finally:
             d.shutdown()
 

@@ -13,7 +13,7 @@ from obge.oram import PathOram, oram_init, verify_placement
 from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine, data_tree, random_graph, trivial_engine
+from conftest import chain_blocks, chain_engine, data_tree, random_graph, top_entries, trivial_engine
 
 
 def build(keys, count, rng, **kw):
@@ -28,7 +28,8 @@ def make_blocks(keys, count):
 
 def leaf_of(engine, blocks, addrs):
     """Token -> mapped leaf, read from the engine's flat position map."""
-    return {b[:16]: engine.positions.top[a] for b, a in zip(blocks, addrs)}
+    top = top_entries(engine.positions)
+    return {b[:16]: top[a] for b, a in zip(blocks, addrs)}
 
 
 def run_queries(engine, rng, accesses):
@@ -54,7 +55,7 @@ class TestSizing:
         assert params.depth == 1
         assert params.node_count == 3
         assert params.node_count * params.bucket_size == 15
-        top = engine.positions.top
+        top = top_entries(engine.positions)
         assert len(top) == 7 * 7  # dense over the 7 vertices' pairs
         assert sum(leaf != ABSENT for leaf in top) == 6
 
@@ -130,7 +131,7 @@ class TestAccess:
             engine.query(u, v)
             reads = [r.leaf for r in host.trace.records[before:] if r.msg_type == "ReadPath"]
             addr, old, fresh = returned[-1]
-            assert old == ABSENT and positions.top[addr] == ABSENT
+            assert old == ABSENT and top_entries(positions)[addr] == ABSENT
             assert reads == [o for _, o, _ in returned[:-1]] + [fresh]
 
     def test_remap_changes_position(self, rng):
@@ -139,7 +140,7 @@ class TestAccess:
         seen = set()
         for _ in range(50):
             engine.query(63, 64)  # one hit on the last block, then a miss
-            seen.add(engine.positions.top[addrs[-1]])
+            seen.add(top_entries(engine.positions)[addrs[-1]])
         # 50 independent uniform draws over >= 16 leaves collide with all
         # previous ones only with negligible probability
         assert len(seen) > 5
@@ -154,7 +155,7 @@ class TestAccess:
         keys = keygen(128)
         engine, host, tree, blocks, addrs = build(keys, 10, rng)
         with pytest.raises(IndexError):
-            engine.oram.access(blocks[0][:16], engine.positions.top[addrs[0]], tree.params.leaves)
+            engine.oram.access(blocks[0][:16], top_entries(engine.positions)[addrs[0]], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):
@@ -382,7 +383,7 @@ class TestTreeTopCache:
         engine = client.engine
         mapped = {
             prf_eval(result.keys.kprf, encode_pair(addr // 40, addr % 40)): leaf
-            for addr, leaf in enumerate(engine.positions.top)
+            for addr, leaf in enumerate(top_entries(engine.positions))
             if leaf != ABSENT
         }
         verify_placement(host.trees[0], engine.oram, mapped)
@@ -413,7 +414,7 @@ class TestTreeTopCache:
         assert engine.held_count == 30 and [len(g) for g in engine.held] == [30, 0, 0, 0]
         verify_placement(tree, engine, {b[:16]: 0 for b in engine.held_blocks()})
         engine, _, _ = oram_init(make_blocks(keys, 40), params, k2, rng)
-        rebuilt = PathOram(0, params, k2, engine.held_blocks())
+        rebuilt = PathOram(0, params, k2, b"".join(engine.held_blocks()))
         assert rebuilt.held == engine.held and rebuilt.held_count == engine.held_count
         with pytest.raises(ValueError, match="cannot cache 4 levels"):
             oram_init(make_blocks(keys, 40), data_tree(40, cached=4), k2, rng)

@@ -27,7 +27,7 @@ from obge.recursive import RecursivePM
 from obge.server import ObgeServer, deploy_inprocess
 from obge.storage import TreeStorage
 from obge.bench import chain_graph
-from conftest import random_graph
+from conftest import random_graph, top_entries
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
 # format-10 state files: setup with Z=1 on random_graph(Random(5), 12, 0.3)
@@ -57,7 +57,7 @@ def redeploy(host, state, client_state):
 class TestSetup:
     def test_four_vertex_undirected_pm_size(self, four_vertex_undirected):
         result, _, _, _ = deploy(four_vertex_undirected, "trivial")
-        top = result.client.positions.top
+        top = top_entries(result.client.positions)
         assert len(top) == 16
         assert sum(leaf != ABSENT for leaf in top) == 12  # ordered connected pairs
 
@@ -69,8 +69,9 @@ class TestSetup:
         positions = result.client.positions
         assert isinstance(positions, RecursivePM)
         assert positions.levels == [] and result.controller is None
-        assert len(positions.top) == 40 * 40
-        assert sum(leaf != ABSENT for leaf in positions.top) == result.spdx_size
+        top = top_entries(positions)
+        assert len(top) == 40 * 40
+        assert sum(leaf != ABSENT for leaf in top) == result.spdx_size
         assert sorted(host.trees) == [0]
 
     def test_empty_graph_answers_everything_empty(self):
@@ -336,8 +337,9 @@ class TestPersistence:
         want = b"OS\x0a\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
-        assert len(state.positions.top) == 225 and depth == 5
-        for leaf in state.positions.top:
+        top = top_entries(state.positions)
+        assert len(top) == 225 and depth == 5
+        for leaf in top:
             want += struct.pack(">B", 0xFF if leaf == ABSENT else leaf)
         path = tmp_path / "keys.bin"
         save_state(path, state)
@@ -446,7 +448,7 @@ class TestPersistence:
         assert got.shape == want.shape == state.params.map_shape
         assert got.shape.address_space == 144
         assert got.shape.targets[0] == result.trees[0].params.leaves
-        assert len(got.top) == len(want.top) == got.shape.top_width
+        assert len(top_entries(got)) == len(top_entries(want)) == got.shape.top_width
         assert [lvl.params for lvl in got.levels] == [t.params for t in result.trees[1:]]
         assert [lvl.tree_id for lvl in got.levels] == [t.tree_id for t in result.trees[1:]]
 
@@ -475,7 +477,7 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        at = len(raw) - len(state.positions.top) * w + 3 * w  # top entry 3
+        at = len(raw) - state.positions.shape.top_width * w + 3 * w  # top entry 3
         path.write_bytes(raw[:at] + value.to_bytes(w, "big") + raw[at + w :])
         with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
             load_state(path, type(state))

@@ -10,6 +10,7 @@ from obge.crypto import Cipher, keygen
 from obge.exceptions import ConfigError, IntegrityError
 from obge.recursive import MapLevel, MapShape, RecursivePM, entry_width, map_shape, pack_entries, rpm_build
 from obge.storage import StorageHost
+from conftest import top_entries
 
 
 def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
@@ -47,8 +48,12 @@ class TestBuild:
             (16, rpm.levels[0].params, 2, 256)
         ]
         assert (shape.spans, shape.targets, shape.top_width) == ((1, 256), (256, 4), 16)
-        assert len(rpm.top) == 16
-        assert len(rpm.top) * 8 <= 1024
+        assert len(top_entries(rpm)) == 16
+        assert len(top_entries(rpm)) * 8 <= 1024
+        # held as 16 one-byte cells, which resident memory counts at that width
+        level = rpm.levels[0]
+        assert len(rpm.top) == 16 * shape.top_entry_width == 16
+        assert rpm.resident_bytes() == len(rpm.top) + level.held_count * level.params.block_width
 
     def test_benchmark_shapes(self):
         # |V|=200 at 4 KiB: 8,192 data leaves take 2-byte entries, 256 to a
@@ -109,12 +114,12 @@ class TestAccess:
         # the loader reads the shape's width; a caller handing a top of any
         # other width is refused before the map exists
         rpm, _ = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
-        cells = bytes(rpm.top_cells())
-        w = rpm.shape.top_entry_width
-        assert len(cells) == len(rpm.top) * w
+        cells = bytes(rpm.top)
+        w, n = rpm.shape.top_entry_width, rpm.shape.top_width
+        assert len(cells) == n * w
         assert RecursivePM.load(rpm.shape, rpm.levels, cells).top == rpm.top
         for bad in (cells[:-1], cells[:-w], cells + cells[:w]):
-            with pytest.raises(IntegrityError, match=f"top of {len(bad)} bytes, the map's shape has {len(rpm.top)} entries of {w} bytes"):
+            with pytest.raises(IntegrityError, match=f"top of {len(bad)} bytes, the map's shape has {n} entries of {w} bytes"):
                 RecursivePM.load(rpm.shape, rpm.levels, bad)
 
     def test_out_of_range(self, rng):
@@ -150,9 +155,9 @@ def test_pack_entries_matches_per_entry_encoding(rng, w):
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "chain"])
 @pytest.mark.parametrize("depth", [0, 1, 7, 8, 15, 16, 24])
 def test_loaded_top_cells_follow_the_per_entry_rule(rng, flat, depth):
-    # the byte-column check and widening against one int per cell: a cell
-    # loads if it is a leaf of the top's tree, or all ones in a flat map,
-    # and comes back as that leaf or ABSENT; any other cell is named
+    # the byte-column check against one int per cell: a cell loads if it
+    # is a leaf of the top's tree, or all ones in a flat map, and reads
+    # back as that leaf or ABSENT; any other cell is named
     leaves = 1 << depth
     w = entry_width(leaves)
     absent = (1 << 8 * w) - 1
@@ -165,8 +170,8 @@ def test_loaded_top_cells_follow_the_per_entry_rule(rng, flat, depth):
     assert shape.top_entry_width == w
     cells = b"".join(v.to_bytes(w, "big") for v in good)
     rpm = RecursivePM.load(shape, [], cells)
-    assert list(rpm.top) == [ABSENT if v == absent else v for v in good]
-    assert rpm.top_cells() == cells
+    assert top_entries(rpm) == [ABSENT if v == absent else v for v in good]
+    assert rpm.top == cells
     bad = {leaves, absent - 1, 0xFF << 8 * (w - 1)} | (set() if flat else {absent})
     for value in sorted(v for v in bad if v >= leaves and (v != absent or not flat)):
         at = rng.randrange(len(good))
@@ -202,7 +207,7 @@ def test_mixed_width_chain(rng):
     assert [(lvl.width, lvl.per_block) for lvl in shape.levels] == [(3, 5), (2, 8), (1, 16)]
     assert shape.spans == (1, 5, 40, 640) and shape.targets == (data_leaves, 512, 64, 4)
     assert [lvl.params.leaves for lvl in rpm.levels] == [512, 64, 4]
-    assert len(rpm.top) == 11
+    assert len(top_entries(rpm)) == 11
     check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(300)])
 
 

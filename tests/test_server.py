@@ -1,10 +1,12 @@
 import logging
 import random
+import sys
 import threading
 
 import pytest
 
 from obge import wire
+from obge.audit import QueryTruth, audit_trace
 from obge.crypto import ciphertext_width
 from obge.bench import chain_graph
 from obge.cli import main
@@ -429,3 +431,46 @@ def test_concurrent_readers_are_serialized():
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_concurrent_enhanced_queries_frame_their_own_records():
+    # three threads of 100 queries on one controller: each query's path
+    # records fall between its own EnclaveRequest and EnclaveResponse, so
+    # at most one request is open at a time and the whole trace audits.
+    # Every query is (0, 3), so the query log is the same in any order
+    rng = random.Random(11)
+    result = setup(chain_graph(30), mode="enhanced", rng=rng)
+    host, _, client = deploy_inprocess(result, rng=rng)
+    errors = []
+
+    def run():
+        try:
+            for _ in range(100):
+                assert client.query_path(0, 3) == [0, 1, 2, 3]
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so queries overlap
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    open_requests = most_open = 0
+    for r in host.trace.records:
+        if r.msg_type == "EnclaveRequest":
+            open_requests += 1
+        elif r.msg_type == "EnclaveResponse":
+            open_requests -= 1
+        else:
+            assert open_requests == 1, "path record outside its query's request and response"
+        most_open = max(most_open, open_requests)
+    assert most_open == 1 and open_requests == 0
+    trees = {t: tree.params for t, tree in host.trees.items()}
+    report = audit_trace(host.trace, [QueryTruth(0, 3, 3)] * 300, trees)
+    assert report.shape_ok, report.shape_fault
