@@ -45,11 +45,10 @@ def run_bench(
     mode: str = "trivial",
     bucket_size: int = 5,
     seed: int | None = None,
-    budget: int | None = None,
 ) -> list[BenchRow]:
     rng = random.Random(seed)
     g = chain_graph(max(lengths) + 1)
-    result = setup(g, mode=mode, bucket_size=bucket_size, budget=budget, rng=rng)
+    result = setup(g, mode=mode, bucket_size=bucket_size, rng=rng)
     _, _, client = deploy_inprocess(result, rng=rng)
     for plen in lengths:  # warmup: touch every path length once untimed
         client.query(0, plen)

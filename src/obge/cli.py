@@ -47,7 +47,6 @@ def cmd_setup(args) -> int:
         mode=args.mode,
         lambda_bits=args.lambda_bits,
         bucket_size=args.Z,
-        pad_mode=args.pad,
         chi=args.chi,
         budget=args.budget,
         stash_max=args.stash_max,
@@ -190,9 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file (u<TAB>v[<TAB>weight])")
     p.add_argument("--mode", choices=["trivial", "enhanced"], default="trivial")
     p.add_argument("--Z", type=int, default=5, help="bucket size")
-    p.add_argument("--pad", choices=["none", "full"], default="none")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--budget", type=int, default=None, help="controller memory budget in bytes")
+    p.add_argument("--budget", type=int, default=None, help="enhanced mode: controller memory budget in bytes")
     p.add_argument(
         "--chi",
         type=int,

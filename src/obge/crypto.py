@@ -39,10 +39,6 @@ class KeySet:
     k2: bytes
     kprf: bytes
 
-    @property
-    def lambda_bits(self) -> int:
-        return len(self.k1) * 8
-
 
 def keygen(lambda_bits: int = 128) -> KeySet:
     if lambda_bits not in (128, 256):

@@ -2,10 +2,12 @@
 
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
 tokens, one PRF call per entry, loads them into a Path ORAM tree, and maps
-each block's dense address u*|V|+v to its leaf.  A query chases the chain
-of addresses, deriving each hop's token from its address, with one
-oblivious access per hop plus a terminating miss round, so the storage
-side observes only the round count.  Reveal decrypts the
+each block's dense address u*|V|+v to its leaf.  The tree has room for a
+block per ordered pair of distinct vertices, |V|^2 - |V| of them, however
+many pairs are connected, so its depth reveals |V| and Z alone.  A query
+chases the chain of addresses, deriving each hop's token from its address,
+with one oblivious access per hop plus a terminating miss round, so the
+storage side observes only the round count.  Reveal decrypts the
 collected payloads into the plaintext path.
 
 Both deployments run the one QueryEngine: the data tree's Path ORAM, a
@@ -36,7 +38,8 @@ writes what the last query left.
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
 client, enhanced client, controller) that also fixes the deployment mode,
-and the parameter block, followed by
+and the parameter block (lambda, |V|, Z, stash max, chi, budget), followed
+by
 
 * trivial client: k1 k2 kprf, then the engine state (keys.bin, rewritten
   after every query because accesses remap blocks);
@@ -44,22 +47,23 @@ and the parameter block, followed by
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
-The engine state -- the data tree's held blocks, each position-map
-level's stash and the map's top -- has one codec and stores no shape:
-load_state validates the parameter block and derives the cached levels
-(``SchemeParams.data_params``) and the map's shape
-(``SchemeParams.map_shape``) from it, as setup does.  Held blocks and a
-stash are stored alike: a block count and the packed blocks, group by
-group, which the engine is built from as they stand.  The top is stored
+The engine state -- the map's top, the data tree's held blocks and each
+position-map level's stash -- has one codec and stores no shape:
+load_state validates the parameter block and derives the data tree's
+depth and cached levels (``SchemeParams.data_params``) and the map's shape
+(``SchemeParams.map_shape``) from it, as setup does.  The top is stored
 as the map keeps it: big-endian cells as wide as the tree its entries
 point into needs (``recursive.entry_width``), ABSENT all ones: one byte
-each for a data tree of up to 128 leaves, two up to 32,768.  The engines
-check what they are built with: ``PathOram`` its held blocks and
-``RecursivePM.load`` the top; load_state reports what they refuse as
-ProtocolError naming the file.  Files are replaced atomically and readable
-by their owner only; a file of an older version, of a party the caller did
-not ask for, or with a parameter block setup would refuse raises
-ProtocolError.
+each for a data tree of up to 128 leaves, two up to 32,768.  It comes
+first, so a file whose |V| was raised runs out of bytes before an engine
+is sized from that |V|.  Held blocks and a stash are stored alike: a
+block count and the packed blocks, group by group, which the engine is
+built from as they stand.  The engines check what they are built with:
+``PathOram`` its held blocks and ``RecursivePM.load`` the top; load_state
+reports what they refuse as ProtocolError naming the file.  Files are
+replaced atomically and readable by their owner only; a file of an older
+version, of a party the caller did not ask for, or with a parameter block
+setup would refuse raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -83,8 +87,6 @@ DATA_TREE_ID = 0
 
 MODE_TRIVIAL = "trivial"
 MODE_ENHANCED = "enhanced"
-PAD_NONE = "none"
-PAD_FULL = "full"
 
 # levels of the trivial client's data tree that the host stores: the
 # client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
@@ -101,18 +103,14 @@ class SchemeParams:
     vertex_count: int
     lambda_bits: int = 128
     bucket_size: int = 5
-    pad_mode: str = PAD_NONE
     mode: str = MODE_TRIVIAL
     chi: int = 64
     budget: int | None = None
     stash_max: int = DEFAULT_STASH_MAX
-    data_depth: int = 0
 
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.pad_mode not in (PAD_NONE, PAD_FULL):
-            raise ConfigError(f"unknown pad mode {self.pad_mode!r}")
         # tree headers and state files store Z in one byte
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
@@ -123,25 +121,26 @@ class SchemeParams:
             raise ConfigError(f"stash max must be in [0, 2^32), got {self.stash_max}")
         if self.budget is not None and not 1 <= self.budget < 1 << 64:
             raise ConfigError(f"budget must be in [1, 2^64) bytes, got {self.budget}")
-        most = tree_depth_for(self.full_slots, self.bucket_size)
-        if self.data_depth > most:
-            raise ConfigError(f"data depth {self.data_depth} exceeds {most}, a tree padded to every vertex pair")
+        if self.budget is not None and self.mode == MODE_TRIVIAL:
+            raise ConfigError("a budget applies to enhanced mode only; the trivial client keeps the whole map")
 
     @property
     def address_space(self) -> int:
         return self.vertex_count * self.vertex_count
 
     @property
-    def full_slots(self) -> int:
-        """Real slots of a data tree padded to every ordered vertex pair."""
-        return max(1, self.address_space - self.vertex_count)
+    def data_depth(self) -> int:
+        """The data tree's depth: room for a block per ordered pair of
+        distinct vertices, however many are connected, so the tree reveals
+        |V| and Z alone."""
+        return tree_depth_for(max(1, self.address_space - self.vertex_count), self.bucket_size)
 
-    # the trivial client keeps the whole map, counted at its dense width; a
-    # controller is held to its budget, which its map and stashes take
+    # a controller is held to its budget, which its map and stashes take;
+    # with none, and in the trivial client, the whole map counted at its
+    # dense width
     @property
     def map_budget(self) -> int:
-        enhanced = self.mode == MODE_ENHANCED and self.budget is not None
-        return self.budget if enhanced else self.address_space * TOP_ENTRY_BYTES
+        return self.budget if self.budget is not None else self.address_space * TOP_ENTRY_BYTES
 
     @property
     def data_params(self) -> TreeParams:
@@ -222,7 +221,6 @@ def setup(
     mode: str = MODE_TRIVIAL,
     lambda_bits: int = 128,
     bucket_size: int = 5,
-    pad_mode: str = PAD_NONE,
     chi: int = 64,
     budget: int | None = None,
     stash_max: int = DEFAULT_STASH_MAX,
@@ -237,7 +235,6 @@ def setup(
         vertex_count=g.vertex_count,
         lambda_bits=lambda_bits,
         bucket_size=bucket_size,
-        pad_mode=pad_mode,
         mode=mode,
         chi=chi,
         budget=budget,
@@ -249,8 +246,6 @@ def setup(
     k2 = Cipher(keys.k2)
 
     heads, addresses = build_blocks(g, keys)
-    slots = params.full_slots if pad_mode == PAD_FULL else len(heads)
-    params.data_depth = tree_depth_for(max(len(heads), slots), bucket_size)
     oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, stash_max, DATA_TREE_ID)
     rpm, pm_trees = rpm_build(zip(addresses, leaves), params.map_shape, k2, rng, stash_max, DATA_TREE_ID + 1)
     trees = [tree] + pm_trees
@@ -404,16 +399,15 @@ class EnhancedClient:
 # state persistence
 
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
-_PARAMS = struct.Struct(">HIBBIIQB")  # lambda, V, Z, pad, stash max, chi, budget, data depth
+_PARAMS = struct.Struct(">HIBIIQ")  # lambda, V, Z, stash max, chi, budget
 STATE_MAGIC = b"OS"
-# older versions are refused; 10 pairs each data depth with the k of
-# HOST_LEVELS = 2 and stores the top at the width of its tree
-STATE_VERSION = 10
+# older versions are refused; 11 derives the data depth from |V| and Z,
+# pairs it with the k of HOST_LEVELS = 2, and stores the top, at the width
+# of its tree, ahead of the held blocks
+STATE_VERSION = 11
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
-_PAD_CODE = {PAD_NONE: 0, PAD_FULL: 1}
-_PAD_NAME = {0: PAD_NONE, 1: PAD_FULL}
 
 
 class _Reader:
@@ -452,9 +446,9 @@ def _pack_held(engine: PathOram) -> bytes:
 
 
 def _pack_engine(state: TrivialState | ControllerState) -> bytes:
-    """Engine state: the data tree's held blocks, each level's (level trees
-    cache nothing, so these are their stashes), then the top's cells."""
-    return b"".join(_pack_held(engine) for engine in (state.oram, *state.positions.levels)) + state.positions.top
+    """Engine state: the top's cells, then the data tree's held blocks and
+    each level's (level trees cache nothing, so these are their stashes)."""
+    return state.positions.top + b"".join(_pack_held(engine) for engine in (state.oram, *state.positions.levels))
 
 
 def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes) -> tuple[RecursivePM, PathOram]:
@@ -463,6 +457,9 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
     raises ProtocolError naming the file.  The engines get their store, and
     the map its leaf sampler, when a query engine is built over them."""
     cipher = Cipher(k2)
+    # first: a trivial top's |V|^2 cells outnumber the data engine's 2^k
+    # groups, so a raised |V| runs out of bytes before they are allocated
+    cells = r.take(shape.top_width * shape.top_entry_width)
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:
         (count,) = r.unpack(_COUNT)
@@ -471,7 +468,6 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
     try:
         oram = engine(DATA_TREE_ID, params.data_params)
         levels = [engine(tree_id, level.params) for tree_id, level in enumerate(shape.levels, DATA_TREE_ID + 1)]
-        cells = r.take(shape.top_width * shape.top_entry_width)
         return RecursivePM.load(shape, levels, cells), oram
     except (CapacityError, IntegrityError) as exc:
         raise ProtocolError(f"{r.what}: {exc}") from None
@@ -483,8 +479,7 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
     its engine state or session key."""
     p = state.params
     head = _PREFIX.pack(STATE_MAGIC, STATE_VERSION, _PARTIES.index(type(state))) + _PARAMS.pack(
-        p.lambda_bits, p.vertex_count, p.bucket_size, _PAD_CODE[p.pad_mode],
-        p.stash_max, p.chi, p.budget or 0, p.data_depth,
+        p.lambda_bits, p.vertex_count, p.bucket_size, p.stash_max, p.chi, p.budget or 0
     )
     if isinstance(state, ControllerState):
         write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
@@ -513,19 +508,17 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         held = _PARTY_NAME.get(kind, f"unknown party {party}")
         wanted = " or ".join(_PARTY_NAME[k] for k in kinds)
         raise ProtocolError(f"state file {path} holds {held} state, expected {wanted}")
-    lam, n, z, pad, smax, chi, budget, depth = r.unpack(_PARAMS)
-    if lam not in (128, 256) or pad not in _PAD_NAME:
-        raise ProtocolError(f"state file {path}: corrupt parameter block (lambda {lam}, pad {pad})")
+    lam, n, z, smax, chi, budget = r.unpack(_PARAMS)
+    if lam not in (128, 256):
+        raise ProtocolError(f"state file {path}: corrupt parameter block (lambda {lam})")
     params = SchemeParams(
         vertex_count=n,
         lambda_bits=lam,
         bucket_size=z,
-        pad_mode=_PAD_NAME[pad],
         mode=MODE_TRIVIAL if kind is TrivialState else MODE_ENHANCED,
         chi=chi,
         budget=budget or None,
         stash_max=smax,
-        data_depth=depth,
     )
     try:  # every shape below is derived from the parameter block
         params.validate()

@@ -11,7 +11,7 @@ from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
-from obge.recursive import read_entry, rpm_build
+from obge.recursive import map_shape, read_entry, rpm_build
 from obge.storage import StorageHost
 
 # Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
@@ -105,9 +105,11 @@ def trivial_engine(keys, n, blocks, addrs, rng, Z=5, stash_max=128, cached=0):
     oram, tree, leaves = oram_init(blocks, tp, k2, rng, stash_max)
     host = StorageHost()
     host.add_tree(tree)
-    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max, data_depth=tp.depth)
-    # the trivial client's budget is the whole dense map, so it stays flat
-    positions, _ = rpm_build(zip(addrs, leaves), params.map_shape, k2, rng)
+    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max)
+    # the trivial client's budget is the whole dense map, so it stays flat;
+    # it points into this tree, sized by block count, not by |V|
+    shape = map_shape(params.address_space, params.chi, params.map_budget, Z, tp.leaves)
+    positions, _ = rpm_build(zip(addrs, leaves), shape, k2, rng)
     state = TrivialState(keys, params, positions, oram)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
 

@@ -232,7 +232,9 @@ def test_bandwidth_accounting():
     result = setup(g, mode="trivial", rng=rng)
     host, _, client = deploy_inprocess(result, rng=rng)
     params = host.trees[0].params
-    assert (params.depth, params.cached) == (5, 6 - HOST_LEVELS)  # the client keeps 4 levels, the host 2
+    # 15 vertices: a depth-6 tree for the 210 ordered pairs; the client
+    # keeps 5 levels, the host 2
+    assert (params.depth, params.cached) == (6, 7 - HOST_LEVELS)
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size
     lines = []

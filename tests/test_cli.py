@@ -57,14 +57,15 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 5; top 4 level(s) cached by the client, host path 2 buckets (746 bytes)"),
-            ("enhanced", "data depth 5; top 0 level(s) cached by the controller, host path 6 buckets (2,238 bytes)"),
+            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (746 bytes)"),
+            ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (2,611 bytes)"),
         ],
         ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
-        # a 15-vertex chain: 105 entries in a depth-5 tree of 373-byte
-        # buckets; the trivial client leaves the host its bottom 2 levels
+        # a 15-vertex chain: 105 entries in a depth-6 tree of 373-byte
+        # buckets, sized for the 210 ordered pairs; the trivial client
+        # leaves the host its bottom 2 levels
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
         run_setup(tmp_path, chain, "--mode", mode)
@@ -100,8 +101,10 @@ class TestSetupCommand:
             (["--stash-max", "5000000000"], "stash max must be in [0, 2^32), got 5000000000"),
             (["--budget", "-5"], "budget must be in [1, 2^64) bytes, got -5"),
             (["--mode", "enhanced", "--budget", str(1 << 64)], f"budget must be in [1, 2^64) bytes, got {1 << 64}"),
+            (["--budget", "4096"], "a budget applies to enhanced mode only; the trivial client keeps the whole map"),
         ],
-        ids=["stash-max-negative", "stash-max-past-32-bits", "trivial-budget-negative", "budget-past-64-bits"],
+        ids=["stash-max-negative", "stash-max-past-32-bits", "trivial-budget-negative", "budget-past-64-bits",
+             "budget-in-trivial-mode"],
     )
     def test_values_past_the_state_file_fields_are_usage_errors(self, tmp_path, capsys, extra, message):
         # state files store the stash allowance in 32 bits and the budget in
@@ -159,17 +162,19 @@ class TestQueryCommand:
         assert "truncated" in capsys.readouterr().err
 
     def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
-        # the flat map's entry for (0, 3), the fourth of 16 one-byte cells,
-        # set past the data tree's 2 leaves: refused on load, not an
-        # IndexError mid-query
+        # the flat map's entry for (0, 3), the fourth of 16 one-byte cells
+        # that follow the 4-byte prefix, the 23-byte parameter block and
+        # the three keys, set past the data tree's 4 leaves: refused on
+        # load, not an IndexError mid-query
         out, d = daemon
         keys = out / "keys.bin"
         raw = keys.read_bytes()
-        keys.write_bytes(raw[:-13] + b"\x02" + raw[-12:])
+        at = 4 + 23 + 3 * 16 + 3
+        keys.write_bytes(raw[:at] + b"\x04" + raw[at + 1 :])
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{keys}: top entry 3 is leaf 2, but its tree has 2 leaves" in err and "Traceback" not in err
+        assert f"{keys}: top entry 3 is leaf 4, but its tree has 4 leaves" in err and "Traceback" not in err
 
     def test_old_layout_client_state_is_protocol_error(self, daemon, capsys):
         # the token-keyed layout: entry count, (token, leaf) pairs, stash count
@@ -268,10 +273,11 @@ class TestAuditCommand:
         assert (tmp_path / "report.csv").exists()
 
     def test_wrong_trees_fail_the_shape(self, tmp_path, graph_file, capsys):
-        # the trace of a trivial deployment against the trees of a padded one
+        # the trace of a trivial deployment against the trees of an
+        # enhanced one, whose host keeps every level of its data tree
         trivial = run_setup(tmp_path, graph_file)
-        padded = tmp_path / "padded"
-        assert main(["setup", str(graph_file), "--out", str(padded), "--mode", "enhanced", "--pad", "full"]) == 0
+        enhanced = tmp_path / "enhanced"
+        assert main(["setup", str(graph_file), "--out", str(enhanced), "--mode", "enhanced"]) == 0
         cfg = load_config(trivial / "server.cfg")
         cfg.listen_addr = "127.0.0.1:0"
         d = Daemon(build_server(cfg, rng=random.Random(3)), cfg)
@@ -283,7 +289,7 @@ class TestAuditCommand:
         qlog = tmp_path / "queries.csv"
         qlog.write_text("u,v,path_len\n0,3,2\n")
         capsys.readouterr()
-        rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(padded)])
+        rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
         assert "query 0 (0,3), record 0: 746 bytes, tree 0 paths are " in capsys.readouterr().out
 
@@ -410,7 +416,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v10"
+    data = Path(__file__).parent / "data" / "state_v11"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

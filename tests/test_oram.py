@@ -8,7 +8,7 @@ from obge.bench import chain_graph
 from obge.blocks import ABSENT, tree_depth_for
 from obge.crypto import Cipher, encode_pair, keygen, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
-from obge.graph import PathOracle, spath_oracle
+from obge.graph import Graph, PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
 from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
@@ -67,13 +67,15 @@ class TestSizing:
         assert leaves == [] and engine.held == [[]] and engine.held_count == 0
 
     def test_pad_full_four_vertices(self, rng, four_vertex_directed):
-        # capacity must cover |V|^2 - |V| = 12 real slots even with fewer blocks
-        result = setup(four_vertex_directed, pad_mode="full", rng=rng)
+        # capacity covers |V|^2 - |V| = 12 real slots however few blocks
+        # there are: 6 here (sized by them, the tree had depth 1), and none
+        # in the empty graph on the same 4 vertices
+        result = setup(four_vertex_directed, rng=rng)
         params = result.trees[0].params
         assert result.spdx_size == 6
-        assert params.node_count * params.bucket_size >= 12
-        assert params.depth == tree_depth_for(12, 5) == 2
-        assert setup(four_vertex_directed, rng=rng).trees[0].params.depth == tree_depth_for(6, 5) == 1
+        assert params.leaves * params.bucket_size >= 12
+        assert params.depth == result.params.data_depth == tree_depth_for(12, 5) == 2
+        assert setup(Graph(4, directed=True), rng=rng).trees[0].params == params
 
     def test_head_of_the_wrong_width_is_rejected(self, rng):
         # a short head would shift every later slot of its bucket
@@ -338,28 +340,30 @@ class TestTreeTopCache:
     def test_rule_at_the_benchmark_scale(self):
         # the |V|=200 data tree has depth 13: the trivial client keeps
         # levels 0..11 and the host levels 12 and 13; a controller keeps none
-        params = SchemeParams(200, data_depth=13)
+        params = SchemeParams(200)
+        assert params.data_depth == 13
         assert params.data_params.cached == 12 and params.data_params.host_levels == HOST_LEVELS == 2
-        assert SchemeParams(200, mode="enhanced", data_depth=13).data_params.cached == 0
+        assert SchemeParams(200, mode="enhanced").data_params.cached == 0
 
     def test_rule_follows_the_depth_alone(self):
-        # neither |V| nor Z moves k: the host stores min(L+1, 2) levels of
-        # every trivial data tree of depth L
-        for depth in range(15):
-            ks = {
-                SchemeParams(n, bucket_size=z, data_depth=depth).data_params.cached
-                for n in (200, 500, 5000)
-                for z in (1, 5, 255)
-            }
-            assert ks == {max(0, depth + 1 - HOST_LEVELS)}
-            tp = SchemeParams(5000, data_depth=depth).data_params
-            assert tp.host_levels == min(depth + 1, HOST_LEVELS)
+        # |V| and Z move k only through the depth L they give: the host
+        # stores min(L+1, 2) levels of every trivial data tree of depth L
+        by_depth: dict[int, set[tuple[int, int]]] = {}
+        for n in range(1, 300):
+            for z in (1, 5, 255):
+                tp = SchemeParams(n, bucket_size=z).data_params
+                by_depth.setdefault(tp.depth, set()).add((tp.cached, tp.host_levels))
+        assert set(range(15)) <= set(by_depth)
+        for depth, rules in by_depth.items():
+            assert rules == {(max(0, depth + 1 - HOST_LEVELS), min(depth + 1, HOST_LEVELS))}
 
     @pytest.mark.parametrize("mode, k", [("trivial", 6 - HOST_LEVELS), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
-        # a 15-vertex chain: 105 entries in a depth-5 tree, four levels more
-        # than the host keeps; a controller caches nothing
-        result = setup(chain_graph(15), mode=mode, budget=10**9, rng=random.Random(1))
+        # a 13-vertex chain: 78 entries in a depth-5 tree, sized for the
+        # 156 ordered pairs, four levels more than the host keeps; a
+        # controller caches nothing
+        kw = {"budget": 10**9} if mode == "enhanced" else {}
+        result = setup(chain_graph(13), mode=mode, rng=random.Random(1), **kw)
         assert result.params.data_depth == 5
         assert result.params.data_params.cached == k
         assert result.trees[0].params.cached == k

@@ -1,6 +1,8 @@
 import os
 import random
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,15 +32,33 @@ from obge.bench import chain_graph
 from conftest import random_graph, top_entries
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
-# format-10 state files: setup with Z=1 on random_graph(Random(5), 12, 0.3)
+# format-11 state files: setup with Z=1 on random_graph(Random(5), 12, 0.3)
 # (the enhanced deployment with chi 2 and a 64-byte budget), then 60
 # queries; with their trees (not kept) both deployments answer all 144
 # pairs twice as PathOracle does
+STATE_V11 = Path(__file__).parent / "data" / "state_v11"
+# format-10 state files, by the same recipe, written when the parameter
+# block stored a pad mode and the data depth and the top came last
 STATE_V10 = Path(__file__).parent / "data" / "state_v10"
 # format-9 state files (Z=1, a 12-vertex digraph, 60 queries), written
 # when the trivial client kept all but 5 levels of its data tree and the
 # top took 8 bytes an entry
 STATE_V9 = Path(__file__).parent / "data" / "state_v9"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@st.composite
+def graphs_on_one_vertex_count(draw):
+    """Two digraphs on one drawn vertex count, with edge sets drawn apart."""
+    n = draw(st.integers(2, 12))
+    pairs = st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(n) if u != v]))
+    graphs = []
+    for edges in (draw(pairs), draw(pairs)):
+        g = Graph(n, directed=True)
+        for u, v in sorted(edges):
+            g.add_edge(u, v)
+        graphs.append(g)
+    return graphs
 
 
 def deploy(g, mode, rng_seed=1, **kw):
@@ -63,9 +83,9 @@ class TestSetup:
 
     def test_trivial_map_is_flat_and_dense(self, rng):
         # the trivial client keeps one top entry per address, ABSENT where
-        # no block is stored, and no position-map trees, whatever the budget
+        # no block is stored, and no position-map trees
         g = random_graph(rng, 40, 0.05)
-        result, host, _, _ = deploy(g, "trivial", budget=64 * 8)
+        result, host, _, _ = deploy(g, "trivial")
         positions = result.client.positions
         assert isinstance(positions, RecursivePM)
         assert positions.levels == [] and result.controller is None
@@ -102,7 +122,7 @@ class TestSetup:
         prf = protocol.prf_eval
         monkeypatch.setattr(protocol, "prf_eval", lambda k, m: calls.append(m) or prf(k, m))
         g = random_graph(rng, 16, 0.2)
-        result, _, _, client = deploy(g, mode, budget=256, chi=8)
+        result, _, _, client = deploy(g, mode, chi=8, **({"budget": 256} if mode == "enhanced" else {}))
         assert len(calls) == result.spdx_size > 0
         for u, v in [(0, 9), (3, 3), (9, 0), (5, 12)]:
             calls.clear()
@@ -111,24 +131,43 @@ class TestSetup:
             assert len(calls) == (len(path) - 1 if path else 0)
 
     def test_tree_header_reveals_the_depth_alone(self):
-        # the complete digraph on 52 vertices (2,652 entries) and the
-        # 80-vertex chain (3,160 entries) both have a depth-10 data tree;
-        # their headers, and so the host's path widths, must not tell them
-        # apart (a k sized from |V| gave 5 and 7)
-        complete = Graph(52, directed=True)
-        for u in range(52):
-            for v in range(52):
+        # the complete digraph on 80 vertices (6,320 entries) and the
+        # 80-vertex chain (3,160 entries) both get the depth-11 data tree
+        # of 6,320 slots; their headers, and so the host's path widths,
+        # must not tell them apart (sized by entry count they got depths
+        # 11 and 10)
+        complete = Graph(80, directed=True)
+        for u in range(80):
+            for v in range(80):
                 if u != v:
                     complete.add_edge(u, v)
         trees = [deploy(g, "trivial")[0].trees[0] for g in (complete, chain_graph(80))]
-        assert [t.params.depth for t in trees] == [10, 10]
+        assert [t.params.depth for t in trees] == [11, 11]
         assert trees[0].header_bytes() == trees[1].header_bytes()
-        assert trees[0].params.cached == 10 + 1 - protocol.HOST_LEVELS
+        assert trees[0].params.cached == 11 + 1 - protocol.HOST_LEVELS
+
+    @settings(deadline=None)
+    @given(graphs=graphs_on_one_vertex_count(), mode=st.sampled_from(["trivial", "enhanced"]))
+    def test_trees_reveal_only_the_vertex_count(self, graphs, mode):
+        # at fixed Z, chi and budget, every tree a graph is stored in --
+        # the data tree and each map level -- has a header and a size that
+        # follow from |V| alone, and so has the chain: however many pairs
+        # are connected, the host cannot tell two graphs on |V| apart.  A
+        # 128-byte budget at chi 2 gives a chain from 5 vertices on
+        kw = {"budget": 128} if mode == "enhanced" else {}
+        results = [setup(g, mode=mode, bucket_size=2, chi=2, rng=random.Random(1), **kw) for g in graphs]
+        stored = [[(t.header_bytes(), len(t.buckets)) for t in r.trees] for r in results]
+        assert stored[0] == stored[1]
+        parties = [r.client if mode == "trivial" else r.controller for r in results]
+        assert parties[0].positions.chain_depth == parties[1].positions.chain_depth == len(results[0].trees) - 1
 
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
-        result, host, _, _ = deploy(four_vertex_directed, "trivial", pad_mode="full")
+        # every data tree is padded to the 4*4 - 4 ordered pairs, however
+        # few are connected (6 here)
+        result, host, _, _ = deploy(four_vertex_directed, "trivial")
         params = host.trees[0].params
-        assert params.node_count * params.bucket_size >= 4 * 4 - 4
+        assert result.spdx_size == 6
+        assert params.leaves * params.bucket_size >= 4 * 4 - 4
 
 
 class TestQueryReveal:
@@ -244,8 +283,8 @@ class TestController:
 
 class TestPersistence:
     def test_keyfile_round_trip(self, tmp_path, four_vertex_directed):
-        for mode in ("trivial", "enhanced"):
-            result, _, _, _ = deploy(four_vertex_directed, mode, budget=4096)
+        for mode, kw in (("trivial", {}), ("enhanced", {"budget": 4096})):
+            result, _, _, _ = deploy(four_vertex_directed, mode, **kw)
             path = tmp_path / f"keys-{mode}.bin"
             save_state(path, result.client)
             loaded = load_state(path, TrivialState, EnhancedState)
@@ -308,20 +347,20 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 10, party 0; the
-        # parameter block (lambda, |V|, Z, pad, stash max, chi, budget, data
-        # depth); k1 k2 kprf; then the engine state: the data tree's held
-        # blocks (count, then per block tk, next address, payload, leaf and
-        # flag 1, group by group), then the flat map's |V|^2 leaves as cells
-        # as wide as the data tree's leaves need, one byte for 32 leaves,
-        # 0xFF where no block is stored; no shape is stored
+        # the trivial client's keys.bin: magic, version 11, party 0; the
+        # parameter block (lambda, |V|, Z, stash max, chi, budget); k1 k2
+        # kprf; then the engine state: the flat map's |V|^2 leaves as cells
+        # as wide as the data tree's leaves need, one byte for 64 leaves,
+        # 0xFF where no block is stored, then the data tree's held blocks
+        # (count, then per block tk, next address, payload, leaf and flag 1,
+        # group by group); no shape is stored, the data depth included
         result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
         for u in range(14):
             client.query(u, 14)
         depth = result.params.data_depth
         oram = state.oram
-        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 4 and len(oram.held) == 16
+        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 5 and len(oram.held) == 32
         # one more held block, packed by hand: tk 11.., next address 7, in
         # the last group at its last leaf
         leaf = (1 << depth) - 1
@@ -334,25 +373,50 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x0a\x00" + struct.pack(">HIBBIIQB", 128, 15, 5, 0, 128, 64, 0, depth)
+        want = b"OS\x0b\x00" + struct.pack(">HIBIIQ", 128, 15, 5, 128, 64, 0)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
-        want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
         top = top_entries(state.positions)
-        assert len(top) == 225 and depth == 5
+        assert len(top) == 225 and depth == 6
         for leaf in top:
             want += struct.pack(">B", 0xFF if leaf == ABSENT else leaf)
+        want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
         path = tmp_path / "keys.bin"
         save_state(path, state)
         assert path.read_bytes() == want
         fresh = load_state(path, TrivialState)
         assert fresh.positions.top == state.positions.top and fresh.oram.held == oram.held
 
+    def test_raised_vertex_count_is_refused_before_any_engine(self, tmp_path):
+        # the data depth, and with it the trivial engine's 2^k held groups,
+        # follows from the stored |V|: raised to 2^31 it gives a depth-60
+        # tree.  The top's |V|^2 cells come before the held blocks, so the
+        # file runs out first.  The load runs in a child held to 2 GiB of
+        # address space, so a loader that allocated the groups would fail
+        # there with MemoryError, not take this machine's memory
+        result, _, _, _ = deploy(chain_graph(3), "trivial")
+        path = tmp_path / "keys.bin"
+        save_state(path, result.client)
+        raw = path.read_bytes()
+        at = protocol._PREFIX.size + 2  # |V| follows lambda
+        path.write_bytes(raw[:at] + struct.pack(">I", 1 << 31) + raw[at + 4 :])
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from obge.exceptions import ProtocolError; from obge.protocol import TrivialState, load_state\n"
+            "try: load_state(sys.argv[1], TrivialState)\n"
+            "except ProtocolError as exc: print(exc)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"state file {path} is truncated: {len(raw)} bytes")
+
     @pytest.mark.parametrize("bad", ["dummy-flag", "leaf-past-tree"])
-    def test_bad_stash_block_is_rejected(self, tmp_path, four_vertex_directed, bad):
-        # with no cached levels the held blocks are a stash.  A block
+    def test_bad_stash_block_is_rejected(self, tmp_path, bad):
+        # with no cached levels (a depth-1 tree, for 3 vertices) the held
+        # blocks are a stash.  A block
         # flagged as a dummy would vanish, and one mapped to leaf 2^L would
         # be evicted into whichever path is written next
-        result, _, _, _ = deploy(four_vertex_directed, "trivial")
+        result, _, _, _ = deploy(chain_graph(3), "trivial")
         state = result.client
         assert result.params.data_params.cached == 0
         leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
@@ -369,7 +433,7 @@ class TestPersistence:
         g = chain_graph(15)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
-        assert result.params.data_params.cached == 6 - protocol.HOST_LEVELS
+        assert result.params.data_params.cached == 7 - protocol.HOST_LEVELS
         for u in range(14):
             client.query(u, 14)
             if state.oram.held_count:
@@ -391,7 +455,7 @@ class TestPersistence:
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 6 - protocol.HOST_LEVELS
+        assert tp.cached == 7 - protocol.HOST_LEVELS
         slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
         slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
         state.oram.held[1].append(slot)
@@ -404,8 +468,9 @@ class TestPersistence:
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
         # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The engine refuses the count before it
-        # looks at the blocks
-        result, _, _, _ = deploy(chain_graph(15 if cached else 4), "trivial")
+        # looks at the blocks.  3 vertices get a depth-1 data tree, 13 a
+        # depth-5 one
+        result, _, _, _ = deploy(chain_graph(13 if cached else 3), "trivial")
         state = result.client
         tp = result.params.data_params
         assert tp.cached == cached
@@ -413,7 +478,8 @@ class TestPersistence:
         path = tmp_path / "keys.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16  # the data tree's held count
+        # the data tree's held count, after the keys and the top
+        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16 + len(state.positions.top)
         for count, ok in ((limit, True), (limit + 1, False)):
             blocks = [b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 0, 1)] * (
                 count - state.oram.held_count
@@ -477,29 +543,30 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        at = len(raw) - state.positions.shape.top_width * w + 3 * w  # top entry 3
+        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16 + 3 * w  # top entry 3, after the keys
         path.write_bytes(raw[:at] + value.to_bytes(w, "big") + raw[at + w :])
         with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
             load_state(path, type(state))
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [40]), ("enhanced-keys.bin", EnhancedState, None, None),
-         ("controller.bin", ControllerState, 2, [1, 1, 0])],
+        [("trivial-keys.bin", TrivialState, 0, [45]), ("enhanced-keys.bin", EnhancedState, None, None),
+         ("controller.bin", ControllerState, 2, [2, 4, 0])],
     )
-    def test_format_10_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 40 blocks over 128 groups (k=7 of a
-        # depth-8 tree) and its top is 144 two-byte cells; the controller's
-        # chain has depth 2 and held blocks in the data tree and level 0.
-        # Loading and saving again gives the same bytes
-        state = load_state(STATE_V10 / name, kind)
+    def test_format_11_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 45 blocks over 128 groups (k=7 of the
+        # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
+        # cells; the controller's chain has depth 2 and held blocks in the
+        # data tree and level 0.  Loading and saving again gives the same
+        # bytes
+        state = load_state(STATE_V11 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V10 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V11 / name).read_bytes()
 
     @pytest.mark.parametrize("name, kind", [("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                                             ("controller.bin", ControllerState)])
@@ -507,14 +574,23 @@ class TestPersistence:
         # a format-9 trivial keys.bin would otherwise load with k=7 for its
         # depth-8 tree, whose host trees were written at k=4, and the first
         # access would fail on a path width
-        with pytest.raises(ProtocolError, match=f"state file {STATE_V9 / name}: unsupported version 9, expected 10; "
+        with pytest.raises(ProtocolError, match=f"state file {STATE_V9 / name}: unsupported version 9, expected 11; "
                                                 "set the deployment up again"):
             load_state(STATE_V9 / name, kind)
 
+    @pytest.mark.parametrize("name, kind", [("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
+                                            ("controller.bin", ControllerState)])
+    def test_format_10_files_are_refused(self, name, kind):
+        # a format-10 parameter block is two bytes longer (a pad mode and
+        # the data depth), and its top comes after the held blocks
+        with pytest.raises(ProtocolError, match=f"state file {STATE_V10 / name}: unsupported version 10, expected 11; "
+                                                "set the deployment up again"):
+            load_state(STATE_V10 / name, kind)
+
     @pytest.mark.parametrize(
         "field, value, match",
-        [(5, 0, "chi must be"), (2, 0, "bucket size must be"), (7, 40, "data depth 40 exceeds")],
-        ids=["chi-0", "Z-0", "depth-40"],
+        [(4, 0, "chi must be"), (2, 0, "bucket size must be")],
+        ids=["chi-0", "Z-0"],
     )
     def test_parameter_block_is_validated_on_load(self, tmp_path, rng, field, value, match):
         # a parameter block setup would refuse is refused before any shape
@@ -525,7 +601,7 @@ class TestPersistence:
         save_state(path, server.controller.state)
         raw = path.read_bytes()
         at, size = protocol._PREFIX.size, protocol._PARAMS.size
-        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # lambda, |V|, Z, pad, stash max, chi, budget, depth
+        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # lambda, |V|, Z, stash max, chi, budget
         fields[field] = value
         path.write_bytes(raw[:at] + protocol._PARAMS.pack(*fields) + raw[at + size :])
         with pytest.raises(ProtocolError, match=f"corrupt parameter block: .*{match}"):
@@ -549,8 +625,8 @@ class TestPersistence:
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 4 packed every position entry in 8 bytes,
-        # and state files of version 9 paired each data depth with the k of
-        # five host levels, so both must be set up again (as must older ones)
+        # and state files of version 10 stored a pad mode and the data
+        # depth, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -559,9 +635,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (5, 4, TreeStorage.load),
-            "keys.bin": (10, 9, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (10, 9, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (10, 9, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (11, 10, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (11, 10, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (11, 10, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

@@ -40,11 +40,11 @@ def make_deployment(mode="trivial", n=6, seed=4):
 
 class TestDispatch:
     def test_read_path_shape(self):
-        # a 15-vertex chain: the client caches the depth-5 data tree's top
-        # 4 levels, so the host's path is levels 4 and 5
+        # a 15-vertex chain: the client caches the depth-6 data tree's top
+        # 5 levels, so the host's path is levels 5 and 6
         _, result, host, server, _ = make_deployment(n=15)
         params = host.trees[0].params
-        assert params.cached == params.depth + 1 - HOST_LEVELS == 4
+        assert params.cached == params.depth + 1 - HOST_LEVELS == 5
         resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
