@@ -37,8 +37,9 @@ def _parse_lengths(expr: str) -> list[int]:
 
 def cmd_setup(args) -> int:
     from .protocol import MODE_ENHANCED, MODE_TRIVIAL, save_state, setup
-    from .server import ServerConfig, save_config
+    from .server import ServerConfig, parse_address, save_config
 
+    parse_address(args.listen)
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
     rng = random.Random(args.seed) if args.seed is not None else None
@@ -59,13 +60,8 @@ def cmd_setup(args) -> int:
     save_state(out / "keys.bin", result.client)
     if result.controller is not None:
         save_state(out / "controller.bin", result.controller)
-    cfg = ServerConfig(
-        mode=args.mode,
-        tree_path=str(out),
-        listen_addr=args.listen,
-        trace_path=str(out / "trace.csv"),
-    )
-    save_config(out / "server.cfg", cfg)
+    # paths relative to server.cfg's own directory, which is out
+    save_config(out / "server.cfg", ServerConfig(tree_path=".", listen_addr=args.listen, trace_path="trace.csv"))
     tp = result.trees[0].params
     holder = "client" if args.mode == MODE_TRIVIAL else "controller"
     print(
@@ -104,15 +100,15 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     from .protocol import EnhancedClient, EnhancedState, TrivialClient, TrivialState, load_state, save_state
-    from .server import RemoteStore, TcpConnection, enclave_transport
+    from .server import RemoteStore, TcpConnection, enclave_transport, parse_address
 
+    address = parse_address(args.addr)
     state = load_state(args.keys, TrivialState, EnhancedState)
     n = state.params.vertex_count
     if not (0 <= args.u < n and 0 <= args.v < n):
         print(f"vertex pair ({args.u},{args.v}) out of range for {n} vertices", file=sys.stderr)
         return EXIT_USAGE
-    host, _, port = args.addr.rpartition(":")
-    conn = TcpConnection((host or "127.0.0.1", int(port)))
+    conn = TcpConnection(address)
     try:
         if isinstance(state, EnhancedState):
             path = EnhancedClient(state, enclave_transport(conn)).query_path(args.u, args.v)

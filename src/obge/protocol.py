@@ -98,6 +98,12 @@ MODE_ENHANCED = "enhanced"
 HOST_LEVELS = 2
 
 
+def client_cached_levels(depth: int) -> int:
+    """k of a trivial client's data tree of depth L: every level but the
+    host's HOST_LEVELS, so 0 at depth 0 or 1."""
+    return max(0, depth + 1 - HOST_LEVELS)
+
+
 @dataclass
 class SchemeParams:
     vertex_count: int
@@ -146,7 +152,7 @@ class SchemeParams:
     def data_params(self) -> TreeParams:
         """The data tree's geometry.  The trivial client caches all but the
         host's HOST_LEVELS levels; a controller caches none."""
-        cached = max(0, self.data_depth + 1 - HOST_LEVELS) if self.mode == MODE_TRIVIAL else 0
+        cached = client_cached_levels(self.data_depth) if self.mode == MODE_TRIVIAL else 0
         return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, cached)
 
     @property

@@ -2,12 +2,22 @@
 
 The server owns the bucket storage (and, in the enhanced deployment, the
 trust-boundary controller).  TCP peers send wire frames to ``handle_raw``,
-which decodes them, refuses ``Access`` frames on an enhanced server (so
-only the controller touches storage), and hands the message to
-``dispatch``, which applies an ``Access``'s write and then its read.
+which decodes them and hands the message to ``dispatch``.  ``dispatch``
+refuses ``Access`` on an enhanced server, so only the controller touches
+storage, and otherwise applies an ``Access``'s write and then its read.
 ``RemoteStore`` turns a ``TcpConnection`` into the path store a remote
 trivial client's engine reads and writes through, and ``enclave_transport``
 into an enhanced client's request/response channel.
+
+The server has one lock.  An ``Access`` (its write and its read together),
+an enclave query and the daemon's final flush each run whole under it, so
+no request interleaves with another, the flushed files hold no part of a
+request, and no request is applied after them: a late one gets an error.
+
+A deployment directory decides its own mode: it is enhanced exactly when
+``controller.bin`` is there (``build_server``).  ``server.cfg`` holds only
+paths and the listen address, and its relative paths are read from the
+file's own directory, so a deployment serves from any working directory.
 
 A path store has three methods: ``read_path``, ``write_path`` and
 ``flush``.  ``RemoteStore`` holds each write back and sends it in the
@@ -44,8 +54,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import wire
-from .exceptions import CapacityError, IntegrityError, ObgeError, ProtocolError
+from .exceptions import CapacityError, ConfigError, IntegrityError, ObgeError, ProtocolError
 from .protocol import (
+    DATA_TREE_ID,
     MODE_ENHANCED,
     MODE_TRIVIAL,
     ControllerState,
@@ -53,6 +64,7 @@ from .protocol import (
     EnhancedClient,
     SetupResult,
     TrivialClient,
+    client_cached_levels,
     load_state,
     save_state,
 )
@@ -62,19 +74,29 @@ log = logging.getLogger(__name__)
 
 
 class ObgeServer:
-    """Message dispatcher over one storage host."""
+    """Message dispatcher over one storage host and, in the enhanced
+    deployment, its controller.  ``lock`` serializes every request that
+    touches them and the daemon's final flush, which sets ``closed``: from
+    then on every request is refused."""
 
     def __init__(self, host: StorageHost, controller: EnclaveController | None = None):
         self.host = host
         self.controller = controller
-        self._ctrl_lock = threading.Lock()
+        self.lock = threading.Lock()
+        self.closed = False
 
     def dispatch(self, msg: wire.Message) -> wire.Message:
+        """Answer one message.  With a controller deployed, only the
+        controller may read or write paths: every Access is refused."""
         try:
             if isinstance(msg, wire.Access):
-                if msg.write is not None:
-                    self.host.write_path(*msg.write)
-                return wire.PathData(b"" if msg.read is None else self.host.read_path(*msg.read))
+                if self.controller is not None:
+                    return wire.Error(wire.ERR_USAGE, "path access is reserved to the controller on this server")
+                with self.lock:
+                    self._check_open()
+                    if msg.write is not None:
+                        self.host.write_path(*msg.write)
+                    return wire.PathData(b"" if msg.read is None else self.host.read_path(*msg.read))
             if isinstance(msg, wire.EnclaveRequest):
                 if self.controller is None:
                     return wire.Error(wire.ERR_USAGE, "no controller deployed on this server")
@@ -92,25 +114,25 @@ class ObgeServer:
             raise ProtocolError("no controller deployed on this server")
         # controller state admits one query at a time, and the trace frames
         # each query's path records with its own request and response
-        with self._ctrl_lock:
+        with self.lock:
+            self._check_open()
             self.host.trace.append("EnclaveRequest", None, None, len(ct))
             out = self.controller.handle_request(ct)
             self.host.trace.append("EnclaveResponse", None, None, len(out))
         return out
 
+    def _check_open(self) -> None:
+        """Called under the lock: nothing is applied after the final flush."""
+        if self.closed:
+            raise ProtocolError("the server has shut down and applies no more requests")
+
     def handle_raw(self, mt: int, payload: bytes) -> bytes:
-        """Answer one frame from a TCP peer.  With a controller deployed,
-        only the controller may read or write paths: every Access is
-        refused."""
+        """Answer one frame from a TCP peer."""
         try:
             msg = wire.decode_payload(mt, payload)
         except ProtocolError as exc:
             log.warning("answered a malformed frame with an error: %s", exc)
             return wire.encode(wire.Error(wire.ERR_PROTOCOL, str(exc)))
-        if self.controller is not None and isinstance(msg, wire.Access):
-            return wire.encode(
-                wire.Error(wire.ERR_USAGE, "path access is reserved to the controller on this server")
-            )
         return wire.encode(self.dispatch(msg))
 
 
@@ -188,9 +210,7 @@ def deploy_inprocess(
     result: SetupResult, rng: random.Random | None = None
 ) -> tuple[StorageHost, ObgeServer, TrivialClient | EnhancedClient]:
     """Wire a setup result into an in-process server and a ready client."""
-    host = StorageHost()
-    for tree in result.trees:
-        host.add_tree(tree)
+    host = StorageHost(result.trees)
     if result.controller is None:
         return host, ObgeServer(host), TrivialClient(result.client, host, rng=rng)
     server = ObgeServer(host, EnclaveController(result.controller, host, rng=rng))
@@ -200,20 +220,30 @@ def deploy_inprocess(
 # ---------------------------------------------------------------------------
 # daemon
 
+def parse_address(text: str) -> tuple[str, int]:
+    """``host:port`` as (host, port), an empty host standing for
+    127.0.0.1; anything else is a ConfigError naming the address."""
+    host, sep, port = text.rpartition(":")
+    if not (sep and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigError(f"address {text!r} is not host:port with a port from 0 to 65535")
+    return host or "127.0.0.1", int(port)
+
+
 @dataclass
 class ServerConfig:
-    mode: str = "trivial"
     tree_path: str = "."
     listen_addr: str = "127.0.0.1:7399"
     trace_path: str | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        host, _, port = self.listen_addr.rpartition(":")
-        return host or "127.0.0.1", int(port)
+        return parse_address(self.listen_addr)
 
 
 def load_config(path: str | Path) -> ServerConfig:
+    """Read a server.cfg.  Relative paths in it are taken from the file's
+    own directory, so the deployment directory can be served from any
+    working directory and moved as a whole."""
     cfg = ServerConfig()
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -223,13 +253,7 @@ def load_config(path: str | Path) -> ServerConfig:
             raise ProtocolError(f"config line {line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "mode":
-            if value not in (MODE_TRIVIAL, MODE_ENHANCED):
-                raise ProtocolError(
-                    f"config line {line_no}: unknown mode {value!r}, expected {MODE_TRIVIAL!r} or {MODE_ENHANCED!r}"
-                )
-            cfg.mode = value
-        elif key == "tree_path":
+        if key == "tree_path":
             cfg.tree_path = value
         elif key == "listen_addr":
             cfg.listen_addr = value
@@ -237,12 +261,15 @@ def load_config(path: str | Path) -> ServerConfig:
             cfg.trace_path = value
         else:
             raise ProtocolError(f"config line {line_no}: unknown key {key!r}")
+    base = Path(path).parent
+    cfg.tree_path = str(base / cfg.tree_path)
+    if cfg.trace_path:
+        cfg.trace_path = str(base / cfg.trace_path)
     return cfg
 
 
 def save_config(path: str | Path, cfg: ServerConfig) -> None:
     lines = [
-        f"mode = {cfg.mode}",
         f"tree_path = {cfg.tree_path}",
         f"listen_addr = {cfg.listen_addr}",
     ]
@@ -252,24 +279,39 @@ def save_config(path: str | Path, cfg: ServerConfig) -> None:
 
 
 def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeServer:
-    """Load persisted trees (and controller state) into a dispatcher.  In
-    enhanced mode every tree file must hold the geometry controller.bin
-    derives for its tree id, one file per tree, or the start is refused."""
-    host = StorageHost()
+    """Load a deployment's trees, and its controller if it has one, into a
+    dispatcher.  The files decide the mode.  With controller.bin in the
+    tree directory the server is enhanced, and every tree file must hold
+    the geometry controller.bin derives for its tree id, one file per tree.
+    Without it the directory must be a trivial deployment's: tree 0 alone,
+    caching the levels ``client_cached_levels`` gives for its depth.
+    Anything else, such as enhanced trees whose controller.bin is missing,
+    or a foreign or extra tree file, is refused with a ProtocolError.  At
+    depth 0 or 1 both deployments cache no level, so an enhanced directory
+    without controller.bin is served as trivial there, and an enhanced
+    client then gets the "no controller deployed" error."""
     files = tree_files(cfg.tree_path)
     if not files:
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
     trees = [TreeStorage.load(f) for f in files]
-    for tree in trees:
-        host.add_tree(tree)
-    if cfg.mode != MODE_ENHANCED:
-        return ObgeServer(host)
+    ids = sorted(tree.tree_id for tree in trees)
+    host = StorageHost(trees)
     state_path = Path(cfg.tree_path) / "controller.bin"
     if not state_path.exists():
-        raise ProtocolError(f"enhanced mode needs {state_path}")
+        if ids != [DATA_TREE_ID]:
+            raise ProtocolError(
+                f"with no {state_path}, {cfg.tree_path!r} must hold a trivial deployment's tree 0 alone, "
+                f"but its tree files hold trees {ids}"
+            )
+        p = trees[0].params
+        if p.cached != client_cached_levels(p.depth):
+            raise ProtocolError(
+                f"tree file {files[0]}: tree 0 caches {p.cached} of its {p.depth + 1} levels, where a trivial "
+                f"deployment caches {client_cached_levels(p.depth)}; an enhanced deployment needs {state_path}"
+            )
+        return ObgeServer(host)
     state = load_state(state_path, ControllerState)
     expected = {engine.tree_id: engine.params for engine in (state.oram, *state.positions.levels)}
-    ids = sorted(tree.tree_id for tree in trees)
     if ids != sorted(expected):
         raise ProtocolError(
             f"{state_path} describes trees {sorted(expected)} (1 + chain depth {state.positions.chain_depth}), "
@@ -356,15 +398,22 @@ class Daemon:
         self.flush()
 
     def flush(self) -> None:
+        """The final flush: under the server's lock, once the request in
+        hand is done, write the trees, controller.bin and the trace, and
+        close the server, so no later request is applied.  Handler threads
+        are daemon threads that shutdown does not join, so the lock, not
+        the join, is what keeps a request out of the files."""
         out = Path(self.cfg.tree_path)
         written = []
-        for tree_id, tree in self.server.host.trees.items():
-            written.append(out / f"tree_{tree_id:03d}.bin")
-            tree.save(written[-1])
-        if self.server.controller is not None:
-            written.append(out / "controller.bin")
-            save_state(written[-1], self.server.controller.state)
-        if self.cfg.trace_path:
-            written.append(Path(self.cfg.trace_path))
-            self.server.host.trace.save(written[-1])
+        with self.server.lock:
+            self.server.closed = True
+            for tree_id, tree in self.server.host.trees.items():
+                written.append(out / f"tree_{tree_id:03d}.bin")
+                tree.save(written[-1])
+            if self.server.controller is not None:
+                written.append(out / "controller.bin")
+                save_state(written[-1], self.server.controller.state)
+            if self.cfg.trace_path:
+                written.append(Path(self.cfg.trace_path))
+                self.server.host.trace.save(written[-1])
         log.info("flushed %s", ", ".join(map(str, written)))

@@ -20,14 +20,19 @@ Older versions are rejected on load.
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  Tree and state
 files are replaced through ``write_atomic``, as mode 0600 files.
+
+A StorageHost is plain data: one server's trees, by tree id, and its
+trace.  Neither takes a lock.  In a daemon the server's one lock
+serializes every call on them (``server.ObgeServer``); in process, the
+single engine that uses them makes one call at a time.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,18 +78,16 @@ class TraceRecord:
 
 
 class AccessTrace:
-    """Append-only log of server-visible events."""
+    """Append-only log of server-visible events.  It takes no lock: its
+    owner serializes appends (see ``StorageHost``)."""
 
     CSV_HEADER = "timestamp,msg_type,tree_id,leaf,byte_count"
 
     def __init__(self):
         self.records: list[TraceRecord] = []
-        self._lock = threading.Lock()
 
     def append(self, msg_type: str, tree_id: int | None, leaf: int | None, byte_count: int) -> None:
-        rec = TraceRecord(time.time(), msg_type, tree_id, leaf, byte_count)
-        with self._lock:
-            self.records.append(rec)
+        self.records.append(TraceRecord(time.time(), msg_type, tree_id, leaf, byte_count))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -228,41 +231,31 @@ def tree_geometry(directory: str | Path) -> dict[int, TreeParams]:
 
 
 class StorageHost:
-    """The set of trees one server instance stores, plus its trace.
+    """The trees one server instance stores, by tree id, plus its trace.
+    This is the only object the untrusted side owns.
 
-    Each tree is held with its own lock, which serializes path operations
-    on it; the trace append is atomic.  This is the only object the
-    untrusted side owns.
+    It takes no lock.  In a daemon the server's one lock serializes every
+    call on it (``ObgeServer``); in process, the single engine that uses it
+    makes one call at a time.
     """
 
-    def __init__(self):
-        self._held: dict[int, tuple[TreeStorage, threading.Lock]] = {}
+    def __init__(self, trees: Iterable[TreeStorage]):
+        self.trees: dict[int, TreeStorage] = {tree.tree_id: tree for tree in trees}
         self.trace = AccessTrace()
 
-    @property
-    def trees(self) -> dict[int, TreeStorage]:
-        return {tree_id: tree for tree_id, (tree, _) in self._held.items()}
-
-    def add_tree(self, tree: TreeStorage) -> None:
-        self._held[tree.tree_id] = (tree, threading.Lock())
-
-    def _hold(self, tree_id: int) -> tuple[TreeStorage, threading.Lock]:
+    def _tree(self, tree_id: int) -> TreeStorage:
         try:
-            return self._held[tree_id]
+            return self.trees[tree_id]
         except KeyError:
             raise ProtocolError(f"unknown tree id {tree_id}") from None
 
     def read_path(self, tree_id: int, leaf: int) -> bytes:
-        tree, lock = self._hold(tree_id)
-        with lock:
-            data = tree.read_path(leaf)
+        data = self._tree(tree_id).read_path(leaf)
         self.trace.append("ReadPath", tree_id, leaf, len(data))
         return data
 
     def write_path(self, tree_id: int, leaf: int, data: bytes) -> None:
-        tree, lock = self._hold(tree_id)
-        with lock:
-            tree.write_path(leaf, data)
+        self._tree(tree_id).write_path(leaf, data)
         self.trace.append("WritePath", tree_id, leaf, len(data))
 
     def flush(self) -> None:

@@ -103,8 +103,7 @@ def trivial_engine(keys, n, blocks, addrs, rng, Z=5, stash_max=128, cached=0):
     k2 = Cipher(keys.k2)
     tp = data_tree(len(blocks), Z, cached)
     oram, tree, leaves = oram_init(blocks, tp, k2, rng, stash_max)
-    host = StorageHost()
-    host.add_tree(tree)
+    host = StorageHost([tree])
     params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max)
     # the trivial client's budget is the whole dense map, so it stays flat;
     # it points into this tree, sized by block count, not by |V|

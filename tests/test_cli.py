@@ -328,6 +328,65 @@ class TestAttackCommand:
         assert "exactly recovered: 1/1" in out
 
 
+class TestDeploymentDirectory:
+    def test_serves_from_any_working_directory(self, tmp_path, graph_file, monkeypatch, capsys):
+        # setup writes server.cfg's paths relative to the file itself, so a
+        # directory set up with a relative --out serves from elsewhere and
+        # after a move; they were once read from the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["setup", str(graph_file), "--out", "d", "--seed", "7", "--listen", "127.0.0.1:0"]) == 0
+        cfg_text = (tmp_path / "d" / "server.cfg").read_text()
+        assert cfg_text == "tree_path = .\nlisten_addr = 127.0.0.1:0\ntrace_path = trace.csv\n"
+        moved = tmp_path / "moved"
+        (tmp_path / "d").rename(moved)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        cfg = load_config(moved / "server.cfg")
+        d = Daemon(build_server(cfg, rng=random.Random(1)), cfg)
+        d.start()
+        try:
+            assert main(["query", "0", "3", "--keys", str(moved / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
+        finally:
+            d.shutdown()
+        assert capsys.readouterr().out.splitlines()[-1] == "0 2 3"
+        assert (moved / "trace.csv").stat().st_size > 0
+        assert os.listdir(tmp_path / "elsewhere") == []
+
+    @pytest.mark.parametrize("address", ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000"])
+    def test_bad_address_is_a_usage_error(self, tmp_path, graph_file, capsys, address):
+        # one parser for setup --listen, query --addr and listen_addr: each
+        # names the address, where one without a port once failed with
+        # "invalid literal for int()"; setup checks it before --out exists
+        out = tmp_path / "d"
+        assert main(["setup", str(graph_file), "--out", str(out), "--listen", address]) == 1
+        assert not out.exists()
+        good = run_setup(tmp_path, graph_file)
+        keys = (good / "keys.bin").read_bytes()
+        assert main(["query", "0", "3", "--keys", str(good / "keys.bin"), "--addr", address]) == 1
+        assert (good / "keys.bin").read_bytes() == keys
+        cfg = good / "server.cfg"
+        cfg.write_text(cfg.read_text().replace("127.0.0.1:7399", address))
+        assert main(["serve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"error: address {address!r} is not host:port") == 3 and "Traceback" not in err
+
+    def test_enhanced_setup_without_controller_is_refused(self, tmp_path, graph_file, capsys):
+        # the files decide the mode: enhanced trees with controller.bin moved
+        # aside are refused at start, naming the file, and the port is
+        # never bound
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]
+        out = run_setup(tmp_path, graph_file, "--mode", "enhanced", "--listen", f"127.0.0.1:{port}")
+        (out / "controller.bin").rename(tmp_path / "controller.bin")
+        capsys.readouterr()
+        assert main(["serve", "--config", str(out / "server.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert f"an enhanced deployment needs {out / 'controller.bin'}" in err and "Traceback" not in err
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", port))
+
+
 CHAIN_30_TSV = "".join(f"{i}\t{i + 1}\n" for i in range(29))
 
 

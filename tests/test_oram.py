@@ -291,9 +291,7 @@ class TestBucketBinding:
         engine, tree0, _ = oram_init(blocks, data_tree(40), k2, rng, tree_id=0)
         _, tree1, _ = oram_init(blocks, data_tree(40), k2, rng, tree_id=1)
         tree0.set_bucket(0, tree1.get_bucket(0))  # same node and width, other tree
-        host = StorageHost()
-        host.add_tree(tree0)
-        engine.store = host
+        engine.store = StorageHost([tree0])
         with pytest.raises(IntegrityError, match="authentication failed"):
             engine.access(None, rng.randrange(engine.params.leaves))  # every path reads the root
 

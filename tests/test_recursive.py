@@ -18,9 +18,7 @@ def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
     k2 = Cipher(keys.k2)
     shape = map_shape(address_space, chi, budget, Z, data_leaves)
     rpm, trees = rpm_build(assignments.items(), shape, k2, rng)
-    host = StorageHost()
-    for t in trees:
-        host.add_tree(t)
+    host = StorageHost(trees)
     rpm.attach(host, rng)
     return rpm, host
 

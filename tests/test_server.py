@@ -2,6 +2,7 @@ import logging
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,17 @@ from obge.audit import QueryTruth, audit_trace
 from obge.crypto import ciphertext_width
 from obge.bench import chain_graph
 from obge.cli import main
-from obge.exceptions import ObgeError, ProtocolError
-from obge.graph import Graph
-from obge.protocol import HOST_LEVELS, TrivialClient, TrivialState, load_state, save_state, setup
+from obge.exceptions import ConfigError, ObgeError, ProtocolError
+from obge.graph import Graph, PathOracle
+from obge.protocol import (
+    HOST_LEVELS,
+    EnhancedClient,
+    TrivialClient,
+    TrivialState,
+    load_state,
+    save_state,
+    setup,
+)
 from obge.server import (
     Daemon,
     RemoteStore,
@@ -20,7 +29,9 @@ from obge.server import (
     TcpConnection,
     build_server,
     deploy_inprocess,
+    enclave_transport,
     load_config,
+    parse_address,
     save_config,
     tree_files,
 )
@@ -36,6 +47,24 @@ def make_deployment(mode="trivial", n=6, seed=4):
     result = setup(g, mode=mode, rng=rng)
     host, server, client = deploy_inprocess(result, rng=rng)
     return g, result, host, server, client
+
+
+def deploy_to(directory, result):
+    """Write a setup result's files into directory, as obge setup does, and
+    return a config that serves them."""
+    directory.mkdir(exist_ok=True)
+    for tree in result.trees:
+        tree.save(directory / f"tree_{tree.tree_id:03d}.bin")
+    save_state(directory / "keys.bin", result.client)
+    if result.controller is not None:
+        save_state(directory / "controller.bin", result.controller)
+    return ServerConfig(tree_path=str(directory), listen_addr="127.0.0.1:0", trace_path=str(directory / "trace.csv"))
+
+
+def enhanced_chain(n):
+    """An enhanced setup of an n-vertex chain with a one-level map chain
+    (12 vertices: a 2-leaf map level; 15: a 4-leaf one; 24: two levels)."""
+    return setup(chain_graph(n), mode="enhanced", budget=256, chi=2, rng=random.Random(n))
 
 
 class TestDispatch:
@@ -86,16 +115,27 @@ class TestDispatch:
         assert {tid: bytes(t.buckets) for tid, t in host.trees.items()} == trees
 
     def test_unknown_tree_adds_no_lock(self):
-        host = StorageHost()
+        host = StorageHost([])
         for op in (lambda: host.read_path(5, 0), lambda: host.write_path(9, 0, b"")):
             with pytest.raises(ProtocolError, match="unknown tree id"):
                 op()
-        assert host._held == {} and host.trees == {}
+        assert host.trees == {} and len(host.trace) == 0
 
     def test_leaf_out_of_range_is_protocol_error(self):
         _, _, _, server, _ = make_deployment()
         resp = decode_frame(server.handle_raw(*read_one_frame(wire.encode(wire.Access(read=(0, 2**40))))))
         assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+
+    def test_enhanced_dispatch_refuses_access(self):
+        # in process as over TCP: with a controller deployed, a raw Access
+        # neither writes nor reads
+        _, _, host, server, _ = make_deployment(mode="enhanced")
+        tree = host.trees[0]
+        before = bytes(tree.buckets)
+        resp = server.dispatch(wire.Access(write=(0, 0, bytes(tree.params.path_width)), read=(0, 1)))
+        assert isinstance(resp, wire.Error) and resp.code == wire.ERR_USAGE
+        assert "reserved to the controller" in resp.detail
+        assert bytes(tree.buckets) == before and len(host.trace) == 0
 
     def test_enclave_request_without_controller(self):
         _, _, _, server, _ = make_deployment(mode="trivial")
@@ -109,7 +149,6 @@ class TestDispatch:
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = ServerConfig(
-            mode="enhanced",
             tree_path=str(tmp_path),
             listen_addr="127.0.0.1:9911",
             trace_path=str(tmp_path / "t.csv"),
@@ -118,21 +157,40 @@ class TestConfig:
         loaded = load_config(tmp_path / "server.cfg")
         assert loaded == cfg
 
+    def test_relative_paths_are_read_from_the_files_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        save_config(tmp_path / "d" / "server.cfg", ServerConfig(tree_path=".", trace_path="trace.csv"))
+        monkeypatch.chdir(tmp_path)
+        loaded = load_config("d/server.cfg")
+        assert (loaded.tree_path, loaded.trace_path) == ("d", str(Path("d") / "trace.csv"))
+
+    @pytest.mark.parametrize(
+        "text, address",
+        [("127.0.0.1:7399", ("127.0.0.1", 7399)), (":0", ("127.0.0.1", 0)), ("localhost:65535", ("localhost", 65535))],
+    )
+    def test_address(self, text, address):
+        assert parse_address(text) == address
+
+    @pytest.mark.parametrize("text", ["127.0.0.1", "127.0.0.1:", "host:port", "host:65536", "host:-1", "host:٣"])
+    def test_bad_address_is_a_config_error(self, text):
+        # an address without a port once failed as "invalid literal for int()"
+        with pytest.raises(ConfigError, match=f"address {text!r} is not host:port"):
+            parse_address(text)
+
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("nonsense = 1\n")
         with pytest.raises(ProtocolError):
             load_config(tmp_path / "bad.cfg")
 
-    def test_unknown_mode_rejected(self, tmp_path, capsys):
-        # anything but "enhanced" once started a trivial server, so a
-        # misspelt enhanced deployment answered raw Access reads with no
-        # controller in front of its trees
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced", "enhnced"])
+    def test_mode_line_is_an_unknown_key(self, tmp_path, capsys, mode):
+        # the files decide the mode; a mode line, right or misspelt, is refused
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"tree_path = {tmp_path}\nmode = enhnced\n")
-        with pytest.raises(ProtocolError, match="config line 2: unknown mode 'enhnced'"):
+        cfg.write_text(f"tree_path = {tmp_path}\nmode = {mode}\n")
+        with pytest.raises(ProtocolError, match="config line 2: unknown key 'mode'"):
             load_config(cfg)
         assert main(["serve", "--config", str(cfg)]) == 2
-        assert "config line 2" in capsys.readouterr().err
+        assert "config line 2: unknown key 'mode'" in capsys.readouterr().err
 
     def test_missing_trees_rejected(self, tmp_path):
         save_config(tmp_path / "server.cfg", ServerConfig(tree_path=str(tmp_path)))
@@ -149,41 +207,70 @@ class TestConfig:
         ids=["data-tree", "map-level", "extra-level"],
     )
     def test_tree_file_from_another_setup_is_refused(self, tmp_path, donor, name, match):
-        # an enhanced deployment of a 12-vertex chain (a depth-4 data tree
+        # an enhanced deployment of a 12-vertex chain (a depth-5 data tree
         # and one 2-leaf map level, 16 entries a block) with a tree file of
         # another setup swapped or added in: the start is refused, naming
         # the file, where once every query failed.  A 15-vertex chain's map
         # level has 4 leaves; a 24-vertex chain's map has two levels
-        def deploy_to(directory, n):
-            directory.mkdir()
-            result = setup(chain_graph(n), mode="enhanced", budget=256, chi=2, rng=random.Random(n))
-            for tree in result.trees:
-                tree.save(directory / f"tree_{tree.tree_id:03d}.bin")
-            save_state(directory / "controller.bin", result.controller)
-            return ServerConfig(mode="enhanced", tree_path=str(directory))
-
-        cfg = deploy_to(tmp_path / "ours", 12)
+        cfg = deploy_to(tmp_path / "ours", enhanced_chain(12))
         build_server(cfg)
-        deploy_to(tmp_path / "theirs", donor)
+        deploy_to(tmp_path / "theirs", enhanced_chain(donor))
         (tmp_path / "ours" / name).write_bytes((tmp_path / "theirs" / name).read_bytes())
         with pytest.raises(ProtocolError, match=match):
             build_server(cfg)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("enhanced-chain-without-controller", r"with no .*controller\.bin, .* must hold a trivial deployment's "
+             r"tree 0 alone, but its tree files hold trees \[0, 1\]"),
+            ("enhanced-flat-without-controller", r"tree file .*tree_000\.bin: tree 0 caches 0 of its 6 levels, "
+             r"where a trivial deployment caches 4; an enhanced deployment needs .*controller\.bin"),
+            ("trivial-with-enhanced-tree-0", r"tree 0 caches 0 of its 6 levels, where a trivial deployment caches 4"),
+            ("trivial-with-extra-tree", r"tree 0 alone, but its tree files hold trees \[0, 1\]"),
+        ],
+    )
+    def test_mode_comes_from_the_files(self, tmp_path, case, match):
+        # a 12-vertex chain gets a depth-5 data tree, of which a trivial
+        # client caches 4 levels and a controller none.  Without
+        # controller.bin only a trivial deployment's tree 0 is served: an
+        # enhanced deployment whose controller.bin is missing, and a trivial
+        # one with another setup's tree swapped or added in, are refused
+        # at start, where once a mode setting decided and any trees served
+        trivial = setup(chain_graph(12), mode="trivial", rng=random.Random(1))
+        if case == "enhanced-chain-without-controller":
+            cfg = deploy_to(tmp_path / "d", enhanced_chain(12))
+        elif case == "enhanced-flat-without-controller":
+            cfg = deploy_to(tmp_path / "d", setup(chain_graph(12), mode="enhanced", rng=random.Random(1)))
+        else:
+            cfg = deploy_to(tmp_path / "d", trivial)
+            build_server(cfg)
+            deploy_to(tmp_path / "e", enhanced_chain(12))
+            name = "tree_000.bin" if case == "trivial-with-enhanced-tree-0" else "tree_001.bin"
+            (tmp_path / "d" / name).write_bytes((tmp_path / "e" / name).read_bytes())
+        (tmp_path / "d" / "controller.bin").unlink(missing_ok=True)
+        with pytest.raises(ProtocolError, match=match):
+            build_server(cfg)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_depth_one_enhanced_trees_serve_as_trivial(self, tmp_path, n):
+        # at depth 0 or 1 both deployments cache no level, so an enhanced
+        # tree without controller.bin is a trivial deployment's, and an
+        # enhanced client gets the named "no controller" error
+        result = setup(Graph(n, directed=True), mode="enhanced", rng=random.Random(1))
+        assert result.trees[0].params.depth <= 1
+        cfg = deploy_to(tmp_path, result)
+        (tmp_path / "controller.bin").unlink()
+        server = build_server(cfg)
+        assert server.controller is None
+        with pytest.raises(ProtocolError, match="no controller deployed"):
+            EnhancedClient(result.client, server.enclave).query_path(0, 0)
 
 
 class TestDaemon:
     def _spin_up(self, tmp_path, mode="trivial"):
         g, result, host, _, _ = make_deployment(mode=mode)
-        for tree in result.trees:
-            tree.save(tmp_path / f"tree_{tree.tree_id:03d}.bin")
-        save_state(tmp_path / "keys.bin", result.client)
-        if result.controller is not None:
-            save_state(tmp_path / "controller.bin", result.controller)
-        cfg = ServerConfig(
-            mode=mode,
-            tree_path=str(tmp_path),
-            listen_addr="127.0.0.1:0",
-            trace_path=str(tmp_path / "trace.csv"),
-        )
+        cfg = deploy_to(tmp_path, result)
         server = build_server(cfg, rng=random.Random(7))
         daemon = Daemon(server, cfg)
         daemon.start()
@@ -234,8 +321,8 @@ class TestDaemon:
         assert len(messages) == 3
 
     def test_logged_mode_is_the_one_served(self, tmp_path, caplog):
-        # a daemon over an enhanced deployment whose config leaves the mode
-        # at its default still serves, and so logs, enhanced mode
+        # a daemon over an in-process enhanced deployment serves, and so
+        # logs, enhanced mode: the controller decides, not the config
         caplog.set_level(logging.INFO, logger="obge.server")
         _, _, _, server, _ = make_deployment(mode="enhanced")
         daemon = Daemon(server, ServerConfig(tree_path=str(tmp_path), listen_addr="127.0.0.1:0"))
@@ -346,9 +433,7 @@ class TestDaemon:
         try:
             # the same setup in process: trees and keys from the files the
             # daemon loaded, and the same leaf sampler seed
-            host = StorageHost()
-            for f in tree_files(tmp_path):
-                host.add_tree(TreeStorage.load(f))
+            host = StorageHost(TreeStorage.load(f) for f in tree_files(tmp_path))
             local = TrivialClient(load_state(tmp_path / "keys.bin", TrivialState), host, rng=random.Random(3))
             conn = TcpConnection(("127.0.0.1", daemon.port))
             store = RemoteStore(conn)
@@ -393,6 +478,82 @@ class TestDaemon:
         finally:
             daemon.shutdown()
 
+    def test_shutdown_waits_for_the_query_in_hand(self, tmp_path, monkeypatch):
+        # an enhanced 12-vertex chain with a one-level map.  The first query
+        # is held in its second path read, the data tree's, after it has
+        # remapped its top cell and written the map level back.  Shutdown
+        # must wait for the query, so the files it flushes agree with each
+        # other: a server started from them answers every pair
+        g = chain_graph(12)
+        result = enhanced_chain(12)
+        cfg = deploy_to(tmp_path, result)
+        daemon = Daemon(build_server(cfg, rng=random.Random(7)), cfg)
+        host = daemon.server.host
+        reads, held, release = [], threading.Event(), threading.Event()
+        read_path = host.read_path
+
+        def read_and_hold(tree_id, leaf):
+            reads.append(tree_id)
+            if len(reads) == 2:
+                held.set()
+                release.wait(timeout=30)
+            return read_path(tree_id, leaf)
+
+        monkeypatch.setattr(host, "read_path", read_and_hold)
+        daemon.start()
+        answers = []
+        conn = TcpConnection(("127.0.0.1", daemon.port))
+        client = EnhancedClient(result.client, enclave_transport(conn))
+        querier = threading.Thread(target=lambda: answers.append(client.query_path(0, 11)))
+        stopper = threading.Thread(target=daemon.shutdown)
+        try:
+            querier.start()
+            assert held.wait(timeout=30)
+            stopper.start()
+            daemon._thread.join(timeout=10)  # the accept loop is done; the flush comes next
+            stopper.join(timeout=1)
+            assert stopper.is_alive(), "shutdown flushed while a query was applied"
+        finally:
+            release.set()
+            querier.join(timeout=30)
+            if stopper.ident is None:
+                stopper.start()
+            stopper.join(timeout=30)
+            conn.close()
+        assert not querier.is_alive() and not stopper.is_alive()
+        assert reads[:2] == [1, 0] and answers == [list(range(12))]
+        oracle = PathOracle(g)
+        again = EnhancedClient(result.client, build_server(cfg, rng=random.Random(8)).enclave)
+        assert [again.query_path(u, v) for u in range(12) for v in range(12)] == [
+            oracle.path(u, v) for u in range(12) for v in range(12)
+        ]
+
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_request_after_the_final_flush_is_refused(self, tmp_path, mode):
+        # a connection left open across shutdown: its next request is
+        # answered with an error frame and applies nothing, in memory or
+        # in the flushed files
+        g, result, cfg, daemon = self._spin_up(tmp_path, mode=mode)
+        host = daemon.server.host
+        conn = TcpConnection(("127.0.0.1", daemon.port))
+        try:
+            if mode == "trivial":
+                path = RemoteStore(conn).read_path(0, 0)
+                late = lambda: conn.request(wire.Access(write=(0, 0, path), read=(0, 1)))  # noqa: E731
+            else:
+                client = EnhancedClient(result.client, enclave_transport(conn))
+                assert client.query_path(0, 5) == [0, 1, 2, 3, 4, 5]
+                late = lambda: client.query_path(0, 5)  # noqa: E731
+            daemon.shutdown()
+            files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+            buckets, records = bytes(host.trees[0].buckets), len(host.trace)
+            with pytest.raises(ProtocolError, match=f"server error {wire.ERR_PROTOCOL}: the server has shut down"):
+                late()
+            assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == files
+            assert bytes(host.trees[0].buckets) == buckets and len(host.trace) == records
+        finally:
+            conn.close()
+
     def test_bind_failure_is_clean_error(self, tmp_path):
         g, result, cfg, daemon = self._spin_up(tmp_path)
         try:
@@ -414,23 +575,38 @@ class _Reader:
         return out
 
 
-def test_concurrent_readers_are_serialized():
-    _, result, host, server, _ = make_deployment()
+def test_concurrent_accesses_apply_whole():
+    # four threads of 300 write-and-read Access frames through dispatch, as
+    # a daemon's handler threads would send them: thread t writes leaf 2t
+    # and reads leaf 2t+1, so each WritePath record must be followed at
+    # once by its own frame's ReadPath, with no other request between
+    _, _, host, server, _ = make_deployment(n=15)
+    width = host.trees[0].params.path_width
     errors = []
 
-    def hammer():
+    def run(t):
         try:
-            for _ in range(50):
-                host.read_path(0, 0)
+            for _ in range(300):
+                resp = server.dispatch(wire.Access(write=(0, 2 * t, bytes(width)), read=(0, 2 * t + 1)))
+                assert isinstance(resp, wire.PathData) and len(resp.buckets) == width
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so frames overlap
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    records = [(r.msg_type, r.leaf) for r in host.trace.records]
+    assert len(records) == 2 * 4 * 300
+    for write, read in zip(records[::2], records[1::2]):
+        assert write[0] == "WritePath" and read == ("ReadPath", write[1] + 1), "a frame applied in parts"
 
 
 def test_concurrent_enhanced_queries_frame_their_own_records():
