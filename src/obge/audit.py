@@ -29,6 +29,8 @@ from .exceptions import ProtocolError
 from .storage import AccessTrace, TraceRecord
 
 SIGNIFICANCE = 0.01
+# leaf histograms have at most this many bins
+MAX_BINS = 64
 
 
 @dataclass
@@ -70,28 +72,28 @@ def load_query_log(path: str | Path) -> list[QueryTruth]:
     return rows
 
 
-def bin_leaves(leaves: list[int], leaf_space: int, max_bins: int = 64) -> np.ndarray:
-    """Histogram leaf ids into equal power-of-two bins so chi-square cells
-    stay adequately filled."""
-    bins = min(leaf_space, max_bins)
+def bin_leaves(leaves: list[int], leaf_space: int) -> np.ndarray:
+    """Histogram leaf ids into equal power-of-two bins, at most MAX_BINS, so
+    chi-square cells stay adequately filled."""
+    bins = min(leaf_space, MAX_BINS)
     counts = np.zeros(bins, dtype=np.int64)
     for leaf in leaves:
         counts[leaf * bins // leaf_space] += 1
     return counts
 
 
-def uniformity_pvalue(leaves: list[int], leaf_space: int, max_bins: int = 64) -> float:
+def uniformity_pvalue(leaves: list[int], leaf_space: int) -> float:
     if leaf_space == 1 or not leaves:
         return 1.0
-    counts = bin_leaves(leaves, leaf_space, max_bins)
+    counts = bin_leaves(leaves, leaf_space)
     return float(stats.chisquare(counts).pvalue)
 
 
-def two_sample_pvalue(a: list[int], b: list[int], leaf_space: int, max_bins: int = 64) -> float:
+def two_sample_pvalue(a: list[int], b: list[int], leaf_space: int) -> float:
     """Chi-square homogeneity test: can the two leaf samples be told apart?"""
     if leaf_space == 1:
         return 1.0
-    table = np.vstack([bin_leaves(a, leaf_space, max_bins), bin_leaves(b, leaf_space, max_bins)])
+    table = np.vstack([bin_leaves(a, leaf_space), bin_leaves(b, leaf_space)])
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[1] < 2:
         return 1.0

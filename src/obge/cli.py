@@ -38,25 +38,17 @@ def _parse_lengths(expr: str) -> list[int]:
 def cmd_setup(args) -> int:
     from .protocol import MODE_ENHANCED, MODE_TRIVIAL, save_state, setup
     from .server import ServerConfig, parse_address, save_config
+    from .storage import tree_file
 
     parse_address(args.listen)
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
     rng = random.Random(args.seed) if args.seed is not None else None
-    result = setup(
-        g,
-        mode=args.mode,
-        lambda_bits=args.lambda_bits,
-        bucket_size=args.Z,
-        chi=args.chi,
-        budget=args.budget,
-        stash_max=args.stash_max,
-        rng=rng,
-    )
+    result = setup(g, mode=args.mode, bucket_size=args.Z, chi=args.chi, budget=args.budget, rng=rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for tree in result.trees:
-        tree.save(out / f"tree_{tree.tree_id:03d}.bin")
+        tree.save(tree_file(out, tree.tree_id))
     save_state(out / "keys.bin", result.client)
     if result.controller is not None:
         save_state(out / "controller.bin", result.controller)
@@ -194,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="position-map level payload of 8*chi bytes, packing as many leaf entries as fit at the width "
         "of the tree they point into",
     )
-    p.add_argument("--lambda-bits", type=int, default=128, dest="lambda_bits")
-    p.add_argument("--stash-max", type=int, default=128, dest="stash_max")
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--listen", default="127.0.0.1:7399")
     p.add_argument("--seed", type=int, default=None)

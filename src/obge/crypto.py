@@ -1,12 +1,14 @@
 """Keyed PRF, randomized authenticated encryption, and key generation.
 
-Tokens are 16-byte HMAC-SHA256 outputs.  Symmetric encryption is AES-GCM
-under a fresh nonce, stored as nonce || ciphertext || tag: CT_OVERHEAD bytes
-wider than the plaintext.  Nothing is padded, because every caller encrypts
-plaintexts whose width public parameters fix.  An optional
-associated-data string is authenticated alongside the ciphertext
-but not stored in it: decryption succeeds only when the caller presents the
-same string, which is how ORAM buckets are bound to their tree and node.
+Every key is KEY_BYTES = 16 bytes: the scheme's Setup runs at one security
+parameter, lambda = 128.  Tokens are 16-byte HMAC-SHA256 outputs.
+Symmetric encryption is AES-GCM under a fresh nonce, stored as nonce ||
+ciphertext || tag: CT_OVERHEAD bytes wider than the plaintext.  Nothing is
+padded, because every caller encrypts plaintexts whose width public
+parameters fix.  An optional associated-data string is authenticated
+alongside the ciphertext but not stored in it: decryption succeeds only
+when the caller presents the same string, which is how ORAM buckets are
+bound to their tree and node.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .exceptions import ConfigError, IntegrityError
+from .exceptions import IntegrityError
 
+KEY_BYTES = 16
 TOKEN_BYTES = 16
 NONCE_BYTES = 12
 TAG_BYTES = 16
@@ -40,11 +43,8 @@ class KeySet:
     kprf: bytes
 
 
-def keygen(lambda_bits: int = 128) -> KeySet:
-    if lambda_bits not in (128, 256):
-        raise ConfigError(f"unsupported security parameter {lambda_bits}, expected 128 or 256")
-    n = lambda_bits // 8
-    return KeySet(k1=os.urandom(n), k2=os.urandom(n), kprf=os.urandom(n))
+def keygen() -> KeySet:
+    return KeySet(k1=os.urandom(KEY_BYTES), k2=os.urandom(KEY_BYTES), kprf=os.urandom(KEY_BYTES))
 
 
 def prf_eval(kprf: bytes, message: bytes) -> bytes:

@@ -20,7 +20,7 @@ class GraphFormatError(ObgeError):
 
 
 class ConfigError(ObgeError):
-    """Invalid parameter combination (bad lambda, chi, budget, ...)."""
+    """Invalid parameter combination (bad Z, chi, budget, ...)."""
 
 
 class CapacityError(ObgeError):
@@ -28,7 +28,7 @@ class CapacityError(ObgeError):
 
 
 class StashOverflowError(CapacityError):
-    """Stash occupancy exceeded stash_max after write-back."""
+    """Held blocks exceeded the engine's limit (``oram.held_limit``) after write-back."""
 
 
 class IntegrityError(ObgeError):

@@ -31,7 +31,7 @@ class GktEncryptedDict:
 
 class GktScheme:
     def __init__(self, g: Graph, keys: KeySet | None = None):
-        self.keys = keys if keys is not None else keygen(128)
+        self.keys = keys if keys is not None else keygen()
         self.vertex_count = g.vertex_count
         k1 = Cipher(self.keys.k1)
         entries: dict[bytes, tuple[bytes, bytes]] = {}

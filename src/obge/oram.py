@@ -27,7 +27,10 @@ the remapped block to its new leaf's group, and evicts the group into
 levels k..L, leaf first; what does not fit stays held.  The host sees the
 reads and writes it would see with the top levels kept as buckets.  At
 k=0 there is one group, the stash.  ``held_limit`` bounds the held blocks
-at the memory of the stash and the 2^k - 1 top buckets together.
+at the memory of the stash and the 2^k - 1 top buckets together.  The
+stash allowance is the constant STASH_MAX = 128: by the Path ORAM stash
+bound (Stefanov et al., CCS 2013) a stash of 128 blocks at Z=5 overflows
+with probability about 2^-90.
 
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
 with its tree and a state file's loader from the saved blocks, both from
@@ -52,13 +55,13 @@ from .crypto import Cipher
 from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
 
-DEFAULT_STASH_MAX = 128
+STASH_MAX = 128
 
 
-def held_limit(params: TreeParams, stash_max: int) -> int:
+def held_limit(params: TreeParams) -> int:
     """Most blocks an engine may hold: the stash allowance plus the Z slots
     of each of the 2^k - 1 top buckets whose place the held blocks take."""
-    return stash_max + params.bucket_size * params.cache_nodes
+    return STASH_MAX + params.bucket_size * params.cache_nodes
 
 
 class PathOram:
@@ -77,19 +80,12 @@ class PathOram:
     its peak.
     """
 
-    def __init__(
-        self,
-        tree_id: int,
-        params: TreeParams,
-        cipher: Cipher,
-        held: bytes,
-        stash_max: int = DEFAULT_STASH_MAX,
-    ):
+    def __init__(self, tree_id: int, params: TreeParams, cipher: Cipher, held: bytes):
         self.tree_id = tree_id
         self.params = params
         self.store = None
         self.cipher = cipher
-        self.held_max = held_limit(params, stash_max)
+        self.held_max = held_limit(params)
         bw, hw, leaves = params.block_width, params.head_width, params.leaves
         count = len(held) // bw
         if count > self.held_max:
@@ -216,7 +212,6 @@ def oram_init(
     params: TreeParams,
     cipher: Cipher,
     rng: random.Random,
-    stash_max: int = DEFAULT_STASH_MAX,
     tree_id: int = 0,
 ) -> tuple[PathOram, TreeStorage, list[int]]:
     """Build the encrypted tree of the given geometry for a set of real
@@ -236,7 +231,7 @@ def oram_init(
     bucket_size = params.bucket_size
     if not 0 <= params.cached <= params.depth:
         raise ValueError(f"cannot cache {params.cached} levels of a depth-{params.depth} tree")
-    limit = held_limit(params, stash_max)
+    limit = held_limit(params)
     if len(heads) > params.host_nodes * bucket_size + limit:
         raise CapacityError(
             f"{len(heads)} blocks exceed {params.host_nodes * bucket_size} host slots plus {limit} held"
@@ -263,7 +258,7 @@ def oram_init(
             node = (node - 1) >> 1
         else:
             held.append(blk)
-    engine = PathOram(tree_id, params, cipher, b"".join(held), stash_max)
+    engine = PathOram(tree_id, params, cipher, b"".join(held))
 
     bw = params.bucket_width
     buckets = bytearray(params.host_nodes * bw)

@@ -38,8 +38,8 @@ writes what the last query left.
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
 client, enhanced client, controller) that also fixes the deployment mode,
-and the parameter block (lambda, |V|, Z, stash max, chi, budget), followed
-by
+and the parameter block (|V|, Z, chi, budget, 0 for none), followed by the
+party's 16-byte keys (``crypto.KEY_BYTES``):
 
 * trivial client: k1 k2 kprf, then the engine state (keys.bin, rewritten
   after every query because accesses remap blocks);
@@ -76,10 +76,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
-from .crypto import Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
+from .crypto import KEY_BYTES, Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
+from .oram import PathOram, oram_init
 from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, check_chi, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
@@ -107,12 +107,10 @@ def client_cached_levels(depth: int) -> int:
 @dataclass
 class SchemeParams:
     vertex_count: int
-    lambda_bits: int = 128
     bucket_size: int = 5
     mode: str = MODE_TRIVIAL
     chi: int = 64
     budget: int | None = None
-    stash_max: int = DEFAULT_STASH_MAX
 
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
@@ -121,10 +119,7 @@ class SchemeParams:
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
         check_chi(self.chi)
-        # state files store the stash allowance in 32 bits and the budget in
-        # 64, where 0 stands for none
-        if not 0 <= self.stash_max < 1 << 32:
-            raise ConfigError(f"stash max must be in [0, 2^32), got {self.stash_max}")
+        # state files store the budget in 64 bits, where 0 stands for none
         if self.budget is not None and not 1 <= self.budget < 1 << 64:
             raise ConfigError(f"budget must be in [1, 2^64) bytes, got {self.budget}")
         if self.budget is not None and self.mode == MODE_TRIVIAL:
@@ -225,11 +220,9 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[list[bytes], list[int]]:
 def setup(
     g: Graph,
     mode: str = MODE_TRIVIAL,
-    lambda_bits: int = 128,
     bucket_size: int = 5,
     chi: int = 64,
     budget: int | None = None,
-    stash_max: int = DEFAULT_STASH_MAX,
     rng: random.Random | None = None,
 ) -> SetupResult:
     """Encrypt a graph for shortest-path querying.
@@ -237,29 +230,21 @@ def setup(
     Returns the server-side trees plus the party states for the chosen
     deployment; nothing in the trees links tokens to positions.
     """
-    params = SchemeParams(
-        vertex_count=g.vertex_count,
-        lambda_bits=lambda_bits,
-        bucket_size=bucket_size,
-        mode=mode,
-        chi=chi,
-        budget=budget,
-        stash_max=stash_max,
-    )
+    params = SchemeParams(g.vertex_count, bucket_size=bucket_size, mode=mode, chi=chi, budget=budget)
     params.validate()
     rng = rng if rng is not None else secrets.SystemRandom()
-    keys = keygen(lambda_bits)
+    keys = keygen()
     k2 = Cipher(keys.k2)
 
     heads, addresses = build_blocks(g, keys)
-    oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, stash_max, DATA_TREE_ID)
-    rpm, pm_trees = rpm_build(zip(addresses, leaves), params.map_shape, k2, rng, stash_max, DATA_TREE_ID + 1)
+    oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, DATA_TREE_ID)
+    rpm, pm_trees = rpm_build(zip(addresses, leaves), params.map_shape, k2, rng)
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
         return SetupResult(trees, params, keys, client, None, len(heads))
 
-    session_key = os.urandom(lambda_bits // 8)
+    session_key = os.urandom(KEY_BYTES)
     controller = ControllerState(
         k2=keys.k2,
         kprf=keys.kprf,
@@ -405,12 +390,13 @@ class EnhancedClient:
 # state persistence
 
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
-_PARAMS = struct.Struct(">HIBIIQ")  # lambda, V, Z, stash max, chi, budget
+_PARAMS = struct.Struct(">IBIQ")  # V, Z, chi, budget
 STATE_MAGIC = b"OS"
-# older versions are refused; 11 derives the data depth from |V| and Z,
-# pairs it with the k of HOST_LEVELS = 2, and stores the top, at the width
-# of its tree, ahead of the held blocks
-STATE_VERSION = 11
+# older versions are refused; 12 derives the data depth from |V| and Z,
+# pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
+# its tree, ahead of the held blocks, and stores neither a key length nor a
+# stash allowance (16-byte keys and a 128-block stash are constants)
+STATE_VERSION = 12
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -469,7 +455,7 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:
         (count,) = r.unpack(_COUNT)
-        return PathOram(tree_id, tp, cipher, r.take(count * tp.block_width), params.stash_max)
+        return PathOram(tree_id, tp, cipher, r.take(count * tp.block_width))
 
     try:
         oram = engine(DATA_TREE_ID, params.data_params)
@@ -485,7 +471,7 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
     its engine state or session key."""
     p = state.params
     head = _PREFIX.pack(STATE_MAGIC, STATE_VERSION, _PARTIES.index(type(state))) + _PARAMS.pack(
-        p.lambda_bits, p.vertex_count, p.bucket_size, p.stash_max, p.chi, p.budget or 0
+        p.vertex_count, p.bucket_size, p.chi, p.budget or 0
     )
     if isinstance(state, ControllerState):
         write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
@@ -514,31 +500,21 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         held = _PARTY_NAME.get(kind, f"unknown party {party}")
         wanted = " or ".join(_PARTY_NAME[k] for k in kinds)
         raise ProtocolError(f"state file {path} holds {held} state, expected {wanted}")
-    lam, n, z, smax, chi, budget = r.unpack(_PARAMS)
-    if lam not in (128, 256):
-        raise ProtocolError(f"state file {path}: corrupt parameter block (lambda {lam})")
-    params = SchemeParams(
-        vertex_count=n,
-        lambda_bits=lam,
-        bucket_size=z,
-        mode=MODE_TRIVIAL if kind is TrivialState else MODE_ENHANCED,
-        chi=chi,
-        budget=budget or None,
-        stash_max=smax,
-    )
+    n, z, chi, budget = r.unpack(_PARAMS)
+    mode = MODE_TRIVIAL if kind is TrivialState else MODE_ENHANCED
+    params = SchemeParams(n, bucket_size=z, mode=mode, chi=chi, budget=budget or None)
     try:  # every shape below is derived from the parameter block
         params.validate()
         shape = params.map_shape
     except ConfigError as exc:
         raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
-    k = lam // 8
     if kind is ControllerState:
-        k2, kprf, session = r.take(k), r.take(k), r.take(k)
+        k2, kprf, session = r.take(KEY_BYTES), r.take(KEY_BYTES), r.take(KEY_BYTES)
         state = ControllerState(k2, kprf, session, params, *_unpack_engine(r, params, shape, k2))
     else:
-        keys = KeySet(r.take(k), r.take(k), r.take(k))
+        keys = KeySet(r.take(KEY_BYTES), r.take(KEY_BYTES), r.take(KEY_BYTES))
         if kind is EnhancedState:
-            state = EnhancedState(keys, params, r.take(k))
+            state = EnhancedState(keys, params, r.take(KEY_BYTES))
         else:
             state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
     r.finish()

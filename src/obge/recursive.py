@@ -52,7 +52,7 @@ from functools import cached_property
 from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
 from .crypto import Cipher
 from .exceptions import ConfigError, IntegrityError
-from .oram import DEFAULT_STASH_MAX, PathOram, oram_init
+from .oram import PathOram, oram_init
 from .storage import TreeStorage
 
 # bytes the shape rule counts per top entry, whatever the tree it points into
@@ -268,11 +268,10 @@ def rpm_build(
     shape: MapShape,
     cipher: Cipher,
     rng: random.Random,
-    stash_max: int = DEFAULT_STASH_MAX,
-    first_tree_id: int = 1,
 ) -> tuple[RecursivePM, list[TreeStorage]]:
     """Build the map of the given shape for a data-level leaf assignment,
-    given as (address, leaf) pairs.
+    given as (address, leaf) pairs.  Level i is tree i + 1, after the data
+    tree 0.
 
     Returns the map and the level trees to hand to the server; the level
     engines have no store, and the map no leaf sampler, until the map is
@@ -296,7 +295,7 @@ def rpm_build(
         heads = [
             block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(level.blocks)
         ]
-        engine, tree, leaves = oram_init(heads, params, cipher, rng, stash_max, first_tree_id + i)
+        engine, tree, leaves = oram_init(heads, params, cipher, rng, i + 1)
         levels.append(engine)
         trees.append(tree)
         entries = array("Q", leaves)

@@ -33,7 +33,10 @@ Engines inside the server process -- the controller, and clients deployed
 in the same process -- are handed the ``StorageHost`` itself, which has the
 same three methods (its ``flush`` has nothing to do); an in-process
 enhanced client calls ``ObgeServer.enclave``.  Their errors arrive as the
-named exceptions rather than as wire error codes.  The storage host records
+named exceptions.  A TCP peer gets an error frame instead, and
+``TcpConnection`` raises its code's exception: ``ConfigError`` for a usage
+error, ``CapacityError`` for a capacity one, such as a stash overflow, and
+``ProtocolError`` otherwise.  The storage host records
 every path access, so traces are the same whichever way it is reached.
 
 The daemon logs to the ``obge.server`` logger: its start (address, the
@@ -68,9 +71,17 @@ from .protocol import (
     load_state,
     save_state,
 )
-from .storage import StorageHost, TreeStorage, tree_files
+from .storage import StorageHost, TreeStorage, tree_file, tree_files
 
 log = logging.getLogger(__name__)
+
+# seconds a TCP client waits to connect, and then for each answer
+SOCKET_TIMEOUT = 30.0
+# seconds between a started daemon's checks for shutdown, so stopping it
+# waits at most this long
+POLL_INTERVAL = 0.05
+# the exception a TCP client raises for an error frame of each code
+_ERROR_OF_CODE = {wire.ERR_USAGE: ConfigError, wire.ERR_CAPACITY: CapacityError}
 
 
 class ObgeServer:
@@ -111,7 +122,7 @@ class ObgeServer:
         """Hand one session-encrypted query to the controller and return its
         session-encrypted answer; the host sees both widths."""
         if self.controller is None:
-            raise ProtocolError("no controller deployed on this server")
+            raise ConfigError("no controller deployed on this server")
         # controller state admits one query at a time, and the trace frames
         # each query's path records with its own request and response
         with self.lock:
@@ -138,12 +149,13 @@ class ObgeServer:
 
 class TcpConnection:
     """Client end of the TCP transport.  Socket failures, from connecting
-    or mid-request, surface as ProtocolError naming the server address."""
+    or mid-request, surface as ProtocolError naming the server address, and
+    an error frame as the exception of its code."""
 
-    def __init__(self, address: tuple[str, int], timeout: float = 30.0):
+    def __init__(self, address: tuple[str, int]):
         self.peer = f"{address[0]}:{address[1]}"
         try:
-            self.sock = socket.create_connection(address, timeout=timeout)
+            self.sock = socket.create_connection(address, timeout=SOCKET_TIMEOUT)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to {self.peer}: {exc}") from exc
         self._rfile = self.sock.makefile("rb")
@@ -158,7 +170,7 @@ class TcpConnection:
             raise ProtocolError(f"connection closed by server {self.peer}")
         resp = wire.decode_payload(*got)
         if isinstance(resp, wire.Error):
-            raise ProtocolError(f"server error {resp.code}: {resp.detail}")
+            raise _ERROR_OF_CODE.get(resp.code, ProtocolError)(f"server error {resp.code}: {resp.detail}")
         return resp
 
     def close(self) -> None:
@@ -286,7 +298,9 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
     Without it the directory must be a trivial deployment's: tree 0 alone,
     caching the levels ``client_cached_levels`` gives for its depth.
     Anything else, such as enhanced trees whose controller.bin is missing,
-    or a foreign or extra tree file, is refused with a ProtocolError.  At
+    a foreign or extra tree file, or a file not named for the tree id in
+    its header (``tree_file``; the final flush would write that tree beside
+    it), is refused with a ProtocolError.  At
     depth 0 or 1 both deployments cache no level, so an enhanced directory
     without controller.bin is served as trivial there, and an enhanced
     client then gets the "no controller deployed" error."""
@@ -294,6 +308,10 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
     if not files:
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
     trees = [TreeStorage.load(f) for f in files]
+    for f, tree in zip(files, trees):
+        home = tree_file(cfg.tree_path, tree.tree_id)
+        if f != home:
+            raise ProtocolError(f"tree file {f} holds tree {tree.tree_id}, which belongs in {home}")
     ids = sorted(tree.tree_id for tree in trees)
     host = StorageHost(trees)
     state_path = Path(cfg.tree_path) / "controller.bin"
@@ -372,7 +390,7 @@ class Daemon:
 
     def start(self) -> None:
         self._log_start()
-        self._thread = threading.Thread(target=self.tcp.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.tcp.serve_forever, args=(POLL_INTERVAL,), daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
@@ -408,7 +426,7 @@ class Daemon:
         with self.server.lock:
             self.server.closed = True
             for tree_id, tree in self.server.host.trees.items():
-                written.append(out / f"tree_{tree_id:03d}.bin")
+                written.append(tree_file(out, tree_id))
                 tree.save(written[-1])
             if self.server.controller is not None:
                 written.append(out / "controller.bin")

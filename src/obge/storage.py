@@ -18,8 +18,10 @@ entries as wide as the tree they point into needs (``recursive``).
 Older versions are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
-``tree_geometry`` reads only the headers of a directory's tree files.  Tree and state
-files are replaced through ``write_atomic``, as mode 0600 files.
+``tree_geometry`` reads only the headers of a directory's tree files.  A
+deployment directory keeps tree i in ``tree_file(directory, i)``,
+tree_NNN.bin with i in three digits.  Tree and state files are replaced
+through ``write_atomic``, as mode 0600 files.
 
 A StorageHost is plain data: one server's trees, by tree id, and its
 trace.  Neither takes a lock.  In a daemon the server's one lock
@@ -211,6 +213,11 @@ def _read_header(f, path: str | Path) -> tuple[int, TreeParams]:
     if cached > depth:
         raise ProtocolError(f"tree file {path}: {cached} cached levels in a depth-{depth} tree")
     return tree_id, TreeParams(depth=depth, bucket_size=z, payload_width=payload_width, cached=cached)
+
+
+def tree_file(directory: str | Path, tree_id: int) -> Path:
+    """The file a deployment directory keeps tree tree_id in."""
+    return Path(directory) / f"tree_{tree_id:03d}.bin"
 
 
 def tree_files(directory: str | Path) -> list[Path]:

@@ -87,24 +87,24 @@ def data_tree(count, Z=5, cached=0):
     return TreeParams(tree_depth_for(count, Z), Z, DATA_PAYLOAD_WIDTH, cached)
 
 
-def chain_engine(keys, chains, length, rng, Z=5, stash_max=128, cached=0):
+def chain_engine(keys, chains, length, rng, Z=5, cached=0):
     """The trivial client's query engine over chain_blocks, driven by a flat
     position map, with the data tree's top `cached` levels in the engine and
     the rest in its own storage host.  The tree's geometry is its own, not
     the one setup would derive for the scheme parameters, so any `cached`
     can be chosen.  Returns (engine, host, tree, blocks, addrs)."""
     n, blocks, addrs = chain_blocks(keys, chains, length)
-    return trivial_engine(keys, n, blocks, addrs, rng, Z, stash_max, cached)
+    return trivial_engine(keys, n, blocks, addrs, rng, Z, cached)
 
 
-def trivial_engine(keys, n, blocks, addrs, rng, Z=5, stash_max=128, cached=0):
+def trivial_engine(keys, n, blocks, addrs, rng, Z=5, cached=0):
     """chain_engine's engine over any block heads of an n-vertex graph and
     their dense addresses, such as build_blocks makes."""
     k2 = Cipher(keys.k2)
     tp = data_tree(len(blocks), Z, cached)
-    oram, tree, leaves = oram_init(blocks, tp, k2, rng, stash_max)
+    oram, tree, leaves = oram_init(blocks, tp, k2, rng)
     host = StorageHost([tree])
-    params = SchemeParams(vertex_count=n, bucket_size=Z, stash_max=stash_max)
+    params = SchemeParams(vertex_count=n, bucket_size=Z)
     # the trivial client's budget is the whole dense map, so it stays flat;
     # it points into this tree, sized by block count, not by |V|
     shape = map_shape(params.address_space, params.chi, params.map_budget, Z, tp.leaves)

@@ -180,13 +180,13 @@ def _stash_bound_z5_depth12(cached: int) -> None:
     engine over a flat position map, with the top `cached` levels in the
     engine: the blocks it holds peak at most at 64 plus the Z(2^k - 1)
     slots of the top buckets, at k=0 a stash of at most 64, and never trip
-    the limit of stash_max=128 plus those slots.  The blocks form 160
+    the limit of STASH_MAX = 128 plus those slots.  The blocks form 160
     chains of 128 hops; each query walks one whole chain and ends with one
     miss round, so 128 of every 129 accesses remap a real block."""
     rng = random.Random(0x57A5)
-    keys = keygen(128)
+    keys = keygen()
     chains, length = 160, 128  # 5 * 4096 blocks fill every slot depth 12 budgets for
-    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, stash_max=128, cached=cached)
+    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, cached=cached)
     assert tree.params.depth == 12 and tree.params.cached == cached
     oram = engine.oram
     top_slots = 5 * ((1 << cached) - 1)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from obge.cli import main
+from obge.exceptions import StashOverflowError
 from obge.gkt import GktScheme, save_token_log
 from obge.graph import load_graph
 from obge.server import Daemon, build_server, load_config
@@ -97,18 +98,15 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--stash-max", "-1"], "stash max must be in [0, 2^32), got -1"),
-            (["--stash-max", "5000000000"], "stash max must be in [0, 2^32), got 5000000000"),
             (["--budget", "-5"], "budget must be in [1, 2^64) bytes, got -5"),
             (["--mode", "enhanced", "--budget", str(1 << 64)], f"budget must be in [1, 2^64) bytes, got {1 << 64}"),
             (["--budget", "4096"], "a budget applies to enhanced mode only; the trivial client keeps the whole map"),
         ],
-        ids=["stash-max-negative", "stash-max-past-32-bits", "trivial-budget-negative", "budget-past-64-bits",
-             "budget-in-trivial-mode"],
+        ids=["trivial-budget-negative", "budget-past-64-bits", "budget-in-trivial-mode"],
     )
     def test_values_past_the_state_file_fields_are_usage_errors(self, tmp_path, capsys, extra, message):
-        # state files store the stash allowance in 32 bits and the budget in
-        # 64; a value outside them is refused before the deployment
+        # state files store the budget in 64 bits; a value outside them, or
+        # a budget in trivial mode, is refused before the deployment
         # directory exists, not by the state writer after the trees
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(9)))
@@ -146,7 +144,7 @@ class TestQueryCommand:
     def test_truncated_keyfile_is_protocol_error(self, daemon, capsys):
         out, d = daemon
         keys = out / "keys.bin"
-        keys.write_bytes(keys.read_bytes()[:30])  # inside the parameter block
+        keys.write_bytes(keys.read_bytes()[:15])  # inside the parameter block
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -163,13 +161,13 @@ class TestQueryCommand:
 
     def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
         # the flat map's entry for (0, 3), the fourth of 16 one-byte cells
-        # that follow the 4-byte prefix, the 23-byte parameter block and
+        # that follow the 4-byte prefix, the 17-byte parameter block and
         # the three keys, set past the data tree's 4 leaves: refused on
         # load, not an IndexError mid-query
         out, d = daemon
         keys = out / "keys.bin"
         raw = keys.read_bytes()
-        at = 4 + 23 + 3 * 16 + 3
+        at = 4 + 17 + 3 * 16 + 3
         keys.write_bytes(raw[:at] + b"\x04" + raw[at + 1 :])
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
@@ -218,6 +216,35 @@ class TestQueryCommand:
         captured = capsys.readouterr()
         assert captured.out.strip() == ""
         assert "no path" in captured.err
+
+    @pytest.mark.parametrize(
+        "case, rc, message",
+        [("stash-overflow", 3, "server error 3: tree 0: 129 held blocks, limit 128"),
+         ("no-controller", 1, "server error 1: no controller deployed on this server")],
+        ids=["stash-overflow", "no-controller"],
+    )
+    def test_server_error_code_sets_the_exit_code(self, tmp_path, graph_file, capsys, monkeypatch, case, rc, message):
+        # an error frame reaches obge query as the exception of its code: a
+        # controller's stash overflow exits 3 (capacity), and an enhanced
+        # client at a server with no controller exits 1 (usage), where both
+        # once exited 2 as protocol errors
+        enhanced = run_setup(tmp_path, graph_file, "--mode", "enhanced")
+        served = enhanced if case == "stash-overflow" else run_setup(tmp_path / "trivial", graph_file)
+        cfg = load_config(served / "server.cfg")
+        cfg.listen_addr = "127.0.0.1:0"
+        d = Daemon(build_server(cfg, rng=random.Random(2)), cfg)
+        if case == "stash-overflow":
+            def overflow(*args):
+                raise StashOverflowError("tree 0: 129 held blocks, limit 128")
+
+            monkeypatch.setattr(d.server.controller.state.oram, "access", overflow)
+        d.start()
+        capsys.readouterr()
+        try:
+            assert main(["query", "0", "3", "--keys", str(enhanced / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == rc
+        finally:
+            d.shutdown()
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_enhanced_roundtrip(self, tmp_path, graph_file, capsys):
         out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
@@ -475,7 +502,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v11"
+    data = Path(__file__).parent / "data" / "state_v12"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from obge.crypto import (
     CT_OVERHEAD,
+    KEY_BYTES,
     Cipher,
     ciphertext_width,
     decode_pair,
@@ -12,23 +13,17 @@ from obge.crypto import (
     keygen,
     prf_eval,
 )
-from obge.exceptions import ConfigError, IntegrityError
+from obge.exceptions import IntegrityError
 
 
 class TestKeygen:
     def test_widths(self):
-        ks = keygen(128)
-        assert len(ks.k1) == len(ks.k2) == len(ks.kprf) == 16
-        ks = keygen(256)
-        assert len(ks.k1) == 32
+        ks = keygen()
+        assert len(ks.k1) == len(ks.k2) == len(ks.kprf) == KEY_BYTES == 16
 
     def test_fresh_keys_differ(self):
-        a, b = keygen(128), keygen(128)
+        a, b = keygen(), keygen()
         assert a.k1 != b.k1 and a.k2 != b.k2 and a.kprf != b.kprf
-
-    def test_unsupported_lambda(self):
-        with pytest.raises(ConfigError):
-            keygen(96)
 
 
 class TestPrf:

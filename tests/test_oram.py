@@ -49,7 +49,7 @@ class AllZero:
 
 class TestSizing:
     def test_six_blocks_z5(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, _, _ = build(keys, 6, rng)
         params = tree.params
         assert params.depth == 1
@@ -60,7 +60,7 @@ class TestSizing:
         assert sum(leaf != ABSENT for leaf in top) == 6
 
     def test_zero_blocks_single_bucket(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         k2 = Cipher(keys.k2)
         engine, tree, leaves = oram_init([], data_tree(0), k2, rng)
         assert tree.params.depth == 0 and tree.params.node_count == 1
@@ -79,23 +79,24 @@ class TestSizing:
 
     def test_head_of_the_wrong_width_is_rejected(self, rng):
         # a short head would shift every later slot of its bucket
-        keys = keygen(128)
+        keys = keygen()
         heads = make_blocks(keys, 3)
         with pytest.raises(ValueError, match="block head"):
             oram_init([heads[0], heads[1][:-1], heads[2]], data_tree(3), Cipher(keys.k2), rng)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         # an adversarial leaf sampler piles every block onto one path;
         # with no stash allowance the overflow must surface at build time
-        keys = keygen(128)
+        monkeypatch.setattr("obge.oram.STASH_MAX", 0)
+        keys = keygen()
         k2 = Cipher(keys.k2)
         with pytest.raises(CapacityError):
-            oram_init(make_blocks(keys, 50), data_tree(50, Z=1), k2, AllZero(), stash_max=0)
+            oram_init(make_blocks(keys, 50), data_tree(50, Z=1), k2, AllZero())
 
 
 class TestAccess:
     def test_lookup_returns_payload(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, _, _, _ = build(keys, 40, rng)
         k1 = Cipher(keys.k1)
         for i in (0, 13, 39):
@@ -105,7 +106,7 @@ class TestAccess:
             assert reveal(resp, i, 40, keys.k1) == [i] + hops
 
     def test_missing_token_dummy_access(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, host, _, _, _ = build(keys, 10, rng)
         before = len(host.trace)
         assert engine.query(3, 5) == []  # no entry toward vertex 5
@@ -117,7 +118,7 @@ class TestAccess:
         # the data engine draws no leaf: each hit reads the block's old
         # leaf, and the miss round the fresh leaf get_and_remap returned
         # for the absent address, which the map does not store
-        keys = keygen(128)
+        keys = keygen()
         engine, host, _, _, _ = build(keys, 10, rng)
         positions, returned = engine.positions, []
         remap = positions.get_and_remap
@@ -137,7 +138,7 @@ class TestAccess:
             assert reads == [o for _, o, _ in returned[:-1]] + [fresh]
 
     def test_remap_changes_position(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, _, _, addrs = build(keys, 64, rng)
         seen = set()
         for _ in range(50):
@@ -148,29 +149,30 @@ class TestAccess:
         assert len(seen) > 5
 
     def test_mapped_block_must_exist(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, _, _, _ = build(keys, 10, rng)
         with pytest.raises(IntegrityError):
             engine.oram.access(b"\xbb" * 16, 0, 1)  # never stored
 
     def test_new_leaf_out_of_range_rejected_before_io(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, host, tree, blocks, addrs = build(keys, 10, rng)
         with pytest.raises(IndexError):
             engine.oram.access(blocks[0][:16], top_entries(engine.positions)[addrs[0]], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, blocks, addrs = build(keys, 48, rng)
         run_queries(engine, rng, 200)
         verify_placement(tree, engine.oram, leaf_of(engine, blocks, addrs))
 
-    def test_stash_overflow_surfaces(self, rng):
+    def test_stash_overflow_surfaces(self, rng, monkeypatch):
         # remapping every accessed block to leaf 0 exceeds that single
-        # path's capacity, so the stash must eventually trip its limit
-        keys = keygen(128)
-        built, host, _, _, _ = build(keys, 60, rng, stash_max=8)
+        # path's capacity, so a stash allowance of 8 must eventually trip
+        monkeypatch.setattr("obge.oram.STASH_MAX", 8)
+        keys = keygen()
+        built, host, _, _, _ = build(keys, 60, rng)
         state = TrivialState(keys, built.params, built.positions, built.oram)
         engine = QueryEngine(state, keys.kprf, host, rng=AllZero())
         with pytest.raises(StashOverflowError):
@@ -180,7 +182,7 @@ class TestAccess:
 
 class TestWireShape:
     def test_constant_shapes_and_fresh_encryption(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, host, tree, _, _ = build(keys, 32, rng)
         for i in range(60):
             engine.query(rng.randrange(32), 32 if i % 3 else 0)  # every third misses
@@ -191,7 +193,7 @@ class TestWireShape:
         assert {w.byte_count for w in writes} == {tree.params.path_width}
 
     def test_rewrite_never_replays_old_bytes(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, host, tree, _, _ = build(keys, 16, rng)
         params = tree.params
 
@@ -216,7 +218,7 @@ class TestWireShape:
 
     def test_uniform_leaf_distribution(self, rng):
         """Chi-square uniformity of observed leaves at n >= 100 * leaf count."""
-        keys = keygen(128)
+        keys = keygen()
         engine, host, tree, _, _ = build(keys, 40, rng)  # depth 3, 8 leaves
         leaves = tree.params.leaves
         run_queries(engine, rng, 100 * leaves)
@@ -229,7 +231,7 @@ class TestWireShape:
 
 class TestPathIO:
     def test_path_length(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         _, host, tree, _, _ = build(keys, 6, rng)  # depth 1
         params = tree.params
         assert params.depth == 1
@@ -237,7 +239,7 @@ class TestPathIO:
         assert len(data) == 2 * params.bucket_width  # two buckets on an L=1 path
 
     def test_write_read_round_trip(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         _, host, tree, _, _ = build(keys, 6, rng)
         params = tree.params
         blob = bytes(rng.randrange(256) for _ in range(params.path_width))
@@ -245,13 +247,13 @@ class TestPathIO:
         assert host.read_path(0, 1) == blob
 
     def test_leaf_out_of_range(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         _, host, tree, _, _ = build(keys, 6, rng)
         with pytest.raises(IndexError):
             host.read_path(0, tree.params.leaves)
 
     def test_bad_width_write_rejected(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         _, host, _, _, _ = build(keys, 6, rng)
         with pytest.raises(ProtocolError):
             host.write_path(0, 0, b"short")
@@ -264,7 +266,7 @@ class TestBucketBinding:
     by this binding."""
 
     def test_bucket_copied_over_root_is_rejected(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, _, _ = build(keys, 40, rng)  # depth 3
         assert engine.query(39, 40) != []
         tree.set_bucket(0, tree.get_bucket(tree.params.node_count - 1))
@@ -273,7 +275,7 @@ class TestBucketBinding:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_swapped_siblings_are_rejected(self, rng, side):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, _, _ = build(keys, 40, rng)
         oram = engine.oram
         leaf = 0 if side == "left" else tree.params.leaves - 1  # path through node 1 or node 2
@@ -285,7 +287,7 @@ class TestBucketBinding:
             oram.access(None, leaf)
 
     def test_bucket_from_another_tree_is_rejected(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         k2 = Cipher(keys.k2)
         blocks = make_blocks(keys, 40)
         engine, tree0, _ = oram_init(blocks, data_tree(40), k2, rng, tree_id=0)
@@ -296,7 +298,7 @@ class TestBucketBinding:
             engine.access(None, rng.randrange(engine.params.leaves))  # every path reads the root
 
     def test_verify_placement_rejects_a_moved_bucket(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, blocks, addrs = build(keys, 40, rng)
         mapped = leaf_of(engine, blocks, addrs)
         verify_placement(tree, engine.oram, mapped)
@@ -305,7 +307,7 @@ class TestBucketBinding:
             verify_placement(tree, engine.oram, mapped)
 
     def test_short_path_read_is_rejected(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, host, _, _, _ = build(keys, 6, rng)
 
         class Truncating:
@@ -317,7 +319,7 @@ class TestBucketBinding:
             engine.oram.access(None, 0)
 
     def test_version_one_tree_file_is_rejected(self, rng, tmp_path):
-        keys = keygen(128)
+        keys = keygen()
         _, _, tree, _, _ = build(keys, 6, rng)
         params = tree.params
         path = tmp_path / "tree.bin"
@@ -393,7 +395,7 @@ class TestTreeTopCache:
             host.trees[0].get_bucket(0)
 
     def test_swap_on_the_first_host_level_is_rejected(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, _, _ = build(keys, 40, rng, cached=1)  # depth 3: nodes 1 and 2 on the host
         oram = engine.oram
         oram.access(None, 0)
@@ -407,7 +409,7 @@ class TestTreeTopCache:
         # k=2 of depth 3: four groups, group g holding the blocks whose leaf
         # has top two bits g, and an engine built from the held blocks
         # alone regroups them alike; k past the depth is refused
-        keys = keygen(128)
+        keys = keygen()
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)  # depth 3
         engine, tree, leaves = oram_init(make_blocks(keys, 40), params, k2, AllZero())
@@ -429,7 +431,7 @@ class TestHeldBlocks:
     @pytest.mark.parametrize("k", ["0", "1", "L"])
     def test_answers_match_the_oracle(self, rng, k):
         g = random_graph(rng, 12, 0.25)
-        keys = keygen(128)
+        keys = keygen()
         heads, addrs = build_blocks(g, keys)
         depth = tree_depth_for(len(heads), 5)
         cached = {"0": 0, "1": 1, "L": depth}[k]
@@ -446,7 +448,7 @@ class TestHeldBlocks:
     def test_held_count_follows_moves_between_groups(self, rng):
         # k=2: a remap usually moves the block to another group; the count
         # stays the number of blocks held, and the peak bounds it
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
         oram = engine.oram
         for _ in range(30):
@@ -456,7 +458,7 @@ class TestHeldBlocks:
         assert oram.max_stash_seen <= oram.held_max == 128 + 5 * 3
 
     def test_verify_placement_rejects_misplaced_held_blocks(self, rng):
-        keys = keygen(128)
+        keys = keygen()
         engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
         run_queries(engine, rng, 100)
         oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)

@@ -13,6 +13,7 @@ from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH
 from obge.crypto import Cipher, encode_pair
 from obge.exceptions import IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
+from obge.oram import STASH_MAX
 from obge.protocol import (
     ControllerState,
     EnclaveController,
@@ -32,18 +33,17 @@ from obge.bench import chain_graph
 from conftest import random_graph, top_entries
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
-# format-11 state files: setup with Z=1 on random_graph(Random(5), 12, 0.3)
-# (the enhanced deployment with chi 2 and a 64-byte budget), then 60
-# queries; with their trees (not kept) both deployments answer all 144
-# pairs twice as PathOracle does
-STATE_V11 = Path(__file__).parent / "data" / "state_v11"
-# format-10 state files, by the same recipe, written when the parameter
-# block stored a pad mode and the data depth and the top came last
-STATE_V10 = Path(__file__).parent / "data" / "state_v10"
-# format-9 state files (Z=1, a 12-vertex digraph, 60 queries), written
-# when the trivial client kept all but 5 levels of its data tree and the
-# top took 8 bytes an entry
-STATE_V9 = Path(__file__).parent / "data" / "state_v9"
+DATA = Path(__file__).parent / "data"
+# each state_vN directory holds a trivial client's, an enhanced client's
+# and a controller's state file of format N
+STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
+               ("controller.bin", ControllerState))
+# format-12 state files: setup with Z=1 and rng Random(11) on
+# random_graph(Random(5), 12, 0.3) (the enhanced deployment with chi 2 and
+# a 64-byte budget), then 60 queries (u, v) drawn from Random(12), which
+# is also the deployment's leaf sampler; with their trees (not kept) both
+# deployments answer all 144 pairs twice as PathOracle does
+STATE_V12 = DATA / "state_v12"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -347,9 +347,9 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 11, party 0; the
-        # parameter block (lambda, |V|, Z, stash max, chi, budget); k1 k2
-        # kprf; then the engine state: the flat map's |V|^2 leaves as cells
+        # the trivial client's keys.bin: magic, version 12, party 0; the
+        # parameter block (|V|, Z, chi, budget); the 16-byte k1 k2 kprf;
+        # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
         # 0xFF where no block is stored, then the data tree's held blocks
         # (count, then per block tk, next address, payload, leaf and flag 1,
@@ -373,7 +373,7 @@ class TestPersistence:
                 out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
             return out
 
-        want = b"OS\x0b\x00" + struct.pack(">HIBIIQ", 128, 15, 5, 128, 64, 0)
+        want = b"OS\x0c\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
         want += state.keys.k1 + state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
@@ -397,7 +397,7 @@ class TestPersistence:
         path = tmp_path / "keys.bin"
         save_state(path, result.client)
         raw = path.read_bytes()
-        at = protocol._PREFIX.size + 2  # |V| follows lambda
+        at = protocol._PREFIX.size  # |V| opens the parameter block
         path.write_bytes(raw[:at] + struct.pack(">I", 1 << 31) + raw[at + 4 :])
         code = (
             "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
@@ -466,7 +466,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("cached", [0, 6 - protocol.HOST_LEVELS])
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
-        # at most stash_max + Z(2^k - 1) blocks: the stash allowance and the
+        # at most STASH_MAX + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The engine refuses the count before it
         # looks at the blocks.  3 vertices get a depth-1 data tree, 13 a
         # depth-5 one
@@ -474,7 +474,7 @@ class TestPersistence:
         state = result.client
         tp = result.params.data_params
         assert tp.cached == cached
-        limit = 128 + 5 * ((1 << cached) - 1)
+        limit = STASH_MAX + 5 * ((1 << cached) - 1)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         raw = path.read_bytes()
@@ -550,46 +550,55 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [45]), ("enhanced-keys.bin", EnhancedState, None, None),
-         ("controller.bin", ControllerState, 2, [2, 4, 0])],
+        [("trivial-keys.bin", TrivialState, 0, [47]), ("enhanced-keys.bin", EnhancedState, None, None),
+         ("controller.bin", ControllerState, 2, [1, 3, 0])],
+        ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_11_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 45 blocks over 128 groups (k=7 of the
+    def test_format_12_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 47 blocks over 128 groups (k=7 of the
         # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
         # cells; the controller's chain has depth 2 and held blocks in the
         # data tree and level 0.  Loading and saving again gives the same
         # bytes
-        state = load_state(STATE_V11 / name, kind)
+        state = load_state(STATE_V12 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V11 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V12 / name).read_bytes()
 
-    @pytest.mark.parametrize("name, kind", [("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
-                                            ("controller.bin", ControllerState)])
+    @staticmethod
+    def _assert_refused(version, name, kind):
+        path = DATA / f"state_v{version}" / name
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 12; "
+                                                "set the deployment up again"):
+            load_state(path, kind)
+
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
     def test_format_9_files_are_refused(self, name, kind):
-        # a format-9 trivial keys.bin would otherwise load with k=7 for its
-        # depth-8 tree, whose host trees were written at k=4, and the first
-        # access would fail on a path width
-        with pytest.raises(ProtocolError, match=f"state file {STATE_V9 / name}: unsupported version 9, expected 11; "
-                                                "set the deployment up again"):
-            load_state(STATE_V9 / name, kind)
+        # a format-9 trivial keys.bin (Z=1, a 12-vertex digraph, 60
+        # queries) would otherwise load with k=7 for its depth-8 tree,
+        # whose host trees were written at k=4 when the client kept all but
+        # 5 levels, and the first access would fail on a path width
+        self._assert_refused(9, name, kind)
 
-    @pytest.mark.parametrize("name, kind", [("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
-                                            ("controller.bin", ControllerState)])
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
     def test_format_10_files_are_refused(self, name, kind):
-        # a format-10 parameter block is two bytes longer (a pad mode and
-        # the data depth), and its top comes after the held blocks
-        with pytest.raises(ProtocolError, match=f"state file {STATE_V10 / name}: unsupported version 10, expected 11; "
-                                                "set the deployment up again"):
-            load_state(STATE_V10 / name, kind)
+        # a format-10 parameter block also held a pad mode and the data
+        # depth, and its top came after the held blocks
+        self._assert_refused(10, name, kind)
+
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_11_files_are_refused(self, name, kind):
+        # a format-11 parameter block also held a key length and a stash
+        # allowance
+        self._assert_refused(11, name, kind)
 
     @pytest.mark.parametrize(
         "field, value, match",
-        [(4, 0, "chi must be"), (2, 0, "bucket size must be")],
+        [(2, 0, "chi must be"), (1, 0, "bucket size must be")],
         ids=["chi-0", "Z-0"],
     )
     def test_parameter_block_is_validated_on_load(self, tmp_path, rng, field, value, match):
@@ -601,7 +610,7 @@ class TestPersistence:
         save_state(path, server.controller.state)
         raw = path.read_bytes()
         at, size = protocol._PREFIX.size, protocol._PARAMS.size
-        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # lambda, |V|, Z, stash max, chi, budget
+        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # |V|, Z, chi, budget
         fields[field] = value
         path.write_bytes(raw[:at] + protocol._PARAMS.pack(*fields) + raw[at + size :])
         with pytest.raises(ProtocolError, match=f"corrupt parameter block: .*{match}"):
@@ -625,8 +634,8 @@ class TestPersistence:
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 4 packed every position entry in 8 bytes,
-        # and state files of version 10 stored a pad mode and the data
-        # depth, so both must be set up again (as must older ones)
+        # and state files of version 11 stored a key length and a stash
+        # allowance, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -635,9 +644,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (5, 4, TreeStorage.load),
-            "keys.bin": (11, 10, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (11, 10, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (11, 10, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (12, 11, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (12, 11, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (12, 11, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

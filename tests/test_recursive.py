@@ -14,7 +14,7 @@ from conftest import top_entries
 
 
 def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
-    keys = keygen(128)
+    keys = keygen()
     k2 = Cipher(keys.k2)
     shape = map_shape(address_space, chi, budget, Z, data_leaves)
     rpm, trees = rpm_build(assignments.items(), shape, k2, rng)

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import sys
 import threading
 from pathlib import Path
@@ -141,7 +142,7 @@ class TestDispatch:
         _, _, _, server, _ = make_deployment(mode="trivial")
         resp = server.dispatch(wire.EnclaveRequest(b"x" * 42))
         assert isinstance(resp, wire.Error)
-        with pytest.raises(ProtocolError, match="no controller"):
+        with pytest.raises(ConfigError, match="no controller"):
             server.enclave(b"x" * 42)
         assert len(server.host.trace) == 0
 
@@ -252,6 +253,27 @@ class TestConfig:
         with pytest.raises(ProtocolError, match=match):
             build_server(cfg)
 
+    @pytest.mark.parametrize("case", ["trivial-renamed", "enhanced-swapped"])
+    def test_tree_file_named_for_another_id_is_refused(self, tmp_path, case):
+        # a trivial directory whose only file, tree_005.bin, held tree 0
+        # once started, and its final flush wrote tree_000.bin beside it,
+        # so the next start was refused.  Swapped enhanced tree files are
+        # refused by name as well, before their geometry is compared
+        d = tmp_path / "d"
+        if case == "trivial-renamed":
+            cfg = deploy_to(d, setup(chain_graph(12), mode="trivial", rng=random.Random(1)))
+            (d / "tree_000.bin").rename(d / "tree_005.bin")
+            bad, held = d / "tree_005.bin", 0
+        else:
+            cfg = deploy_to(d, enhanced_chain(12))
+            (d / "tree_000.bin").rename(d / "swap")
+            (d / "tree_001.bin").rename(d / "tree_000.bin")
+            (d / "swap").rename(d / "tree_001.bin")
+            bad, held = d / "tree_000.bin", 1
+        home = d / f"tree_{held:03d}.bin"
+        with pytest.raises(ProtocolError, match=re.escape(f"tree file {bad} holds tree {held}, which belongs in {home}")):
+            build_server(cfg)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_depth_one_enhanced_trees_serve_as_trivial(self, tmp_path, n):
         # at depth 0 or 1 both deployments cache no level, so an enhanced
@@ -263,7 +285,7 @@ class TestConfig:
         (tmp_path / "controller.bin").unlink()
         server = build_server(cfg)
         assert server.controller is None
-        with pytest.raises(ProtocolError, match="no controller deployed"):
+        with pytest.raises(ConfigError, match="no controller deployed"):
             EnhancedClient(result.client, server.enclave).query_path(0, 0)
 
 
@@ -398,7 +420,7 @@ class TestDaemon:
                     store.flush()
 
                 for op in (write_then_flush, lambda: store.read_path(0, 0)):
-                    with pytest.raises(ProtocolError, match=f"server error {wire.ERR_USAGE}:"):
+                    with pytest.raises(ConfigError, match=f"server error {wire.ERR_USAGE}:"):
                         op()
                     assert store.pending is None
                 assert bytes(tree.buckets) == before
