@@ -2,8 +2,9 @@
 
 The host may learn each query's path length and nothing else, so every
 query must leave records of one shape (``QueryShape``): optionally framed
-by an ``EnclaveRequest`` of constant width and an ``EnclaveResponse``;
-inside, (|p|+1)(1+chain_depth) ``ReadPath``/``WritePath`` pairs in tree
+by an ``EnclaveRequest`` of constant width and an ``EnclaveResponse`` of
+exactly ``protocol.response_width(|p|)`` bytes, the session overhead, a
+2-byte hop count and 4 bytes a hop; inside, (|p|+1)(1+chain_depth) ``ReadPath``/``WritePath`` pairs in tree
 order, the top position-map level first and the data tree (tree 0) last,
 each pair on one tree and one leaf, each record exactly its tree's
 ``path_width`` wide and each leaf below its tree's leaf count.  The
@@ -26,6 +27,7 @@ from scipy import stats
 
 from .blocks import TreeParams
 from .exceptions import ProtocolError
+from .protocol import response_width
 from .storage import AccessTrace, TraceRecord
 
 SIGNIFICANCE = 0.01
@@ -148,6 +150,11 @@ class QueryShape:
                 return f"record {first}: request of {records[0].byte_count} bytes, expected {self.request_width}"
             if records[-1].msg_type != "EnclaveResponse":
                 return f"record {first + want - 1}: {records[-1].msg_type}, expected EnclaveResponse"
+            if records[-1].byte_count != response_width(path_len):
+                return (
+                    f"record {first + want - 1}: response of {records[-1].byte_count} bytes, "
+                    f"expected {response_width(path_len)} for {path_len} hop(s)"
+                )
             path, at = records[1:-1], first + 1
         for i in range(0, len(path), 2):
             tree = self.order[(i // 2) % len(self.order)]

@@ -3,19 +3,22 @@
 The only module that knows the block layout.  Every block in a tree is the
 same number of packed bytes, a head and a tail:
 
-    tk (16) | next_addr (8) | payload (W)  ||  leaf (8) | flag (1)
+    tk (16) | next_addr (4) | payload (W)  ||  leaf (4) | flag (1)
 
 A block's token is ``blk[TOKEN]`` and its tail starts at ``head_width``.
 The flag byte is 1 for a real block; a dummy slot is all zero bytes.  A
-block names its next hop by dense address only; the query engine derives
-that hop's token with the PRF key.  The payload width W is fixed per tree:
-the data tree carries a k1 ciphertext of a vertex pair, position-map trees
-carry 8*chi bytes of packed leaf entries, each as wide as the tree it points
-into needs (see ``recursive``).  A bucket is the concatenation of its
-Z packed blocks, dummies included, encrypted under k2 as one AES-GCM
-ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
-bucket occupies ``ciphertext_width(Z * block_width)`` bytes and only
-decrypts at the tree and heap index it was written for.
+block names its next hop by dense address w*|V|+v only; the query engine
+derives that hop's token with the PRF key, and the hop addresses are the
+query's answer.  Addresses and leaves are 4 bytes, so |V| is at most
+2^16 (``protocol.MAX_VERTICES``) and a tree has at most 2^32 leaves.  The
+payload width W is fixed per tree: data blocks carry none (W = 0, 25-byte
+blocks), and position-map trees carry 8*chi bytes of packed leaf entries,
+each as wide as the tree it points into needs (see ``recursive``).  A
+bucket is the concatenation of its Z packed blocks, dummies included,
+encrypted under k2 as one AES-GCM ciphertext whose associated data is
+``bucket_ad(tree_id, node)``; so a bucket occupies
+``ciphertext_width(Z * block_width)`` bytes and only decrypts at the tree
+and heap index it was written for.
 
 The engine holding a tree may keep its top ``cached`` levels, heap nodes
 0..2^k-2, itself, as held blocks (see ``oram``); the host then stores only
@@ -32,15 +35,13 @@ from functools import cached_property
 
 from .crypto import TOKEN_BYTES, ciphertext_width
 
-# payload of a data-tree block: k1 ciphertext of an 8-byte encoded pair
-DATA_PAYLOAD_WIDTH = ciphertext_width(8)
-
-# reserved leaf value marking "no block stored at this address"
+# reserved leaf value marking "no block stored at this address"; the map
+# returns it and stores it as an all-ones cell, no block tail holds it
 ABSENT = (1 << 64) - 1
 
-_HEAD = struct.Struct(f">{TOKEN_BYTES}sQ")  # tk, next_addr; the payload follows
+_HEAD = struct.Struct(f">{TOKEN_BYTES}sI")  # tk, next_addr; the payload follows
 TOKEN = slice(0, TOKEN_BYTES)
-TAIL = struct.Struct(">QB")  # leaf, flag; at offset head_width
+TAIL = struct.Struct(">IB")  # leaf, flag; at offset head_width
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
 
@@ -49,7 +50,7 @@ def bucket_ad(tree_id: int, node: int) -> bytes:
     return _BUCKET_AD.pack(tree_id, node)
 
 
-def block_head(tk: bytes, next_addr: int, payload: bytes) -> bytes:
+def block_head(tk: bytes, next_addr: int, payload: bytes = b"") -> bytes:
     """The leaf-independent part of a block; placement appends the tail."""
     return _HEAD.pack(tk, next_addr) + payload
 
@@ -99,7 +100,7 @@ class TreeParams:
 
     @cached_property
     def block_struct(self) -> struct.Struct:
-        return struct.Struct(f">16sQ{self.payload_width}sQB")
+        return struct.Struct(f"{_HEAD.format}{self.payload_width}s{TAIL.format[1:]}")
 
     @cached_property
     def dummy_fills(self) -> list[bytes]:

@@ -1,7 +1,13 @@
 """Keyed PRF, randomized authenticated encryption, and key generation.
 
 Every key is KEY_BYTES = 16 bytes: the scheme's Setup runs at one security
-parameter, lambda = 128.  Tokens are 16-byte HMAC-SHA256 outputs.
+parameter, lambda = 128.  The scheme's keys are two: k2 encrypts ORAM
+buckets and kprf keys the token PRF.  The paper's third key, k1, encrypted
+each next hop as a block payload; blocks now name the hop by its address
+alone, which the engine holding the tree reads in the clear anyway, so no
+payload is left to encrypt (see ``protocol``).  Only the plain baseline,
+``gkt``, still encrypts its payloads under a k1 of its own.
+Tokens are 16-byte HMAC-SHA256 outputs.
 Symmetric encryption is AES-GCM under a fresh nonce, stored as nonce ||
 ciphertext || tag: CT_OVERHEAD bytes wider than the plaintext.  Nothing is
 padded, because every caller encrypts plaintexts whose width public
@@ -35,16 +41,15 @@ CT_OVERHEAD = NONCE_BYTES + TAG_BYTES
 
 @dataclass(frozen=True)
 class KeySet:
-    """Independent keys: k1 encrypts path payloads, k2 encrypts ORAM
-    blocks, kprf keys the token PRF."""
+    """Independent keys: k2 encrypts ORAM buckets, kprf keys the token
+    PRF."""
 
-    k1: bytes
     k2: bytes
     kprf: bytes
 
 
 def keygen() -> KeySet:
-    return KeySet(k1=os.urandom(KEY_BYTES), k2=os.urandom(KEY_BYTES), kprf=os.urandom(KEY_BYTES))
+    return KeySet(k2=os.urandom(KEY_BYTES), kprf=os.urandom(KEY_BYTES))
 
 
 def prf_eval(kprf: bytes, message: bytes) -> bytes:

@@ -6,18 +6,22 @@ walks its token chain in place, so the server sees the exact token
 sequence: repeated queries repeat it (query pattern), and queries sharing
 a destination share suffixes (path intersection pattern).  The attack
 module consumes these sequences.
+
+Each entry keeps the baseline's own payload, the next hop (w, v) encrypted
+under a key k1 that only this scheme has, and ``GktScheme.reveal``
+decrypts it; the oblivious scheme's blocks carry the hop's address alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .crypto import Cipher, KeySet, encode_pair, keygen, prf_eval
-from .exceptions import ProtocolError
+from .crypto import KEY_BYTES, Cipher, decode_pair, encode_pair, prf_eval
+from .exceptions import IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
-from .protocol import reveal
 
 
 @dataclass
@@ -30,16 +34,19 @@ class GktEncryptedDict:
 
 
 class GktScheme:
-    def __init__(self, g: Graph, keys: KeySet | None = None):
-        self.keys = keys if keys is not None else keygen()
+    """The baseline over one graph, under fresh keys: kprf keys the tokens
+    and k1 encrypts each entry's next hop."""
+
+    def __init__(self, g: Graph):
+        self.kprf = os.urandom(KEY_BYTES)
+        self.k1 = Cipher(os.urandom(KEY_BYTES))
         self.vertex_count = g.vertex_count
-        k1 = Cipher(self.keys.k1)
         entries: dict[bytes, tuple[bytes, bytes]] = {}
         for (u, v), (w, _) in compute_spdx(g).items():
-            tk = prf_eval(self.keys.kprf, encode_pair(u, v))
+            tk = prf_eval(self.kprf, encode_pair(u, v))
             entries[tk] = (
-                prf_eval(self.keys.kprf, encode_pair(w, v)),
-                k1.encrypt(encode_pair(w, v)),
+                prf_eval(self.kprf, encode_pair(w, v)),
+                self.k1.encrypt(encode_pair(w, v)),
             )
         self.server = GktEncryptedDict(entries)
 
@@ -51,7 +58,7 @@ class GktScheme:
             raise IndexError(f"vertex pair ({u},{v}) out of range")
         resp: list[bytes] = []
         seq: list[bytes] = []
-        tk = prf_eval(self.keys.kprf, encode_pair(u, v))
+        tk = prf_eval(self.kprf, encode_pair(u, v))
         while True:
             seq.append(tk)
             hit = self.server.entries.get(tk)
@@ -63,7 +70,14 @@ class GktScheme:
         return resp, seq
 
     def reveal(self, resp: list[bytes], source: int, dest: int) -> list[int] | None:
-        return reveal(resp, source, dest, self.keys.k1)
+        """Decrypt an encrypted path into its vertex list; an empty one is
+        the empty path when source == dest and "no path" (None) otherwise."""
+        if not resp:
+            return [] if source == dest else None
+        hops = [decode_pair(self.k1.decrypt(ct)) for ct in resp]
+        if hops[-1] != (dest, dest):
+            raise IntegrityError("response does not terminate at the queried destination")
+        return [source] + [w for w, _ in hops]
 
 
 def save_token_log(path: str | Path, sequences: list[list[bytes]], truths: list[tuple[int, int]] | None = None) -> None:

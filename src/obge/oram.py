@@ -39,7 +39,9 @@ only gives it a store.  A party's state holds the engine itself,
 so saving the state writes what the last access left.  Building an engine
 refuses held blocks it could not keep: more than ``held_limit``, a block
 flagged as a dummy, or one mapped past the tree's last leaf, which eviction
-would put off its path.
+would put off its path.  Held blocks come group by group, as
+``held_blocks`` lists them and ``oram_init`` passes them; blocks out of
+group order are refused too, so a group loads in the order it was saved.
 
 The engine draws no leaves: the caller names the path of every access,
 including a dummy round's, which must be a fresh uniform leaf.
@@ -98,9 +100,12 @@ class PathOram:
             leaf, flag = next(t for t in tails if t[1] != 1 or t[0] >= leaves)
             raise IntegrityError(f"bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {leaves})")
         shift = params.depth - params.cached
+        groups = [leaf >> shift for leaf, _ in tails]
+        if groups != sorted(groups):
+            raise IntegrityError(f"tree {tree_id} held blocks are out of group order")
         self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
-        for at, (leaf, _) in zip(range(0, len(held), bw), tails):
-            self.held[leaf >> shift].append(held[at : at + bw])
+        for g, at in zip(groups, range(0, len(held), bw)):
+            self.held[g].append(held[at : at + bw])
         self.held_count = self.max_stash_seen = count
         self.access_count = 0
 
@@ -239,9 +244,9 @@ def oram_init(
 
     leaves = [rng.randrange(params.leaves) for _ in heads]
     placed: dict[int, list[bytes]] = {}
-    held: list[bytes] = []
+    held: list[tuple[int, bytes]] = []  # (group, block)
     first_leaf, first = params.leaves - 1, params.cache_nodes  # heap indices of leaf 0 and of level k
-    hw, tail = params.head_width, TAIL.pack
+    hw, tail, shift = params.head_width, TAIL.pack, params.depth - params.cached
     for head, leaf in zip(heads, leaves):
         if len(head) != hw:
             raise ValueError(f"block head is {len(head)} bytes, tree expects {hw}")
@@ -257,8 +262,9 @@ def oram_init(
                 break
             node = (node - 1) >> 1
         else:
-            held.append(blk)
-    engine = PathOram(tree_id, params, cipher, b"".join(held))
+            held.append((leaf >> shift, blk))
+    held.sort(key=lambda pair: pair[0])  # the engine takes its held blocks group by group
+    engine = PathOram(tree_id, params, cipher, b"".join(blk for _, blk in held))
 
     bw = params.bucket_width
     buckets = bytearray(params.host_nodes * bw)

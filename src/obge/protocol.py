@@ -2,13 +2,24 @@
 
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
 tokens, one PRF call per entry, loads them into a Path ORAM tree, and maps
-each block's dense address u*|V|+v to its leaf.  The tree has room for a
-block per ordered pair of distinct vertices, |V|^2 - |V| of them, however
-many pairs are connected, so its depth reveals |V| and Z alone.  A query
-chases the chain of addresses, deriving each hop's token from its address,
-with one oblivious access per hop plus a terminating miss round, so the
-storage side observes only the round count.  Reveal decrypts the
-collected payloads into the plaintext path.
+each block's dense address u*|V|+v to its leaf.  The entry (u,v) -> (w,v)
+becomes a block that names its next hop by the address w*|V|+v and carries
+nothing else.  The tree has room for a block per ordered pair of distinct
+vertices, |V|^2 - |V| of them, however many pairs are connected, so its
+depth reveals |V| and Z alone.  Addresses are 4 bytes, so |V| is at most
+MAX_VERTICES = 2^16.  A query chases the chain of addresses, deriving each
+hop's token from its address, with one oblivious access per hop plus a
+terminating miss round, so the storage side observes only the round count.
+Its answer is the hop addresses; reveal reads the path off them.
+
+The paper also encrypts each hop (w,v) under a third key, k1, as the
+block's payload, for the client to decrypt.  That ciphertext protected
+nothing: it sits inside the k2-encrypted bucket next to next_addr, which
+is the same pair in the clear, and the party that decrypts buckets (the
+trivial client, or the controller) reads next_addr to find the next hop
+anyway.  Without it a data block is 25 bytes (``blocks``), and the host's
+view keeps its shape: the same rounds, one path width per tree and fresh
+uniform leaves.
 
 Both deployments run the one QueryEngine: the data tree's Path ORAM, a
 RecursivePM position map, the PRF key and the vertex range check.  They
@@ -23,10 +34,11 @@ differ only in where the engine runs:
   the tree header's k tells it nothing more.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
-  request/response pair per query over an emulated secure channel.  The
-  position map is flat or a recursive ORAM chain, whichever fits the
-  configured memory budget; the controller keeps no tree-top cache, so
-  the host holds every level and the engine holds only a stash.
+  request/response pair per query over an emulated secure channel: the
+  response is the hop addresses, 4 bytes each.  The position map is flat
+  or a recursive ORAM chain, whichever fits the configured memory budget;
+  the controller keeps no tree-top cache, so the host holds every level
+  and the engine holds only a stash.
 
 The party that hosts the engine holds its ORAM engines in its state: the
 data tree's PathOram, which owns the blocks it holds, and the map with its
@@ -39,11 +51,11 @@ Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
 client, enhanced client, controller) that also fixes the deployment mode,
 and the parameter block (|V|, Z, chi, budget, 0 for none), followed by the
-party's 16-byte keys (``crypto.KEY_BYTES``):
+party's 16-byte keys (``crypto.KEY_BYTES``), each the one the party uses:
 
-* trivial client: k1 k2 kprf, then the engine state (keys.bin, rewritten
+* trivial client: k2 kprf, then the engine state (keys.bin, rewritten
   after every query because accesses remap blocks);
-* enhanced client: k1 k2 kprf, then the session key (keys.bin);
+* enhanced client: the session key alone (keys.bin, 37 bytes);
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
@@ -75,8 +87,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .blocks import ABSENT, DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
-from .crypto import KEY_BYTES, Cipher, KeySet, decode_pair, encode_pair, keygen, prf_eval
+from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
+from .crypto import KEY_BYTES, Cipher, KeySet, ciphertext_width, decode_pair, encode_pair, keygen, prf_eval
 from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import PathOram, oram_init
@@ -87,6 +99,9 @@ DATA_TREE_ID = 0
 
 MODE_TRIVIAL = "trivial"
 MODE_ENHANCED = "enhanced"
+
+# blocks and the enhanced response carry dense addresses u*|V|+v in 4 bytes
+MAX_VERTICES = 1 << 16
 
 # levels of the trivial client's data tree that the host stores: the
 # client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
@@ -115,6 +130,10 @@ class SchemeParams:
     def validate(self) -> None:
         if self.mode not in (MODE_TRIVIAL, MODE_ENHANCED):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.vertex_count > MAX_VERTICES:
+            raise ConfigError(
+                f"{self.vertex_count} vertices exceed {MAX_VERTICES}: addresses u*|V|+v are stored in 4 bytes"
+            )
         # tree headers and state files store Z in one byte
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
@@ -148,7 +167,7 @@ class SchemeParams:
         """The data tree's geometry.  The trivial client caches all but the
         host's HOST_LEVELS levels; a controller caches none."""
         cached = client_cached_levels(self.data_depth) if self.mode == MODE_TRIVIAL else 0
-        return TreeParams(self.data_depth, self.bucket_size, DATA_PAYLOAD_WIDTH, cached)
+        return TreeParams(self.data_depth, self.bucket_size, 0, cached)
 
     @property
     def map_shape(self) -> MapShape:
@@ -169,16 +188,16 @@ class TrivialState:
 
 @dataclass
 class EnhancedState:
-    """Client-side remainder in the controller deployment: keys only."""
+    """Client-side remainder in the controller deployment: the session key
+    alone, the one key the client uses."""
 
-    keys: KeySet
     params: SchemeParams
-    session_key: bytes = b""
+    session_key: bytes
 
 
 @dataclass
 class ControllerState:
-    """Controller-resident secrets and ORAM engines (never includes k1)."""
+    """Controller-resident secrets and ORAM engines."""
 
     k2: bytes
     kprf: bytes
@@ -199,20 +218,19 @@ class SetupResult:
 
 
 def build_blocks(g: Graph, keys: KeySet) -> tuple[list[bytes], list[int]]:
-    """Tokenize and encrypt the next-hop dictionary into block heads.
+    """Tokenize the next-hop dictionary into block heads and their dense
+    addresses.
 
-    Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v),
-    whose chain pointer is the dense address w*|V|+v, and whose payload is
-    the pair (w,v) encrypted under k1: one PRF call per entry.
+    Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v) and
+    whose chain pointer is the dense address w*|V|+v: one PRF call per
+    entry.
     """
-    k1 = Cipher(keys.k1)
     n = g.vertex_count
     spdx = compute_spdx(g)
     heads = []
     addresses = []
     for (u, v), (w, _) in spdx.items():
-        tk = prf_eval(keys.kprf, encode_pair(u, v))
-        heads.append(block_head(tk, w * n + v, k1.encrypt(encode_pair(w, v))))
+        heads.append(block_head(prf_eval(keys.kprf, encode_pair(u, v)), w * n + v))
         addresses.append(u * n + v)
     return heads, addresses
 
@@ -253,23 +271,42 @@ def setup(
         positions=rpm,
         oram=oram,
     )
-    client = EnhancedState(keys=keys, params=params, session_key=session_key)
+    client = EnhancedState(params=params, session_key=session_key)
     return SetupResult(trees, params, keys, client, controller, len(heads))
 
 
-def reveal(resp: list[bytes], source: int, dest: int, k1: bytes) -> list[int] | None:
-    """Decrypt an encrypted path into its vertex list.
+def reveal(resp: list[int], source: int, dest: int, vertex_count: int) -> list[int] | None:
+    """The vertex list of a query's answer, its hop addresses w*|V|+v.
 
     An empty response means the empty path when source == dest and "no
-    path" (None) otherwise.
+    path" (None) otherwise.  Every hop must head to dest (v == dest), and
+    the last must be dest itself, address dest*|V|+dest; anything else
+    raises IntegrityError.
     """
     if not resp:
         return [] if source == dest else None
-    c = Cipher(k1)
-    hops = [decode_pair(c.decrypt(ct)) for ct in resp]
-    if hops[-1] != (dest, dest):
+    n = vertex_count
+    path = [source]
+    for addr in resp:
+        w, v = divmod(addr, n)
+        if v != dest or w >= n:
+            raise IntegrityError(f"hop address {addr} does not head to the queried destination {dest}")
+        path.append(w)
+    if path[-1] != dest:
         raise IntegrityError("response does not terminate at the queried destination")
-    return [source] + [w for w, _ in hops]
+    return path
+
+
+def _hops_format(hops: int) -> str:
+    """An enhanced response's plaintext: the hop count, then each hop's
+    4-byte address."""
+    return f">H{hops}I"
+
+
+def response_width(hops: int) -> int:
+    """Bytes of an enhanced response of that many hops, as the host sees
+    it: the session encryption of ``_hops_format(hops)``."""
+    return ciphertext_width(struct.calcsize(_hops_format(hops)))
 
 
 class QueryEngine:
@@ -296,15 +333,15 @@ class QueryEngine:
         self.oram.store = store
         self.positions.attach(store, rng)
 
-    def query(self, u: int, v: int) -> list[bytes]:
+    def query(self, u: int, v: int) -> list[int]:
         """Chase the chain from (u, v): one access per hop, then one on a
-        missing address; returns the encrypted path.  A hop's token is
+        missing address; returns the hop addresses.  A hop's token is
         derived from its address, the pair (addr // |V|, v).  An
         out-of-range pair raises IndexError before any storage access."""
         n = self.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
-        resp: list[bytes] = []
+        resp: list[int] = []
         addr = u * n + v
         try:
             while True:
@@ -313,9 +350,8 @@ class QueryEngine:
                     self.oram.access(None, new_leaf)
                     return resp
                 tk = prf_eval(self.kprf, encode_pair(addr // n, v))
-                blk = self.oram.access(tk, old_leaf, new_leaf)
-                resp.append(blk.payload)
-                addr = blk.next_addr
+                addr = self.oram.access(tk, old_leaf, new_leaf).next_addr
+                resp.append(addr)
         finally:
             self.store.flush()
 
@@ -327,11 +363,11 @@ class TrivialClient:
         self.state = state
         self.engine = QueryEngine(state, state.keys.kprf, store, rng)
 
-    def query(self, u: int, v: int) -> list[bytes]:
+    def query(self, u: int, v: int) -> list[int]:
         return self.engine.query(u, v)
 
     def query_path(self, u: int, v: int) -> list[int] | None:
-        return reveal(self.query(u, v), u, v, self.state.keys.k1)
+        return reveal(self.query(u, v), u, v, self.state.params.vertex_count)
 
 
 class EnclaveController:
@@ -345,14 +381,14 @@ class EnclaveController:
 
     def handle_request(self, ct: bytes) -> bytes:
         """Decrypt one (u, v) request, run the query loop, and return the
-        session-encrypted encrypted path.  Bad frames are rejected before
-        any storage access."""
+        session encryption of the hop count and addresses,
+        ``response_width`` bytes.  Bad frames are rejected before any
+        storage access."""
         raw = self.session.decrypt(ct)
         if len(raw) != 8:
             raise ProtocolError("malformed query request")
         resp = self.engine.query(*decode_pair(raw))
-        blob = struct.pack(">H", len(resp)) + b"".join(resp)
-        return self.session.encrypt(blob)
+        return self.session.encrypt(struct.pack(_hops_format(len(resp)), len(resp), *resp))
 
     def resident_bytes(self) -> int:
         """Controller-resident bytes: position state, held data blocks, keys."""
@@ -369,21 +405,21 @@ class EnhancedClient:
         self.session = Cipher(state.session_key)
         self.transport = transport  # callable: request ct -> response ct
 
-    def query(self, u: int, v: int) -> list[bytes]:
+    def query(self, u: int, v: int) -> list[int]:
+        """The hop addresses of the answer to (u, v)."""
         n = self.state.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
         request = self.session.encrypt(encode_pair(u, v))
         blob = self.session.decrypt(self.transport(request))
-        (count,) = struct.unpack(">H", blob[:2])
-        body = blob[2:]
-        w = DATA_PAYLOAD_WIDTH
-        if len(body) != count * w:
-            raise ProtocolError("encrypted path has inconsistent length")
-        return [body[i * w : (i + 1) * w] for i in range(count)]
+        # 2 + 4 * count bytes, so exactly _hops_format(len // 4) when len % 4 == 2
+        count, *hops = struct.unpack(_hops_format(len(blob) // 4), blob) if len(blob) % 4 == 2 else (-1,)
+        if count != len(hops):
+            raise ProtocolError(f"response of {len(blob)} bytes does not hold its hop count and 4 bytes a hop")
+        return hops
 
     def query_path(self, u: int, v: int) -> list[int] | None:
-        return reveal(self.query(u, v), u, v, self.state.keys.k1)
+        return reveal(self.query(u, v), u, v, self.state.params.vertex_count)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +428,12 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">IBIQ")  # V, Z, chi, budget
 STATE_MAGIC = b"OS"
-# older versions are refused; 12 derives the data depth from |V| and Z,
+# older versions are refused; 13 derives the data depth from |V| and Z,
 # pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
-# its tree, ahead of the held blocks, and stores neither a key length nor a
-# stash allowance (16-byte keys and a 128-block stash are constants)
-STATE_VERSION = 12
+# its tree, ahead of the held blocks, stores 25-byte data blocks with
+# 4-byte addresses and leaves, and stores no k1: the clients keep only the
+# keys they use
+STATE_VERSION = 13
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -476,9 +513,10 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
     if isinstance(state, ControllerState):
         write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
         return
-    keys = state.keys
-    tail = state.session_key if isinstance(state, EnhancedState) else _pack_engine(state)
-    write_atomic(path, head, keys.k1, keys.k2, keys.kprf, tail)
+    if isinstance(state, EnhancedState):
+        write_atomic(path, head, state.session_key)
+        return
+    write_atomic(path, head, state.keys.k2, state.keys.kprf, _pack_engine(state))
 
 
 def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState | ControllerState:
@@ -511,11 +549,10 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
     if kind is ControllerState:
         k2, kprf, session = r.take(KEY_BYTES), r.take(KEY_BYTES), r.take(KEY_BYTES)
         state = ControllerState(k2, kprf, session, params, *_unpack_engine(r, params, shape, k2))
+    elif kind is EnhancedState:
+        state = EnhancedState(params, r.take(KEY_BYTES))
     else:
-        keys = KeySet(r.take(KEY_BYTES), r.take(KEY_BYTES), r.take(KEY_BYTES))
-        if kind is EnhancedState:
-            state = EnhancedState(keys, params, r.take(KEY_BYTES))
-        else:
-            state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
+        keys = KeySet(r.take(KEY_BYTES), r.take(KEY_BYTES))
+        state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
     r.finish()
     return state

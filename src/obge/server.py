@@ -71,7 +71,7 @@ from .protocol import (
     load_state,
     save_state,
 )
-from .storage import StorageHost, TreeStorage, tree_file, tree_files
+from .storage import StorageHost, TreeStorage, check_tree_file, tree_file, tree_files
 
 log = logging.getLogger(__name__)
 
@@ -309,9 +309,7 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
     trees = [TreeStorage.load(f) for f in files]
     for f, tree in zip(files, trees):
-        home = tree_file(cfg.tree_path, tree.tree_id)
-        if f != home:
-            raise ProtocolError(f"tree file {f} holds tree {tree.tree_id}, which belongs in {home}")
+        check_tree_file(f, cfg.tree_path, tree.tree_id)
     ids = sorted(tree.tree_id for tree in trees)
     host = StorageHost(trees)
     state_path = Path(cfg.tree_path) / "controller.bin"

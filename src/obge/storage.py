@@ -6,21 +6,24 @@ and serves the host's part of each root-to-leaf path.  Every path read or
 write is appended to an AccessTrace, which records exactly what the storage
 owner can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 5: a header (magic, version, tree id, depth L,
+Tree file format, version 6: a header (magic, version, tree id, depth L,
 cached levels k, bucket size Z, payload width) followed by the buckets of
 levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
 engine holding the tree keeps levels 0..k-1 itself, so a path read or write
 moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of Z serialized
 blocks whose associated data is (tree id, heap index), so the storage side
 cannot move, copy or swap buckets within or across trees without the next
-access that reads them failing.  A position-map tree's payloads pack
-entries as wide as the tree they point into needs (``recursive``).
-Older versions are rejected on load.
+access that reads them failing.  Blocks have the layout of ``blocks``:
+25 bytes in the data tree, whose blocks carry no payload, and 8*chi + 25
+in a position-map tree, whose payloads pack entries as wide as the tree
+they point into needs (``recursive``).  Older versions are rejected on
+load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  A
 deployment directory keeps tree i in ``tree_file(directory, i)``,
-tree_NNN.bin with i in three digits.  Tree and state files are replaced
+tree_NNN.bin with i in three digits, and ``check_tree_file`` refuses a
+file that holds another tree.  Tree and state files are replaced
 through ``write_atomic``, as mode 0600 files.
 
 A StorageHost is plain data: one server's trees, by tree id, and its
@@ -42,7 +45,7 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 5
+TREE_VERSION = 6
 _HEADER = struct.Struct(">2sBBBBBH")  # magic, version, tree_id, L, k, Z, payload_width
 
 
@@ -224,13 +227,22 @@ def tree_files(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("tree_*.bin"))
 
 
+def check_tree_file(path: Path, directory: str | Path, tree_id: int) -> None:
+    """Refuse a tree file of directory that is not named for the tree id
+    its header holds: ProtocolError."""
+    home = tree_file(directory, tree_id)
+    if path != home:
+        raise ProtocolError(f"tree file {path} holds tree {tree_id}, which belongs in {home}")
+
+
 def tree_geometry(directory: str | Path) -> dict[int, TreeParams]:
     """Tree id -> geometry of every tree file in directory, from the
-    headers alone."""
+    headers alone; a file not named for its tree is refused."""
     geometry = {}
     for path in tree_files(directory):
         with open(path, "rb") as f:
             tree_id, params = _read_header(f, path)
+        check_tree_file(path, directory, tree_id)
         geometry[tree_id] = params
     if not geometry:
         raise ProtocolError(f"no tree files under {str(directory)!r}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from obge import wire
-from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams, block_head, tree_depth_for
+from obge.blocks import TreeParams, block_head, tree_depth_for
 from obge.crypto import Cipher, encode_pair, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
@@ -62,14 +62,11 @@ def chain_blocks(keys, chains, length):
     addresses u*n+d.
     """
     n = length + chains
-    k1 = Cipher(keys.k1)
     blocks, addrs = [], []
     for d in range(length, n):
         for u in range(length):
             w = u + 1 if u + 1 < length else d
-            blocks.append(
-                block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d, k1.encrypt(encode_pair(w, d)))
-            )
+            blocks.append(block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d))
             addrs.append(u * n + d)
     return n, blocks, addrs
 
@@ -84,7 +81,7 @@ def top_entries(positions) -> list[int]:
 def data_tree(count, Z=5, cached=0):
     """Geometry of a data tree sized for count real blocks, by the depth rule
     setup uses, with the top `cached` levels in the engine."""
-    return TreeParams(tree_depth_for(count, Z), Z, DATA_PAYLOAD_WIDTH, cached)
+    return TreeParams(tree_depth_for(count, Z), Z, 0, cached)
 
 
 def chain_engine(keys, chains, length, rng, Z=5, cached=0):

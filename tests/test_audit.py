@@ -16,6 +16,7 @@ from obge.audit import (
 from obge.cli import main
 from obge.exceptions import ProtocolError
 from obge.graph import Graph, PathOracle
+from obge.crypto import CT_OVERHEAD
 from obge.protocol import setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
@@ -249,6 +250,15 @@ def _pair_past_last_leaf(records, trees):
     return out
 
 
+def _widen_response(records, trees):
+    i = len(records) // 2
+    while records[i].msg_type != "EnclaveResponse":
+        i += 1
+    out = list(records)
+    out[i] = replace(out[i], byte_count=out[i].byte_count + 1)
+    return out
+
+
 def _drop_one(records, trees):
     return records[: len(records) // 2] + records[len(records) // 2 + 1 :]
 
@@ -263,7 +273,7 @@ class TestMutations:
 
     @pytest.mark.parametrize(
         "mutate",
-        [_zero_writes, _reverse, _widen_one, _pair_past_last_leaf, _drop_one],
+        [_zero_writes, _reverse, _widen_one, _pair_past_last_leaf, _widen_response, _drop_one],
         ids=lambda f: f.__name__.strip("_"),
     )
     def test_shape_fault_names_query_and_record(self, recursive_trace, mutate):
@@ -273,6 +283,24 @@ class TestMutations:
         report = audit_trace(trace, truths, geometry(host))
         assert not report.ok
         assert FAULT.match(report.shape_fault), report.shape_fault
+
+    def test_response_one_byte_wider_is_named(self, recursive_trace):
+        # a response is the session overhead, a 2-byte hop count and 4
+        # bytes a hop, exactly; the first query's, one byte wider, is the
+        # fault the audit names
+        host, truths = recursive_trace
+        records = list(host.trace.records)
+        end = next(i for i, r in enumerate(records) if r.msg_type == "EnclaveResponse")
+        hops = truths[0].path_len
+        assert records[end].byte_count == CT_OVERHEAD + 2 + 4 * hops
+        records[end] = replace(records[end], byte_count=records[end].byte_count + 1)
+        trace = AccessTrace()
+        trace.records = records
+        report = audit_trace(trace, truths, geometry(host))
+        assert report.shape_fault == (
+            f"query 0 ({truths[0].u},{truths[0].v}), record {end}: response of {CT_OVERHEAD + 3 + 4 * hops} bytes, "
+            f"expected {CT_OVERHEAD + 2 + 4 * hops} for {hops} hop(s)"
+        )
 
     def test_record_after_the_last_query(self, recursive_trace, tmp_path):
         host, truths = recursive_trace

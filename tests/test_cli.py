@@ -58,14 +58,14 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (746 bytes)"),
-            ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (2,611 bytes)"),
+            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (306 bytes)"),
+            ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (1,071 bytes)"),
         ],
         ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
-        # a 15-vertex chain: 105 entries in a depth-6 tree of 373-byte
-        # buckets, sized for the 210 ordered pairs; the trivial client
+        # a 15-vertex chain: 105 entries in a depth-6 tree of 153-byte
+        # buckets (five 25-byte blocks), sized for the 210 ordered pairs; the trivial client
         # leaves the host its bottom 2 levels
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
@@ -115,6 +115,18 @@ class TestSetupCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    def test_vertex_count_past_the_address_width_is_usage_error(self, tmp_path, capsys):
+        # blocks store addresses u*|V|+v in 4 bytes: vertex 65,536 makes
+        # 65,537 vertices, one past the limit
+        graph = tmp_path / "wide.tsv"
+        graph.write_text("0\t65536\n")
+        out = tmp_path / "deploy"
+        assert main(["setup", str(graph), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 65537 vertices exceed 65536: addresses u*|V|+v are stored in 4 bytes"
+        ]
+        assert not out.exists()
+
 
 class TestQueryCommand:
     def test_prints_path(self, daemon, capsys):
@@ -162,12 +174,12 @@ class TestQueryCommand:
     def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
         # the flat map's entry for (0, 3), the fourth of 16 one-byte cells
         # that follow the 4-byte prefix, the 17-byte parameter block and
-        # the three keys, set past the data tree's 4 leaves: refused on
-        # load, not an IndexError mid-query
+        # the two keys k2 kprf, set past the data tree's 4 leaves: refused
+        # on load, not an IndexError mid-query
         out, d = daemon
         keys = out / "keys.bin"
         raw = keys.read_bytes()
-        at = 4 + 17 + 3 * 16 + 3
+        at = 4 + 17 + 2 * 16 + 3
         keys.write_bytes(raw[:at] + b"\x04" + raw[at + 1 :])
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
@@ -318,7 +330,7 @@ class TestAuditCommand:
         capsys.readouterr()
         rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
-        assert "query 0 (0,3), record 0: 746 bytes, tree 0 paths are " in capsys.readouterr().out
+        assert "query 0 (0,3), record 0: 306 bytes, tree 0 paths are " in capsys.readouterr().out
 
     def test_no_tree_files_is_protocol_error(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -328,6 +340,26 @@ class TestAuditCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["audit", "--trace", str(trace), "--queries", str(qlog), "--trees", str(empty)]) == 2
+
+    def test_misnamed_tree_file_is_protocol_error(self, tmp_path, capsys):
+        # tree 0 of a 6-vertex chain in tree_000.bin and tree 0 of a
+        # 12-vertex chain (depth 5) misnamed tree_005.bin: the audit used
+        # the last file's geometry for tree 0 without a word
+        for n in (6, 12):
+            chain = tmp_path / f"chain{n}.tsv"
+            chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(n - 1)))
+            assert main(["setup", str(chain), "--out", str(tmp_path / f"d{n}"), "--seed", "1"]) == 0
+        trees = tmp_path / "d6"
+        (tmp_path / "d12" / "tree_000.bin").rename(trees / "tree_005.bin")
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,msg_type,tree_id,leaf,byte_count\n")
+        qlog = tmp_path / "queries.csv"
+        qlog.write_text("u,v,path_len\n")
+        capsys.readouterr()
+        assert main(["audit", "--trace", str(trace), "--queries", str(qlog), "--trees", str(trees)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: tree file {trees / 'tree_005.bin'} holds tree 0, which belongs in {trees / 'tree_000.bin'}"
+        )
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -502,7 +534,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v12"
+    data = Path(__file__).parent / "data" / "state_v13"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

@@ -19,11 +19,11 @@ from obge.exceptions import IntegrityError
 class TestKeygen:
     def test_widths(self):
         ks = keygen()
-        assert len(ks.k1) == len(ks.k2) == len(ks.kprf) == KEY_BYTES == 16
+        assert len(ks.k2) == len(ks.kprf) == KEY_BYTES == 16
 
     def test_fresh_keys_differ(self):
         a, b = keygen(), keygen()
-        assert a.k1 != b.k1 and a.k2 != b.k2 and a.kprf != b.kprf
+        assert a.k2 != b.k2 and a.kprf != b.kprf
 
 
 class TestPrf:

@@ -96,14 +96,14 @@ class TestSizing:
 
 class TestAccess:
     def test_lookup_returns_payload(self, rng):
+        # the engine answers with the hop addresses w*|V|+v, here |V|=41
         keys = keygen()
         engine, _, _, _, _ = build(keys, 40, rng)
-        k1 = Cipher(keys.k1)
         for i in (0, 13, 39):
             resp = engine.query(i, 40)
             hops = list(range(i + 1, 40)) + [40]
-            assert [k1.decrypt(ct) for ct in resp] == [encode_pair(w, 40) for w in hops]
-            assert reveal(resp, i, 40, keys.k1) == [i] + hops
+            assert resp == [w * 41 + 40 for w in hops]
+            assert reveal(resp, i, 40, 41) == [i] + hops
 
     def test_missing_token_dummy_access(self, rng):
         keys = keygen()
@@ -440,10 +440,24 @@ class TestHeldBlocks:
         oracle = PathOracle(g)
         for u in range(12):
             for v in range(12):
-                assert reveal(engine.query(u, v), u, v, keys.k1) == oracle.path(u, v), (u, v)
+                assert reveal(engine.query(u, v), u, v, 12) == oracle.path(u, v), (u, v)
         widths = {r.byte_count for r in host.trace.records}
         assert widths == {(depth + 1 - cached) * tree.params.bucket_width}
         verify_placement(tree, engine.oram, leaf_of(engine, heads, addrs))
+
+    def test_held_blocks_load_a_group_at_a_time(self):
+        # k=2 of depth 3: held blocks come group by group, each group's run
+        # sliced whole; a block of group 0 after one of group 3 is refused,
+        # naming the tree
+        keys = keygen()
+        k2 = Cipher(keys.k2)
+        params = data_tree(40, cached=2)
+        heads = make_blocks(keys, 4)
+        blocks = [head + struct.pack(">IB", leaf, 1) for head, leaf in zip(heads, (0, 1, 6, 7))]
+        engine = PathOram(4, params, k2, b"".join(blocks))
+        assert engine.held == [blocks[:2], [], [], blocks[2:]] and engine.held_count == 4
+        with pytest.raises(IntegrityError, match="tree 4 held blocks are out of group order"):
+            PathOram(4, params, k2, b"".join(blocks[2:] + blocks[:2]))
 
     def test_held_count_follows_moves_between_groups(self, rng):
         # k=2: a remap usually moves the block to another group; the count
@@ -478,7 +492,7 @@ class TestHeldBlocks:
         copy = next(b for b in blocks if b[:16] == on_host)
         leaf = mapped[on_host]
         oram.held[g].append(blk)
-        oram.held[leaf >> (tree.params.depth - 2)].append(copy + struct.pack(">QB", leaf, 1))
+        oram.held[leaf >> (tree.params.depth - 2)].append(copy + struct.pack(">IB", leaf, 1))
         oram.held_count += 2
         with pytest.raises(AssertionError, match="stored twice"):
             verify_placement(tree, oram, mapped)

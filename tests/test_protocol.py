@@ -9,19 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import ABSENT, DATA_PAYLOAD_WIDTH
-from obge.crypto import Cipher, encode_pair
-from obge.exceptions import IntegrityError, ProtocolError
+from obge.blocks import ABSENT
+from obge.crypto import CT_OVERHEAD, Cipher, encode_pair
+from obge.exceptions import ConfigError, IntegrityError, ProtocolError
 from obge.graph import Graph, spath_oracle
 from obge.oram import STASH_MAX
 from obge.protocol import (
+    MAX_VERTICES,
     ControllerState,
     EnclaveController,
     EnhancedClient,
     EnhancedState,
+    SchemeParams,
     TrivialClient,
     TrivialState,
     load_state,
+    response_width,
     reveal,
     save_state,
     setup,
@@ -38,12 +41,16 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-12 state files: setup with Z=1 and rng Random(11) on
+# format-13 state files: setup with Z=1 and rng Random(11) on
 # random_graph(Random(5), 12, 0.3) (the enhanced deployment with chi 2 and
 # a 64-byte budget), then 60 queries (u, v) drawn from Random(12), which
 # is also the deployment's leaf sampler; with their trees (not kept) both
-# deployments answer all 144 pairs twice as PathOracle does
-STATE_V12 = DATA / "state_v12"
+# deployments answer all 144 pairs twice as PathOracle does.  The
+# state_v12 files were made by the same recipe
+STATE_V13 = DATA / "state_v13"
+# a held data block packed by hand: token 11.., next address 7, no
+# payload, then the tail (leaf, flag)
+HELD_HEAD = b"\x11" * 16 + struct.pack(">I", 7)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -161,6 +168,27 @@ class TestSetup:
         parties = [r.client if mode == "trivial" else r.controller for r in results]
         assert parties[0].positions.chain_depth == parties[1].positions.chain_depth == len(results[0].trees) - 1
 
+    def test_vertex_count_past_the_address_width_is_refused(self):
+        # addresses u*|V|+v are 4 bytes: 2^16 vertices fit, one more does not
+        SchemeParams(MAX_VERTICES).validate()
+        with pytest.raises(ConfigError, match="65537 vertices exceed 65536"):
+            SchemeParams(MAX_VERTICES + 1).validate()
+        with pytest.raises(ConfigError, match="65537 vertices"):
+            setup(Graph(MAX_VERTICES + 1))
+
+    def test_block_and_path_widths(self):
+        # tk 16 | next_addr 4 | payload | leaf 4 | flag 1: data blocks of
+        # 25 bytes and, at chi 64, map blocks of 512 + 25.  At |V|=200
+        # (depth 13) a bucket is 5*25 + 28 bytes: the trivial host path is
+        # its bottom 2 buckets, the enhanced one all 14
+        trivial = SchemeParams(200).data_params
+        enhanced = SchemeParams(200, mode="enhanced", budget=4096)
+        assert trivial.depth == enhanced.data_params.depth == 13
+        assert trivial.block_width == enhanced.data_params.block_width == 25
+        assert [level.params.block_width for level in enhanced.map_shape.levels] == [537]
+        assert trivial.path_width == 2 * 153 == 306
+        assert enhanced.data_params.path_width == 14 * 153 == 2_142
+
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
         # every data tree is padded to the 4*4 - 4 ordered pairs, however
         # few are connected (6 here)
@@ -172,12 +200,11 @@ class TestSetup:
 
 class TestQueryReveal:
     def test_worked_example(self, four_vertex_directed):
-        result, _, _, client = deploy(four_vertex_directed, "trivial")
+        # the answer is the hop addresses w*|V|+v: (2,3) and (3,3)
+        _, _, _, client = deploy(four_vertex_directed, "trivial")
         resp = client.query(0, 3)
-        assert len(resp) == 2
-        k1 = Cipher(result.keys.k1)
-        assert [k1.decrypt(ct) for ct in resp] == [encode_pair(2, 3), encode_pair(3, 3)]
-        assert reveal(resp, 0, 3, result.keys.k1) == [0, 2, 3]
+        assert resp == [2 * 4 + 3, 3 * 4 + 3]
+        assert reveal(resp, 0, 3, 4) == [0, 2, 3]
 
     def test_diagonal_empty(self, four_vertex_directed):
         _, _, _, client = deploy(four_vertex_directed, "trivial")
@@ -191,16 +218,35 @@ class TestQueryReveal:
         assert len(reads) == 1
 
     def test_reveal_empty_cases(self):
-        assert reveal([], 2, 2, b"\x00" * 16) == []
-        assert reveal([], 2, 3, b"\x00" * 16) is None
+        assert reveal([], 2, 2, 4) == []
+        assert reveal([], 2, 3, 4) is None
 
     def test_reveal_tampered_ct(self, four_vertex_directed):
-        result, _, _, client = deploy(four_vertex_directed, "trivial")
-        resp = client.query(0, 3)
-        bad = bytearray(resp[0])
-        bad[5] ^= 1
+        # the enhanced answer travels session-encrypted: one flipped bit
+        # of the response ciphertext fails authentication at the client
+        _, _, _, client = deploy(four_vertex_directed, "enhanced")
+        send = client.transport
+
+        def flip(ct):
+            bad = bytearray(send(ct))
+            bad[-20] ^= 1
+            return bytes(bad)
+
+        client.transport = flip
         with pytest.raises(IntegrityError):
-            reveal([bytes(bad)] + resp[1:], 0, 3, result.keys.k1)
+            client.query(0, 3)
+
+    @pytest.mark.parametrize(
+        "resp, fault",
+        [([11, 7], "does not terminate"), ([11, 14], "does not head"), ([11, 19], "does not head")],
+        ids=["last-hop-not-diagonal", "hop-to-another-vertex", "hop-past-the-graph"],
+    )
+    def test_reveal_rejects_a_path_off_the_destination(self, resp, fault):
+        # |V|=4, dest 3: every hop is some w*4+3, and the last 3*4+3 = 15;
+        # 7 is (1,3), 14 is (3,2) and 19 is (4,3), past the last vertex
+        assert reveal([11, 15], 0, 3, 4) == [0, 2, 3]
+        with pytest.raises(IntegrityError, match=fault):
+            reveal(resp, 0, 3, 4)
 
     def test_out_of_range_query(self, four_vertex_directed):
         _, _, _, client = deploy(four_vertex_directed, "trivial")
@@ -250,6 +296,26 @@ class TestController:
         widths = {len(session.encrypt(encode_pair(u, v))) for u in range(4) for v in range(4)}
         assert len(widths) == 1
 
+    def test_response_is_a_count_and_four_bytes_a_hop(self, four_vertex_directed):
+        # the host sees the response's width, which the path length alone
+        # sets: the session overhead, a 2-byte count, 4 bytes a hop
+        _, host, _, client = deploy(four_vertex_directed, "enhanced")
+        for (u, v), hops in {(0, 3): 2, (0, 1): 1, (2, 2): 0, (3, 0): 0}.items():
+            assert len(client.query(u, v)) == hops
+            record = host.trace.records[-1]
+            assert record.msg_type == "EnclaveResponse"
+            assert record.byte_count == response_width(hops) == CT_OVERHEAD + 2 + 4 * hops
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4])
+    def test_response_of_another_width_is_refused(self, four_vertex_directed, extra):
+        # a response whose body is not its count's 4 bytes a hop, though
+        # authentic, is refused rather than cut to the count
+        result, _, _, client = deploy(four_vertex_directed, "enhanced")
+        session, send = Cipher(result.client.session_key), client.transport
+        client.transport = lambda ct: session.encrypt(session.decrypt(send(ct)) + extra)
+        with pytest.raises(ProtocolError, match="does not hold its hop count"):
+            client.query(0, 3)
+
     def test_repeated_query_fresh_trace(self, four_vertex_directed):
         _, host, _, client = deploy(four_vertex_directed, "enhanced")
         def leaf_seq():
@@ -289,11 +355,12 @@ class TestPersistence:
             save_state(path, result.client)
             loaded = load_state(path, TrivialState, EnhancedState)
             assert type(loaded) is type(result.client)
-            assert loaded.keys == result.keys
             assert loaded.params == result.params
             assert loaded.params.mode == mode
             if mode == "enhanced":
                 assert loaded.session_key == result.client.session_key
+            else:
+                assert loaded.keys == result.keys
 
     def test_client_state_round_trip(self, tmp_path, four_vertex_directed):
         # the trivial client's engine state lives in its keys.bin
@@ -347,13 +414,14 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 12, party 0; the
-        # parameter block (|V|, Z, chi, budget); the 16-byte k1 k2 kprf;
+        # the trivial client's keys.bin: magic, version 13, party 0; the
+        # parameter block (|V|, Z, chi, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
         # 0xFF where no block is stored, then the data tree's held blocks
-        # (count, then per block tk, next address, payload, leaf and flag 1,
-        # group by group); no shape is stored, the data depth included
+        # (count, then per 25-byte block tk, 4-byte next address, 4-byte
+        # leaf and flag 1, group by group); no shape is stored, the data
+        # depth included
         result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
         for u in range(14):
@@ -361,20 +429,20 @@ class TestPersistence:
         depth = result.params.data_depth
         oram = state.oram
         assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 5 and len(oram.held) == 32
-        # one more held block, packed by hand: tk 11.., next address 7, in
-        # the last group at its last leaf
+        # one more held block, packed by hand, in the last group at its
+        # last leaf
         leaf = (1 << depth) - 1
-        oram.held[-1].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, 1))
+        oram.held[-1].append(HELD_HEAD + struct.pack(">IB", leaf, 1))
         stash = oram.held_blocks()
 
         def slots(raw):
             out = b""
-            for tk, next_addr, payload, leaf, flag in struct.iter_unpack(f">16sQ{DATA_PAYLOAD_WIDTH}sQB", raw):
-                out += tk + struct.pack(">Q", next_addr) + payload + struct.pack(">QB", leaf, flag)
+            for tk, next_addr, leaf, flag in struct.iter_unpack(">16sIIB", raw):
+                out += tk + struct.pack(">I", next_addr) + struct.pack(">IB", leaf, flag)
             return out
 
-        want = b"OS\x0c\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
-        want += state.keys.k1 + state.keys.k2 + state.keys.kprf
+        want = b"OS\x0d\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
+        want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
         for leaf in top:
@@ -388,9 +456,9 @@ class TestPersistence:
 
     def test_raised_vertex_count_is_refused_before_any_engine(self, tmp_path):
         # the data depth, and with it the trivial engine's 2^k held groups,
-        # follows from the stored |V|: raised to 2^31 it gives a depth-60
-        # tree.  The top's |V|^2 cells come before the held blocks, so the
-        # file runs out first.  The load runs in a child held to 2 GiB of
+        # follows from the stored |V|: raised to MAX_VERTICES = 2^16 it
+        # gives a depth-30 tree, 2^29 groups.  The top's |V|^2 cells come
+        # before the held blocks, so the file runs out first.  The load runs in a child held to 2 GiB of
         # address space, so a loader that allocated the groups would fail
         # there with MemoryError, not take this machine's memory
         result, _, _, _ = deploy(chain_graph(3), "trivial")
@@ -398,7 +466,7 @@ class TestPersistence:
         save_state(path, result.client)
         raw = path.read_bytes()
         at = protocol._PREFIX.size  # |V| opens the parameter block
-        path.write_bytes(raw[:at] + struct.pack(">I", 1 << 31) + raw[at + 4 :])
+        path.write_bytes(raw[:at] + struct.pack(">I", MAX_VERTICES) + raw[at + 4 :])
         code = (
             "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
             "from obge.exceptions import ProtocolError; from obge.protocol import TrivialState, load_state\n"
@@ -420,7 +488,7 @@ class TestPersistence:
         state = result.client
         assert result.params.data_params.cached == 0
         leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
-        state.oram.held[0].append(b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", leaf, flag))
+        state.oram.held[0].append(HELD_HEAD + struct.pack(">IB", leaf, flag))
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
@@ -456,12 +524,24 @@ class TestPersistence:
         state = result.client
         tp = result.params.data_params
         assert tp.cached == 7 - protocol.HOST_LEVELS
-        slot = b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH
-        slot += struct.pack(">QB", 1, 2) if bad == "flag-2" else struct.pack(">QB", tp.leaves, 1)
+        slot = HELD_HEAD + (struct.pack(">IB", 1, 2) if bad == "flag-2" else struct.pack(">IB", tp.leaves, 1))
         state.oram.held[1].append(slot)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
+            load_state(path, TrivialState)
+
+    def test_held_blocks_out_of_group_order_are_refused(self, tmp_path):
+        # held blocks are stored group by group; a block of group 0 saved
+        # after one of the last group would be loaded into that group's run
+        result, _, _, _ = deploy(chain_graph(15), "trivial")
+        state = result.client
+        tp = result.params.data_params
+        assert tp.cached == 5
+        state.oram.held[-1] += [HELD_HEAD + struct.pack(">IB", leaf, 1) for leaf in (tp.leaves - 1, 0)]
+        path = tmp_path / "keys.bin"
+        save_state(path, state)
+        with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 held blocks are out of group order"):
             load_state(path, TrivialState)
 
     @pytest.mark.parametrize("cached", [0, 6 - protocol.HOST_LEVELS])
@@ -478,12 +558,11 @@ class TestPersistence:
         path = tmp_path / "keys.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        # the data tree's held count, after the keys and the top
-        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16 + len(state.positions.top)
+        # the data tree's held count, after the keys k2 kprf and the top
+        at = protocol._PREFIX.size + protocol._PARAMS.size + 2 * 16 + len(state.positions.top)
         for count, ok in ((limit, True), (limit + 1, False)):
-            blocks = [b"\x11" * 16 + struct.pack(">Q", 7) + b"\x33" * DATA_PAYLOAD_WIDTH + struct.pack(">QB", 0, 1)] * (
-                count - state.oram.held_count
-            )
+            # blocks of the last group, so the groups stay in order
+            blocks = [HELD_HEAD + struct.pack(">IB", tp.leaves - 1, 1)] * (count - state.oram.held_count)
             path.write_bytes(raw[:at] + struct.pack(">I", count) + raw[at + 4 : at + 4 + state.oram.held_count * tp.block_width]
                              + b"".join(blocks) + raw[at + 4 + state.oram.held_count * tp.block_width :])
             if ok:
@@ -543,7 +622,8 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         save_state(path, state)
         raw = path.read_bytes()
-        at = protocol._PREFIX.size + protocol._PARAMS.size + 3 * 16 + 3 * w  # top entry 3, after the keys
+        keys = 2 if mode == "trivial" else 3  # k2 kprf, and the controller's session key
+        at = protocol._PREFIX.size + protocol._PARAMS.size + keys * 16 + 3 * w  # top entry 3, after the keys
         path.write_bytes(raw[:at] + value.to_bytes(w, "big") + raw[at + w :])
         with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
             load_state(path, type(state))
@@ -554,25 +634,25 @@ class TestPersistence:
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_12_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+    def test_format_13_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
         # the trivial client holds 47 blocks over 128 groups (k=7 of the
         # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
         # cells; the controller's chain has depth 2 and held blocks in the
         # data tree and level 0.  Loading and saving again gives the same
         # bytes
-        state = load_state(STATE_V12 / name, kind)
+        state = load_state(STATE_V13 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V12 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V13 / name).read_bytes()
 
     @staticmethod
     def _assert_refused(version, name, kind):
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 12; "
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 13; "
                                                 "set the deployment up again"):
             load_state(path, kind)
 
@@ -595,6 +675,12 @@ class TestPersistence:
         # a format-11 parameter block also held a key length and a stash
         # allowance
         self._assert_refused(11, name, kind)
+
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_12_files_are_refused(self, name, kind):
+        # a format-12 file stored k1, and its held data blocks were 69
+        # bytes: a k1 payload and 8-byte address and leaf fields
+        self._assert_refused(12, name, kind)
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -633,9 +719,9 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree files of version 4 packed every position entry in 8 bytes,
-        # and state files of version 11 stored a key length and a stash
-        # allowance, so both must be set up again (as must older ones)
+        # tree files of version 5 and state files of version 12 held
+        # 69-byte data blocks with a k1 payload, 8-byte addresses and
+        # leaves, so both must be set up again (as must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -643,10 +729,10 @@ class TestPersistence:
         save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": (5, 4, TreeStorage.load),
-            "keys.bin": (12, 11, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (12, 11, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (12, 11, lambda p: load_state(p, ControllerState)),
+            "tree.bin": (6, 5, TreeStorage.load),
+            "keys.bin": (13, 12, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (13, 12, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (13, 12, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from obge.blocks import DATA_PAYLOAD_WIDTH, TreeParams
+from obge.blocks import TreeParams
 from obge.exceptions import ProtocolError
 from obge.storage import _HEADER, TREE_MAGIC, TREE_VERSION, TreeStorage
 
@@ -22,7 +22,7 @@ def traced_peak(fn):
 
 
 def test_load_holds_the_tree_once(tmp_path):
-    tree = TreeStorage(tree_id=0, params=TreeParams(12, 5, DATA_PAYLOAD_WIDTH))
+    tree = TreeStorage(tree_id=0, params=TreeParams(12, 5, 0))
     tree.buckets[::7] = b"\x5a" * len(tree.buckets[::7])
     path = tmp_path / "tree.bin"
     tree.save(path)
@@ -34,8 +34,8 @@ def test_load_holds_the_tree_once(tmp_path):
 def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
     # a depth-30 data tree would need about 800 GB of buckets
     path = tmp_path / "tree.bin"
-    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 30, 0, 5, DATA_PAYLOAD_WIDTH) + bytes(1000))
-    claimed = TreeParams(30, 5, DATA_PAYLOAD_WIDTH)
+    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 30, 0, 5, 0) + bytes(1000))
+    claimed = TreeParams(30, 5, 0)
     claimed_bytes = claimed.node_count * claimed.bucket_width
 
     def load():
@@ -49,12 +49,12 @@ def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
 
 
 def test_a_cached_top_leaves_only_the_lower_levels_on_the_host(tmp_path):
-    # depth 13 with 9 cached levels: 16,383 - 511 buckets in the file, and
-    # a path of 5 buckets
-    params = TreeParams(13, 5, DATA_PAYLOAD_WIDTH, cached=9)
+    # depth 13 with 9 cached levels: 16,383 - 511 buckets of 5 25-byte
+    # data blocks in the file, and a path of 5 buckets
+    params = TreeParams(13, 5, 0, cached=9)
     tree = TreeStorage(tree_id=0, params=params)
-    assert len(tree.buckets) == (16_383 - 511) * 373
-    assert params.path_width == 5 * 373 == 1_865
+    assert len(tree.buckets) == (16_383 - 511) * 153
+    assert params.path_width == 5 * 153 == 765
     path = tmp_path / "tree.bin"
     tree.save(path)
     assert path.stat().st_size == _HEADER.size + len(tree.buckets)
@@ -62,11 +62,11 @@ def test_a_cached_top_leaves_only_the_lower_levels_on_the_host(tmp_path):
     blob = bytes(range(256)) * 8
     tree.write_path(3, blob[: params.path_width])
     assert tree.read_path(3) == blob[: params.path_width]
-    assert tree.get_bucket(511) == blob[:373]  # level 9's node on the path to leaf 3
+    assert tree.get_bucket(511) == blob[:153]  # level 9's node on the path to leaf 3
 
 
 def test_more_cached_levels_than_the_depth_is_refused(tmp_path):
     path = tmp_path / "tree.bin"
-    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 2, 3, 5, DATA_PAYLOAD_WIDTH))
+    path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 2, 3, 5, 0))
     with pytest.raises(ProtocolError, match="3 cached levels in a depth-2 tree"):
         TreeStorage.load(path)
