@@ -2,7 +2,8 @@
 
 The host may learn each query's path length and nothing else, so every
 query must leave records of one shape (``QueryShape``): optionally framed
-by an ``EnclaveRequest`` of constant width and an ``EnclaveResponse`` of
+by an ``EnclaveRequest`` of exactly ``protocol.REQUEST_WIDTH`` = 36 bytes,
+the session encryption of the 8-byte pair, and an ``EnclaveResponse`` of
 exactly ``protocol.response_width(|p|)`` bytes, the session overhead, a
 2-byte hop count and 4 bytes a hop; inside, (|p|+1)(1+chain_depth) ``ReadPath``/``WritePath`` pairs in tree
 order, the top position-map level first and the data tree (tree 0) last,
@@ -27,7 +28,7 @@ from scipy import stats
 
 from .blocks import TreeParams
 from .exceptions import ProtocolError
-from .protocol import response_width
+from .protocol import REQUEST_WIDTH, response_width
 from .storage import AccessTrace, TraceRecord
 
 SIGNIFICANCE = 0.01
@@ -116,7 +117,7 @@ def repeat_rate_zscore(leaves: list[int], leaf_space: int) -> float:
 class QueryShape:
     """The records one query may leave on the host, given each tree's
     geometry (tree id -> TreeParams, ids 0..chain_depth).  The first query
-    checked fixes whether queries are framed and the request width."""
+    checked fixes whether queries are framed."""
 
     def __init__(self, trees: dict[int, TreeParams]):
         if not trees or sorted(trees) != list(range(len(trees))):
@@ -124,7 +125,6 @@ class QueryShape:
         self.trees = trees
         self.order = list(range(len(trees) - 1, -1, -1))  # top map level first, data tree last
         self.framed: bool | None = None
-        self.request_width: int | None = None
 
     def size(self, path_len: int, framed: bool) -> int:
         """Records of one query with that path length."""
@@ -144,10 +144,8 @@ class QueryShape:
             return f"record {first + min(len(records), want)}: query has {len(records)} records, expected {want}"
         path, at = records, first
         if framed:
-            if self.request_width is None:
-                self.request_width = records[0].byte_count
-            if records[0].byte_count != self.request_width:
-                return f"record {first}: request of {records[0].byte_count} bytes, expected {self.request_width}"
+            if records[0].byte_count != REQUEST_WIDTH:
+                return f"record {first}: request of {records[0].byte_count} bytes, expected {REQUEST_WIDTH}"
             if records[-1].msg_type != "EnclaveResponse":
                 return f"record {first + want - 1}: {records[-1].msg_type}, expected EnclaveResponse"
             if records[-1].byte_count != response_width(path_len):

@@ -6,12 +6,20 @@ u on the canonical shortest path to v.  "Canonical" means ties between
 equal-cost paths are broken by fewest edges first, then by the smallest
 next-hop vertex id, applied recursively; this makes every derived structure
 deterministic and lets independent computations agree exactly.
+
+The table holds no Python object per entry: ``compute_sp_matrix`` fills
+one dense array('i') of |V|^2 next hops in address order, cell u*|V|+v,
+-1 where there is none, from per-source distances kept as arrays over the
+vertices each source reaches.  ``compute_spdx`` is a read-only mapping
+view over that array.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -171,55 +179,135 @@ def _sssp(adj: list[list[tuple[int, int | float]]], src: int, weighted: bool) ->
 class SPMatrix:
     """All-pairs next-hop table: cell (u, v) holds the vertex right after u
     on the canonical shortest u->v path, or None when u = v or v is
-    unreachable."""
+    unreachable.  The cells are one dense array('i') in address order, cell
+    u*|V|+v, with -1 for None: 4|V|^2 bytes, and no object per entry."""
 
-    def __init__(self, dimension: int, hops: dict[tuple[int, int], int]):
+    def __init__(self, dimension: int, table: array, count: int):
         self.dimension = dimension
-        self._hops = hops
+        self.table = table
+        self.count = count
 
     def next_hop(self, u: int, v: int) -> int | None:
         self._check(u)
         self._check(v)
-        return self._hops.get((u, v))
+        w = self.table[u * self.dimension + v]
+        return None if w < 0 else w
 
     def _check(self, x: int) -> None:
         if not (0 <= x < self.dimension):
             raise IndexError(f"vertex {x} out of range [0, {self.dimension})")
 
     def __len__(self) -> int:
-        return len(self._hops)
+        return self.count
 
-    def items(self):
-        return self._hops.items()
+    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """((u, v), w) for every cell that holds a hop, in address order."""
+        n = self.dimension
+        for addr, w in enumerate(self.table):
+            if w >= 0:
+                yield divmod(addr, n), w
+
+
+def _exact_as_doubles(g: Graph) -> bool:
+    """Whether every distance compute_sp_matrix compares, and every sum of
+    one with an edge weight, keeps its value as a C double: true when the
+    weights are floats and ints whose total is below 2^52, since no such
+    sum exceeds twice the total."""
+    total = 0
+    for w in g.edges.values():
+        if type(w) is int:
+            total += w
+        elif type(w) is not float:
+            return False
+    return total < 1 << 52
 
 
 def compute_sp_matrix(g: Graph) -> SPMatrix:
     """Next-hop matrix from per-source BFS/Dijkstra sweeps.
 
-    Diagonal cells and unreachable pairs are absent (None).
+    Cell (u, v) is the first neighbor w of u, in ascending id order, with
+    dist(u, v) = (wt(u, w) + weight of dist(w, v), 1 + hops of dist(w, v)):
+    the first match.  Each source's distances are kept as arrays over the
+    vertices it reaches, hops in array('i') and, in a weighted graph,
+    weights in array('d') when that is exact and in a list otherwise; a
+    source's own distances are spread over |V|-cell scratch arrays while
+    its row of the table is filled.  Diagonal cells and unreachable pairs
+    hold -1 (None).
     """
+    n = g.vertex_count
     weighted = g.is_weighted
     adj = g.adjacency
-    rows = [_sssp(adj, u, weighted) for u in range(g.vertex_count)]
-    hops: dict[tuple[int, int], int] = {}
-    for u in range(g.vertex_count):
-        du = rows[u]
+    code = "d" if weighted and _exact_as_doubles(g) else None
+
+    def weights(values) -> array | list:
+        return array(code, values) if code else list(values)
+
+    rows = []
+    for u in range(n):
+        dist = _sssp(adj, u, weighted)
+        hops = array("i", [h for _, h in dist.values()])
+        rows.append((array("i", dist), hops, weights(d for d, _ in dist.values()) if weighted else None))
+
+    table = array("i", [-1]) * (n * n)
+    count = 0
+    to_hops = array("i", [-1]) * n  # u's hops to each vertex; -1 where unreached
+    to_weight = weights([0] * n) if weighted else None
+    for u in range(n):
+        reached, hops, dists = rows[u]
+        for v, h in zip(reached, hops):
+            to_hops[v] = h
+        if weighted:
+            for v, d in zip(reached, dists):
+                to_weight[v] = d
+        base = u * n
+        # the diagonal never matches: to_hops[u] is 0, and hv + 1 is at least 1
         for w, wt in adj[u]:  # neighbors ascend, so the first match is the canonical hop
-            dw = rows[w]
-            for v, (dv, hv) in dw.items():
-                if v == u or (u, v) in hops:
-                    continue
-                target = du.get(v)
-                if target is not None and target == (dv + wt, hv + 1):
-                    hops[(u, v)] = w
-    return SPMatrix(g.vertex_count, hops)
+            w_reached, w_hops, w_dists = rows[w]
+            if weighted:
+                for v, hv, dv in zip(w_reached, w_hops, w_dists):
+                    if to_hops[v] == hv + 1 and to_weight[v] == dv + wt and table[base + v] < 0:
+                        table[base + v] = w
+                        count += 1
+            else:  # every weight is 1, so a distance's weight is its hop count
+                for v, hv in zip(w_reached, w_hops):
+                    if to_hops[v] == hv + 1 and table[base + v] < 0:
+                        table[base + v] = w
+                        count += 1
+        for v in reached:
+            to_hops[v] = -1
+    return SPMatrix(n, table, count)
 
 
-def compute_spdx(g: Graph) -> dict[tuple[int, int], tuple[int, int]]:
+class NextHopDict(Mapping):
+    """Read-only view of an SPMatrix as the next-hop dictionary: (u, v) ->
+    (w, v) for every ordered connected pair with u != v, in address order.
+    Its len is the entry count, and it compares equal to the dict of the
+    same entries."""
+
+    def __init__(self, matrix: SPMatrix):
+        self.matrix = matrix
+
+    def __getitem__(self, key: tuple[int, int]) -> tuple[int, int]:
+        try:
+            u, v = key
+            w = self.matrix.next_hop(u, v)
+        except (TypeError, ValueError, IndexError):
+            raise KeyError(key) from None
+        if w is None:
+            raise KeyError(key)
+        return w, v
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (pair for pair, _ in self.matrix.items())
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+
+def compute_spdx(g: Graph) -> NextHopDict:
     """Next-hop dictionary: (u, v) -> (w, v) for every ordered connected
     pair with u != v.  Chasing values reaches (v, v) in dist(u, v) steps."""
-    matrix = compute_sp_matrix(g)
-    return {(u, v): (w, v) for (u, v), w in matrix.items()}
+    return NextHopDict(compute_sp_matrix(g))
 
 
 class PathOracle:

@@ -32,6 +32,11 @@ stash allowance is the constant STASH_MAX = 128: by the Path ORAM stash
 bound (Stefanov et al., CCS 2013) a stash of 128 blocks at Z=5 overflows
 with probability about 2^-90.
 
+``oram_init`` builds a tree from block heads packed end to end: it draws
+the leaves into an array, writes each block straight into its slot of the
+host's bucket buffer, where zero slots are the dummies, and encrypts each
+bucket in place, so it holds no Python object per block.
+
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
 with its tree and a state file's loader from the saved blocks, both from
 the held blocks packed end to end as the file stores them; a deployment
@@ -51,6 +56,8 @@ from __future__ import annotations
 
 import random
 import struct
+from array import array
+from itertools import repeat
 
 from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, unpack_block
 from .crypto import Cipher
@@ -213,68 +220,66 @@ class PathOram:
 
 
 def oram_init(
-    heads: list[bytes],
+    heads: bytes | bytearray,
     params: TreeParams,
     cipher: Cipher,
     rng: random.Random,
     tree_id: int = 0,
-) -> tuple[PathOram, TreeStorage, list[int]]:
+) -> tuple[PathOram, TreeStorage, array]:
     """Build the encrypted tree of the given geometry for a set of real
-    blocks, given as heads, and the engine over it.
+    blocks, given as their heads packed end to end, and the engine over it.
 
-    Each block gets an independent uniform leaf in its tail and is placed
-    in the deepest free bucket on that leaf's path among the host's levels
-    k..L (k = params.cached, at most the depth); a block they cannot take
-    is held by the engine.  Free slots hold dummies.  Every host bucket,
-    empty or not, is one ciphertext bound to (tree_id, node) and goes to
-    the host's TreeStorage.  A head of the wrong width would shift its
-    bucket's later slots: ValueError.
+    Each block gets an independent uniform leaf, drawn in head order into
+    an array('I'), and is placed in the deepest free bucket on that leaf's
+    path among the host's levels k..L (k = params.cached, at most the
+    depth); a block they cannot take is held by the engine.  Placement
+    writes each block, head and tail, straight into its slot of the host's
+    bucket buffer, counting the blocks of each bucket in one byte per node;
+    slots left zero are the dummies.  Each bucket is then encrypted in
+    place: one ciphertext bound to (tree_id, node), written over its own
+    plaintext, empty buckets included.  Heads that are not a whole number
+    of head widths would shift later slots: ValueError.
 
-    Returns (engine, TreeStorage, leaf assignment per head); the engine has
-    no store yet.
+    Returns (engine, TreeStorage, leaf per head); the engine has no store
+    yet.
     """
-    bucket_size = params.bucket_size
+    z, hw, bw = params.bucket_size, params.head_width, params.block_width
     if not 0 <= params.cached <= params.depth:
         raise ValueError(f"cannot cache {params.cached} levels of a depth-{params.depth} tree")
+    count, extra = divmod(len(heads), hw)
+    if extra:
+        raise ValueError(f"packed block heads of {len(heads)} bytes are not whole {hw}-byte heads")
     limit = held_limit(params)
-    if len(heads) > params.host_nodes * bucket_size + limit:
-        raise CapacityError(
-            f"{len(heads)} blocks exceed {params.host_nodes * bucket_size} host slots plus {limit} held"
-        )
+    if count > params.host_nodes * z + limit:
+        raise CapacityError(f"{count} blocks exceed {params.host_nodes * z} host slots plus {limit} held")
 
-    leaves = [rng.randrange(params.leaves) for _ in heads]
-    placed: dict[int, list[bytes]] = {}
+    leaves = array("I", map(rng.randrange, repeat(params.leaves, count)))
+    cw, first = params.bucket_width, params.cache_nodes  # heap index of level k's first bucket
+    buckets = bytearray(params.host_nodes * cw)  # bucket i at i*cw, its plaintext first
+    fill = bytearray(params.host_nodes)  # blocks placed in each host bucket, Z <= 255
     held: list[tuple[int, bytes]] = []  # (group, block)
-    first_leaf, first = params.leaves - 1, params.cache_nodes  # heap indices of leaf 0 and of level k
-    hw, tail, shift = params.head_width, TAIL.pack, params.depth - params.cached
-    for head, leaf in zip(heads, leaves):
-        if len(head) != hw:
-            raise ValueError(f"block head is {len(head)} bytes, tree expects {hw}")
-        blk = head + tail(leaf, 1)
-        node = first_leaf + leaf
-        while node >= first:  # leaf bucket first, then up toward level k
-            slot_list = placed.get(node)
-            if slot_list is None:
-                placed[node] = [blk]
+    leaf_bucket, shift, tail = params.leaves - 1 - first, params.depth - params.cached, TAIL.pack_into
+    for at, leaf in zip(range(0, len(heads), hw), leaves):
+        i = leaf_bucket + leaf
+        while i >= 0:  # leaf bucket first, then up toward level k
+            n = fill[i]
+            if n < z:
+                fill[i] = n + 1
+                slot = i * cw + n * bw
+                buckets[slot : slot + hw] = heads[at : at + hw]
+                tail(buckets, slot + hw, leaf, 1)
                 break
-            if len(slot_list) < bucket_size:
-                slot_list.append(blk)
-                break
-            node = (node - 1) >> 1
+            i = ((i + first - 1) >> 1) - first
         else:
-            held.append((leaf >> shift, blk))
+            held.append((leaf >> shift, heads[at : at + hw] + TAIL.pack(leaf, 1)))
     held.sort(key=lambda pair: pair[0])  # the engine takes its held blocks group by group
     engine = PathOram(tree_id, params, cipher, b"".join(blk for _, blk in held))
 
-    bw = params.bucket_width
-    buckets = bytearray(params.host_nodes * bw)
-    fills = params.dummy_fills
-    for node in range(first, params.node_count):
-        picked = placed.get(node, ())
-        at = (node - first) * bw
-        buckets[at : at + bw] = cipher.encrypt(
-            b"".join(picked) + fills[bucket_size - len(picked)], bucket_ad(tree_id, node)
-        )
+    pw, encrypt = params.plain_width, cipher.encrypt
+    with memoryview(buckets) as view:
+        for i in range(params.host_nodes):
+            at = i * cw
+            buckets[at : at + cw] = encrypt(view[at : at + pw], bucket_ad(tree_id, first + i))
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
     return engine, tree, leaves

@@ -12,6 +12,11 @@ hop's token from its address, with one oblivious access per hop plus a
 terminating miss round, so the storage side observes only the round count.
 Its answer is the hop addresses; reveal reads the path off them.
 
+Setup keeps no Python object per entry: the next-hop table is one dense
+array (``graph``), ``build_blocks`` packs the 20-byte block heads end to
+end beside an array('I') of their addresses, and ``oram_init`` places the
+blocks straight into the tree's bucket buffer (``oram``).
+
 The paper also encrypts each hop (w,v) under a third key, k1, as the
 block's payload, for the client to decrypt.  That ciphertext protected
 nothing: it sits inside the k2-encrypted bucket next to next_addr, which
@@ -84,6 +89,7 @@ import os
 import random
 import secrets
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,21 +223,25 @@ class SetupResult:
     spdx_size: int
 
 
-def build_blocks(g: Graph, keys: KeySet) -> tuple[list[bytes], list[int]]:
+def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
     """Tokenize the next-hop dictionary into block heads and their dense
-    addresses.
+    addresses, walking its table in address order.
 
     Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v) and
     whose chain pointer is the dense address w*|V|+v: one PRF call per
-    entry.
+    entry.  Returns the heads packed end to end, 20 bytes each, and an
+    array('I') of the entries' addresses u*|V|+v, in the same order.
     """
     n = g.vertex_count
     spdx = compute_spdx(g)
-    heads = []
-    addresses = []
-    for (u, v), (w, _) in spdx.items():
-        heads.append(block_head(prf_eval(keys.kprf, encode_pair(u, v)), w * n + v))
-        addresses.append(u * n + v)
+    heads = bytearray()
+    addresses = array("I")
+    kprf = keys.kprf
+    for addr, w in enumerate(spdx.matrix.table):
+        if w >= 0:
+            u, v = divmod(addr, n)
+            heads += block_head(prf_eval(kprf, encode_pair(u, v)), w * n + v)
+            addresses.append(addr)
     return heads, addresses
 
 
@@ -260,7 +270,7 @@ def setup(
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
-        return SetupResult(trees, params, keys, client, None, len(heads))
+        return SetupResult(trees, params, keys, client, None, len(addresses))
 
     session_key = os.urandom(KEY_BYTES)
     controller = ControllerState(
@@ -272,7 +282,7 @@ def setup(
         oram=oram,
     )
     client = EnhancedState(params=params, session_key=session_key)
-    return SetupResult(trees, params, keys, client, controller, len(heads))
+    return SetupResult(trees, params, keys, client, controller, len(addresses))
 
 
 def reveal(resp: list[int], source: int, dest: int, vertex_count: int) -> list[int] | None:
@@ -301,6 +311,11 @@ def _hops_format(hops: int) -> str:
     """An enhanced response's plaintext: the hop count, then each hop's
     4-byte address."""
     return f">H{hops}I"
+
+
+# bytes of an enhanced request as the host sees it: the session encryption
+# of the pair's 8-byte encoding, ``encode_pair(u, v)``
+REQUEST_WIDTH = ciphertext_width(8)
 
 
 def response_width(hops: int) -> int:

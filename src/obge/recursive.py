@@ -292,9 +292,9 @@ def rpm_build(
         span = level.per_block * w
         tail = b"\xff" * (params.payload_width - span)
         cells = pack_entries(entries, w, level.blocks * level.per_block)
-        heads = [
+        heads = b"".join(
             block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(level.blocks)
-        ]
+        )
         engine, tree, leaves = oram_init(heads, params, cipher, rng, i + 1)
         levels.append(engine)
         trees.append(tree)

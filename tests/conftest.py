@@ -1,6 +1,7 @@
 import io
 import os
 import random
+from array import array
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,9 @@ from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
 from obge.recursive import map_shape, read_entry, rpm_build
 from obge.storage import StorageHost
+
+# bytes of a data block's head: token and next address, no payload
+HEAD_WIDTH = TreeParams(0, 1, 0).head_width
 
 # Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
 # where it detects a CI environment): a property test that sets no
@@ -58,17 +62,23 @@ def chain_blocks(keys, chains, length):
     Entry (u, d) points to u+1, and the last one to d itself, so query
     (u, d) makes length - u hits and then one miss round on the absent
     address of (d, d).  Returns the vertex count, the block heads in order
-    u within d (each starts with its 16-byte token), and their dense
-    addresses u*n+d.
+    u within d, packed end to end as build_blocks packs them (each starts
+    with its 16-byte token), and their dense addresses u*n+d in an
+    array('I').
     """
     n = length + chains
-    blocks, addrs = [], []
+    heads, addrs = bytearray(), array("I")
     for d in range(length, n):
         for u in range(length):
             w = u + 1 if u + 1 < length else d
-            blocks.append(block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d))
+            heads += block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d)
             addrs.append(u * n + d)
-    return n, blocks, addrs
+    return n, heads, addrs
+
+
+def split_heads(heads) -> list[bytes]:
+    """Packed data-block heads, one bytes object each."""
+    return [bytes(heads[at : at + HEAD_WIDTH]) for at in range(0, len(heads), HEAD_WIDTH)]
 
 
 def top_entries(positions) -> list[int]:
@@ -89,16 +99,16 @@ def chain_engine(keys, chains, length, rng, Z=5, cached=0):
     position map, with the data tree's top `cached` levels in the engine and
     the rest in its own storage host.  The tree's geometry is its own, not
     the one setup would derive for the scheme parameters, so any `cached`
-    can be chosen.  Returns (engine, host, tree, blocks, addrs)."""
+    can be chosen.  Returns (engine, host, tree, packed heads, addrs)."""
     n, blocks, addrs = chain_blocks(keys, chains, length)
     return trivial_engine(keys, n, blocks, addrs, rng, Z, cached)
 
 
 def trivial_engine(keys, n, blocks, addrs, rng, Z=5, cached=0):
-    """chain_engine's engine over any block heads of an n-vertex graph and
-    their dense addresses, such as build_blocks makes."""
+    """chain_engine's engine over any packed block heads of an n-vertex
+    graph and their dense addresses, such as build_blocks makes."""
     k2 = Cipher(keys.k2)
-    tp = data_tree(len(blocks), Z, cached)
+    tp = data_tree(len(addrs), Z, cached)
     oram, tree, leaves = oram_init(blocks, tp, k2, rng)
     host = StorageHost([tree])
     params = SchemeParams(vertex_count=n, bucket_size=Z)

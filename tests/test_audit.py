@@ -302,6 +302,24 @@ class TestMutations:
             f"expected {CT_OVERHEAD + 2 + 4 * hops} for {hops} hop(s)"
         )
 
+    def test_requests_all_one_byte_wider_are_named(self, recursive_trace):
+        # a request is the session encryption of the 8-byte pair, exactly:
+        # widening every request alike keeps them constant, and still fails
+        host, truths = recursive_trace
+        records = [
+            replace(r, byte_count=r.byte_count + 1) if r.msg_type == "EnclaveRequest" else r
+            for r in host.trace.records
+        ]
+        assert {r.byte_count for r in records if r.msg_type == "EnclaveRequest"} == {CT_OVERHEAD + 9}
+        trace = AccessTrace()
+        trace.records = records
+        report = audit_trace(trace, truths, geometry(host))
+        assert not report.shape_ok
+        assert report.shape_fault == (
+            f"query 0 ({truths[0].u},{truths[0].v}), record 0: request of {CT_OVERHEAD + 9} bytes, "
+            f"expected {CT_OVERHEAD + 8}"
+        )
+
     def test_record_after_the_last_query(self, recursive_trace, tmp_path):
         host, truths = recursive_trace
         records = _append_one(host.trace.records, geometry(host))

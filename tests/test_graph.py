@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from obge.exceptions import GraphFormatError
 from obge.graph import (
     Graph,
+    _sssp,
     compute_sp_matrix,
     compute_spdx,
     connected_pair_count,
@@ -110,6 +111,74 @@ class TestSPDX:
         for _ in range(20):
             g = random_graph(rng, rng.randrange(2, 40), 0.15, weighted=rng.random() < 0.5)
             assert len(compute_spdx(g)) == connected_pair_count(g)
+
+
+def reference_next_hops(g: Graph) -> dict[tuple[int, int], int]:
+    """The next-hop table as a dict, by the loop compute_sp_matrix ran
+    before it filled a dense array: every source's distances held as a
+    dict of (weight, hops) tuples, and for each u the first neighbor w, in
+    ascending order, whose distances plus the edge match u's."""
+    weighted = g.is_weighted
+    adj = g.adjacency
+    rows = [_sssp(adj, u, weighted) for u in range(g.vertex_count)]
+    hops: dict[tuple[int, int], int] = {}
+    for u in range(g.vertex_count):
+        du = rows[u]
+        for w, wt in adj[u]:
+            dw = rows[w]
+            for v, (dv, hv) in dw.items():
+                if v == u or (u, v) in hops:
+                    continue
+                target = du.get(v)
+                if target is not None and target == (dv + wt, hv + 1):
+                    hops[(u, v)] = w
+    return hops
+
+
+# edge weights by kind: "big" totals past 2^52, beyond what a double holds
+# exactly, and "float" sums depend on their order
+WEIGHTS = {
+    "unit": lambda rng: 1,
+    "integer": lambda rng: rng.randint(1, 9),
+    "zero": lambda rng: rng.randint(0, 2),
+    "float": lambda rng: rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5]),
+    "mixed": lambda rng: rng.choice([1, 2, 0.1, 0.3, 1.5]),
+    "big": lambda rng: rng.randint(1, 2**60),
+}
+
+
+class TestReferenceTable:
+    """The dense table against the dict-based loop, entry for entry."""
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    def test_table_matches_the_reference(self, kind, directed):
+        rng = random.Random(f"{kind}/{directed}")
+        for _ in range(40):
+            n = rng.randint(1, 24)
+            g = Graph(n, directed=directed)
+            # edges within two parts alone, so that most graphs are
+            # disconnected, and some across
+            cut = rng.randint(0, n)
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v and ((u < cut) == (v < cut) or rng.random() < 0.1):
+                    g.add_edge(u, v, WEIGHTS[kind](rng))
+            reference = reference_next_hops(g)
+            m = compute_sp_matrix(g)
+            assert len(m) == len(reference)
+            for u in range(n):
+                for v in range(n):
+                    assert m.next_hop(u, v) == reference.get((u, v)), (u, v)
+            assert compute_spdx(g) == {(u, v): (w, v) for (u, v), w in reference.items()}
+
+    def test_view_reads_like_the_dict(self, four_vertex_directed):
+        spdx = compute_spdx(four_vertex_directed)
+        assert list(spdx) == sorted(spdx) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert (0, 3) in spdx and (3, 0) not in spdx and (0, 4) not in spdx and "x" not in spdx
+        with pytest.raises(KeyError):
+            spdx[(3, 0)]
+        assert spdx.get((3, 0)) is None and dict(spdx.items())[(0, 3)] == (2, 3)
 
 
 class TestOracle:

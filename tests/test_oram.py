@@ -13,7 +13,7 @@ from obge.oram import PathOram, oram_init, verify_placement
 from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine, data_tree, random_graph, top_entries, trivial_engine
+from conftest import chain_blocks, chain_engine, data_tree, random_graph, split_heads, top_entries, trivial_engine
 
 
 def build(keys, count, rng, **kw):
@@ -29,7 +29,7 @@ def make_blocks(keys, count):
 def leaf_of(engine, blocks, addrs):
     """Token -> mapped leaf, read from the engine's flat position map."""
     top = top_entries(engine.positions)
-    return {b[:16]: top[a] for b, a in zip(blocks, addrs)}
+    return {b[:16]: top[a] for b, a in zip(split_heads(blocks), addrs)}
 
 
 def run_queries(engine, rng, accesses):
@@ -62,9 +62,9 @@ class TestSizing:
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen()
         k2 = Cipher(keys.k2)
-        engine, tree, leaves = oram_init([], data_tree(0), k2, rng)
+        engine, tree, leaves = oram_init(b"", data_tree(0), k2, rng)
         assert tree.params.depth == 0 and tree.params.node_count == 1
-        assert leaves == [] and engine.held == [[]] and engine.held_count == 0
+        assert leaves.tolist() == [] and engine.held == [[]] and engine.held_count == 0
 
     def test_pad_full_four_vertices(self, rng, four_vertex_directed):
         # capacity covers |V|^2 - |V| = 12 real slots however few blocks
@@ -78,11 +78,12 @@ class TestSizing:
         assert setup(Graph(4, directed=True), rng=rng).trees[0].params == params
 
     def test_head_of_the_wrong_width_is_rejected(self, rng):
-        # a short head would shift every later slot of its bucket
+        # a short head would shift every later slot of its bucket: packed
+        # heads that are not whole heads are refused
         keys = keygen()
-        heads = make_blocks(keys, 3)
-        with pytest.raises(ValueError, match="block head"):
-            oram_init([heads[0], heads[1][:-1], heads[2]], data_tree(3), Cipher(keys.k2), rng)
+        heads = split_heads(make_blocks(keys, 3))
+        with pytest.raises(ValueError, match="block heads"):
+            oram_init(heads[0] + heads[1][:-1] + heads[2], data_tree(3), Cipher(keys.k2), rng)
 
     def test_capacity_error(self, monkeypatch):
         # an adversarial leaf sampler piles every block onto one path;
@@ -158,7 +159,7 @@ class TestAccess:
         keys = keygen()
         engine, host, tree, blocks, addrs = build(keys, 10, rng)
         with pytest.raises(IndexError):
-            engine.oram.access(blocks[0][:16], top_entries(engine.positions)[addrs[0]], tree.params.leaves)
+            engine.oram.access(split_heads(blocks)[0][:16], top_entries(engine.positions)[addrs[0]], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):
@@ -433,7 +434,7 @@ class TestHeldBlocks:
         g = random_graph(rng, 12, 0.25)
         keys = keygen()
         heads, addrs = build_blocks(g, keys)
-        depth = tree_depth_for(len(heads), 5)
+        depth = tree_depth_for(len(addrs), 5)
         cached = {"0": 0, "1": 1, "L": depth}[k]
         engine, host, tree, _, _ = trivial_engine(keys, 12, heads, addrs, rng, cached=cached)
         assert tree.params.depth == depth >= 3 and tree.params.cached == cached
@@ -453,7 +454,7 @@ class TestHeldBlocks:
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)
         heads = make_blocks(keys, 4)
-        blocks = [head + struct.pack(">IB", leaf, 1) for head, leaf in zip(heads, (0, 1, 6, 7))]
+        blocks = [head + struct.pack(">IB", leaf, 1) for head, leaf in zip(split_heads(heads), (0, 1, 6, 7))]
         engine = PathOram(4, params, k2, b"".join(blocks))
         assert engine.held == [blocks[:2], [], [], blocks[2:]] and engine.held_count == 4
         with pytest.raises(IntegrityError, match="tree 4 held blocks are out of group order"):
@@ -489,7 +490,7 @@ class TestHeldBlocks:
             verify_placement(tree, oram, mapped)
         # a copy of a block the host stores, held as well
         on_host = next(tk for tk in mapped if all(b[:16] != tk for grp in oram.held for b in grp))
-        copy = next(b for b in blocks if b[:16] == on_host)
+        copy = next(b for b in split_heads(blocks) if b[:16] == on_host)
         leaf = mapped[on_host]
         oram.held[g].append(blk)
         oram.held[leaf >> (tree.params.depth - 2)].append(copy + struct.pack(">IB", leaf, 1))
