@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Peak memory of ``obge setup`` on a road-like grid.
 
-Writes a side x side grid graph, undirected, with integer weights from 1 to
-9 drawn from a seeded generator, runs ``obge setup --undirected --mode
-enhanced --budget 4096`` on it in a child process, and prints the child's
-peak resident set size (``getrusage(RUSAGE_CHILDREN)``) and its wall time.
-A 32 x 32 grid has 1,047,552 next-hop entries and a data tree of depth 18.
-Exits 1 when the setup fails or its peak exceeds --limit-mb.
+Writes a SIDE x SIDE grid graph, undirected, with integer weights from 1 to
+9 drawn from a generator seeded with SEED, runs ``obge setup --undirected
+--mode enhanced --budget 4096`` on it in a child process, and prints the
+child's peak resident set size (``getrusage(RUSAGE_CHILDREN)``) and its wall
+time.  The 32 x 32 grid has 1,047,552 next-hop entries and a data tree of
+depth 18.  Exits 1 when the setup fails or its peak exceeds LIMIT_MB.
 
-    PYTHONPATH=src python scripts/grid_setup_rss.py --side 32 --seed 1 --limit-mb 300
+    PYTHONPATH=src python scripts/grid_setup_rss.py
 """
 
-import argparse
 import random
 import resource
 import subprocess
@@ -19,6 +18,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+SIDE = 32
+SEED = 1
+LIMIT_MB = 300
 
 
 def write_grid(path: Path, side: int, seed: int) -> None:
@@ -36,25 +39,20 @@ def write_grid(path: Path, side: int, seed: int) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--side", type=int, default=32)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--limit-mb", type=float, default=300)
-    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as work:
         graph = Path(work) / "grid.tsv"
-        write_grid(graph, args.side, args.seed)
+        write_grid(graph, SIDE, SEED)
         cmd = [sys.executable, "-m", "obge.cli", "setup", str(graph), "--undirected", "--mode", "enhanced",
-               "--budget", "4096", "--seed", str(args.seed), "--out", str(Path(work) / "deploy")]
+               "--budget", "4096", "--seed", str(SEED), "--out", str(Path(work) / "deploy")]
         start = time.perf_counter()
         proc = subprocess.run(cmd)
         seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"{args.side}x{args.side} grid setup: peak RSS {peak_mb:.1f} MB (limit {args.limit_mb:g}), {seconds:.1f} s")
+    print(f"{SIDE}x{SIDE} grid setup: peak RSS {peak_mb:.1f} MB (limit {LIMIT_MB}), {seconds:.1f} s")
     if proc.returncode != 0:
         print(f"obge setup exited with code {proc.returncode}", file=sys.stderr)
         return 1
-    return 0 if peak_mb <= args.limit_mb else 1
+    return 0 if peak_mb <= LIMIT_MB else 1
 
 
 if __name__ == "__main__":

@@ -237,11 +237,9 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
     heads = bytearray()
     addresses = array("I")
     kprf = keys.kprf
-    for addr, w in enumerate(spdx.matrix.table):
-        if w >= 0:
-            u, v = divmod(addr, n)
-            heads += block_head(prf_eval(kprf, encode_pair(u, v)), w * n + v)
-            addresses.append(addr)
+    for (u, v), w in spdx.matrix.items():
+        heads += block_head(prf_eval(kprf, encode_pair(u, v)), w * n + v)
+        addresses.append(u * n + v)
     return heads, addresses
 
 
