@@ -16,7 +16,7 @@ from .exceptions import (
     StashOverflowError,
 )
 from .graph import Graph, compute_sp_matrix, compute_spdx, load_graph, spath_oracle
-from .crypto import KeySet, keygen, prf_eval
+from .crypto import KeySet, Prf, keygen, prf_eval
 from .protocol import reveal, setup
 from .server import deploy_inprocess
 
@@ -28,6 +28,7 @@ __all__ = [
     "IntegrityError",
     "KeySet",
     "ObgeError",
+    "Prf",
     "ProtocolError",
     "StashOverflowError",
     "compute_sp_matrix",

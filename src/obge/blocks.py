@@ -32,6 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .crypto import TOKEN_BYTES, ciphertext_width
 
@@ -40,6 +41,7 @@ from .crypto import TOKEN_BYTES, ciphertext_width
 ABSENT = (1 << 64) - 1
 
 _HEAD = struct.Struct(f">{TOKEN_BYTES}sI")  # tk, next_addr; the payload follows
+HEAD_WIDTH = _HEAD.size  # a data block's head, which has no payload
 TOKEN = slice(0, TOKEN_BYTES)
 TAIL = struct.Struct(">IB")  # leaf, flag; at offset head_width
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
@@ -53,6 +55,22 @@ def bucket_ad(tree_id: int, node: int) -> bytes:
 def block_head(tk: bytes, next_addr: int, payload: bytes = b"") -> bytes:
     """The leaf-independent part of a block; placement appends the tail."""
     return _HEAD.pack(tk, next_addr) + payload
+
+
+def write_heads(heads: bytearray, start: int, tokens: bytes, next_addrs: Iterable[int]) -> None:
+    """Write payload-free heads into heads, from head index start on: one
+    per token of tokens, packed end to end, with its next address.  The
+    heads are written column by column, each token byte and then each byte
+    of the big-endian addresses through one strided slice, so no Python
+    statement runs per head."""
+    count, w = len(tokens) // TOKEN_BYTES, HEAD_WIDTH
+    at = start * w
+    end = at + count * w
+    addrs = struct.pack(f">{count}I", *next_addrs)
+    for j in range(TOKEN_BYTES):
+        heads[at + j : end : w] = tokens[j::TOKEN_BYTES]
+    for j in range(w - TOKEN_BYTES):  # the next address's bytes
+        heads[at + TOKEN_BYTES + j : end : w] = addrs[j :: w - TOKEN_BYTES]
 
 
 @dataclass

@@ -7,7 +7,17 @@ each next hop as a block payload; blocks now name the hop by its address
 alone, which the engine holding the tree reads in the clear anyway, so no
 payload is left to encrypt (see ``protocol``).  Only the plain baseline,
 ``gkt``, still encrypts its payloads under a k1 of its own.
-Tokens are 16-byte HMAC-SHA256 outputs.
+
+The token PRF is AES-128 under kprf: a pair's token is the encryption of
+one 16-byte block, ``pair_block(u, v)``, its 8-byte encoding followed by 8
+zero bytes.  ``Prf`` keeps one keyed AES-ECB context, and ``prf_eval``
+encrypts any number of whole blocks in one call, one token per block, so
+setup derives a source row's tokens at once.  Building a context costs
+some thirty one-block calls, so each party builds one and keeps it: setup,
+each query engine and the baseline.  AES is a pseudorandom permutation;
+as a PRF over q distinct inputs it is off by at most q^2 / 2^129 (PRP/PRF
+switching), and tokens are only ever compared for equality.
+
 Symmetric encryption is AES-GCM under a fresh nonce, stored as nonce ||
 ciphertext || tag: CT_OVERHEAD bytes wider than the plaintext.  Nothing is
 padded, because every caller encrypts plaintexts whose width public
@@ -19,13 +29,12 @@ bound to their tree and node.
 
 from __future__ import annotations
 
-import hmac
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher as _BlockCipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .exceptions import IntegrityError
@@ -52,17 +61,35 @@ def keygen() -> KeySet:
     return KeySet(k2=os.urandom(KEY_BYTES), kprf=os.urandom(KEY_BYTES))
 
 
-def prf_eval(kprf: bytes, message: bytes) -> bytes:
-    """Deterministic 16-byte token for (key, message)."""
-    if not message:
-        raise ValueError("PRF message must be non-empty")
-    return hmac.new(kprf, message, hashlib.sha256).digest()[:TOKEN_BYTES]
+class Prf:
+    """The token PRF under one key: a kept AES-128 ECB context."""
+
+    def __init__(self, kprf: bytes):
+        self._ecb = _BlockCipher(algorithms.AES(kprf), modes.ECB()).encryptor()
+
+
+def prf_eval(prf: Prf, blocks: bytes | bytearray) -> bytes:
+    """The 16-byte tokens of the 16-byte blocks packed end to end, in the
+    same order.  Empty input, or input that is not whole blocks, raises
+    ValueError: the context would hold a partial block over to the next
+    call."""
+    if not blocks or len(blocks) % TOKEN_BYTES:
+        raise ValueError(f"PRF input of {len(blocks)} bytes is not one or more whole {TOKEN_BYTES}-byte blocks")
+    return prf._ecb.update(blocks)
+
+
+PAIR_BLOCK = struct.Struct(">II8x")
 
 
 def encode_pair(u: int, v: int) -> bytes:
     """Injective fixed-width encoding of a vertex pair: 4-byte big-endian
     u followed by 4-byte big-endian v."""
     return struct.pack(">II", u, v)
+
+
+def pair_block(u: int, v: int) -> bytes:
+    """The PRF input for a pair: ``encode_pair(u, v)`` and 8 zero bytes."""
+    return PAIR_BLOCK.pack(u, v)
 
 
 def decode_pair(raw: bytes) -> tuple[int, int]:

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .crypto import KEY_BYTES, Cipher, decode_pair, encode_pair, prf_eval
+from .crypto import KEY_BYTES, Cipher, Prf, decode_pair, encode_pair, pair_block, prf_eval
 from .exceptions import IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 
@@ -34,18 +34,18 @@ class GktEncryptedDict:
 
 
 class GktScheme:
-    """The baseline over one graph, under fresh keys: kprf keys the tokens
-    and k1 encrypts each entry's next hop."""
+    """The baseline over one graph, under fresh keys: the token PRF runs
+    under its own kprf, and k1 encrypts each entry's next hop."""
 
     def __init__(self, g: Graph):
-        self.kprf = os.urandom(KEY_BYTES)
+        self.prf = Prf(os.urandom(KEY_BYTES))
         self.k1 = Cipher(os.urandom(KEY_BYTES))
         self.vertex_count = g.vertex_count
         entries: dict[bytes, tuple[bytes, bytes]] = {}
         for (u, v), (w, _) in compute_spdx(g).items():
-            tk = prf_eval(self.kprf, encode_pair(u, v))
+            tk = prf_eval(self.prf, pair_block(u, v))
             entries[tk] = (
-                prf_eval(self.kprf, encode_pair(w, v)),
+                prf_eval(self.prf, pair_block(w, v)),
                 self.k1.encrypt(encode_pair(w, v)),
             )
         self.server = GktEncryptedDict(entries)
@@ -58,7 +58,7 @@ class GktScheme:
             raise IndexError(f"vertex pair ({u},{v}) out of range")
         resp: list[bytes] = []
         seq: list[bytes] = []
-        tk = prf_eval(self.kprf, encode_pair(u, v))
+        tk = prf_eval(self.prf, pair_block(u, v))
         while True:
             seq.append(tk)
             hit = self.server.entries.get(tk)

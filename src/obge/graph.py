@@ -21,6 +21,7 @@ from array import array
 from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, TextIO
 
 from .exceptions import GraphFormatError
@@ -206,6 +207,19 @@ class SPMatrix:
         for addr, w in enumerate(self.table):
             if w >= 0:
                 yield divmod(addr, n), w
+
+    def rows(self) -> Iterator[tuple[int, array, array]]:
+        """(u, columns, hops) for every source u whose row holds a hop, in
+        address order: the columns v of the row's cells that hold one,
+        ascending, and their hops w, both array('I').  Each row is read by
+        iterators that run in C, so no Python statement runs per cell."""
+        n, table = self.dimension, self.table
+        holds = (-1).__lt__  # a cell holds a hop when -1 < w
+        for u in range(n):
+            row = table[u * n : (u + 1) * n]
+            hops = array("I", filter(holds, row))
+            if hops:
+                yield u, array("I", compress(range(n), map(holds, row))), hops
 
 
 def _exact_as_doubles(g: Graph) -> bool:

@@ -1,7 +1,7 @@
 """The graph encryption scheme: setup, query, reveal, and both deployments.
 
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
-tokens, one PRF call per entry, loads them into a Path ORAM tree, and maps
+tokens, one token per entry, loads them into a Path ORAM tree, and maps
 each block's dense address u*|V|+v to its leaf.  The entry (u,v) -> (w,v)
 becomes a block that names its next hop by the address w*|V|+v and carries
 nothing else.  The tree has room for a block per ordered pair of distinct
@@ -12,10 +12,12 @@ hop's token from its address, with one oblivious access per hop plus a
 terminating miss round, so the storage side observes only the round count.
 Its answer is the hop addresses; reveal reads the path off them.
 
-Setup keeps no Python object per entry: the next-hop table is one dense
-array (``graph``), ``build_blocks`` packs the 20-byte block heads end to
-end beside an array('I') of their addresses, and ``oram_init`` places the
-blocks straight into the tree's bucket buffer (``oram``).
+Setup keeps no Python object per entry and runs no Python statement per
+entry: the next-hop table is one dense array (``graph``), read one source
+row at a time; ``build_blocks`` derives a row's tokens in one AES call
+(``crypto.Prf``) and writes its 20-byte block heads column by column into
+one buffer, beside an array('I') of their addresses; and ``oram_init``
+places the blocks straight into the tree's bucket buffer (``oram``).
 
 The paper also encrypts each hop (w,v) under a third key, k1, as the
 block's payload, for the client to decrypt.  That ciphertext protected
@@ -91,10 +93,24 @@ import secrets
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from pathlib import Path
 
-from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
-from .crypto import KEY_BYTES, Cipher, KeySet, ciphertext_width, decode_pair, encode_pair, keygen, prf_eval
+from .blocks import ABSENT, HEAD_WIDTH, TreeParams, tree_depth_for, write_heads
+from .crypto import (
+    KEY_BYTES,
+    PAIR_BLOCK,
+    Cipher,
+    KeySet,
+    Prf,
+    ciphertext_width,
+    decode_pair,
+    encode_pair,
+    keygen,
+    pair_block,
+    prf_eval,
+)
 from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import PathOram, oram_init
@@ -225,21 +241,28 @@ class SetupResult:
 
 def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
     """Tokenize the next-hop dictionary into block heads and their dense
-    addresses, walking its table in address order.
+    addresses, walking its table one source row at a time.
 
     Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v) and
-    whose chain pointer is the dense address w*|V|+v: one PRF call per
-    entry.  Returns the heads packed end to end, 20 bytes each, and an
-    array('I') of the entries' addresses u*|V|+v, in the same order.
+    whose chain pointer is the dense address w*|V|+v.  A row's tokens come
+    from one PRF call over its packed pair blocks, and its heads are
+    written column by column, so no Python statement runs per entry and
+    what a row allocates is freed before the next.  Returns the heads
+    packed end to end, 20 bytes each, and an array('I') of the entries'
+    addresses u*|V|+v, in the same order, both allocated once from the
+    entry count.
     """
     n = g.vertex_count
     spdx = compute_spdx(g)
-    heads = bytearray()
-    addresses = array("I")
-    kprf = keys.kprf
-    for (u, v), w in spdx.matrix.items():
-        heads += block_head(prf_eval(kprf, encode_pair(u, v)), w * n + v)
-        addresses.append(u * n + v)
+    prf = Prf(keys.kprf)
+    heads = bytearray(len(spdx) * HEAD_WIDTH)
+    addresses = array("I", [0]) * len(spdx)
+    at = 0
+    for u, columns, hops in spdx.matrix.rows():
+        tokens = prf_eval(prf, b"".join(map(PAIR_BLOCK.pack, repeat(u), columns)))
+        write_heads(heads, at, tokens, map(add, map(n.__mul__, hops), columns))
+        addresses[at : at + len(columns)] = array("I", map((u * n).__add__, columns))
+        at += len(columns)
     return heads, addresses
 
 
@@ -325,7 +348,8 @@ def response_width(hops: int) -> int:
 class QueryEngine:
     """The Query loop both deployments run.
 
-    Runs the state's data tree engine and position map with the PRF key.
+    Runs the state's data tree engine and position map with the token
+    PRF, one AES context under kprf that the engine builds and keeps.
     Building it attaches store to the data engine and to every level engine
     of the map, and rng to the map, so every path read and write goes
     through store and every fresh leaf comes from rng; a miss round reads
@@ -339,7 +363,7 @@ class QueryEngine:
     ):
         rng = rng if rng is not None else secrets.SystemRandom()
         self.params = state.params
-        self.kprf = kprf
+        self.prf = Prf(kprf)
         self.oram = state.oram
         self.positions = state.positions
         self.store = store
@@ -362,7 +386,7 @@ class QueryEngine:
                 if old_leaf == ABSENT:
                     self.oram.access(None, new_leaf)
                     return resp
-                tk = prf_eval(self.kprf, encode_pair(addr // n, v))
+                tk = prf_eval(self.prf, pair_block(addr // n, v))
                 addr = self.oram.access(tk, old_leaf, new_leaf).next_addr
                 resp.append(addr)
         finally:
@@ -445,8 +469,10 @@ STATE_MAGIC = b"OS"
 # pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
 # its tree, ahead of the held blocks, stores 25-byte data blocks with
 # 4-byte addresses and leaves, and stores no k1: the clients keep only the
-# keys they use
-STATE_VERSION = 13
+# keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``) in
+# place of HMAC ones, so a format-13 file's held blocks and trees hold
+# tokens no query derives any more
+STATE_VERSION = 14
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}

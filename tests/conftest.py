@@ -7,16 +7,13 @@ import pytest
 from hypothesis import settings
 
 from obge import wire
-from obge.blocks import TreeParams, block_head, tree_depth_for
-from obge.crypto import Cipher, encode_pair, prf_eval
+from obge.blocks import HEAD_WIDTH, TreeParams, block_head, tree_depth_for
+from obge.crypto import Cipher, Prf, pair_block, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
 from obge.recursive import map_shape, read_entry, rpm_build
 from obge.storage import StorageHost
-
-# bytes of a data block's head: token and next address, no payload
-HEAD_WIDTH = TreeParams(0, 1, 0).head_width
 
 # Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
 # where it detects a CI environment): a property test that sets no
@@ -67,11 +64,12 @@ def chain_blocks(keys, chains, length):
     array('I').
     """
     n = length + chains
+    prf = Prf(keys.kprf)
     heads, addrs = bytearray(), array("I")
     for d in range(length, n):
         for u in range(length):
             w = u + 1 if u + 1 < length else d
-            heads += block_head(prf_eval(keys.kprf, encode_pair(u, d)), w * n + d)
+            heads += block_head(prf_eval(prf, pair_block(u, d)), w * n + d)
             addrs.append(u * n + d)
     return n, heads, addrs
 

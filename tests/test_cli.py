@@ -534,7 +534,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v13"
+    data = Path(__file__).parent / "data" / "state_v14"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

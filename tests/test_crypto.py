@@ -7,10 +7,12 @@ from obge.crypto import (
     CT_OVERHEAD,
     KEY_BYTES,
     Cipher,
+    Prf,
     ciphertext_width,
     decode_pair,
     encode_pair,
     keygen,
+    pair_block,
     prf_eval,
 )
 from obge.exceptions import IntegrityError
@@ -29,25 +31,49 @@ class TestKeygen:
 class TestPrf:
     def test_deterministic(self):
         k = os.urandom(16)
-        assert prf_eval(k, encode_pair(0, 3)) == prf_eval(k, encode_pair(0, 3))
+        assert prf_eval(Prf(k), pair_block(0, 3)) == prf_eval(Prf(k), pair_block(0, 3))
 
     def test_order_matters(self):
-        k = os.urandom(16)
-        assert prf_eval(k, encode_pair(0, 3)) != prf_eval(k, encode_pair(3, 0))
+        prf = Prf(os.urandom(16))
+        assert prf_eval(prf, pair_block(0, 3)) != prf_eval(prf, pair_block(3, 0))
 
     def test_empty_message_rejected(self):
-        with pytest.raises(ValueError):
-            prf_eval(os.urandom(16), b"")
+        with pytest.raises(ValueError, match="whole 16-byte blocks"):
+            prf_eval(Prf(os.urandom(16)), b"")
+
+    @pytest.mark.parametrize("size", [1, 8, 15, 17, 31])
+    def test_partial_blocks_rejected(self, size):
+        # a kept context would carry a partial block over to the next call;
+        # refused, it gives the next call the token a fresh context gives
+        k = os.urandom(16)
+        prf = Prf(k)
+        with pytest.raises(ValueError, match="whole 16-byte blocks"):
+            prf_eval(prf, bytes(size))
+        assert prf_eval(prf, pair_block(0, 3)) == prf_eval(Prf(k), pair_block(0, 3))
+
+    def test_known_answer(self):
+        # FIPS-197 appendix C.1: AES-128 under key 00 01 .. 0f
+        prf = Prf(bytes(range(16)))
+        assert prf_eval(prf, bytes.fromhex("00112233445566778899aabbccddeeff")).hex() == (
+            "69c4e0d86a7b0430d8cdb78070b4c55a"
+        )
+
+    def test_one_call_gives_each_blocks_token_in_order(self):
+        prf = Prf(os.urandom(16))
+        pairs = [(0, 3), (3, 0), (7, 7), (2**32 - 1, 5)]
+        tokens = prf_eval(prf, b"".join(pair_block(u, v) for u, v in pairs))
+        assert [tokens[i * 16 : (i + 1) * 16] for i in range(len(pairs))] == [
+            prf_eval(prf, pair_block(u, v)) for u, v in pairs
+        ]
+
+    def test_pair_block_is_the_pair_encoding_padded_with_zeros(self):
+        assert pair_block(0x01020304, 0x0A0B0C0D) == encode_pair(0x01020304, 0x0A0B0C0D) + bytes(8)
 
     def test_million_pairs_collision_free(self):
         """Birthday check: 10^6 distinct pair encodings map to 10^6
         distinct 16-byte tokens."""
-        k = os.urandom(16)
-        seen = set()
-        for u in range(1000):
-            for v in range(1000):
-                seen.add(prf_eval(k, encode_pair(u, v)))
-        assert len(seen) == 1_000_000
+        tokens = prf_eval(Prf(os.urandom(16)), b"".join(pair_block(u, v) for u in range(1000) for v in range(1000)))
+        assert len({tokens[at : at + 16] for at in range(0, len(tokens), 16)}) == 1_000_000
 
 
 class TestPairEncoding:

@@ -6,7 +6,7 @@ from scipy import stats
 
 from obge.bench import chain_graph
 from obge.blocks import ABSENT, tree_depth_for
-from obge.crypto import Cipher, encode_pair, keygen, prf_eval
+from obge.crypto import Cipher, Prf, keygen, pair_block, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import Graph, PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
@@ -386,8 +386,9 @@ class TestTreeTopCache:
         widths = {r.byte_count for r in host.trace.records if r.msg_type in ("ReadPath", "WritePath")}
         assert widths == {(tp.depth + 1 - k) * tp.bucket_width} == {tp.path_width}
         engine = client.engine
+        prf = Prf(result.keys.kprf)
         mapped = {
-            prf_eval(result.keys.kprf, encode_pair(addr // 40, addr % 40)): leaf
+            prf_eval(prf, pair_block(addr // 40, addr % 40)): leaf
             for addr, leaf in enumerate(top_entries(engine.positions))
             if leaf != ABSENT
         }

@@ -4,16 +4,17 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import ABSENT
-from obge.crypto import CT_OVERHEAD, Cipher, encode_pair
+from obge.blocks import ABSENT, block_head
+from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
 from obge.exceptions import ConfigError, IntegrityError, ProtocolError
-from obge.graph import Graph, spath_oracle
+from obge.graph import Graph, compute_sp_matrix, compute_spdx, spath_oracle
 from obge.oram import STASH_MAX
 from obge.protocol import (
     MAX_VERTICES,
@@ -43,13 +44,14 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-13 state files: setup with Z=1 and rng Random(11) on
+# format-14 state files: setup with Z=1 and rng Random(11) on
 # random_graph(Random(5), 12, 0.3) (the enhanced deployment with chi 2 and
-# a 64-byte budget), then 60 queries (u, v) drawn from Random(12), which
-# is also the deployment's leaf sampler; with their trees (not kept) both
-# deployments answer all 144 pairs twice as PathOracle does.  The
-# state_v12 files were made by the same recipe
-STATE_V13 = DATA / "state_v13"
+# a 64-byte budget), then 60 queries, each (u, v) drawn from Random(12)
+# just before it runs, Random(12) being also the deployment's leaf
+# sampler; reloaded over their trees (not kept), both deployments answer
+# all 144 pairs twice as PathOracle does.  The state_v12 and state_v13
+# files were made by much the same recipe
+STATE_V14 = DATA / "state_v14"
 # a held data block packed by hand: token 11.., next address 7, no
 # payload, then the tail (leaf, flag)
 HELD_HEAD = b"\x11" * 16 + struct.pack(">I", 7)
@@ -126,18 +128,40 @@ class TestSetup:
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_one_prf_call_per_entry_and_per_hit(self, monkeypatch, rng, mode):
         # blocks carry no next-hop token: setup derives one token per entry,
-        # a query one per hop it finds and none on its miss round
+        # in one call per source row that has an entry, and a query makes a
+        # one-block call per hop it finds and none on its miss round
         calls = []
         prf = protocol.prf_eval
-        monkeypatch.setattr(protocol, "prf_eval", lambda k, m: calls.append(m) or prf(k, m))
-        g = random_graph(rng, 16, 0.2)
+        monkeypatch.setattr(protocol, "prf_eval", lambda k, m: calls.append(len(m) // 16) or prf(k, m))
+        g = Graph(16, directed=True)
+        for (u, v), w in random_graph(rng, 15, 0.2).edges.items():  # 15's row holds no entry
+            g.add_edge(u, v, w)
         result, _, _, client = deploy(g, mode, chi=8, **({"budget": 256} if mode == "enhanced" else {}))
-        assert len(calls) == result.spdx_size > 0
-        for u, v in [(0, 9), (3, 3), (9, 0), (5, 12)]:
+        assert sum(calls) == result.spdx_size > 0
+        assert len(calls) == len({u for u, _ in compute_spdx(g)}) == 15
+        for u, v in [(0, 9), (3, 3), (9, 0), (5, 12), (15, 2)]:
             calls.clear()
             path = client.query_path(u, v)
             assert path == spath_oracle(g, u, v)
-            assert len(calls) == (len(path) - 1 if path else 0)
+            assert calls == [1] * (len(path) - 1 if path else 0)
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_build_blocks_matches_the_per_entry_loop(self, directed, weighted):
+        # the row-at-a-time build gives the bytes of one PRF call and one
+        # head per entry of SPMatrix.items: on a sparse graph, whose rows
+        # include some with no entry, on |V|=1 and on a graph with no edges
+        rng = random.Random(23)
+        sparse = random_graph(rng, 30, 0.05, weighted=weighted, directed=directed)
+        assert 0 < len({u for (u, _), _ in compute_sp_matrix(sparse).items()}) < 30
+        keys = keygen()
+        for g in (sparse, Graph(1, directed=directed), Graph(6, directed=directed)):
+            n, prf = g.vertex_count, Prf(keys.kprf)
+            heads, addresses = bytearray(), array("I")
+            for (u, v), w in compute_sp_matrix(g).items():
+                heads += block_head(prf_eval(prf, pair_block(u, v)), w * n + v)
+                addresses.append(u * n + v)
+            assert protocol.build_blocks(g, keys) == (heads, addresses)
 
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_setup_heap_peaks_near_its_trees(self, mode):
@@ -435,7 +459,7 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 13, party 0; the
+        # the trivial client's keys.bin: magic, version 14, party 0; the
         # parameter block (|V|, Z, chi, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
@@ -462,7 +486,7 @@ class TestPersistence:
                 out += tk + struct.pack(">I", next_addr) + struct.pack(">IB", leaf, flag)
             return out
 
-        want = b"OS\x0d\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
+        want = b"OS\x0e\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
@@ -651,29 +675,29 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [47]), ("enhanced-keys.bin", EnhancedState, None, None),
+        [("trivial-keys.bin", TrivialState, 0, [49]), ("enhanced-keys.bin", EnhancedState, None, None),
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_13_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 47 blocks over 128 groups (k=7 of the
+    def test_format_14_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 49 blocks over 128 groups (k=7 of the
         # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
         # cells; the controller's chain has depth 2 and held blocks in the
         # data tree and level 0.  Loading and saving again gives the same
         # bytes
-        state = load_state(STATE_V13 / name, kind)
+        state = load_state(STATE_V14 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V13 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V14 / name).read_bytes()
 
     @staticmethod
     def _assert_refused(version, name, kind):
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 13; "
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 14; "
                                                 "set the deployment up again"):
             load_state(path, kind)
 
@@ -702,6 +726,12 @@ class TestPersistence:
         # a format-12 file stored k1, and its held data blocks were 69
         # bytes: a k1 payload and 8-byte address and leaf fields
         self._assert_refused(12, name, kind)
+
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_13_files_are_refused(self, name, kind):
+        # a format-13 file's blocks are keyed by HMAC-SHA256 tokens, which
+        # no query derives since the token PRF is AES
+        self._assert_refused(13, name, kind)
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -740,9 +770,10 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree files of version 5 and state files of version 12 held
-        # 69-byte data blocks with a k1 payload, 8-byte addresses and
-        # leaves, so both must be set up again (as must older ones)
+        # tree files of version 5 held 69-byte data blocks with a k1
+        # payload, 8-byte addresses and leaves, and state files of version
+        # 13 blocks keyed by HMAC tokens, so both must be set up again (as
+        # must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -751,9 +782,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (6, 5, TreeStorage.load),
-            "keys.bin": (13, 12, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (13, 12, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (13, 12, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (14, 13, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (14, 13, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (14, 13, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name
