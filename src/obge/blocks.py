@@ -12,8 +12,9 @@ derives that hop's token with the PRF key, and the hop addresses are the
 query's answer.  Addresses and leaves are 4 bytes, so |V| is at most
 2^16 (``protocol.MAX_VERTICES``) and a tree has at most 2^32 leaves.  The
 payload width W is fixed per tree: data blocks carry none (W = 0, 25-byte
-blocks), and position-map trees carry 8*chi bytes of packed leaf entries,
-each as wide as the tree it points into needs (see ``recursive``).  A
+blocks), and position-map trees carry the payload width the map's shape
+rule picks, 16 to 512 bytes of packed leaf entries, each as wide as the
+tree it points into needs (see ``recursive``).  A
 bucket is the concatenation of its Z packed blocks, dummies included,
 encrypted under k2 as one AES-GCM ciphertext whose associated data is
 ``bucket_ad(tree_id, node)``; so a bucket occupies

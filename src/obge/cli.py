@@ -44,7 +44,7 @@ def cmd_setup(args) -> int:
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
     rng = random.Random(args.seed) if args.seed is not None else None
-    result = setup(g, mode=args.mode, bucket_size=args.Z, chi=args.chi, budget=args.budget, rng=rng)
+    result = setup(g, mode=args.mode, bucket_size=args.Z, budget=args.budget, rng=rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for tree in result.trees:
@@ -63,7 +63,13 @@ def cmd_setup(args) -> int:
         f"wrote {out}/"
     )
     if args.mode == MODE_ENHANCED:
-        print(f"position map: chain depth {result.controller.positions.chain_depth}")
+        positions = result.controller.positions
+        shape = positions.shape
+        print(f"position map: chain depth {positions.chain_depth}")
+        print(
+            f"position map: {shape.payload}-byte level payloads, {shape.host_buckets} host buckets "
+            f"and {shape.host_bytes} host bytes per round"
+        )
     return EXIT_OK
 
 
@@ -179,13 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Z", type=int, default=5, help="bucket size")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--budget", type=int, default=None, help="enhanced mode: controller memory budget in bytes")
-    p.add_argument(
-        "--chi",
-        type=int,
-        default=64,
-        help="position-map level payload of 8*chi bytes, packing as many leaf entries as fit at the width "
-        "of the tree they point into",
-    )
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--listen", default="127.0.0.1:7399")
     p.add_argument("--seed", type=int, default=None)

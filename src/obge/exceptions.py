@@ -20,7 +20,7 @@ class GraphFormatError(ObgeError):
 
 
 class ConfigError(ObgeError):
-    """Invalid parameter combination (bad Z, chi, budget, ...)."""
+    """Invalid parameter combination (bad Z, budget, ...)."""
 
 
 class CapacityError(ObgeError):

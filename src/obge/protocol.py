@@ -57,12 +57,13 @@ writes what the last query left.
 Each party keeps its state in one file, written by save_state and read by
 load_state: the magic "OS", the format version, a party byte (trivial
 client, enhanced client, controller) that also fixes the deployment mode,
-and the parameter block (|V|, Z, chi, budget, 0 for none), followed by the
-party's 16-byte keys (``crypto.KEY_BYTES``), each the one the party uses:
+and the 13-byte parameter block (|V|, Z, budget, 0 for none), followed by
+the party's 16-byte keys (``crypto.KEY_BYTES``), each the one the party
+uses:
 
 * trivial client: k2 kprf, then the engine state (keys.bin, rewritten
   after every query because accesses remap blocks);
-* enhanced client: the session key alone (keys.bin, 37 bytes);
+* enhanced client: the session key alone (keys.bin, 33 bytes);
 * controller: k2 kprf and the session key, then the engine state
   (controller.bin, next to the trees).
 
@@ -70,7 +71,8 @@ The engine state -- the map's top, the data tree's held blocks and each
 position-map level's stash -- has one codec and stores no shape:
 load_state validates the parameter block and derives the data tree's
 depth and cached levels (``SchemeParams.data_params``) and the map's shape
-(``SchemeParams.map_shape``) from it, as setup does.  The top is stored
+(``SchemeParams.map_shape``, level payload included) from it, as setup
+does.  The top is stored
 as the map keeps it: big-endian cells as wide as the tree its entries
 point into needs (``recursive.entry_width``), ABSENT all ones: one byte
 each for a data tree of up to 128 leaves, two up to 32,768.  It comes
@@ -114,7 +116,7 @@ from .crypto import (
 from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .graph import Graph, compute_spdx
 from .oram import PathOram, oram_init
-from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, check_chi, map_shape, rpm_build
+from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, map_shape, rpm_build
 from .storage import TreeStorage, write_atomic
 
 DATA_TREE_ID = 0
@@ -146,7 +148,6 @@ class SchemeParams:
     vertex_count: int
     bucket_size: int = 5
     mode: str = MODE_TRIVIAL
-    chi: int = 64
     budget: int | None = None
 
     def validate(self) -> None:
@@ -159,7 +160,6 @@ class SchemeParams:
         # tree headers and state files store Z in one byte
         if not 1 <= self.bucket_size <= 255:
             raise ConfigError(f"bucket size must be in [1, 255], got {self.bucket_size}")
-        check_chi(self.chi)
         # state files store the budget in 64 bits, where 0 stands for none
         if self.budget is not None and not 1 <= self.budget < 1 << 64:
             raise ConfigError(f"budget must be in [1, 2^64) bytes, got {self.budget}")
@@ -193,8 +193,15 @@ class SchemeParams:
 
     @property
     def map_shape(self) -> MapShape:
-        """The position map's geometry, pointing into the data tree."""
-        return map_shape(self.address_space, self.chi, self.map_budget, self.bucket_size, self.data_params.leaves)
+        """The position map's geometry, pointing into the data tree, with
+        the level payload the shape rule picks; ConfigError if the budget
+        needs a level but holds no level payload."""
+        return map_shape(self.address_space, self.map_budget, self.bucket_size, self.data_params.leaves)
+
+    @property
+    def chi(self) -> int:
+        """The map's level payload in 8-byte words, as the shape rule picks it."""
+        return self.map_shape.payload // 8
 
 
 @dataclass
@@ -270,7 +277,6 @@ def setup(
     g: Graph,
     mode: str = MODE_TRIVIAL,
     bucket_size: int = 5,
-    chi: int = 64,
     budget: int | None = None,
     rng: random.Random | None = None,
 ) -> SetupResult:
@@ -279,15 +285,16 @@ def setup(
     Returns the server-side trees plus the party states for the chosen
     deployment; nothing in the trees links tokens to positions.
     """
-    params = SchemeParams(g.vertex_count, bucket_size=bucket_size, mode=mode, chi=chi, budget=budget)
+    params = SchemeParams(g.vertex_count, bucket_size=bucket_size, mode=mode, budget=budget)
     params.validate()
+    shape = params.map_shape
     rng = rng if rng is not None else secrets.SystemRandom()
     keys = keygen()
     k2 = Cipher(keys.k2)
 
     heads, addresses = build_blocks(g, keys)
     oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, DATA_TREE_ID)
-    rpm, pm_trees = rpm_build(zip(addresses, leaves), params.map_shape, k2, rng)
+    rpm, pm_trees = rpm_build(zip(addresses, leaves), shape, k2, rng)
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
@@ -463,7 +470,7 @@ class EnhancedClient:
 # state persistence
 
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
-_PARAMS = struct.Struct(">IBIQ")  # V, Z, chi, budget
+_PARAMS = struct.Struct(">IBQ")  # V, Z, budget
 STATE_MAGIC = b"OS"
 # older versions are refused; 13 derives the data depth from |V| and Z,
 # pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
@@ -471,8 +478,9 @@ STATE_MAGIC = b"OS"
 # 4-byte addresses and leaves, and stores no k1: the clients keep only the
 # keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``) in
 # place of HMAC ones, so a format-13 file's held blocks and trees hold
-# tokens no query derives any more
-STATE_VERSION = 14
+# tokens no query derives any more.  15 stores no chi: the shape rule
+# picks the map's payload from |V|, Z and the budget
+STATE_VERSION = 15
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -547,7 +555,7 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
     its engine state or session key."""
     p = state.params
     head = _PREFIX.pack(STATE_MAGIC, STATE_VERSION, _PARTIES.index(type(state))) + _PARAMS.pack(
-        p.vertex_count, p.bucket_size, p.chi, p.budget or 0
+        p.vertex_count, p.bucket_size, p.budget or 0
     )
     if isinstance(state, ControllerState):
         write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
@@ -577,9 +585,9 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         held = _PARTY_NAME.get(kind, f"unknown party {party}")
         wanted = " or ".join(_PARTY_NAME[k] for k in kinds)
         raise ProtocolError(f"state file {path} holds {held} state, expected {wanted}")
-    n, z, chi, budget = r.unpack(_PARAMS)
+    n, z, budget = r.unpack(_PARAMS)
     mode = MODE_TRIVIAL if kind is TrivialState else MODE_ENHANCED
-    params = SchemeParams(n, bucket_size=z, mode=mode, chi=chi, budget=budget or None)
+    params = SchemeParams(n, bucket_size=z, mode=mode, budget=budget or None)
     try:  # every shape below is derived from the parameter block
         params.validate()
         shape = params.map_shape

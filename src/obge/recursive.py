@@ -10,20 +10,29 @@ resident, emulating an enclave with bounded internal storage.  With no
 levels this is the flat map of Path ORAM's recursive construction, which
 the trivial client uses as is.
 
-A level block's payload is 8*chi bytes of entries, each as wide as the
-tree it points into needs (``entry_width``): the fewest whole bytes that
-hold every leaf of that tree apart from ABSENT, the all-ones value.  So
-level j packs c_j = 8*chi // w_j entries per block, and an address reaches
-level-j block addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) % c_j;
-the payload's last 8*chi - c_j*w_j bytes are unused.
+A level block's payload is P bytes of entries, each as wide as the tree it
+points into needs (``entry_width``): the fewest whole bytes that hold every
+leaf of that tree apart from ABSENT, the all-ones value.  So level j packs
+c_j = P // w_j entries per block, and an address reaches level-j block
+addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) % c_j; the
+payload's last P - c_j*w_j bytes are unused.
 
-The map's geometry -- each level's tree, block count, entry width and
-entries per block, the spans c_0...c_j, the top's width, and the
-leaf count of the tree each level's entries and the top's point into --
-follows from the address space, the data tree's leaf count, chi, the
-budget and Z alone.  ``map_shape`` works it out once, as a ``MapShape``
-that ``rpm_build``, the map and a state file's loader all read, so a state
-file stores only contents.
+P is not a setting: ``map_shape`` picks it, a multiple of 8 from 16 to 512
+bytes that fits the budget.  A wider payload packs more entries a block,
+so it never adds a level or a host bucket a round, but it moves more
+bytes in every bucket.  The rule keeps the payload with the fewest levels,
+then the fewest host buckets a map round reads (sum of depth_j + 1), then
+the fewest host bytes a round (sum of the level trees' path widths): the
+narrowest payload that keeps the levels and buckets of the widest.  A
+flat map, whose payloads all tie, keeps the widest.
+
+The map's geometry -- the payload, each level's tree, block count, entry
+width and entries per block, the spans c_0...c_j, the top's width, and
+the leaf count of the tree each level's entries and the top's point into
+-- follows from the address space, the data tree's leaf count, the budget
+and Z alone, which the tree headers already reveal.  ``map_shape`` works
+it out once, as a ``MapShape`` that ``rpm_build``, the map and a state
+file's loader all read, so a state file stores only contents.
 
 Each level is a PathOram engine, built with its tree by ``rpm_build`` or
 from a state file by the loader, and holding its own stash; ``attach``
@@ -57,19 +66,15 @@ from .storage import TreeStorage
 
 # bytes the shape rule counts per top entry, whatever the tree it points into
 TOP_ENTRY_BYTES = 8
-# a level block's payload is 8*chi bytes; tree headers store its width in 16 bits
-MAX_CHI = 0xFFFF // 8
+# map_shape picks a level block's payload of 8*chi bytes, chi from MIN_CHI to MAX_CHI
+MIN_CHI = 2
+MAX_CHI = 64
 
 
 def level_token(level: int, index: int) -> bytes:
     """Block identity for packed position blocks; distinct from data tokens
     by construction (data tokens are PRF outputs, these are structured)."""
     return b"\xf0" + bytes([level]) + index.to_bytes(14, "big")
-
-
-def check_chi(chi: int) -> None:
-    if not 2 <= chi <= MAX_CHI:
-        raise ConfigError(f"packing factor chi must be in [2, {MAX_CHI}], got {chi}")
 
 
 def entry_width(leaves: int) -> int:
@@ -104,12 +109,14 @@ class MapLevel:
 
 @dataclass(frozen=True)
 class MapShape:
-    """The map's geometry, level 0 first.  spans[j] = c_0...c_{j-1}
-    addresses share one level-j entry, and spans[depth] one top entry;
-    targets[j] is the leaf count of the tree that level j's entries point
-    into (the data tree's for level 0), and targets[depth] the top's."""
+    """The map's geometry, level 0 first.  Every level block carries payload
+    bytes of entries; spans[j] = c_0...c_{j-1} addresses share one level-j
+    entry, and spans[depth] one top entry; targets[j] is the leaf count of
+    the tree that level j's entries point into (the data tree's for level
+    0), and targets[depth] the top's."""
 
     address_space: int
+    payload: int
     levels: tuple[MapLevel, ...]
     spans: tuple[int, ...]
     targets: tuple[int, ...]
@@ -121,17 +128,23 @@ class MapShape:
         into."""
         return entry_width(self.targets[-1])
 
+    @cached_property
+    def host_buckets(self) -> int:
+        """Buckets one map round moves each way: a path of every level tree."""
+        return sum(level.params.host_levels for level in self.levels)
 
-def map_shape(address_space: int, chi: int, budget: int, bucket_size: int, data_leaves: int) -> MapShape:
-    """Shape rule of the map.  While the array above, at 8 bytes per entry,
-    exceeds budget, a level packs it into 8*chi-byte payloads, as many
-    entries per block as fit at the width of the tree they point into (the
-    data tree's data_leaves for level 0), and into a tree sized for that
-    many blocks."""
-    check_chi(chi)
-    payload = chi * 8
-    if address_space * TOP_ENTRY_BYTES > budget and budget < payload:
-        raise ConfigError(f"budget of {budget} bytes is smaller than one packed block ({payload} bytes)")
+    @cached_property
+    def host_bytes(self) -> int:
+        """Bytes one map round moves each way."""
+        return sum(level.params.path_width for level in self.levels)
+
+
+def payload_shape(address_space: int, payload: int, budget: int, bucket_size: int, data_leaves: int) -> MapShape:
+    """The map's geometry at one payload width: while the array above, at
+    TOP_ENTRY_BYTES per entry, exceeds budget, a level packs it into
+    payload-byte blocks, as many entries per block as fit at the width of
+    the tree they point into (the data tree's data_leaves for level 0), and
+    into a tree sized for that many blocks."""
     levels, spans, targets = [], [1], [data_leaves]
     width = address_space
     while width * TOP_ENTRY_BYTES > budget:
@@ -142,7 +155,26 @@ def map_shape(address_space: int, chi: int, budget: int, bucket_size: int, data_
         levels.append(MapLevel(params, width, w, per_block))
         spans.append(spans[-1] * per_block)
         targets.append(params.leaves)
-    return MapShape(address_space, tuple(levels), tuple(spans), tuple(targets), width)
+    return MapShape(address_space, payload, tuple(levels), tuple(spans), tuple(targets), width)
+
+
+def map_shape(address_space: int, budget: int, bucket_size: int, data_leaves: int) -> MapShape:
+    """Shape rule of the map: of the payloads of 8*chi bytes, chi from
+    MIN_CHI to MAX_CHI, that fit the budget, the one whose shape has the
+    fewest levels, then the fewest host buckets per map round, then the
+    fewest host bytes per round; of payloads that tie, which only a flat
+    map's do, the widest.  A budget that needs a level but holds no
+    MIN_CHI-word payload raises ConfigError."""
+    smallest = 8 * MIN_CHI
+    if address_space * TOP_ENTRY_BYTES > budget and budget < smallest:
+        raise ConfigError(f"budget of {budget} bytes is smaller than the smallest map block payload ({smallest} bytes)")
+    widest = max(MIN_CHI, min(MAX_CHI, budget // 8))
+    shapes = (
+        payload_shape(address_space, 8 * chi, budget, bucket_size, data_leaves)
+        for chi in range(widest, MIN_CHI - 1, -1)
+    )
+    # min keeps the first of equal keys, so ties go to the widest payload
+    return min(shapes, key=lambda shape: (len(shape.levels), shape.host_buckets, shape.host_bytes))
 
 
 class RecursivePM:

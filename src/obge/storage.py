@@ -14,9 +14,10 @@ moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of Z serialized
 blocks whose associated data is (tree id, heap index), so the storage side
 cannot move, copy or swap buckets within or across trees without the next
 access that reads them failing.  Blocks have the layout of ``blocks``:
-25 bytes in the data tree, whose blocks carry no payload, and 8*chi + 25
-in a position-map tree, whose payloads pack entries as wide as the tree
-they point into needs (``recursive``).  Older versions are rejected on
+25 bytes in the data tree, whose blocks carry no payload, and P + 25 in
+a position-map tree, P the level payload the map's shape rule picks, 16 to
+512 bytes of entries as wide as the tree they point into needs
+(``recursive``).  Older versions are rejected on
 load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;

@@ -112,7 +112,7 @@ def trivial_engine(keys, n, blocks, addrs, rng, Z=5, cached=0):
     params = SchemeParams(vertex_count=n, bucket_size=Z)
     # the trivial client's budget is the whole dense map, so it stays flat;
     # it points into this tree, sized by block count, not by |V|
-    shape = map_shape(params.address_space, params.chi, params.map_budget, Z, tp.leaves)
+    shape = map_shape(params.address_space, params.map_budget, Z, tp.leaves)
     positions, _ = rpm_build(zip(addrs, leaves), shape, k2, rng)
     state = TrivialState(keys, params, positions, oram)
     return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs

@@ -65,15 +65,16 @@ def two_branch_graph():
 
 @pytest.fixture(scope="module")
 def recursive_trace():
-    """An honest enhanced trace over a recursive map of chain depth 2:
-    |V|=36, chi 2, a 128-byte budget, 400 random queries.  The map's level
-    trees have 64 and 4 leaves, so zeroed leaves show in either."""
+    """An honest enhanced trace over a recursive map of chain depth 3:
+    |V|=36, a 16-byte budget, which forces 16-byte level payloads, 400
+    random queries.  The map's level trees have 64, 4 and 1 leaves, so
+    zeroed leaves show in either of the first two."""
     rng = random.Random(11)
     g = random_graph(rng, 36, 0.12)
     queries = [(rng.randrange(36), rng.randrange(36)) for _ in range(400)]
-    host, truths = run_workload(g, queries, mode="enhanced", chi=2, budget=128)
-    assert sorted(host.trees) == [0, 1, 2]
-    assert [host.trees[t].params.leaves for t in (1, 2)] == [64, 4]
+    host, truths = run_workload(g, queries, mode="enhanced", budget=16)
+    assert sorted(host.trees) == [0, 1, 2, 3]
+    assert [host.trees[t].params.leaves for t in (1, 2, 3)] == [64, 4, 1]
     assert max(t.path_len for t in truths) >= 2
     return host, truths
 
@@ -165,18 +166,20 @@ class TestPersistedArtifacts:
         host, truths = recursive_trace
         report = audit_trace(host.trace, truths, geometry(host))
         assert report.ok, report.summary()
-        assert sorted(report.uniformity_p) == [0, 1, 2]
+        assert sorted(report.uniformity_p) == [0, 1, 2, 3]
         assert cli_audit(tmp_path, host, truths) == 0
 
 
     @pytest.mark.parametrize(
         "mode, scheme, trees",
-        [("trivial", {}, [0]), ("enhanced", {"chi": 2, "budget": 128}, [0, 1, 2])],
+        [("trivial", {}, [0]), ("enhanced", {"bucket_size": 2, "budget": 32}, [0, 1, 2])],
         ids=["trivial", "enhanced-chain-2"],
     )
     def test_miss_only_trace_is_uniform_per_tree(self, mode, scheme, trees):
         # every data round of u = v and of unreachable pairs is a miss,
-        # which reads the fresh leaf the map drew for the absent address
+        # which reads the fresh leaf the map drew for the absent address.
+        # At Z=2 a 32-byte budget gives a chain of depth 2 whose level
+        # trees have 64 and 2 leaves
         rng = random.Random(13)
         g = random_graph(rng, 36, 0.04)
         oracle = PathOracle(g)

@@ -72,6 +72,18 @@ class TestSetupCommand:
         run_setup(tmp_path, chain, "--mode", mode)
         assert line in capsys.readouterr().out
 
+    def test_enhanced_summary_reports_the_map(self, tmp_path, capsys):
+        # the 30-vertex chain at a 256-byte budget: the shape rule picks
+        # 184-byte level payloads, one level of 10 blocks in a depth-1 tree,
+        # so a map round moves 2 buckets of 5 * 209 + 28 bytes each way
+        chain = tmp_path / "chain.tsv"
+        chain.write_text(CHAIN_30_TSV)
+        run_setup(tmp_path, chain, "--mode", "enhanced", "--budget", "256")
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "position map: chain depth 1",
+            "position map: 184-byte level payloads, 2 host buckets and 2146 host bytes per round",
+        ]
+
     def test_bad_graph_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("3\t3\n")
@@ -82,12 +94,13 @@ class TestSetupCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--Z", "256"], ["--mode", "enhanced", "--budget", "72000", "--chi", "9000"]],
-        ids=["Z-256", "chi-9000"],
+        [["--Z", "256"], ["--mode", "enhanced", "--budget", "15"]],
+        ids=["Z-256", "budget-below-16"],
     )
     def test_widths_past_the_file_fields_are_usage_errors(self, tmp_path, extra):
-        # tree files store Z in one byte and a level's payload width, chi * 8,
-        # in two; both are refused before any file is written
+        # tree files store Z in one byte, and a level block's payload is at
+        # least 16 bytes, so a budget below that has no map shape; both are
+        # refused before any file is written
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(99)))
         out = tmp_path / "deploy"
@@ -173,13 +186,13 @@ class TestQueryCommand:
 
     def test_top_entry_past_the_tree_is_protocol_error(self, daemon, capsys):
         # the flat map's entry for (0, 3), the fourth of 16 one-byte cells
-        # that follow the 4-byte prefix, the 17-byte parameter block and
+        # that follow the 4-byte prefix, the 13-byte parameter block and
         # the two keys k2 kprf, set past the data tree's 4 leaves: refused
         # on load, not an IndexError mid-query
         out, d = daemon
         keys = out / "keys.bin"
         raw = keys.read_bytes()
-        at = 4 + 17 + 2 * 16 + 3
+        at = 4 + 13 + 2 * 16 + 3
         keys.write_bytes(raw[:at] + b"\x04" + raw[at + 1 :])
         rc = main(["query", "0", "3", "--keys", str(keys), "--addr", f"127.0.0.1:{d.port}"])
         assert rc == 2
@@ -454,7 +467,7 @@ class TestServeSignals:
         "graph, extra, first",
         [
             (GRAPH_TSV, [], ("0", "3", "0 2 3")),
-            (CHAIN_30_TSV, ["--mode", "enhanced", "--budget", "256", "--chi", "8"], ("0", "29", " ".join(map(str, range(30))))),
+            (CHAIN_30_TSV, ["--mode", "enhanced", "--budget", "128"], ("0", "29", " ".join(map(str, range(30))))),
         ],
         ids=["trivial", "enhanced-chain"],
     )
@@ -534,7 +547,7 @@ class TestServeSignals:
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v14"
+    data = Path(__file__).parent / "data" / "state_v15"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "

@@ -44,14 +44,16 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-14 state files: setup with Z=1 and rng Random(11) on
-# random_graph(Random(5), 12, 0.3) (the enhanced deployment with chi 2 and
-# a 64-byte budget), then 60 queries, each (u, v) drawn from Random(12)
-# just before it runs, Random(12) being also the deployment's leaf
-# sampler; reloaded over their trees (not kept), both deployments answer
-# all 144 pairs twice as PathOracle does.  The state_v12 and state_v13
-# files were made by much the same recipe
-STATE_V14 = DATA / "state_v14"
+# format-15 state files: setup with Z=1 and rng Random(11) on
+# random_graph(Random(5), 12, 0.3) (the enhanced deployment with a 16-byte
+# budget, which forces 16-byte level payloads), then 60 queries, each
+# (u, v) drawn as randrange(12), randrange(12) from Random(12) just before
+# it runs, Random(12) being also the deployment's leaf sampler; the states
+# saved, then reloaded over their trees (not kept), both deployments
+# answer all 144 pairs twice as PathOracle does.  The state_v12 to
+# state_v14 files were made by much the same recipe, the v14 controller
+# with chi 2 and a 64-byte budget
+STATE_V15 = DATA / "state_v15"
 # a held data block packed by hand: token 11.., next address 7, no
 # payload, then the tail (leaf, flag)
 HELD_HEAD = b"\x11" * 16 + struct.pack(">I", 7)
@@ -136,7 +138,7 @@ class TestSetup:
         g = Graph(16, directed=True)
         for (u, v), w in random_graph(rng, 15, 0.2).edges.items():  # 15's row holds no entry
             g.add_edge(u, v, w)
-        result, _, _, client = deploy(g, mode, chi=8, **({"budget": 256} if mode == "enhanced" else {}))
+        result, _, _, client = deploy(g, mode, **({"budget": 256} if mode == "enhanced" else {}))
         assert sum(calls) == result.spdx_size > 0
         assert len(calls) == len({u for u, _ in compute_spdx(g)}) == 15
         for u, v in [(0, 9), (3, 3), (9, 0), (5, 12), (15, 2)]:
@@ -201,13 +203,13 @@ class TestSetup:
     @settings(deadline=None)
     @given(graphs=graphs_on_one_vertex_count(), mode=st.sampled_from(["trivial", "enhanced"]))
     def test_trees_reveal_only_the_vertex_count(self, graphs, mode):
-        # at fixed Z, chi and budget, every tree a graph is stored in --
-        # the data tree and each map level -- has a header and a size that
+        # at fixed Z and budget, every tree a graph is stored in -- the
+        # data tree and each map level -- has a header and a size that
         # follow from |V| alone, and so has the chain: however many pairs
         # are connected, the host cannot tell two graphs on |V| apart.  A
-        # 128-byte budget at chi 2 gives a chain from 5 vertices on
+        # 128-byte budget gives a chain from 5 vertices on
         kw = {"budget": 128} if mode == "enhanced" else {}
-        results = [setup(g, mode=mode, bucket_size=2, chi=2, rng=random.Random(1), **kw) for g in graphs]
+        results = [setup(g, mode=mode, bucket_size=2, rng=random.Random(1), **kw) for g in graphs]
         stored = [[(t.header_bytes(), len(t.buckets)) for t in r.trees] for r in results]
         assert stored[0] == stored[1]
         parties = [r.client if mode == "trivial" else r.controller for r in results]
@@ -223,14 +225,15 @@ class TestSetup:
 
     def test_block_and_path_widths(self):
         # tk 16 | next_addr 4 | payload | leaf 4 | flag 1: data blocks of
-        # 25 bytes and, at chi 64, map blocks of 512 + 25.  At |V|=200
-        # (depth 13) a bucket is 5*25 + 28 bytes: the trivial host path is
-        # its bottom 2 buckets, the enhanced one all 14
+        # 25 bytes and, at the 504-byte payload the shape rule picks at a
+        # 4 KiB budget, map blocks of 504 + 25.  At |V|=200 (depth 13) a
+        # bucket is 5*25 + 28 bytes: the trivial host path is its bottom 2
+        # buckets, the enhanced one all 14
         trivial = SchemeParams(200).data_params
         enhanced = SchemeParams(200, mode="enhanced", budget=4096)
         assert trivial.depth == enhanced.data_params.depth == 13
         assert trivial.block_width == enhanced.data_params.block_width == 25
-        assert [level.params.block_width for level in enhanced.map_shape.levels] == [537]
+        assert [level.params.block_width for level in enhanced.map_shape.levels] == [529]
         assert trivial.path_width == 2 * 153 == 306
         assert enhanced.data_params.path_width == 14 * 153 == 2_142
 
@@ -425,7 +428,7 @@ class TestPersistence:
 
     def test_controller_round_trip_preserves_answers(self, tmp_path, rng):
         g = random_graph(rng, 20, 0.2)
-        result, host, server, client = deploy(g, "enhanced", budget=512, chi=8)
+        result, host, server, client = deploy(g, "enhanced", budget=512)
         want = {(u, v): client.query_path(u, v) for u in range(20) for v in range(20)}
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
@@ -436,11 +439,13 @@ class TestPersistence:
                 assert got == spath_oracle(g, u, v), (u, v)
 
     def test_controller_round_trip_keeps_position_map_stash(self, tmp_path, rng):
-        # Z=1 keeps the level stash busy; chi=64 gives 512-byte level payloads
+        # Z=1 keeps the level stash busy.  The shape rule picks 400-byte
+        # level payloads: 200 two-byte entries a block, 2 blocks in a
+        # depth-1 tree, as 512 bytes give
         g = random_graph(rng, 20, 0.2)
         result, host, server, client = deploy(g, "enhanced", budget=512, bucket_size=1)
         levels = server.controller.state.positions.levels
-        assert [lvl.params.payload_width for lvl in levels] == [512]
+        assert [(lvl.params.payload_width, lvl.params.depth) for lvl in levels] == [(400, 1)]
         pairs = [(u, v) for u in range(20) for v in range(20)]
         for u, v in pairs:
             client.query_path(u, v)
@@ -459,8 +464,8 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 14, party 0; the
-        # parameter block (|V|, Z, chi, budget); the 16-byte k2 kprf;
+        # the trivial client's keys.bin: magic, version 15, party 0; the
+        # 13-byte parameter block (|V|, Z, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
         # 0xFF where no block is stored, then the data tree's held blocks
@@ -486,7 +491,8 @@ class TestPersistence:
                 out += tk + struct.pack(">I", next_addr) + struct.pack(">IB", leaf, flag)
             return out
 
-        want = b"OS\x0e\x00" + struct.pack(">IBIQ", 15, 5, 64, 0)
+        want = b"OS\x0f\x00" + struct.pack(">IBQ", 15, 5, 0)
+        assert protocol._PARAMS.size == 13
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
@@ -618,15 +624,17 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "mode, kw, depth",
-        [("trivial", {}, 0), ("enhanced", {}, 0), ("enhanced", {"budget": 256, "chi": 8}, 1)],
-        ids=["trivial", "enhanced-flat", "enhanced-chain"],
+        [("trivial", {}, 0), ("enhanced", {}, 0), ("enhanced", {"budget": 256}, 1), ("enhanced", {"budget": 16}, 2)],
+        ids=["trivial", "enhanced-flat", "enhanced-chain", "enhanced-chain-16"],
     )
     def test_loaded_map_has_the_shape_setup_built(self, tmp_path, rng, mode, kw, depth):
         # the map's shape is derived from the parameter block, not read from
         # the file: no file can claim data leaves, a top width or level
         # trees other than those setup built (a stored header once claimed
         # 2 data leaves for a 128-leaf tree, and every remap then went to
-        # leaf 0 or 1 until the stash overflowed)
+        # leaf 0 or 1 until the stash overflowed), the level payload the
+        # shape rule picked included: 512 bytes for a flat map, 32 at a
+        # 256-byte budget and 16 at a 16-byte one
         result, _, server, _ = deploy(random_graph(rng, 12, 0.3), mode, **kw)
         state = result.client if mode == "trivial" else server.controller.state
         path = tmp_path / "state.bin"
@@ -636,6 +644,7 @@ class TestPersistence:
         assert loaded.params == state.params
         assert got.chain_depth == want.chain_depth == depth
         assert got.shape == want.shape == state.params.map_shape
+        assert got.shape.payload == {0: 512, 1: 32, 2: 16}[depth]
         assert got.shape.address_space == 144
         assert got.shape.targets[0] == result.trees[0].params.leaves
         assert len(top_entries(got)) == len(top_entries(want)) == got.shape.top_width
@@ -651,12 +660,12 @@ class TestPersistence:
     def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree, entry):
         # a flat map's entries are data leaves or ABSENT; a chain's are
         # leaves of its last level, all present.  An entry past its tree
-        # loaded, and the first query that read it raised IndexError.  chi 2
-        # packs 16 entries a block, so the chain's top has 9.  The cells are
-        # one byte wide, for 32 data leaves or 2 level-0 leaves, but two at
-        # Z=1, for 256 data leaves: there a high byte of all ones must
-        # start an all-ones cell
-        kw = {"budget": 256, "chi": 2} if mode == "enhanced" else {"bucket_size": 1} if entry == "FF00" else {}
+        # loaded, and the first query that read it raised IndexError.  The
+        # 256-byte budget gets 32-byte payloads of 32 entries, so the
+        # chain's top has 5.  The cells are one byte wide, for 32 data
+        # leaves or the one leaf of level 0, but two at Z=1, for 256 data
+        # leaves: there a high byte of all ones must start an all-ones cell
+        kw = {"budget": 256} if mode == "enhanced" else {"bucket_size": 1} if entry == "FF00" else {}
         result, _, server, _ = deploy(random_graph(random.Random(5), 12, 0.3), mode, **kw)
         state = result.client if mode == "trivial" else server.controller.state
         assert state.positions.chain_depth == tree
@@ -679,25 +688,27 @@ class TestPersistence:
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_14_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+    def test_format_15_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
         # the trivial client holds 49 blocks over 128 groups (k=7 of the
         # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
-        # cells; the controller's chain has depth 2 and held blocks in the
-        # data tree and level 0.  Loading and saving again gives the same
-        # bytes
-        state = load_state(STATE_V14 / name, kind)
+        # cells; the controller's chain has depth 2, of 16-byte payloads,
+        # and held blocks in the data tree and level 0.  Loading and saving
+        # again gives the same bytes
+        state = load_state(STATE_V15 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
+        if kind is ControllerState:
+            assert state.positions.shape.payload == 16
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V14 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V15 / name).read_bytes()
 
     @staticmethod
     def _assert_refused(version, name, kind):
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 14; "
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 15; "
                                                 "set the deployment up again"):
             load_state(path, kind)
 
@@ -733,21 +744,29 @@ class TestPersistence:
         # no query derives since the token PRF is AES
         self._assert_refused(13, name, kind)
 
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_14_files_are_refused(self, name, kind):
+        # a format-14 parameter block held chi, 4 bytes more; its
+        # controller's levels have the 16-byte payloads of chi 2, where the
+        # shape rule picks 40 bytes for its 64-byte budget
+        self._assert_refused(14, name, kind)
+
     @pytest.mark.parametrize(
         "field, value, match",
-        [(2, 0, "chi must be"), (1, 0, "bucket size must be")],
-        ids=["chi-0", "Z-0"],
+        [(2, 15, "smaller than the smallest map block payload"), (1, 0, "bucket size must be")],
+        ids=["budget-15", "Z-0"],
     )
     def test_parameter_block_is_validated_on_load(self, tmp_path, rng, field, value, match):
         # a parameter block setup would refuse is refused before any shape
-        # is derived from it: with chi 0 the first query divided by zero,
-        # and with Z 0 it blamed the host for a path of the wrong width
-        _, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256, chi=8)
+        # is derived from it: a budget that holds no level payload has no
+        # shape, and with Z 0 the first query blamed the host for a path of
+        # the wrong width
+        _, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256)
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
         raw = path.read_bytes()
         at, size = protocol._PREFIX.size, protocol._PARAMS.size
-        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # |V|, Z, chi, budget
+        fields = list(protocol._PARAMS.unpack(raw[at : at + size]))  # |V|, Z, budget
         fields[field] = value
         path.write_bytes(raw[:at] + protocol._PARAMS.pack(*fields) + raw[at + size :])
         with pytest.raises(ProtocolError, match=f"corrupt parameter block: .*{match}"):
@@ -772,7 +791,7 @@ class TestPersistence:
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
         # tree files of version 5 held 69-byte data blocks with a k1
         # payload, 8-byte addresses and leaves, and state files of version
-        # 13 blocks keyed by HMAC tokens, so both must be set up again (as
+        # 14 a parameter block with chi, so both must be set up again (as
         # must older ones)
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
@@ -782,9 +801,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (6, 5, TreeStorage.load),
-            "keys.bin": (14, 13, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (14, 13, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (14, 13, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (15, 14, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (15, 14, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (15, 14, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name
@@ -822,7 +841,7 @@ class TestPersistence:
     def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch, rng):
         # a write that fails part-way (here at fsync, after the new bytes
         # went out) keeps the old file byte for byte and leaves no temp file
-        result, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256, chi=8)
+        result, _, server, _ = deploy(random_graph(rng, 12, 0.3), "enhanced", budget=256)
         trivial, _, _, client = deploy(random_graph(rng, 12, 0.3), "trivial")
         savers = {
             "keys.bin": lambda p: save_state(p, result.client),
@@ -880,7 +899,7 @@ class TestTruncatedStateFiles:
 
     def test_controller(self, tmp_path, rng):
         g = random_graph(rng, 12, 0.3)
-        result, _, server, _ = deploy(g, "enhanced", budget=256, chi=8)
+        result, _, server, _ = deploy(g, "enhanced", budget=256)
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
         self._assert_every_prefix_rejected(path)
@@ -907,7 +926,7 @@ def valid_files(tmp_path_factory):
     g = random_graph(random.Random(5), 12, 0.3)
     trivial, _, _, client = deploy(g, "trivial")
     client.query(0, 5)
-    enhanced, _, server, _ = deploy(g, "enhanced", budget=256, chi=8)
+    enhanced, _, server, _ = deploy(g, "enhanced", budget=256)
     for name, state in (("trivial", trivial.client), ("enhanced", enhanced.client),
                         ("controller", server.controller.state)):
         save_state(work / name, state)

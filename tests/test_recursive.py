@@ -8,15 +8,26 @@ from scipy import stats
 from obge.blocks import ABSENT, TreeParams
 from obge.crypto import Cipher, keygen
 from obge.exceptions import ConfigError, IntegrityError
-from obge.recursive import MapLevel, MapShape, RecursivePM, entry_width, map_shape, pack_entries, rpm_build
+from obge.protocol import SchemeParams
+from obge.recursive import (
+    MAX_CHI,
+    MapLevel,
+    MapShape,
+    RecursivePM,
+    entry_width,
+    map_shape,
+    pack_entries,
+    payload_shape,
+    rpm_build,
+)
 from obge.storage import StorageHost
 from conftest import top_entries
 
 
-def build_rpm(assignments, address_space, data_leaves, chi, budget, rng, Z=5):
+def build_rpm(assignments, address_space, data_leaves, budget, rng, Z=5):
     keys = keygen()
     k2 = Cipher(keys.k2)
-    shape = map_shape(address_space, chi, budget, Z, data_leaves)
+    shape = map_shape(address_space, budget, Z, data_leaves)
     rpm, trees = rpm_build(assignments.items(), shape, k2, rng)
     host = StorageHost(trees)
     rpm.attach(host, rng)
@@ -35,74 +46,103 @@ def check_against_shadow(rpm, assignments, addresses):
 
 
 class TestBuild:
-    def test_chain_shape_4096_chi64_1kb(self, rng):
-        # 256 data leaves take 2-byte entries, 256 to a 512-byte payload
+    def test_chain_shape_4096_1kb(self, rng):
+        # 256 data leaves take 2-byte entries.  A 512-byte payload packs 256
+        # of them, 16 blocks in a depth-2 tree; 416 bytes pack 208, 20
+        # blocks in the same depth, the narrowest payload that keeps one
+        # level of 3 buckets a path (408 bytes make 21 blocks, depth 3)
         assignments = {a: rng.randrange(256) for a in range(0, 4096, 2)}
-        rpm, _ = build_rpm(assignments, 4096, 256, chi=64, budget=1024, rng=rng)
+        rpm, _ = build_rpm(assignments, 4096, 256, budget=1024, rng=rng)
         assert rpm.chain_depth == 1
-        shape = map_shape(4096, 64, 1024, 5, 256)
-        assert rpm.shape == shape
+        shape = map_shape(4096, 1024, 5, 256)
+        assert rpm.shape == shape and shape.payload == 416
         assert [(lvl.blocks, lvl.params, lvl.width, lvl.per_block) for lvl in shape.levels] == [
-            (16, rpm.levels[0].params, 2, 256)
+            (20, rpm.levels[0].params, 2, 208)
         ]
-        assert (shape.spans, shape.targets, shape.top_width) == ((1, 256), (256, 4), 16)
-        assert len(top_entries(rpm)) == 16
+        assert [lvl.params.depth for lvl in payload_shape(4096, 512, 1024, 5, 256).levels] == [2]
+        assert [lvl.params.depth for lvl in payload_shape(4096, 408, 1024, 5, 256).levels] == [3]
+        assert (shape.spans, shape.targets, shape.top_width) == ((1, 208), (256, 4), 20)
+        assert len(top_entries(rpm)) == 20
         assert len(top_entries(rpm)) * 8 <= 1024
-        # held as 16 one-byte cells, which resident memory counts at that width
+        # held as 20 one-byte cells, which resident memory counts at that width
         level = rpm.levels[0]
-        assert len(rpm.top) == 16 * shape.top_entry_width == 16
+        assert len(rpm.top) == 20 * shape.top_entry_width == 20
         assert rpm.resident_bytes() == len(rpm.top) + level.held_count * level.params.block_width
 
-    def test_benchmark_shapes(self):
-        # |V|=200 at 4 KiB: 8,192 data leaves take 2-byte entries, 256 to a
-        # block, so one level of 157 blocks; |V|=500: 3-byte data leaves,
-        # 170 to a block, then 2-byte leaves of the 512-leaf level-0 tree
-        shape = map_shape(40000, 64, 4096, 5, 8192)
-        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == [(157, 5)]
-        assert shape.top_width == 157
-        shape = map_shape(250000, 64, 4096, 5, 1 << 16)
-        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == [(1471, 9), (6, 1)]
-        assert shape.top_width == 6
+    @pytest.mark.parametrize(
+        "vertices, budget, payload, levels",
+        [(200, 4096, 504, [(159, 5)]), (500, 4096, 392, [(1924, 9), (10, 1)]), (24, 4096, 120, [(5, 0)]),
+         (30, 256, 184, [(10, 1)])],
+        ids=["enhanced-rpm-tcp", "setup-v500", "smoke-24", "chain-30"],
+    )
+    def test_benchmark_shapes(self, vertices, budget, payload, levels):
+        # enhanced, Z=5.  |V|=200: 8,192 data leaves take 2-byte entries,
+        # 252 to a 504-byte block, so one level of 159 blocks at depth 5,
+        # as 512 bytes give; |V|=500: 3-byte data leaves, 130 to a 392-byte
+        # block, then 2-byte leaves of the 512-leaf level-0 tree, at the
+        # depths (9, 1) of 512 bytes, which moved 28% more map bytes a
+        # round.  The 24-vertex smoke graph and the 30-vertex chain keep
+        # one level
+        params = SchemeParams(vertices, mode="enhanced", budget=budget)
+        shape = params.map_shape
+        assert shape.payload == payload and params.chi == payload // 8
+        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == levels
+        assert shape.top_width == levels[-1][0]
+        widest = payload_shape(params.address_space, min(8 * MAX_CHI, budget), budget, 5, params.data_params.leaves)
+        assert [lvl.params.depth for lvl in widest.levels] == [depth for _, depth in levels]
+        assert shape.host_bytes <= widest.host_bytes
 
     def test_flat_when_budget_covers_map(self, rng):
+        # a flat map's payloads all tie; it keeps the widest
         assignments = {a: rng.randrange(64) for a in range(100)}
-        rpm, _ = build_rpm(assignments, 256, 64, chi=64, budget=256 * 8, rng=rng)
-        assert rpm.chain_depth == 0
+        rpm, _ = build_rpm(assignments, 256, 64, budget=256 * 8, rng=rng)
+        assert rpm.chain_depth == 0 and rpm.shape.payload == 8 * MAX_CHI
 
     def test_chi_one_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            build_rpm({}, 64, 8, chi=1, budget=1024, rng=rng)
+        # a budget of 8 to 15 bytes would hold an 8-byte (chi 1) payload
+        # alone, which the rule never picks
+        for budget in range(8, 16):
+            with pytest.raises(ConfigError, match="smallest map block payload \\(16 bytes\\)"):
+                build_rpm({}, 64, 8, budget=budget, rng=rng)
 
     def test_budget_below_one_packed_block_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            build_rpm({0: 1}, 4096, 8, chi=64, budget=100, rng=rng)
+        # where a level is needed, a budget below the 16-byte payload is
+        # refused, naming it; 16 bytes are enough, and a map that stays
+        # flat needs no block at all
+        with pytest.raises(ConfigError, match="budget of 15 bytes is smaller than the smallest map block payload"):
+            build_rpm({0: 1}, 4096, 8, budget=15, rng=rng)
+        assert build_rpm({0: 1}, 4096, 8, budget=16, rng=rng)[0].shape.payload == 16
+        assert build_rpm({0: 1}, 1, 8, budget=8, rng=rng)[0].chain_depth == 0
 
     def test_deep_chain_still_correct(self, rng):
+        # a 16-byte budget forces 16-byte payloads: 32 then 2 blocks
         assignments = {a: rng.randrange(32) for a in range(512)}
-        rpm, _ = build_rpm(assignments, 512, 32, chi=2, budget=64, rng=rng)
-        assert rpm.chain_depth >= 2
+        rpm, _ = build_rpm(assignments, 512, 32, budget=16, rng=rng)
+        assert rpm.chain_depth == 2
         check_against_shadow(rpm, assignments, [rng.randrange(512) for _ in range(400)])
 
 
 class TestAccess:
     def test_remap_bookkeeping(self, rng):
         assignments = {7: 3}
-        rpm, _ = build_rpm(assignments, 64, 16, chi=8, budget=64, rng=rng)
+        rpm, _ = build_rpm(assignments, 64, 16, budget=64, rng=rng)
         old1, new1 = rpm.get_and_remap(7)
         assert old1 == 3
         old2, new2 = rpm.get_and_remap(7)
         assert old2 == new1
 
     def test_absent_address_stays_absent(self, rng):
-        rpm, _ = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
+        rpm, _ = build_rpm({1: 5}, 64, 16, budget=64, rng=rng)
         for _ in range(5):
             old, new = rpm.get_and_remap(9)
             assert old == ABSENT
             assert 0 <= new < 16
 
     def test_absent_still_touches_every_level(self, rng):
-        rpm, host = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
+        # a 16-byte budget gives two levels, 4 blocks and then 1
+        rpm, host = build_rpm({1: 5}, 64, 16, budget=16, rng=rng)
         depth = rpm.chain_depth
+        assert depth == 2
         before = len(host.trace)
         rpm.get_and_remap(9)
         reads = [r for r in host.trace.records[before:] if r.msg_type == "ReadPath"]
@@ -111,7 +151,7 @@ class TestAccess:
     def test_loaded_top_must_have_the_shapes_width(self, rng):
         # the loader reads the shape's width; a caller handing a top of any
         # other width is refused before the map exists
-        rpm, _ = build_rpm({1: 5}, 64, 16, chi=8, budget=64, rng=rng)
+        rpm, _ = build_rpm({1: 5}, 64, 16, budget=64, rng=rng)
         cells = bytes(rpm.top)
         w, n = rpm.shape.top_entry_width, rpm.shape.top_width
         assert len(cells) == n * w
@@ -121,7 +161,7 @@ class TestAccess:
                 RecursivePM.load(rpm.shape, rpm.levels, bad)
 
     def test_out_of_range(self, rng):
-        rpm, _ = build_rpm({}, 16, 8, chi=8, budget=8 * 8, rng=rng)
+        rpm, _ = build_rpm({}, 16, 8, budget=8 * 8, rng=rng)
         with pytest.raises(IndexError):
             rpm.get_and_remap(16)
 
@@ -163,7 +203,7 @@ def test_loaded_top_cells_follow_the_per_entry_rule(rng, flat, depth):
     rng.shuffle(good)
     level = MapLevel(TreeParams(depth, 5, 64), 1, w, 64 // w)
     shape = MapShape(
-        len(good), () if flat else (level,), (1,) if flat else (1, 1), (leaves,) if flat else (1, leaves), len(good)
+        len(good), 64, () if flat else (level,), (1,) if flat else (1, 1), (leaves,) if flat else (1, leaves), len(good)
     )
     assert shape.top_entry_width == w
     cells = b"".join(v.to_bytes(w, "big") for v in good)
@@ -179,42 +219,70 @@ def test_loaded_top_cells_follow_the_per_entry_rule(rng, flat, depth):
 
 
 @settings(deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), chi=st.integers(2, 16), ops=st.integers(1, 60))
-def test_shadow_map_equivalence(seed, chi, ops):
+@given(seed=st.integers(0, 2**32 - 1), ops=st.integers(1, 60))
+def test_shadow_map_equivalence(seed, ops):
     """Any access sequence matches the shadow map.  Data leaf counts on either side of the
     8- and 16-bit boundaries give level 0 entries of 1, 2 or 3 bytes, and
     the level trees above it 1- or 2-byte ones, so per-block counts differ
-    level by level."""
+    level by level; budgets from 16 bytes up give payloads from 16 to 512
+    bytes and chains of one to five levels."""
     rng = random.Random(seed)
     space = rng.choice([64, 128, 300, 2000, 7000])
     data_leaves = rng.choice([32, 255, 256, 65535, 65536])
     assignments = {a: rng.randrange(data_leaves) for a in range(space) if rng.random() < 0.6}
-    budget = max(chi * 8, space * 8 // rng.choice([4, 8, 16, 64]))
-    rpm, _ = build_rpm(assignments, space, data_leaves, chi=chi, budget=budget, rng=rng)
+    budget = max(16, space * 8 // rng.choice([4, 8, 16, 64, 512, 4096]))
+    rpm, _ = build_rpm(assignments, space, data_leaves, budget=budget, rng=rng)
     check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(ops)])
 
 
+@settings(deadline=None)
+@given(vertices=st.integers(2, 600), budget=st.integers(16, 1 << 20), bucket_size=st.integers(1, 8))
+def test_shape_rule_keeps_the_widest_payloads_levels_and_buckets(vertices, budget, bucket_size):
+    """The chosen shape has no more levels, host buckets or host bytes per
+    map round than the widest payload the budget admits, and no narrower
+    payload has its levels and buckets: those rise as the payload narrows,
+    so the rule's key picks the narrowest payload that keeps the widest
+    one's.  A flat map keeps the widest payload."""
+    params = SchemeParams(vertices, bucket_size, "enhanced", budget)
+    shape = params.map_shape
+    space, leaves = params.address_space, params.data_params.leaves
+    widest = payload_shape(space, 8 * min(MAX_CHI, budget // 8), budget, bucket_size, leaves)
+    assert len(shape.levels) <= len(widest.levels)
+    assert shape.host_buckets <= widest.host_buckets
+    assert shape.host_bytes <= widest.host_bytes
+    if not shape.levels:
+        assert shape == widest
+        return
+    key = (len(shape.levels), shape.host_buckets)
+    for payload in range(16, shape.payload, 8):
+        narrower = payload_shape(space, payload, budget, bucket_size, leaves)
+        assert (len(narrower.levels), narrower.host_buckets) > key
+
+
 def test_mixed_width_chain(rng):
-    # 3-byte data leaves, 5 to a 16-byte payload: 1,400 blocks in a
-    # 512-leaf tree; its 2-byte leaves, 8 to a block: 175 blocks in a
-    # 64-leaf tree; its 1-byte leaves, 16 to a block: 11 blocks on top
+    # a 16-byte budget forces 16-byte payloads.  3-byte data leaves, 5 to
+    # a block: 1,400 blocks in a 512-leaf tree; its 2-byte leaves, 8 to a
+    # block: 175 blocks in a 64-leaf tree; its 1-byte leaves, 16 to a
+    # block: 11 blocks in a 4-leaf tree, and those 11 entries in one block
+    # under a one-entry top
     space, data_leaves = 7000, 1 << 16
     assignments = {a: rng.randrange(data_leaves) for a in range(space) if rng.random() < 0.6}
-    rpm, _ = build_rpm(assignments, space, data_leaves, chi=2, budget=100, rng=rng)
+    rpm, _ = build_rpm(assignments, space, data_leaves, budget=16, rng=rng)
     shape = rpm.shape
-    assert [(lvl.width, lvl.per_block) for lvl in shape.levels] == [(3, 5), (2, 8), (1, 16)]
-    assert shape.spans == (1, 5, 40, 640) and shape.targets == (data_leaves, 512, 64, 4)
-    assert [lvl.params.leaves for lvl in rpm.levels] == [512, 64, 4]
-    assert len(top_entries(rpm)) == 11
+    assert [(lvl.width, lvl.per_block) for lvl in shape.levels] == [(3, 5), (2, 8), (1, 16), (1, 16)]
+    assert shape.spans == (1, 5, 40, 640, 10240) and shape.targets == (data_leaves, 512, 64, 4, 1)
+    assert [lvl.params.leaves for lvl in rpm.levels] == [512, 64, 4, 1]
+    assert len(top_entries(rpm)) == 1
     check_against_shadow(rpm, assignments, [rng.randrange(space) for _ in range(300)])
 
 
 def test_padded_last_block_reads_absent(rng):
-    # 300 addresses of 2-byte entries, 8 to a block: the last of 38 blocks
-    # holds addresses 296..299 and four ABSENT pad entries.  Its unassigned
-    # addresses read ABSENT and stay so; its assigned ones remap around them
+    # 300 addresses of 2-byte entries, 8 to a 16-byte payload (which a
+    # 16-byte budget forces): the last of 38 blocks holds addresses
+    # 296..299 and four ABSENT pad entries.  Its unassigned addresses read
+    # ABSENT and stay so; its assigned ones remap around them
     assignments = {a: rng.randrange(256) for a in range(290)} | {297: 255, 299: 0}
-    rpm, _ = build_rpm(assignments, 300, 256, chi=2, budget=64, rng=rng)
+    rpm, _ = build_rpm(assignments, 300, 256, budget=16, rng=rng)
     level = rpm.shape.levels[0]
     assert (level.width, level.per_block, level.params.payload_width) == (2, 8, 16)
     check_against_shadow(rpm, assignments, list(range(296, 300)) * 4)
@@ -225,11 +293,10 @@ def test_padded_last_block_reads_absent(rng):
 def test_budget_compliance_under_load(rng):
     space = 4096
     assignments = {a: rng.randrange(128) for a in range(space)}
-    # 1-byte entries, 512 to a block: 8 blocks, so a 64-byte top; the
-    # budget leaves the stash under two blocks of room, as 8-byte entries
-    # did at twice the budget
+    # 1-byte entries, 416 to a block: 10 blocks, so a 10-byte top that
+    # leaves the stash the rest of the budget
     budget = space * 8 // 32
-    rpm, _ = build_rpm(assignments, space, 128, chi=64, budget=budget, rng=rng)
+    rpm, _ = build_rpm(assignments, space, 128, budget=budget, rng=rng)
     assert rpm.chain_depth >= 1
     slack = max(lvl.params.block_width for lvl in rpm.levels)
     for _ in range(500):
@@ -239,9 +306,10 @@ def test_budget_compliance_under_load(rng):
 def test_per_level_uniform_leaves(rng):
     space = 1024
     assignments = {a: rng.randrange(64) for a in range(space)}
-    # 1-byte entries, 16 to a block: 64 blocks in a 16-leaf tree, then 4
-    rpm, host = build_rpm(assignments, space, 64, chi=2, budget=256, rng=rng)
-    assert rpm.chain_depth >= 1
+    # a 16-byte budget forces 16-byte payloads: 1-byte entries, 16 to a
+    # block, 64 blocks in a 16-leaf tree, then 4 and 1 in one-leaf trees
+    rpm, host = build_rpm(assignments, space, 64, budget=16, rng=rng)
+    assert [lvl.params.leaves for lvl in rpm.levels] == [16, 1, 1]
     for _ in range(3000):
         rpm.get_and_remap(rng.randrange(space))
     for lvl in rpm.levels:

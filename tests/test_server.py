@@ -63,9 +63,10 @@ def deploy_to(directory, result):
 
 
 def enhanced_chain(n):
-    """An enhanced setup of an n-vertex chain with a one-level map chain
-    (12 vertices: a 2-leaf map level; 15: a 4-leaf one; 24: two levels)."""
-    return setup(chain_graph(n), mode="enhanced", budget=256, chi=2, rng=random.Random(n))
+    """An enhanced setup of an n-vertex chain at a 48-byte budget: a
+    one-level map chain for 12 vertices (32-byte level payloads) and 15
+    (48-byte ones), two levels for 24."""
+    return setup(chain_graph(n), mode="enhanced", budget=48, rng=random.Random(n))
 
 
 class TestDispatch:
@@ -209,10 +210,10 @@ class TestConfig:
     )
     def test_tree_file_from_another_setup_is_refused(self, tmp_path, donor, name, match):
         # an enhanced deployment of a 12-vertex chain (a depth-5 data tree
-        # and one 2-leaf map level, 16 entries a block) with a tree file of
+        # and one map level, 32 entries a block) with a tree file of
         # another setup swapped or added in: the start is refused, naming
         # the file, where once every query failed.  A 15-vertex chain's map
-        # level has 4 leaves; a 24-vertex chain's map has two levels
+        # level has 48-byte payloads; a 24-vertex chain's map has two levels
         cfg = deploy_to(tmp_path / "ours", enhanced_chain(12))
         build_server(cfg)
         deploy_to(tmp_path / "theirs", enhanced_chain(donor))
