@@ -72,14 +72,13 @@ position-map level's stash -- has one codec and stores no shape:
 load_state validates the parameter block and derives the data tree's
 depth and cached levels (``SchemeParams.data_params``) and the map's shape
 (``SchemeParams.map_shape``, level payload included) from it, as setup
-does.  The top is stored
-as the map keeps it: big-endian cells as wide as the tree its entries
-point into needs (``recursive.entry_width``), ABSENT all ones: one byte
-each for a data tree of up to 128 leaves, two up to 32,768.  It comes
-first, so a file whose |V| was raised runs out of bytes before an engine
-is sized from that |V|.  Held blocks and a stash are stored alike: a
-block count and the packed blocks, group by group, which the engine is
-built from as they stand.  The engines check what they are built with:
+does.  The top is stored as the map keeps it: big-endian cells as wide as
+the tree its entries point into needs (``recursive.entry_width``), ABSENT
+all ones: one byte each for a data tree of up to 128 leaves, two up to
+32,768.  It comes first, so a file whose |V| was raised runs out of bytes
+before an engine is sized from that |V|.  Held blocks and a stash are
+stored alike: a block count and the packed blocks, group by group, which
+the engine is built from as they stand.  The engines check what they are built with:
 ``PathOram`` its held blocks and ``RecursivePM.load`` the top; load_state
 reports what they refuse as ProtocolError naming the file.  Files are
 replaced atomically and readable by their owner only; a file of an older
@@ -287,7 +286,7 @@ def setup(
     """
     params = SchemeParams(g.vertex_count, bucket_size=bucket_size, mode=mode, budget=budget)
     params.validate()
-    shape = params.map_shape
+    shape = params.map_shape  # refuses a budget that holds no level payload before any work
     rng = rng if rng is not None else secrets.SystemRandom()
     keys = keygen()
     k2 = Cipher(keys.k2)
