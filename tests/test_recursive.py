@@ -224,8 +224,8 @@ def test_shadow_map_equivalence(seed, ops):
     """Any access sequence matches the shadow map.  Data leaf counts on either side of the
     8- and 16-bit boundaries give level 0 entries of 1, 2 or 3 bytes, and
     the level trees above it 1- or 2-byte ones, so per-block counts differ
-    level by level; budgets from 16 bytes up give payloads from 16 to 512
-    bytes and chains of one to five levels."""
+    level by level; budgets from 16 bytes up give payloads from 16 to 400
+    bytes and chains of one to four levels."""
     rng = random.Random(seed)
     space = rng.choice([64, 128, 300, 2000, 7000])
     data_leaves = rng.choice([32, 255, 256, 65535, 65536])
