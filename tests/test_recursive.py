@@ -69,28 +69,25 @@ class TestBuild:
         assert len(rpm.top) == 20 * shape.top_entry_width == 20
         assert rpm.resident_bytes() == len(rpm.top) + level.held_count * level.params.block_width
 
-    @pytest.mark.parametrize(
-        "vertices, budget, payload, levels",
-        [(200, 4096, 504, [(159, 5)]), (500, 4096, 392, [(1924, 9), (10, 1)]), (24, 4096, 120, [(5, 0)]),
-         (30, 256, 184, [(10, 1)])],
-        ids=["enhanced-rpm-tcp", "setup-v500", "smoke-24", "chain-30"],
-    )
-    def test_benchmark_shapes(self, vertices, budget, payload, levels):
-        # enhanced, Z=5.  |V|=200: 8,192 data leaves take 2-byte entries,
-        # 252 to a 504-byte block, so one level of 159 blocks at depth 5,
-        # as 512 bytes give; |V|=500: 3-byte data leaves, 130 to a 392-byte
-        # block, then 2-byte leaves of the 512-leaf level-0 tree, at the
-        # depths (9, 1) of 512 bytes, which moved 28% more map bytes a
-        # round.  The 24-vertex smoke graph and the 30-vertex chain keep
-        # one level
-        params = SchemeParams(vertices, mode="enhanced", budget=budget)
-        shape = params.map_shape
-        assert shape.payload == payload and params.chi == payload // 8
-        assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == levels
-        assert shape.top_width == levels[-1][0]
-        widest = payload_shape(params.address_space, min(8 * MAX_CHI, budget), budget, 5, params.data_params.leaves)
-        assert [lvl.params.depth for lvl in widest.levels] == [depth for _, depth in levels]
-        assert shape.host_bytes <= widest.host_bytes
+    def test_benchmark_shapes(self):
+        # enhanced, Z=5.  |V|=200 at 4 KiB: 8,192 data leaves take 2-byte
+        # entries, 252 to a 504-byte block, so one level of 159 blocks at
+        # depth 5, as 512 bytes give; |V|=500: 3-byte data leaves, 130 to
+        # a 392-byte block, then 2-byte leaves of the 512-leaf level-0
+        # tree, at the depths (9, 1) of 512 bytes, which moved 28% more map
+        # bytes a round.  The 24-vertex smoke graph, and the 30-vertex
+        # chain at 256 bytes, keep one level
+        known = [(200, 4096, 504, [(159, 5)]), (500, 4096, 392, [(1924, 9), (10, 1)]), (24, 4096, 120, [(5, 0)]),
+                 (30, 256, 184, [(10, 1)])]
+        for vertices, budget, payload, levels in known:
+            params = SchemeParams(vertices, mode="enhanced", budget=budget)
+            shape = params.map_shape
+            assert shape.payload == payload and params.chi == payload // 8
+            assert [(lvl.blocks, lvl.params.depth) for lvl in shape.levels] == levels
+            assert shape.top_width == levels[-1][0]
+            widest = payload_shape(params.address_space, min(8 * MAX_CHI, budget), budget, 5, params.data_params.leaves)
+            assert [lvl.params.depth for lvl in widest.levels] == [depth for _, depth in levels]
+            assert shape.host_bytes <= widest.host_bytes
 
     def test_flat_when_budget_covers_map(self, rng):
         # a flat map's payloads all tie; it keeps the widest
