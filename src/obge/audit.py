@@ -12,19 +12,21 @@ each pair on one tree and one leaf, each record exactly its tree's
 geometry is the trees' own, read from the tree file headers; chain_depth
 is the number of trees after the data tree.
 
-Over the queries whose shape holds, the auditor then tests each tree's
-leaves for uniformity against its 2^depth leaves, and the data-tree leaves
-of the two most frequent queries of each path length for homogeneity.
+Over the queries whose shape holds, the auditor then runs two chi-square
+tests on leaf histograms of at most ``MAX_BINS`` equal bins.  Each tree's
+leaves are tested for uniformity over its 2^depth leaves (Pearson's
+goodness of fit).  The data-tree leaves of the two most frequent queries of
+each path length are tested for homogeneity (the 2 x k contingency test
+over the non-empty bins, with Yates' continuity correction at df = 1).
+Both take their p-value from the exact chi-square tail for integer df.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-from scipy import stats
 
 from .blocks import TreeParams
 from .exceptions import ProtocolError
@@ -71,36 +73,69 @@ def load_query_log(path: str | Path) -> list[QueryTruth]:
                 u, v, plen = map(int, line.split(","))
             except ValueError:
                 raise ProtocolError(f"{path}, line {lineno}: expected u,v,path_len integers, got {line!r}") from None
+            if min(u, v, plen) < 0:
+                raise ProtocolError(f"{path}, line {lineno}: expected non-negative u,v,path_len, got {line!r}")
             rows.append(QueryTruth(u, v, plen))
     return rows
 
 
-def bin_leaves(leaves: list[int], leaf_space: int) -> np.ndarray:
+def bin_leaves(leaves: list[int], leaf_space: int) -> list[int]:
     """Histogram leaf ids into equal power-of-two bins, at most MAX_BINS, so
     chi-square cells stay adequately filled."""
     bins = min(leaf_space, MAX_BINS)
-    counts = np.zeros(bins, dtype=np.int64)
+    counts = [0] * bins
     for leaf in leaves:
         counts[leaf * bins // leaf_space] += 1
     return counts
 
 
+def _chi2_sf(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-square with integer df >= 1.  With y = stat/2
+    the tail is a Poisson sum, sum of e^-y y^a / a! over a = 0, 1, .. < df/2,
+    for even df; for odd df it is erfc(sqrt(y)) plus the same sum over
+    a = 1/2, 3/2, .. < df/2.  Every addend is positive, so nothing cancels."""
+    if stat <= 0:
+        return 1.0
+    y = stat / 2
+    tail = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    a = df % 2 / 2
+    while a < df / 2:
+        tail += math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+        a += 1
+    return min(tail, 1.0)
+
+
 def uniformity_pvalue(leaves: list[int], leaf_space: int) -> float:
+    """Pearson's goodness-of-fit test of the binned leaves against uniform."""
     if leaf_space == 1 or not leaves:
         return 1.0
     counts = bin_leaves(leaves, leaf_space)
-    return float(stats.chisquare(counts).pvalue)
+    expected = len(leaves) / len(counts)
+    return _chi2_sf(math.fsum((c - expected) ** 2 for c in counts) / expected, len(counts) - 1)
 
 
 def two_sample_pvalue(a: list[int], b: list[int], leaf_space: int) -> float:
-    """Chi-square homogeneity test: can the two leaf samples be told apart?"""
+    """Chi-square homogeneity test: can the two leaf samples be told apart?
+    The 2 x k table keeps the bins either sample reaches; at df = 1 each
+    |O - E| shrinks by min(0.5, |O - E|) (Yates)."""
+    if not a or not b:
+        raise ValueError(f"two-sample test needs two non-empty samples, got {len(a)} and {len(b)} leaves")
     if leaf_space == 1:
         return 1.0
-    table = np.vstack([bin_leaves(a, leaf_space), bin_leaves(b, leaf_space)])
-    table = table[:, table.sum(axis=0) > 0]
-    if table.shape[1] < 2:
+    rows = [bin_leaves(a, leaf_space), bin_leaves(b, leaf_space)]
+    columns = [col for col in zip(*rows) if any(col)]
+    if len(columns) < 2:
         return 1.0
-    return float(stats.chi2_contingency(table).pvalue)
+    df = len(columns) - 1
+    terms = []
+    for col in columns:
+        for observed, n in zip(col, (len(a), len(b))):
+            expected = n * sum(col) / (len(a) + len(b))
+            diff = abs(observed - expected)
+            if df == 1:
+                diff -= min(0.5, diff)
+            terms.append(diff * diff / expected)
+    return _chi2_sf(math.fsum(terms), df)
 
 
 def repeat_rate_zscore(leaves: list[int], leaf_space: int) -> float:

@@ -7,12 +7,11 @@ thread spends descheduled, which a stall on a shared machine would add."""
 from __future__ import annotations
 
 import gc
+import math
 import random
 import statistics
 import time
 from dataclasses import dataclass
-
-from scipy import stats
 
 from .graph import Graph
 from .protocol import setup
@@ -69,22 +68,66 @@ def run_bench(
     return rows
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b), with y = 1 - x passed
+    exact by the caller.  The continued fraction (modified Lentz) converges
+    fast for x < (a + 1) / (a + b + 2); above that, I_x(a, b) =
+    1 - I_y(b, a), which is then the larger part, so nothing small is
+    found by subtraction."""
+    if x <= 0:
+        return 0.0
+    if x > (a + 1) / (a + b + 2):
+        return 1.0 - _betainc(b, a, y, x)
+    tiny = 1e-300
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y))
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 10_000):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            frac *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            break
+    return front * frac / a
+
+
+def _t_sf(t: float, df: int) -> float:
+    """P(T > t) for Student's t with df degrees of freedom: for t > 0 it is
+    I_x(df/2, 1/2) / 2 with x = df / (df + t^2), which keeps its relative
+    accuracy however far out t is."""
+    if t == 0:
+        return 0.5
+    tail = _betainc(df / 2, 0.5, df / (df + t * t), 1 / (1 + df / (t * t))) / 2
+    return tail if t > 0 else 1.0 - tail
+
+
 def latency_stats(rows: list[BenchRow]) -> dict:
     """Per-length means and medians, whether the medians rise strictly
     with path length, and the one-sided p-value for a positive
-    least-squares slope of latency against path length.  Monotonicity is
-    judged on medians, which one scheduling stall cannot move."""
+    least-squares slope of latency against path length (the t test on
+    Pearson's r with n - 2 df).  Monotonicity is judged on medians, which
+    one scheduling stall cannot move."""
     by_len: dict[int, list[float]] = {}
     for r in sorted(rows, key=lambda r: r.path_len):
         by_len.setdefault(r.path_len, []).append(r.micros)
     medians = [statistics.median(vals) for vals in by_len.values()]
-    reg = stats.linregress([r.path_len for r in rows], [r.micros for r in rows])
-    one_sided = reg.pvalue / 2 if reg.slope > 0 else 1 - reg.pvalue / 2
+    x, y = [r.path_len for r in rows], [r.micros for r in rows]
+    slope, _ = statistics.linear_regression(x, y)
+    r = statistics.correlation(x, y)
+    df = len(rows) - 2
+    t = r * math.sqrt(df / ((1 - r) * (1 + r))) if abs(r) < 1 else math.copysign(math.inf, r)
     return {
         "means": {plen: statistics.fmean(vals) for plen, vals in by_len.items()},
         "medians": dict(zip(by_len, medians)),
-        "slope": reg.slope,
-        "p_one_sided": one_sided,
+        "slope": slope,
+        "p_one_sided": _t_sf(t, df),
         "monotone": all(b > a for a, b in zip(medians, medians[1:])),
     }
 

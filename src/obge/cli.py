@@ -127,8 +127,19 @@ def cmd_bench(args) -> int:
     from .bench import latency_stats, rows_to_csv, run_bench
 
     lengths = _parse_lengths(args.lengths)
-    if not lengths or min(lengths) < 1:
-        print("lengths must be positive", file=sys.stderr)
+    problem = None
+    if not lengths:
+        problem = f"--lengths {args.lengths} is an empty range"
+    elif min(lengths) < 1:
+        problem = "lengths must be positive"
+    elif args.reps < 1:
+        problem = f"--reps must be at least 1, got {args.reps}"
+    elif len(set(lengths)) < 2:
+        problem = f"the slope test needs at least two distinct lengths, got {args.lengths}"
+    elif args.reps * len(lengths) < 3:
+        problem = f"the slope test needs at least 3 samples, got {args.reps * len(lengths)}"
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     rows = run_bench(lengths, args.reps, mode=args.mode, bucket_size=args.Z, seed=args.seed)
     csv = rows_to_csv(rows)

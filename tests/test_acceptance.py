@@ -11,6 +11,7 @@ see README.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from obge.gkt import GktScheme
 from obge.graph import Graph, PathOracle, compute_spdx
 from obge.protocol import HOST_LEVELS, setup
 from obge.server import deploy_inprocess
+from obge.storage import AccessTrace
 from conftest import chain_engine, random_graph
 
 SIG = 0.01
@@ -322,17 +324,62 @@ def test_latency_shape():
 # ---------------------------------------------------------------------------
 # Criterion 8: attack separation between the baseline and the oblivious scheme
 
-def test_attack_separation():
+def family_ok(reports) -> bool:
+    """One statistical verdict over a family of audit reports: every
+    uniformity and two-sample p-value they hold, Bonferroni at SIG.  Under
+    an unbiased scheme it fails with probability at most SIG, however many
+    trials the family has."""
+    ps = [p for r in reports for p in (*r.uniformity_p.values(), *r.pairwise_p.values())]
+    return min(ps) >= SIG / len(ps)
+
+
+def _resample_tree(records, tree, draw):
+    """The records with each read/write pair on ``tree`` moved to a leaf
+    from ``draw()``: the shape holds, the leaves follow the sampler."""
+    out = list(records)
+    for i, r in enumerate(out):
+        if r.tree_id == tree and r.msg_type == "ReadPath":
+            leaf = draw()
+            out[i], out[i + 1] = replace(r, leaf=leaf), replace(out[i + 1], leaf=leaf)
+    return out
+
+
+def _geometry(host):
+    return {t: tree.params for t, tree in host.trees.items()}
+
+
+@pytest.fixture(scope="module")
+def separation_trials():
+    """The attack-separation experiment's 20 seeded trials: per trial with
+    a reachable pair, its graph, its pairs, and the oblivious run's host,
+    query truths and audit report.  Each workload is at most 40 queries of
+    length >= 1."""
     rng = random.Random(0xA77)
-    unique_total = unique_hit = 0
-    audited = 0
+    trials = []
     for trial in range(20):
         n = rng.randint(10, 50)
         g = random_graph(rng, n, rng.uniform(1.2, 2.5) / n, directed=True)
         pairs = sorted(compute_spdx(g))
         if not pairs:
             continue
+        run_rng = random.Random(trial)
+        result = setup(g, mode="trivial", rng=run_rng)
+        host, _, client = deploy_inprocess(result, rng=run_rng)
+        lengths = path_length_classes(g)
+        workload = [p for p in pairs if lengths[p] >= 1]
+        rng.shuffle(workload)
+        truths = []
+        for u, v in workload[:40]:
+            client.query(u, v)
+            truths.append(QueryTruth(u, v, lengths[(u, v)]))
+        trials.append((g, pairs, host, truths, audit_trace(host.trace, truths, _geometry(host))))
+    return trials
 
+
+def test_attack_separation(separation_trials):
+    unique_total = unique_hit = 0
+    audited = 0
+    for g, pairs, host, truths, report in separation_trials:
         # baseline: full workload observed, closed-world matching
         scheme = GktScheme(g)
         seqs = [scheme.query(u, v)[1] for u, v in pairs]
@@ -354,25 +401,15 @@ def test_attack_separation():
 
         # oblivious scheme: the trace has the audited shape, so it admits
         # only length classes, and each query hides in all of its class
-        run_rng = random.Random(trial)
-        result = setup(g, mode="trivial", rng=run_rng)
-        host, _, client = deploy_inprocess(result, rng=run_rng)
-        lengths = path_length_classes(g)
+        assert report.shape_ok, report.summary()
         classes = length_classes(g)
-        class_sizes = Counter(lengths.values())
-        workload = [p for p in pairs if lengths[p] >= 1]
-        rng.shuffle(workload)
-        workload = workload[:40]
-        truths = []
-        for u, v in workload:
-            client.query(u, v)
-            truths.append(QueryTruth(u, v, lengths[(u, v)]))
-        report = audit_trace(host.trace, truths, {t: tree.params for t, tree in host.trees.items()})
-        assert report.ok, report.summary()
+        class_sizes = Counter(path_length_classes(g).values())
         for t in truths:
             assert (t.u, t.v) in classes[t.path_len]
             assert len(classes[t.path_len]) == class_sizes[t.path_len]
         audited += len(truths)
+    # one leaf-statistics verdict over all trials, at SIG family-wise
+    assert family_ok([r for *_, r in separation_trials]), "\n\n".join(r.summary() for *_, r in separation_trials)
 
     accuracy = unique_hit / unique_total if unique_total else 1.0
     assert accuracy >= 0.9, f"unique-signature recovery only {accuracy:.2f}"
@@ -381,6 +418,42 @@ def test_attack_separation():
         f"baseline recovery {unique_hit}/{unique_total} on unique signatures; "
         f"{audited} oblivious queries pass the audit, each among its whole length class",
     )
+
+
+def test_family_verdict_fails_one_skewed_trial(separation_trials):
+    # the first trial's data-tree leaves stuck in the 8 lowest leaves, the
+    # skewed sampler of the audit's unit tests; the other trials honest
+    rng = random.Random(0x5CE)
+    reports = [r for *_, r in separation_trials]
+    _, _, host, truths, _ = separation_trials[0]
+    trace = AccessTrace()
+    trace.records = _resample_tree(host.trace.records, 0, lambda: rng.randrange(8))
+    skewed = audit_trace(trace, truths, _geometry(host))
+    assert skewed.shape_ok
+    assert not family_ok([skewed, *reports[1:]])
+
+
+def test_family_verdict_fails_one_biased_tree(separation_trials):
+    # an enhanced run over a recursive map of chain depth 3 joins the
+    # family: honest it passes, and with one map tree's leaves in the lower
+    # half of its 64, the rest honest, the family fails
+    rng = random.Random(11)
+    g = random_graph(rng, 36, 0.12)
+    run_rng = random.Random(2)
+    host, _, client = deploy_inprocess(setup(g, mode="enhanced", budget=16, rng=run_rng), rng=run_rng)
+    truths = []
+    for _ in range(120):
+        u, v = rng.randrange(36), rng.randrange(36)
+        path = client.query_path(u, v)
+        truths.append(QueryTruth(u, v, len(path) - 1 if path else 0))
+    assert sorted(host.trees) == [0, 1, 2, 3] and host.trees[1].params.leaves == 64
+    reports = [r for *_, r in separation_trials]
+    assert family_ok([*reports, audit_trace(host.trace, truths, _geometry(host))])
+    trace = AccessTrace()
+    trace.records = _resample_tree(host.trace.records, 1, lambda: rng.randrange(32))
+    biased = audit_trace(trace, truths, _geometry(host))
+    assert biased.shape_ok
+    assert not family_ok([*reports, biased])
 
 
 # ---------------------------------------------------------------------------

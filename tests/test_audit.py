@@ -198,7 +198,14 @@ class TestMalformedLines:
         "extra": "1.0,ReadPath,0,3,1492,9",
         "non-integer": "1.0,ReadPath,0,x,1492",
     }
-    QUERY_LINES = {"short": "0,2", "extra": "0,2,2,7", "non-integer": "0,two,2"}
+    QUERY_LINES = {
+        "short": "0,2",
+        "extra": "0,2,2,7",
+        "non-integer": "0,two,2",
+        "negative-u": "-1,2,2",
+        "negative-v": "0,-2,2",
+        "negative-path_len": "0,3,-1",
+    }
 
     @pytest.mark.parametrize("kind", sorted(TRACE_LINES))
     def test_trace_line_is_named(self, tmp_path, kind):
@@ -213,6 +220,20 @@ class TestMalformedLines:
         path.write_text(f"u,v,path_len\n0,2,2\n\n{self.QUERY_LINES[kind]}\n")
         with pytest.raises(ProtocolError, match=rf"{re.escape(str(path))}, line 4: "):
             load_query_log(path)
+
+    def test_negative_path_lengths_do_not_pass_an_empty_trace(self, two_branch_graph, tmp_path, capsys):
+        # QueryShape.size(-1) is 0 records, so such a log once matched an
+        # empty trace and passed every check
+        host, _ = run_workload(two_branch_graph, [])
+        assert cli_audit(tmp_path, host, []) == 0
+        (tmp_path / "queries.csv").write_text("u,v,path_len\n0,3,-1\n1,2,-1\n")
+        capsys.readouterr()
+        rc = main(["audit", "--trace", str(tmp_path / "trace.csv"), "--queries", str(tmp_path / "queries.csv"),
+                   "--trees", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {tmp_path / 'queries.csv'}, line 2: expected non-negative u,v,path_len, got '0,3,-1'"
+        )
 
     def test_audit_command_exits_2_on_a_short_trace_line(self, two_branch_graph, tmp_path, capsys):
         host, truths = run_workload(two_branch_graph, [(0, 2)])

@@ -300,6 +300,24 @@ class TestBenchCommand:
     def test_bad_lengths_usage(self):
         assert main(["bench", "--lengths", "0..2", "--reps", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "lengths, reps, message",
+        [
+            ("1..3", "0", "--reps must be at least 1, got 0"),
+            ("1..3", "-2", "--reps must be at least 1, got -2"),
+            ("3", "5", "the slope test needs at least two distinct lengths, got 3"),
+            ("2,2", "5", "the slope test needs at least two distinct lengths, got 2,2"),
+            ("1,2", "1", "the slope test needs at least 3 samples, got 2"),
+            ("5..3", "5", "--lengths 5..3 is an empty range"),
+        ],
+        ids=["no-reps", "negative-reps", "one-length", "duplicate-lengths", "two-samples", "empty-range"],
+    )
+    def test_input_the_slope_test_cannot_use(self, capsys, lengths, reps, message):
+        # refused before any query runs: nothing reaches stdout
+        assert main(["bench", "--lengths", lengths, "--reps", reps]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip() == message
+
 
 class TestAuditCommand:
     def test_audit_live_trace(self, tmp_path, graph_file, capsys):
@@ -373,14 +391,6 @@ class TestAuditCommand:
         assert capsys.readouterr().err.strip() == (
             f"error: tree file {trees / 'tree_005.bin'} holds tree 0, which belongs in {trees / 'tree_000.bin'}"
         )
-
-
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # audit and bench need scipy; obge query and the daemon should not pay for it
-    code = "import sys, obge.cli; print('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
 
 
 class TestAttackCommand:
@@ -544,16 +554,41 @@ class TestServeSignals:
             d.shutdown()
 
 
-def test_loading_state_files_leaves_numpy_unloaded():
-    # the engines check a loaded file without numpy, so obge query and the
-    # daemon start do not pay for its import
+def test_obge_runs_without_numpy_or_scipy(tmp_path):
+    # the runtime needs cryptography alone: with numpy and scipy made
+    # unimportable, every obge module imports, both state files load, an
+    # in-process trace passes obge audit and obge bench runs its slope test
     data = Path(__file__).parent / "data" / "state_v15"
-    code = (
-        "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
-        f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
-        f"load_state({str(data / 'controller.bin')!r}, ControllerState); "
-        "print('numpy' in sys.modules)"
-    )
+    code = f"""
+import importlib, pkgutil, random, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+import obge
+for mod in pkgutil.iter_modules(obge.__path__):
+    importlib.import_module(f"obge.{{mod.name}}")
+from obge.audit import QueryTruth, save_query_log
+from obge.cli import main
+from obge.graph import Graph
+from obge.protocol import ControllerState, TrivialState, load_state, setup
+from obge.server import deploy_inprocess
+load_state({str(data / 'trivial-keys.bin')!r}, TrivialState)
+load_state({str(data / 'controller.bin')!r}, ControllerState)
+g = Graph(6, directed=True)
+for u, v in [(0, 1), (1, 2), (3, 4), (4, 5)]:
+    g.add_edge(u, v)
+rng = random.Random(2)
+host, _, client = deploy_inprocess(setup(g, rng=rng), rng=rng)
+pairs = [(0, 2), (3, 5)] * 20
+for u, v in pairs:
+    client.query(u, v)
+host.trace.save({str(tmp_path / 'trace.csv')!r})
+save_query_log({str(tmp_path / 'queries.csv')!r}, [QueryTruth(u, v, 2) for u, v in pairs])
+host.trees[0].save({str(tmp_path / 'tree_000.bin')!r})
+assert main(["audit", "--trace", {str(tmp_path / 'trace.csv')!r}, "--queries", {str(tmp_path / 'queries.csv')!r},
+             "--trees", {str(tmp_path)!r}]) == 0
+assert main(["bench", "--lengths", "1..3", "--reps", "3"]) == 0
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "equal-length indistinguishability: PASS" in out.stdout
+    assert "one-sided p=" in out.stderr
