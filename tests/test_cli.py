@@ -554,6 +554,29 @@ class TestServeSignals:
             d.shutdown()
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # obge query and the daemon start import the CLI; they should not pay for scipy
+    code = "import sys, obge.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_loading_state_files_leaves_numpy_unloaded():
+    # the engines check a loaded file without numpy, so obge query and the
+    # daemon start do not pay for its import
+    data = Path(__file__).parent / "data" / "state_v15"
+    code = (
+        "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
+        f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
+        f"load_state({str(data / 'controller.bin')!r}, ControllerState); "
+        "print('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_obge_runs_without_numpy_or_scipy(tmp_path):
     # the runtime needs cryptography alone: with numpy and scipy made
     # unimportable, every obge module imports, both state files load, an
