@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: setup, serve, query, bench, audit, attack.  Exit codes:
+Subcommands: setup, serve, query, audit, attack.  Exit codes:
 0 success, 1 usage, 2 protocol or integrity failure, 3 capacity.
 """
 
@@ -26,13 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROTOCOL = 2
 EXIT_CAPACITY = 3
-
-
-def _parse_lengths(expr: str) -> list[int]:
-    if ".." in expr:
-        lo, hi = expr.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in expr.split(",")]
 
 
 def cmd_setup(args) -> int:
@@ -123,39 +116,6 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from .bench import latency_stats, rows_to_csv, run_bench
-
-    lengths = _parse_lengths(args.lengths)
-    problem = None
-    if not lengths:
-        problem = f"--lengths {args.lengths} is an empty range"
-    elif min(lengths) < 1:
-        problem = "lengths must be positive"
-    elif args.reps < 1:
-        problem = f"--reps must be at least 1, got {args.reps}"
-    elif len(set(lengths)) < 2:
-        problem = f"the slope test needs at least two distinct lengths, got {args.lengths}"
-    elif args.reps * len(lengths) < 3:
-        problem = f"the slope test needs at least 3 samples, got {args.reps * len(lengths)}"
-    if problem:
-        print(problem, file=sys.stderr)
-        return EXIT_USAGE
-    rows = run_bench(lengths, args.reps, mode=args.mode, bucket_size=args.Z, seed=args.seed)
-    csv = rows_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(csv + "\n")
-    else:
-        print(csv)
-    st = latency_stats(rows)
-    print(
-        f"slope {st['slope']:.1f} us/hop, one-sided p={st['p_one_sided']:.2e}, "
-        f"strictly increasing medians: {st['monotone']}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
 def cmd_audit(args) -> int:
     from .audit import audit_trace, load_query_log
     from .storage import AccessTrace, tree_geometry
@@ -211,15 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", required=True)
     p.add_argument("--addr", default="127.0.0.1:7399")
     p.set_defaults(func=cmd_query)
-
-    p = sub.add_parser("bench", help="latency vs path length CSV")
-    p.add_argument("--lengths", default="1..10", help="range a..b or comma list")
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--mode", choices=["trivial", "enhanced"], default="trivial")
-    p.add_argument("--Z", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("audit", help="run leakage checks on an access trace")
     p.add_argument("--trace", required=True)

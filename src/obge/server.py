@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import wire
-from .exceptions import CapacityError, ConfigError, IntegrityError, ObgeError, ProtocolError
+from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
 from .protocol import (
     DATA_TREE_ID,
     MODE_ENHANCED,
@@ -378,7 +378,7 @@ class Daemon:
         try:
             self.tcp = _ThreadingServer(cfg.address, _Handler)
         except OSError as exc:
-            raise ObgeError(f"cannot bind {cfg.listen_addr}: {exc}")
+            raise ConfigError(f"cannot bind {cfg.listen_addr}: {exc}") from exc
         self.tcp.obge = server
         self._thread: threading.Thread | None = None
 

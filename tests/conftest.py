@@ -52,6 +52,14 @@ def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, d
     return g
 
 
+def chain_graph(n: int) -> Graph:
+    """Directed path 0 -> 1 -> ... -> n-1; query (0, k) has length k."""
+    g = Graph(n, directed=True)
+    for i in range(n - 1):
+        g.add_edge(i, i + 1)
+    return g
+
+
 def chain_blocks(keys, chains, length):
     """Next-hop entries of chains 0 -> 1 -> ... -> length-1 -> d, one per
     destination d in [length, length + chains), built without a graph.

@@ -8,7 +8,9 @@ next-hop table holds ~10^10 entries) and is intentionally not attempted;
 see README.
 """
 
+import gc
 import random
+import statistics
 import time
 from collections import Counter
 from dataclasses import replace
@@ -30,7 +32,7 @@ from obge.graph import Graph, PathOracle, compute_spdx
 from obge.protocol import HOST_LEVELS, setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
-from conftest import chain_engine, random_graph
+from conftest import chain_engine, chain_graph, random_graph
 
 SIG = 0.01
 
@@ -305,20 +307,48 @@ def test_recursive_pm_budget():
 # ---------------------------------------------------------------------------
 # Criterion 7: latency grows with path length
 
-def test_latency_shape():
-    from obge.bench import latency_stats, run_bench
+def latency_samples(lengths, reps, seed):
+    """Per length, `reps` CPU times in microseconds of query (0, length) on
+    a chain graph, trivial mode, Z=5, deployed in process.  A sample is the
+    querying thread's CPU time: in process the whole query runs in that
+    thread, so it is the query's latency less any time the thread spends
+    descheduled, which a stall on a shared machine would add.  Reps run
+    round-robin over the lengths so that drift cannot bias one length, with
+    the collector off so that its pauses stay out of the samples."""
+    rng = random.Random(seed)
+    _, _, client = deploy_inprocess(setup(chain_graph(max(lengths) + 1), rng=rng), rng=rng)
+    for plen in lengths:  # warmup: every length once, untimed
+        client.query(0, plen)
+    samples = {plen: [] for plen in lengths}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(reps):
+            for plen in lengths:
+                t0 = time.thread_time()
+                client.query(0, plen)
+                samples[plen].append((time.thread_time() - t0) * 1e6)
+    finally:
+        gc.enable()
+    return samples
 
+
+def test_latency_shape():
     # 150 reps a length: at 50, drift in machine speed swapped two adjacent
     # medians (about 60 us apart) in about one run of 50 to 100
-    rows = run_bench(list(range(1, 11)), reps=150, seed=0xBE)
-    st = latency_stats(rows)
-    assert st["monotone"], f"medians not strictly increasing: {st['medians']}"
-    assert st["slope"] > 0
-    assert st["p_one_sided"] < SIG, f"slope not significant: p={st['p_one_sided']:.3g}"
-    _report(
-        "latency-shape",
-        f"lengths 1..10 x150, slope {st['slope']:.0f}us/hop, p={st['p_one_sided']:.1e}",
+    samples = latency_samples(range(1, 11), reps=150, seed=0xBE)
+    medians = [statistics.median(vals) for vals in samples.values()]
+    assert all(b > a for a, b in zip(medians, medians[1:])), f"medians not strictly increasing: {medians}"
+    # no significance test on the slope: were the samples exchangeable (no
+    # effect of length), the 10 medians would rise strictly with
+    # probability at most 1/10! = 2.8e-7, far below SIG, so the check above
+    # is at least as strong as a one-sided t test at SIG
+    slope, _ = statistics.linear_regression(
+        [plen for plen, vals in samples.items() for _ in vals],
+        [us for vals in samples.values() for us in vals],
     )
+    assert slope > 0
+    _report("latency-shape", f"lengths 1..10 x150, slope {slope:.0f}us/hop, medians strictly increasing")
 
 
 # ---------------------------------------------------------------------------

@@ -287,38 +287,6 @@ class TestQueryCommand:
             d.shutdown()
 
 
-class TestBenchCommand:
-    def test_csv_written(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--lengths", "1..3", "--reps", "3", "--seed", "5",
-                   "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path_len,rep,micros"
-        assert len(lines) == 10
-
-    def test_bad_lengths_usage(self):
-        assert main(["bench", "--lengths", "0..2", "--reps", "1"]) == 1
-
-    @pytest.mark.parametrize(
-        "lengths, reps, message",
-        [
-            ("1..3", "0", "--reps must be at least 1, got 0"),
-            ("1..3", "-2", "--reps must be at least 1, got -2"),
-            ("3", "5", "the slope test needs at least two distinct lengths, got 3"),
-            ("2,2", "5", "the slope test needs at least two distinct lengths, got 2,2"),
-            ("1,2", "1", "the slope test needs at least 3 samples, got 2"),
-            ("5..3", "5", "--lengths 5..3 is an empty range"),
-        ],
-        ids=["no-reps", "negative-reps", "one-length", "duplicate-lengths", "two-samples", "empty-range"],
-    )
-    def test_input_the_slope_test_cannot_use(self, capsys, lengths, reps, message):
-        # refused before any query runs: nothing reaches stdout
-        assert main(["bench", "--lengths", lengths, "--reps", reps]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.strip() == message
-
-
 class TestAuditCommand:
     def test_audit_live_trace(self, tmp_path, graph_file, capsys):
         out = run_setup(tmp_path, graph_file)
@@ -468,6 +436,18 @@ class TestDeploymentDirectory:
         with socket.socket() as s:
             s.bind(("127.0.0.1", port))
 
+    def test_port_in_use_is_a_usage_error(self, tmp_path, graph_file, capsys):
+        # a port another socket listens on: the refusal names the address
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            out = run_setup(tmp_path, graph_file, "--listen", f"127.0.0.1:{port}")
+            capsys.readouterr()
+            assert main(["serve", "--config", str(out / "server.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ") and "Traceback" not in err
+
 
 CHAIN_30_TSV = "".join(f"{i}\t{i + 1}\n" for i in range(29))
 
@@ -579,8 +559,8 @@ def test_loading_state_files_leaves_numpy_unloaded():
 
 def test_obge_runs_without_numpy_or_scipy(tmp_path):
     # the runtime needs cryptography alone: with numpy and scipy made
-    # unimportable, every obge module imports, both state files load, an
-    # in-process trace passes obge audit and obge bench runs its slope test
+    # unimportable, every obge module imports, both state files load and an
+    # in-process trace passes obge audit
     data = Path(__file__).parent / "data" / "state_v15"
     code = f"""
 import importlib, pkgutil, random, sys
@@ -608,10 +588,8 @@ save_query_log({str(tmp_path / 'queries.csv')!r}, [QueryTruth(u, v, 2) for u, v 
 host.trees[0].save({str(tmp_path / 'tree_000.bin')!r})
 assert main(["audit", "--trace", {str(tmp_path / 'trace.csv')!r}, "--queries", {str(tmp_path / 'queries.csv')!r},
              "--trees", {str(tmp_path)!r}]) == 0
-assert main(["bench", "--lengths", "1..3", "--reps", "3"]) == 0
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert "equal-length indistinguishability: PASS" in out.stdout
-    assert "one-sided p=" in out.stderr

@@ -4,7 +4,6 @@ import struct
 import pytest
 from scipy import stats
 
-from obge.bench import chain_graph
 from obge.blocks import ABSENT, tree_depth_for
 from obge.crypto import Cipher, Prf, keygen, pair_block, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
@@ -13,7 +12,7 @@ from obge.oram import PathOram, oram_init, verify_placement
 from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
-from conftest import chain_blocks, chain_engine, data_tree, random_graph, split_heads, top_entries, trivial_engine
+from conftest import chain_blocks, chain_engine, chain_graph, data_tree, random_graph, split_heads, top_entries, trivial_engine
 
 
 def build(keys, count, rng, **kw):

@@ -35,8 +35,7 @@ from obge.protocol import (
 from obge.recursive import RecursivePM
 from obge.server import ObgeServer, deploy_inprocess
 from obge.storage import TreeStorage
-from obge.bench import chain_graph
-from conftest import random_graph, top_entries
+from conftest import chain_graph, random_graph, top_entries
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
 DATA = Path(__file__).parent / "data"

@@ -10,7 +10,6 @@ import pytest
 from obge import wire
 from obge.audit import QueryTruth, audit_trace
 from obge.crypto import ciphertext_width
-from obge.bench import chain_graph
 from obge.cli import main
 from obge.exceptions import ConfigError, ObgeError, ProtocolError
 from obge.graph import Graph, PathOracle
@@ -37,7 +36,7 @@ from obge.server import (
     tree_files,
 )
 from obge.storage import StorageHost, TreeStorage
-from conftest import decode_frame, read_one_frame
+from conftest import chain_graph, decode_frame, read_one_frame
 
 
 def make_deployment(mode="trivial", n=6, seed=4):

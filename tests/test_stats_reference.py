@@ -1,7 +1,7 @@
-"""The audit's chi-square tests and the bench's slope test, written with the
-standard library, against scipy.stats as the reference."""
+"""The audit's two chi-square tests, leaf uniformity and two-sample, and the
+tail they share, written with the standard library, against scipy.stats as
+the reference."""
 
-import math
 import random
 
 import numpy as np
@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 
 from obge.audit import _chi2_sf, bin_leaves, two_sample_pvalue, uniformity_pvalue
-from obge.bench import BenchRow, _t_sf, latency_stats
 
 # scipy's smallest reading that a relative bound is held to
 FLOOR = 1e-300
@@ -75,29 +74,3 @@ def test_empty_sample_is_refused():
     with pytest.raises(ValueError, match="two-sample test needs two non-empty samples, got 0 and 3 leaves"):
         two_sample_pvalue([], [1, 2, 3], 32)
 
-
-def test_t_tail_matches_scipy():
-    dfs = sorted({*range(1, 41), *(int(d) for d in np.geomspace(40, 2000, 60))})
-    ts = np.array([t for t in np.linspace(-10, 60, 141) if t != 0])
-    worst = max(
-        relative_error(_t_sf(t, df), ref)
-        for df in dfs
-        for t, ref in zip(ts, stats.t.sf(ts, df))
-        if ref >= FLOOR
-    )
-    assert worst <= 1e-9
-    assert _t_sf(0.0, 7) == 0.5
-    assert (_t_sf(math.inf, 7), _t_sf(-math.inf, 7)) == (0.0, 1.0)
-
-
-def test_latency_stats_match_linregress():
-    rng = random.Random(0xB3)
-    for _ in range(200):
-        rows = [BenchRow(rng.randint(1, 10), 0, rng.gauss(100, 30)) for _ in range(rng.randint(3, 60))]
-        if len({r.path_len for r in rows}) < 2:
-            continue
-        st = latency_stats(rows)
-        reg = stats.linregress([r.path_len for r in rows], [r.micros for r in rows])
-        one_sided = reg.pvalue / 2 if reg.slope > 0 else 1 - reg.pvalue / 2
-        assert st["slope"] == pytest.approx(reg.slope, rel=1e-9)
-        assert st["p_one_sided"] == pytest.approx(one_sided, rel=1e-9)
