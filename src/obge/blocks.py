@@ -1,25 +1,30 @@
 """Fixed-width block layout and binary-tree geometry.
 
 The only module that knows the block layout.  Every block in a tree is the
-same number of packed bytes, a head and a tail:
+same number of packed bytes, a head and then its leaf:
 
-    tk (16) | next_addr (4) | payload (W)  ||  leaf (4) | flag (1)
+    tk (16) | payload (W)  ||  leaf (ceil(L/8), big-endian)
 
-A block's token is ``blk[TOKEN]`` and its tail starts at ``head_width``.
-The flag byte is 1 for a real block; a dummy slot is all zero bytes.  A
-block names its next hop by dense address w*|V|+v only; the query engine
-derives that hop's token with the PRF key, and the hop addresses are the
-query's answer.  Addresses and leaves are 4 bytes, so |V| is at most
-2^16 (``protocol.MAX_VERTICES``) and a tree has at most 2^32 leaves.  The
-payload width W is fixed per tree: data blocks carry none (W = 0, 25-byte
-blocks), and position-map trees carry the payload width the map's shape
-rule picks, 16 to 512 bytes of packed leaf entries, each as wide as the
-tree it points into needs (see ``recursive``).  A
-bucket is the concatenation of its Z packed blocks, dummies included,
-encrypted under k2 as one AES-GCM ciphertext whose associated data is
-``bucket_ad(tree_id, node)``; so a bucket occupies
-``ciphertext_width(Z * block_width)`` bytes and only decrypts at the tree
-and heap index it was written for.
+A block's token is ``blk[TOKEN]``, and its leaf is the last
+``leaf_width`` bytes, from ``head_width`` on: as many whole bytes as the
+tree's depth L needs, so 2 at depths 9 to 16 and none in a one-leaf tree.
+The payload width W is fixed per tree.  A data block's payload is its next
+hop as a 2-byte vertex id (``HOP``); the query engine knows the
+destination v and forms the hop's address w*|V|+v itself, so |V| is at most
+2^16 (``protocol.MAX_VERTICES``).  Position-map trees carry the payload
+width the map's shape rule picks, 16 to 512 bytes of packed leaf entries,
+each as wide as the tree it points into needs (see ``recursive``).  A tree
+has at most 2^32 leaves.
+
+A bucket's plaintext, which ``oram`` builds and reads, is a count byte and
+then Z slots: its count of real blocks first, packed end to end, then zero
+slots, the dummies.  So a bucket holds at most Z <= 255 blocks, and a
+count past Z is corrupt.  It is encrypted under k2 as one AES-GCM
+ciphertext whose associated data is ``bucket_ad(tree_id, node)``; so a
+bucket occupies ``ciphertext_width(1 + Z * block_width)`` bytes and only
+decrypts at the tree and heap index it was written for.  Data blocks at
+|V| = 200 or 500 (depth 13 or 16) are 20 bytes, and their Z=5 buckets
+129.
 
 The engine holding a tree may keep its top ``cached`` levels, heap nodes
 0..2^k-2, itself, as held blocks (see ``oram``); the host then stores only
@@ -38,13 +43,12 @@ from typing import Iterable
 from .crypto import TOKEN_BYTES, ciphertext_width
 
 # reserved leaf value marking "no block stored at this address"; the map
-# returns it and stores it as an all-ones cell, no block tail holds it
+# returns it and stores it as an all-ones cell, no block holds it
 ABSENT = (1 << 64) - 1
 
-_HEAD = struct.Struct(f">{TOKEN_BYTES}sI")  # tk, next_addr; the payload follows
-HEAD_WIDTH = _HEAD.size  # a data block's head, which has no payload
 TOKEN = slice(0, TOKEN_BYTES)
-TAIL = struct.Struct(">IB")  # leaf, flag; at offset head_width
+HOP = struct.Struct(">H")  # a data block's payload: its next hop's vertex id
+HEAD_WIDTH = TOKEN_BYTES + HOP.size  # a data block's head
 _BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
 
 
@@ -53,42 +57,42 @@ def bucket_ad(tree_id: int, node: int) -> bytes:
     return _BUCKET_AD.pack(tree_id, node)
 
 
-def block_head(tk: bytes, next_addr: int, payload: bytes = b"") -> bytes:
-    """The leaf-independent part of a block; placement appends the tail."""
-    return _HEAD.pack(tk, next_addr) + payload
-
-
-def write_heads(heads: bytearray, start: int, tokens: bytes, next_addrs: Iterable[int]) -> None:
-    """Write payload-free heads into heads, from head index start on: one
-    per token of tokens, packed end to end, with its next address.  The
+def write_heads(heads: bytearray, start: int, tokens: bytes, hops: Iterable[int]) -> None:
+    """Write data-block heads into heads, from head index start on: one per
+    token of tokens, packed end to end, with its hop, a vertex id.  The
     heads are written column by column, each token byte and then each byte
-    of the big-endian addresses through one strided slice, so no Python
+    of the big-endian hops through one strided slice, so no Python
     statement runs per head."""
     count, w = len(tokens) // TOKEN_BYTES, HEAD_WIDTH
     at = start * w
     end = at + count * w
-    addrs = struct.pack(f">{count}I", *next_addrs)
+    packed = struct.pack(f">{count}{HOP.format[1:]}", *hops)
     for j in range(TOKEN_BYTES):
         heads[at + j : end : w] = tokens[j::TOKEN_BYTES]
-    for j in range(w - TOKEN_BYTES):  # the next address's bytes
-        heads[at + TOKEN_BYTES + j : end : w] = addrs[j :: w - TOKEN_BYTES]
+    for j in range(HOP.size):
+        heads[at + TOKEN_BYTES + j : end : w] = packed[j :: HOP.size]
 
 
 @dataclass
 class Block:
     tk: bytes
-    next_addr: int
     payload: bytes
     leaf: int
 
     def pack(self, params: TreeParams) -> bytes:
-        return params.block_struct.pack(self.tk, self.next_addr, self.payload, self.leaf, 1)
+        return params.block_struct.pack(self.tk, self.payload, self.leaf.to_bytes(params.leaf_width, "big"))
 
 
 def unpack_block(raw: bytes, params: TreeParams) -> Block:
-    """The block in a slot whose flag byte is set; callers check the flag."""
-    tk, next_addr, payload, leaf, _ = params.block_struct.unpack(raw)
-    return Block(tk, next_addr, payload, leaf)
+    """The block in a packed slot."""
+    tk, payload, leaf = params.block_struct.unpack(raw)
+    return Block(tk, payload, int.from_bytes(leaf, "big"))
+
+
+def block_leaves(packed: bytes, params: TreeParams) -> list[int]:
+    """The leaf of each of the blocks packed end to end, in one pass."""
+    words, mask = params.leaf_words
+    return [word & mask for (word,) in words.iter_unpack(packed)]
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,31 @@ class TreeParams:
         return (1 << (self.depth + 1)) - 1
 
     @cached_property
-    def head_width(self) -> int:  # and so the offset of the tail
-        return _HEAD.size + self.payload_width
+    def head_width(self) -> int:  # and so the offset of the leaf
+        return TOKEN_BYTES + self.payload_width
+
+    @cached_property
+    def leaf_width(self) -> int:
+        """Bytes of a block's leaf: the fewest that hold leaf 2^L - 1."""
+        return -(-self.depth // 8)
 
     @cached_property
     def block_width(self) -> int:
-        return self.head_width + TAIL.size
+        return self.head_width + self.leaf_width
 
     @cached_property
     def block_struct(self) -> struct.Struct:
-        return struct.Struct(f"{_HEAD.format}{self.payload_width}s{TAIL.format[1:]}")
+        """Token, payload and leaf bytes."""
+        return struct.Struct(f">{TOKEN_BYTES}s{self.payload_width}s{self.leaf_width}s")
+
+    @cached_property
+    def leaf_words(self) -> tuple[struct.Struct, int]:
+        """A block's leaf as struct and mask: the struct reads the 1-, 2-
+        or 4-byte big-endian word that ends the block, and the mask keeps
+        its last leaf_width bytes (none in a one-leaf tree)."""
+        code = "BBHII"[self.leaf_width]
+        words = struct.Struct(f">{self.block_width - struct.calcsize(code)}x{code}")
+        return words, (1 << 8 * self.leaf_width) - 1
 
     @cached_property
     def dummy_fills(self) -> list[bytes]:
@@ -129,12 +148,12 @@ class TreeParams:
 
     @cached_property
     def plain_width(self) -> int:
-        """Z serialized blocks: a bucket before encryption."""
-        return self.bucket_size * self.block_width
+        """A bucket before encryption: the count byte and Z slots."""
+        return 1 + self.bucket_size * self.block_width
 
     @cached_property
     def bucket_width(self) -> int:
-        """One ciphertext of Z serialized blocks."""
+        """One ciphertext of a bucket's plaintext."""
         return ciphertext_width(self.plain_width)
 
     @cached_property

@@ -3,9 +3,9 @@
 Every key is KEY_BYTES = 16 bytes: the scheme's Setup runs at one security
 parameter, lambda = 128.  The scheme's keys are two: k2 encrypts ORAM
 buckets and kprf keys the token PRF.  The paper's third key, k1, encrypted
-each next hop as a block payload; blocks now name the hop by its address
-alone, which the engine holding the tree reads in the clear anyway, so no
-payload is left to encrypt (see ``protocol``).  Only the plain baseline,
+each next hop as a block payload; blocks now name the hop by its vertex
+id alone, which the engine holding the tree reads in the clear anyway, so
+nothing is left to encrypt (see ``protocol``).  Only the plain baseline,
 ``gkt``, still encrypts its payloads under a k1 of its own.
 
 The token PRF is AES-128 under kprf: a pair's token is the encryption of

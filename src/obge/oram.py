@@ -7,12 +7,15 @@ blocks that a write-back cannot place stay with the engine, held as the
 packed bytes of their bucket slots until a later write-back can evict them
 to a compatible bucket; an access decodes only the block it returns.
 
-The bucket is the unit of encryption: one AES-GCM ciphertext over its Z
-serialized blocks, dummies included, so always of the same width, with
-(tree id, heap index) as associated data.  Every bucket on a path is
-re-encrypted under a fresh nonce on every write, so full, partly full and
-empty buckets look alike, and a bucket the host moves to another node or
-tree fails authentication on the next access that reads it.  The binding
+The bucket is the unit of encryption: one AES-GCM ciphertext over its
+count byte and Z slots, its real blocks first and then zero slots, so
+always of the same width, with (tree id, heap index) as associated data.
+An access reads only the first count slots of each bucket; a count past Z
+fails the access with IntegrityError naming the tree and node.  Every
+bucket on a path is re-encrypted under a fresh nonce on every write, so
+full, partly full and empty buckets look alike, and a bucket the host
+moves to another node or tree fails authentication on the next access
+that reads it.  The binding
 does not cover freshness: the host can still put back a node's own older
 ciphertext (rollback).
 
@@ -33,20 +36,21 @@ bound (Stefanov et al., CCS 2013) a stash of 128 blocks at Z=5 overflows
 with probability about 2^-90.
 
 ``oram_init`` builds a tree from block heads packed end to end: it draws
-the leaves into an array, writes each block straight into its slot of the
-host's bucket buffer, where zero slots are the dummies, and encrypts each
-bucket in place, so it holds no Python object per block.
+the leaves into an array with one call for random bytes, writes each
+block straight into its slot of the host's bucket buffer, where zero slots
+are the dummies, writes every bucket's count with one strided assignment,
+and encrypts each bucket in place, so it holds no Python object per block.
 
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
 with its tree and a state file's loader from the saved blocks, both from
 the held blocks packed end to end as the file stores them; a deployment
 only gives it a store.  A party's state holds the engine itself,
 so saving the state writes what the last access left.  Building an engine
-refuses held blocks it could not keep: more than ``held_limit``, a block
-flagged as a dummy, or one mapped past the tree's last leaf, which eviction
-would put off its path.  Held blocks come group by group, as
-``held_blocks`` lists them and ``oram_init`` passes them; blocks out of
-group order are refused too, so a group loads in the order it was saved.
+refuses held blocks it could not keep: more than ``held_limit``, or one
+mapped past the tree's last leaf, which eviction would put off its path.
+Held blocks come group by group, as ``held_blocks`` lists them and
+``oram_init`` passes them; blocks out of group order are refused too, so a
+group loads in the order it was saved.
 
 The engine draws no leaves: the caller names the path of every access,
 including a dummy round's, which must be a fresh uniform leaf.
@@ -55,16 +59,16 @@ including a dummy round's, which must be a fresh uniform leaf.
 from __future__ import annotations
 
 import random
-import struct
 from array import array
-from itertools import repeat
 
-from .blocks import TAIL, TOKEN, Block, TreeParams, bucket_ad, unpack_block
+from .blocks import TOKEN, Block, TreeParams, block_leaves, bucket_ad, unpack_block
 from .crypto import Cipher
 from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
 
 STASH_MAX = 128
+# a bucket's count byte, by count
+_COUNTS = [bytes((n,)) for n in range(256)]
 
 
 def held_limit(params: TreeParams) -> int:
@@ -95,19 +99,16 @@ class PathOram:
         self.store = None
         self.cipher = cipher
         self.held_max = held_limit(params)
-        bw, hw, leaves = params.block_width, params.head_width, params.leaves
+        self.empty_bucket = bytes(params.plain_width)  # count 0, every slot zero
+        bw, leaves = params.block_width, params.leaves
         count = len(held) // bw
         if count > self.held_max:
             raise CapacityError(f"tree {tree_id} holds {count} blocks, limit {self.held_max}")
-        # every block's tail (leaf, flag) in one pass; the flags, each
-        # block's last byte, in one comparison, and the largest leaf as the
-        # largest tail's
-        tails = list(struct.iter_unpack(f">{hw}x{TAIL.format[1:]}", held))
-        if held[bw - 1 :: bw] != b"\x01" * count or max(tails, default=(0,))[0] >= leaves:
-            leaf, flag = next(t for t in tails if t[1] != 1 or t[0] >= leaves)
-            raise IntegrityError(f"bad tree {tree_id} held block (flag {flag}, leaf {leaf} of {leaves})")
+        mapped = block_leaves(held, params)
+        if max(mapped, default=0) >= leaves:
+            raise IntegrityError(f"tree {tree_id} holds a block mapped to leaf {max(mapped)} of {leaves}")
         shift = params.depth - params.cached
-        groups = [leaf >> shift for leaf, _ in tails]
+        groups = [leaf >> shift for leaf in mapped]
         if groups != sorted(groups):
             raise IntegrityError(f"tree {tree_id} held blocks are out of group order")
         self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
@@ -138,7 +139,8 @@ class PathOram:
         p = self.params
         if tk is not None and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
-        ads = [bucket_ad(self.tree_id, node) for node in p.path_nodes(leaf, p.cached)]
+        nodes = p.path_nodes(leaf, p.cached)
+        ads = [bucket_ad(self.tree_id, node) for node in nodes]
         raw = self.store.read_path(self.tree_id, leaf)
         if len(raw) != p.path_width:
             raise IntegrityError(
@@ -148,14 +150,15 @@ class PathOram:
         shift = p.depth - p.cached
         group = self.held[leaf >> shift]
         before = len(group)
-        bw, cw = p.block_width, p.bucket_width
-        ends = range(bw, p.plain_width + 1, bw)  # each slot ends in its flag byte
+        z, bw, cw = p.bucket_size, p.block_width, p.bucket_width
         decrypt = self.cipher.decrypt
         for i, ad in enumerate(ads):
             plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
-            for end in ends:
-                if plain[end - 1]:  # dummies stay behind
-                    group.append(plain[end - bw : end])
+            n = plain[0]  # the bucket's real blocks come first; dummies stay behind
+            if n > z:
+                raise IntegrityError(f"tree {self.tree_id} node {nodes[i]}: bucket counts {n} blocks, Z is {z}")
+            for at in range(1, 1 + n * bw, bw):
+                group.append(plain[at : at + bw])
 
         found: Block | None = None
         moved = 0
@@ -197,26 +200,41 @@ class PathOram:
         which the group's shared top k bits keep at k or below.  One pass
         sorts the group by that level; the buckets then fill from the leaf
         up, and blocks that do not fit carry toward level k.  Each bucket is
-        encrypted under its entry of ads, level k first.
+        encrypted under its entry of ads, level k first, as its count byte,
+        its blocks and zero slots.
         """
         p = self.params
-        z, hw, top = p.bucket_size, p.head_width, p.host_levels - 1
-        tail_at = TAIL.unpack_from
+        z, top = p.bucket_size, p.host_levels - 1
         by_level: list[list[bytes]] = [[] for _ in range(top + 1)]  # index 0 is level k
+        words, mask = p.leaf_words
+        leaf_of = words.unpack_from
         for blk in group:
-            by_level[top - (tail_at(blk, hw)[0] ^ x).bit_length()].append(blk)
+            by_level[top - ((leaf_of(blk)[0] & mask) ^ x).bit_length()].append(blk)
         encrypt = self.cipher.encrypt
-        fills = p.dummy_fills
+        fills, empty = p.dummy_fills, self.empty_bucket
         carry: list[bytes] = []
         buckets: list[bytes] = []  # leaf first
         for level, ad in zip(reversed(by_level), reversed(ads)):
             carry += level
+            if not carry:
+                buckets.append(encrypt(empty, ad))
+                continue
             picked = carry[:z]
             del carry[:z]
-            buckets.append(encrypt(b"".join(picked) + fills[z - len(picked)], ad))
+            n = len(picked)
+            buckets.append(encrypt(b"".join((_COUNTS[n], *picked, fills[z - n])), ad))
         buckets.reverse()
         self.store.write_path(self.tree_id, x, b"".join(buckets))
         return carry
+
+
+def draw_leaves(rng: random.Random, depth: int, count: int) -> array:
+    """count independent uniform leaves of a depth-L tree, as an array('I'):
+    one call for 4 random bytes a leaf, each word masked to its low L bits.
+    The leaf count is a power of two, so the masked words are exactly
+    uniform."""
+    words = array("I", rng.randbytes(count * array("I").itemsize))
+    return array("I", map(((1 << depth) - 1).__and__, words))
 
 
 def oram_init(
@@ -230,20 +248,22 @@ def oram_init(
     blocks, given as their heads packed end to end, and the engine over it.
 
     Each block gets an independent uniform leaf, drawn in head order into
-    an array('I'), and is placed in the deepest free bucket on that leaf's
-    path among the host's levels k..L (k = params.cached, at most the
-    depth); a block they cannot take is held by the engine.  Placement
-    writes each block, head and tail, straight into its slot of the host's
-    bucket buffer, counting the blocks of each bucket in one byte per node;
-    slots left zero are the dummies.  Each bucket is then encrypted in
-    place: one ciphertext bound to (tree_id, node), written over its own
+    an array('I') (``draw_leaves``), and is placed in the deepest free
+    bucket on that leaf's path among the host's levels k..L (k =
+    params.cached, at most the depth); a block they cannot take is held by
+    the engine.  Placement writes each block, head and leaf, straight into
+    its slot of the host's bucket buffer, after the blocks placed there
+    before it, counting the blocks of each bucket in one byte per node;
+    slots left zero are the dummies, and the counts become the buckets'
+    count bytes in one strided assignment.  Each bucket is then encrypted
+    in place: one ciphertext bound to (tree_id, node), written over its own
     plaintext, empty buckets included.  Heads that are not a whole number
     of head widths would shift later slots: ValueError.
 
     Returns (engine, TreeStorage, leaf per head); the engine has no store
     yet.
     """
-    z, hw, bw = params.bucket_size, params.head_width, params.block_width
+    z, hw, bw, lw = params.bucket_size, params.head_width, params.block_width, params.leaf_width
     if not 0 <= params.cached <= params.depth:
         raise ValueError(f"cannot cache {params.cached} levels of a depth-{params.depth} tree")
     count, extra = divmod(len(heads), hw)
@@ -253,25 +273,26 @@ def oram_init(
     if count > params.host_nodes * z + limit:
         raise CapacityError(f"{count} blocks exceed {params.host_nodes * z} host slots plus {limit} held")
 
-    leaves = array("I", map(rng.randrange, repeat(params.leaves, count)))
+    leaves = draw_leaves(rng, params.depth, count)
     cw, first = params.bucket_width, params.cache_nodes  # heap index of level k's first bucket
     buckets = bytearray(params.host_nodes * cw)  # bucket i at i*cw, its plaintext first
     fill = bytearray(params.host_nodes)  # blocks placed in each host bucket, Z <= 255
     held: list[tuple[int, bytes]] = []  # (group, block)
-    leaf_bucket, shift, tail = params.leaves - 1 - first, params.depth - params.cached, TAIL.pack_into
+    leaf_bucket, shift = params.leaves - 1 - first, params.depth - params.cached
     for at, leaf in zip(range(0, len(heads), hw), leaves):
         i = leaf_bucket + leaf
         while i >= 0:  # leaf bucket first, then up toward level k
             n = fill[i]
             if n < z:
                 fill[i] = n + 1
-                slot = i * cw + n * bw
+                slot = i * cw + 1 + n * bw  # after the count byte and n blocks
                 buckets[slot : slot + hw] = heads[at : at + hw]
-                tail(buckets, slot + hw, leaf, 1)
+                buckets[slot + hw : slot + bw] = leaf.to_bytes(lw, "big")
                 break
             i = ((i + first - 1) >> 1) - first
         else:
-            held.append((leaf >> shift, heads[at : at + hw] + TAIL.pack(leaf, 1)))
+            held.append((leaf >> shift, heads[at : at + hw] + leaf.to_bytes(lw, "big")))
+    buckets[0::cw] = fill
     held.sort(key=lambda pair: pair[0])  # the engine takes its held blocks group by group
     engine = PathOram(tree_id, params, cipher, b"".join(blk for _, blk in held))
 
@@ -288,17 +309,18 @@ def oram_init(
 def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:
     """Debug walker: decrypt the host's buckets with the engine's cipher and
     confirm that every held block sits in the group of its leaf's top k
-    bits, that held_count counts them, that no token is stored twice, held
+    bits, that held_count counts them, that every bucket's count is at most
+    Z with zero slots after its blocks, that no token is stored twice, held
     and on the host included, and that every block named in leaf_of (token
     -> mapped leaf) is held or on the path to its mapped leaf."""
     p, cipher = tree.params, engine.cipher
-    bw, hw, shift = p.block_width, p.head_width, p.depth - p.cached
+    bw, shift = p.block_width, p.depth - p.cached
     if len(engine.held) != 1 << p.cached:
         raise AssertionError(f"{len(engine.held)} held groups for {p.cached} cached levels")
     held: set[bytes] = set()
     for g, group in enumerate(engine.held):
-        for blk in group:
-            if TAIL.unpack_from(blk, hw)[0] >> shift != g:
+        for blk, leaf in zip(group, block_leaves(b"".join(group), p)):
+            if leaf >> shift != g:
                 raise AssertionError("held block outside its leaf's group")
             if blk[TOKEN] in held:
                 raise AssertionError("token held twice")
@@ -308,12 +330,14 @@ def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:
     located: dict[bytes, int] = {}
     for node in range(p.cache_nodes, p.node_count):
         plain = cipher.decrypt(tree.get_bucket(node), bucket_ad(tree.tree_id, node))
-        for end in range(bw, len(plain) + 1, bw):
-            if plain[end - 1]:
-                tk = plain[end - bw : end][TOKEN]
-                if tk in located or tk in held:
-                    raise AssertionError("token stored twice")
-                located[tk] = node
+        end = 1 + plain[0] * bw
+        if plain[0] > p.bucket_size or any(plain[end:]):
+            raise AssertionError(f"node {node}: count {plain[0]} past Z or a nonzero slot after its blocks")
+        for at in range(1, end, bw):
+            tk = plain[at : at + bw][TOKEN]
+            if tk in located or tk in held:
+                raise AssertionError("token stored twice")
+            located[tk] = node
     for tk, leaf in leaf_of.items():
         if tk in held:
             continue

@@ -3,30 +3,32 @@
 Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
 tokens, one token per entry, loads them into a Path ORAM tree, and maps
 each block's dense address u*|V|+v to its leaf.  The entry (u,v) -> (w,v)
-becomes a block that names its next hop by the address w*|V|+v and carries
-nothing else.  The tree has room for a block per ordered pair of distinct
-vertices, |V|^2 - |V| of them, however many pairs are connected, so its
-depth reveals |V| and Z alone.  Addresses are 4 bytes, so |V| is at most
-MAX_VERTICES = 2^16.  A query chases the chain of addresses, deriving each
-hop's token from its address, with one oblivious access per hop plus a
-terminating miss round, so the storage side observes only the round count.
-Its answer is the hop addresses; reveal reads the path off them.
+becomes a block whose payload is the next hop w as a 2-byte vertex id and
+nothing else: the engine knows the destination v, so it forms the hop's
+address w*|V|+v itself.  The tree has room for a block per ordered pair of
+distinct vertices, |V|^2 - |V| of them, however many pairs are connected,
+so its depth reveals |V| and Z alone.  Vertex ids are 2 bytes, so |V| is
+at most MAX_VERTICES = 2^16.  A query chases the chain of hops, deriving
+each hop's token from the pair (w, v), with one oblivious access per hop
+plus a terminating miss round, so the storage side observes only the
+round count.  Its answer is the hop addresses; reveal reads the path off
+them.
 
 Setup keeps no Python object per entry and runs no Python statement per
 entry: the next-hop table is one dense array (``graph``), read one source
 row at a time; ``build_blocks`` derives a row's tokens in one AES call
-(``crypto.Prf``) and writes its 20-byte block heads column by column into
+(``crypto.Prf``) and writes its 18-byte block heads column by column into
 one buffer, beside an array('I') of their addresses; and ``oram_init``
 places the blocks straight into the tree's bucket buffer (``oram``).
 
 The paper also encrypts each hop (w,v) under a third key, k1, as the
 block's payload, for the client to decrypt.  That ciphertext protected
-nothing: it sits inside the k2-encrypted bucket next to next_addr, which
-is the same pair in the clear, and the party that decrypts buckets (the
-trivial client, or the controller) reads next_addr to find the next hop
-anyway.  Without it a data block is 25 bytes (``blocks``), and the host's
-view keeps its shape: the same rounds, one path width per tree and fresh
-uniform leaves.
+nothing: it sits inside the k2-encrypted bucket next to the hop in the
+clear, and the party that decrypts buckets (the trivial client, or the
+controller) reads the hop anyway.  Without it, and with the hop as a
+vertex id and the leaf at the tree's width, a data block is 20 bytes at
+|V| = 200 or 500 (``blocks``), and the host's view keeps its shape: the
+same rounds, one path width per tree and fresh uniform leaves.
 
 Both deployments run the one QueryEngine: the data tree's Path ORAM, a
 RecursivePM position map, the PRF key and the vertex range check.  They
@@ -95,10 +97,9 @@ import struct
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
 from pathlib import Path
 
-from .blocks import ABSENT, HEAD_WIDTH, TreeParams, tree_depth_for, write_heads
+from .blocks import ABSENT, HEAD_WIDTH, HOP, TreeParams, tree_depth_for, write_heads
 from .crypto import (
     KEY_BYTES,
     PAIR_BLOCK,
@@ -123,7 +124,8 @@ DATA_TREE_ID = 0
 MODE_TRIVIAL = "trivial"
 MODE_ENHANCED = "enhanced"
 
-# blocks and the enhanced response carry dense addresses u*|V|+v in 4 bytes
+# blocks carry hops as 2-byte vertex ids, and the enhanced response dense
+# addresses u*|V|+v in 4 bytes
 MAX_VERTICES = 1 << 16
 
 # levels of the trivial client's data tree that the host stores: the
@@ -154,7 +156,7 @@ class SchemeParams:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.vertex_count > MAX_VERTICES:
             raise ConfigError(
-                f"{self.vertex_count} vertices exceed {MAX_VERTICES}: addresses u*|V|+v are stored in 4 bytes"
+                f"{self.vertex_count} vertices exceed {MAX_VERTICES}: blocks store vertex ids in 2 bytes"
             )
         # tree headers and state files store Z in one byte
         if not 1 <= self.bucket_size <= 255:
@@ -185,10 +187,11 @@ class SchemeParams:
 
     @property
     def data_params(self) -> TreeParams:
-        """The data tree's geometry.  The trivial client caches all but the
-        host's HOST_LEVELS levels; a controller caches none."""
+        """The data tree's geometry: each block's payload is its hop.  The
+        trivial client caches all but the host's HOST_LEVELS levels; a
+        controller caches none."""
         cached = client_cached_levels(self.data_depth) if self.mode == MODE_TRIVIAL else 0
-        return TreeParams(self.data_depth, self.bucket_size, 0, cached)
+        return TreeParams(self.data_depth, self.bucket_size, HOP.size, cached)
 
     @property
     def map_shape(self) -> MapShape:
@@ -250,13 +253,12 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
     addresses, walking its table one source row at a time.
 
     Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v) and
-    whose chain pointer is the dense address w*|V|+v.  A row's tokens come
-    from one PRF call over its packed pair blocks, and its heads are
-    written column by column, so no Python statement runs per entry and
-    what a row allocates is freed before the next.  Returns the heads
-    packed end to end, 20 bytes each, and an array('I') of the entries'
-    addresses u*|V|+v, in the same order, both allocated once from the
-    entry count.
+    whose payload is the hop w.  A row's tokens come from one PRF call over
+    its packed pair blocks, and its heads are written column by column, so
+    no Python statement runs per entry and what a row allocates is freed
+    before the next.  Returns the heads packed end to end, 18 bytes each,
+    and an array('I') of the entries' addresses u*|V|+v, in the same
+    order, both allocated once from the entry count.
     """
     n = g.vertex_count
     spdx = compute_spdx(g)
@@ -266,7 +268,7 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
     at = 0
     for u, columns, hops in spdx.matrix.rows():
         tokens = prf_eval(prf, b"".join(map(PAIR_BLOCK.pack, repeat(u), columns)))
-        write_heads(heads, at, tokens, map(add, map(n.__mul__, hops), columns))
+        write_heads(heads, at, tokens, hops)
         addresses[at : at + len(columns)] = array("I", map((u * n).__add__, columns))
         at += len(columns)
     return heads, addresses
@@ -378,22 +380,24 @@ class QueryEngine:
 
     def query(self, u: int, v: int) -> list[int]:
         """Chase the chain from (u, v): one access per hop, then one on a
-        missing address; returns the hop addresses.  A hop's token is
-        derived from its address, the pair (addr // |V|, v).  An
-        out-of-range pair raises IndexError before any storage access."""
+        missing address; returns the hop addresses.  The block of (w, v)
+        holds the hop after w, whose address the engine forms; its token
+        is derived from the pair (w, v).  An out-of-range pair raises
+        IndexError before any storage access."""
         n = self.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
         resp: list[int] = []
-        addr = u * n + v
+        w, addr = u, u * n + v
         try:
             while True:
                 old_leaf, new_leaf = self.positions.get_and_remap(addr)
                 if old_leaf == ABSENT:
                     self.oram.access(None, new_leaf)
                     return resp
-                tk = prf_eval(self.prf, pair_block(addr // n, v))
-                addr = self.oram.access(tk, old_leaf, new_leaf).next_addr
+                tk = prf_eval(self.prf, pair_block(w, v))
+                (w,) = HOP.unpack(self.oram.access(tk, old_leaf, new_leaf).payload)
+                addr = w * n + v
                 resp.append(addr)
         finally:
             self.store.flush()
@@ -473,13 +477,14 @@ _PARAMS = struct.Struct(">IBQ")  # V, Z, budget
 STATE_MAGIC = b"OS"
 # older versions are refused; 13 derives the data depth from |V| and Z,
 # pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
-# its tree, ahead of the held blocks, stores 25-byte data blocks with
-# 4-byte addresses and leaves, and stores no k1: the clients keep only the
-# keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``) in
-# place of HMAC ones, so a format-13 file's held blocks and trees hold
+# its tree, ahead of the held blocks, and stores no k1: the clients keep
+# only the keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``)
+# in place of HMAC ones, so a format-13 file's held blocks and trees hold
 # tokens no query derives any more.  15 stores no chi: the shape rule
-# picks the map's payload from |V|, Z and the budget
-STATE_VERSION = 15
+# picks the map's payload from |V|, Z and the budget.  16 stores held
+# blocks in the narrow layout of tree format 7: a data block's hop as a
+# 2-byte vertex id, its leaf at the tree's width and no flag byte
+STATE_VERSION = 16
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}

@@ -58,7 +58,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .blocks import ABSENT, TreeParams, block_head, tree_depth_for
+from .blocks import ABSENT, TreeParams, tree_depth_for
 from .crypto import Cipher
 from .exceptions import ConfigError, IntegrityError
 from .oram import PathOram, oram_init
@@ -324,9 +324,7 @@ def rpm_build(
         span = level.per_block * w
         tail = b"\xff" * (params.payload_width - span)
         cells = pack_entries(entries, w, level.blocks * level.per_block)
-        heads = b"".join(
-            block_head(level_token(i, b), 0, cells[b * span : (b + 1) * span] + tail) for b in range(level.blocks)
-        )
+        heads = b"".join(level_token(i, b) + cells[b * span : (b + 1) * span] + tail for b in range(level.blocks))
         engine, tree, leaves = oram_init(heads, params, cipher, rng, i + 1)
         levels.append(engine)
         trees.append(tree)

@@ -6,19 +6,20 @@ and serves the host's part of each root-to-leaf path.  Every path read or
 write is appended to an AccessTrace, which records exactly what the storage
 owner can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 6: a header (magic, version, tree id, depth L,
+Tree file format, version 7: a header (magic, version, tree id, depth L,
 cached levels k, bucket size Z, payload width) followed by the buckets of
 levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
 engine holding the tree keeps levels 0..k-1 itself, so a path read or write
-moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of Z serialized
-blocks whose associated data is (tree id, heap index), so the storage side
-cannot move, copy or swap buckets within or across trees without the next
-access that reads them failing.  Blocks have the layout of ``blocks``:
-25 bytes in the data tree, whose blocks carry no payload, and P + 25 in
-a position-map tree, P the level payload the map's shape rule picks, 16 to
-512 bytes of entries as wide as the tree they point into needs
-(``recursive``).  Older versions are rejected on
-load.
+moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of a count
+byte and Z block slots whose associated data is (tree id, heap index), so
+the storage side cannot move, copy or swap buckets within or across trees
+without the next access that reads them failing.  Blocks have the layout
+of ``blocks``, a 16-byte token, the payload and the leaf in ceil(L/8)
+bytes: 18 + ceil(L/8) bytes in the data tree, whose payload is a 2-byte
+hop, so 20 at depths 9 to 16, and P + 16 + ceil(L/8) in a position-map
+tree, P the level payload the map's shape rule picks, 16 to 512 bytes of
+entries as wide as the tree they point into needs (``recursive``).  Older
+versions are rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  A
@@ -46,7 +47,7 @@ from .blocks import TreeParams
 from .exceptions import ProtocolError
 
 TREE_MAGIC = b"OT"
-TREE_VERSION = 6
+TREE_VERSION = 7
 _HEADER = struct.Struct(">2sBBBBBH")  # magic, version, tree_id, L, k, Z, payload_width
 
 
@@ -213,7 +214,9 @@ def _read_header(f, path: str | Path) -> tuple[int, TreeParams]:
     if magic != TREE_MAGIC:
         raise ProtocolError(f"bad tree magic {magic!r}")
     if version != TREE_VERSION:
-        raise ProtocolError(f"unsupported tree version {version}")
+        raise ProtocolError(
+            f"tree file {path}: unsupported version {version}, expected {TREE_VERSION}; set the deployment up again"
+        )
     if cached > depth:
         raise ProtocolError(f"tree file {path}: {cached} cached levels in a depth-{depth} tree")
     return tree_id, TreeParams(depth=depth, bucket_size=z, payload_width=payload_width, cached=cached)

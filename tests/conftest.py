@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from obge import wire
-from obge.blocks import HEAD_WIDTH, TreeParams, block_head, tree_depth_for
+from obge.blocks import HEAD_WIDTH, HOP, TreeParams, tree_depth_for
 from obge.crypto import Cipher, Prf, pair_block, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
@@ -64,7 +64,7 @@ def chain_blocks(keys, chains, length):
     """Next-hop entries of chains 0 -> 1 -> ... -> length-1 -> d, one per
     destination d in [length, length + chains), built without a graph.
 
-    Entry (u, d) points to u+1, and the last one to d itself, so query
+    Entry (u, d) has hop u+1, and the last one d itself, so query
     (u, d) makes length - u hits and then one miss round on the absent
     address of (d, d).  Returns the vertex count, the block heads in order
     u within d, packed end to end as build_blocks packs them (each starts
@@ -77,7 +77,7 @@ def chain_blocks(keys, chains, length):
     for d in range(length, n):
         for u in range(length):
             w = u + 1 if u + 1 < length else d
-            heads += block_head(prf_eval(prf, pair_block(u, d)), w * n + d)
+            heads += prf_eval(prf, pair_block(u, d)) + HOP.pack(w)
             addrs.append(u * n + d)
     return n, heads, addrs
 
@@ -96,8 +96,9 @@ def top_entries(positions) -> list[int]:
 
 def data_tree(count, Z=5, cached=0):
     """Geometry of a data tree sized for count real blocks, by the depth rule
-    setup uses, with the top `cached` levels in the engine."""
-    return TreeParams(tree_depth_for(count, Z), Z, 0, cached)
+    setup uses, with the top `cached` levels in the engine and a hop a
+    block."""
+    return TreeParams(tree_depth_for(count, Z), Z, HOP.size, cached)
 
 
 def chain_engine(keys, chains, length, rng, Z=5, cached=0):

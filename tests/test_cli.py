@@ -58,14 +58,15 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (306 bytes)"),
-            ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (1,071 bytes)"),
+            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (248 bytes)"),
+            ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (868 bytes)"),
         ],
         ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
-        # a 15-vertex chain: 105 entries in a depth-6 tree of 153-byte
-        # buckets (five 25-byte blocks), sized for the 210 ordered pairs; the trivial client
+        # a 15-vertex chain: 105 entries in a depth-6 tree of 124-byte
+        # buckets (a count byte and five 19-byte blocks, a 1-byte leaf
+        # each), sized for the 210 ordered pairs; the trivial client
         # leaves the host its bottom 2 levels
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
@@ -75,13 +76,14 @@ class TestSetupCommand:
     def test_enhanced_summary_reports_the_map(self, tmp_path, capsys):
         # the 30-vertex chain at a 256-byte budget: the shape rule picks
         # 184-byte level payloads, one level of 10 blocks in a depth-1 tree,
-        # so a map round moves 2 buckets of 5 * 209 + 28 bytes each way
+        # so a map round moves 2 buckets of 1 + 5 * 201 + 28 bytes each way:
+        # 201-byte blocks of token, payload and a 1-byte leaf
         chain = tmp_path / "chain.tsv"
         chain.write_text(CHAIN_30_TSV)
         run_setup(tmp_path, chain, "--mode", "enhanced", "--budget", "256")
         assert capsys.readouterr().out.splitlines()[1:] == [
             "position map: chain depth 1",
-            "position map: 184-byte level payloads, 2 host buckets and 2146 host bytes per round",
+            "position map: 184-byte level payloads, 2 host buckets and 2068 host bytes per round",
         ]
 
     def test_bad_graph_is_usage_error(self, tmp_path):
@@ -129,14 +131,14 @@ class TestSetupCommand:
         assert not out.exists()
 
     def test_vertex_count_past_the_address_width_is_usage_error(self, tmp_path, capsys):
-        # blocks store addresses u*|V|+v in 4 bytes: vertex 65,536 makes
+        # blocks store a hop as a 2-byte vertex id: vertex 65,536 makes
         # 65,537 vertices, one past the limit
         graph = tmp_path / "wide.tsv"
         graph.write_text("0\t65536\n")
         out = tmp_path / "deploy"
         assert main(["setup", str(graph), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: 65537 vertices exceed 65536: addresses u*|V|+v are stored in 4 bytes"
+            "error: 65537 vertices exceed 65536: blocks store vertex ids in 2 bytes"
         ]
         assert not out.exists()
 
@@ -329,7 +331,7 @@ class TestAuditCommand:
         capsys.readouterr()
         rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
-        assert "query 0 (0,3), record 0: 306 bytes, tree 0 paths are " in capsys.readouterr().out
+        assert "query 0 (0,3), record 0: 248 bytes, tree 0 paths are " in capsys.readouterr().out
 
     def test_no_tree_files_is_protocol_error(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -545,7 +547,7 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v15"
+    data = Path(__file__).parent / "data" / "state_v16"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
@@ -561,7 +563,7 @@ def test_obge_runs_without_numpy_or_scipy(tmp_path):
     # the runtime needs cryptography alone: with numpy and scipy made
     # unimportable, every obge module imports, both state files load and an
     # in-process trace passes obge audit
-    data = Path(__file__).parent / "data" / "state_v15"
+    data = Path(__file__).parent / "data" / "state_v16"
     code = f"""
 import importlib, pkgutil, random, sys
 sys.modules["numpy"] = sys.modules["scipy"] = None

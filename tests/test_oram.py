@@ -1,11 +1,11 @@
 import random
-import struct
 
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
-from obge.blocks import ABSENT, tree_depth_for
-from obge.crypto import Cipher, Prf, keygen, pair_block, prf_eval
+from obge.blocks import ABSENT, HOP, Block, TreeParams, block_leaves, bucket_ad, tree_depth_for, unpack_block
+from obge.crypto import CT_OVERHEAD, Cipher, Prf, keygen, pair_block, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import Graph, PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
@@ -44,6 +44,10 @@ class AllZero:
     @staticmethod
     def randrange(n):
         return 0
+
+    @staticmethod
+    def randbytes(n):
+        return bytes(n)
 
 
 class TestSizing:
@@ -92,6 +96,62 @@ class TestSizing:
         k2 = Cipher(keys.k2)
         with pytest.raises(CapacityError):
             oram_init(make_blocks(keys, 50), data_tree(50, Z=1), k2, AllZero())
+
+
+class TestBlockLayout:
+    """tk (16) | payload (W) | leaf (ceil(L/8)) blocks, in buckets of a
+    count byte and Z slots."""
+
+    @given(
+        depth=st.integers(0, 32),
+        payload=st.sampled_from([HOP.size]) | st.integers(16, 512),
+        z=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_pack_round_trips_at_the_stated_widths(self, depth, payload, z, data):
+        p = TreeParams(depth, z, payload)
+        block = Block(
+            data.draw(st.binary(min_size=16, max_size=16)),
+            data.draw(st.binary(min_size=payload, max_size=payload)),
+            data.draw(st.integers(0, p.leaves - 1)),
+        )
+        raw = block.pack(p)
+        assert len(raw) == p.block_width == 16 + payload + -(-depth // 8)
+        assert unpack_block(raw, p) == block
+        assert block_leaves(raw * 3, p) == [block.leaf] * 3
+        assert p.bucket_width == 1 + z * p.block_width + CT_OVERHEAD == 1 + z * p.block_width + 28
+
+    def test_count_past_z_is_refused_naming_tree_and_node(self, rng):
+        # a bucket that claims Z+1 blocks, encrypted under the engine's own
+        # key and bound to its node, decrypts; the count is still refused
+        keys = keygen()
+        engine, _, tree, _, _ = build(keys, 40, rng)  # depth 3, Z=5
+        p = tree.params
+        node = p.path_nodes(0)[-1]
+        plain = bytes([p.bucket_size + 1]) + bytes(p.plain_width - 1)
+        tree.set_bucket(node, Cipher(keys.k2).encrypt(plain, bucket_ad(0, node)))
+        with pytest.raises(IntegrityError, match=f"tree 0 node {node}: bucket counts 6 blocks, Z is 5"):
+            engine.oram.access(None, 0)
+
+    def test_buckets_count_their_blocks_first(self, rng):
+        # every host bucket's plaintext is its count, that many blocks,
+        # each on its own path, and zero slots, after setup and after
+        # queries
+        keys = keygen()
+        engine, _, tree, blocks, addrs = build(keys, 40, rng)
+        p, k2 = tree.params, Cipher(keys.k2)
+        for _ in range(2):
+            counts = []
+            for node in range(p.node_count):
+                plain = k2.decrypt(tree.get_bucket(node), bucket_ad(0, node))
+                n, end = plain[0], 1 + plain[0] * p.block_width
+                counts.append(n)
+                assert n <= p.bucket_size and not any(plain[end:])
+                for at in range(1, end, p.block_width):
+                    assert node in p.path_nodes(unpack_block(plain[at : at + p.block_width], p).leaf)
+            assert sum(counts) + engine.oram.held_count == 40
+            run_queries(engine, rng, 60)
+        verify_placement(tree, engine.oram, leaf_of(engine, blocks, addrs))
 
 
 class TestAccess:
@@ -454,7 +514,7 @@ class TestHeldBlocks:
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)
         heads = make_blocks(keys, 4)
-        blocks = [head + struct.pack(">IB", leaf, 1) for head, leaf in zip(split_heads(heads), (0, 1, 6, 7))]
+        blocks = [head + bytes([leaf]) for head, leaf in zip(split_heads(heads), (0, 1, 6, 7))]  # 1-byte leaves
         engine = PathOram(4, params, k2, b"".join(blocks))
         assert engine.held == [blocks[:2], [], [], blocks[2:]] and engine.held_count == 4
         with pytest.raises(IntegrityError, match="tree 4 held blocks are out of group order"):
@@ -493,7 +553,7 @@ class TestHeldBlocks:
         copy = next(b for b in split_heads(blocks) if b[:16] == on_host)
         leaf = mapped[on_host]
         oram.held[g].append(blk)
-        oram.held[leaf >> (tree.params.depth - 2)].append(copy + struct.pack(">IB", leaf, 1))
+        oram.held[leaf >> (tree.params.depth - 2)].append(copy + leaf.to_bytes(tree.params.leaf_width, "big"))
         oram.held_count += 2
         with pytest.raises(AssertionError, match="stored twice"):
             verify_placement(tree, oram, mapped)

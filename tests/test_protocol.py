@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import ABSENT, block_head
+from obge.blocks import ABSENT, HOP
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
 from obge.exceptions import ConfigError, IntegrityError, ProtocolError
 from obge.graph import Graph, compute_sp_matrix, compute_spdx, spath_oracle
@@ -43,20 +43,24 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-15 state files: setup with Z=1 and rng Random(11) on
+# format-16 state files: setup with Z=1 and rng Random(11) on
 # random_graph(Random(5), 12, 0.3) (the enhanced deployment with a 16-byte
 # budget, which forces 16-byte level payloads), then 60 queries, each
 # (u, v) drawn as randrange(12), randrange(12) from Random(12) just before
 # it runs, Random(12) being also the deployment's leaf sampler; the states
 # saved, then reloaded over their trees (not kept), both deployments
 # answer all 144 pairs twice as PathOracle does.  The state_v12 to
-# state_v14 files were made by much the same recipe, the v14 controller
+# state_v15 files were made by much the same recipe, the v14 controller
 # with chi 2 and a 64-byte budget
-STATE_V15 = DATA / "state_v15"
-# a held data block packed by hand: token 11.., next address 7, no
-# payload, then the tail (leaf, flag)
-HELD_HEAD = b"\x11" * 16 + struct.pack(">I", 7)
+STATE_V16 = DATA / "state_v16"
+# the head of a data block packed by hand: token 11.., hop 7
+HELD_HEAD = b"\x11" * 16 + HOP.pack(7)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def held_block(tp, leaf):
+    """HELD_HEAD mapped to leaf, at the leaf width of the tree tp."""
+    return HELD_HEAD + leaf.to_bytes(tp.leaf_width, "big")
 
 
 @st.composite
@@ -160,7 +164,7 @@ class TestSetup:
             n, prf = g.vertex_count, Prf(keys.kprf)
             heads, addresses = bytearray(), array("I")
             for (u, v), w in compute_sp_matrix(g).items():
-                heads += block_head(prf_eval(prf, pair_block(u, v)), w * n + v)
+                heads += prf_eval(prf, pair_block(u, v)) + HOP.pack(w)
                 addresses.append(u * n + v)
             assert protocol.build_blocks(g, keys) == (heads, addresses)
 
@@ -215,7 +219,8 @@ class TestSetup:
         assert parties[0].positions.chain_depth == parties[1].positions.chain_depth == len(results[0].trees) - 1
 
     def test_vertex_count_past_the_address_width_is_refused(self):
-        # addresses u*|V|+v are 4 bytes: 2^16 vertices fit, one more does not
+        # a hop is a 2-byte vertex id, and an address u*|V|+v 4 bytes: 2^16
+        # vertices fit, one more does not
         SchemeParams(MAX_VERTICES).validate()
         with pytest.raises(ConfigError, match="65537 vertices exceed 65536"):
             SchemeParams(MAX_VERTICES + 1).validate()
@@ -223,18 +228,28 @@ class TestSetup:
             setup(Graph(MAX_VERTICES + 1))
 
     def test_block_and_path_widths(self):
-        # tk 16 | next_addr 4 | payload | leaf 4 | flag 1: data blocks of
-        # 25 bytes and, at the 504-byte payload the shape rule picks at a
-        # 4 KiB budget, map blocks of 504 + 25.  At |V|=200 (depth 13) a
-        # bucket is 5*25 + 28 bytes: the trivial host path is its bottom 2
-        # buckets, the enhanced one all 14
+        # tk 16 | payload | leaf ceil(L/8): data blocks of 16 + 2 + 2 bytes
+        # at depth 13 and, at the 504-byte payload the shape rule picks at
+        # a 4 KiB budget, map blocks of 16 + 504 + 1 in the depth-5 level
+        # tree.  At |V|=200 (depth 13) a bucket is 1 + 5*20 + 28 bytes: the
+        # trivial host path is its bottom 2 buckets, the enhanced one all 14
         trivial = SchemeParams(200).data_params
         enhanced = SchemeParams(200, mode="enhanced", budget=4096)
         assert trivial.depth == enhanced.data_params.depth == 13
-        assert trivial.block_width == enhanced.data_params.block_width == 25
-        assert [level.params.block_width for level in enhanced.map_shape.levels] == [529]
-        assert trivial.path_width == 2 * 153 == 306
-        assert enhanced.data_params.path_width == 14 * 153 == 2_142
+        assert trivial.block_width == enhanced.data_params.block_width == 20
+        assert [(level.params.depth, level.params.block_width) for level in enhanced.map_shape.levels] == [(5, 521)]
+        assert trivial.path_width == 2 * 129 == 258
+        assert enhanced.data_params.path_width == 14 * 129 == 1_806
+
+    @pytest.mark.parametrize("vertices, depth", [(200, 13), (500, 16)])
+    def test_benchmark_data_buckets_are_129_bytes(self, vertices, depth):
+        # the benchmark's data trees, Z=5: 20-byte blocks of token, 2-byte
+        # hop and 2-byte leaf, and buckets of a count byte, five blocks and
+        # the AES-GCM nonce and tag, in either deployment
+        for mode, kw in (("trivial", {}), ("enhanced", {"budget": 4096})):
+            tp = SchemeParams(vertices, mode=mode, **kw).data_params
+            assert (tp.depth, tp.payload_width, tp.leaf_width) == (depth, 2, 2)
+            assert tp.block_width == 20 and tp.bucket_width == 1 + 5 * 20 + 28 == 129
 
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
         # every data tree is padded to the 4*4 - 4 ordered pairs, however
@@ -463,14 +478,14 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 15, party 0; the
+        # the trivial client's keys.bin: magic, version 16, party 0; the
         # 13-byte parameter block (|V|, Z, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
         # 0xFF where no block is stored, then the data tree's held blocks
-        # (count, then per 25-byte block tk, 4-byte next address, 4-byte
-        # leaf and flag 1, group by group); no shape is stored, the data
-        # depth included
+        # (count, then per 19-byte block tk, 2-byte hop and the leaf in the
+        # one byte a depth-6 tree needs, group by group); no shape is
+        # stored, the data depth included
         result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
         for u in range(14):
@@ -481,23 +496,19 @@ class TestPersistence:
         # one more held block, packed by hand, in the last group at its
         # last leaf
         leaf = (1 << depth) - 1
-        oram.held[-1].append(HELD_HEAD + struct.pack(">IB", leaf, 1))
+        oram.held[-1].append(HELD_HEAD + bytes([leaf]))
         stash = oram.held_blocks()
+        slots = list(struct.iter_unpack(">16sHB", b"".join(stash)))
+        assert slots[-1] == (b"\x11" * 16, 7, leaf)
 
-        def slots(raw):
-            out = b""
-            for tk, next_addr, leaf, flag in struct.iter_unpack(">16sIIB", raw):
-                out += tk + struct.pack(">I", next_addr) + struct.pack(">IB", leaf, flag)
-            return out
-
-        want = b"OS\x0f\x00" + struct.pack(">IBQ", 15, 5, 0)
+        want = b"OS\x10\x00" + struct.pack(">IBQ", 15, 5, 0)
         assert protocol._PARAMS.size == 13
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
         for leaf in top:
             want += struct.pack(">B", 0xFF if leaf == ABSENT else leaf)
-        want += struct.pack(">I", len(stash)) + slots(b"".join(stash))
+        want += struct.pack(">I", len(stash)) + b"".join(tk + struct.pack(">HB", hop, leaf) for tk, hop, leaf in slots)
         path = tmp_path / "keys.bin"
         save_state(path, state)
         assert path.read_bytes() == want
@@ -528,20 +539,21 @@ class TestPersistence:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith(f"state file {path} is truncated: {len(raw)} bytes")
 
-    @pytest.mark.parametrize("bad", ["dummy-flag", "leaf-past-tree"])
+    @pytest.mark.parametrize("bad", ["leaf-past-tree", "leaf-all-ones"])
     def test_bad_stash_block_is_rejected(self, tmp_path, bad):
         # with no cached levels (a depth-1 tree, for 3 vertices) the held
-        # blocks are a stash.  A block
-        # flagged as a dummy would vanish, and one mapped to leaf 2^L would
-        # be evicted into whichever path is written next
+        # blocks are a stash.  A block mapped to leaf 2^L, or to the
+        # largest leaf its one leaf byte holds, would be evicted into
+        # whichever path is written next
         result, _, _, _ = deploy(chain_graph(3), "trivial")
         state = result.client
-        assert result.params.data_params.cached == 0
-        leaf, flag = (1, 0) if bad == "dummy-flag" else (1 << result.params.data_depth, 1)
-        state.oram.held[0].append(HELD_HEAD + struct.pack(">IB", leaf, flag))
+        tp = result.params.data_params
+        assert tp.cached == 0 and tp.leaf_width == 1
+        leaf = tp.leaves if bad == "leaf-past-tree" else 255
+        state.oram.held[0].append(held_block(tp, leaf))
         path = tmp_path / "keys.bin"
         save_state(path, state)
-        with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
+        with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 holds a block mapped to leaf {leaf} of 2"):
             load_state(path, TrivialState)
 
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
@@ -566,19 +578,20 @@ class TestPersistence:
         for u in range(15):
             assert client2.query_path(u, 14) == spath_oracle(g, u, 14)
 
-    @pytest.mark.parametrize("bad", ["flag-2", "leaf-past-tree"])
+    @pytest.mark.parametrize("bad", ["leaf-past-tree", "leaf-all-ones"])
     def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
-        # with cached levels, a held block flagged neither real nor dummy,
-        # or mapped past the last leaf, is refused like a stash block
+        # with cached levels, a held block mapped past the last leaf is
+        # refused like a stash block, in the last group, where its top
+        # bits would put it
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 7 - protocol.HOST_LEVELS
-        slot = HELD_HEAD + (struct.pack(">IB", 1, 2) if bad == "flag-2" else struct.pack(">IB", tp.leaves, 1))
-        state.oram.held[1].append(slot)
+        assert tp.cached == 7 - protocol.HOST_LEVELS and tp.leaf_width == 1
+        leaf = tp.leaves if bad == "leaf-past-tree" else 255
+        state.oram.held[-1].append(held_block(tp, leaf))
         path = tmp_path / "keys.bin"
         save_state(path, state)
-        with pytest.raises(ProtocolError, match=f"state file {path}: bad tree 0 held block"):
+        with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 holds a block mapped to leaf {leaf} of 64"):
             load_state(path, TrivialState)
 
     def test_held_blocks_out_of_group_order_are_refused(self, tmp_path):
@@ -588,7 +601,7 @@ class TestPersistence:
         state = result.client
         tp = result.params.data_params
         assert tp.cached == 5
-        state.oram.held[-1] += [HELD_HEAD + struct.pack(">IB", leaf, 1) for leaf in (tp.leaves - 1, 0)]
+        state.oram.held[-1] += [held_block(tp, leaf) for leaf in (tp.leaves - 1, 0)]
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 held blocks are out of group order"):
@@ -612,7 +625,7 @@ class TestPersistence:
         at = protocol._PREFIX.size + protocol._PARAMS.size + 2 * 16 + len(state.positions.top)
         for count, ok in ((limit, True), (limit + 1, False)):
             # blocks of the last group, so the groups stay in order
-            blocks = [HELD_HEAD + struct.pack(">IB", tp.leaves - 1, 1)] * (count - state.oram.held_count)
+            blocks = [held_block(tp, tp.leaves - 1)] * (count - state.oram.held_count)
             path.write_bytes(raw[:at] + struct.pack(">I", count) + raw[at + 4 : at + 4 + state.oram.held_count * tp.block_width]
                              + b"".join(blocks) + raw[at + 4 + state.oram.held_count * tp.block_width :])
             if ok:
@@ -683,17 +696,17 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [49]), ("enhanced-keys.bin", EnhancedState, None, None),
+        [("trivial-keys.bin", TrivialState, 0, [45]), ("enhanced-keys.bin", EnhancedState, None, None),
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_15_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 49 blocks over 128 groups (k=7 of the
+    def test_format_16_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 45 blocks over 128 groups (k=7 of the
         # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
         # cells; the controller's chain has depth 2, of 16-byte payloads,
         # and held blocks in the data tree and level 0.  Loading and saving
         # again gives the same bytes
-        state = load_state(STATE_V15 / name, kind)
+        state = load_state(STATE_V16 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
@@ -702,12 +715,12 @@ class TestPersistence:
         if kind is TrivialState:
             assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V15 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V16 / name).read_bytes()
 
     @staticmethod
     def _assert_refused(version, name, kind):
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 15; "
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 16; "
                                                 "set the deployment up again"):
             load_state(path, kind)
 
@@ -750,6 +763,12 @@ class TestPersistence:
         # shape rule picks 40 bytes for its 64-byte budget
         self._assert_refused(14, name, kind)
 
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_15_files_are_refused(self, name, kind):
+        # a format-15 file's held data blocks are 25 bytes: a 4-byte next
+        # address, a 4-byte leaf and a flag byte
+        self._assert_refused(15, name, kind)
+
     @pytest.mark.parametrize(
         "field, value, match",
         [(2, 15, "smaller than the smallest map block payload"), (1, 0, "bucket size must be")],
@@ -788,10 +807,10 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree files of version 5 held 69-byte data blocks with a k1
-        # payload, 8-byte addresses and leaves, and state files of version
-        # 14 a parameter block with chi, so both must be set up again (as
-        # must older ones)
+        # tree and state files of versions 6 and 15 held 25-byte data
+        # blocks with a 4-byte next address, a 4-byte leaf and a flag byte
+        # in every slot, so both must be set up again (as must older ones),
+        # and the refusal says so
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -799,19 +818,19 @@ class TestPersistence:
         save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": (6, 5, TreeStorage.load),
-            "keys.bin": (15, 14, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (15, 14, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (15, 14, lambda p: load_state(p, ControllerState)),
+            "tree.bin": (7, 6, TreeStorage.load),
+            "keys.bin": (16, 15, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (16, 15, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (16, 15, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name
             raw = path.read_bytes()
             assert raw[2] == current
             path.write_bytes(raw[:2] + bytes([old]) + raw[3:])
-            # a state file's refusal names the file as well
-            named = "" if name == "tree.bin" else f"state file {path}: "
-            with pytest.raises(ProtocolError, match=f"{named}unsupported (tree )?version {old}"):
+            kind = "tree" if name == "tree.bin" else "state"
+            with pytest.raises(ProtocolError, match=f"{kind} file {path}: unsupported version {old}, expected {current}; "
+                                                    "set the deployment up again"):
                 load(path)
 
     def test_party_kind_must_match(self, tmp_path, four_vertex_directed):

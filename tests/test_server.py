@@ -77,7 +77,7 @@ class TestDispatch:
         assert params.cached == params.depth + 1 - HOST_LEVELS == 5
         resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
-        assert params.bucket_width == ciphertext_width(params.bucket_size * params.block_width)
+        assert params.bucket_width == ciphertext_width(1 + params.bucket_size * params.block_width)
         assert len(resp.buckets) == (params.depth + 1 - params.cached) * params.bucket_width
 
     def test_access_writes_then_reads(self):

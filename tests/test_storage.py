@@ -49,12 +49,12 @@ def test_depth_beyond_the_file_is_refused_before_allocating(tmp_path):
 
 
 def test_a_cached_top_leaves_only_the_lower_levels_on_the_host(tmp_path):
-    # depth 13 with 9 cached levels: 16,383 - 511 buckets of 5 25-byte
-    # data blocks in the file, and a path of 5 buckets
-    params = TreeParams(13, 5, 0, cached=9)
+    # depth 13 with 9 cached levels: 16,383 - 511 buckets of a count byte
+    # and 5 20-byte data blocks in the file, and a path of 5 buckets
+    params = TreeParams(13, 5, 2, cached=9)
     tree = TreeStorage(tree_id=0, params=params)
-    assert len(tree.buckets) == (16_383 - 511) * 153
-    assert params.path_width == 5 * 153 == 765
+    assert len(tree.buckets) == (16_383 - 511) * 129
+    assert params.path_width == 5 * 129 == 645
     path = tmp_path / "tree.bin"
     tree.save(path)
     assert path.stat().st_size == _HEADER.size + len(tree.buckets)
@@ -62,7 +62,7 @@ def test_a_cached_top_leaves_only_the_lower_levels_on_the_host(tmp_path):
     blob = bytes(range(256)) * 8
     tree.write_path(3, blob[: params.path_width])
     assert tree.read_path(3) == blob[: params.path_width]
-    assert tree.get_bucket(511) == blob[:153]  # level 9's node on the path to leaf 3
+    assert tree.get_bucket(511) == blob[:129]  # level 9's node on the path to leaf 3
 
 
 def test_more_cached_levels_than_the_depth_is_refused(tmp_path):
