@@ -52,7 +52,7 @@ def cmd_setup(args) -> int:
     print(
         f"encrypted {g.vertex_count} vertices / {result.spdx_size} next-hop entries "
         f"into {len(result.trees)} tree(s), data depth {tp.depth}; top {tp.cached} level(s) cached "
-        f"by the {holder}, host path {tp.host_levels} buckets ({tp.path_width:,} bytes); "
+        f"by the {holder}, host path {tp.host_levels} bucket{'s' * (tp.host_levels != 1)} ({tp.path_width:,} bytes); "
         f"wrote {out}/"
     )
     if args.mode == MODE_ENHANCED:

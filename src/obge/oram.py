@@ -10,12 +10,12 @@ to a compatible bucket; an access decodes only the block it returns.
 The bucket is the unit of encryption: one AES-GCM ciphertext over its
 count byte and Z slots, its real blocks first and then zero slots, so
 always of the same width, with (tree id, heap index) as associated data.
-An access reads only the first count slots of each bucket; a count past Z
-fails the access with IntegrityError naming the tree and node.  Every
-bucket on a path is re-encrypted under a fresh nonce on every write, so
-full, partly full and empty buckets look alike, and a bucket the host
-moves to another node or tree fails authentication on the next access
-that reads it.  The binding
+An access reads only the first count slots of each bucket; a bucket that
+fails authentication, or a count past Z, fails the access with
+IntegrityError naming the tree and node.  Every bucket on a path is
+re-encrypted under a fresh nonce on every write, so full, partly full and
+empty buckets look alike, and a bucket the host moves to another node or
+tree fails authentication on the next access that reads it.  The binding
 does not cover freshness: the host can still put back a node's own older
 ciphertext (rollback).
 
@@ -23,17 +23,22 @@ Held blocks: the engine may keep the top k levels of its tree
 (``params.cached``), and the host then stores only levels k..L.  Those
 levels never leave the engine, so it keeps no buckets for them: every
 block it holds, whether it would sit in a top bucket or in the stash, is
-in one of 2^k groups keyed by the top k bits of its leaf.  An access to
-path x reads the host's levels of that path into group x >> (L-k), the
-only group whose blocks may go on them, searches that group alone, moves
-the remapped block to its new leaf's group, and evicts the group into
-levels k..L, leaf first; what does not fit stays held.  The host sees the
+in one of 2^k groups keyed by the top k bits of its leaf.  Only the
+groups that hold a block are kept, so an engine's memory follows its
+held blocks and not 2^k.  An access to path x reads the host's levels of
+that path into a working copy of group x >> (L-k), the only group whose
+blocks may go on them, searches it alone, evicts it into levels k..L,
+leaf first, and moves the remapped block to its new leaf's group; what
+does not fit stays held.  The copy replaces the group only once the store
+has taken the write-back, so an access that fails on a bucket or a
+missing block leaves the held blocks as they were.  The host sees the
 reads and writes it would see with the top levels kept as buckets.  At
-k=0 there is one group, the stash.  ``held_limit`` bounds the held blocks
-at the memory of the stash and the 2^k - 1 top buckets together.  The
-stash allowance is the constant STASH_MAX = 128: by the Path ORAM stash
-bound (Stefanov et al., CCS 2013) a stash of 128 blocks at Z=5 overflows
-with probability about 2^-90.
+k=0 there is one group, the stash; at k=L each group is one leaf's, and
+the host stores the leaf level alone.  ``held_limit`` bounds the held
+blocks at the memory of the stash and the 2^k - 1 top buckets together.
+The stash allowance is the constant STASH_MAX = 128: by the Path ORAM
+stash bound (Stefanov et al., CCS 2013) a stash of 128 blocks at Z=5
+overflows with probability about 2^-90.
 
 ``oram_init`` builds a tree from block heads packed end to end: it draws
 the leaves into an array with one call for random bytes, writes each
@@ -89,8 +94,9 @@ class PathOram:
     to read, the block's current leaf or a dummy round's fresh one, and the
     fresh leaf a block should move to.
     One access may be in flight at a time.  held[g] holds the blocks whose
-    leaf has top k bits g; held_count is their total and max_stash_seen
-    its peak.
+    leaf has top k bits g, for the groups that hold any: a group is made
+    when a block joins it and dropped when eviction empties it.
+    held_count is their total and max_stash_seen its peak.
     """
 
     def __init__(self, tree_id: int, params: TreeParams, cipher: Cipher, held: bytes):
@@ -111,15 +117,16 @@ class PathOram:
         groups = [leaf >> shift for leaf in mapped]
         if groups != sorted(groups):
             raise IntegrityError(f"tree {tree_id} held blocks are out of group order")
-        self.held: list[list[bytes]] = [[] for _ in range(1 << params.cached)]
+        self.held: dict[int, list[bytes]] = {}  # only the groups that hold a block
         for g, at in zip(groups, range(0, len(held), bw)):
-            self.held[g].append(held[at : at + bw])
+            self.held.setdefault(g, []).append(held[at : at + bw])
         self.held_count = self.max_stash_seen = count
         self.access_count = 0
 
     def held_blocks(self) -> list[bytes]:
-        """Every held block, group by group."""
-        return [blk for group in self.held for blk in group]
+        """Every held block, group by group in group order."""
+        held = self.held
+        return [blk for g in sorted(held) for blk in held[g]]
 
     def access(
         self,
@@ -148,22 +155,30 @@ class PathOram:
             )
 
         shift = p.depth - p.cached
-        group = self.held[leaf >> shift]
-        before = len(group)
+        g = leaf >> shift
+        # the path's blocks join a copy of the group, which replaces it
+        # only once the store has taken the write-back: a bucket or block
+        # that fails the access leaves the held blocks as they were
+        group = self.held.get(g)
+        work = group.copy() if group else []
+        before = len(work)
         z, bw, cw = p.bucket_size, p.block_width, p.bucket_width
         decrypt = self.cipher.decrypt
         for i, ad in enumerate(ads):
-            plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
+            try:
+                plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
+            except IntegrityError as exc:
+                raise IntegrityError(f"tree {self.tree_id} node {nodes[i]}: {exc}") from None
             n = plain[0]  # the bucket's real blocks come first; dummies stay behind
             if n > z:
                 raise IntegrityError(f"tree {self.tree_id} node {nodes[i]}: bucket counts {n} blocks, Z is {z}")
             for at in range(1, 1 + n * bw, bw):
-                group.append(plain[at : at + bw])
+                work.append(plain[at : at + bw])
 
         found: Block | None = None
-        moved = 0
+        moved: bytes | None = None
         if tk is not None:
-            for i, blk in enumerate(group):
+            for i, blk in enumerate(work):
                 if blk[TOKEN] == tk:
                     break
             else:
@@ -172,16 +187,21 @@ class PathOram:
             found.leaf = new_leaf
             if update_payload is not None:
                 found.payload = update_payload(found.payload)
-            if new_leaf >> shift == leaf >> shift:
-                group[i] = found.pack(p)
+            if new_leaf >> shift == g:
+                work[i] = found.pack(p)
             else:  # its new path leaves this one above level k
-                del group[i]
-                self.held[new_leaf >> shift].append(found.pack(p))
-                moved = 1
+                del work[i]
+                moved = found.pack(p)
 
-        left = self._evict_and_write(leaf, group, ads)
-        self.held[leaf >> shift] = left
-        self.held_count += len(left) - before + moved
+        left = self._evict_and_write(leaf, work, ads)
+        held = self.held
+        if left:
+            held[g] = left
+        elif group:
+            del held[g]
+        if moved is not None:
+            held.setdefault(new_leaf >> shift, []).append(moved)
+        self.held_count += len(left) - before + (moved is not None)
         self.access_count += 1
         if self.held_count > self.held_max:
             raise StashOverflowError(
@@ -308,17 +328,20 @@ def oram_init(
 
 def verify_placement(tree, engine: PathOram, leaf_of: dict[bytes, int]) -> None:
     """Debug walker: decrypt the host's buckets with the engine's cipher and
-    confirm that every held block sits in the group of its leaf's top k
-    bits, that held_count counts them, that every bucket's count is at most
+    confirm that every stored group is one of the 2^k and holds a block,
+    that every held block sits in the group of its leaf's top k bits, that
+    held_count counts them, that every bucket's count is at most
     Z with zero slots after its blocks, that no token is stored twice, held
     and on the host included, and that every block named in leaf_of (token
     -> mapped leaf) is held or on the path to its mapped leaf."""
     p, cipher = tree.params, engine.cipher
     bw, shift = p.block_width, p.depth - p.cached
-    if len(engine.held) != 1 << p.cached:
-        raise AssertionError(f"{len(engine.held)} held groups for {p.cached} cached levels")
     held: set[bytes] = set()
-    for g, group in enumerate(engine.held):
+    for g, group in engine.held.items():
+        if not 0 <= g < 1 << p.cached:
+            raise AssertionError(f"held group {g} for {p.cached} cached levels")
+        if not group:
+            raise AssertionError(f"held group {g} is stored empty")
         for blk, leaf in zip(group, block_leaves(b"".join(group), p)):
             if leaf >> shift != g:
                 raise AssertionError("held block outside its leaf's group")

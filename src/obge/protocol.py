@@ -37,10 +37,10 @@ differ only in where the engine runs:
 * trivial  -- the client hosts it and drives every access over its store
   connection; the position map is flat, and the client also keeps the top
   levels of the data tree (the tree-top cache) as blocks its engine holds
-  (see ``oram``): all but the bottom HOST_LEVELS = 2 levels, which the
-  host stores, so each round moves two buckets each way.  The count
-  follows from the tree's depth alone, which the host already knows, so
-  the tree header's k tells it nothing more.
+  (see ``oram``): all but the bottom HOST_LEVELS = 1 level, the leaves,
+  which the host stores, so each round moves one bucket each way.  The
+  count follows from the tree's depth alone, which the host already
+  knows, so the tree header's k tells it nothing more.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel: the
@@ -131,16 +131,17 @@ MAX_VERTICES = 1 << 16
 # levels of the trivial client's data tree that the host stores: the
 # client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
 # fixed and k = L+1-HOST_LEVELS reveals nothing the depth L does not.  At
-# |V|=200 (depth 13) the client keeps 12 levels, whose held blocks peaked
-# at about 2,550 over 3,000 queries, and the host path is 2 buckets.  A
-# state file's k is derived from its depth by this rule, so a new value
-# needs a new STATE_VERSION
-HOST_LEVELS = 2
+# one level the host stores the 2^L leaf buckets alone and the client
+# keeps k = L levels: at |V|=200 (depth 13) its held blocks reached about
+# 7,200 over 3,000 queries, and the host path is 1 bucket.  A state file's
+# k is derived from its depth by this rule, so a new value needs a new
+# STATE_VERSION
+HOST_LEVELS = 1
 
 
 def client_cached_levels(depth: int) -> int:
     """k of a trivial client's data tree of depth L: every level but the
-    host's HOST_LEVELS, so 0 at depth 0 or 1."""
+    host's HOST_LEVELS, so 0 at depth 0 only."""
     return max(0, depth + 1 - HOST_LEVELS)
 
 
@@ -476,15 +477,18 @@ _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">IBQ")  # V, Z, budget
 STATE_MAGIC = b"OS"
 # older versions are refused; 13 derives the data depth from |V| and Z,
-# pairs it with the k of HOST_LEVELS = 2, stores the top, at the width of
+# pairs it with the k of two host levels, stores the top, at the width of
 # its tree, ahead of the held blocks, and stores no k1: the clients keep
 # only the keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``)
 # in place of HMAC ones, so a format-13 file's held blocks and trees hold
 # tokens no query derives any more.  15 stores no chi: the shape rule
 # picks the map's payload from |V|, Z and the budget.  16 stores held
 # blocks in the narrow layout of tree format 7: a data block's hop as a
-# 2-byte vertex id, its leaf at the tree's width and no flag byte
-STATE_VERSION = 16
+# 2-byte vertex id, its leaf at the tree's width and no flag byte.  17
+# pairs the depth with the k of HOST_LEVELS = 1: a format-16 trivial
+# client's held blocks were grouped for k = L-1 over host trees that store
+# two levels
+STATE_VERSION = 17
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}
@@ -537,8 +541,8 @@ def _unpack_engine(r: _Reader, params: SchemeParams, shape: MapShape, k2: bytes)
     raises ProtocolError naming the file.  The engines get their store, and
     the map its leaf sampler, when a query engine is built over them."""
     cipher = Cipher(k2)
-    # first: a trivial top's |V|^2 cells outnumber the data engine's 2^k
-    # groups, so a raised |V| runs out of bytes before they are allocated
+    # first: a trivial top has |V|^2 cells, so a file whose |V| was raised
+    # runs out of bytes before an engine is built for that |V|
     cells = r.take(shape.top_width * shape.top_entry_width)
 
     def engine(tree_id: int, tp: TreeParams) -> PathOram:

@@ -296,14 +296,17 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
     tree directory the server is enhanced, and every tree file must hold
     the geometry controller.bin derives for its tree id, one file per tree.
     Without it the directory must be a trivial deployment's: tree 0 alone,
-    caching the levels ``client_cached_levels`` gives for its depth.
+    caching the levels ``client_cached_levels`` gives for its depth; a
+    tree 0 that caches other levels is an enhanced one whose controller.bin
+    is missing, or one an older release set up for more host levels.
     Anything else, such as enhanced trees whose controller.bin is missing,
     a foreign or extra tree file, or a file not named for the tree id in
     its header (``tree_file``; the final flush would write that tree beside
-    it), is refused with a ProtocolError.  At
-    depth 0 or 1 both deployments cache no level, so an enhanced directory
-    without controller.bin is served as trivial there, and an enhanced
-    client then gets the "no controller deployed" error."""
+    it), is refused with a ProtocolError.  Only at depth 0 do both
+    deployments cache no level (a trivial client caches every level but
+    the leaves), so an enhanced directory without controller.bin is served
+    as trivial there, and an enhanced client then gets the "no controller
+    deployed" error."""
     files = tree_files(cfg.tree_path)
     if not files:
         raise ProtocolError(f"no tree files under {cfg.tree_path!r}")
@@ -321,9 +324,12 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
             )
         p = trees[0].params
         if p.cached != client_cached_levels(p.depth):
+            # a controller caches no level; a trivial tree that caches some
+            # was written for another host level count, by an older release
+            hint = f"an enhanced deployment needs {state_path}" if p.cached == 0 else "set the deployment up again"
             raise ProtocolError(
                 f"tree file {files[0]}: tree 0 caches {p.cached} of its {p.depth + 1} levels, where a trivial "
-                f"deployment caches {client_cached_levels(p.depth)}; an enhanced deployment needs {state_path}"
+                f"deployment caches {client_cached_levels(p.depth)}; {hint}"
             )
         return ObgeServer(host)
     state = load_state(state_path, ControllerState)
@@ -402,8 +408,8 @@ class Daemon:
         for tree_id, tree in sorted(self.server.host.trees.items()):
             p = tree.params
             log.info(
-                "tree %d: depth %d, %d cached levels, host path %d buckets (%d bytes)",
-                tree_id, p.depth, p.cached, p.host_levels, p.path_width,
+                "tree %d: depth %d, %d cached levels, host path %d bucket%s (%d bytes)",
+                tree_id, p.depth, p.cached, p.host_levels, "s" * (p.host_levels != 1), p.path_width,
             )
 
     def shutdown(self) -> None:

@@ -217,8 +217,9 @@ def test_stash_bound_z5_depth12_cached_top():
 
 
 def test_stash_bound_z5_depth12_trivial_k():
-    # the k the trivial client keeps of a depth-12 tree: 2,047 top buckets'
-    # 10,235 slots are held blocks, and the host stores the last two levels
+    # the k the trivial client keeps of a depth-12 tree: 4,095 top buckets'
+    # 20,475 slots are held blocks, and the host stores the leaf level
+    # alone, whose 20,480 slots the 20,480 blocks fill
     _stash_bound_z5_depth12(cached=12 + 1 - HOST_LEVELS)
 
 
@@ -226,7 +227,7 @@ def test_stash_bound_z5_depth12_trivial_k():
 # Criterion 5: bandwidth accounting vs the 2|p|Z·log N reference
 
 def test_bandwidth_accounting():
-    # the host moves its 2 levels of each path, 2(|p|+1)Z(L+1-k) blocks a
+    # the host moves its 1 level of each path, 2(|p|+1)Z(L+1-k) blocks a
     # query; the reference models the whole path, which the host and the
     # client's cached top move together: 2(|p|+1)Z(L+1) lies within 2x of it
     g = Graph(15, directed=True)
@@ -237,7 +238,7 @@ def test_bandwidth_accounting():
     host, _, client = deploy_inprocess(result, rng=rng)
     params = host.trees[0].params
     # 15 vertices: a depth-6 tree for the 210 ordered pairs; the client
-    # keeps 5 levels, the host 2
+    # keeps 6 levels, the host 1
     assert (params.depth, params.cached) == (6, 7 - HOST_LEVELS)
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size

@@ -58,7 +58,7 @@ class TestSetupCommand:
     @pytest.mark.parametrize(
         "mode, line",
         [
-            ("trivial", "data depth 6; top 5 level(s) cached by the client, host path 2 buckets (248 bytes)"),
+            ("trivial", "data depth 6; top 6 level(s) cached by the client, host path 1 bucket (124 bytes)"),
             ("enhanced", "data depth 6; top 0 level(s) cached by the controller, host path 7 buckets (868 bytes)"),
         ],
         ids=["trivial", "enhanced"],
@@ -67,7 +67,7 @@ class TestSetupCommand:
         # a 15-vertex chain: 105 entries in a depth-6 tree of 124-byte
         # buckets (a count byte and five 19-byte blocks, a 1-byte leaf
         # each), sized for the 210 ordered pairs; the trivial client
-        # leaves the host its bottom 2 levels
+        # leaves the host its leaf level alone, one bucket a path
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
         run_setup(tmp_path, chain, "--mode", mode)
@@ -313,8 +313,9 @@ class TestAuditCommand:
         assert (tmp_path / "report.csv").exists()
 
     def test_wrong_trees_fail_the_shape(self, tmp_path, graph_file, capsys):
-        # the trace of a trivial deployment against the trees of an
-        # enhanced one, whose host keeps every level of its data tree
+        # the trace of a trivial deployment, whose host path is the one
+        # 124-byte leaf bucket, against the trees of an enhanced one, whose
+        # host keeps every level of its data tree
         trivial = run_setup(tmp_path, graph_file)
         enhanced = tmp_path / "enhanced"
         assert main(["setup", str(graph_file), "--out", str(enhanced), "--mode", "enhanced"]) == 0
@@ -331,7 +332,7 @@ class TestAuditCommand:
         capsys.readouterr()
         rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
-        assert "query 0 (0,3), record 0: 248 bytes, tree 0 paths are " in capsys.readouterr().out
+        assert "query 0 (0,3), record 0: 124 bytes, tree 0 paths are " in capsys.readouterr().out
 
     def test_no_tree_files_is_protocol_error(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -547,7 +548,7 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v16"
+    data = Path(__file__).parent / "data" / "state_v17"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
@@ -563,7 +564,7 @@ def test_obge_runs_without_numpy_or_scipy(tmp_path):
     # the runtime needs cryptography alone: with numpy and scipy made
     # unimportable, every obge module imports, both state files load and an
     # in-process trace passes obge audit
-    data = Path(__file__).parent / "data" / "state_v16"
+    data = Path(__file__).parent / "data" / "state_v17"
     code = f"""
 import importlib, pkgutil, random, sys
 sys.modules["numpy"] = sys.modules["scipy"] = None

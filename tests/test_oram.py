@@ -67,7 +67,7 @@ class TestSizing:
         k2 = Cipher(keys.k2)
         engine, tree, leaves = oram_init(b"", data_tree(0), k2, rng)
         assert tree.params.depth == 0 and tree.params.node_count == 1
-        assert leaves.tolist() == [] and engine.held == [[]] and engine.held_count == 0
+        assert leaves.tolist() == [] and engine.held == {} and engine.held_count == 0
 
     def test_pad_full_four_vertices(self, rng, four_vertex_directed):
         # capacity covers |V|^2 - |V| = 12 real slots however few blocks
@@ -392,22 +392,77 @@ class TestBucketBinding:
             TreeStorage.load(path)
 
 
+class TestFailedAccess:
+    """An access that fails on a bucket or a block leaves the engine's held
+    blocks as they were: it gathers the path's blocks apart from them and
+    installs the result only once the store has taken the write-back."""
+
+    @pytest.mark.parametrize("fault", ["tampered", "moved", "count-past-z", "missing-block"])
+    def test_held_blocks_are_unchanged(self, fault):
+        # every block on the path to leaf 0 of a depth-3 tree: its four
+        # buckets hold 20 of the 40 blocks, root first, and the engine the
+        # other 20.  The leaf bucket is read last, after 15 blocks above it
+        keys = keygen()
+        blocks = make_blocks(keys, 40)
+        engine, tree, _ = oram_init(blocks, data_tree(40), Cipher(keys.k2), AllZero())
+        engine.store = StorageHost([tree])
+        p = tree.params
+        node = p.path_nodes(0)[-1]
+        held, count = engine.held_blocks(), engine.held_count
+        assert count == 20
+        saved, tk = tree.get_bucket(node), None
+        if fault == "tampered":
+            tree.set_bucket(node, saved[:-1] + bytes([saved[-1] ^ 1]))
+            match = f"tree 0 node {node}: authentication failed"
+        elif fault == "moved":
+            tree.set_bucket(node, tree.get_bucket(node + 1))
+            match = f"tree 0 node {node}: authentication failed"
+        elif fault == "count-past-z":
+            plain = bytes([p.bucket_size + 1]) + bytes(p.plain_width - 1)
+            tree.set_bucket(node, Cipher(keys.k2).encrypt(plain, bucket_ad(0, node)))
+            match = f"tree 0 node {node}: bucket counts 6 blocks"
+        else:
+            tk = b"\xbb" * 16  # never stored
+            match = "mapped block missing"
+        with pytest.raises(IntegrityError, match=match):
+            engine.access(tk, 0, 0 if tk else None)
+        assert engine.held_blocks() == held and engine.held_count == count
+        tree.set_bucket(node, saved)
+        verify_placement(tree, engine, {b[:16]: 0 for b in split_heads(blocks)})
+
+
 class TestTreeTopCache:
-    """The engine keeps the top k levels, as held blocks in 2^k groups by
-    the top k bits of their leaves; the host stores and moves only levels
+    """The engine keeps the top k levels, as held blocks in up to 2^k groups
+    by the top k bits of their leaves; the host stores and moves only levels
     k..L."""
 
     def test_rule_at_the_benchmark_scale(self):
         # the |V|=200 data tree has depth 13: the trivial client keeps
-        # levels 0..11 and the host levels 12 and 13; a controller keeps none
+        # levels 0..12 and the host level 13, the leaves; a controller keeps
+        # none
         params = SchemeParams(200)
         assert params.data_depth == 13
-        assert params.data_params.cached == 12 and params.data_params.host_levels == HOST_LEVELS == 2
+        assert params.data_params.cached == 13 and params.data_params.host_levels == HOST_LEVELS == 1
         assert SchemeParams(200, mode="enhanced").data_params.cached == 0
+
+    def test_a_benchmark_scale_round_moves_one_bucket_each_way(self, rng):
+        # |V|=200 gives the depth-13 data tree whatever the edges: a hit
+        # and the miss round after it each read and write the host's one
+        # 129-byte leaf bucket of the path, and nothing else
+        g = Graph(200, directed=True)
+        g.add_edge(0, 1)
+        result = setup(g, mode="trivial", rng=rng)
+        host, _, client = deploy_inprocess(result, rng=rng)
+        assert host.trees[0].params.depth == 13
+        assert len(host.trees[0].buckets) == (1 << 13) * 129
+        assert client.query_path(0, 1) == [0, 1]
+        trace = [(r.msg_type, r.byte_count) for r in host.trace.records]
+        assert trace == [("ReadPath", 129), ("WritePath", 129)] * 2
 
     def test_rule_follows_the_depth_alone(self):
         # |V| and Z move k only through the depth L they give: the host
-        # stores min(L+1, 2) levels of every trivial data tree of depth L
+        # stores min(L+1, HOST_LEVELS) = 1 level of every trivial data tree
+        # of depth L, the leaves
         by_depth: dict[int, set[tuple[int, int]]] = {}
         for n in range(1, 300):
             for z in (1, 5, 255):
@@ -417,19 +472,20 @@ class TestTreeTopCache:
         for depth, rules in by_depth.items():
             assert rules == {(max(0, depth + 1 - HOST_LEVELS), min(depth + 1, HOST_LEVELS))}
 
-    @pytest.mark.parametrize("mode, k", [("trivial", 6 - HOST_LEVELS), ("enhanced", 0)])
+    @pytest.mark.parametrize("mode, k", [("trivial", 5 - HOST_LEVELS), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
-        # a 13-vertex chain: 78 entries in a depth-5 tree, sized for the
-        # 156 ordered pairs, four levels more than the host keeps; a
-        # controller caches nothing
+        # a 9-vertex chain: 36 entries in a depth-4 tree, sized for the 72
+        # ordered pairs, four levels more than the host keeps; a controller
+        # caches nothing.  The engine stores only groups that hold blocks
         kw = {"budget": 10**9} if mode == "enhanced" else {}
-        result = setup(chain_graph(13), mode=mode, rng=random.Random(1), **kw)
-        assert result.params.data_depth == 5
+        result = setup(chain_graph(9), mode=mode, rng=random.Random(1), **kw)
+        assert result.params.data_depth == 4
         assert result.params.data_params.cached == k
         assert result.trees[0].params.cached == k
         party = result.client if mode == "trivial" else result.controller
         assert party.oram.params == result.trees[0].params
-        assert len(party.oram.held) == 1 << k
+        assert all(0 <= g < 1 << k and group for g, group in party.oram.held.items())
+        assert sum(map(len, party.oram.held.values())) == party.oram.held_count
 
     def test_host_holds_and_moves_only_the_uncached_levels(self, rng):
         g = random_graph(rng, 40, 0.1)
@@ -437,7 +493,7 @@ class TestTreeTopCache:
         host, _, client = deploy_inprocess(result, rng=rng)
         tp = host.trees[0].params
         k = tp.cached
-        assert k == tp.depth + 1 - HOST_LEVELS >= 2
+        assert k == tp.depth + 1 - HOST_LEVELS >= 2 and tp.host_levels == 1
         assert len(host.trees[0].buckets) == (tp.node_count - ((1 << k) - 1)) * tp.bucket_width
         for u in range(40):
             for v in range(0, 40, 3):
@@ -467,16 +523,17 @@ class TestTreeTopCache:
             oram.access(None, 0)
 
     def test_cache_must_match_the_cached_levels(self, rng):
-        # k=2 of depth 3: four groups, group g holding the blocks whose leaf
-        # has top two bits g, and an engine built from the held blocks
-        # alone regroups them alike; k past the depth is refused
+        # k=2 of depth 3: up to four groups, group g holding the blocks
+        # whose leaf has top two bits g, and only those that hold any; an
+        # engine built from the held blocks alone regroups them alike; k
+        # past the depth is refused
         keys = keygen()
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)  # depth 3
         engine, tree, leaves = oram_init(make_blocks(keys, 40), params, k2, AllZero())
-        assert len(engine.held) == 4 and set(leaves) == {0}
+        assert set(leaves) == {0}
         # 40 blocks on the path to leaf 0: 10 fit in its two host buckets
-        assert engine.held_count == 30 and [len(g) for g in engine.held] == [30, 0, 0, 0]
+        assert engine.held_count == 30 and {g: len(group) for g, group in engine.held.items()} == {0: 30}
         verify_placement(tree, engine, {b[:16]: 0 for b in engine.held_blocks()})
         engine, _, _ = oram_init(make_blocks(keys, 40), params, k2, rng)
         rebuilt = PathOram(0, params, k2, b"".join(engine.held_blocks()))
@@ -507,16 +564,17 @@ class TestHeldBlocks:
         verify_placement(tree, engine.oram, leaf_of(engine, heads, addrs))
 
     def test_held_blocks_load_a_group_at_a_time(self):
-        # k=2 of depth 3: held blocks come group by group, each group's run
-        # sliced whole; a block of group 0 after one of group 3 is refused,
-        # naming the tree
+        # k=2 of depth 3: held blocks come group by group, and only the
+        # groups that hold one, 0 and 3, are made; a block of group 0 after
+        # one of group 3 is refused, naming the tree
         keys = keygen()
         k2 = Cipher(keys.k2)
         params = data_tree(40, cached=2)
         heads = make_blocks(keys, 4)
         blocks = [head + bytes([leaf]) for head, leaf in zip(split_heads(heads), (0, 1, 6, 7))]  # 1-byte leaves
         engine = PathOram(4, params, k2, b"".join(blocks))
-        assert engine.held == [blocks[:2], [], [], blocks[2:]] and engine.held_count == 4
+        assert engine.held == {0: blocks[:2], 3: blocks[2:]} and engine.held_count == 4
+        assert engine.held_blocks() == blocks
         with pytest.raises(IntegrityError, match="tree 4 held blocks are out of group order"):
             PathOram(4, params, k2, b"".join(blocks[2:] + blocks[:2]))
 
@@ -528,7 +586,7 @@ class TestHeldBlocks:
         oram = engine.oram
         for _ in range(30):
             run_queries(engine, rng, oram.access_count + 20)
-            assert oram.held_count == sum(len(g) for g in oram.held) <= oram.max_stash_seen
+            assert oram.held_count == sum(map(len, oram.held.values())) <= oram.max_stash_seen
             verify_placement(tree, oram, leaf_of(engine, blocks, addrs))
         assert oram.max_stash_seen <= oram.held_max == 128 + 5 * 3
 
@@ -537,23 +595,54 @@ class TestHeldBlocks:
         engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
         run_queries(engine, rng, 100)
         oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)
-        g = next(i for i, group in enumerate(oram.held) if group)
-        blk = oram.held[g].pop()
+        g = next(iter(oram.held))
+        blk = take(oram.held, g)
         with pytest.raises(AssertionError, match="held_count"):
             verify_placement(tree, oram, mapped)
-        oram.held[(g + 1) % 4].append(blk)
+        oram.held.setdefault((g + 1) % 4, []).append(blk)
         with pytest.raises(AssertionError, match="outside its leaf's group"):
             verify_placement(tree, oram, mapped)
-        oram.held[(g + 1) % 4].pop()
+        take(oram.held, (g + 1) % 4)
         oram.held_count -= 1
         with pytest.raises(AssertionError, match="absent from tree and held blocks"):
             verify_placement(tree, oram, mapped)
         # a copy of a block the host stores, held as well
-        on_host = next(tk for tk in mapped if all(b[:16] != tk for grp in oram.held for b in grp))
+        on_host = next(tk for tk in mapped if all(b[:16] != tk for b in oram.held_blocks()))
         copy = next(b for b in split_heads(blocks) if b[:16] == on_host)
         leaf = mapped[on_host]
-        oram.held[g].append(blk)
-        oram.held[leaf >> (tree.params.depth - 2)].append(copy + leaf.to_bytes(tree.params.leaf_width, "big"))
+        oram.held.setdefault(g, []).append(blk)
+        oram.held.setdefault(leaf >> (tree.params.depth - 2), []).append(copy + leaf.to_bytes(tree.params.leaf_width, "big"))
         oram.held_count += 2
         with pytest.raises(AssertionError, match="stored twice"):
             verify_placement(tree, oram, mapped)
+
+    def test_verify_placement_rejects_empty_and_stray_groups(self, rng):
+        # only the groups that hold a block are stored, each keyed by one
+        # of the 2^k values of a leaf's top k bits
+        keys = keygen()
+        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        run_queries(engine, rng, 100)
+        oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)
+        verify_placement(tree, oram, mapped)
+        g = next(iter(oram.held))
+        oram.held[4] = oram.held.pop(g)
+        with pytest.raises(AssertionError, match="held group 4 for 2 cached levels"):
+            verify_placement(tree, oram, mapped)
+        oram.held[g], oram.held[4] = oram.held.pop(4), []
+        with pytest.raises(AssertionError, match="held group 4 for 2 cached levels"):
+            verify_placement(tree, oram, mapped)
+        del oram.held[4]
+        group, oram.held[g] = oram.held[g], []
+        with pytest.raises(AssertionError, match=f"held group {g} is stored empty"):
+            verify_placement(tree, oram, mapped)
+        oram.held[g] = group
+        verify_placement(tree, oram, mapped)
+
+
+def take(held, g):
+    """Pop the last block of group g, dropping the group if that empties
+    it, as the engine does."""
+    blk = held[g].pop()
+    if not held[g]:
+        del held[g]
+    return blk

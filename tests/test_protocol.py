@@ -43,16 +43,16 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-16 state files: setup with Z=1 and rng Random(11) on
+# format-17 state files: setup with Z=1 and rng Random(11) on
 # random_graph(Random(5), 12, 0.3) (the enhanced deployment with a 16-byte
 # budget, which forces 16-byte level payloads), then 60 queries, each
 # (u, v) drawn as randrange(12), randrange(12) from Random(12) just before
 # it runs, Random(12) being also the deployment's leaf sampler; the states
 # saved, then reloaded over their trees (not kept), both deployments
 # answer all 144 pairs twice as PathOracle does.  The state_v12 to
-# state_v15 files were made by much the same recipe, the v14 controller
+# state_v16 files were made by much the same recipe, the v14 controller
 # with chi 2 and a 64-byte budget
-STATE_V16 = DATA / "state_v16"
+STATE_V17 = DATA / "state_v17"
 # the head of a data block packed by hand: token 11.., hop 7
 HELD_HEAD = b"\x11" * 16 + HOP.pack(7)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -232,13 +232,13 @@ class TestSetup:
         # at depth 13 and, at the 504-byte payload the shape rule picks at
         # a 4 KiB budget, map blocks of 16 + 504 + 1 in the depth-5 level
         # tree.  At |V|=200 (depth 13) a bucket is 1 + 5*20 + 28 bytes: the
-        # trivial host path is its bottom 2 buckets, the enhanced one all 14
+        # trivial host path is its leaf bucket alone, the enhanced one all 14
         trivial = SchemeParams(200).data_params
         enhanced = SchemeParams(200, mode="enhanced", budget=4096)
         assert trivial.depth == enhanced.data_params.depth == 13
         assert trivial.block_width == enhanced.data_params.block_width == 20
         assert [(level.params.depth, level.params.block_width) for level in enhanced.map_shape.levels] == [(5, 521)]
-        assert trivial.path_width == 2 * 129 == 258
+        assert trivial.path_width == 1 * 129 == 129
         assert enhanced.data_params.path_width == 14 * 129 == 1_806
 
     @pytest.mark.parametrize("vertices, depth", [(200, 13), (500, 16)])
@@ -470,7 +470,7 @@ class TestPersistence:
         path = tmp_path / "controller.bin"
         save_state(path, server.controller.state)
         state = load_state(path, ControllerState)
-        assert state.positions.levels[0].held == [saved_stash]
+        assert state.positions.levels[0].held == {0: saved_stash}
         assert state.oram.held == server.controller.state.oram.held
         assert state.positions.top == server.controller.state.positions.top
         client2 = redeploy(host, state, result.client)
@@ -478,30 +478,31 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 16, party 0; the
+        # the trivial client's keys.bin: magic, version 17, party 0; the
         # 13-byte parameter block (|V|, Z, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
         # 0xFF where no block is stored, then the data tree's held blocks
         # (count, then per 19-byte block tk, 2-byte hop and the leaf in the
-        # one byte a depth-6 tree needs, group by group); no shape is
-        # stored, the data depth included
+        # one byte a depth-6 tree needs, group by group, each group one
+        # leaf's at k = L = 6); no shape is stored, the data depth included
         result, _, _, client = deploy(chain_graph(15), "trivial")
         state = result.client
         for u in range(14):
             client.query(u, 14)
         depth = result.params.data_depth
         oram = state.oram
-        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 5 and len(oram.held) == 32
+        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 6
+        assert all(0 <= g < 64 for g in oram.held)
         # one more held block, packed by hand, in the last group at its
         # last leaf
         leaf = (1 << depth) - 1
-        oram.held[-1].append(HELD_HEAD + bytes([leaf]))
+        oram.held.setdefault(leaf, []).append(HELD_HEAD + bytes([leaf]))
         stash = oram.held_blocks()
         slots = list(struct.iter_unpack(">16sHB", b"".join(stash)))
         assert slots[-1] == (b"\x11" * 16, 7, leaf)
 
-        want = b"OS\x10\x00" + struct.pack(">IBQ", 15, 5, 0)
+        want = b"OS\x11\x00" + struct.pack(">IBQ", 15, 5, 0)
         assert protocol._PARAMS.size == 13
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
@@ -516,12 +517,13 @@ class TestPersistence:
         assert fresh.positions.top == state.positions.top and fresh.oram.held == oram.held
 
     def test_raised_vertex_count_is_refused_before_any_engine(self, tmp_path):
-        # the data depth, and with it the trivial engine's 2^k held groups,
-        # follows from the stored |V|: raised to MAX_VERTICES = 2^16 it
-        # gives a depth-30 tree, 2^29 groups.  The top's |V|^2 cells come
-        # before the held blocks, so the file runs out first.  The load runs in a child held to 2 GiB of
-        # address space, so a loader that allocated the groups would fail
-        # there with MemoryError, not take this machine's memory
+        # the map's shape and the data depth follow from the stored |V|:
+        # raised to MAX_VERTICES = 2^16 it gives a 2^32-cell top and a
+        # depth-30 tree.  The top's |V|^2 cells come before the held
+        # blocks, so the file runs out first.  The load runs in a child held
+        # to 2 GiB of address space, so a loader that allocated for that
+        # |V| would fail there with MemoryError, not take this machine's
+        # memory
         result, _, _, _ = deploy(chain_graph(3), "trivial")
         path = tmp_path / "keys.bin"
         save_state(path, result.client)
@@ -541,29 +543,29 @@ class TestPersistence:
 
     @pytest.mark.parametrize("bad", ["leaf-past-tree", "leaf-all-ones"])
     def test_bad_stash_block_is_rejected(self, tmp_path, bad):
-        # with no cached levels (a depth-1 tree, for 3 vertices) the held
-        # blocks are a stash.  A block mapped to leaf 2^L, or to the
-        # largest leaf its one leaf byte holds, would be evicted into
-        # whichever path is written next
-        result, _, _, _ = deploy(chain_graph(3), "trivial")
-        state = result.client
-        tp = result.params.data_params
-        assert tp.cached == 0 and tp.leaf_width == 1
+        # a controller caches no level (here of a depth-1 tree, for 3
+        # vertices), so its data engine's held blocks are a stash.  A
+        # block mapped to leaf 2^L, or to the largest leaf its one leaf
+        # byte holds, would be evicted into whichever path is written next
+        _, _, server, _ = deploy(chain_graph(3), "enhanced")
+        state = server.controller.state
+        tp = state.params.data_params
+        assert tp.cached == 0 and tp.depth == 1 and tp.leaf_width == 1
         leaf = tp.leaves if bad == "leaf-past-tree" else 255
-        state.oram.held[0].append(held_block(tp, leaf))
-        path = tmp_path / "keys.bin"
+        state.oram.held.setdefault(0, []).append(held_block(tp, leaf))
+        path = tmp_path / "controller.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 holds a block mapped to leaf {leaf} of 2"):
-            load_state(path, TrivialState)
+            load_state(path, ControllerState)
 
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
-        # the blocks the trivial client holds for its cached level, as
+        # the blocks the trivial client holds for its cached levels, as
         # eviction left them, come back byte for byte in the same groups,
         # and the engine built over them answers as before
         g = chain_graph(15)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
-        assert result.params.data_params.cached == 7 - protocol.HOST_LEVELS
+        assert result.params.data_params.cached == 7 - protocol.HOST_LEVELS == 6
         for u in range(14):
             client.query(u, 14)
             if state.oram.held_count:
@@ -578,6 +580,35 @@ class TestPersistence:
         for u in range(15):
             assert client2.query_path(u, 14) == spath_oracle(g, u, 14)
 
+    def test_a_leaf_level_host_leaves_no_empty_group(self, tmp_path):
+        # at k = L a group is one leaf's held blocks, and most of the 2^L
+        # groups are empty: the engine stores none of those, after setup,
+        # after queries that empty groups and fill others, and after a save
+        # and a load, which give back the same bytes.  Z=1 gives the
+        # 15-vertex chain a depth-8 tree and the engine blocks to hold
+        g = chain_graph(15)
+        result, host, _, client = deploy(g, "trivial", bucket_size=1)
+        oram = result.client.oram
+        tp = oram.params
+        assert tp.cached == tp.depth == 8
+
+        def groups(engine):
+            assert all(0 <= leaf < tp.leaves and group for leaf, group in engine.held.items())
+            assert sum(map(len, engine.held.values())) == engine.held_count
+            return set(engine.held)
+
+        after_setup = groups(oram)
+        for u in range(14):
+            assert client.query_path(u, 14) == spath_oracle(g, u, 14)
+        after_queries = groups(oram)
+        assert after_setup - after_queries and after_queries - after_setup
+        path = tmp_path / "keys.bin"
+        save_state(path, result.client)
+        fresh = load_state(path, TrivialState)
+        assert groups(fresh.oram) == after_queries and fresh.oram.held == oram.held
+        save_state(tmp_path / "again.bin", fresh)
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("bad", ["leaf-past-tree", "leaf-all-ones"])
     def test_bad_cached_slot_is_rejected(self, tmp_path, bad):
         # with cached levels, a held block mapped past the last leaf is
@@ -586,9 +617,9 @@ class TestPersistence:
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 7 - protocol.HOST_LEVELS and tp.leaf_width == 1
+        assert tp.cached == 7 - protocol.HOST_LEVELS == 6 and tp.leaf_width == 1
         leaf = tp.leaves if bad == "leaf-past-tree" else 255
-        state.oram.held[-1].append(held_block(tp, leaf))
+        state.oram.held.setdefault((1 << tp.cached) - 1, []).append(held_block(tp, leaf))
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 holds a block mapped to leaf {leaf} of 64"):
@@ -600,20 +631,20 @@ class TestPersistence:
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 5
-        state.oram.held[-1] += [held_block(tp, leaf) for leaf in (tp.leaves - 1, 0)]
+        assert tp.cached == 6
+        state.oram.held.setdefault(tp.leaves - 1, []).extend(held_block(tp, leaf) for leaf in (tp.leaves - 1, 0))
         path = tmp_path / "keys.bin"
         save_state(path, state)
         with pytest.raises(ProtocolError, match=f"state file {path}: tree 0 held blocks are out of group order"):
             load_state(path, TrivialState)
 
-    @pytest.mark.parametrize("cached", [0, 6 - protocol.HOST_LEVELS])
+    @pytest.mark.parametrize("cached", [0, 4])
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
         # at most STASH_MAX + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The engine refuses the count before it
-        # looks at the blocks.  3 vertices get a depth-1 data tree, 13 a
-        # depth-5 one
-        result, _, _, _ = deploy(chain_graph(13 if cached else 3), "trivial")
+        # looks at the blocks.  2 vertices get a depth-0 data tree, 9 a
+        # depth-4 one, and a trivial client caches all but the leaf level
+        result, _, _, _ = deploy(chain_graph(9 if cached else 2), "trivial")
         state = result.client
         tp = result.params.data_params
         assert tp.cached == cached
@@ -696,38 +727,39 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [45]), ("enhanced-keys.bin", EnhancedState, None, None),
+        [("trivial-keys.bin", TrivialState, 0, [66]), ("enhanced-keys.bin", EnhancedState, None, None),
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_16_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 45 blocks over 128 groups (k=7 of the
-        # depth-8 tree of 12 vertices at Z=1) and its top is 144 two-byte
-        # cells; the controller's chain has depth 2, of 16-byte payloads,
-        # and held blocks in the data tree and level 0.  Loading and saving
-        # again gives the same bytes
-        state = load_state(STATE_V16 / name, kind)
+    def test_format_17_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+        # the trivial client holds 66 blocks in 57 of its 256 groups (k=8
+        # of the depth-8 tree of 12 vertices at Z=1, so a group is one
+        # leaf's) and its top is 144 two-byte cells; the controller's chain
+        # has depth 2, of 16-byte payloads, and held blocks in the data
+        # tree and level 0.  Loading and saving again gives the same bytes
+        state = load_state(STATE_V17 / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
         if kind is ControllerState:
             assert state.positions.shape.payload == 16
         if kind is TrivialState:
-            assert state.oram.params.cached == 7 and state.positions.shape.top_entry_width == 2
+            assert state.oram.params.cached == 8 and state.positions.shape.top_entry_width == 2
+            assert len(state.oram.held) == 57 and all(state.oram.held.values())
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V16 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (STATE_V17 / name).read_bytes()
 
     @staticmethod
     def _assert_refused(version, name, kind):
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 16; "
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 17; "
                                                 "set the deployment up again"):
             load_state(path, kind)
 
     @pytest.mark.parametrize("name, kind", STATE_FILES)
     def test_format_9_files_are_refused(self, name, kind):
         # a format-9 trivial keys.bin (Z=1, a 12-vertex digraph, 60
-        # queries) would otherwise load with k=7 for its depth-8 tree,
+        # queries) would otherwise load with k=8 for its depth-8 tree,
         # whose host trees were written at k=4 when the client kept all but
         # 5 levels, and the first access would fail on a path width
         self._assert_refused(9, name, kind)
@@ -769,6 +801,13 @@ class TestPersistence:
         # address, a 4-byte leaf and a flag byte
         self._assert_refused(15, name, kind)
 
+    @pytest.mark.parametrize("name, kind", STATE_FILES)
+    def test_format_16_files_are_refused(self, name, kind):
+        # a format-16 trivial keys.bin groups its held blocks for k=7 of
+        # its depth-8 tree, whose host tree stores two levels of each path
+        # where an engine at k=8 reads one
+        self._assert_refused(16, name, kind)
+
     @pytest.mark.parametrize(
         "field, value, match",
         [(2, 15, "smaller than the smallest map block payload"), (1, 0, "bucket size must be")],
@@ -807,10 +846,11 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree and state files of versions 6 and 15 held 25-byte data
-        # blocks with a 4-byte next address, a 4-byte leaf and a flag byte
-        # in every slot, so both must be set up again (as must older ones),
-        # and the refusal says so
+        # tree files of version 6 held 25-byte data blocks with a 4-byte
+        # next address, a 4-byte leaf and a flag byte in every slot, and
+        # state files of version 16 paired the data depth with two host
+        # levels, so both must be set up again (as must older ones), and
+        # the refusal says so
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -819,9 +859,9 @@ class TestPersistence:
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
             "tree.bin": (7, 6, TreeStorage.load),
-            "keys.bin": (16, 15, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (16, 15, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (16, 15, lambda p: load_state(p, ControllerState)),
+            "keys.bin": (17, 16, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (17, 16, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (17, 16, lambda p: load_state(p, ControllerState)),
         }
         for name, (current, old, load) in loaders.items():
             path = tmp_path / name

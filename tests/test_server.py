@@ -9,10 +9,12 @@ import pytest
 
 from obge import wire
 from obge.audit import QueryTruth, audit_trace
-from obge.crypto import ciphertext_width
+from obge.blocks import TreeParams
+from obge.crypto import Cipher, ciphertext_width
 from obge.cli import main
 from obge.exceptions import ConfigError, ObgeError, ProtocolError
 from obge.graph import Graph, PathOracle
+from obge.oram import oram_init
 from obge.protocol import (
     HOST_LEVELS,
     EnhancedClient,
@@ -71,10 +73,10 @@ def enhanced_chain(n):
 class TestDispatch:
     def test_read_path_shape(self):
         # a 15-vertex chain: the client caches the depth-6 data tree's top
-        # 5 levels, so the host's path is levels 5 and 6
+        # 6 levels, so the host's path is level 6, the leaf bucket
         _, result, host, server, _ = make_deployment(n=15)
         params = host.trees[0].params
-        assert params.cached == params.depth + 1 - HOST_LEVELS == 5
+        assert params.cached == params.depth + 1 - HOST_LEVELS == 6
         resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(1 + params.bucket_size * params.block_width)
@@ -226,23 +228,32 @@ class TestConfig:
             ("enhanced-chain-without-controller", r"with no .*controller\.bin, .* must hold a trivial deployment's "
              r"tree 0 alone, but its tree files hold trees \[0, 1\]"),
             ("enhanced-flat-without-controller", r"tree file .*tree_000\.bin: tree 0 caches 0 of its 6 levels, "
-             r"where a trivial deployment caches 4; an enhanced deployment needs .*controller\.bin"),
-            ("trivial-with-enhanced-tree-0", r"tree 0 caches 0 of its 6 levels, where a trivial deployment caches 4"),
+             r"where a trivial deployment caches 5; an enhanced deployment needs .*controller\.bin"),
+            ("trivial-with-enhanced-tree-0", r"tree 0 caches 0 of its 6 levels, where a trivial deployment caches 5"),
             ("trivial-with-extra-tree", r"tree 0 alone, but its tree files hold trees \[0, 1\]"),
+            ("trivial-for-two-host-levels", r"tree 0 caches 4 of its 6 levels, where a trivial deployment caches 5; "
+             r"set the deployment up again"),
         ],
     )
     def test_mode_comes_from_the_files(self, tmp_path, case, match):
         # a 12-vertex chain gets a depth-5 data tree, of which a trivial
-        # client caches 4 levels and a controller none.  Without
+        # client caches 5 levels and a controller none.  Without
         # controller.bin only a trivial deployment's tree 0 is served: an
         # enhanced deployment whose controller.bin is missing, and a trivial
         # one with another setup's tree swapped or added in, are refused
-        # at start, where once a mode setting decided and any trees served
+        # at start, where once a mode setting decided and any trees served.
+        # A trivial tree 0 that caches 4, as when the host stored two
+        # levels, is refused as set up by an older release
         trivial = setup(chain_graph(12), mode="trivial", rng=random.Random(1))
         if case == "enhanced-chain-without-controller":
             cfg = deploy_to(tmp_path / "d", enhanced_chain(12))
         elif case == "enhanced-flat-without-controller":
             cfg = deploy_to(tmp_path / "d", setup(chain_graph(12), mode="enhanced", rng=random.Random(1)))
+        elif case == "trivial-for-two-host-levels":
+            cfg = deploy_to(tmp_path / "d", trivial)
+            tp = trivial.trees[0].params
+            old = TreeParams(tp.depth, tp.bucket_size, tp.payload_width, tp.cached - 1)
+            oram_init(b"", old, Cipher(trivial.keys.k2), random.Random(1))[1].save(tmp_path / "d" / "tree_000.bin")
         else:
             cfg = deploy_to(tmp_path / "d", trivial)
             build_server(cfg)
@@ -335,10 +346,8 @@ class TestDaemon:
         p = result.trees[0].params
         messages = [r.getMessage() for r in caplog.records if r.name == "obge.server"]
         assert messages[0] == f"serving trivial mode on 127.0.0.1:{daemon.port}"
-        assert messages[1] == (
-            f"tree 0: depth {p.depth}, {p.cached} cached levels, "
-            f"host path {p.depth + 1 - p.cached} buckets ({p.path_width} bytes)"
-        )
+        assert p.depth + 1 - p.cached == 1
+        assert messages[1] == f"tree 0: depth {p.depth}, {p.cached} cached levels, host path 1 bucket ({p.path_width} bytes)"
         assert messages[2] == f"flushed {tmp_path / 'tree_000.bin'}, {tmp_path / 'trace.csv'}"
         assert len(messages) == 3
 
