@@ -31,7 +31,7 @@ EXIT_CAPACITY = 3
 def cmd_setup(args) -> int:
     from .protocol import MODE_ENHANCED, MODE_TRIVIAL, save_state, setup
     from .server import ServerConfig, parse_address, save_config
-    from .storage import tree_file
+    from .storage import tree_file, tree_files
 
     parse_address(args.listen)
     with open(args.graph) as f:
@@ -40,11 +40,18 @@ def cmd_setup(args) -> int:
     result = setup(g, mode=args.mode, bucket_size=args.Z, budget=args.budget, rng=rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for tree in result.trees:
-        tree.save(tree_file(out, tree.tree_id))
+    written = [tree_file(out, tree.tree_id) for tree in result.trees]
+    for tree, path in zip(result.trees, written):
+        tree.save(path)
+    # a deployment set up here before leaves no file the daemon would load
+    # beside this one's: its extra trees, and a trivial setup's controller
+    for stale in set(tree_files(out)) - set(written):
+        stale.unlink()
     save_state(out / "keys.bin", result.client)
     if result.controller is not None:
         save_state(out / "controller.bin", result.controller)
+    else:
+        (out / "controller.bin").unlink(missing_ok=True)
     # paths relative to server.cfg's own directory, which is out
     save_config(out / "server.cfg", ServerConfig(tree_path=".", listen_addr=args.listen, trace_path="trace.csv"))
     tp = result.trees[0].params

@@ -37,10 +37,10 @@ differ only in where the engine runs:
 * trivial  -- the client hosts it and drives every access over its store
   connection; the position map is flat, and the client also keeps the top
   levels of the data tree (the tree-top cache) as blocks its engine holds
-  (see ``oram``): all but the bottom HOST_LEVELS = 1 level, the leaves,
-  which the host stores, so each round moves one bucket each way.  The
-  count follows from the tree's depth alone, which the host already
-  knows, so the tree header's k tells it nothing more.
+  (see ``oram``): every level but the leaves, k = L, which the host
+  stores, so each round moves one bucket each way.  k follows from the
+  tree's depth alone, which the host already knows, so the tree header's
+  k tells it nothing more.
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel: the
@@ -128,23 +128,6 @@ MODE_ENHANCED = "enhanced"
 # addresses u*|V|+v in 4 bytes
 MAX_VERTICES = 1 << 16
 
-# levels of the trivial client's data tree that the host stores: the
-# client keeps levels 0..L-HOST_LEVELS, so the host's share of a path is
-# fixed and k = L+1-HOST_LEVELS reveals nothing the depth L does not.  At
-# one level the host stores the 2^L leaf buckets alone and the client
-# keeps k = L levels: at |V|=200 (depth 13) its held blocks reached about
-# 7,200 over 3,000 queries, and the host path is 1 bucket.  A state file's
-# k is derived from its depth by this rule, so a new value needs a new
-# STATE_VERSION
-HOST_LEVELS = 1
-
-
-def client_cached_levels(depth: int) -> int:
-    """k of a trivial client's data tree of depth L: every level but the
-    host's HOST_LEVELS, so 0 at depth 0 only."""
-    return max(0, depth + 1 - HOST_LEVELS)
-
-
 @dataclass
 class SchemeParams:
     vertex_count: int
@@ -189,10 +172,12 @@ class SchemeParams:
     @property
     def data_params(self) -> TreeParams:
         """The data tree's geometry: each block's payload is its hop.  The
-        trivial client caches all but the host's HOST_LEVELS levels; a
-        controller caches none."""
-        cached = client_cached_levels(self.data_depth) if self.mode == MODE_TRIVIAL else 0
-        return TreeParams(self.data_depth, self.bucket_size, HOP.size, cached)
+        trivial client caches every level but the leaves, k = L, so the
+        host stores one bucket of each path; a controller caches none.  A
+        state file's k is derived from its depth by this rule, so another
+        rule needs another STATE_VERSION."""
+        depth = self.data_depth
+        return TreeParams(depth, self.bucket_size, HOP.size, depth if self.mode == MODE_TRIVIAL else 0)
 
     @property
     def map_shape(self) -> MapShape:
@@ -476,18 +461,8 @@ class EnhancedClient:
 _PREFIX = struct.Struct(">2sBB")  # magic, version, party
 _PARAMS = struct.Struct(">IBQ")  # V, Z, budget
 STATE_MAGIC = b"OS"
-# older versions are refused; 13 derives the data depth from |V| and Z,
-# pairs it with the k of two host levels, stores the top, at the width of
-# its tree, ahead of the held blocks, and stores no k1: the clients keep
-# only the keys they use.  14 keys its blocks by AES tokens (``crypto.Prf``)
-# in place of HMAC ones, so a format-13 file's held blocks and trees hold
-# tokens no query derives any more.  15 stores no chi: the shape rule
-# picks the map's payload from |V|, Z and the budget.  16 stores held
-# blocks in the narrow layout of tree format 7: a data block's hop as a
-# 2-byte vertex id, its leaf at the tree's width and no flag byte.  17
-# pairs the depth with the k of HOST_LEVELS = 1: a format-16 trivial
-# client's held blocks were grouped for k = L-1 over host trees that store
-# two levels
+# a file of any other version is refused; CHANGES.md records what each
+# older format held
 STATE_VERSION = 17
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)

@@ -67,7 +67,6 @@ from .protocol import (
     EnhancedClient,
     SetupResult,
     TrivialClient,
-    client_cached_levels,
     load_state,
     save_state,
 )
@@ -296,9 +295,9 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
     tree directory the server is enhanced, and every tree file must hold
     the geometry controller.bin derives for its tree id, one file per tree.
     Without it the directory must be a trivial deployment's: tree 0 alone,
-    caching the levels ``client_cached_levels`` gives for its depth; a
-    tree 0 that caches other levels is an enhanced one whose controller.bin
-    is missing, or one an older release set up for more host levels.
+    caching every level but the leaves, k = L; a tree 0 that caches other
+    levels is an enhanced one whose controller.bin is missing, or one an
+    older release set up for more host levels.
     Anything else, such as enhanced trees whose controller.bin is missing,
     a foreign or extra tree file, or a file not named for the tree id in
     its header (``tree_file``; the final flush would write that tree beside
@@ -323,13 +322,13 @@ def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeSer
                 f"but its tree files hold trees {ids}"
             )
         p = trees[0].params
-        if p.cached != client_cached_levels(p.depth):
+        if p.cached != p.depth:
             # a controller caches no level; a trivial tree that caches some
             # was written for another host level count, by an older release
             hint = f"an enhanced deployment needs {state_path}" if p.cached == 0 else "set the deployment up again"
             raise ProtocolError(
                 f"tree file {files[0]}: tree 0 caches {p.cached} of its {p.depth + 1} levels, where a trivial "
-                f"deployment caches {client_cached_levels(p.depth)}; {hint}"
+                f"deployment caches {p.depth}; {hint}"
             )
         return ObgeServer(host)
     state = load_state(state_path, ControllerState)

@@ -6,20 +6,20 @@ and serves the host's part of each root-to-leaf path.  Every path read or
 write is appended to an AccessTrace, which records exactly what the storage
 owner can observe: operation, tree, leaf id, and byte count.
 
-Tree file format, version 7: a header (magic, version, tree id, depth L,
-cached levels k, bucket size Z, payload width) followed by the buckets of
-levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
+Tree file format ``TREE_VERSION``: a header (magic, version, tree id, depth
+L, cached levels k, bucket size Z, payload width) followed by the buckets
+of levels k..L, heap nodes 2^k - 1 through 2^(L+1) - 2 in heap order; the
 engine holding the tree keeps levels 0..k-1 itself, so a path read or write
-moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of a count
-byte and Z block slots whose associated data is (tree id, heap index), so
-the storage side cannot move, copy or swap buckets within or across trees
-without the next access that reads them failing.  Blocks have the layout
-of ``blocks``, a 16-byte token, the payload and the leaf in ceil(L/8)
-bytes: 18 + ceil(L/8) bytes in the data tree, whose payload is a 2-byte
-hop, so 20 at depths 9 to 16, and P + 16 + ceil(L/8) in a position-map
-tree, P the level payload the map's shape rule picks, 16 to 512 bytes of
-entries as wide as the tree they point into needs (``recursive``).  Older
-versions are rejected on load.
+moves L+1-k buckets.  Each bucket is one AES-GCM ciphertext of a count byte
+and Z block slots whose associated data is (tree id, heap index), so the
+storage side cannot move, copy or swap buckets within or across trees
+without the next access that reads them failing.  Blocks have the layout of
+``blocks``, a 16-byte token, the payload and the leaf in ceil(L/8) bytes:
+18 + ceil(L/8) bytes in the data tree, whose payload is a 2-byte hop, so 20
+at depths 9 to 16, and P + 16 + ceil(L/8) in a position-map tree, P the
+level payload the map's shape rule picks, 16 to 512 bytes of entries as
+wide as the tree they point into needs (``recursive``).  Other versions are
+rejected on load.
 ``TreeStorage.load`` checks the file size the header implies before it
 allocates anything, then reads the buckets into one buffer;
 ``tree_geometry`` reads only the headers of a directory's tree files.  A

@@ -29,7 +29,7 @@ from obge.audit import (
 from obge.crypto import keygen
 from obge.gkt import GktScheme
 from obge.graph import Graph, PathOracle, compute_spdx
-from obge.protocol import HOST_LEVELS, setup
+from obge.protocol import setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
 from conftest import chain_engine, chain_graph, random_graph
@@ -220,7 +220,7 @@ def test_stash_bound_z5_depth12_trivial_k():
     # the k the trivial client keeps of a depth-12 tree: 4,095 top buckets'
     # 20,475 slots are held blocks, and the host stores the leaf level
     # alone, whose 20,480 slots the 20,480 blocks fill
-    _stash_bound_z5_depth12(cached=12 + 1 - HOST_LEVELS)
+    _stash_bound_z5_depth12(cached=12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_bandwidth_accounting():
     params = host.trees[0].params
     # 15 vertices: a depth-6 tree for the 210 ordered pairs; the client
     # keeps 6 levels, the host 1
-    assert (params.depth, params.cached) == (6, 7 - HOST_LEVELS)
+    assert (params.depth, params.cached) == (6, 6)
     log_n = (params.node_count).bit_length()  # ceil(log2 nodes) for 2^k - 1 nodes
     z = params.bucket_size
     lines = []

@@ -14,6 +14,7 @@ from obge.cli import main
 from obge.exceptions import StashOverflowError
 from obge.gkt import GktScheme, save_token_log
 from obge.graph import load_graph
+from obge.protocol import STATE_VERSION
 from obge.server import Daemon, build_server, load_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -439,6 +440,35 @@ class TestDeploymentDirectory:
         with socket.socket() as s:
             s.bind(("127.0.0.1", port))
 
+    @pytest.mark.parametrize(
+        "first, again, chain_depths",
+        [(["--mode", "enhanced", "--budget", "256"], [], [1]),
+         (["--mode", "enhanced", "--budget", "32"], ["--mode", "enhanced", "--budget", "256"], [2, 1, 1])],
+        ids=["enhanced-then-trivial", "chain-depth-2-then-1"],
+    )
+    def test_setup_again_leaves_no_file_of_the_old_deployment(self, tmp_path, capsys, first, again, chain_depths):
+        # setup into the directory of another deployment leaves what a
+        # fresh directory would hold: no controller.bin under a trivial
+        # setup, and no tree of a deeper chain under a shallower one.  Left
+        # behind, each made the daemon refuse to start
+        graph = tmp_path / "chain.tsv"
+        graph.write_text(CHAIN_30_TSV)
+        out, fresh = tmp_path / "d", tmp_path / "fresh"
+        for directory, extra in ((out, first), (out, again), (fresh, again)):
+            assert main(["setup", str(graph), "--out", str(directory), "--seed", "1", *extra]) == 0
+        chains = [line for line in capsys.readouterr().out.splitlines() if line.startswith("position map: chain")]
+        assert chains == [f"position map: chain depth {depth}" for depth in chain_depths]
+        assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+        cfg = load_config(out / "server.cfg")
+        cfg.listen_addr = "127.0.0.1:0"
+        d = Daemon(build_server(cfg, rng=random.Random(1)), cfg)
+        d.start()
+        try:
+            assert main(["query", "3", "9", "--keys", str(out / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
+        finally:
+            d.shutdown()
+        assert capsys.readouterr().out.splitlines()[-1] == "3 4 5 6 7 8 9"
+
     def test_port_in_use_is_a_usage_error(self, tmp_path, graph_file, capsys):
         # a port another socket listens on: the refusal names the address
         with socket.socket() as busy:
@@ -548,7 +578,7 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 def test_loading_state_files_leaves_numpy_unloaded():
     # the engines check a loaded file without numpy, so obge query and the
     # daemon start do not pay for its import
-    data = Path(__file__).parent / "data" / "state_v17"
+    data = Path(__file__).parent / "data" / f"state_v{STATE_VERSION}"
     code = (
         "import sys; from obge.protocol import ControllerState, TrivialState, load_state; "
         f"load_state({str(data / 'trivial-keys.bin')!r}, TrivialState); "
@@ -564,7 +594,7 @@ def test_obge_runs_without_numpy_or_scipy(tmp_path):
     # the runtime needs cryptography alone: with numpy and scipy made
     # unimportable, every obge module imports, both state files load and an
     # in-process trace passes obge audit
-    data = Path(__file__).parent / "data" / "state_v17"
+    data = Path(__file__).parent / "data" / f"state_v{STATE_VERSION}"
     code = f"""
 import importlib, pkgutil, random, sys
 sys.modules["numpy"] = sys.modules["scipy"] = None

@@ -9,7 +9,7 @@ from obge.crypto import CT_OVERHEAD, Cipher, Prf, keygen, pair_block, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import Graph, PathOracle, spath_oracle
 from obge.oram import PathOram, oram_init, verify_placement
-from obge.protocol import HOST_LEVELS, QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
+from obge.protocol import QueryEngine, SchemeParams, TrivialState, build_blocks, reveal, setup
 from obge.server import deploy_inprocess
 from obge.storage import _HEADER, TREE_MAGIC, StorageHost, TreeStorage
 from conftest import chain_blocks, chain_engine, chain_graph, data_tree, random_graph, split_heads, top_entries, trivial_engine
@@ -442,7 +442,7 @@ class TestTreeTopCache:
         # none
         params = SchemeParams(200)
         assert params.data_depth == 13
-        assert params.data_params.cached == 13 and params.data_params.host_levels == HOST_LEVELS == 1
+        assert params.data_params.cached == 13 and params.data_params.host_levels == 1
         assert SchemeParams(200, mode="enhanced").data_params.cached == 0
 
     def test_a_benchmark_scale_round_moves_one_bucket_each_way(self, rng):
@@ -461,8 +461,8 @@ class TestTreeTopCache:
 
     def test_rule_follows_the_depth_alone(self):
         # |V| and Z move k only through the depth L they give: the host
-        # stores min(L+1, HOST_LEVELS) = 1 level of every trivial data tree
-        # of depth L, the leaves
+        # stores 1 level of every trivial data tree of depth L, the leaves,
+        # and the client keeps the other L
         by_depth: dict[int, set[tuple[int, int]]] = {}
         for n in range(1, 300):
             for z in (1, 5, 255):
@@ -470,9 +470,9 @@ class TestTreeTopCache:
                 by_depth.setdefault(tp.depth, set()).add((tp.cached, tp.host_levels))
         assert set(range(15)) <= set(by_depth)
         for depth, rules in by_depth.items():
-            assert rules == {(max(0, depth + 1 - HOST_LEVELS), min(depth + 1, HOST_LEVELS))}
+            assert rules == {(depth, 1)}
 
-    @pytest.mark.parametrize("mode, k", [("trivial", 5 - HOST_LEVELS), ("enhanced", 0)])
+    @pytest.mark.parametrize("mode, k", [("trivial", 4), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
         # a 9-vertex chain: 36 entries in a depth-4 tree, sized for the 72
         # ordered pairs, four levels more than the host keeps; a controller
@@ -493,7 +493,7 @@ class TestTreeTopCache:
         host, _, client = deploy_inprocess(result, rng=rng)
         tp = host.trees[0].params
         k = tp.cached
-        assert k == tp.depth + 1 - HOST_LEVELS >= 2 and tp.host_levels == 1
+        assert k == tp.depth >= 2 and tp.host_levels == 1
         assert len(host.trees[0].buckets) == (tp.node_count - ((1 << k) - 1)) * tp.bucket_width
         for u in range(40):
             for v in range(0, 40, 3):

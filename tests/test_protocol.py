@@ -19,6 +19,7 @@ from obge.oram import STASH_MAX
 from obge.protocol import (
     MAX_VERTICES,
     REQUEST_WIDTH,
+    STATE_VERSION,
     ControllerState,
     EnclaveController,
     EnhancedClient,
@@ -34,7 +35,7 @@ from obge.protocol import (
 )
 from obge.recursive import RecursivePM
 from obge.server import ObgeServer, deploy_inprocess
-from obge.storage import TreeStorage
+from obge.storage import TREE_VERSION, TreeStorage
 from conftest import chain_graph, random_graph, top_entries
 
 PARTIES = (TrivialState, EnhancedState, ControllerState)
@@ -43,16 +44,20 @@ DATA = Path(__file__).parent / "data"
 # and a controller's state file of format N
 STATE_FILES = (("trivial-keys.bin", TrivialState), ("enhanced-keys.bin", EnhancedState),
                ("controller.bin", ControllerState))
-# format-17 state files: setup with Z=1 and rng Random(11) on
+# the current format's state files: setup with Z=1 and rng Random(11) on
 # random_graph(Random(5), 12, 0.3) (the enhanced deployment with a 16-byte
 # budget, which forces 16-byte level payloads), then 60 queries, each
 # (u, v) drawn as randrange(12), randrange(12) from Random(12) just before
 # it runs, Random(12) being also the deployment's leaf sampler; the states
 # saved, then reloaded over their trees (not kept), both deployments
-# answer all 144 pairs twice as PathOracle does.  The state_v12 to
-# state_v16 files were made by much the same recipe, the v14 controller
+# answer all 144 pairs twice as PathOracle does.  The older fixtures from
+# format 12 on were made by much the same recipe, the format-14 controller
 # with chi 2 and a 64-byte budget
-STATE_V17 = DATA / "state_v17"
+CURRENT_STATE = DATA / f"state_v{STATE_VERSION}"
+# every older format N with a fixture directory state_vN
+OLD_STATE_VERSIONS = sorted(
+    n for n in (int(d.name.removeprefix("state_v")) for d in DATA.glob("state_v*")) if n < STATE_VERSION
+)
 # the head of a data block packed by hand: token 11.., hop 7
 HELD_HEAD = b"\x11" * 16 + HOP.pack(7)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -201,7 +206,7 @@ class TestSetup:
         trees = [deploy(g, "trivial")[0].trees[0] for g in (complete, chain_graph(80))]
         assert [t.params.depth for t in trees] == [11, 11]
         assert trees[0].header_bytes() == trees[1].header_bytes()
-        assert trees[0].params.cached == 11 + 1 - protocol.HOST_LEVELS
+        assert trees[0].params.cached == 11
 
     @settings(deadline=None)
     @given(graphs=graphs_on_one_vertex_count(), mode=st.sampled_from(["trivial", "enhanced"]))
@@ -478,7 +483,7 @@ class TestPersistence:
             assert client2.query_path(u, v) == spath_oracle(g, u, v), (u, v)
 
     def test_client_state_bytes_follow_the_documented_layout(self, tmp_path):
-        # the trivial client's keys.bin: magic, version 17, party 0; the
+        # the trivial client's keys.bin: magic, version, party 0; the
         # 13-byte parameter block (|V|, Z, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
@@ -492,7 +497,7 @@ class TestPersistence:
             client.query(u, 14)
         depth = result.params.data_depth
         oram = state.oram
-        assert result.params.data_params.cached == depth + 1 - protocol.HOST_LEVELS == 6
+        assert result.params.data_params.cached == depth == 6
         assert all(0 <= g < 64 for g in oram.held)
         # one more held block, packed by hand, in the last group at its
         # last leaf
@@ -502,7 +507,7 @@ class TestPersistence:
         slots = list(struct.iter_unpack(">16sHB", b"".join(stash)))
         assert slots[-1] == (b"\x11" * 16, 7, leaf)
 
-        want = b"OS\x11\x00" + struct.pack(">IBQ", 15, 5, 0)
+        want = b"OS" + bytes([STATE_VERSION, 0]) + struct.pack(">IBQ", 15, 5, 0)
         assert protocol._PARAMS.size == 13
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
@@ -565,7 +570,7 @@ class TestPersistence:
         g = chain_graph(15)
         result, host, _, client = deploy(g, "trivial")
         state = result.client
-        assert result.params.data_params.cached == 7 - protocol.HOST_LEVELS == 6
+        assert result.params.data_params.cached == result.params.data_depth == 6
         for u in range(14):
             client.query(u, 14)
             if state.oram.held_count:
@@ -617,7 +622,7 @@ class TestPersistence:
         result, _, _, _ = deploy(chain_graph(15), "trivial")
         state = result.client
         tp = result.params.data_params
-        assert tp.cached == 7 - protocol.HOST_LEVELS == 6 and tp.leaf_width == 1
+        assert tp.cached == tp.depth == 6 and tp.leaf_width == 1
         leaf = tp.leaves if bad == "leaf-past-tree" else 255
         state.oram.held.setdefault((1 << tp.cached) - 1, []).append(held_block(tp, leaf))
         path = tmp_path / "keys.bin"
@@ -731,13 +736,13 @@ class TestPersistence:
          ("controller.bin", ControllerState, 2, [1, 3, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
-    def test_format_17_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
+    def test_current_format_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
         # the trivial client holds 66 blocks in 57 of its 256 groups (k=8
         # of the depth-8 tree of 12 vertices at Z=1, so a group is one
         # leaf's) and its top is 144 two-byte cells; the controller's chain
         # has depth 2, of 16-byte payloads, and held blocks in the data
         # tree and level 0.  Loading and saving again gives the same bytes
-        state = load_state(STATE_V17 / name, kind)
+        state = load_state(CURRENT_STATE / name, kind)
         if chain_depth is not None:
             assert state.positions.chain_depth == chain_depth
             assert [e.held_count for e in (state.oram, *state.positions.levels)] == held
@@ -747,66 +752,24 @@ class TestPersistence:
             assert state.oram.params.cached == 8 and state.positions.shape.top_entry_width == 2
             assert len(state.oram.held) == 57 and all(state.oram.held.values())
         save_state(tmp_path / name, state)
-        assert (tmp_path / name).read_bytes() == (STATE_V17 / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (CURRENT_STATE / name).read_bytes()
 
-    @staticmethod
-    def _assert_refused(version, name, kind):
+    @pytest.mark.parametrize(
+        "version, name, kind",
+        [pytest.param(version, name, kind, id=f"{version}-{name}")
+         for version in OLD_STATE_VERSIONS for name, kind in STATE_FILES],
+    )
+    def test_older_format_files_are_refused(self, version, name, kind):
+        # every older format's fixture, each stamped with the version of its
+        # directory, is refused by that version, whatever its layout; the
+        # previous format's among them, so the fixtures were found.  What
+        # each format held is in CHANGES.md
+        assert STATE_VERSION - 1 in OLD_STATE_VERSIONS
         path = DATA / f"state_v{version}" / name
-        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, expected 17; "
-                                                "set the deployment up again"):
+        assert protocol._PREFIX.unpack_from(path.read_bytes())[1] == version
+        with pytest.raises(ProtocolError, match=f"state file {path}: unsupported version {version}, "
+                                                f"expected {STATE_VERSION}; set the deployment up again"):
             load_state(path, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_9_files_are_refused(self, name, kind):
-        # a format-9 trivial keys.bin (Z=1, a 12-vertex digraph, 60
-        # queries) would otherwise load with k=8 for its depth-8 tree,
-        # whose host trees were written at k=4 when the client kept all but
-        # 5 levels, and the first access would fail on a path width
-        self._assert_refused(9, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_10_files_are_refused(self, name, kind):
-        # a format-10 parameter block also held a pad mode and the data
-        # depth, and its top came after the held blocks
-        self._assert_refused(10, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_11_files_are_refused(self, name, kind):
-        # a format-11 parameter block also held a key length and a stash
-        # allowance
-        self._assert_refused(11, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_12_files_are_refused(self, name, kind):
-        # a format-12 file stored k1, and its held data blocks were 69
-        # bytes: a k1 payload and 8-byte address and leaf fields
-        self._assert_refused(12, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_13_files_are_refused(self, name, kind):
-        # a format-13 file's blocks are keyed by HMAC-SHA256 tokens, which
-        # no query derives since the token PRF is AES
-        self._assert_refused(13, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_14_files_are_refused(self, name, kind):
-        # a format-14 parameter block held chi, 4 bytes more; its
-        # controller's levels have the 16-byte payloads of chi 2, where the
-        # shape rule picks 40 bytes for its 64-byte budget
-        self._assert_refused(14, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_15_files_are_refused(self, name, kind):
-        # a format-15 file's held data blocks are 25 bytes: a 4-byte next
-        # address, a 4-byte leaf and a flag byte
-        self._assert_refused(15, name, kind)
-
-    @pytest.mark.parametrize("name, kind", STATE_FILES)
-    def test_format_16_files_are_refused(self, name, kind):
-        # a format-16 trivial keys.bin groups its held blocks for k=7 of
-        # its depth-8 tree, whose host tree stores two levels of each path
-        # where an engine at k=8 reads one
-        self._assert_refused(16, name, kind)
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -846,11 +809,8 @@ class TestPersistence:
                 load_state(path, *PARTIES)
 
     def test_version_two_files_are_rejected(self, tmp_path, four_vertex_directed):
-        # tree files of version 6 held 25-byte data blocks with a 4-byte
-        # next address, a 4-byte leaf and a flag byte in every slot, and
-        # state files of version 16 paired the data depth with two host
-        # levels, so both must be set up again (as must older ones), and
-        # the refusal says so
+        # a tree or state file stamped with the version before the current
+        # one must be set up again, and the refusal says so
         result, _, _, _ = deploy(four_vertex_directed, "trivial")
         enhanced, _, server, _ = deploy(four_vertex_directed, "enhanced")
         result.trees[0].save(tmp_path / "tree.bin")
@@ -858,12 +818,13 @@ class TestPersistence:
         save_state(tmp_path / "enhanced-keys.bin", enhanced.client)
         save_state(tmp_path / "controller.bin", server.controller.state)
         loaders = {
-            "tree.bin": (7, 6, TreeStorage.load),
-            "keys.bin": (17, 16, lambda p: load_state(p, TrivialState)),
-            "enhanced-keys.bin": (17, 16, lambda p: load_state(p, EnhancedState)),
-            "controller.bin": (17, 16, lambda p: load_state(p, ControllerState)),
+            "tree.bin": (TREE_VERSION, TreeStorage.load),
+            "keys.bin": (STATE_VERSION, lambda p: load_state(p, TrivialState)),
+            "enhanced-keys.bin": (STATE_VERSION, lambda p: load_state(p, EnhancedState)),
+            "controller.bin": (STATE_VERSION, lambda p: load_state(p, ControllerState)),
         }
-        for name, (current, old, load) in loaders.items():
+        for name, (current, load) in loaders.items():
+            old = current - 1
             path = tmp_path / name
             raw = path.read_bytes()
             assert raw[2] == current

@@ -16,7 +16,6 @@ from obge.exceptions import ConfigError, ObgeError, ProtocolError
 from obge.graph import Graph, PathOracle
 from obge.oram import oram_init
 from obge.protocol import (
-    HOST_LEVELS,
     EnhancedClient,
     TrivialClient,
     TrivialState,
@@ -76,7 +75,7 @@ class TestDispatch:
         # 6 levels, so the host's path is level 6, the leaf bucket
         _, result, host, server, _ = make_deployment(n=15)
         params = host.trees[0].params
-        assert params.cached == params.depth + 1 - HOST_LEVELS == 6
+        assert params.cached == params.depth == 6
         resp = server.dispatch(wire.Access(read=(0, 0)))
         assert isinstance(resp, wire.PathData)
         assert params.bucket_width == ciphertext_width(1 + params.bucket_size * params.block_width)
