@@ -9,6 +9,11 @@ queries consistent with the fragment: with the closed-world assumption
 (every distinct query to an observed destination was seen) consistency is
 rooted-tree isomorphism on canonical labels; without it, any
 root-preserving embedding of the fragment counts.
+
+The oblivious scheme leaks a query's round count alone, so the most that
+its trace admits for a query is the query's round class
+(``round_classes``): every pair with as many rounds,
+``protocol.rounds(|p|)``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph, compute_sp_matrix
+from .protocol import rounds
 
 
 @dataclass
@@ -248,13 +254,13 @@ def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:
     return out
 
 
-def length_classes(g: Graph) -> dict[int, set[tuple[int, int]]]:
-    """What round-count leakage alone admits: path length -> every pair of
-    that length, from one next-hop matrix.  Class 0 holds the diagonal and
-    the disconnected pairs."""
+def round_classes(g: Graph) -> dict[int, set[tuple[int, int]]]:
+    """What round-count leakage alone admits: ``protocol.rounds(d)`` ->
+    every pair whose path has d edges, from one next-hop matrix.  Class
+    rounds(0) holds the diagonal and the disconnected pairs."""
     lengths = path_length_classes(g)
     n = g.vertex_count
-    classes = {0: {(u, v) for u in range(n) for v in range(n) if (u, v) not in lengths}}
+    classes = {rounds(0): {(u, v) for u in range(n) for v in range(n) if (u, v) not in lengths}}
     for pair, d in lengths.items():
-        classes.setdefault(d, set()).add(pair)
+        classes.setdefault(rounds(d), set()).add(pair)
     return classes

@@ -1,24 +1,27 @@
 """Leakage auditing over recorded access traces.
 
-The host may learn each query's path length and nothing else, so every
-query must leave records of one shape (``QueryShape``): optionally framed
-by an ``EnclaveRequest`` of exactly ``protocol.REQUEST_WIDTH`` = 36 bytes,
-the session encryption of the 8-byte pair, and an ``EnclaveResponse`` of
+The host may learn each query's round count, ``protocol.rounds(|p|)``, and
+nothing else, so every query must leave records of one shape
+(``QueryShape``): framed or not, as the trace's first record shows, by an
+``EnclaveRequest`` of exactly ``protocol.REQUEST_WIDTH`` = 36 bytes, the
+session encryption of the 8-byte pair, and an ``EnclaveResponse`` of
 exactly ``protocol.response_width(|p|)`` bytes, the session overhead, a
-2-byte hop count and 4 bytes a hop; inside, (|p|+1)(1+chain_depth) ``ReadPath``/``WritePath`` pairs in tree
-order, the top position-map level first and the data tree (tree 0) last,
-each pair on one tree and one leaf, each record exactly its tree's
-``path_width`` wide and each leaf below its tree's leaf count.  The
-geometry is the trees' own, read from the tree file headers; chain_depth
-is the number of trees after the data tree.
+2-byte hop count and 2 bytes a hop; inside, rounds(|p|)(1+chain_depth)
+``ReadPath``/``WritePath`` pairs in tree order, the top position-map level
+first and the data tree (tree 0) last, each pair on one tree and one leaf,
+each record exactly its tree's ``path_width`` wide and each leaf below its
+tree's leaf count.  The geometry is the trees' own, read from the tree
+file headers; chain_depth is the number of trees after the data tree.
 
 Over the queries whose shape holds, the auditor then runs two chi-square
-tests on leaf histograms of at most ``MAX_BINS`` equal bins.  Each tree's
-leaves are tested for uniformity over its 2^depth leaves (Pearson's
-goodness of fit).  The data-tree leaves of the two most frequent queries of
-each path length are tested for homogeneity (the 2 x k contingency test
-over the non-empty bins, with Yates' continuity correction at df = 1).
-Both take their p-value from the exact chi-square tail for integer df.
+tests on leaf histograms of equal power-of-two bins.  Each tree's leaves
+are tested for uniformity over its 2^depth leaves (Pearson's goodness of
+fit), in at most ``MAX_BINS`` bins, halved until each bin expects at least
+``MIN_EXPECTED`` leaves.  The data-tree leaves of the two most frequent
+queries of each round count are tested for homogeneity (the 2 x k
+contingency test over the non-empty bins of at most ``MAX_BINS``, with
+Yates' continuity correction at df = 1).  Both take their p-value from the
+exact chi-square tail for integer df.
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ from pathlib import Path
 
 from .blocks import TreeParams
 from .exceptions import ProtocolError
-from .protocol import REQUEST_WIDTH, response_width
+from .protocol import REQUEST_WIDTH, response_width, rounds
 from .storage import AccessTrace, TraceRecord
 
 SIGNIFICANCE = 0.01
 # leaf histograms have at most this many bins
 MAX_BINS = 64
+# a uniformity test's bins each expect at least this many leaves, below
+# which Pearson's statistic has a heavier far tail than its chi-square law
+MIN_EXPECTED = 5
 
 
 @dataclass
@@ -79,10 +85,10 @@ def load_query_log(path: str | Path) -> list[QueryTruth]:
     return rows
 
 
-def bin_leaves(leaves: list[int], leaf_space: int) -> list[int]:
-    """Histogram leaf ids into equal power-of-two bins, at most MAX_BINS, so
-    chi-square cells stay adequately filled."""
-    bins = min(leaf_space, MAX_BINS)
+def bin_leaves(leaves: list[int], leaf_space: int, bins: int = MAX_BINS) -> list[int]:
+    """Histogram leaf ids into equal power-of-two bins, at most bins of
+    them and at most one a leaf."""
+    bins = min(leaf_space, bins)
     counts = [0] * bins
     for leaf in leaves:
         counts[leaf * bins // leaf_space] += 1
@@ -105,11 +111,22 @@ def _chi2_sf(stat: float, df: int) -> float:
     return min(tail, 1.0)
 
 
+def uniformity_bins(count: int, leaf_space: int) -> int:
+    """Bins of a uniformity test over count leaves: min(leaf_space,
+    MAX_BINS), halved until each expects at least MIN_EXPECTED leaves."""
+    bins = min(leaf_space, MAX_BINS)
+    while bins > 1 and count < MIN_EXPECTED * bins:
+        bins //= 2
+    return bins
+
+
 def uniformity_pvalue(leaves: list[int], leaf_space: int) -> float:
-    """Pearson's goodness-of-fit test of the binned leaves against uniform."""
-    if leaf_space == 1 or not leaves:
+    """Pearson's goodness-of-fit test of the binned leaves against uniform,
+    in ``uniformity_bins``; a single bin gives 1."""
+    bins = uniformity_bins(len(leaves), leaf_space)
+    if bins == 1:
         return 1.0
-    counts = bin_leaves(leaves, leaf_space)
+    counts = bin_leaves(leaves, leaf_space, bins)
     expected = len(leaves) / len(counts)
     return _chi2_sf(math.fsum((c - expected) ** 2 for c in counts) / expected, len(counts) - 1)
 
@@ -151,30 +168,28 @@ def repeat_rate_zscore(leaves: list[int], leaf_space: int) -> float:
 
 class QueryShape:
     """The records one query may leave on the host, given each tree's
-    geometry (tree id -> TreeParams, ids 0..chain_depth).  The first query
-    checked fixes whether queries are framed."""
+    geometry (tree id -> TreeParams, ids 0..chain_depth) and whether
+    queries are framed by an enclave request and response."""
 
-    def __init__(self, trees: dict[int, TreeParams]):
+    def __init__(self, trees: dict[int, TreeParams], framed: bool):
         if not trees or sorted(trees) != list(range(len(trees))):
             raise ProtocolError(f"tree ids {sorted(trees)} are not 0..n-1")
         self.trees = trees
+        self.framed = framed
         self.order = list(range(len(trees) - 1, -1, -1))  # top map level first, data tree last
-        self.framed: bool | None = None
 
-    def size(self, path_len: int, framed: bool) -> int:
+    def size(self, path_len: int) -> int:
         """Records of one query with that path length."""
-        return 2 * (path_len + 1) * len(self.order) + 2 * framed
+        return 2 * rounds(path_len) * len(self.order) + 2 * self.framed
 
     def check(self, records: list[TraceRecord], path_len: int, first: int = 0) -> str | None:
         """The first fault in one query's records, naming its index in the
         trace (records[0] is record ``first``), or None."""
         framed = bool(records) and records[0].msg_type == "EnclaveRequest"
-        if self.framed is None:
-            self.framed = framed
         if framed != self.framed:
             got = records[0].msg_type if records else "end of trace"
             return f"record {first}: {got}, expected {'EnclaveRequest' if self.framed else 'ReadPath'}"
-        want = self.size(path_len, framed)
+        want = self.size(path_len)
         if len(records) != want:
             return f"record {first + min(len(records), want)}: query has {len(records)} records, expected {want}"
         path, at = records, first
@@ -268,15 +283,14 @@ class AuditReport:
 def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, TreeParams]) -> AuditReport:
     """Check each query's records against ``QueryShape`` in trace order, up
     to the first fault, then test the leaves of the queries checked."""
-    shape = QueryShape(trees)
     records = trace.records
+    shape = QueryShape(trees, bool(records) and records[0].msg_type == "EnclaveRequest")
     leaves: dict[int, list[int]] = {t: [] for t in sorted(trees)}
     by_query: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     fault = None
     at = 0
     for i, t in enumerate(truths):
-        framed = at < len(records) and records[at].msg_type == "EnclaveRequest"
-        part = records[at : at + shape.size(t.path_len, framed)]
+        part = records[at : at + shape.size(t.path_len)]
         fault = shape.check(part, t.path_len, at)
         if fault is not None:
             fault = f"query {i} ({t.u},{t.v}), {fault}"
@@ -289,13 +303,13 @@ def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, T
     if fault is None and at < len(records):
         fault = f"record {at}: {len(records) - at} record(s) after the last query, query {len(truths) - 1}"
 
-    # two-sample tests between the two most frequent queries of equal length
+    # two-sample tests between the two most frequent queries of each round count
     data_leaves = trees[0].leaves
     pairwise: dict[tuple[str, str], float] = {}
-    by_len: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    by_rounds: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for key in by_query:
-        by_len[key[2]].append(key)
-    for plen, keys in sorted(by_len.items()):
+        by_rounds[rounds(key[2])].append(key)
+    for _, keys in sorted(by_rounds.items()):
         keys = sorted(keys, key=lambda k: -len(by_query[k]))
         if len(keys) < 2:
             continue

@@ -11,8 +11,9 @@ so its depth reveals |V| and Z alone.  Vertex ids are 2 bytes, so |V| is
 at most MAX_VERTICES = 2^16.  A query chases the chain of hops, deriving
 each hop's token from the pair (w, v), with one oblivious access per hop
 plus a terminating miss round, so the storage side observes only the
-round count.  Its answer is the hop addresses; reveal reads the path off
-them.
+round count, ``rounds(|p|)``.  Its answer is the hops' vertex ids, which
+the engine reads from its blocks; the address w*|V|+v never leaves the
+engine and its map.  reveal prepends the source and checks the last hop.
 
 Setup keeps no Python object per entry and runs no Python statement per
 entry: the next-hop table is one dense array (``graph``), read one source
@@ -44,10 +45,11 @@ differ only in where the engine runs:
 * enhanced -- a controller behind the server's trust boundary (the TEE
   stand-in) hosts it; the client exchanges a single encrypted
   request/response pair per query over an emulated secure channel: the
-  response is the hop addresses, 4 bytes each.  The position map is flat
-  or a recursive ORAM chain, whichever fits the configured memory budget;
-  the controller keeps no tree-top cache, so the host holds every level
-  and the engine holds only a stash.
+  response is the hops' vertex ids, 2 bytes each, encrypted with its
+  request as associated data, so no earlier response passes for it.  The
+  position map is flat or a recursive ORAM chain, whichever fits the
+  configured memory budget; the controller keeps no tree-top cache, so
+  the host holds every level and the engine holds only a stash.
 
 The party that hosts the engine holds its ORAM engines in its state: the
 data tree's PathOram, which owns the blocks it holds, and the map with its
@@ -124,8 +126,7 @@ DATA_TREE_ID = 0
 MODE_TRIVIAL = "trivial"
 MODE_ENHANCED = "enhanced"
 
-# blocks carry hops as 2-byte vertex ids, and the enhanced response dense
-# addresses u*|V|+v in 4 bytes
+# blocks and the enhanced response carry vertex ids in 2 bytes
 MAX_VERTICES = 1 << 16
 
 @dataclass
@@ -214,10 +215,10 @@ class EnhancedState:
 
 @dataclass
 class ControllerState:
-    """Controller-resident secrets and ORAM engines."""
+    """Controller-resident secrets and ORAM engines: the scheme's keys, as
+    the trivial client holds them, and the session key."""
 
-    k2: bytes
-    kprf: bytes
+    keys: KeySet
     session_key: bytes
     params: SchemeParams
     positions: RecursivePM
@@ -288,45 +289,44 @@ def setup(
         return SetupResult(trees, params, keys, client, None, len(addresses))
 
     session_key = os.urandom(KEY_BYTES)
-    controller = ControllerState(
-        k2=keys.k2,
-        kprf=keys.kprf,
-        session_key=session_key,
-        params=params,
-        positions=rpm,
-        oram=oram,
-    )
+    controller = ControllerState(keys=keys, session_key=session_key, params=params, positions=rpm, oram=oram)
     client = EnhancedState(params=params, session_key=session_key)
     return SetupResult(trees, params, keys, client, controller, len(addresses))
 
 
+def rounds(path_len: int) -> int:
+    """Data-tree rounds of a query whose path has path_len edges: one
+    access per hop, then one on a missing address.  A pair u = v and a pair
+    with no path both count as path_len 0, one round.  This count is what
+    the host learns of a query: the auditor, the attack lab and the tests
+    read it here."""
+    return path_len + 1
+
+
 def reveal(resp: list[int], source: int, dest: int, vertex_count: int) -> list[int] | None:
-    """The vertex list of a query's answer, its hop addresses w*|V|+v.
+    """The vertex list of a query's answer, its hops' vertex ids.
 
     An empty response means the empty path when source == dest and "no
-    path" (None) otherwise.  Every hop must head to dest (v == dest), and
-    the last must be dest itself, address dest*|V|+dest; anything else
-    raises IntegrityError.
+    path" (None) otherwise.  A hop that is not a vertex of the graph, or a
+    last hop other than dest, raises IntegrityError.
     """
     if not resp:
         return [] if source == dest else None
-    n = vertex_count
-    path = [source]
-    for addr in resp:
-        w, v = divmod(addr, n)
-        if v != dest or w >= n:
-            raise IntegrityError(f"hop address {addr} does not head to the queried destination {dest}")
-        path.append(w)
-    if path[-1] != dest:
+    if max(resp) >= vertex_count:
+        raise IntegrityError(f"hop {max(resp)} is not a vertex of the graph's {vertex_count}")
+    if resp[-1] != dest:
         raise IntegrityError("response does not terminate at the queried destination")
-    return path
+    return [source, *resp]
 
 
-def _hops_format(hops: int) -> str:
-    """An enhanced response's plaintext: the hop count, then each hop's
-    4-byte address."""
-    return f">H{hops}I"
+# an enhanced response's plaintext: the hop count, then each hop as HOP
+_HOP_COUNT = struct.Struct(">H")
 
+# associated data of the session's ciphertexts, one label a direction; a
+# response's also holds its request ciphertext, so neither an earlier
+# response nor the request echoed back passes for it
+REQUEST_LABEL = b"obge request"
+RESPONSE_LABEL = b"obge response"
 
 # bytes of an enhanced request as the host sees it: the session encryption
 # of the pair's 8-byte encoding, ``encode_pair(u, v)``
@@ -335,29 +335,27 @@ REQUEST_WIDTH = ciphertext_width(8)
 
 def response_width(hops: int) -> int:
     """Bytes of an enhanced response of that many hops, as the host sees
-    it: the session encryption of ``_hops_format(hops)``."""
-    return ciphertext_width(struct.calcsize(_hops_format(hops)))
+    it: the session encryption of a 2-byte count and 2 bytes a hop."""
+    return ciphertext_width(_HOP_COUNT.size + HOP.size * hops)
 
 
 class QueryEngine:
     """The Query loop both deployments run.
 
     Runs the state's data tree engine and position map with the token
-    PRF, one AES context under kprf that the engine builds and keeps.
-    Building it attaches store to the data engine and to every level engine
-    of the map, and rng to the map, so every path read and write goes
-    through store and every fresh leaf comes from rng; a miss round reads
-    the fresh leaf the map returns for the absent address.  A query
-    flushes the store before it returns or raises, so no write of it is
-    left held back.
+    PRF, one AES context under the state's kprf that the engine builds and
+    keeps.  Building it attaches store to the data engine and to every
+    level engine of the map, and rng to the map, so every path read and
+    write goes through store and every fresh leaf comes from rng; a miss
+    round reads the fresh leaf the map returns for the absent address.  A
+    query flushes the store before it returns or raises, so no write of it
+    is left held back.
     """
 
-    def __init__(
-        self, state: TrivialState | ControllerState, kprf: bytes, store, rng: random.Random | None = None
-    ):
+    def __init__(self, state: TrivialState | ControllerState, store, rng: random.Random | None = None):
         rng = rng if rng is not None else secrets.SystemRandom()
         self.params = state.params
-        self.prf = Prf(kprf)
+        self.prf = Prf(state.keys.kprf)
         self.oram = state.oram
         self.positions = state.positions
         self.store = store
@@ -366,25 +364,24 @@ class QueryEngine:
 
     def query(self, u: int, v: int) -> list[int]:
         """Chase the chain from (u, v): one access per hop, then one on a
-        missing address; returns the hop addresses.  The block of (w, v)
-        holds the hop after w, whose address the engine forms; its token
-        is derived from the pair (w, v).  An out-of-range pair raises
-        IndexError before any storage access."""
+        missing address; returns the hops' vertex ids.  The block of
+        (w, v) holds the hop after w; the engine forms the pair's address
+        w*|V|+v for the map alone, and derives its token from the pair.  An
+        out-of-range pair raises IndexError before any storage access."""
         n = self.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
         resp: list[int] = []
-        w, addr = u, u * n + v
+        w = u
         try:
             while True:
-                old_leaf, new_leaf = self.positions.get_and_remap(addr)
+                old_leaf, new_leaf = self.positions.get_and_remap(w * n + v)
                 if old_leaf == ABSENT:
                     self.oram.access(None, new_leaf)
                     return resp
                 tk = prf_eval(self.prf, pair_block(w, v))
                 (w,) = HOP.unpack(self.oram.access(tk, old_leaf, new_leaf).payload)
-                addr = w * n + v
-                resp.append(addr)
+                resp.append(w)
         finally:
             self.store.flush()
 
@@ -394,7 +391,7 @@ class TrivialClient:
 
     def __init__(self, state: TrivialState, store, rng: random.Random | None = None):
         self.state = state
-        self.engine = QueryEngine(state, state.keys.kprf, store, rng)
+        self.engine = QueryEngine(state, store, rng)
 
     def query(self, u: int, v: int) -> list[int]:
         return self.engine.query(u, v)
@@ -410,22 +407,23 @@ class EnclaveController:
     def __init__(self, state: ControllerState, store, rng: random.Random | None = None):
         self.state = state
         self.session = Cipher(state.session_key)
-        self.engine = QueryEngine(state, state.kprf, store, rng)
+        self.engine = QueryEngine(state, store, rng)
 
     def handle_request(self, ct: bytes) -> bytes:
         """Decrypt one (u, v) request, run the query loop, and return the
-        session encryption of the hop count and addresses,
-        ``response_width`` bytes.  Bad frames are rejected before any
-        storage access."""
-        raw = self.session.decrypt(ct)
+        session encryption of the hop count and vertex ids,
+        ``response_width`` bytes, bound to the request.  Bad frames are
+        rejected before any storage access."""
+        raw = self.session.decrypt(ct, REQUEST_LABEL)
         if len(raw) != 8:
             raise ProtocolError("malformed query request")
         resp = self.engine.query(*decode_pair(raw))
-        return self.session.encrypt(struct.pack(_hops_format(len(resp)), len(resp), *resp))
+        body = _HOP_COUNT.pack(len(resp)) + b"".join(map(HOP.pack, resp))
+        return self.session.encrypt(body, RESPONSE_LABEL + ct)
 
     def resident_bytes(self) -> int:
         """Controller-resident bytes: position state, held data blocks, keys."""
-        key_bytes = len(self.state.k2) + len(self.state.kprf) + len(self.state.session_key)
+        key_bytes = len(self.state.keys.k2) + len(self.state.keys.kprf) + len(self.state.session_key)
         oram = self.state.oram
         return self.state.positions.resident_bytes() + oram.held_count * oram.params.block_width + key_bytes
 
@@ -439,17 +437,16 @@ class EnhancedClient:
         self.transport = transport  # callable: request ct -> response ct
 
     def query(self, u: int, v: int) -> list[int]:
-        """The hop addresses of the answer to (u, v)."""
+        """The hops' vertex ids of the answer to (u, v).  A response not
+        made for this request raises IntegrityError."""
         n = self.state.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
-        request = self.session.encrypt(encode_pair(u, v))
-        blob = self.session.decrypt(self.transport(request))
-        # 2 + 4 * count bytes, so exactly _hops_format(len // 4) when len % 4 == 2
-        count, *hops = struct.unpack(_hops_format(len(blob) // 4), blob) if len(blob) % 4 == 2 else (-1,)
-        if count != len(hops):
-            raise ProtocolError(f"response of {len(blob)} bytes does not hold its hop count and 4 bytes a hop")
-        return hops
+        request = self.session.encrypt(encode_pair(u, v), REQUEST_LABEL)
+        blob = self.session.decrypt(self.transport(request), RESPONSE_LABEL + request)
+        if len(blob) < _HOP_COUNT.size or len(blob) != _HOP_COUNT.size + HOP.size * _HOP_COUNT.unpack_from(blob)[0]:
+            raise ProtocolError(f"response of {len(blob)} bytes does not hold its hop count and 2 bytes a hop")
+        return [w for (w,) in HOP.iter_unpack(blob[_HOP_COUNT.size :])]
 
     def query_path(self, u: int, v: int) -> list[int] | None:
         return reveal(self.query(u, v), u, v, self.state.params.vertex_count)
@@ -540,13 +537,11 @@ def save_state(path: str | Path, state: TrivialState | EnhancedState | Controlle
     head = _PREFIX.pack(STATE_MAGIC, STATE_VERSION, _PARTIES.index(type(state))) + _PARAMS.pack(
         p.vertex_count, p.bucket_size, p.budget or 0
     )
-    if isinstance(state, ControllerState):
-        write_atomic(path, head, state.k2, state.kprf, state.session_key, _pack_engine(state))
-        return
     if isinstance(state, EnhancedState):
         write_atomic(path, head, state.session_key)
         return
-    write_atomic(path, head, state.keys.k2, state.keys.kprf, _pack_engine(state))
+    session = (state.session_key,) if isinstance(state, ControllerState) else ()
+    write_atomic(path, head, state.keys.k2, state.keys.kprf, *session, _pack_engine(state))
 
 
 def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState | ControllerState:
@@ -576,13 +571,14 @@ def load_state(path: str | Path, *kinds: type) -> TrivialState | EnhancedState |
         shape = params.map_shape
     except ConfigError as exc:
         raise ProtocolError(f"state file {path}: corrupt parameter block: {exc}") from None
-    if kind is ControllerState:
-        k2, kprf, session = r.take(KEY_BYTES), r.take(KEY_BYTES), r.take(KEY_BYTES)
-        state = ControllerState(k2, kprf, session, params, *_unpack_engine(r, params, shape, k2))
-    elif kind is EnhancedState:
+    if kind is EnhancedState:
         state = EnhancedState(params, r.take(KEY_BYTES))
     else:
         keys = KeySet(r.take(KEY_BYTES), r.take(KEY_BYTES))
-        state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
+        if kind is ControllerState:
+            session = r.take(KEY_BYTES)
+            state = ControllerState(keys, session, params, *_unpack_engine(r, params, shape, keys.k2))
+        else:
+            state = TrivialState(keys, params, *_unpack_engine(r, params, shape, keys.k2))
     r.finish()
     return state

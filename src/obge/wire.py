@@ -18,9 +18,10 @@ read path's buckets, empty when the request has no read.  A trivial client
 defers each path write-back and sends it in the frame of its next read, so
 a round costs one round trip; the last write of a query goes alone.  Widths
 depend only on which parts are present and on the tree, so the recorded
-trace shapes carry no query information beyond round counts.  Version 1,
-which sent ReadPath/PathData and WritePath/Ack as two round trips, is
-refused by its version number.
+trace shapes carry no query information beyond round counts.  Older
+versions are refused by their version number: version 1 sent
+ReadPath/PathData and WritePath/Ack as two round trips, and version 2's
+enclave payloads carried 4-byte hop addresses, unbound to their request.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from .exceptions import ProtocolError
 
 MAGIC = b"OB"
-VERSION = 2
+VERSION = 3
 _FRAME_HEADER = struct.Struct(">2sBBI")
 # far above the widest path frame of a desk-scale tree
 MAX_PAYLOAD = 64 << 20

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from obge.attack import QueryRecovery, ahu_label, length_classes, path_length_classes
+from obge.attack import QueryRecovery, ahu_label, path_length_classes, round_classes
 from obge.audit import (
     QueryShape,
     QueryTruth,
@@ -29,7 +29,7 @@ from obge.audit import (
 from obge.crypto import keygen
 from obge.gkt import GktScheme
 from obge.graph import Graph, PathOracle, compute_spdx
-from obge.protocol import setup
+from obge.protocol import rounds, setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
 from conftest import chain_engine, chain_graph, random_graph
@@ -117,16 +117,22 @@ def test_leakage_round_counts(mode):
         result = setup(g, mode=mode, rng=run_rng)
         host, _, client = deploy_inprocess(result, rng=run_rng)
         # the audit's one shape rule, with the geometry the host stores:
-        # |p|+1 rounds per tree in order, each of its tree's constant width
-        shape = QueryShape({t: tree.params for t, tree in host.trees.items()})
+        # rounds(|p|) rounds per tree in order, each of its tree's constant
+        # width; the attack lab's round classes hold each pair at the count
+        # of data-tree rounds it left
+        shape = QueryShape({t: tree.params for t, tree in host.trees.items()}, framed=mode == "enhanced")
+        classes = round_classes(g)
         for u in range(g.vertex_count):
             for v in range(g.vertex_count):
                 before = len(host.trace)
                 path = client.query_path(u, v)
                 plen = len(path) - 1 if path else 0
-                fault = shape.check(host.trace.records[before:], plen, before)
+                records = host.trace.records[before:]
+                fault = shape.check(records, plen, before)
                 assert fault is None, f"({u},{v}), |p|={plen}: {fault}"
-                checked += plen + 1
+                data_rounds = sum(r.msg_type == "ReadPath" and r.tree_id == 0 for r in records)
+                assert (u, v) in classes[data_rounds], f"({u},{v}) left {data_rounds} data-tree rounds"
+                checked += rounds(plen)
     _report(f"leakage-rounds[{mode}]", f"{checked} rounds, all of the audited shape")
 
 
@@ -252,8 +258,8 @@ def test_bandwidth_accounting():
             for r in host.trace.records[before:]
             if r.msg_type in ("ReadPath", "WritePath")
         )
-        expected = 2 * (plen + 1) * z * (params.depth + 1 - params.cached)
-        whole = 2 * (plen + 1) * z * (params.depth + 1)
+        expected = 2 * rounds(plen) * z * (params.depth + 1 - params.cached)
+        whole = 2 * rounds(plen) * z * (params.depth + 1)
         formula = 2 * plen * z * log_n
         assert moved == expected, f"|p|={plen}: host moved {moved}, expected {expected}"
         assert formula / 2 <= whole <= 2 * formula, (
@@ -431,13 +437,13 @@ def test_attack_separation(separation_trials):
                 unique_hit += cs == {truth}
 
         # oblivious scheme: the trace has the audited shape, so it admits
-        # only length classes, and each query hides in all of its class
+        # only round classes, and each query hides in all of its class
         assert report.shape_ok, report.summary()
-        classes = length_classes(g)
+        classes = round_classes(g)
         class_sizes = Counter(path_length_classes(g).values())
         for t in truths:
-            assert (t.u, t.v) in classes[t.path_len]
-            assert len(classes[t.path_len]) == class_sizes[t.path_len]
+            assert (t.u, t.v) in classes[rounds(t.path_len)]
+            assert len(classes[rounds(t.path_len)]) == class_sizes[t.path_len]
         audited += len(truths)
     # one leaf-statistics verdict over all trials, at SIG family-wise
     assert family_ok([r for *_, r in separation_trials]), "\n\n".join(r.summary() for *_, r in separation_trials)
@@ -447,7 +453,7 @@ def test_attack_separation(separation_trials):
     _report(
         "attack-separation",
         f"baseline recovery {unique_hit}/{unique_total} on unique signatures; "
-        f"{audited} oblivious queries pass the audit, each among its whole length class",
+        f"{audited} oblivious queries pass the audit, each among its whole round class",
     )
 
 

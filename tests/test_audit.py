@@ -11,13 +11,14 @@ from obge.audit import (
     load_query_log,
     save_query_log,
     two_sample_pvalue,
+    uniformity_bins,
     uniformity_pvalue,
 )
 from obge.cli import main
 from obge.exceptions import ProtocolError
 from obge.graph import Graph, PathOracle
 from obge.crypto import CT_OVERHEAD
-from obge.protocol import setup
+from obge.protocol import rounds, setup
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
 from conftest import random_graph
@@ -82,14 +83,14 @@ def recursive_trace():
 class TestSlicing:
     def test_round_partition(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2), (3, 5), (0, 0), (5, 3)])
-        shape = QueryShape(geometry(host))
+        shape = QueryShape(geometry(host), framed=False)
         records, at, sizes = host.trace.records, 0, []
         for t in truths:
-            n = shape.size(t.path_len, framed=False)
+            n = shape.size(t.path_len)
             assert shape.check(records[at : at + n], t.path_len, at) is None
             sizes.append(n)
             at += n
-        assert sizes == [6, 6, 2, 2] and at == len(records)
+        assert sizes == [2 * rounds(t.path_len) for t in truths] == [6, 6, 2, 2] and at == len(records)
 
     def test_mismatched_ground_truth_rejected(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2)])
@@ -107,6 +108,15 @@ class TestStatistics:
     def test_uniformity_rejects_skew(self, rng):
         leaves = [rng.randrange(8) for _ in range(8000)]  # stuck in low leaves
         assert uniformity_pvalue(leaves, 64) < 0.01
+
+    def test_sparse_leaves_get_fewer_bins(self, rng):
+        # 100 leaves over 512: 64 bins would expect 1.6 leaves each, and
+        # halving until each expects 5 leaves gives 16; 4 leaves get one
+        # bin, which tells nothing
+        assert uniformity_bins(100, 512) == 16
+        assert uniformity_bins(8000, 64) == 64
+        assert uniformity_bins(4, 512) == 1 and uniformity_pvalue([0, 0, 0, 0], 512) == 1.0
+        assert uniformity_pvalue([rng.randrange(32) for _ in range(100)], 512) < 1e-6
 
     def test_two_sample_accepts_same_distribution(self, rng):
         a = [rng.randrange(32) for _ in range(3000)]
@@ -309,21 +319,21 @@ class TestMutations:
         assert FAULT.match(report.shape_fault), report.shape_fault
 
     def test_response_one_byte_wider_is_named(self, recursive_trace):
-        # a response is the session overhead, a 2-byte hop count and 4
+        # a response is the session overhead, a 2-byte hop count and 2
         # bytes a hop, exactly; the first query's, one byte wider, is the
         # fault the audit names
         host, truths = recursive_trace
         records = list(host.trace.records)
         end = next(i for i, r in enumerate(records) if r.msg_type == "EnclaveResponse")
         hops = truths[0].path_len
-        assert records[end].byte_count == CT_OVERHEAD + 2 + 4 * hops
+        assert records[end].byte_count == CT_OVERHEAD + 2 + 2 * hops
         records[end] = replace(records[end], byte_count=records[end].byte_count + 1)
         trace = AccessTrace()
         trace.records = records
         report = audit_trace(trace, truths, geometry(host))
         assert report.shape_fault == (
-            f"query 0 ({truths[0].u},{truths[0].v}), record {end}: response of {CT_OVERHEAD + 3 + 4 * hops} bytes, "
-            f"expected {CT_OVERHEAD + 2 + 4 * hops} for {hops} hop(s)"
+            f"query 0 ({truths[0].u},{truths[0].v}), record {end}: response of {CT_OVERHEAD + 3 + 2 * hops} bytes, "
+            f"expected {CT_OVERHEAD + 2 + 2 * hops} for {hops} hop(s)"
         )
 
     def test_requests_all_one_byte_wider_are_named(self, recursive_trace):

@@ -1,18 +1,24 @@
 import itertools
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from obge.attack import (
+    QueryRecovery,
     ahu_label,
     build_sp_trees,
-    length_classes,
+    path_length_classes,
     query_recovery,
+    round_classes,
 )
 from obge.cli import main
 from obge.exceptions import ProtocolError
 from obge.gkt import GktScheme, load_token_log, save_token_log
 from obge.graph import Graph, compute_spdx, spath_oracle
+from obge.protocol import rounds
 from conftest import random_graph
 
 
@@ -223,27 +229,32 @@ class TestQueryRecovery:
 class TestSeparation:
     def test_gkt_candidates_within_length_class(self, rng):
         """Token-sequence candidates can never be coarser than what the
-        round count alone reveals."""
+        round count alone reveals.  A baseline query probes one token a
+        round, so its sequence is as long as the oblivious scheme's round
+        count."""
         g = random_graph(rng, 16, 0.2)
         scheme = GktScheme(g)
         pairs = sorted(compute_spdx(g))
         seqs = [scheme.query(u, v)[1] for u, v in pairs]
         cands = query_recovery(g, seqs, assume_complete=True)
-        classes = length_classes(g)
-        for seq, cs in zip(seqs, cands):
-            assert cs <= classes[len(seq) - 1]
+        lengths = path_length_classes(g)
+        classes = round_classes(g)
+        for pair, seq, cs in zip(pairs, seqs, cands):
+            assert len(seq) == rounds(lengths[pair])
+            assert cs <= classes[rounds(lengths[pair])]
 
-    def test_length_classes_partition_every_pair(self):
-        # 0 -> 1 -> 2 and 3 isolated: class 0 is the diagonal and every
-        # pair with no path; each other pair sits in its edge count's class
+    def test_round_classes_partition_every_pair(self):
+        # 0 -> 1 -> 2 and 3 isolated: class rounds(0) is the diagonal and
+        # every pair with no path; each other pair sits in the class of its
+        # edge count's rounds
         g = Graph(4, directed=True)
         g.add_edge(0, 1)
         g.add_edge(1, 2)
-        classes = length_classes(g)
+        classes = round_classes(g)
         assert classes == {
-            0: {(u, v) for u in range(4) for v in range(4)} - {(0, 1), (1, 2), (0, 2)},
-            1: {(0, 1), (1, 2)},
-            2: {(0, 2)},
+            rounds(0): {(u, v) for u in range(4) for v in range(4)} - {(0, 1), (1, 2), (0, 2)},
+            rounds(1): {(0, 1), (1, 2)},
+            rounds(2): {(0, 2)},
         }
 
     def test_strict_separation_on_distinguishable_trees(self):
@@ -257,13 +268,35 @@ class TestSeparation:
         seqs = [scheme.query(u, v)[1] for u, v in pairs]
         cands = query_recovery(g, seqs, assume_complete=True)
         sizes = {p: len(c) for p, c in zip(pairs, cands)}
-        lengths = {p: len(s) - 1 for p, s in zip(pairs, seqs)}
-        classes = length_classes(g)
+        lengths = path_length_classes(g)
+        classes = round_classes(g)
         for p, cs in sizes.items():
-            assert cs <= len(classes[lengths[p]])
+            assert cs <= len(classes[rounds(lengths[p])])
         # (0,2) and (3,6) both have length 2, but their destination trees
         # are non-isomorphic, so the attack separates them
-        assert sizes[(0, 2)] < len(classes[2])
+        assert sizes[(0, 2)] < len(classes[rounds(2)])
+
+
+@pytest.mark.parametrize("fault", [None, "misses its query", "is coarser than its round class"])
+def test_attack_demo_exits_1_on_an_unsound_candidate_set(monkeypatch, capsys, fault):
+    # the demo gates the attack lab: its exit status is 1 exactly when a
+    # baseline candidate set misses its query or outgrows its round class
+    demo = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_attack_demo.py"))
+    monkeypatch.setattr(sys, "argv", ["run_attack_demo.py", "--vertices", "12", "--edge-prob", "0.2"])
+    honest = QueryRecovery.candidates
+
+    def candidates(self, observed, assume_complete=False):
+        found = honest(self, observed, assume_complete)
+        if fault == "misses its query":
+            found[0] = set()
+        elif fault:
+            found[0] = found[0] | {(u, v) for u in range(12) for v in range(12)}
+        return found
+
+    monkeypatch.setattr(QueryRecovery, "candidates", candidates)
+    assert demo["main"]() == (1 if fault else 0)
+    if fault:
+        assert fault in capsys.readouterr().err
 
 
 def test_token_log_round_trip(tmp_path, four_vertex_directed):

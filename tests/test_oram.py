@@ -156,14 +156,14 @@ class TestBlockLayout:
 
 class TestAccess:
     def test_lookup_returns_payload(self, rng):
-        # the engine answers with the hop addresses w*|V|+v, here |V|=41
+        # the engine answers with the hops' vertex ids, here of a chain
+        # i, i+1, .., 40 over |V|=41
         keys = keygen()
         engine, _, _, _, _ = build(keys, 40, rng)
         for i in (0, 13, 39):
             resp = engine.query(i, 40)
-            hops = list(range(i + 1, 40)) + [40]
-            assert resp == [w * 41 + 40 for w in hops]
-            assert reveal(resp, i, 40, 41) == [i] + hops
+            assert resp == list(range(i + 1, 41))
+            assert reveal(resp, i, 40, 41) == list(range(i, 41))
 
     def test_missing_token_dummy_access(self, rng):
         keys = keygen()
@@ -234,7 +234,7 @@ class TestAccess:
         keys = keygen()
         built, host, _, _, _ = build(keys, 60, rng)
         state = TrivialState(keys, built.params, built.positions, built.oram)
-        engine = QueryEngine(state, keys.kprf, host, rng=AllZero())
+        engine = QueryEngine(state, host, rng=AllZero())
         with pytest.raises(StashOverflowError):
             for i in range(120):
                 engine.query(i % 60, 60)

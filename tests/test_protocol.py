@@ -14,11 +14,13 @@ from obge import protocol, storage
 from obge.blocks import ABSENT, HOP
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
 from obge.exceptions import ConfigError, IntegrityError, ProtocolError
-from obge.graph import Graph, compute_sp_matrix, compute_spdx, spath_oracle
+from obge.graph import Graph, PathOracle, compute_sp_matrix, compute_spdx, spath_oracle
 from obge.oram import STASH_MAX
 from obge.protocol import (
     MAX_VERTICES,
+    REQUEST_LABEL,
     REQUEST_WIDTH,
+    RESPONSE_LABEL,
     STATE_VERSION,
     ControllerState,
     EnclaveController,
@@ -30,6 +32,7 @@ from obge.protocol import (
     load_state,
     response_width,
     reveal,
+    rounds,
     save_state,
     setup,
 )
@@ -267,10 +270,10 @@ class TestSetup:
 
 class TestQueryReveal:
     def test_worked_example(self, four_vertex_directed):
-        # the answer is the hop addresses w*|V|+v: (2,3) and (3,3)
+        # the answer is the hops' vertex ids, 2 then 3
         _, _, _, client = deploy(four_vertex_directed, "trivial")
         resp = client.query(0, 3)
-        assert resp == [2 * 4 + 3, 3 * 4 + 3]
+        assert resp == [2, 3]
         assert reveal(resp, 0, 3, 4) == [0, 2, 3]
 
     def test_diagonal_empty(self, four_vertex_directed):
@@ -305,13 +308,12 @@ class TestQueryReveal:
 
     @pytest.mark.parametrize(
         "resp, fault",
-        [([11, 7], "does not terminate"), ([11, 14], "does not head"), ([11, 19], "does not head")],
-        ids=["last-hop-not-diagonal", "hop-to-another-vertex", "hop-past-the-graph"],
+        [([2, 1], "does not terminate"), ([4, 3], "hop 4 is not a vertex"), ([2, 7], "hop 7 is not a vertex")],
+        ids=["last-hop-not-the-destination", "hop-past-the-graph", "last-hop-past-the-graph"],
     )
     def test_reveal_rejects_a_path_off_the_destination(self, resp, fault):
-        # |V|=4, dest 3: every hop is some w*4+3, and the last 3*4+3 = 15;
-        # 7 is (1,3), 14 is (3,2) and 19 is (4,3), past the last vertex
-        assert reveal([11, 15], 0, 3, 4) == [0, 2, 3]
+        # |V|=4, dest 3: every hop is a vertex below 4, and the last is 3
+        assert reveal([2, 3], 0, 3, 4) == [0, 2, 3]
         with pytest.raises(IntegrityError, match=fault):
             reveal(resp, 0, 3, 4)
 
@@ -334,7 +336,7 @@ class TestQueryReveal:
                 r for r in host.trace.records[before:]
                 if r.msg_type == "ReadPath" and r.tree_id == 0
             ]
-            assert len(reads) == plen + 1
+            assert len(reads) == rounds(plen)
 
 
 class TestModeEquivalence:
@@ -356,31 +358,74 @@ class TestModeEquivalence:
                     assert c3.query_path(u, v) == want
 
 
+    def test_answers_are_the_oracle_hops(self, rng):
+        # both deployments answer with the hops' vertex ids: the oracle's
+        # path past its source, empty for u = v and where there is none
+        g = random_graph(rng, 12, 0.25)
+        oracle = PathOracle(g)
+        for mode in ("trivial", "enhanced"):
+            _, _, _, client = deploy(g, mode)
+            for u in range(12):
+                for v in range(12):
+                    assert client.query(u, v) == (oracle.path(u, v) or [u])[1:], (mode, u, v)
+
+
 class TestController:
     def test_request_width_content_independent(self, four_vertex_directed):
         result, _, _, client = deploy(four_vertex_directed, "enhanced")
         session = Cipher(result.client.session_key)
-        widths = {len(session.encrypt(encode_pair(u, v))) for u in range(4) for v in range(4)}
+        widths = {len(session.encrypt(encode_pair(u, v), REQUEST_LABEL)) for u in range(4) for v in range(4)}
         assert widths == {REQUEST_WIDTH}
 
-    def test_response_is_a_count_and_four_bytes_a_hop(self, four_vertex_directed):
+    def test_response_is_a_count_and_two_bytes_a_hop(self, four_vertex_directed):
         # the host sees the response's width, which the path length alone
-        # sets: the session overhead, a 2-byte count, 4 bytes a hop
+        # sets: the session overhead, a 2-byte count, 2 bytes a hop
         _, host, _, client = deploy(four_vertex_directed, "enhanced")
         for (u, v), hops in {(0, 3): 2, (0, 1): 1, (2, 2): 0, (3, 0): 0}.items():
             assert len(client.query(u, v)) == hops
             record = host.trace.records[-1]
             assert record.msg_type == "EnclaveResponse"
-            assert record.byte_count == response_width(hops) == CT_OVERHEAD + 2 + 4 * hops
+            assert record.byte_count == response_width(hops) == CT_OVERHEAD + 2 + 2 * hops
 
     @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4])
     def test_response_of_another_width_is_refused(self, four_vertex_directed, extra):
-        # a response whose body is not its count's 4 bytes a hop, though
-        # authentic, is refused rather than cut to the count
+        # a response whose body is not its count's 2 bytes a hop, though
+        # authentic and bound to its request, is refused rather than cut to
+        # the count
         result, _, _, client = deploy(four_vertex_directed, "enhanced")
         session, send = Cipher(result.client.session_key), client.transport
-        client.transport = lambda ct: session.encrypt(session.decrypt(send(ct)) + extra)
+
+        def widen(ct):
+            ad = RESPONSE_LABEL + ct
+            return session.encrypt(session.decrypt(send(ct), ad) + extra, ad)
+
+        client.transport = widen
         with pytest.raises(ProtocolError, match="does not hold its hop count"):
+            client.query(0, 3)
+
+    @pytest.mark.parametrize("kept", [(0, 3), (2, 2)], ids=["earlier-response", "earlier-empty-response"])
+    def test_replayed_response_is_refused(self, four_vertex_directed, kept):
+        # a host that keeps one authentic response and returns it for a
+        # later query: each response is bound to its own request
+        _, _, _, client = deploy(four_vertex_directed, "enhanced")
+        send, held = client.transport, []
+
+        def replay(ct):
+            if not held:
+                held.append(send(ct))
+            return held[0]
+
+        client.transport = replay
+        client.query(*kept)
+        with pytest.raises(IntegrityError):
+            client.query(1, 3)
+
+    def test_request_echoed_back_is_refused(self, four_vertex_directed):
+        # the request itself, an authentic ciphertext under the session
+        # key, does not pass for its response
+        _, _, _, client = deploy(four_vertex_directed, "enhanced")
+        client.transport = lambda ct: ct
+        with pytest.raises(IntegrityError):
             client.query(0, 3)
 
     def test_repeated_query_fresh_trace(self, four_vertex_directed):
@@ -407,7 +452,7 @@ class TestController:
         session = Cipher(result.client.session_key)
         before = len(host.trace)
         with pytest.raises(IndexError):
-            client.transport(session.encrypt(encode_pair(0, 99)))
+            client.transport(session.encrypt(encode_pair(0, 99), REQUEST_LABEL))
         storage_msgs = [
             r for r in host.trace.records[before:] if r.msg_type in ("ReadPath", "WritePath")
         ]

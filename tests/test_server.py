@@ -406,6 +406,33 @@ class TestDaemon:
         finally:
             daemon.shutdown()
 
+    def test_previous_wire_version_is_refused_by_version(self, tmp_path):
+        # a wire-version-2 client's first frame, an enclave request under
+        # the session key with no direction label: the daemon names the
+        # version, not an authentication failure, and the controller
+        # touches no path
+        import socket
+        import struct
+
+        from obge.crypto import encode_pair
+
+        g, result, cfg, daemon = self._spin_up(tmp_path, mode="enhanced")
+        try:
+            before = len(daemon.server.host.trace)
+            ct = Cipher(result.client.session_key).encrypt(encode_pair(0, 5))
+            s = socket.create_connection(("127.0.0.1", daemon.port), timeout=10)
+            s.sendall(struct.pack(">2sBBI", wire.MAGIC, 2, wire.MSG_ENCLAVE_REQUEST, len(ct)) + ct)
+            data = b""
+            while chunk := s.recv(4096):  # read to EOF
+                data += chunk
+            s.close()
+            resp = wire.decode_payload(*wire.read_frame(_Reader(data)))
+            assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+            assert resp.detail == "unsupported version 2"
+            assert len(daemon.server.host.trace) == before
+        finally:
+            daemon.shutdown()
+
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_tcp_path_access_only_without_controller(self, tmp_path, mode):
         g, result, cfg, daemon = self._spin_up(tmp_path, mode=mode)

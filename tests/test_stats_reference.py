@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from obge.audit import _chi2_sf, bin_leaves, two_sample_pvalue, uniformity_pvalue
+from obge.audit import _chi2_sf, bin_leaves, two_sample_pvalue, uniformity_bins, uniformity_pvalue
 
 # scipy's smallest reading that a relative bound is held to
 FLOOR = 1e-300
@@ -45,12 +45,18 @@ def _leaf_samples(rng):
 def test_audit_pvalues_match_scipy():
     rng = random.Random(0x5C1)
     worst_uniform = worst_two_sample = 0.0
-    yates = 0
+    yates = binned = 0
     for _ in range(1500):
         a, b, leaf_space = _leaf_samples(rng)
-        ref = stats.chisquare(bin_leaves(a, leaf_space)).pvalue
-        if ref >= FLOOR:
-            worst_uniform = max(worst_uniform, relative_error(uniformity_pvalue(a, leaf_space), ref))
+        # the uniformity test bins as uniformity_bins says; one bin reads 1
+        bins = uniformity_bins(len(a), leaf_space)
+        if bins == 1:
+            assert uniformity_pvalue(a, leaf_space) == 1.0
+        else:
+            binned += 1
+            ref = stats.chisquare(bin_leaves(a, leaf_space, bins)).pvalue
+            if ref >= FLOOR:
+                worst_uniform = max(worst_uniform, relative_error(uniformity_pvalue(a, leaf_space), ref))
         table = np.array([bin_leaves(a, leaf_space), bin_leaves(b, leaf_space)])
         table = table[:, table.sum(axis=0) > 0]
         if table.shape[1] < 2:
@@ -60,7 +66,7 @@ def test_audit_pvalues_match_scipy():
         yates += res.dof == 1
         if res.pvalue >= FLOOR:
             worst_two_sample = max(worst_two_sample, relative_error(two_sample_pvalue(a, b, leaf_space), res.pvalue))
-    assert yates >= 100
+    assert yates >= 100 and binned >= 1000
     assert worst_uniform <= 1e-12
     assert worst_two_sample <= 1e-12
 
