@@ -9,12 +9,13 @@ A block's token is ``blk[TOKEN]``, and its leaf is the last
 ``leaf_width`` bytes, from ``head_width`` on: as many whole bytes as the
 tree's depth L needs, so 2 at depths 9 to 16 and none in a one-leaf tree.
 The payload width W is fixed per tree.  A data block's payload is its next
-hop as a 2-byte vertex id (``HOP``); the query engine knows the
-destination v and forms the hop's address w*|V|+v itself, so |V| is at most
-2^16 (``protocol.MAX_VERTICES``).  Position-map trees carry the payload
-width the map's shape rule picks, 16 to 512 bytes of packed leaf entries,
-each as wide as the tree it points into needs (see ``recursive``).  A tree
-has at most 2^32 leaves.
+hop as a 2-byte vertex id (``HOP``), or its source itself where it has
+none; the query engine knows the destination v and forms the hop's address
+w*|V|+v itself, so |V| is at most 2^16 (``protocol.MAX_VERTICES``).  Every
+address has a block, so no leaf value is reserved.  Position-map trees
+carry the payload width the map's shape rule picks, 16 to 512 bytes of
+packed leaf entries, each as wide as the tree it points into needs (see
+``recursive``).  A tree has at most 2^32 leaves.
 
 A bucket's plaintext, which ``oram`` builds and reads, is a count byte and
 then Z slots: its count of real blocks first, packed end to end, then zero
@@ -41,10 +42,6 @@ from functools import cached_property
 from typing import Iterable
 
 from .crypto import TOKEN_BYTES, ciphertext_width
-
-# reserved leaf value marking "no block stored at this address"; the map
-# returns it and stores it as an all-ones cell, no block holds it
-ABSENT = (1 << 64) - 1
 
 TOKEN = slice(0, TOKEN_BYTES)
 HOP = struct.Struct(">H")  # a data block's payload: its next hop's vertex id

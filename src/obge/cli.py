@@ -67,7 +67,8 @@ def cmd_setup(args) -> int:
         shape = positions.shape
         print(f"position map: chain depth {positions.chain_depth}")
         print(
-            f"position map: {shape.payload}-byte level payloads, {shape.host_buckets} host buckets "
+            f"position map: {shape.payload}-byte level payloads, "
+            f"{shape.host_buckets} host bucket{'s' * (shape.host_buckets != 1)} "
             f"and {shape.host_bytes} host bytes per round"
         )
     return EXIT_OK

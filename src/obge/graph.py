@@ -9,8 +9,11 @@ deterministic and lets independent computations agree exactly.
 
 The table holds no Python object per entry: ``compute_sp_matrix`` fills
 one dense array('i') of |V|^2 next hops in address order, cell u*|V|+v,
--1 where there is none, from per-source distances kept as arrays over the
-vertices each source reaches.  ``compute_spdx`` is a read-only mapping
+from per-source distances kept as arrays over the vertices each source
+reaches.  A cell with no hop (u = v, or v unreachable) holds u itself: a
+next hop never equals its source, because ``Graph`` refuses self-loops,
+so every cell is a vertex id and the table is the encrypted dictionary's
+block payloads as they stand.  ``compute_spdx`` is a read-only mapping
 view over that array.
 """
 
@@ -21,7 +24,6 @@ from array import array
 from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterable, TextIO
 
 from .exceptions import GraphFormatError
@@ -181,7 +183,8 @@ class SPMatrix:
     """All-pairs next-hop table: cell (u, v) holds the vertex right after u
     on the canonical shortest u->v path, or None when u = v or v is
     unreachable.  The cells are one dense array('i') in address order, cell
-    u*|V|+v, with -1 for None: 4|V|^2 bytes, and no object per entry."""
+    u*|V|+v, with u itself for None: 4|V|^2 bytes, and no object per
+    entry.  count is the number of cells that hold a hop."""
 
     def __init__(self, dimension: int, table: array, count: int):
         self.dimension = dimension
@@ -192,7 +195,7 @@ class SPMatrix:
         self._check(u)
         self._check(v)
         w = self.table[u * self.dimension + v]
-        return None if w < 0 else w
+        return None if w == u else w
 
     def _check(self, x: int) -> None:
         if not (0 <= x < self.dimension):
@@ -203,23 +206,11 @@ class SPMatrix:
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         """((u, v), w) for every cell that holds a hop, in address order."""
-        n = self.dimension
-        for addr, w in enumerate(self.table):
-            if w >= 0:
-                yield divmod(addr, n), w
-
-    def rows(self) -> Iterator[tuple[int, array, array]]:
-        """(u, columns, hops) for every source u whose row holds a hop, in
-        address order: the columns v of the row's cells that hold one,
-        ascending, and their hops w, both array('I').  Each row is read by
-        iterators that run in C, so no Python statement runs per cell."""
         n, table = self.dimension, self.table
-        holds = (-1).__lt__  # a cell holds a hop when -1 < w
         for u in range(n):
-            row = table[u * n : (u + 1) * n]
-            hops = array("I", filter(holds, row))
-            if hops:
-                yield u, array("I", compress(range(n), map(holds, row))), hops
+            for v, w in enumerate(table[u * n : (u + 1) * n]):
+                if w != u:
+                    yield (u, v), w
 
 
 def _exact_as_doubles(g: Graph) -> bool:
@@ -245,8 +236,9 @@ def compute_sp_matrix(g: Graph) -> SPMatrix:
     vertices it reaches, hops in array('i') and, in a weighted graph,
     weights in array('d') when that is exact and in a list otherwise; a
     source's own distances are spread over |V|-cell scratch arrays while
-    its row of the table is filled.  Diagonal cells and unreachable pairs
-    hold -1 (None).
+    its row of the table is filled.  Each row starts as |V| copies of its
+    source u, written at C level, so diagonal cells and unreachable pairs
+    hold u (None).
     """
     n = g.vertex_count
     weighted = g.is_weighted
@@ -262,7 +254,9 @@ def compute_sp_matrix(g: Graph) -> SPMatrix:
         hops = array("i", [h for _, h in dist.values()])
         rows.append((array("i", dist), hops, weights(d for d, _ in dist.values()) if weighted else None))
 
-    table = array("i", [-1]) * (n * n)
+    table = array("i")
+    for u in range(n):
+        table += array("i", [u]) * n
     count = 0
     to_hops = array("i", [-1]) * n  # u's hops to each vertex; -1 where unreached
     to_weight = weights([0] * n) if weighted else None
@@ -274,17 +268,18 @@ def compute_sp_matrix(g: Graph) -> SPMatrix:
             for v, d in zip(reached, dists):
                 to_weight[v] = d
         base = u * n
-        # the diagonal never matches: to_hops[u] is 0, and hv + 1 is at least 1
+        # the diagonal never matches: to_hops[u] is 0, and hv + 1 is at least
+        # 1; a cell still holding u has no hop yet, since a neighbor w is not u
         for w, wt in adj[u]:  # neighbors ascend, so the first match is the canonical hop
             w_reached, w_hops, w_dists = rows[w]
             if weighted:
                 for v, hv, dv in zip(w_reached, w_hops, w_dists):
-                    if to_hops[v] == hv + 1 and to_weight[v] == dv + wt and table[base + v] < 0:
+                    if to_hops[v] == hv + 1 and to_weight[v] == dv + wt and table[base + v] == u:
                         table[base + v] = w
                         count += 1
             else:  # every weight is 1, so a distance's weight is its hop count
                 for v, hv in zip(w_reached, w_hops):
-                    if to_hops[v] == hv + 1 and table[base + v] < 0:
+                    if to_hops[v] == hv + 1 and table[base + v] == u:
                         table[base + v] = w
                         count += 1
         for v in reached:

@@ -1,11 +1,12 @@
 """Path ORAM engine: oblivious single-block access over a bucket tree.
 
-Every access, hit or miss, reads one root-to-leaf path and writes it back
-re-encrypted, so the storage owner sees a fixed-shape (read, write) pair
-per access and a leaf id that is always a fresh uniform sample.  Real
-blocks that a write-back cannot place stay with the engine, held as the
-packed bytes of their bucket slots until a later write-back can evict them
-to a compatible bucket; an access decodes only the block it returns.
+Every access, to a block or a dummy one, reads one root-to-leaf path and
+writes it back re-encrypted, so the storage owner sees a fixed-shape
+(read, write) pair per access and a leaf id that is always a fresh
+uniform sample.  Real blocks that a write-back cannot place stay with the
+engine, held as the packed bytes of their bucket slots until a later
+write-back can evict them to a compatible bucket; an access decodes only
+the block it returns.
 
 The bucket is the unit of encryption: one AES-GCM ciphertext over its
 count byte and Z slots, its real blocks first and then zero slots, so
@@ -141,7 +142,9 @@ class PathOram:
         pull the block from the path or its held group, remap it to
         new_leaf, optionally rewrite its payload, evict, and return it.
         With tk None: a dummy round with identical wire shape, returning
-        None; leaf must then be a fresh uniform sample.
+        None; leaf must then be a fresh uniform sample.  The query loop no
+        longer makes one, since every address has a block; it is kept for
+        rounds that pad a query.
         """
         p = self.params
         if tk is not None and not (0 <= new_leaf < p.leaves):

@@ -1,26 +1,31 @@
 """The graph encryption scheme: setup, query, reveal, and both deployments.
 
-Setup turns the next-hop dictionary into fixed-width blocks keyed by PRF
-tokens, one token per entry, loads them into a Path ORAM tree, and maps
-each block's dense address u*|V|+v to its leaf.  The entry (u,v) -> (w,v)
-becomes a block whose payload is the next hop w as a 2-byte vertex id and
-nothing else: the engine knows the destination v, so it forms the hop's
-address w*|V|+v itself.  The tree has room for a block per ordered pair of
-distinct vertices, |V|^2 - |V| of them, however many pairs are connected,
-so its depth reveals |V| and Z alone.  Vertex ids are 2 bytes, so |V| is
+Setup turns the next-hop table into fixed-width blocks keyed by PRF
+tokens, one block and token for every ordered pair (u, v), |V|^2 of them
+in address order u*|V|+v, loads them into a Path ORAM tree, and maps each
+address to its block's leaf.  The block of (u, v) holds the next hop w as
+a 2-byte vertex id and nothing else: the engine knows the destination v,
+so it forms the hop's address w*|V|+v itself.  A pair with no hop (u = v,
+or no path) holds u itself, which no hop equals, because a graph has no
+self-loops.  So the trees hold the same blocks however many pairs are
+connected, and reveal |V| and Z alone.  Vertex ids are 2 bytes, so |V| is
 at most MAX_VERTICES = 2^16.  A query chases the chain of hops, deriving
-each hop's token from the pair (w, v), with one oblivious access per hop
-plus a terminating miss round, so the storage side observes only the
-round count, ``rounds(|p|)``.  Its answer is the hops' vertex ids, which
-the engine reads from its blocks; the address w*|V|+v never leaves the
-engine and its map.  reveal prepends the source and checks the last hop.
+each hop's token from the pair (w, v), with one oblivious access per hop,
+and stops at the block whose hop is its own source: (v, v) at the end of a
+path, or (u, v) itself when u = v or there is no path.  So the storage side
+observes only the round count, ``rounds(|p|)``.  Its answer is the hops'
+vertex ids, which the engine reads from its blocks; the address w*|V|+v
+never leaves the engine and its map.  reveal prepends the source and
+checks the last hop.
 
-Setup keeps no Python object per entry and runs no Python statement per
-entry: the next-hop table is one dense array (``graph``), read one source
-row at a time; ``build_blocks`` derives a row's tokens in one AES call
-(``crypto.Prf``) and writes its 18-byte block heads column by column into
-one buffer, beside an array('I') of their addresses; and ``oram_init``
-places the blocks straight into the tree's bucket buffer (``oram``).
+Setup keeps no Python object per entry: the next-hop table is one dense
+array (``graph``), read one source row at a time; ``build_blocks``
+derives a row's tokens in one AES call (``crypto.Prf``) and writes its
+18-byte block heads column by column into one buffer, head i for address
+i; and ``rpm_build`` takes the leaves ``oram_init`` drew, already in
+address order, as the map's entries.  The one loop that runs Python
+statements per block is ``oram_init``'s placement, which writes each
+block straight into the tree's bucket buffer (``oram``).
 
 The paper also encrypts each hop (w,v) under a third key, k1, as the
 block's payload, for the client to decrypt.  That ciphertext protected
@@ -77,10 +82,10 @@ load_state validates the parameter block and derives the data tree's
 depth and cached levels (``SchemeParams.data_params``) and the map's shape
 (``SchemeParams.map_shape``, level payload included) from it, as setup
 does.  The top is stored as the map keeps it: big-endian cells as wide as
-the tree its entries point into needs (``recursive.entry_width``), ABSENT
-all ones: one byte each for a data tree of up to 128 leaves, two up to
-32,768.  It comes first, so a file whose |V| was raised runs out of bytes
-before an engine is sized from that |V|.  Held blocks and a stash are
+the tree its entries point into needs (``recursive.entry_width``): one
+byte each for a data tree of up to 256 leaves, two up to 65,536.  It
+comes first, so a file whose |V| was raised runs out of bytes before an
+engine is sized from that |V|.  Held blocks and a stash are
 stored alike: a block count and the packed blocks, group by group, which
 the engine is built from as they stand.  The engines check what they are built with:
 ``PathOram`` its held blocks and ``RecursivePM.load`` the top; load_state
@@ -96,12 +101,11 @@ import os
 import random
 import secrets
 import struct
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .blocks import ABSENT, HEAD_WIDTH, HOP, TreeParams, tree_depth_for, write_heads
+from .blocks import HEAD_WIDTH, HOP, TreeParams, tree_depth_for, write_heads
 from .crypto import (
     KEY_BYTES,
     PAIR_BLOCK,
@@ -158,10 +162,9 @@ class SchemeParams:
 
     @property
     def data_depth(self) -> int:
-        """The data tree's depth: room for a block per ordered pair of
-        distinct vertices, however many are connected, so the tree reveals
-        |V| and Z alone."""
-        return tree_depth_for(max(1, self.address_space - self.vertex_count), self.bucket_size)
+        """The data tree's depth: room for a block per ordered pair, |V|^2,
+        as setup stores them, so the tree reveals |V| and Z alone."""
+        return tree_depth_for(self.address_space, self.bucket_size)
 
     # a controller is held to its budget, which its map and stashes take;
     # with none, and in the trivial client, the whole map counted at its
@@ -235,30 +238,26 @@ class SetupResult:
     spdx_size: int
 
 
-def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, array]:
-    """Tokenize the next-hop dictionary into block heads and their dense
-    addresses, walking its table one source row at a time.
+def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, int]:
+    """Tokenize the next-hop table into block heads, one per address, in
+    address order, walking the table one source row at a time.
 
-    Each entry (u,v) -> (w,v) becomes a block whose identity is P(u,v) and
-    whose payload is the hop w.  A row's tokens come from one PRF call over
-    its packed pair blocks, and its heads are written column by column, so
-    no Python statement runs per entry and what a row allocates is freed
-    before the next.  Returns the heads packed end to end, 18 bytes each,
-    and an array('I') of the entries' addresses u*|V|+v, in the same
-    order, both allocated once from the entry count.
+    The pair (u, v) becomes a block whose identity is P(u,v) and whose
+    payload is its table cell: the hop w, or u where it has none.  A row's
+    tokens come from one PRF call over its |V| packed pair blocks, and its
+    heads are written column by column, so no Python statement runs per
+    pair and what a row allocates is freed before the next.  Returns the
+    heads packed end to end, 18 bytes each, head i for address i, and the
+    next-hop entry count.
     """
     n = g.vertex_count
     spdx = compute_spdx(g)
-    prf = Prf(keys.kprf)
-    heads = bytearray(len(spdx) * HEAD_WIDTH)
-    addresses = array("I", [0]) * len(spdx)
-    at = 0
-    for u, columns, hops in spdx.matrix.rows():
-        tokens = prf_eval(prf, b"".join(map(PAIR_BLOCK.pack, repeat(u), columns)))
-        write_heads(heads, at, tokens, hops)
-        addresses[at : at + len(columns)] = array("I", map((u * n).__add__, columns))
-        at += len(columns)
-    return heads, addresses
+    table, prf = spdx.matrix.table, Prf(keys.kprf)
+    heads = bytearray(n * n * HEAD_WIDTH)
+    for u in range(n):
+        tokens = prf_eval(prf, b"".join(map(PAIR_BLOCK.pack, repeat(u, n), range(n))))
+        write_heads(heads, u * n, tokens, table[u * n : (u + 1) * n])
+    return heads, len(spdx)
 
 
 def setup(
@@ -280,24 +279,25 @@ def setup(
     keys = keygen()
     k2 = Cipher(keys.k2)
 
-    heads, addresses = build_blocks(g, keys)
+    heads, entries = build_blocks(g, keys)
     oram, tree, leaves = oram_init(heads, params.data_params, k2, rng, DATA_TREE_ID)
-    rpm, pm_trees = rpm_build(zip(addresses, leaves), shape, k2, rng)
+    rpm, pm_trees = rpm_build(leaves, shape, k2, rng)
     trees = [tree] + pm_trees
     if mode == MODE_TRIVIAL:
         client = TrivialState(keys=keys, params=params, positions=rpm, oram=oram)
-        return SetupResult(trees, params, keys, client, None, len(addresses))
+        return SetupResult(trees, params, keys, client, None, entries)
 
     session_key = os.urandom(KEY_BYTES)
     controller = ControllerState(keys=keys, session_key=session_key, params=params, positions=rpm, oram=oram)
     client = EnhancedState(params=params, session_key=session_key)
-    return SetupResult(trees, params, keys, client, controller, len(addresses))
+    return SetupResult(trees, params, keys, client, controller, entries)
 
 
 def rounds(path_len: int) -> int:
     """Data-tree rounds of a query whose path has path_len edges: one
-    access per hop, then one on a missing address.  A pair u = v and a pair
-    with no path both count as path_len 0, one round.  This count is what
+    access per hop, then one on the block (v, v), whose hop is v itself.  A
+    pair u = v and a pair with no path both count as path_len 0, one round
+    on the pair's own block.  This count is what
     the host learns of a query: the auditor, the attack lab and the tests
     read it here."""
     return path_len + 1
@@ -346,8 +346,7 @@ class QueryEngine:
     PRF, one AES context under the state's kprf that the engine builds and
     keeps.  Building it attaches store to the data engine and to every
     level engine of the map, and rng to the map, so every path read and
-    write goes through store and every fresh leaf comes from rng; a miss
-    round reads the fresh leaf the map returns for the absent address.  A
+    write goes through store and every fresh leaf comes from rng.  A
     query flushes the store before it returns or raises, so no write of it
     is left held back.
     """
@@ -363,11 +362,12 @@ class QueryEngine:
         self.positions.attach(store, rng)
 
     def query(self, u: int, v: int) -> list[int]:
-        """Chase the chain from (u, v): one access per hop, then one on a
-        missing address; returns the hops' vertex ids.  The block of
-        (w, v) holds the hop after w; the engine forms the pair's address
-        w*|V|+v for the map alone, and derives its token from the pair.  An
-        out-of-range pair raises IndexError before any storage access."""
+        """Chase the chain from (u, v), one access per block, until a
+        block's hop is its own source; returns the hops' vertex ids.  The
+        block of (w, v) holds the hop after w, or w itself where there is
+        none; the engine forms the pair's address w*|V|+v for the map
+        alone, and derives its token from the pair.  An out-of-range pair
+        raises IndexError before any storage access."""
         n = self.params.vertex_count
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"vertex pair ({u},{v}) out of range [0, {n})")
@@ -376,12 +376,12 @@ class QueryEngine:
         try:
             while True:
                 old_leaf, new_leaf = self.positions.get_and_remap(w * n + v)
-                if old_leaf == ABSENT:
-                    self.oram.access(None, new_leaf)
-                    return resp
                 tk = prf_eval(self.prf, pair_block(w, v))
-                (w,) = HOP.unpack(self.oram.access(tk, old_leaf, new_leaf).payload)
-                resp.append(w)
+                (hop,) = HOP.unpack(self.oram.access(tk, old_leaf, new_leaf).payload)
+                if hop == w:
+                    return resp
+                resp.append(hop)
+                w = hop
         finally:
             self.store.flush()
 
@@ -460,7 +460,7 @@ _PARAMS = struct.Struct(">IBQ")  # V, Z, budget
 STATE_MAGIC = b"OS"
 # a file of any other version is refused; CHANGES.md records what each
 # older format held
-STATE_VERSION = 17
+STATE_VERSION = 18
 # the party byte indexes this tuple; it also fixes the deployment mode
 _PARTIES = (TrivialState, EnhancedState, ControllerState)
 _PARTY_NAME = {TrivialState: "trivial client", EnhancedState: "enhanced client", ControllerState: "controller"}

@@ -1,6 +1,7 @@
 """Position map of the query engine, flat or recursive.
 
-The map sends each dense address u*|V|+v to the data leaf of its block.
+The map sends each dense address u*|V|+v to the data leaf of its block;
+every address has one, so every entry is a leaf.
 When the whole map, as a dense array of 8-byte entries, exceeds the memory
 budget, it moves into smaller ORAM trees: level 0 packs the data leaves
 into blocks; level i+1 packs the leaves of level-i blocks; levels are added
@@ -12,10 +13,11 @@ the trivial client uses as is.
 
 A level block's payload is P bytes of entries, each as wide as the tree it
 points into needs (``entry_width``): the fewest whole bytes that hold every
-leaf of that tree apart from ABSENT, the all-ones value.  So level j packs
-c_j = P // w_j entries per block, and an address reaches level-j block
-addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) % c_j; the
-payload's last P - c_j*w_j bytes are unused.
+leaf of that tree, as a block's leaf field does, and at least one.  So
+level j packs c_j = P // w_j entries per block, and an address reaches
+level-j block addr // (c_0...c_j) at offset (addr // (c_0...c_{j-1})) %
+c_j.  The payload's last P - c_j*w_j bytes, and the pad entries of a
+level's last block, are never read, and are zero.
 
 P is not a setting: ``map_shape`` picks it, a multiple of 8 from 16 to 512
 bytes that fits the budget.  A wider payload packs more entries a block,
@@ -40,9 +42,8 @@ hands every level the deployment's store and the map its leaf sampler.
 
 The top has the layout of a level payload, in memory and in a state file
 alike: one ``bytearray`` of w-byte big-endian cells, w the entry width of
-the tree the top points into, ABSENT as the all-ones cell.  A flat map
-holds |V|^2 cells, ABSENT where no block exists, so the |V|=200 flat map
-takes 80 KB; a chain holds one cell per last-level block.
+the tree the top points into.  A flat map holds |V|^2 cells, so the
+|V|=200 flat map takes 80 KB; a chain holds one cell per last-level block.
 ``RecursivePM.load`` refuses cells of another total width, and cells that
 are not leaves of the tree they point into.  A remap rewrites the one
 entry it touches, in the top or in a level block's payload, through
@@ -54,11 +55,10 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .blocks import ABSENT, TreeParams, tree_depth_for
+from .blocks import TreeParams, tree_depth_for
 from .crypto import Cipher
 from .exceptions import ConfigError, IntegrityError
 from .oram import PathOram, oram_init
@@ -78,17 +78,16 @@ def level_token(level: int, index: int) -> bytes:
 
 
 def entry_width(leaves: int) -> int:
-    """Bytes of a level entry pointing into a tree of `leaves` leaves:
-    leaves.bit_length() rounded up to whole bytes, so every leaf is below
-    the all-ones value that stands for ABSENT."""
-    return -(-leaves.bit_length() // 8)
+    """Bytes of a level entry pointing into a tree of `leaves` leaves: the
+    fewest whole bytes that hold leaf leaves - 1, as a block's leaf field
+    (``TreeParams.leaf_width``), but at least one, so a one-leaf tree's
+    entries still take a byte."""
+    return max(1, -(-(leaves - 1).bit_length() // 8))
 
 
 def read_entry(cells: bytes | bytearray, at: int, w: int) -> int:
-    """The leaf in the w-byte cell at byte offset at, or ABSENT if the cell
-    is all ones."""
-    entry = int.from_bytes(cells[at : at + w], "big")
-    return ABSENT if entry == (1 << 8 * w) - 1 else entry
+    """The leaf in the w-byte cell at byte offset at."""
+    return int.from_bytes(cells[at : at + w], "big")
 
 
 def write_entry(cells: bytearray, at: int, w: int, leaf: int) -> None:
@@ -183,9 +182,9 @@ class RecursivePM:
     levels holds each level's Path ORAM engine, one per level of shape:
     levels[0] holds data positions; levels[-1] is the level whose block
     positions sit in the top's cells.  An empty chain is the flat base case:
-    the top holds the data positions directly, ABSENT for addresses with no
-    block.  The level engines read and write through the store, and the map
-    draws fresh leaves from the sampler, handed to ``attach``.
+    the top holds the data positions directly.  The level engines read and
+    write through the store, and the map draws fresh leaves from the
+    sampler, handed to ``attach``.
     """
 
     def __init__(self, shape: MapShape, levels: list[PathOram], top: bytearray):
@@ -198,25 +197,18 @@ class RecursivePM:
     def load(cls, shape: MapShape, levels: list[PathOram], cells: bytes) -> RecursivePM:
         """The map over a top read from a state file, kept as it is read:
         shape.top_width cells of w bytes, each a leaf of the tree the top
-        points into, or all ones (ABSENT) in a flat map; IntegrityError
-        otherwise.  The leaf count is a power of two, so a cell is a leaf
+        points into; IntegrityError otherwise.  The leaf count is a power of
+        two and w the fewest bytes that hold its leaves, so a cell is a leaf
         exactly when its high byte is below leaves >> 8(w-1): one pass over
-        the high byte column checks every cell, and one big-int test per
-        other column checks that a high byte of all ones starts an all-ones
-        cell."""
+        the high byte column checks every cell."""
         leaves, w, n = shape.targets[-1], shape.top_entry_width, shape.top_width
         if len(cells) != n * w:
             raise IntegrityError(f"top of {len(cells)} bytes, the map's shape has {n} entries of {w} bytes")
-        flat, limit = not shape.levels, leaves >> 8 * (w - 1)
-        # each cell's high byte marked 0 for a leaf, 0xFF for a flat map's
-        # ABSENT if the rest of the cell is all ones too, and 1 otherwise
-        marks = cells[::w].translate(bytes(0 if b < limit else 0xFF if flat and b == 0xFF else 1 for b in range(256)))
-        absent = int.from_bytes(marks, "big")
-        if 1 in marks or any(int.from_bytes(cells[k::w], "big") & absent != absent for k in range(1, w)):
-            for at in range(n):
-                value = int.from_bytes(cells[at * w : (at + 1) * w], "big")
-                if value >= leaves and not (flat and value == (1 << 8 * w) - 1):
-                    raise IntegrityError(f"top entry {at} is leaf {value}, but its tree has {leaves} leaves")
+        high, limit = cells[::w], leaves >> 8 * (w - 1)
+        if high and max(high) >= limit:
+            at = next(at for at, b in enumerate(high) if b >= limit)
+            value = read_entry(cells, at * w, w)
+            raise IntegrityError(f"top entry {at} is leaf {value}, but its tree has {leaves} leaves")
         return cls(shape, levels, bytearray(cells))
 
     @property
@@ -239,11 +231,8 @@ class RecursivePM:
     def get_and_remap(self, addr: int) -> tuple[int, int]:
         """Resolve the data leaf for an address and install a fresh one.
 
-        Returns (old_leaf, new_leaf); old_leaf is ABSENT for addresses with
-        no stored block, in which case the stored entry stays ABSENT and
-        new_leaf, stored nowhere, is a uniform data leaf for the miss
-        round.  The chain performs one full-shape oblivious access per
-        level whether or not the address is present.
+        Returns (old_leaf, new_leaf).  The chain performs one full-shape
+        oblivious access per level.
         """
         shape = self.shape
         if not (0 <= addr < shape.address_space):
@@ -257,13 +246,9 @@ class RecursivePM:
         at = addr // spans[depth] * w
         old = read_entry(self.top, at, w)
         fresh = randrange(targets[depth])
-        if old != ABSENT:
-            write_entry(self.top, at, w, fresh)
+        write_entry(self.top, at, w, fresh)
 
         for j in range(depth - 1, -1, -1):
-            index = addr // spans[j + 1]
-            if old == ABSENT:
-                raise IntegrityError(f"position block {index} at level {j} is unmapped")
             level = shape.levels[j]
             w = level.width
             offset = (addr // spans[j]) % level.per_block
@@ -273,61 +258,53 @@ class RecursivePM:
             def rewrite(payload: bytes, at=offset * w, w=w, new=new, captured=captured) -> bytearray:
                 cells = bytearray(payload)
                 captured.append(read_entry(cells, at, w))
-                if captured[0] != ABSENT:
-                    write_entry(cells, at, w, new)
+                write_entry(cells, at, w, new)
                 return cells
 
-            self.levels[j].access(level_token(j, index), old, fresh, rewrite)
+            self.levels[j].access(level_token(j, addr // spans[j + 1]), old, fresh, rewrite)
             old, fresh = captured[0], new
         return old, fresh
 
 
 def pack_entries(entries: array, w: int, count: int) -> bytearray:
     """count w-byte big-endian cells, the low w bytes of each entry of an
-    array('Q') and then ABSENT (all one bits) to pad, built a byte column
-    at a time from the entries' native bytes.  An 8-byte ABSENT truncates
-    to the w-byte one."""
-    raw = entries.tobytes()
-    cells = bytearray(b"\xff") * (count * w)
+    unsigned array and then zero cells to pad, built a byte column at a
+    time from the entries' native bytes."""
+    raw, size = entries.tobytes(), entries.itemsize
+    cells = bytearray(count * w)
     end = len(entries) * w
     for k in range(w):  # the k-th most significant byte of every cell
-        cells[k:end:w] = raw[8 - w + k if sys.byteorder == "big" else w - 1 - k :: 8]
+        cells[k:end:w] = raw[size - w + k if sys.byteorder == "big" else w - 1 - k :: size]
     return cells
 
 
 def rpm_build(
-    assignments: Iterable[tuple[int, int]],
+    leaves: array,
     shape: MapShape,
     cipher: Cipher,
     rng: random.Random,
 ) -> tuple[RecursivePM, list[TreeStorage]]:
-    """Build the map of the given shape for a data-level leaf assignment,
-    given as (address, leaf) pairs.  Level i is tree i + 1, after the data
-    tree 0.
+    """Build the map of the given shape for the data leaves of every
+    address, in address order, as an array('I').  Level i is tree i + 1,
+    after the data tree 0.
 
     Returns the map and the level trees to hand to the server; the level
     engines have no store, and the map no leaf sampler, until the map is
     attached.
     """
-    entries = array("Q", [ABSENT]) * shape.address_space
-    for addr, leaf in assignments:
-        entries[addr] = leaf
-
+    entries = leaves
     levels: list[PathOram] = []
     trees: list[TreeStorage] = []
     for i, level in enumerate(shape.levels):
         # the entries above become this level's payloads, as many entries
-        # to a block as fit at the width of the tree they point into, the
-        # last block padded with ABSENT entries and each payload's unused
-        # tail with one bits
+        # to a block as fit at the width of the tree they point into
         params, w = level.params, level.width
         span = level.per_block * w
-        tail = b"\xff" * (params.payload_width - span)
+        tail = bytes(params.payload_width - span)
         cells = pack_entries(entries, w, level.blocks * level.per_block)
         heads = b"".join(level_token(i, b) + cells[b * span : (b + 1) * span] + tail for b in range(level.blocks))
-        engine, tree, leaves = oram_init(heads, params, cipher, rng, i + 1)
+        engine, tree, entries = oram_init(heads, params, cipher, rng, i + 1)
         levels.append(engine)
         trees.append(tree)
-        entries = array("Q", leaves)
     top = pack_entries(entries, shape.top_entry_width, shape.top_width)
     return RecursivePM(shape, levels, top), trees

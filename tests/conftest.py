@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from obge import wire
-from obge.blocks import HEAD_WIDTH, HOP, TreeParams, tree_depth_for
+from obge.blocks import HEAD_WIDTH, HOP, TreeParams, tree_depth_for, write_heads
 from obge.crypto import Cipher, Prf, pair_block, prf_eval
 from obge.graph import Graph
 from obge.oram import oram_init
@@ -61,25 +61,29 @@ def chain_graph(n: int) -> Graph:
 
 
 def chain_blocks(keys, chains, length):
-    """Next-hop entries of chains 0 -> 1 -> ... -> length-1 -> d, one per
-    destination d in [length, length + chains), built without a graph.
+    """The block heads of every ordered pair of n = length + chains
+    vertices, built without a graph: chains 0 -> 1 -> ... -> length-1 -> d,
+    one per destination d in [length, n).
 
-    Entry (u, d) has hop u+1, and the last one d itself, so query
-    (u, d) makes length - u hits and then one miss round on the absent
-    address of (d, d).  Returns the vertex count, the block heads in order
-    u within d, packed end to end as build_blocks packs them (each starts
-    with its 16-byte token), and their dense addresses u*n+d in an
-    array('I').
+    Pair (u, d), u < length, has hop u+1, and the last one d itself; every
+    other pair holds its source, no hop.  So query (u, d) makes length - u
+    rounds along the chain and then one on (d, d).  Returns n and the n^2
+    heads in address order, packed end to end as build_blocks packs them
+    (each starts with its 16-byte token).
     """
     n = length + chains
-    prf = Prf(keys.kprf)
-    heads, addrs = bytearray(), array("I")
+    hops = array("H")
+    for u in range(n):
+        hops += array("H", [u]) * n
     for d in range(length, n):
         for u in range(length):
-            w = u + 1 if u + 1 < length else d
-            heads += prf_eval(prf, pair_block(u, d)) + HOP.pack(w)
-            addrs.append(u * n + d)
-    return n, heads, addrs
+            hops[u * n + d] = u + 1 if u + 1 < length else d
+    prf = Prf(keys.kprf)
+    heads = bytearray(n * n * HEAD_WIDTH)
+    for u in range(n):
+        pairs = b"".join(pair_block(u, v) for v in range(n))
+        write_heads(heads, u * n, prf_eval(prf, pairs), hops[u * n : (u + 1) * n])
+    return n, heads
 
 
 def split_heads(heads) -> list[bytes]:
@@ -89,7 +93,7 @@ def split_heads(heads) -> list[bytes]:
 
 def top_entries(positions) -> list[int]:
     """The position map's top entries, each read from its cell as the map
-    reads it: a leaf, or ABSENT."""
+    reads it."""
     w = positions.shape.top_entry_width
     return [read_entry(positions.top, at, w) for at in range(0, len(positions.top), w)]
 
@@ -106,25 +110,25 @@ def chain_engine(keys, chains, length, rng, Z=5, cached=0):
     position map, with the data tree's top `cached` levels in the engine and
     the rest in its own storage host.  The tree's geometry is its own, not
     the one setup would derive for the scheme parameters, so any `cached`
-    can be chosen.  Returns (engine, host, tree, packed heads, addrs)."""
-    n, blocks, addrs = chain_blocks(keys, chains, length)
-    return trivial_engine(keys, n, blocks, addrs, rng, Z, cached)
+    can be chosen.  Returns (engine, host, tree, packed heads)."""
+    n, heads = chain_blocks(keys, chains, length)
+    return trivial_engine(keys, n, heads, rng, Z, cached)
 
 
-def trivial_engine(keys, n, blocks, addrs, rng, Z=5, cached=0):
-    """chain_engine's engine over any packed block heads of an n-vertex
-    graph and their dense addresses, such as build_blocks makes."""
+def trivial_engine(keys, n, heads, rng, Z=5, cached=0):
+    """chain_engine's engine over the packed block heads of every ordered
+    pair of an n-vertex graph, in address order, such as build_blocks
+    makes."""
     k2 = Cipher(keys.k2)
-    tp = data_tree(len(addrs), Z, cached)
-    oram, tree, leaves = oram_init(blocks, tp, k2, rng)
+    tp = data_tree(n * n, Z, cached)
+    oram, tree, leaves = oram_init(heads, tp, k2, rng)
     host = StorageHost([tree])
     params = SchemeParams(vertex_count=n, bucket_size=Z)
-    # the trivial client's budget is the whole dense map, so it stays flat;
-    # it points into this tree, sized by block count, not by |V|
+    # the trivial client's budget is the whole dense map, so it stays flat
     shape = map_shape(params.address_space, params.map_budget, Z, tp.leaves)
-    positions, _ = rpm_build(zip(addrs, leaves), shape, k2, rng)
+    positions, _ = rpm_build(leaves, shape, k2, rng)
     state = TrivialState(keys, params, positions, oram)
-    return TrivialClient(state, host, rng).engine, host, tree, blocks, addrs
+    return TrivialClient(state, host, rng).engine, host, tree, heads
 
 
 @pytest.fixture

@@ -186,17 +186,18 @@ def test_access_pattern_indistinguishability():
 # Criterion 4: empirical stash bound at Z=5, depth 12
 
 def _stash_bound_z5_depth12(cached: int) -> None:
-    """10^5 accesses on a maximally packed depth-12 tree, made by the query
+    """10^5 accesses on an almost full depth-12 tree, made by the query
     engine over a flat position map, with the top `cached` levels in the
     engine: the blocks it holds peak at most at 64 plus the Z(2^k - 1)
     slots of the top buckets, at k=0 a stash of at most 64, and never trip
-    the limit of STASH_MAX = 128 plus those slots.  The blocks form 160
-    chains of 128 hops; each query walks one whole chain and ends with one
-    miss round, so 128 of every 129 accesses remap a real block."""
+    the limit of STASH_MAX = 128 plus those slots.  The tree holds a block
+    for each pair of 143 vertices; 15 chains of 128 hops run through them,
+    and each query walks one whole chain and ends on the block (d, d), so
+    every access remaps a real block."""
     rng = random.Random(0x57A5)
     keys = keygen()
-    chains, length = 160, 128  # 5 * 4096 blocks fill every slot depth 12 budgets for
-    engine, _, tree, _, _ = chain_engine(keys, chains, length, rng, cached=cached)
+    chains, length = 15, 128  # 143^2 = 20,449 blocks fill all but 31 of the 5 * 4096 slots of depth 12
+    engine, _, tree, _ = chain_engine(keys, chains, length, rng, cached=cached)
     assert tree.params.depth == 12 and tree.params.cached == cached
     oram = engine.oram
     top_slots = 5 * ((1 << cached) - 1)
@@ -207,7 +208,7 @@ def _stash_bound_z5_depth12(cached: int) -> None:
     assert oram.max_stash_seen <= bound, f"held blocks peaked at {oram.max_stash_seen}"
     _report(
         "stash-bound",
-        f"Z=5, depth 12, {cached} cached levels, {chains * length} blocks, "
+        f"Z=5, depth 12, {cached} cached levels, {(chains + length) ** 2} blocks, "
         f"{oram.access_count} accesses, peak held {oram.max_stash_seen} <= {bound}",
     )
 
@@ -225,7 +226,7 @@ def test_stash_bound_z5_depth12_cached_top():
 def test_stash_bound_z5_depth12_trivial_k():
     # the k the trivial client keeps of a depth-12 tree: 4,095 top buckets'
     # 20,475 slots are held blocks, and the host stores the leaf level
-    # alone, whose 20,480 slots the 20,480 blocks fill
+    # alone, whose 20,480 slots the 20,449 blocks all but fill
     _stash_bound_z5_depth12(cached=12)
 
 

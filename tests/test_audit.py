@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 
 import pytest
+from scipy import stats
 
 from obge.audit import (
     QueryShape,
@@ -19,6 +20,7 @@ from obge.exceptions import ProtocolError
 from obge.graph import Graph, PathOracle
 from obge.crypto import CT_OVERHEAD
 from obge.protocol import rounds, setup
+from obge.recursive import write_entry
 from obge.server import deploy_inprocess
 from obge.storage import AccessTrace
 from conftest import random_graph
@@ -185,16 +187,16 @@ class TestPersistedArtifacts:
         [("trivial", {}, [0]), ("enhanced", {"bucket_size": 2, "budget": 32}, [0, 1, 2])],
         ids=["trivial", "enhanced-chain-2"],
     )
-    def test_miss_only_trace_is_uniform_per_tree(self, mode, scheme, trees):
-        # every data round of u = v and of unreachable pairs is a miss,
-        # which reads the fresh leaf the map drew for the absent address.
-        # At Z=2 a 32-byte budget gives a chain of depth 2 whose level
-        # trees have 64 and 2 leaves
+    def test_no_hop_trace_is_uniform_per_tree(self, mode, scheme, trees):
+        # a query of u = v or of an unreachable pair is one round, on the
+        # pair's own block, whose hop is its source; the round reads the
+        # leaf that block was remapped to when it was last read, or placed
+        # at by setup.  At Z=2 a 32-byte budget gives a chain of depth 2
         rng = random.Random(13)
         g = random_graph(rng, 36, 0.04)
         oracle = PathOracle(g)
-        misses = [(u, v) for u in range(36) for v in range(36) if u == v or oracle.path(u, v) is None]
-        host, truths = run_workload(g, [rng.choice(misses) for _ in range(600)], mode=mode, **scheme)
+        no_hop = [(u, v) for u in range(36) for v in range(36) if u == v or oracle.path(u, v) is None]
+        host, truths = run_workload(g, [rng.choice(no_hop) for _ in range(600)], mode=mode, **scheme)
         assert sorted(host.trees) == trees
         assert {t.path_len for t in truths} == {0}
         report = audit_trace(host.trace, truths, geometry(host))
@@ -376,3 +378,53 @@ class TestMutations:
         assert "leaf uniformity, tree 1 (" in report.summary()
         assert "FAIL" in report.summary().splitlines()[3]
 
+
+
+class TestLinkage:
+    """Path ORAM reads a block at a leaf independent of every earlier read
+    of it, which uniform marginals do not show.  Two runs of one query read
+    the same blocks in the same order, so each round gives a pair: its leaf
+    at one run and at the next, the block's old leaf and the fresh one its
+    remap drew."""
+
+    @pytest.mark.parametrize("remap", ["fresh", "predictable"])
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_remap_is_unlinkable(self, mode, remap):
+        # 20 pairs of a 60-vertex graph, each queried 40 times over a flat
+        # map; a chi-square independence test over 8 x 8 bins of the leaf
+        # pairs.  A remap to x -> 5x + 1 mod 2^L in place of a fresh leaf
+        # is a permutation, so every marginal stays uniform, but each leaf
+        # names the next one: the test must see that
+        rng = random.Random(16)
+        g = random_graph(rng, 60, 0.05)
+        result = setup(g, mode=mode, rng=rng)
+        host, server, client = deploy_inprocess(result, rng=rng)
+        positions = (client if mode == "trivial" else server.controller).engine.positions
+        assert positions.chain_depth == 0
+        leaves, w = result.trees[0].params.leaves, positions.shape.top_entry_width
+        if remap == "predictable":
+            draw = positions.get_and_remap
+
+            def get_and_remap(addr):
+                old, _ = draw(addr)
+                new = (5 * old + 1) % leaves
+                write_entry(positions.top, addr * w, w, new)
+                return old, new
+
+            positions.get_and_remap = get_and_remap
+        table = [[0] * 8 for _ in range(8)]
+        for u, v in [(rng.randrange(60), rng.randrange(60)) for _ in range(20)]:
+            last = None
+            for _ in range(40):
+                start = len(host.trace.records)
+                client.query_path(u, v)
+                reads = [r.leaf for r in host.trace.records[start:] if r.msg_type == "ReadPath" and r.tree_id == 0]
+                for before, after in zip(last or [], reads):
+                    table[before * 8 // leaves][after * 8 // leaves] += 1
+                last = reads
+        assert sum(map(sum, table)) >= 20 * 39
+        p = stats.chi2_contingency(table).pvalue
+        if remap == "fresh":
+            assert p >= 0.001, f"leaves of consecutive runs are linked: p={p:.3g}"
+        else:
+            assert p < 1e-20, f"a predictable remap went unseen: p={p:.3g}"

@@ -65,9 +65,9 @@ class TestSetupCommand:
         ids=["trivial", "enhanced"],
     )
     def test_summary_reports_the_cache(self, tmp_path, capsys, mode, line):
-        # a 15-vertex chain: 105 entries in a depth-6 tree of 124-byte
-        # buckets (a count byte and five 19-byte blocks, a 1-byte leaf
-        # each), sized for the 210 ordered pairs; the trivial client
+        # a 15-vertex chain: 105 entries among the 225 blocks, one an
+        # ordered pair, of a depth-6 tree of 124-byte buckets (a count byte
+        # and five 19-byte blocks, a 1-byte leaf each); the trivial client
         # leaves the host its leaf level alone, one bucket a path
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(14)))
@@ -75,16 +75,17 @@ class TestSetupCommand:
         assert line in capsys.readouterr().out
 
     def test_enhanced_summary_reports_the_map(self, tmp_path, capsys):
-        # the 30-vertex chain at a 256-byte budget: the shape rule picks
-        # 184-byte level payloads, one level of 10 blocks in a depth-1 tree,
-        # so a map round moves 2 buckets of 1 + 5 * 201 + 28 bytes each way:
-        # 201-byte blocks of token, payload and a 1-byte leaf
+        # the 30-vertex chain at a 256-byte budget: the 256 data leaves take
+        # 1-byte entries, and the shape rule picks 184-byte level payloads,
+        # one level of 5 blocks in a one-leaf tree, so a map round moves 1
+        # bucket of 1 + 5 * 200 + 28 bytes each way: 200-byte blocks of
+        # token and payload, with no leaf byte
         chain = tmp_path / "chain.tsv"
         chain.write_text(CHAIN_30_TSV)
         run_setup(tmp_path, chain, "--mode", "enhanced", "--budget", "256")
         assert capsys.readouterr().out.splitlines()[1:] == [
             "position map: chain depth 1",
-            "position map: 184-byte level payloads, 2 host buckets and 2068 host bytes per round",
+            "position map: 184-byte level payloads, 1 host bucket and 1029 host bytes per round",
         ]
 
     def test_bad_graph_is_usage_error(self, tmp_path):

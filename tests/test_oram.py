@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from obge.blocks import ABSENT, HOP, Block, TreeParams, block_leaves, bucket_ad, tree_depth_for, unpack_block
+from obge.blocks import HEAD_WIDTH, HOP, Block, TreeParams, block_leaves, bucket_ad, tree_depth_for, unpack_block
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, keygen, pair_block, prf_eval
 from obge.exceptions import CapacityError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import Graph, PathOracle, spath_oracle
@@ -16,19 +16,24 @@ from conftest import chain_blocks, chain_engine, chain_graph, data_tree, random_
 
 
 def build(keys, count, rng, **kw):
-    """One chain of count blocks toward destination count: query (u, count)
-    walks blocks u..count-1, then one miss round."""
+    """The (count+1)^2 blocks of one chain of count hops toward destination
+    count: query (u, count) walks blocks u..count-1, then (count, count)."""
     return chain_engine(keys, 1, count, rng, **kw)
 
 
 def make_blocks(keys, count):
-    return chain_blocks(keys, 1, count)[1]
+    """count distinct data-block heads, packed end to end: the first count
+    of a chain's."""
+    length = 0
+    while (length + 1) ** 2 < count:
+        length += 1
+    return chain_blocks(keys, 1, length)[1][: count * HEAD_WIDTH]
 
 
-def leaf_of(engine, blocks, addrs):
-    """Token -> mapped leaf, read from the engine's flat position map."""
-    top = top_entries(engine.positions)
-    return {b[:16]: top[a] for b, a in zip(split_heads(blocks), addrs)}
+def leaf_of(engine, blocks):
+    """Token -> mapped leaf, read from the engine's flat position map: head
+    i is address i."""
+    return dict(zip((b[:16] for b in split_heads(blocks)), top_entries(engine.positions)))
 
 
 def run_queries(engine, rng, accesses):
@@ -53,14 +58,12 @@ class AllZero:
 class TestSizing:
     def test_six_blocks_z5(self, rng):
         keys = keygen()
-        engine, _, tree, _, _ = build(keys, 6, rng)
+        engine, tree, leaves = oram_init(make_blocks(keys, 6), data_tree(6), Cipher(keys.k2), rng)
         params = tree.params
         assert params.depth == 1
         assert params.node_count == 3
         assert params.node_count * params.bucket_size == 15
-        top = top_entries(engine.positions)
-        assert len(top) == 7 * 7  # dense over the 7 vertices' pairs
-        assert sum(leaf != ABSENT for leaf in top) == 6
+        assert len(leaves) == 6 and all(leaf < params.leaves for leaf in leaves)
 
     def test_zero_blocks_single_bucket(self, rng):
         keys = keygen()
@@ -70,14 +73,14 @@ class TestSizing:
         assert leaves.tolist() == [] and engine.held == {} and engine.held_count == 0
 
     def test_pad_full_four_vertices(self, rng, four_vertex_directed):
-        # capacity covers |V|^2 - |V| = 12 real slots however few blocks
-        # there are: 6 here (sized by them, the tree had depth 1), and none
-        # in the empty graph on the same 4 vertices
+        # capacity covers the |V|^2 = 16 blocks, one a pair, however few
+        # pairs have a next hop: 6 here, and none in the empty graph on the
+        # same 4 vertices
         result = setup(four_vertex_directed, rng=rng)
         params = result.trees[0].params
         assert result.spdx_size == 6
-        assert params.leaves * params.bucket_size >= 12
-        assert params.depth == result.params.data_depth == tree_depth_for(12, 5) == 2
+        assert params.leaves * params.bucket_size >= 16
+        assert params.depth == result.params.data_depth == tree_depth_for(16, 5) == 2
         assert setup(Graph(4, directed=True), rng=rng).trees[0].params == params
 
     def test_head_of_the_wrong_width_is_rejected(self, rng):
@@ -125,7 +128,7 @@ class TestBlockLayout:
         # a bucket that claims Z+1 blocks, encrypted under the engine's own
         # key and bound to its node, decrypts; the count is still refused
         keys = keygen()
-        engine, _, tree, _, _ = build(keys, 40, rng)  # depth 3, Z=5
+        engine, _, tree, _ = build(keys, 5, rng)  # depth 3, Z=5
         p = tree.params
         node = p.path_nodes(0)[-1]
         plain = bytes([p.bucket_size + 1]) + bytes(p.plain_width - 1)
@@ -138,7 +141,7 @@ class TestBlockLayout:
         # each on its own path, and zero slots, after setup and after
         # queries
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 40, rng)
+        engine, _, tree, blocks = build(keys, 5, rng)
         p, k2 = tree.params, Cipher(keys.k2)
         for _ in range(2):
             counts = []
@@ -149,9 +152,9 @@ class TestBlockLayout:
                 assert n <= p.bucket_size and not any(plain[end:])
                 for at in range(1, end, p.block_width):
                     assert node in p.path_nodes(unpack_block(plain[at : at + p.block_width], p).leaf)
-            assert sum(counts) + engine.oram.held_count == 40
+            assert sum(counts) + engine.oram.held_count == 36
             run_queries(engine, rng, 60)
-        verify_placement(tree, engine.oram, leaf_of(engine, blocks, addrs))
+        verify_placement(tree, engine.oram, leaf_of(engine, blocks))
 
 
 class TestAccess:
@@ -159,27 +162,30 @@ class TestAccess:
         # the engine answers with the hops' vertex ids, here of a chain
         # i, i+1, .., 40 over |V|=41
         keys = keygen()
-        engine, _, _, _, _ = build(keys, 40, rng)
+        engine, _, _, _ = build(keys, 40, rng)
         for i in (0, 13, 39):
             resp = engine.query(i, 40)
             assert resp == list(range(i + 1, 41))
             assert reveal(resp, i, 40, 41) == list(range(i, 41))
 
     def test_missing_token_dummy_access(self, rng):
+        # an access with no token, which pads rounds, has a query round's
+        # shape: one read and one write of the path it is given
         keys = keygen()
-        engine, host, _, _, _ = build(keys, 10, rng)
+        engine, host, tree, _ = build(keys, 10, rng)
+        assert engine.oram.access(None, tree.params.leaves - 1) is None
+        assert [(r.msg_type, r.leaf) for r in host.trace.records] == [("ReadPath", tree.params.leaves - 1),
+                                                                      ("WritePath", tree.params.leaves - 1)]
         before = len(host.trace)
-        assert engine.query(3, 5) == []  # no entry toward vertex 5
-        # dummy round is shape-identical: one read, one write
-        msgs = [r.msg_type for r in host.trace.records[before:]]
-        assert msgs == ["ReadPath", "WritePath"]
+        assert engine.query(3, 5) == []  # no hop toward vertex 5: the block of (3, 5) holds 3
+        assert [r.msg_type for r in host.trace.records[before:]] == ["ReadPath", "WritePath"]
 
-    def test_miss_round_reads_the_leaf_the_map_returned(self, rng):
-        # the data engine draws no leaf: each hit reads the block's old
-        # leaf, and the miss round the fresh leaf get_and_remap returned
-        # for the absent address, which the map does not store
+    def test_each_round_reads_the_leaf_the_map_returned(self, rng):
+        # the data engine draws no leaf: each round reads the old leaf of
+        # its block that get_and_remap returned, the last one, whose hop is
+        # its own source, too, and the map stores the fresh one
         keys = keygen()
-        engine, host, _, _, _ = build(keys, 10, rng)
+        engine, host, _, _ = build(keys, 10, rng)
         positions, returned = engine.positions, []
         remap = positions.get_and_remap
 
@@ -188,64 +194,66 @@ class TestAccess:
             return returned[-1][1:]
 
         positions.get_and_remap = recorded
-        for u, v in [(3, 5), (7, 10), (4, 4)]:  # no entry toward 5; three hits, then a miss; u = v
+        for u, v, last in [(3, 5, 3), (7, 10, 10), (4, 4, 4)]:  # no hop toward 5; three hops, then (10, 10); u = v
             returned.clear()
             before = len(host.trace)
             engine.query(u, v)
             reads = [r.leaf for r in host.trace.records[before:] if r.msg_type == "ReadPath"]
-            addr, old, fresh = returned[-1]
-            assert old == ABSENT and top_entries(positions)[addr] == ABSENT
-            assert reads == [o for _, o, _ in returned[:-1]] + [fresh]
+            assert reads == [old for _, old, _ in returned]
+            assert [addr for addr, _, _ in returned][-1] == last * 11 + v
+            assert all(top_entries(positions)[addr] == fresh for addr, _, fresh in returned)
 
     def test_remap_changes_position(self, rng):
         keys = keygen()
-        engine, _, _, _, addrs = build(keys, 64, rng)
+        engine, _, _, _ = build(keys, 64, rng)
         seen = set()
         for _ in range(50):
-            engine.query(63, 64)  # one hit on the last block, then a miss
-            seen.add(top_entries(engine.positions)[addrs[-1]])
+            engine.query(63, 64)  # the chain's last block, then (64, 64)
+            seen.add(top_entries(engine.positions)[63 * 65 + 64])
         # 50 independent uniform draws over >= 16 leaves collide with all
         # previous ones only with negligible probability
         assert len(seen) > 5
 
     def test_mapped_block_must_exist(self, rng):
         keys = keygen()
-        engine, _, _, _, _ = build(keys, 10, rng)
+        engine, _, _, _ = build(keys, 10, rng)
         with pytest.raises(IntegrityError):
             engine.oram.access(b"\xbb" * 16, 0, 1)  # never stored
 
     def test_new_leaf_out_of_range_rejected_before_io(self, rng):
         keys = keygen()
-        engine, host, tree, blocks, addrs = build(keys, 10, rng)
+        engine, host, tree, blocks = build(keys, 10, rng)
         with pytest.raises(IndexError):
-            engine.oram.access(split_heads(blocks)[0][:16], top_entries(engine.positions)[addrs[0]], tree.params.leaves)
+            engine.oram.access(split_heads(blocks)[0][:16], top_entries(engine.positions)[0], tree.params.leaves)
         assert len(host.trace) == 0
 
     def test_placement_invariant_after_random_ops(self, rng):
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 48, rng)
+        engine, _, tree, blocks = build(keys, 48, rng)
         run_queries(engine, rng, 200)
-        verify_placement(tree, engine.oram, leaf_of(engine, blocks, addrs))
+        verify_placement(tree, engine.oram, leaf_of(engine, blocks))
 
     def test_stash_overflow_surfaces(self, rng, monkeypatch):
         # remapping every accessed block to leaf 0 exceeds that single
-        # path's capacity, so a stash allowance of 8 must eventually trip
+        # path's capacity, so a stash allowance of 8 must eventually trip:
+        # the queries touch 101 blocks, and the depth-11 path holds 60
         monkeypatch.setattr("obge.oram.STASH_MAX", 8)
         keys = keygen()
-        built, host, _, _, _ = build(keys, 60, rng)
+        built, host, _, _ = build(keys, 100, rng)
+        assert built.oram.params.depth == 11
         state = TrivialState(keys, built.params, built.positions, built.oram)
         engine = QueryEngine(state, host, rng=AllZero())
         with pytest.raises(StashOverflowError):
-            for i in range(120):
-                engine.query(i % 60, 60)
+            for i in range(200):
+                engine.query(i % 100, 100)
 
 
 class TestWireShape:
     def test_constant_shapes_and_fresh_encryption(self, rng):
         keys = keygen()
-        engine, host, tree, _, _ = build(keys, 32, rng)
+        engine, host, tree, _ = build(keys, 32, rng)
         for i in range(60):
-            engine.query(rng.randrange(32), 32 if i % 3 else 0)  # every third misses
+            engine.query(rng.randrange(32), 32 if i % 3 else 0)  # every third has no hop
         reads = [r for r in host.trace.records if r.msg_type == "ReadPath"]
         writes = [r for r in host.trace.records if r.msg_type == "WritePath"]
         assert len(reads) == len(writes) == engine.oram.access_count
@@ -254,7 +262,7 @@ class TestWireShape:
 
     def test_rewrite_never_replays_old_bytes(self, rng):
         keys = keygen()
-        engine, host, tree, _, _ = build(keys, 16, rng)
+        engine, host, tree, _ = build(keys, 16, rng)
         params = tree.params
 
         class Spy:
@@ -279,7 +287,7 @@ class TestWireShape:
     def test_uniform_leaf_distribution(self, rng):
         """Chi-square uniformity of observed leaves at n >= 100 * leaf count."""
         keys = keygen()
-        engine, host, tree, _, _ = build(keys, 40, rng)  # depth 3, 8 leaves
+        engine, host, tree, _ = build(keys, 5, rng)  # depth 3, 8 leaves
         leaves = tree.params.leaves
         run_queries(engine, rng, 100 * leaves)
         counts = [0] * leaves
@@ -292,7 +300,7 @@ class TestWireShape:
 class TestPathIO:
     def test_path_length(self, rng):
         keys = keygen()
-        _, host, tree, _, _ = build(keys, 6, rng)  # depth 1
+        _, host, tree, _ = build(keys, 2, rng)  # depth 1
         params = tree.params
         assert params.depth == 1
         data = host.read_path(0, 0)
@@ -300,7 +308,7 @@ class TestPathIO:
 
     def test_write_read_round_trip(self, rng):
         keys = keygen()
-        _, host, tree, _, _ = build(keys, 6, rng)
+        _, host, tree, _ = build(keys, 2, rng)
         params = tree.params
         blob = bytes(rng.randrange(256) for _ in range(params.path_width))
         host.write_path(0, 1, blob)
@@ -308,13 +316,13 @@ class TestPathIO:
 
     def test_leaf_out_of_range(self, rng):
         keys = keygen()
-        _, host, tree, _, _ = build(keys, 6, rng)
+        _, host, tree, _ = build(keys, 2, rng)
         with pytest.raises(IndexError):
             host.read_path(0, tree.params.leaves)
 
     def test_bad_width_write_rejected(self, rng):
         keys = keygen()
-        _, host, _, _, _ = build(keys, 6, rng)
+        _, host, _, _ = build(keys, 2, rng)
         with pytest.raises(ProtocolError):
             host.write_path(0, 0, b"short")
 
@@ -327,16 +335,16 @@ class TestBucketBinding:
 
     def test_bucket_copied_over_root_is_rejected(self, rng):
         keys = keygen()
-        engine, _, tree, _, _ = build(keys, 40, rng)  # depth 3
-        assert engine.query(39, 40) != []
+        engine, _, tree, _ = build(keys, 5, rng)  # depth 3
+        assert engine.query(4, 5) != []
         tree.set_bucket(0, tree.get_bucket(tree.params.node_count - 1))
         with pytest.raises(IntegrityError, match="authentication failed"):
-            engine.query(38, 40)  # every path reads the root
+            engine.query(3, 5)  # every path reads the root
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_swapped_siblings_are_rejected(self, rng, side):
         keys = keygen()
-        engine, _, tree, _, _ = build(keys, 40, rng)
+        engine, _, tree, _ = build(keys, 5, rng)
         oram = engine.oram
         leaf = 0 if side == "left" else tree.params.leaves - 1  # path through node 1 or node 2
         oram.access(None, leaf)
@@ -359,8 +367,8 @@ class TestBucketBinding:
 
     def test_verify_placement_rejects_a_moved_bucket(self, rng):
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 40, rng)
-        mapped = leaf_of(engine, blocks, addrs)
+        engine, _, tree, blocks = build(keys, 5, rng)
+        mapped = leaf_of(engine, blocks)
         verify_placement(tree, engine.oram, mapped)
         tree.set_bucket(3, tree.get_bucket(4))
         with pytest.raises(IntegrityError):
@@ -368,7 +376,7 @@ class TestBucketBinding:
 
     def test_short_path_read_is_rejected(self, rng):
         keys = keygen()
-        engine, host, _, _, _ = build(keys, 6, rng)
+        engine, host, _, _ = build(keys, 2, rng)
 
         class Truncating:
             def read_path(self, tree_id, leaf):
@@ -380,7 +388,7 @@ class TestBucketBinding:
 
     def test_version_one_tree_file_is_rejected(self, rng, tmp_path):
         keys = keygen()
-        _, _, tree, _, _ = build(keys, 6, rng)
+        _, _, tree, _ = build(keys, 2, rng)
         params = tree.params
         path = tmp_path / "tree.bin"
         tree.save(path)
@@ -446,8 +454,8 @@ class TestTreeTopCache:
         assert SchemeParams(200, mode="enhanced").data_params.cached == 0
 
     def test_a_benchmark_scale_round_moves_one_bucket_each_way(self, rng):
-        # |V|=200 gives the depth-13 data tree whatever the edges: a hit
-        # and the miss round after it each read and write the host's one
+        # |V|=200 gives the depth-13 data tree whatever the edges: the
+        # rounds on (0, 1) and on (1, 1) each read and write the host's one
         # 129-byte leaf bucket of the path, and nothing else
         g = Graph(200, directed=True)
         g.add_edge(0, 1)
@@ -474,11 +482,11 @@ class TestTreeTopCache:
 
     @pytest.mark.parametrize("mode, k", [("trivial", 4), ("enhanced", 0)])
     def test_setup_applies_the_rule(self, mode, k):
-        # a 9-vertex chain: 36 entries in a depth-4 tree, sized for the 72
-        # ordered pairs, four levels more than the host keeps; a controller
-        # caches nothing.  The engine stores only groups that hold blocks
+        # an 8-vertex chain: 28 entries among the 64 blocks of a depth-4
+        # tree, four levels more than the host keeps; a controller caches
+        # nothing.  The engine stores only groups that hold blocks
         kw = {"budget": 10**9} if mode == "enhanced" else {}
-        result = setup(chain_graph(9), mode=mode, rng=random.Random(1), **kw)
+        result = setup(chain_graph(8), mode=mode, rng=random.Random(1), **kw)
         assert result.params.data_depth == 4
         assert result.params.data_params.cached == k
         assert result.trees[0].params.cached == k
@@ -505,7 +513,6 @@ class TestTreeTopCache:
         mapped = {
             prf_eval(prf, pair_block(addr // 40, addr % 40)): leaf
             for addr, leaf in enumerate(top_entries(engine.positions))
-            if leaf != ABSENT
         }
         verify_placement(host.trees[0], engine.oram, mapped)
         with pytest.raises(IndexError, match="not stored on the host"):
@@ -513,7 +520,7 @@ class TestTreeTopCache:
 
     def test_swap_on_the_first_host_level_is_rejected(self, rng):
         keys = keygen()
-        engine, _, tree, _, _ = build(keys, 40, rng, cached=1)  # depth 3: nodes 1 and 2 on the host
+        engine, _, tree, _ = build(keys, 5, rng, cached=1)  # depth 3: nodes 1 and 2 on the host
         oram = engine.oram
         oram.access(None, 0)
         left, right = tree.get_bucket(1), tree.get_bucket(2)
@@ -550,10 +557,10 @@ class TestHeldBlocks:
     def test_answers_match_the_oracle(self, rng, k):
         g = random_graph(rng, 12, 0.25)
         keys = keygen()
-        heads, addrs = build_blocks(g, keys)
-        depth = tree_depth_for(len(addrs), 5)
+        heads, _ = build_blocks(g, keys)
+        depth = tree_depth_for(12 * 12, 5)
         cached = {"0": 0, "1": 1, "L": depth}[k]
-        engine, host, tree, _, _ = trivial_engine(keys, 12, heads, addrs, rng, cached=cached)
+        engine, host, tree, _ = trivial_engine(keys, 12, heads, rng, cached=cached)
         assert tree.params.depth == depth >= 3 and tree.params.cached == cached
         oracle = PathOracle(g)
         for u in range(12):
@@ -561,7 +568,7 @@ class TestHeldBlocks:
                 assert reveal(engine.query(u, v), u, v, 12) == oracle.path(u, v), (u, v)
         widths = {r.byte_count for r in host.trace.records}
         assert widths == {(depth + 1 - cached) * tree.params.bucket_width}
-        verify_placement(tree, engine.oram, leaf_of(engine, heads, addrs))
+        verify_placement(tree, engine.oram, leaf_of(engine, heads))
 
     def test_held_blocks_load_a_group_at_a_time(self):
         # k=2 of depth 3: held blocks come group by group, and only the
@@ -582,19 +589,19 @@ class TestHeldBlocks:
         # k=2: a remap usually moves the block to another group; the count
         # stays the number of blocks held, and the peak bounds it
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        engine, _, tree, blocks = build(keys, 6, rng, cached=2)
         oram = engine.oram
         for _ in range(30):
             run_queries(engine, rng, oram.access_count + 20)
             assert oram.held_count == sum(map(len, oram.held.values())) <= oram.max_stash_seen
-            verify_placement(tree, oram, leaf_of(engine, blocks, addrs))
+            verify_placement(tree, oram, leaf_of(engine, blocks))
         assert oram.max_stash_seen <= oram.held_max == 128 + 5 * 3
 
     def test_verify_placement_rejects_misplaced_held_blocks(self, rng):
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        engine, _, tree, blocks = build(keys, 6, rng, cached=2)
         run_queries(engine, rng, 100)
-        oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)
+        oram, mapped = engine.oram, leaf_of(engine, blocks)
         g = next(iter(oram.held))
         blk = take(oram.held, g)
         with pytest.raises(AssertionError, match="held_count"):
@@ -620,9 +627,9 @@ class TestHeldBlocks:
         # only the groups that hold a block are stored, each keyed by one
         # of the 2^k values of a leaf's top k bits
         keys = keygen()
-        engine, _, tree, blocks, addrs = build(keys, 48, rng, cached=2)
+        engine, _, tree, blocks = build(keys, 6, rng, cached=2)
         run_queries(engine, rng, 100)
-        oram, mapped = engine.oram, leaf_of(engine, blocks, addrs)
+        oram, mapped = engine.oram, leaf_of(engine, blocks)
         verify_placement(tree, oram, mapped)
         g = next(iter(oram.held))
         oram.held[4] = oram.held.pop(g)

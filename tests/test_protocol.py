@@ -4,14 +4,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obge import protocol, storage
-from obge.blocks import ABSENT, HOP
+from obge.blocks import HOP, bucket_ad
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
 from obge.exceptions import ConfigError, IntegrityError, ProtocolError
 from obge.graph import Graph, PathOracle, compute_sp_matrix, compute_spdx, spath_oracle
@@ -102,12 +101,13 @@ class TestSetup:
     def test_four_vertex_undirected_pm_size(self, four_vertex_undirected):
         result, _, _, _ = deploy(four_vertex_undirected, "trivial")
         top = top_entries(result.client.positions)
-        assert len(top) == 16
-        assert sum(leaf != ABSENT for leaf in top) == 12  # ordered connected pairs
+        assert len(top) == 16  # a block for each ordered pair
+        assert all(leaf < result.trees[0].params.leaves for leaf in top)
+        assert result.spdx_size == 12  # ordered connected pairs
 
     def test_trivial_map_is_flat_and_dense(self, rng):
-        # the trivial client keeps one top entry per address, ABSENT where
-        # no block is stored, and no position-map trees
+        # the trivial client keeps one top entry per address, each a data
+        # leaf, and no position-map trees
         g = random_graph(rng, 40, 0.05)
         result, host, _, _ = deploy(g, "trivial")
         positions = result.client.positions
@@ -115,7 +115,7 @@ class TestSetup:
         assert positions.levels == [] and result.controller is None
         top = top_entries(positions)
         assert len(top) == 40 * 40
-        assert sum(leaf != ABSENT for leaf in top) == result.spdx_size
+        assert all(leaf < host.trees[0].params.leaves for leaf in top)
         assert sorted(host.trees) == [0]
 
     def test_empty_graph_answers_everything_empty(self):
@@ -140,9 +140,10 @@ class TestSetup:
 
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_one_prf_call_per_entry_and_per_hit(self, monkeypatch, rng, mode):
-        # blocks carry no next-hop token: setup derives one token per entry,
-        # in one call per source row that has an entry, and a query makes a
-        # one-block call per hop it finds and none on its miss round
+        # blocks carry no next-hop token: setup derives one token per
+        # block, one a pair, in one call per source row, rows with no next
+        # hop included, and a query makes a one-block call per round, each
+        # of which finds its block
         calls = []
         prf = protocol.prf_eval
         monkeypatch.setattr(protocol, "prf_eval", lambda k, m: calls.append(len(m) // 16) or prf(k, m))
@@ -150,31 +151,56 @@ class TestSetup:
         for (u, v), w in random_graph(rng, 15, 0.2).edges.items():  # 15's row holds no entry
             g.add_edge(u, v, w)
         result, _, _, client = deploy(g, mode, **({"budget": 256} if mode == "enhanced" else {}))
-        assert sum(calls) == result.spdx_size > 0
-        assert len(calls) == len({u for u, _ in compute_spdx(g)}) == 15
+        assert calls == [16] * 16
+        assert len({u for u, _ in compute_spdx(g)}) == 15
         for u, v in [(0, 9), (3, 3), (9, 0), (5, 12), (15, 2)]:
             calls.clear()
             path = client.query_path(u, v)
             assert path == spath_oracle(g, u, v)
-            assert calls == [1] * (len(path) - 1 if path else 0)
+            assert calls == [1] * rounds(len(path) - 1 if path else 0)
+
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_resources_do_not_depend_on_the_graph(self, tmp_path, mode):
+        # a 30-vertex chain and the edgeless graph on 30 vertices, set up
+        # and queried with one leaf sampler, store the same 900 blocks, one
+        # a pair: the engine holds as many of them after setup and after
+        # the same u = v queries, and its state file has the same size
+        seen = []
+        for g in (chain_graph(30), Graph(30, directed=True)):
+            result, host, server, client = deploy(g, mode, rng_seed=7)
+            state = result.client if mode == "trivial" else server.controller.state
+            tree, k2 = host.trees[0], Cipher(result.keys.k2)
+            p = tree.params
+            stored = sum(k2.decrypt(tree.get_bucket(node), bucket_ad(0, node))[0] for node in range(p.cache_nodes, p.node_count))
+            after_setup = state.oram.held_count
+            for u in range(30):
+                assert client.query_path(u, u) == []
+            path = tmp_path / f"state-{len(seen)}.bin"
+            save_state(path, state)
+            seen.append((stored + after_setup, after_setup, state.oram.held_count, path.stat().st_size))
+        assert seen[0][0] == 900
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_build_blocks_matches_the_per_entry_loop(self, directed, weighted):
         # the row-at-a-time build gives the bytes of one PRF call and one
-        # head per entry of SPMatrix.items: on a sparse graph, whose rows
-        # include some with no entry, on |V|=1 and on a graph with no edges
+        # head per pair, in address order, each holding the pair's next
+        # hop or its source where SPMatrix.next_hop has none, and the entry
+        # count: on a sparse graph, whose rows include some with no entry,
+        # on |V|=1 and on a graph with no edges
         rng = random.Random(23)
         sparse = random_graph(rng, 30, 0.05, weighted=weighted, directed=directed)
         assert 0 < len({u for (u, _), _ in compute_sp_matrix(sparse).items()}) < 30
         keys = keygen()
         for g in (sparse, Graph(1, directed=directed), Graph(6, directed=directed)):
-            n, prf = g.vertex_count, Prf(keys.kprf)
-            heads, addresses = bytearray(), array("I")
-            for (u, v), w in compute_sp_matrix(g).items():
-                heads += prf_eval(prf, pair_block(u, v)) + HOP.pack(w)
-                addresses.append(u * n + v)
-            assert protocol.build_blocks(g, keys) == (heads, addresses)
+            n, prf, matrix = g.vertex_count, Prf(keys.kprf), compute_sp_matrix(g)
+            heads = bytearray()
+            for u in range(n):
+                for v in range(n):
+                    w = matrix.next_hop(u, v)
+                    heads += prf_eval(prf, pair_block(u, v)) + HOP.pack(u if w is None else w)
+            assert protocol.build_blocks(g, keys) == (heads, len(matrix))
 
     @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
     def test_setup_heap_peaks_near_its_trees(self, mode):
@@ -197,10 +223,10 @@ class TestSetup:
 
     def test_tree_header_reveals_the_depth_alone(self):
         # the complete digraph on 80 vertices (6,320 entries) and the
-        # 80-vertex chain (3,160 entries) both get the depth-11 data tree
-        # of 6,320 slots; their headers, and so the host's path widths,
-        # must not tell them apart (sized by entry count they got depths
-        # 11 and 10)
+        # 80-vertex chain (3,160 entries) both store 6,400 blocks, one a
+        # pair, in the depth-11 data tree; their headers, and so the host's
+        # path widths, must not tell them apart (sized by entry count they
+        # got depths 11 and 10)
         complete = Graph(80, directed=True)
         for u in range(80):
             for v in range(80):
@@ -260,12 +286,12 @@ class TestSetup:
             assert tp.block_width == 20 and tp.bucket_width == 1 + 5 * 20 + 28 == 129
 
     def test_pad_full_sizes_past_vertex_square(self, four_vertex_directed):
-        # every data tree is padded to the 4*4 - 4 ordered pairs, however
-        # few are connected (6 here)
+        # every data tree holds a block for each of the 4*4 ordered pairs,
+        # however few are connected (6 here)
         result, host, _, _ = deploy(four_vertex_directed, "trivial")
         params = host.trees[0].params
         assert result.spdx_size == 6
-        assert params.leaves * params.bucket_size >= 4 * 4 - 4
+        assert params.leaves * params.bucket_size >= 4 * 4
 
 
 class TestQueryReveal:
@@ -532,7 +558,7 @@ class TestPersistence:
         # 13-byte parameter block (|V|, Z, budget); the 16-byte k2 kprf;
         # then the engine state: the flat map's |V|^2 leaves as cells
         # as wide as the data tree's leaves need, one byte for 64 leaves,
-        # 0xFF where no block is stored, then the data tree's held blocks
+        # then the data tree's held blocks
         # (count, then per 19-byte block tk, 2-byte hop and the leaf in the
         # one byte a depth-6 tree needs, group by group, each group one
         # leaf's at k = L = 6); no shape is stored, the data depth included
@@ -557,8 +583,7 @@ class TestPersistence:
         want += state.keys.k2 + state.keys.kprf
         top = top_entries(state.positions)
         assert len(top) == 225 and depth == 6
-        for leaf in top:
-            want += struct.pack(">B", 0xFF if leaf == ABSENT else leaf)
+        want += bytes(top)
         want += struct.pack(">I", len(stash)) + b"".join(tk + struct.pack(">HB", hop, leaf) for tk, hop, leaf in slots)
         path = tmp_path / "keys.bin"
         save_state(path, state)
@@ -692,9 +717,9 @@ class TestPersistence:
     def test_held_count_past_the_limit_is_refused(self, tmp_path, cached):
         # at most STASH_MAX + Z(2^k - 1) blocks: the stash allowance and the
         # slots of the top buckets.  The engine refuses the count before it
-        # looks at the blocks.  2 vertices get a depth-0 data tree, 9 a
+        # looks at the blocks.  2 vertices get a depth-0 data tree, 8 a
         # depth-4 one, and a trivial client caches all but the leaf level
-        result, _, _, _ = deploy(chain_graph(9 if cached else 2), "trivial")
+        result, _, _, _ = deploy(chain_graph(8 if cached else 2), "trivial")
         state = result.client
         tp = result.params.data_params
         assert tp.cached == cached
@@ -744,47 +769,38 @@ class TestPersistence:
         assert [lvl.params for lvl in got.levels] == [t.params for t in result.trees[1:]]
         assert [lvl.tree_id for lvl in got.levels] == [t.tree_id for t in result.trees[1:]]
 
-    @pytest.mark.parametrize(
-        "mode, tree, entry",
-        [("trivial", 0, "leaves"), ("trivial", 0, "ABSENT-1"), ("enhanced", 1, "leaves"), ("enhanced", 1, "ABSENT"),
-         ("trivial", 0, "FF00")],
-        ids=["flat-past", "flat-below-absent", "chain-past", "chain-absent", "flat-high-byte-of-absent"],
-    )
-    def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree, entry):
-        # a flat map's entries are data leaves or ABSENT; a chain's are
-        # leaves of its last level, all present.  An entry past its tree
-        # loaded, and the first query that read it raised IndexError.  The
-        # 256-byte budget gets 32-byte payloads of 32 entries, so the
-        # chain's top has 5.  The cells are one byte wide, for 32 data
-        # leaves or the one leaf of level 0, but two at Z=1, for 256 data
-        # leaves: there a high byte of all ones must start an all-ones cell
-        kw = {"budget": 256} if mode == "enhanced" else {"bucket_size": 1} if entry == "FF00" else {}
+    @pytest.mark.parametrize("mode, tree", [("trivial", 0), ("enhanced", 1)], ids=["flat-past", "chain-past"])
+    def test_top_entry_past_its_tree_is_refused(self, tmp_path, mode, tree):
+        # a flat map's entries are data leaves, a chain's leaves of its last
+        # level.  An entry past its tree loaded, and the first query that
+        # read it raised IndexError.  The 256-byte budget gets 32-byte
+        # payloads of 32 entries, so the chain's top has 5.  The cells are
+        # one byte wide, for 32 data leaves or the one leaf of level 0
+        kw = {"budget": 256} if mode == "enhanced" else {}
         result, _, server, _ = deploy(random_graph(random.Random(5), 12, 0.3), mode, **kw)
         state = result.client if mode == "trivial" else server.controller.state
         assert state.positions.chain_depth == tree
         leaves = result.trees[tree].params.leaves
-        w = 2 if entry == "FF00" else 1
-        assert state.positions.shape.top_entry_width == w
-        value = {"leaves": leaves, "ABSENT-1": 0xFE, "ABSENT": 0xFF, "FF00": 0xFF00}[entry]
+        assert state.positions.shape.top_entry_width == 1
         path = tmp_path / "state.bin"
         save_state(path, state)
         raw = path.read_bytes()
         keys = 2 if mode == "trivial" else 3  # k2 kprf, and the controller's session key
-        at = protocol._PREFIX.size + protocol._PARAMS.size + keys * 16 + 3 * w  # top entry 3, after the keys
-        path.write_bytes(raw[:at] + value.to_bytes(w, "big") + raw[at + w :])
-        with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {value}, but its tree has {leaves} leaves"):
+        at = protocol._PREFIX.size + protocol._PARAMS.size + keys * 16 + 3  # top entry 3, after the keys
+        path.write_bytes(raw[:at] + bytes([leaves]) + raw[at + 1 :])
+        with pytest.raises(ProtocolError, match=f"{path}: top entry 3 is leaf {leaves}, but its tree has {leaves} leaves"):
             load_state(path, type(state))
 
     @pytest.mark.parametrize(
         "name, kind, chain_depth, held",
-        [("trivial-keys.bin", TrivialState, 0, [66]), ("enhanced-keys.bin", EnhancedState, None, None),
-         ("controller.bin", ControllerState, 2, [1, 3, 0])],
+        [("trivial-keys.bin", TrivialState, 0, [72]), ("enhanced-keys.bin", EnhancedState, None, None),
+         ("controller.bin", ControllerState, 2, [5, 2, 0])],
         ids=["trivial", "enhanced", "controller"],
     )
     def test_current_format_files_load_unchanged(self, tmp_path, name, kind, chain_depth, held):
-        # the trivial client holds 66 blocks in 57 of its 256 groups (k=8
+        # the trivial client holds 72 blocks in 64 of its 256 groups (k=8
         # of the depth-8 tree of 12 vertices at Z=1, so a group is one
-        # leaf's) and its top is 144 two-byte cells; the controller's chain
+        # leaf's) and its top is 144 one-byte cells; the controller's chain
         # has depth 2, of 16-byte payloads, and held blocks in the data
         # tree and level 0.  Loading and saving again gives the same bytes
         state = load_state(CURRENT_STATE / name, kind)
@@ -794,8 +810,8 @@ class TestPersistence:
         if kind is ControllerState:
             assert state.positions.shape.payload == 16
         if kind is TrivialState:
-            assert state.oram.params.cached == 8 and state.positions.shape.top_entry_width == 2
-            assert len(state.oram.held) == 57 and all(state.oram.held.values())
+            assert state.oram.params.cached == 8 and state.positions.shape.top_entry_width == 1
+            assert len(state.oram.held) == 64 and all(state.oram.held.values())
         save_state(tmp_path / name, state)
         assert (tmp_path / name).read_bytes() == (CURRENT_STATE / name).read_bytes()
 
