@@ -43,7 +43,7 @@ def main() -> int:
         graph = Path(work) / "grid.tsv"
         write_grid(graph, SIDE, SEED)
         cmd = [sys.executable, "-m", "obge.cli", "setup", str(graph), "--undirected", "--mode", "enhanced",
-               "--budget", "4096", "--seed", str(SEED), "--out", str(Path(work) / "deploy")]
+               "--budget", "4096", "--out", str(Path(work) / "deploy")]
         start = time.perf_counter()
         proc = subprocess.run(cmd)
         seconds = time.perf_counter() - start

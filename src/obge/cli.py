@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import random
 import signal
 import sys
 from pathlib import Path
@@ -30,14 +29,12 @@ EXIT_CAPACITY = 3
 
 def cmd_setup(args) -> int:
     from .protocol import MODE_ENHANCED, MODE_TRIVIAL, save_state, setup
-    from .server import ServerConfig, parse_address, save_config
     from .storage import tree_file, tree_files
 
-    parse_address(args.listen)
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
-    rng = random.Random(args.seed) if args.seed is not None else None
-    result = setup(g, mode=args.mode, bucket_size=args.Z, budget=args.budget, rng=rng)
+    # leaves come from the OS: a seeded generator would make them public
+    result = setup(g, mode=args.mode, bucket_size=args.Z, budget=args.budget)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = [tree_file(out, tree.tree_id) for tree in result.trees]
@@ -52,8 +49,8 @@ def cmd_setup(args) -> int:
         save_state(out / "controller.bin", result.controller)
     else:
         (out / "controller.bin").unlink(missing_ok=True)
-    # paths relative to server.cfg's own directory, which is out
-    save_config(out / "server.cfg", ServerConfig(tree_path=".", listen_addr=args.listen, trace_path="trace.csv"))
+    # older releases wrote a server config here, which nothing reads now
+    (out / "server.cfg").unlink(missing_ok=True)
     tp = result.trees[0].params
     holder = "client" if args.mode == MODE_TRIVIAL else "controller"
     print(
@@ -75,12 +72,13 @@ def cmd_setup(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .server import Daemon, build_server, load_config
+    from .server import Daemon, ServerConfig, build_server, parse_address
 
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(asctime)s %(name)s %(levelname)s %(message)s"
     )
-    cfg = load_config(args.config)
+    parse_address(args.listen)  # before any tree is loaded
+    cfg = ServerConfig(tree_path=args.dir, listen_addr=args.listen, trace_path=str(Path(args.dir) / "trace.csv"))
     server = build_server(cfg)
     daemon = Daemon(server, cfg)
 
@@ -165,12 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--budget", type=int, default=None, help="enhanced mode: controller memory budget in bytes")
     p.add_argument("--undirected", action="store_true")
-    p.add_argument("--listen", default="127.0.0.1:7399")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("serve", help="run the storage daemon")
-    p.add_argument("--config", required=True)
+    p.add_argument("dir", help="deployment directory: its files are served and flushed back into it")
+    p.add_argument("--listen", default="127.0.0.1:7399", help="host:port to listen on")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("query", help="run one shortest-path query")
@@ -204,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (GraphFormatError, ConfigError, FileNotFoundError, IndexError, ValueError) as exc:
+    except (GraphFormatError, ConfigError, OSError, IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ProtocolError, IntegrityError) as exc:

@@ -9,7 +9,8 @@ module consumes these sequences.
 
 Each entry keeps the baseline's own payload, the next hop (w, v) encrypted
 under a key k1 that only this scheme has, and ``GktScheme.reveal``
-decrypts it; the oblivious scheme's blocks carry the hop's address alone.
+decrypts it; the oblivious scheme's blocks carry the hop's 2-byte vertex
+id alone.
 """
 
 from __future__ import annotations

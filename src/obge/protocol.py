@@ -270,7 +270,10 @@ def setup(
     """Encrypt a graph for shortest-path querying.
 
     Returns the server-side trees plus the party states for the chosen
-    deployment; nothing in the trees links tokens to positions.
+    deployment; nothing in the trees links tokens to positions.  Leaves
+    are drawn from ``rng``, by default the OS.  A seeded ``rng`` makes
+    every initial leaf predictable from the seed, so only tests and
+    benchmarks pass one.
     """
     params = SchemeParams(g.vertex_count, bucket_size=bucket_size, mode=mode, budget=budget)
     params.validate()

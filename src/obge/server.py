@@ -15,9 +15,9 @@ no request interleaves with another, the flushed files hold no part of a
 request, and no request is applied after them: a late one gets an error.
 
 A deployment directory decides its own mode: it is enhanced exactly when
-``controller.bin`` is there (``build_server``).  ``server.cfg`` holds only
-paths and the listen address, and its relative paths are read from the
-file's own directory, so a deployment serves from any working directory.
+``controller.bin`` is there (``build_server``).  A ``ServerConfig`` names
+only where the files are, where the trace goes and the listen address;
+``obge serve DIR`` builds one for DIR.
 
 A path store has three methods: ``read_path``, ``write_path`` and
 ``flush``.  ``RemoteStore`` holds each write back and sends it in the
@@ -249,44 +249,6 @@ class ServerConfig:
     @property
     def address(self) -> tuple[str, int]:
         return parse_address(self.listen_addr)
-
-
-def load_config(path: str | Path) -> ServerConfig:
-    """Read a server.cfg.  Relative paths in it are taken from the file's
-    own directory, so the deployment directory can be served from any
-    working directory and moved as a whole."""
-    cfg = ServerConfig()
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ProtocolError(f"config line {line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "tree_path":
-            cfg.tree_path = value
-        elif key == "listen_addr":
-            cfg.listen_addr = value
-        elif key == "trace_path":
-            cfg.trace_path = value
-        else:
-            raise ProtocolError(f"config line {line_no}: unknown key {key!r}")
-    base = Path(path).parent
-    cfg.tree_path = str(base / cfg.tree_path)
-    if cfg.trace_path:
-        cfg.trace_path = str(base / cfg.trace_path)
-    return cfg
-
-
-def save_config(path: str | Path, cfg: ServerConfig) -> None:
-    lines = [
-        f"tree_path = {cfg.tree_path}",
-        f"listen_addr = {cfg.listen_addr}",
-    ]
-    if cfg.trace_path:
-        lines.append(f"trace_path = {cfg.trace_path}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def build_server(cfg: ServerConfig, rng: random.Random | None = None) -> ObgeServer:

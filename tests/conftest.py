@@ -2,6 +2,7 @@ import io
 import os
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,7 @@ from obge.graph import Graph
 from obge.oram import oram_init
 from obge.protocol import SchemeParams, TrivialClient, TrivialState
 from obge.recursive import map_shape, read_entry, rpm_build
+from obge.server import ServerConfig
 from obge.storage import StorageHost
 
 # Hypothesis budgets over the profile Hypothesis loaded itself (its "ci" one
@@ -38,6 +40,12 @@ def decode_frame(frame: bytes) -> wire.Message:
     """The message one frame carries, parsed as the daemon and TcpConnection
     parse it: read_frame, then decode_payload."""
     return wire.decode_payload(*read_one_frame(frame))
+
+
+def serve_config(directory) -> ServerConfig:
+    """What ``obge serve DIR`` serves, on a free port: the files in
+    directory, flushed back into it with the trace in trace.csv."""
+    return ServerConfig(tree_path=str(directory), listen_addr="127.0.0.1:0", trace_path=str(Path(directory) / "trace.csv"))
 
 
 def random_graph(rng: random.Random, n: int, p: float, weighted: bool = False, directed: bool = True) -> Graph:

@@ -2,6 +2,8 @@
 
 import os
 import random
+import re
+import signal
 import socket
 import struct
 import subprocess
@@ -15,7 +17,8 @@ from obge.exceptions import StashOverflowError
 from obge.gkt import GktScheme, save_token_log
 from obge.graph import load_graph
 from obge.protocol import STATE_VERSION
-from obge.server import Daemon, build_server, load_config
+from obge.server import Daemon, build_server
+from conftest import serve_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 GRAPH_TSV = "0\t1\n1\t2\n2\t3\n0\t2\n"
@@ -30,17 +33,53 @@ def graph_file(tmp_path):
 
 def run_setup(tmp_path, graph_file, *extra):
     out = tmp_path / "deploy"
-    rc = main(["setup", str(graph_file), "--out", str(out), "--seed", "7", *extra])
+    rc = main(["setup", str(graph_file), "--out", str(out), *extra])
     assert rc == 0
     return out
+
+
+def make_daemon(directory, seed):
+    """An unstarted daemon over directory's files, as obge serve DIR would
+    run it, on a free port and with a seeded generator."""
+    cfg = serve_config(directory)
+    return Daemon(build_server(cfg, rng=random.Random(seed)), cfg)
+
+
+def spawn_serve(directory, cwd=None):
+    """Run obge serve DIR on a free port in a child process; return it and
+    the port it logged at start."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "obge.cli", "serve", str(directory), "--listen", "127.0.0.1:0"],
+        cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    said = []
+    for line in proc.stderr:
+        started = re.search(r"serving \w+ mode on 127\.0\.0\.1:(\d+)$", line.strip())
+        if started:
+            return proc, int(started.group(1))
+        said.append(line)
+    proc.wait()
+    proc.stderr.close()
+    raise AssertionError(f"daemon never came up: {''.join(said)}")
+
+
+def stop_serve(proc):
+    """SIGTERM, as an operator stops the daemon; it must exit 0."""
+    try:
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=15) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 @pytest.fixture
 def daemon(tmp_path, graph_file):
     out = run_setup(tmp_path, graph_file)
-    cfg = load_config(out / "server.cfg")
-    cfg.listen_addr = "127.0.0.1:0"
-    d = Daemon(build_server(cfg, rng=random.Random(1)), cfg)
+    d = make_daemon(out, 1)
     d.start()
     yield out, d
     d.shutdown()
@@ -50,11 +89,11 @@ class TestSetupCommand:
     def test_writes_artifacts(self, tmp_path, graph_file):
         # one state file for the trivial client: keys and engine state
         out = run_setup(tmp_path, graph_file)
-        assert sorted(os.listdir(out)) == ["keys.bin", "server.cfg", "tree_000.bin"]
+        assert sorted(os.listdir(out)) == ["keys.bin", "tree_000.bin"]
 
     def test_enhanced_writes_controller(self, tmp_path, graph_file):
         out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
-        assert sorted(os.listdir(out)) == ["controller.bin", "keys.bin", "server.cfg", "tree_000.bin"]
+        assert sorted(os.listdir(out)) == ["controller.bin", "keys.bin", "tree_000.bin"]
 
     @pytest.mark.parametrize(
         "mode, line",
@@ -96,6 +135,42 @@ class TestSetupCommand:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["setup", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--listen", ":0"]], ids=["seed", "listen"])
+    def test_removed_flags_are_unknown_arguments(self, tmp_path, graph_file, capsys, flag):
+        # --seed drew every initial leaf from random.Random(seed), so anyone
+        # with the seed knew them; --listen only fed a config file, which
+        # obge serve DIR --listen replaced
+        out = tmp_path / "deploy"
+        assert main(["setup", str(graph_file), "--out", str(out), *flag]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("setup", {"--mode", "--Z", "--out", "--budget", "--undirected"}), ("serve", {"--listen"})],
+    )
+    def test_commands_take_deployment_settings_alone(self, capsys, command, options):
+        assert main([command, "--help"]) == 0
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == options | {"--help"}
+
+    @pytest.mark.parametrize("case", ["setup-out-is-a-file", "setup-graph-is-a-directory", "audit-trace-is-a-directory"])
+    def test_os_error_is_a_usage_error(self, tmp_path, graph_file, capsys, case):
+        # each once printed a traceback: only FileNotFoundError was mapped
+        # to exit 1
+        if case == "setup-out-is-a-file":
+            path = tmp_path / "taken"
+            path.write_text("")
+            argv = ["setup", str(graph_file), "--out", str(path)]
+        elif case == "setup-graph-is-a-directory":
+            path = tmp_path
+            argv = ["setup", str(path), "--out", str(tmp_path / "d")]
+        else:
+            path = tmp_path
+            argv = ["audit", "--trace", str(path), "--queries", str(tmp_path / "q.csv"), "--trees", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "extra",
         [["--Z", "256"], ["--mode", "enhanced", "--budget", "15"]],
@@ -108,7 +183,7 @@ class TestSetupCommand:
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(99)))
         out = tmp_path / "deploy"
-        assert main(["setup", str(chain), "--out", str(out), "--seed", "7", *extra]) == 1
+        assert main(["setup", str(chain), "--out", str(out), *extra]) == 1
         assert not out.exists() or not any(out.iterdir())
 
 
@@ -128,7 +203,7 @@ class TestSetupCommand:
         chain = tmp_path / "chain.tsv"
         chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(9)))
         out = tmp_path / "deploy"
-        assert main(["setup", str(chain), "--out", str(out), "--seed", "7", *extra]) == 1
+        assert main(["setup", str(chain), "--out", str(out), *extra]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
@@ -259,9 +334,7 @@ class TestQueryCommand:
         # once exited 2 as protocol errors
         enhanced = run_setup(tmp_path, graph_file, "--mode", "enhanced")
         served = enhanced if case == "stash-overflow" else run_setup(tmp_path / "trivial", graph_file)
-        cfg = load_config(served / "server.cfg")
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(2)), cfg)
+        d = make_daemon(served, 2)
         if case == "stash-overflow":
             def overflow(*args):
                 raise StashOverflowError("tree 0: 129 held blocks, limit 128")
@@ -278,9 +351,7 @@ class TestQueryCommand:
     def test_enhanced_roundtrip(self, tmp_path, graph_file, capsys):
         out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
         capsys.readouterr()
-        cfg = load_config(out / "server.cfg")
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(2)), cfg)
+        d = make_daemon(out, 2)
         d.start()
         try:
             rc = main(["query", "0", "3", "--keys", str(out / "keys.bin"),
@@ -294,9 +365,7 @@ class TestQueryCommand:
 class TestAuditCommand:
     def test_audit_live_trace(self, tmp_path, graph_file, capsys):
         out = run_setup(tmp_path, graph_file)
-        cfg = load_config(out / "server.cfg")
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(3)), cfg)
+        d = make_daemon(out, 3)
         d.start()
         try:
             for _ in range(20):
@@ -321,9 +390,7 @@ class TestAuditCommand:
         trivial = run_setup(tmp_path, graph_file)
         enhanced = tmp_path / "enhanced"
         assert main(["setup", str(graph_file), "--out", str(enhanced), "--mode", "enhanced"]) == 0
-        cfg = load_config(trivial / "server.cfg")
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(3)), cfg)
+        d = make_daemon(trivial, 3)
         d.start()
         try:
             assert main(["query", "0", "3", "--keys", str(trivial / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
@@ -352,7 +419,7 @@ class TestAuditCommand:
         for n in (6, 12):
             chain = tmp_path / f"chain{n}.tsv"
             chain.write_text("".join(f"{i}\t{i + 1}\n" for i in range(n - 1)))
-            assert main(["setup", str(chain), "--out", str(tmp_path / f"d{n}"), "--seed", "1"]) == 0
+            assert main(["setup", str(chain), "--out", str(tmp_path / f"d{n}")]) == 0
         trees = tmp_path / "d6"
         (tmp_path / "d12" / "tree_000.bin").rename(trees / "tree_005.bin")
         trace = tmp_path / "trace.csv"
@@ -385,43 +452,37 @@ class TestAttackCommand:
 
 class TestDeploymentDirectory:
     def test_serves_from_any_working_directory(self, tmp_path, graph_file, monkeypatch, capsys):
-        # setup writes server.cfg's paths relative to the file itself, so a
-        # directory set up with a relative --out serves from elsewhere and
-        # after a move; they were once read from the working directory
+        # obge serve DIR takes its paths from DIR alone: a relative DIR
+        # served from another working directory, after a move, flushes its
+        # trees and trace into DIR and leaves nothing where it runs
         monkeypatch.chdir(tmp_path)
-        assert main(["setup", str(graph_file), "--out", "d", "--seed", "7", "--listen", "127.0.0.1:0"]) == 0
-        cfg_text = (tmp_path / "d" / "server.cfg").read_text()
-        assert cfg_text == "tree_path = .\nlisten_addr = 127.0.0.1:0\ntrace_path = trace.csv\n"
+        assert main(["setup", str(graph_file), "--out", "d"]) == 0
+        (tmp_path / "d").rename(tmp_path / "moved")
         moved = tmp_path / "moved"
-        (tmp_path / "d").rename(moved)
+        original_tree = (moved / "tree_000.bin").read_bytes()
         (tmp_path / "elsewhere").mkdir()
-        monkeypatch.chdir(tmp_path / "elsewhere")
-        cfg = load_config(moved / "server.cfg")
-        d = Daemon(build_server(cfg, rng=random.Random(1)), cfg)
-        d.start()
+        proc, port = spawn_serve("../moved", cwd=tmp_path / "elsewhere")
         try:
-            assert main(["query", "0", "3", "--keys", str(moved / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
+            assert main(["query", "0", "3", "--keys", str(moved / "keys.bin"), "--addr", f"127.0.0.1:{port}"]) == 0
         finally:
-            d.shutdown()
+            stop_serve(proc)
         assert capsys.readouterr().out.splitlines()[-1] == "0 2 3"
+        assert (moved / "tree_000.bin").read_bytes() != original_tree
         assert (moved / "trace.csv").stat().st_size > 0
         assert os.listdir(tmp_path / "elsewhere") == []
 
     @pytest.mark.parametrize("address", ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000"])
     def test_bad_address_is_a_usage_error(self, tmp_path, graph_file, capsys, address):
-        # one parser for setup --listen, query --addr and listen_addr: each
-        # names the address, where one without a port once failed with
-        # "invalid literal for int()"; setup checks it before --out exists
-        out = tmp_path / "d"
-        assert main(["setup", str(graph_file), "--out", str(out), "--listen", address]) == 1
-        assert not out.exists()
+        # one parser for query --addr and serve --listen: each names the
+        # address, where one without a port once failed with "invalid
+        # literal for int()"; serve checks it before it loads a tree, so a
+        # directory with no trees gets the same error
         good = run_setup(tmp_path, graph_file)
         keys = (good / "keys.bin").read_bytes()
         assert main(["query", "0", "3", "--keys", str(good / "keys.bin"), "--addr", address]) == 1
         assert (good / "keys.bin").read_bytes() == keys
-        cfg = good / "server.cfg"
-        cfg.write_text(cfg.read_text().replace("127.0.0.1:7399", address))
-        assert main(["serve", "--config", str(cfg)]) == 1
+        assert main(["serve", str(good), "--listen", address]) == 1
+        assert main(["serve", str(tmp_path / "absent"), "--listen", address]) == 1
         err = capsys.readouterr().err
         assert err.count(f"error: address {address!r} is not host:port") == 3 and "Traceback" not in err
 
@@ -432,10 +493,10 @@ class TestDeploymentDirectory:
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
-        out = run_setup(tmp_path, graph_file, "--mode", "enhanced", "--listen", f"127.0.0.1:{port}")
+        out = run_setup(tmp_path, graph_file, "--mode", "enhanced")
         (out / "controller.bin").rename(tmp_path / "controller.bin")
         capsys.readouterr()
-        assert main(["serve", "--config", str(out / "server.cfg")]) == 2
+        assert main(["serve", str(out), "--listen", f"127.0.0.1:{port}"]) == 2
         err = capsys.readouterr().err
         assert f"an enhanced deployment needs {out / 'controller.bin'}" in err and "Traceback" not in err
         with socket.socket() as s:
@@ -456,13 +517,11 @@ class TestDeploymentDirectory:
         graph.write_text(CHAIN_30_TSV)
         out, fresh = tmp_path / "d", tmp_path / "fresh"
         for directory, extra in ((out, first), (out, again), (fresh, again)):
-            assert main(["setup", str(graph), "--out", str(directory), "--seed", "1", *extra]) == 0
+            assert main(["setup", str(graph), "--out", str(directory), *extra]) == 0
         chains = [line for line in capsys.readouterr().out.splitlines() if line.startswith("position map: chain")]
         assert chains == [f"position map: chain depth {depth}" for depth in chain_depths]
         assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
-        cfg = load_config(out / "server.cfg")
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(1)), cfg)
+        d = make_daemon(out, 1)
         d.start()
         try:
             assert main(["query", "3", "9", "--keys", str(out / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
@@ -470,15 +529,24 @@ class TestDeploymentDirectory:
             d.shutdown()
         assert capsys.readouterr().out.splitlines()[-1] == "3 4 5 6 7 8 9"
 
+    def test_setup_removes_an_older_server_cfg(self, tmp_path, graph_file):
+        # older releases wrote server.cfg beside the trees; setup again
+        # leaves what a fresh directory holds
+        out = tmp_path / "deploy"
+        out.mkdir()
+        (out / "server.cfg").write_text("tree_path = .\nlisten_addr = 127.0.0.1:7399\ntrace_path = trace.csv\n")
+        run_setup(tmp_path, graph_file)
+        assert sorted(os.listdir(out)) == ["keys.bin", "tree_000.bin"]
+
     def test_port_in_use_is_a_usage_error(self, tmp_path, graph_file, capsys):
         # a port another socket listens on: the refusal names the address
+        out = run_setup(tmp_path, graph_file)
+        capsys.readouterr()
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
             busy.listen()
             port = busy.getsockname()[1]
-            out = run_setup(tmp_path, graph_file, "--listen", f"127.0.0.1:{port}")
-            capsys.readouterr()
-            assert main(["serve", "--config", str(out / "server.cfg")]) == 1
+            assert main(["serve", str(out), "--listen", f"127.0.0.1:{port}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ") and "Traceback" not in err
 
@@ -504,12 +572,6 @@ class TestServeSignals:
         128 bytes or more.  Its first query, (0, 29), remaps all 15 top
         cells, each to one of 4 leaves, so the flushed file differs from
         the one setup wrote but for a chance of 4^-15."""
-        import signal
-        import socket
-        import subprocess
-        import sys
-        import time
-
         from obge.protocol import ControllerState, load_state
 
         graph_file = tmp_path / "graph.tsv"
@@ -519,36 +581,16 @@ class TestServeSignals:
         if extra:
             assert load_state(controller, ControllerState).positions.chain_depth == 1
             original_controller = controller.read_bytes()
-        cfg_path = out / "server.cfg"
-        text = cfg_path.read_text().replace("127.0.0.1:7399", "127.0.0.1:7461")
-        cfg_path.write_text(text)
         original_tree = (out / "tree_000.bin").read_bytes()
         capsys.readouterr()
 
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "obge.cli", "serve", "--config", str(cfg_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
+        proc, port = spawn_serve(out)
         try:
-            for _ in range(100):
-                try:
-                    socket.create_connection(("127.0.0.1", 7461), timeout=0.2).close()
-                    break
-                except OSError:
-                    time.sleep(0.1)
-            else:
-                raise AssertionError("daemon never came up")
             u, v, path = first
-            rc = main(["query", u, v, "--keys", str(out / "keys.bin"), "--addr", "127.0.0.1:7461"])
+            rc = main(["query", u, v, "--keys", str(out / "keys.bin"), "--addr", f"127.0.0.1:{port}"])
             assert rc == 0 and capsys.readouterr().out.strip() == path
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=15) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
+            stop_serve(proc)
 
         flushed = (out / "tree_000.bin").read_bytes()
         assert flushed != original_tree  # the query's write-backs were persisted
@@ -556,9 +598,7 @@ class TestServeSignals:
             assert controller.read_bytes() != original_controller
         assert (out / "trace.csv").stat().st_size > 0
         # restart from the flushed state and query again
-        cfg = load_config(cfg_path)
-        cfg.listen_addr = "127.0.0.1:0"
-        d = Daemon(build_server(cfg, rng=random.Random(8)), cfg)
+        d = make_daemon(out, 8)
         d.start()
         try:
             rc = main(["query", "1", "3", "--keys", str(out / "keys.bin"),

@@ -3,7 +3,6 @@ import random
 import re
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +10,6 @@ from obge import wire
 from obge.audit import QueryTruth, audit_trace
 from obge.blocks import TreeParams
 from obge.crypto import Cipher, ciphertext_width
-from obge.cli import main
 from obge.exceptions import ConfigError, ObgeError, ProtocolError
 from obge.graph import Graph, PathOracle
 from obge.oram import oram_init
@@ -31,13 +29,11 @@ from obge.server import (
     build_server,
     deploy_inprocess,
     enclave_transport,
-    load_config,
     parse_address,
-    save_config,
     tree_files,
 )
 from obge.storage import StorageHost, TreeStorage
-from conftest import chain_graph, decode_frame, read_one_frame
+from conftest import chain_graph, decode_frame, read_one_frame, serve_config
 
 
 def make_deployment(mode="trivial", n=6, seed=4):
@@ -59,7 +55,7 @@ def deploy_to(directory, result):
     save_state(directory / "keys.bin", result.client)
     if result.controller is not None:
         save_state(directory / "controller.bin", result.controller)
-    return ServerConfig(tree_path=str(directory), listen_addr="127.0.0.1:0", trace_path=str(directory / "trace.csv"))
+    return serve_config(directory)
 
 
 def enhanced_chain(n):
@@ -149,23 +145,6 @@ class TestDispatch:
 
 
 class TestConfig:
-    def test_round_trip(self, tmp_path):
-        cfg = ServerConfig(
-            tree_path=str(tmp_path),
-            listen_addr="127.0.0.1:9911",
-            trace_path=str(tmp_path / "t.csv"),
-        )
-        save_config(tmp_path / "server.cfg", cfg)
-        loaded = load_config(tmp_path / "server.cfg")
-        assert loaded == cfg
-
-    def test_relative_paths_are_read_from_the_files_directory(self, tmp_path, monkeypatch):
-        (tmp_path / "d").mkdir()
-        save_config(tmp_path / "d" / "server.cfg", ServerConfig(tree_path=".", trace_path="trace.csv"))
-        monkeypatch.chdir(tmp_path)
-        loaded = load_config("d/server.cfg")
-        assert (loaded.tree_path, loaded.trace_path) == ("d", str(Path("d") / "trace.csv"))
-
     @pytest.mark.parametrize(
         "text, address",
         [("127.0.0.1:7399", ("127.0.0.1", 7399)), (":0", ("127.0.0.1", 0)), ("localhost:65535", ("localhost", 65535))],
@@ -179,25 +158,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"address {text!r} is not host:port"):
             parse_address(text)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        (tmp_path / "bad.cfg").write_text("nonsense = 1\n")
-        with pytest.raises(ProtocolError):
-            load_config(tmp_path / "bad.cfg")
-
-    @pytest.mark.parametrize("mode", ["trivial", "enhanced", "enhnced"])
-    def test_mode_line_is_an_unknown_key(self, tmp_path, capsys, mode):
-        # the files decide the mode; a mode line, right or misspelt, is refused
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"tree_path = {tmp_path}\nmode = {mode}\n")
-        with pytest.raises(ProtocolError, match="config line 2: unknown key 'mode'"):
-            load_config(cfg)
-        assert main(["serve", "--config", str(cfg)]) == 2
-        assert "config line 2: unknown key 'mode'" in capsys.readouterr().err
-
     def test_missing_trees_rejected(self, tmp_path):
-        save_config(tmp_path / "server.cfg", ServerConfig(tree_path=str(tmp_path)))
-        with pytest.raises(ProtocolError):
-            build_server(load_config(tmp_path / "server.cfg"))
+        with pytest.raises(ProtocolError, match="no tree files under"):
+            build_server(ServerConfig(tree_path=str(tmp_path)))
 
     @pytest.mark.parametrize(
         "donor, name, match",
