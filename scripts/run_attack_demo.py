@@ -41,7 +41,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     g = random_graph(rng, args.vertices, args.edge_prob)
-    pairs = sorted(compute_spdx(g))
+    pairs = [pair for pair, _ in compute_spdx(g).items()]
     print(f"graph: {args.vertices} vertices, {len(g.edges)} edges, {len(pairs)} connected pairs")
 
     scheme = GktScheme(g)

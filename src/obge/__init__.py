@@ -15,7 +15,7 @@ from .exceptions import (
     ProtocolError,
     StashOverflowError,
 )
-from .graph import Graph, compute_sp_matrix, compute_spdx, load_graph, spath_oracle
+from .graph import Graph, compute_spdx, load_graph, spath_oracle
 from .crypto import KeySet, Prf, keygen, prf_eval
 from .protocol import reveal, setup
 from .server import deploy_inprocess
@@ -31,7 +31,6 @@ __all__ = [
     "Prf",
     "ProtocolError",
     "StashOverflowError",
-    "compute_sp_matrix",
     "compute_spdx",
     "deploy_inprocess",
     "keygen",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, compute_sp_matrix
+from .graph import Graph, compute_spdx
 from .protocol import rounds
 
 
@@ -54,7 +54,7 @@ class SPTree:
 
 def build_sp_trees(g: Graph) -> list[SPTree]:
     """One tree per destination; vertices that cannot reach it are omitted."""
-    matrix = compute_sp_matrix(g)
+    matrix = compute_spdx(g)
     parents: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for (u, v), w in matrix.items():
         parents[v][u] = w
@@ -242,7 +242,7 @@ def query_recovery(
 
 def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:
     """Edge count of the canonical shortest path for every connected pair."""
-    matrix = compute_sp_matrix(g)
+    matrix = compute_spdx(g)
     out: dict[tuple[int, int], int] = {}
     for (u, v), _ in matrix.items():
         d = 0

@@ -78,6 +78,8 @@ def cmd_serve(args) -> int:
         level=logging.INFO, stream=sys.stderr, format="%(asctime)s %(name)s %(levelname)s %(message)s"
     )
     parse_address(args.listen)  # before any tree is loaded
+    if not Path(args.dir).is_dir():
+        raise ConfigError(f"{args.dir!r} is not a directory")
     cfg = ServerConfig(tree_path=args.dir, listen_addr=args.listen, trace_path=str(Path(args.dir) / "trace.csv"))
     server = build_server(cfg)
     daemon = Daemon(server, cfg)

@@ -43,7 +43,7 @@ class GktScheme:
         self.k1 = Cipher(os.urandom(KEY_BYTES))
         self.vertex_count = g.vertex_count
         entries: dict[bytes, tuple[bytes, bytes]] = {}
-        for (u, v), (w, _) in compute_spdx(g).items():
+        for (u, v), w in compute_spdx(g).items():
             tk = prf_eval(self.prf, pair_block(u, v))
             entries[tk] = (
                 prf_eval(self.prf, pair_block(w, v)),

@@ -1,20 +1,23 @@
-"""Plaintext graph container, next-hop matrix, and shortest-path oracle.
+"""Plaintext graph container, next-hop table, and shortest-path oracle.
 
-The next-hop structures built here feed the encrypted dictionary: for every
-ordered connected pair (u, v) we record the vertex that immediately follows
-u on the canonical shortest path to v.  "Canonical" means ties between
+The next-hop table feeds the encrypted dictionary: for every ordered
+connected pair (u, v) it records the vertex that immediately follows u on
+the canonical shortest path to v.  "Canonical" means ties between
 equal-cost paths are broken by fewest edges first, then by the smallest
-next-hop vertex id, applied recursively; this makes every derived structure
-deterministic and lets independent computations agree exactly.
+next-hop vertex id, applied recursively; this makes every derived
+structure deterministic.
 
-The table holds no Python object per entry: ``compute_sp_matrix`` fills
-one dense array('i') of |V|^2 next hops in address order, cell u*|V|+v,
-from per-source distances kept as arrays over the vertices each source
-reaches.  A cell with no hop (u = v, or v unreachable) holds u itself: a
-next hop never equals its source, because ``Graph`` refuses self-loops,
-so every cell is a vertex id and the table is the encrypted dictionary's
-block payloads as they stand.  ``compute_spdx`` is a read-only mapping
-view over that array.
+The table holds no Python object per entry: ``compute_spdx`` runs one
+search per source, which labels each vertex it reaches with its first hop,
+and writes the source's row straight into one dense array('i') of |V|^2
+next hops in address order, cell u*|V|+v.  A cell with no hop (u = v, or v
+unreachable) holds u itself: a next hop never equals its source, because
+``Graph`` refuses self-loops, so every cell is a vertex id and the table is
+the encrypted dictionary's block payloads as they stand.  ``PathOracle``
+answers the same queries from searches of its own.  For integer weights,
+and other weights whose sums are exact, the two agree exactly; decimal
+weights can round two equal-cost paths apart, and each side then breaks
+the tie by its own sums.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -213,114 +216,61 @@ class SPMatrix:
                     yield (u, v), w
 
 
-def _exact_as_doubles(g: Graph) -> bool:
-    """Whether every distance compute_sp_matrix compares, and every sum of
-    one with an edge weight, keeps its value as a C double: true when the
-    weights are floats and ints whose total is below 2^52, since no such
-    sum exceeds twice the total."""
-    total = 0
-    for w in g.edges.values():
-        if type(w) is int:
-            total += w
-        elif type(w) is not float:
-            return False
-    return total < 1 << 52
+def compute_spdx(g: Graph) -> SPMatrix:
+    """Next-hop table from one search per source, which labels each vertex
+    with its first hop when it first reaches it and writes the source's row
+    straight into the table.
 
-
-def compute_sp_matrix(g: Graph) -> SPMatrix:
-    """Next-hop matrix from per-source BFS/Dijkstra sweeps.
-
-    Cell (u, v) is the first neighbor w of u, in ascending id order, with
-    dist(u, v) = (wt(u, w) + weight of dist(w, v), 1 + hops of dist(w, v)):
-    the first match.  Each source's distances are kept as arrays over the
-    vertices it reaches, hops in array('i') and, in a weighted graph,
-    weights in array('d') when that is exact and in a list otherwise; a
-    source's own distances are spread over |V|-cell scratch arrays while
-    its row of the table is filled.  Each row starts as |V| copies of its
-    source u, written at C level, so diagonal cells and unreachable pairs
-    hold u (None).
+    A row starts as |V| copies of its source u, so the diagonal and the
+    vertices u never reaches hold u (None); while the search runs, u's own
+    cell holds -1, so a cell holding u is one not yet reached.  In a
+    weighted graph it is Dijkstra from u's out-edges, keyed (weight, edges,
+    first hop, vertex): every shortest-path predecessor of a vertex has a
+    strictly smaller key and pops first, so a vertex's first pop carries the
+    smallest first hop among its shortest paths.  With unit weights it is a
+    breadth-first search over ascending neighbours: within a level the
+    queue stays sorted by first hop, so each vertex is first reached
+    through its smallest one.  No distance is compared across two
+    searches, so decimal weights lose no reachable pair to rounding.
     """
     n = g.vertex_count
-    weighted = g.is_weighted
     adj = g.adjacency
-    code = "d" if weighted and _exact_as_doubles(g) else None
-
-    def weights(values) -> array | list:
-        return array(code, values) if code else list(values)
-
-    rows = []
-    for u in range(n):
-        dist = _sssp(adj, u, weighted)
-        hops = array("i", [h for _, h in dist.values()])
-        rows.append((array("i", dist), hops, weights(d for d, _ in dist.values()) if weighted else None))
-
+    weighted = g.is_weighted
     table = array("i")
-    for u in range(n):
-        table += array("i", [u]) * n
     count = 0
-    to_hops = array("i", [-1]) * n  # u's hops to each vertex; -1 where unreached
-    to_weight = weights([0] * n) if weighted else None
     for u in range(n):
-        reached, hops, dists = rows[u]
-        for v, h in zip(reached, hops):
-            to_hops[v] = h
+        row = [u] * n
+        row[u] = -1
         if weighted:
-            for v, d in zip(reached, dists):
-                to_weight[v] = d
-        base = u * n
-        # the diagonal never matches: to_hops[u] is 0, and hv + 1 is at least
-        # 1; a cell still holding u has no hop yet, since a neighbor w is not u
-        for w, wt in adj[u]:  # neighbors ascend, so the first match is the canonical hop
-            w_reached, w_hops, w_dists = rows[w]
-            if weighted:
-                for v, hv, dv in zip(w_reached, w_hops, w_dists):
-                    if to_hops[v] == hv + 1 and to_weight[v] == dv + wt and table[base + v] == u:
-                        table[base + v] = w
-                        count += 1
-            else:  # every weight is 1, so a distance's weight is its hop count
-                for v, hv in zip(w_reached, w_hops):
-                    if to_hops[v] == hv + 1 and table[base + v] == u:
-                        table[base + v] = w
-                        count += 1
-        for v in reached:
-            to_hops[v] = -1
+            heap = [(wt, 1, w, w) for w, wt in adj[u]]
+            heapq.heapify(heap)
+            while heap:
+                d, h, first, x = heapq.heappop(heap)
+                if row[x] != u:
+                    continue
+                row[x] = first
+                count += 1
+                for y, wt in adj[x]:
+                    if row[y] == u:
+                        heapq.heappush(heap, (d + wt, h + 1, first, y))
+        else:
+            queue = [w for w, _ in adj[u]]
+            for w in queue:
+                row[w] = w
+            for x in queue:  # the list grows behind the loop: a FIFO queue
+                first = row[x]
+                for y, _ in adj[x]:
+                    if row[y] == u:
+                        row[y] = first
+                        queue.append(y)
+            count += len(queue)
+        row[u] = u
+        table.fromlist(row)
     return SPMatrix(n, table, count)
 
 
-class NextHopDict(Mapping):
-    """Read-only view of an SPMatrix as the next-hop dictionary: (u, v) ->
-    (w, v) for every ordered connected pair with u != v, in address order.
-    Its len is the entry count, and it compares equal to the dict of the
-    same entries."""
-
-    def __init__(self, matrix: SPMatrix):
-        self.matrix = matrix
-
-    def __getitem__(self, key: tuple[int, int]) -> tuple[int, int]:
-        try:
-            u, v = key
-            w = self.matrix.next_hop(u, v)
-        except (TypeError, ValueError, IndexError):
-            raise KeyError(key) from None
-        if w is None:
-            raise KeyError(key)
-        return w, v
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (pair for pair, _ in self.matrix.items())
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-
-def compute_spdx(g: Graph) -> NextHopDict:
-    """Next-hop dictionary: (u, v) -> (w, v) for every ordered connected
-    pair with u != v.  Chasing values reaches (v, v) in dist(u, v) steps."""
-    return NextHopDict(compute_sp_matrix(g))
-
-
 class PathOracle:
-    """Shortest-path answers computed independently of the next-hop matrix:
+    """Shortest-path answers computed independently of the next-hop table:
     reverse-graph Dijkstra per destination plus a greedy forward walk.
     Distance maps are cached per destination so all-pairs sweeps stay
     affordable."""
@@ -353,7 +303,9 @@ class PathOracle:
             d, h = to_v[curr]
             for w, wt in adj[curr]:
                 rest = to_v.get(w)
-                if rest is not None and rest == (d - wt, h - 1):
+                # the addition the reverse search made, so its own
+                # predecessor matches however the sum rounds
+                if rest is not None and rest[1] == h - 1 and rest[0] + wt == d:
                     curr = w
                     break
             else:  # unreachable under the invariants; guards corrupt inputs

@@ -252,7 +252,7 @@ def build_blocks(g: Graph, keys: KeySet) -> tuple[bytearray, int]:
     """
     n = g.vertex_count
     spdx = compute_spdx(g)
-    table, prf = spdx.matrix.table, Prf(keys.kprf)
+    table, prf = spdx.table, Prf(keys.kprf)
     heads = bytearray(n * n * HEAD_WIDTH)
     for u in range(n):
         tokens = prf_eval(prf, b"".join(map(PAIR_BLOCK.pack, repeat(u, n), range(n))))

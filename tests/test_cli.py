@@ -486,6 +486,15 @@ class TestDeploymentDirectory:
         err = capsys.readouterr().err
         assert err.count(f"error: address {address!r} is not host:port") == 3 and "Traceback" not in err
 
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        # a mistyped DIR exited 2, "protocol or integrity failure", with
+        # "no tree files under" it; a directory without trees still does
+        absent = tmp_path / "absent"
+        assert main(["serve", str(absent), "--listen", "127.0.0.1:0"]) == 1
+        assert capsys.readouterr().err == f"error: {str(absent)!r} is not a directory\n"
+        assert main(["serve", str(tmp_path), "--listen", "127.0.0.1:0"]) == 2
+        assert capsys.readouterr().err == f"error: no tree files under {str(tmp_path)!r}\n"
+
     def test_enhanced_setup_without_controller_is_refused(self, tmp_path, graph_file, capsys):
         # the files decide the mode: enhanced trees with controller.bin moved
         # aside are refused at start, naming the file, and the port is

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import struct
@@ -13,7 +14,7 @@ from obge import protocol, storage
 from obge.blocks import HOP, bucket_ad
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
 from obge.exceptions import ConfigError, IntegrityError, ProtocolError
-from obge.graph import Graph, PathOracle, compute_sp_matrix, compute_spdx, spath_oracle
+from obge.graph import Graph, PathOracle, compute_spdx, load_graph, spath_oracle
 from obge.oram import STASH_MAX
 from obge.protocol import (
     MAX_VERTICES,
@@ -152,7 +153,7 @@ class TestSetup:
             g.add_edge(u, v, w)
         result, _, _, client = deploy(g, mode, **({"budget": 256} if mode == "enhanced" else {}))
         assert calls == [16] * 16
-        assert len({u for u, _ in compute_spdx(g)}) == 15
+        assert len({u for (u, _), _ in compute_spdx(g).items()}) == 15
         for u, v in [(0, 9), (3, 3), (9, 0), (5, 12), (15, 2)]:
             calls.clear()
             path = client.query_path(u, v)
@@ -191,10 +192,10 @@ class TestSetup:
         # on |V|=1 and on a graph with no edges
         rng = random.Random(23)
         sparse = random_graph(rng, 30, 0.05, weighted=weighted, directed=directed)
-        assert 0 < len({u for (u, _), _ in compute_sp_matrix(sparse).items()}) < 30
+        assert 0 < len({u for (u, _), _ in compute_spdx(sparse).items()}) < 30
         keys = keygen()
         for g in (sparse, Graph(1, directed=directed), Graph(6, directed=directed)):
-            n, prf, matrix = g.vertex_count, Prf(keys.kprf), compute_sp_matrix(g)
+            n, prf, matrix = g.vertex_count, Prf(keys.kprf), compute_spdx(g)
             heads = bytearray()
             for u in range(n):
                 for v in range(n):
@@ -363,6 +364,38 @@ class TestQueryReveal:
                 if r.msg_type == "ReadPath" and r.tree_id == 0
             ]
             assert len(reads) == rounds(plen)
+
+    @pytest.mark.parametrize("mode", ["trivial", "enhanced"])
+    def test_decimal_weights_keep_their_path(self, mode):
+        # road-like decimal weights: the table once dropped (3, 0), whose
+        # distance 0.7 + 0.2 + 0.2 two searches summed in different orders,
+        # and both deployments answered "no path"
+        g = load_graph(io.StringIO("3\t1\t0.7\n1\t2\t0.2\n2\t0\t0.2\n"))
+        _, _, _, client = deploy(g, mode)
+        assert client.query_path(3, 0) == [3, 1, 2, 0]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=IntegrityError,
+        reason="ROADMAP item 8: a failed path read leaves the client's map on the fresh leaf of a block that stayed put",
+    )
+    def test_failed_read_leaves_the_client_usable(self, monkeypatch):
+        # the first path read of (0, 5) fails: get_and_remap has already
+        # given the pair's block a fresh leaf, and the block was never read,
+        # so it is still on its old path and the same query misses it
+        _, host, _, client = deploy(chain_graph(6), "trivial")
+        read_path, reads = host.read_path, []
+
+        def fail_first(tree_id, leaf):
+            reads.append(leaf)
+            if len(reads) == 1:
+                raise ProtocolError("storage refuses reads")
+            return read_path(tree_id, leaf)
+
+        monkeypatch.setattr(host, "read_path", fail_first)
+        with pytest.raises(ProtocolError, match="storage refuses reads"):
+            client.query_path(0, 5)
+        assert client.query_path(0, 5) == [0, 1, 2, 3, 4, 5]
 
 
 class TestModeEquivalence:
