@@ -46,12 +46,9 @@ from .crypto import TOKEN_BYTES, ciphertext_width
 TOKEN = slice(0, TOKEN_BYTES)
 HOP = struct.Struct(">H")  # a data block's payload: its next hop's vertex id
 HEAD_WIDTH = TOKEN_BYTES + HOP.size  # a data block's head
-_BUCKET_AD = struct.Struct(">BQ")  # tree id, heap index of the bucket
-
-
-def bucket_ad(tree_id: int, node: int) -> bytes:
-    """Associated data binding a bucket ciphertext to its tree and node."""
-    return _BUCKET_AD.pack(tree_id, node)
+# bucket_ad(tree_id, node): the associated data binding a bucket ciphertext
+# to its tree and heap index
+bucket_ad = struct.Struct(">BQ").pack
 
 
 def write_heads(heads: bytearray, start: int, tokens: bytes, hops: Iterable[int]) -> None:
@@ -173,15 +170,25 @@ class TreeParams:
         """Bytes of one path read or write on the host."""
         return self.host_levels * self.bucket_width
 
-    def path_nodes(self, leaf: int, top: int = 0, base: int = 0) -> list[int]:
-        """Heap indices less base of the buckets on the path to leaf from
-        level top down: by default the root-to-leaf path, root first.  With
-        top k and base 2^k - 1 they are the positions of the host's buckets
-        in its array of levels k..L."""
-        if not (0 <= leaf < self.leaves):
+    @cached_property
+    def host_path(self) -> tuple[tuple[int, int], ...]:
+        """The host's levels k..L, level k first, each as the heap index of
+        its first bucket and a shift: the path to leaf passes through heap
+        node first + (leaf >> shift) of each.  The engine reads a path's
+        associated data and the host its byte offsets off this one table."""
+        d = self.depth
+        return tuple(((1 << level) - 1, d - level) for level in range(self.cached, d + 1))
+
+    def check_leaf(self, leaf: int) -> None:
+        """IndexError unless leaf is one of the tree's 2^L."""
+        if not 0 <= leaf < self.leaves:
             raise IndexError(f"leaf {leaf} out of range [0, {self.leaves})")
-        d, off = self.depth, base + 1
-        return [(1 << level) - off + (leaf >> (d - level)) for level in range(top, d + 1)]
+
+    def path_nodes(self, leaf: int) -> list[int]:
+        """Heap indices of the buckets on the root-to-leaf path, root first."""
+        self.check_leaf(leaf)
+        d = self.depth
+        return [(1 << level) - 1 + (leaf >> (d - level)) for level in range(d + 1)]
 
 
 def tree_depth_for(real_slots: int, bucket_size: int) -> int:

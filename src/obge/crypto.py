@@ -25,12 +25,19 @@ parameters fix.  An optional associated-data string is authenticated
 alongside the ciphertext but not stored in it: decryption succeeds only
 when the caller presents the same string, which is how ORAM buckets are
 bound to their tree and node.
+
+A run of ciphertexts, such as the buckets of one ORAM path, is sealed and
+opened in one call: ``Cipher.seal_path`` draws the run's nonces, 12
+uniform bytes a plaintext, from one ``os.urandom`` call and concatenates
+the ciphertexts in the layout above; ``Cipher.open_path`` opens such a run
+and, on a failed tag, names the ciphertext in ``IntegrityError.index``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -46,6 +53,8 @@ TAG_BYTES = 16
 
 # fixed per-ciphertext overhead beyond the plaintext
 CT_OVERHEAD = NONCE_BYTES + TAG_BYTES
+
+_AUTH_FAILED = "authentication failed: wrong key, wrong associated data or tampered ciphertext"
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,42 @@ class Cipher:
         try:
             return self._aead.decrypt(ct[:NONCE_BYTES], ct[NONCE_BYTES:], ad)
         except InvalidTag:
-            raise IntegrityError(
-                "authentication failed: wrong key, wrong associated data or tampered ciphertext"
-            )
+            raise IntegrityError(_AUTH_FAILED) from None
+
+    def seal_path(self, plains: Sequence[bytes], ads: Sequence[bytes]) -> bytes:
+        """The encryptions of plains, each under its own entry of ads and a
+        nonce of its own, concatenated in order: what ``encrypt`` would
+        return for each, with every nonce drawn in one call for random
+        bytes.  Plaintexts and associated data of unequal counts raise
+        ValueError."""
+        if len(plains) != len(ads):
+            raise ValueError(f"{len(plains)} plaintexts under {len(ads)} associated data strings")
+        encrypt = self._aead.encrypt
+        nonces = os.urandom(NONCE_BYTES * len(plains))
+        out = []
+        at = 0
+        for plain, ad in zip(plains, ads):
+            nonce = nonces[at : at + NONCE_BYTES]
+            at += NONCE_BYTES
+            out += nonce, encrypt(nonce, plain, ad)
+        return b"".join(out)
+
+    def open_path(self, data: bytes, width: int, ads: Sequence[bytes]) -> list[bytes]:
+        """The plaintexts of the len(ads) ciphertexts of width bytes each
+        that data holds end to end, each opened under its own entry of ads.
+        Data that is not that many whole ciphertexts raises IntegrityError;
+        so does a ciphertext that fails authentication, with its position
+        in ``index``."""
+        if width < CT_OVERHEAD or len(data) != width * len(ads):
+            raise IntegrityError(f"{len(data)} bytes are not {len(ads)} ciphertexts of {width} bytes")
+        decrypt = self._aead.decrypt
+        plains: list[bytes] = []
+        at = 0
+        try:
+            for ad in ads:
+                mid = at + NONCE_BYTES
+                at += width
+                plains.append(decrypt(data[mid - NONCE_BYTES : mid], data[mid:at], ad))
+        except InvalidTag:
+            raise IntegrityError(_AUTH_FAILED, index=len(plains)) from None
+        return plains

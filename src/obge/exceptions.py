@@ -32,7 +32,13 @@ class StashOverflowError(CapacityError):
 
 
 class IntegrityError(ObgeError):
-    """Authenticated decryption failed: wrong key or tampered bytes."""
+    """Authenticated decryption failed: wrong key or tampered bytes.  Where
+    a run of ciphertexts failed (``crypto.Cipher.open_path``), index is the
+    position of the one that failed; otherwise it is None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ProtocolError(ObgeError):

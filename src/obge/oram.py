@@ -11,13 +11,17 @@ the block it returns.
 The bucket is the unit of encryption: one AES-GCM ciphertext over its
 count byte and Z slots, its real blocks first and then zero slots, so
 always of the same width, with (tree id, heap index) as associated data.
-An access reads only the first count slots of each bucket; a bucket that
-fails authentication, or a count past Z, fails the access with
-IntegrityError naming the tree and node.  Every bucket on a path is
-re-encrypted under a fresh nonce on every write, so full, partly full and
-empty buckets look alike, and a bucket the host moves to another node or
-tree fails authentication on the next access that reads it.  The binding
-does not cover freshness: the host can still put back a node's own older
+An access works the host's part of the path whole: it takes each bucket's
+heap index from the tree's host-path table (``TreeParams.host_path``),
+opens the path's buckets in one call (``Cipher.open_path``), reads only
+the first count slots of each, its real blocks, and seals the path it
+writes back in one call (``Cipher.seal_path``).  A bucket that fails
+authentication, or a count past Z, fails the access with IntegrityError
+naming the tree and node.  Every bucket on a path is re-encrypted under
+a fresh nonce on every write, so full, partly full and empty buckets look
+alike, and a bucket the host moves to another node or tree fails
+authentication on the next access that reads it.  The binding does not
+cover freshness: the host can still put back a node's own older
 ciphertext (rollback).
 
 Held blocks: the engine may keep the top k levels of its tree
@@ -45,7 +49,8 @@ overflows with probability about 2^-90.
 the leaves into an array with one call for random bytes, writes each
 block straight into its slot of the host's bucket buffer, where zero slots
 are the dummies, writes every bucket's count with one strided assignment,
-and encrypts each bucket in place, so it holds no Python object per block.
+and encrypts the buckets in place, in runs of SETUP_RUN sealed in one call
+each, so it holds no Python object per block.
 
 The engine is the only holder of its held blocks.  ``oram_init`` builds it
 with its tree and a state file's loader from the saved blocks, both from
@@ -73,6 +78,9 @@ from .exceptions import CapacityError, IntegrityError, StashOverflowError
 from .storage import TreeStorage
 
 STASH_MAX = 128
+# buckets oram_init seals in one call: it holds one run's ciphertexts at a
+# time beside the tree
+SETUP_RUN = 256
 # a bucket's count byte, by count
 _COUNTS = [bytes((n,)) for n in range(256)]
 
@@ -147,15 +155,18 @@ class PathOram:
         rounds that pad a query.
         """
         p = self.params
+        p.check_leaf(leaf)
         if tk is not None and not (0 <= new_leaf < p.leaves):
             raise IndexError(f"new leaf {new_leaf} out of range [0, {p.leaves})")
-        nodes = p.path_nodes(leaf, p.cached)
-        ads = [bucket_ad(self.tree_id, node) for node in nodes]
-        raw = self.store.read_path(self.tree_id, leaf)
+        tree_id = self.tree_id
+        ads = [bucket_ad(tree_id, first + (leaf >> shift)) for first, shift in p.host_path]
+        raw = self.store.read_path(tree_id, leaf)
         if len(raw) != p.path_width:
-            raise IntegrityError(
-                f"tree {self.tree_id}: path read of {len(raw)} bytes, expected {p.path_width}"
-            )
+            raise IntegrityError(f"tree {tree_id}: path read of {len(raw)} bytes, expected {p.path_width}")
+        try:
+            plains = self.cipher.open_path(raw, p.bucket_width, ads)
+        except IntegrityError as exc:
+            raise IntegrityError(f"tree {tree_id} node {self._node(leaf, exc.index)}: {exc}") from None
 
         shift = p.depth - p.cached
         g = leaf >> shift
@@ -165,16 +176,11 @@ class PathOram:
         group = self.held.get(g)
         work = group.copy() if group else []
         before = len(work)
-        z, bw, cw = p.bucket_size, p.block_width, p.bucket_width
-        decrypt = self.cipher.decrypt
-        for i, ad in enumerate(ads):
-            try:
-                plain = decrypt(raw[i * cw : (i + 1) * cw], ad)
-            except IntegrityError as exc:
-                raise IntegrityError(f"tree {self.tree_id} node {nodes[i]}: {exc}") from None
+        z, bw = p.bucket_size, p.block_width
+        for i, plain in enumerate(plains):
             n = plain[0]  # the bucket's real blocks come first; dummies stay behind
             if n > z:
-                raise IntegrityError(f"tree {self.tree_id} node {nodes[i]}: bucket counts {n} blocks, Z is {z}")
+                raise IntegrityError(f"tree {tree_id} node {self._node(leaf, i)}: bucket counts {n} blocks, Z is {z}")
             for at in range(1, 1 + n * bw, bw):
                 work.append(plain[at : at + bw])
 
@@ -214,6 +220,11 @@ class PathOram:
             self.max_stash_seen = self.held_count
         return found
 
+    def _node(self, leaf: int, i: int) -> int:
+        """Heap index of the host's i-th bucket, level k first, on the path to leaf."""
+        first, shift = self.params.host_path[i]
+        return first + (leaf >> shift)
+
     def _evict_and_write(self, x: int, group: list[bytes], ads: list[bytes]) -> list[bytes]:
         """Greedy write-back of x's group into the host's levels k..L of the
         path to x; returns the blocks that stay held.
@@ -222,9 +233,10 @@ class PathOram:
         also passes through, level L minus the bit length of leaf XOR x,
         which the group's shared top k bits keep at k or below.  One pass
         sorts the group by that level; the buckets then fill from the leaf
-        up, and blocks that do not fit carry toward level k.  Each bucket is
-        encrypted under its entry of ads, level k first, as its count byte,
-        its blocks and zero slots.
+        up, and blocks that do not fit carry toward level k.  Each bucket's
+        plaintext is its count byte, its blocks and zero slots, and the
+        path's plaintexts are sealed in one call, each under its entry of
+        ads, level k first.
         """
         p = self.params
         z, top = p.bucket_size, p.host_levels - 1
@@ -233,21 +245,20 @@ class PathOram:
         leaf_of = words.unpack_from
         for blk in group:
             by_level[top - ((leaf_of(blk)[0] & mask) ^ x).bit_length()].append(blk)
-        encrypt = self.cipher.encrypt
         fills, empty = p.dummy_fills, self.empty_bucket
         carry: list[bytes] = []
-        buckets: list[bytes] = []  # leaf first
-        for level, ad in zip(reversed(by_level), reversed(ads)):
+        plains: list[bytes] = []  # leaf first
+        for level in reversed(by_level):
             carry += level
             if not carry:
-                buckets.append(encrypt(empty, ad))
+                plains.append(empty)
                 continue
             picked = carry[:z]
             del carry[:z]
             n = len(picked)
-            buckets.append(encrypt(b"".join((_COUNTS[n], *picked, fills[z - n])), ad))
-        buckets.reverse()
-        self.store.write_path(self.tree_id, x, b"".join(buckets))
+            plains.append(b"".join((_COUNTS[n], *picked, fills[z - n])))
+        plains.reverse()
+        self.store.write_path(self.tree_id, x, self.cipher.seal_path(plains, ads))
         return carry
 
 
@@ -280,7 +291,8 @@ def oram_init(
     slots left zero are the dummies, and the counts become the buckets'
     count bytes in one strided assignment.  Each bucket is then encrypted
     in place: one ciphertext bound to (tree_id, node), written over its own
-    plaintext, empty buckets included.  Heads that are not a whole number
+    plaintext, empty buckets included, a run of SETUP_RUN buckets to a
+    ``Cipher.seal_path`` call.  Heads that are not a whole number
     of head widths would shift later slots: ValueError.
 
     Returns (engine, TreeStorage, leaf per head); the engine has no store
@@ -319,11 +331,13 @@ def oram_init(
     held.sort(key=lambda pair: pair[0])  # the engine takes its held blocks group by group
     engine = PathOram(tree_id, params, cipher, b"".join(blk for _, blk in held))
 
-    pw, encrypt = params.plain_width, cipher.encrypt
+    pw, nodes = params.plain_width, params.host_nodes
     with memoryview(buckets) as view:
-        for i in range(params.host_nodes):
-            at = i * cw
-            buckets[at : at + cw] = encrypt(view[at : at + pw], bucket_ad(tree_id, first + i))
+        for start in range(0, nodes, SETUP_RUN):
+            end = min(start + SETUP_RUN, nodes)
+            plains = [view[at : at + pw] for at in range(start * cw, end * cw, cw)]
+            ads = [bucket_ad(tree_id, node) for node in range(first + start, first + end)]
+            buckets[start * cw : end * cw] = cipher.seal_path(plains, ads)
 
     tree = TreeStorage(tree_id=tree_id, params=params, buckets=buckets)
     return engine, tree, leaves

@@ -2,9 +2,13 @@
 
 A TreeStorage holds the raw encrypted buckets of one ORAM tree that the
 host stores, levels k..L below the engine's tree-top cache, in heap order,
-and serves the host's part of each root-to-leaf path.  Every path read or
-write is appended to an AccessTrace, which records exactly what the storage
-owner can observe: operation, tree, leaf id, and byte count.
+and serves the host's part of each root-to-leaf path, taking each
+bucket's byte offset from the tree's host-path table
+(``TreeParams.host_path``), the one the engine reads the buckets'
+associated data from.  A leaf outside [0, 2^L) raises IndexError.  Every
+path read or write is appended to an AccessTrace, which records exactly
+what the storage owner can observe: operation, tree, leaf id, and byte
+count, one slotted TraceRecord each.
 
 Tree file format ``TREE_VERSION``: a header (magic, version, tree id, depth
 L, cached levels k, bucket size Z, payload width) followed by the buckets
@@ -70,7 +74,7 @@ def write_atomic(path: str | Path, *chunks: bytes) -> None:
         raise
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     timestamp: float
     msg_type: str
@@ -167,16 +171,22 @@ class TreeStorage:
     def read_path(self, leaf: int) -> bytes:
         """The host's buckets on the root-to-leaf path, level k first, concatenated."""
         p, buckets = self.params, self.buckets
-        w, nodes = p.bucket_width, p.path_nodes(leaf, p.cached, p.cache_nodes)
-        return b"".join([buckets[n * w : (n + 1) * w] for n in nodes])
+        p.check_leaf(leaf)
+        w, base = p.bucket_width, p.cache_nodes
+        return b"".join(
+            [buckets[(at := (first - base + (leaf >> shift)) * w) : at + w] for first, shift in p.host_path]
+        )
 
     def write_path(self, leaf: int, data: bytes) -> None:
         p, buckets = self.params, self.buckets
-        nodes, w = p.path_nodes(leaf, p.cached, p.cache_nodes), p.bucket_width
-        if len(data) != len(nodes) * w:
-            raise ProtocolError(f"path write of {len(data)} bytes, expected {len(nodes) * w}")
-        for i, n in enumerate(nodes):
-            buckets[n * w : (n + 1) * w] = data[i * w : (i + 1) * w]
+        p.check_leaf(leaf)
+        if len(data) != p.path_width:
+            raise ProtocolError(f"path write of {len(data)} bytes, expected {p.path_width}")
+        w, base, i = p.bucket_width, p.cache_nodes, 0
+        for first, shift in p.host_path:
+            at = (first - base + (leaf >> shift)) * w
+            buckets[at : at + w] = data[i : i + w]
+            i += w
 
     def save(self, path: str | Path) -> None:
         write_atomic(path, self.header_bytes(), self.buckets)

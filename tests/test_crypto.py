@@ -3,9 +3,12 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obge import crypto
+from obge.blocks import bucket_ad
 from obge.crypto import (
     CT_OVERHEAD,
     KEY_BYTES,
+    NONCE_BYTES,
     Cipher,
     Prf,
     ciphertext_width,
@@ -127,3 +130,93 @@ class TestSke:
     def test_round_trip_fuzz(self, data, ad):
         c = Cipher(b"\x07" * 16)
         assert c.decrypt(c.encrypt(data, ad), ad) == data
+
+
+class TestPathSeal:
+    """A run of ciphertexts sealed and opened in one call, as an ORAM path's
+    buckets are: each is what ``encrypt`` makes, nonce || ciphertext || tag
+    under its own associated data."""
+
+    @staticmethod
+    def run(count, width=33):
+        plains = [os.urandom(width) for _ in range(count)]
+        ads = [bucket_ad(1, node) for node in range(count)]
+        return plains, ads
+
+    def test_round_trip_over_runs_of_1_to_20(self):
+        c = Cipher(os.urandom(16))
+        for count in range(1, 21):
+            plains, ads = self.run(count, width=count)
+            sealed = c.seal_path(plains, ads)
+            width = ciphertext_width(count)
+            assert len(sealed) == count * width
+            assert c.open_path(sealed, width, ads) == plains
+            # each ciphertext is one encrypt would make, under its own ad
+            for i, ad in enumerate(ads):
+                assert c.decrypt(sealed[i * width : (i + 1) * width], ad) == plains[i]
+
+    def test_nonces_of_a_thousand_paths_are_pairwise_distinct(self):
+        c = Cipher(os.urandom(16))
+        plains, ads = self.run(5)
+        width = ciphertext_width(33)
+        nonces = []
+        for _ in range(1000):
+            sealed = c.seal_path(plains, ads)
+            nonces += [sealed[at : at + NONCE_BYTES] for at in range(0, len(sealed), width)]
+        assert len(nonces) == 5000 and len(set(nonces)) == 5000
+
+    def test_nonces_come_from_one_call_for_random_bytes(self, monkeypatch):
+        # every ciphertext of a run opens with its own 12 bytes of one
+        # os.urandom draw, in order
+        drawn = []
+
+        def urandom(n):
+            drawn.append(bytes(range(n)))
+            return drawn[-1]
+
+        c = Cipher(os.urandom(16))
+        plains, ads = self.run(7)
+        monkeypatch.setattr(crypto.os, "urandom", urandom)
+        sealed = c.seal_path(plains, ads)
+        monkeypatch.undo()
+        width = ciphertext_width(33)
+        assert [len(d) for d in drawn] == [7 * NONCE_BYTES]
+        assert [sealed[at : at + NONCE_BYTES] for at in range(0, len(sealed), width)] == [
+            drawn[0][i : i + NONCE_BYTES] for i in range(0, 7 * NONCE_BYTES, NONCE_BYTES)
+        ]
+
+    @pytest.mark.parametrize("fault", ["flipped", "wrong-ad"])
+    def test_a_failed_ciphertext_is_named_by_its_index(self, fault):
+        c = Cipher(os.urandom(16))
+        plains, ads = self.run(6)
+        width = ciphertext_width(33)
+        sealed = c.seal_path(plains, ads)
+        for i in range(6):
+            data, opened_ads = bytearray(sealed), list(ads)
+            if fault == "flipped":
+                data[i * width + 20] ^= 1
+            else:
+                opened_ads[i] = bucket_ad(2, i)
+            with pytest.raises(IntegrityError, match="authentication failed") as exc:
+                c.open_path(bytes(data), width, opened_ads)
+            assert exc.value.index == i
+
+    def test_input_that_is_not_whole_ciphertexts_is_refused(self):
+        c = Cipher(os.urandom(16))
+        plains, ads = self.run(3)
+        width = ciphertext_width(33)
+        sealed = c.seal_path(plains, ads)
+        for data, w, opened_ads in [
+            (sealed[:-1], width, ads),
+            (sealed + b"\0", width, ads),
+            (sealed, width, ads[:2]),
+            (sealed[: CT_OVERHEAD - 1] * 3, CT_OVERHEAD - 1, ads),
+        ]:
+            with pytest.raises(IntegrityError, match="are not") as exc:
+                c.open_path(data, w, opened_ads)
+            assert exc.value.index is None
+
+    def test_unequal_counts_are_refused(self):
+        plains, ads = self.run(3)
+        with pytest.raises(ValueError):
+            Cipher(os.urandom(16)).seal_path(plains, ads[:2])

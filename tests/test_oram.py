@@ -438,6 +438,39 @@ class TestFailedAccess:
         tree.set_bucket(node, saved)
         verify_placement(tree, engine, {b[:16]: 0 for b in split_heads(blocks)})
 
+    @pytest.mark.parametrize("cached", [0, 2])
+    def test_a_tampered_bucket_is_named_at_every_level(self, cached):
+        # the path is opened in one call; a failed tag at any of the host's
+        # levels names that bucket's node
+        keys = keygen()
+        blocks = make_blocks(keys, 40)
+        engine, tree, _ = oram_init(blocks, data_tree(40, cached=cached), Cipher(keys.k2), AllZero())
+        engine.store = StorageHost([tree])
+        held, count = engine.held_blocks(), engine.held_count
+        for node in tree.params.path_nodes(0)[cached:]:
+            saved = tree.get_bucket(node)
+            tree.set_bucket(node, saved[:20] + bytes([saved[20] ^ 1]) + saved[21:])
+            with pytest.raises(IntegrityError, match=f"tree 0 node {node}: authentication failed"):
+                engine.access(None, 0)
+            tree.set_bucket(node, saved)
+        assert engine.held_blocks() == held and engine.held_count == count
+        verify_placement(tree, engine, {b[:16]: 0 for b in split_heads(blocks)})
+
+    def test_a_path_of_the_wrong_width_is_refused(self):
+        keys = keygen()
+        engine, tree, _ = oram_init(make_blocks(keys, 40), data_tree(40), Cipher(keys.k2), AllZero())
+        host = StorageHost([tree])
+
+        class Short:
+            def read_path(self, tree_id, leaf):
+                return host.read_path(tree_id, leaf)[:-1]
+
+        engine.store = Short()
+        held = engine.held_blocks()
+        with pytest.raises(IntegrityError, match=f"tree 0: path read of {tree.params.path_width - 1} bytes"):
+            engine.access(None, 0)
+        assert engine.held_blocks() == held
+
 
 class TestTreeTopCache:
     """The engine keeps the top k levels, as held blocks in up to 2^k groups

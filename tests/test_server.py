@@ -120,9 +120,16 @@ class TestDispatch:
         assert host.trees == {} and len(host.trace) == 0
 
     def test_leaf_out_of_range_is_protocol_error(self):
-        _, _, _, server, _ = make_deployment()
-        resp = decode_frame(server.handle_raw(*read_one_frame(wire.encode(wire.Access(read=(0, 2**40))))))
-        assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+        _, _, host, server, _ = make_deployment()
+        tree = host.trees[0]
+        before = bytes(tree.buckets)
+        width = tree.params.path_width
+        for access in (wire.Access(read=(0, 2**40)), wire.Access(read=(0, tree.params.leaves)),
+                       wire.Access(write=(0, tree.params.leaves, bytes(width)))):
+            resp = decode_frame(server.handle_raw(*read_one_frame(wire.encode(access))))
+            assert isinstance(resp, wire.Error) and resp.code == wire.ERR_PROTOCOL
+            assert "out of range" in resp.detail
+        assert bytes(tree.buckets) == before and len(host.trace) == 0
 
     def test_enhanced_dispatch_refuses_access(self):
         # in process as over TCP: with a controller deployed, a raw Access

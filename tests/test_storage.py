@@ -1,14 +1,18 @@
 """Tree file loading: the memory held while a tree loads, the host's share
 of a tree with a cached top, and headers that claim more buckets than the
-file holds."""
+file holds; and the host-path table the host and the engine address a
+path's buckets by."""
 
+import random
 import tracemalloc
 
 import pytest
 
 from obge.blocks import TreeParams
+from obge.crypto import Cipher
 from obge.exceptions import ProtocolError
-from obge.storage import _HEADER, TREE_MAGIC, TREE_VERSION, TreeStorage
+from obge.oram import PathOram
+from obge.storage import _HEADER, TREE_MAGIC, TREE_VERSION, StorageHost, TreeStorage
 
 
 def traced_peak(fn):
@@ -70,3 +74,52 @@ def test_more_cached_levels_than_the_depth_is_refused(tmp_path):
     path.write_bytes(_HEADER.pack(TREE_MAGIC, TREE_VERSION, 0, 2, 3, 5, 0))
     with pytest.raises(ProtocolError, match="3 cached levels in a depth-2 tree"):
         TreeStorage.load(path)
+
+
+# (depth, cached levels): k=0, k=2 where the depth allows it, and k=L
+HOST_PATH_TREES = sorted({(d, k) for d in (0, 1, 5) for k in (0, min(2, d), d)})
+
+
+def random_tree(depth, cached, rng):
+    """A tree of that geometry whose host buckets hold random bytes."""
+    params = TreeParams(depth, 2, 3, cached)
+    return TreeStorage(0, params, bytearray(rng.randbytes(params.host_nodes * params.bucket_width)))
+
+
+@pytest.mark.parametrize("depth,cached", HOST_PATH_TREES)
+def test_host_path_table_names_the_path_nodes(depth, cached):
+    p = TreeParams(depth, 2, 3, cached)
+    assert len(p.host_path) == p.host_levels and p.host_path[0][0] == p.cache_nodes
+    for leaf in range(p.leaves):
+        assert [first + (leaf >> shift) for first, shift in p.host_path] == p.path_nodes(leaf)[cached:]
+
+
+@pytest.mark.parametrize("depth,cached", HOST_PATH_TREES)
+def test_paths_read_and_write_the_host_buckets_of_their_nodes(depth, cached):
+    rng = random.Random(depth * 10 + cached)
+    tree = random_tree(depth, cached, rng)
+    p, w = tree.params, tree.params.bucket_width
+    for leaf in range(p.leaves):
+        nodes = p.path_nodes(leaf)[cached:]
+        assert tree.read_path(leaf) == b"".join(tree.get_bucket(n) for n in nodes)
+        data = rng.randbytes(p.path_width)
+        tree.write_path(leaf, data)
+        assert [tree.get_bucket(n) for n in nodes] == [data[i : i + w] for i in range(0, len(data), w)]
+        assert tree.read_path(leaf) == data
+
+
+@pytest.mark.parametrize("depth,cached", HOST_PATH_TREES)
+def test_a_leaf_outside_the_tree_is_refused_by_host_and_engine(depth, cached):
+    tree = random_tree(depth, cached, random.Random(1))
+    p = tree.params
+    engine = PathOram(0, p, Cipher(bytes(16)), b"")
+    engine.store = StorageHost([tree])
+    before = bytes(tree.buckets)
+    for leaf in (-1, p.leaves, 2**40):
+        with pytest.raises(IndexError, match=f"leaf {leaf} out of range"):
+            tree.read_path(leaf)
+        with pytest.raises(IndexError, match=f"leaf {leaf} out of range"):
+            tree.write_path(leaf, bytes(p.path_width))
+        with pytest.raises(IndexError, match=f"leaf {leaf} out of range"):
+            engine.access(None, leaf)
+    assert bytes(tree.buckets) == before and len(engine.store.trace) == 0
