@@ -10,10 +10,10 @@ queries consistent with the fragment: with the closed-world assumption
 rooted-tree isomorphism on canonical labels; without it, any
 root-preserving embedding of the fragment counts.
 
-The oblivious scheme leaks a query's round count alone, so the most that
-its trace admits for a query is the query's round class
-(``round_classes``): every pair with as many rounds,
-``protocol.rounds(|p|)``.
+The oblivious scheme leaks a query's round count alone: its records are
+``audit.simulate``'s for that count.  So the most that its trace admits
+for a query is the query's round class (``round_classes``): every pair
+with as many rounds, ``protocol.rounds(|p|)``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,15 @@
 """Leakage auditing over recorded access traces.
 
 The host may learn each query's round count, ``protocol.rounds(|p|)``, and
-nothing else, so every query must leave records of one shape
-(``QueryShape``): framed or not, as the trace's first record shows, by an
-``EnclaveRequest`` of exactly ``protocol.REQUEST_WIDTH`` = 36 bytes, the
-session encryption of the 8-byte pair, and an ``EnclaveResponse`` of
-exactly ``protocol.response_width(|p|)`` bytes, the session overhead, a
-2-byte hop count and 2 bytes a hop; inside, rounds(|p|)(1+chain_depth)
-``ReadPath``/``WritePath`` pairs in tree order, the top position-map level
-first and the data tree (tree 0) last, each pair on one tree and one leaf,
-each record exactly its tree's ``path_width`` wide and each leaf below its
-tree's leaf count.  The geometry is the trees' own, read from the tree
-file headers; chain_depth is the number of trees after the data tree.
+nothing else.  ``simulate`` states what that leaves it to see: one query's
+records, built from the leakage alone (the tree headers, whether queries
+are framed, and the round count).  ``audit_trace`` compares each query's
+records with its simulation (``first_fault``): every record's type, tree
+and width, each leaf below its tree's leaf count, and each write at its
+read's leaf.  The trace's first record shows whether queries are framed;
+the geometry is the trees' own, read from the tree file headers.
 
-Over the queries whose shape holds, the auditor then runs two chi-square
+Over the queries that match, the auditor then runs two chi-square
 tests on leaf histograms of equal power-of-two bins.  Each tree's leaves
 are tested for uniformity over its 2^depth leaves (Pearson's goodness of
 fit), in at most ``MAX_BINS`` bins, halved until each bin expects at least
@@ -29,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .blocks import TreeParams
@@ -166,64 +163,63 @@ def repeat_rate_zscore(leaves: list[int], leaf_space: int) -> float:
     return (repeats - n * p) / sd
 
 
-class QueryShape:
-    """The records one query may leave on the host, given each tree's
-    geometry (tree id -> TreeParams, ids 0..chain_depth) and whether
-    queries are framed by an enclave request and response."""
+def simulate(trees: dict[int, TreeParams], framed: bool, path_len: int, rng=None) -> list[TraceRecord]:
+    """The records the host sees for one query, built from its leakage
+    alone: the tree headers (tree id -> TreeParams, ids 0..chain_depth),
+    whether queries are framed, and ``rounds(path_len)``.  Framed, an
+    ``EnclaveRequest`` of ``REQUEST_WIDTH`` bytes comes first and an
+    ``EnclaveResponse`` of ``response_width(path_len)`` last.  Each round
+    reads and writes one path of every tree, the top map level first and
+    the data tree last, each record its tree's ``path_width`` wide, at one
+    leaf: None, or a uniform draw from rng.  Timestamps are 0.  A trace is
+    the concatenation of its queries' simulations."""
+    records = [TraceRecord(0, "EnclaveRequest", None, None, REQUEST_WIDTH)] if framed else []
+    for _ in range(rounds(path_len)):
+        for tree in range(len(trees) - 1, -1, -1):
+            p = trees[tree]
+            leaf = None if rng is None else rng.randrange(p.leaves)
+            records += [TraceRecord(0, kind, tree, leaf, p.path_width) for kind in ("ReadPath", "WritePath")]
+    if framed:
+        records.append(TraceRecord(0, "EnclaveResponse", None, None, response_width(path_len)))
+    return records
 
-    def __init__(self, trees: dict[int, TreeParams], framed: bool):
-        if not trees or sorted(trees) != list(range(len(trees))):
-            raise ProtocolError(f"tree ids {sorted(trees)} are not 0..n-1")
-        self.trees = trees
-        self.framed = framed
-        self.order = list(range(len(trees) - 1, -1, -1))  # top map level first, data tree last
 
-    def size(self, path_len: int) -> int:
-        """Records of one query with that path length."""
-        return 2 * rounds(path_len) * len(self.order) + 2 * self.framed
+def _key(rec: TraceRecord | None) -> tuple | None:
+    """What a model record fixes: type, tree and width."""
+    return rec and (rec.msg_type, rec.tree_id, rec.byte_count)
 
-    def check(self, records: list[TraceRecord], path_len: int, first: int = 0) -> str | None:
-        """The first fault in one query's records, naming its index in the
-        trace (records[0] is record ``first``), or None."""
-        framed = bool(records) and records[0].msg_type == "EnclaveRequest"
-        if framed != self.framed:
-            got = records[0].msg_type if records else "end of trace"
-            return f"record {first}: {got}, expected {'EnclaveRequest' if self.framed else 'ReadPath'}"
-        want = self.size(path_len)
-        if len(records) != want:
-            return f"record {first + min(len(records), want)}: query has {len(records)} records, expected {want}"
-        path, at = records, first
-        if framed:
-            if records[0].byte_count != REQUEST_WIDTH:
-                return f"record {first}: request of {records[0].byte_count} bytes, expected {REQUEST_WIDTH}"
-            if records[-1].msg_type != "EnclaveResponse":
-                return f"record {first + want - 1}: {records[-1].msg_type}, expected EnclaveResponse"
-            if records[-1].byte_count != response_width(path_len):
-                return (
-                    f"record {first + want - 1}: response of {records[-1].byte_count} bytes, "
-                    f"expected {response_width(path_len)} for {path_len} hop(s)"
-                )
-            path, at = records[1:-1], first + 1
-        for i in range(0, len(path), 2):
-            tree = self.order[(i // 2) % len(self.order)]
-            p = self.trees[tree]
-            for j, kind in enumerate(("ReadPath", "WritePath")):
-                rec = path[i + j]
-                if rec.msg_type != kind or rec.tree_id != tree:
-                    return f"record {at + i + j}: {rec.msg_type} on tree {rec.tree_id}, expected {kind} on tree {tree}"
-                if rec.byte_count != p.path_width:
-                    return f"record {at + i + j}: {rec.byte_count} bytes, tree {tree} paths are {p.path_width}"
-                if rec.leaf is None or not 0 <= rec.leaf < p.leaves:
-                    return f"record {at + i + j}: leaf {rec.leaf} outside tree {tree}'s {p.leaves} leaves"
-            if path[i + 1].leaf != path[i].leaf:
-                return f"record {at + i + 1}: written at leaf {path[i + 1].leaf}, read at leaf {path[i].leaf}"
-        return None
+
+def _shown(rec: TraceRecord | None, missing: str) -> str:
+    if rec is None:
+        return missing
+    return rec.msg_type + ("" if rec.tree_id is None else f" on tree {rec.tree_id}") + f" of {rec.byte_count} bytes"
+
+
+def first_fault(
+    records: list[TraceRecord], model: list[TraceRecord], trees: dict[int, TreeParams], first: int = 0
+) -> str | None:
+    """The first of one query's records that its model, ``simulate``'s
+    records for the query, does not admit, named by its index in the trace
+    (records[0] is record ``first``), or None.  Each record has its model
+    record's type, tree and width; a path record's leaf lies below its
+    tree's leaf count, and a write is at its read's leaf."""
+    for i, (rec, want) in enumerate(zip_longest(records, model)):
+        if _key(rec) != _key(want):
+            return f"record {first + i}: {_shown(rec, 'end of trace')}, expected {_shown(want, 'end of query')}"
+        if rec.tree_id is None:
+            continue
+        leaves = trees[rec.tree_id].leaves
+        if rec.leaf is None or not 0 <= rec.leaf < leaves:
+            return f"record {first + i}: leaf {rec.leaf} outside tree {rec.tree_id}'s {leaves} leaves"
+        if rec.msg_type == "WritePath" and rec.leaf != records[i - 1].leaf:
+            return f"record {first + i}: written at leaf {rec.leaf}, read at leaf {records[i - 1].leaf}"
+    return None
 
 
 @dataclass
 class AuditReport:
     n_queries: int
-    shape_fault: str | None  # the first query whose records break the shape
+    shape_fault: str | None  # the first record a query's simulation does not admit
     leaf_spaces: dict[int, int]  # tree id -> leaf count from its header
     uniformity_p: dict[int, float]  # tree id -> p over its read leaves
     repeat_z: float  # lag-1 repeats of the data tree's read leaves
@@ -281,17 +277,20 @@ class AuditReport:
 
 
 def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, TreeParams]) -> AuditReport:
-    """Check each query's records against ``QueryShape`` in trace order, up
-    to the first fault, then test the leaves of the queries checked."""
+    """Compare each query's records with ``simulate``'s in trace order, up
+    to the first fault, then test the leaves of the queries compared."""
+    if not trees or sorted(trees) != list(range(len(trees))):
+        raise ProtocolError(f"tree ids {sorted(trees)} are not 0..n-1")
     records = trace.records
-    shape = QueryShape(trees, bool(records) and records[0].msg_type == "EnclaveRequest")
+    framed = bool(records) and records[0].msg_type == "EnclaveRequest"
     leaves: dict[int, list[int]] = {t: [] for t in sorted(trees)}
     by_query: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     fault = None
     at = 0
     for i, t in enumerate(truths):
-        part = records[at : at + shape.size(t.path_len)]
-        fault = shape.check(part, t.path_len, at)
+        model = simulate(trees, framed, t.path_len)
+        part = records[at : at + len(model)]
+        fault = first_fault(part, model, trees, at)
         if fault is not None:
             fault = f"query {i} ({t.u},{t.v}), {fault}"
             break
@@ -301,7 +300,8 @@ def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, T
         by_query[(t.u, t.v, t.path_len)].extend(r.leaf for r in reads if r.tree_id == 0)
         at += len(part)
     if fault is None and at < len(records):
-        fault = f"record {at}: {len(records) - at} record(s) after the last query, query {len(truths) - 1}"
+        last = f" after the last query, query {len(truths) - 1}" if truths else ", and the query log holds no query"
+        fault = f"record {at}: {len(records) - at} record(s){last}"
 
     # two-sample tests between the two most frequent queries of each round count
     data_leaves = trees[0].leaves

@@ -13,10 +13,10 @@ at most MAX_VERTICES = 2^16.  A query chases the chain of hops, deriving
 each hop's token from the pair (w, v), with one oblivious access per hop,
 and stops at the block whose hop is its own source: (v, v) at the end of a
 path, or (u, v) itself when u = v or there is no path.  So the storage side
-observes only the round count, ``rounds(|p|)``.  Its answer is the hops'
-vertex ids, which the engine reads from its blocks; the address w*|V|+v
-never leaves the engine and its map.  reveal prepends the source and
-checks the last hop.
+observes only the round count, ``rounds(|p|)`` (``audit.simulate`` builds
+its records from it).  Its answer is the hops' vertex ids, which the
+engine reads from its blocks; the address w*|V|+v never leaves the engine
+and its map.  reveal prepends the source and checks the last hop.
 
 Setup keeps no Python object per entry: the next-hop table is one dense
 array (``graph``), read one source row at a time; ``build_blocks``
@@ -300,9 +300,9 @@ def rounds(path_len: int) -> int:
     """Data-tree rounds of a query whose path has path_len edges: one
     access per hop, then one on the block (v, v), whose hop is v itself.  A
     pair u = v and a pair with no path both count as path_len 0, one round
-    on the pair's own block.  This count is what
-    the host learns of a query: the auditor, the attack lab and the tests
-    read it here."""
+    on the pair's own block.  This count is what the host learns of a
+    query: ``audit.simulate`` builds the host's records from it, and the
+    attack lab and the tests read it here."""
     return path_len + 1
 
 

@@ -19,10 +19,11 @@ import pytest
 
 from obge.attack import QueryRecovery, ahu_label, path_length_classes, round_classes
 from obge.audit import (
-    QueryShape,
     QueryTruth,
     audit_trace,
+    first_fault,
     repeat_rate_zscore,
+    simulate,
     two_sample_pvalue,
     uniformity_pvalue,
 )
@@ -116,11 +117,11 @@ def test_leakage_round_counts(mode):
         run_rng = random.Random(trial)
         result = setup(g, mode=mode, rng=run_rng)
         host, _, client = deploy_inprocess(result, rng=run_rng)
-        # the audit's one shape rule, with the geometry the host stores:
-        # rounds(|p|) rounds per tree in order, each of its tree's constant
-        # width; the attack lab's round classes hold each pair at the count
-        # of data-tree rounds it left
-        shape = QueryShape({t: tree.params for t, tree in host.trees.items()}, framed=mode == "enhanced")
+        # each query's records against its simulation from the leakage and
+        # the geometry the host stores: rounds(|p|) rounds per tree in
+        # order, each of its tree's constant width; the attack lab's round
+        # classes hold each pair at the count of data-tree rounds it left
+        trees = {t: tree.params for t, tree in host.trees.items()}
         classes = round_classes(g)
         for u in range(g.vertex_count):
             for v in range(g.vertex_count):
@@ -128,12 +129,12 @@ def test_leakage_round_counts(mode):
                 path = client.query_path(u, v)
                 plen = len(path) - 1 if path else 0
                 records = host.trace.records[before:]
-                fault = shape.check(records, plen, before)
+                fault = first_fault(records, simulate(trees, mode == "enhanced", plen), trees, before)
                 assert fault is None, f"({u},{v}), |p|={plen}: {fault}"
                 data_rounds = sum(r.msg_type == "ReadPath" and r.tree_id == 0 for r in records)
                 assert (u, v) in classes[data_rounds], f"({u},{v}) left {data_rounds} data-tree rounds"
                 checked += rounds(plen)
-    _report(f"leakage-rounds[{mode}]", f"{checked} rounds, all of the audited shape")
+    _report(f"leakage-rounds[{mode}]", f"{checked} rounds, all as simulated")
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +438,9 @@ def test_attack_separation(separation_trials):
                 unique_total += 1
                 unique_hit += cs == {truth}
 
-        # oblivious scheme: the trace has the audited shape, so it admits
-        # only round classes, and each query hides in all of its class
+        # oblivious scheme: the trace is as simulated from the leakage, so
+        # it admits only round classes, and each query hides in all of its
+        # class
         assert report.shape_ok, report.summary()
         classes = round_classes(g)
         class_sizes = Counter(path_length_classes(g).values())

@@ -1,20 +1,25 @@
 import random
 import re
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
+from obge.attack import round_classes
 from obge.audit import (
-    QueryShape,
     QueryTruth,
     audit_trace,
+    first_fault,
     load_query_log,
     save_query_log,
+    simulate,
     two_sample_pvalue,
     uniformity_bins,
     uniformity_pvalue,
 )
+from obge.blocks import TreeParams
 from obge.cli import main
 from obge.exceptions import ProtocolError
 from obge.graph import Graph, PathOracle
@@ -42,6 +47,11 @@ def run_workload(g, queries, mode="trivial", seed=2, **scheme):
 
 def geometry(host):
     return {t: tree.params for t, tree in host.trees.items()}
+
+
+def masked(records):
+    """Records as the model fixes them: leaves and timestamps dropped."""
+    return [(r.msg_type, r.tree_id, r.byte_count) for r in records]
 
 
 def cli_audit(tmp_path, host, truths, records=None):
@@ -85,21 +95,27 @@ def recursive_trace():
 class TestSlicing:
     def test_round_partition(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2), (3, 5), (0, 0), (5, 3)])
-        shape = QueryShape(geometry(host), framed=False)
         records, at, sizes = host.trace.records, 0, []
         for t in truths:
-            n = shape.size(t.path_len)
-            assert shape.check(records[at : at + n], t.path_len, at) is None
-            sizes.append(n)
-            at += n
+            model = simulate(geometry(host), False, t.path_len)
+            assert masked(records[at : at + len(model)]) == masked(model)
+            sizes.append(len(model))
+            at += len(model)
         assert sizes == [2 * rounds(t.path_len) for t in truths] == [6, 6, 2, 2] and at == len(records)
+        assert audit_trace(host.trace, truths, geometry(host)).shape_ok
+        # a record past the model's last is named too
+        width = geometry(host)[0].path_width
+        assert first_fault(records[:7], simulate(geometry(host), False, 2), geometry(host)) == (
+            f"record 6: ReadPath on tree 0 of {width} bytes, expected end of query"
+        )
 
     def test_mismatched_ground_truth_rejected(self, two_branch_graph):
         host, truths = run_workload(two_branch_graph, [(0, 2)])
         truths[0] = QueryTruth(0, 2, 5)
         report = audit_trace(host.trace, truths, geometry(host))
         assert not report.ok
-        assert report.shape_fault == "query 0 (0,2), record 6: query has 6 records, expected 12"
+        width = geometry(host)[0].path_width
+        assert report.shape_fault == f"query 0 (0,2), record 6: end of trace, expected ReadPath on tree 0 of {width} bytes"
 
 
 class TestStatistics:
@@ -234,8 +250,8 @@ class TestMalformedLines:
             load_query_log(path)
 
     def test_negative_path_lengths_do_not_pass_an_empty_trace(self, two_branch_graph, tmp_path, capsys):
-        # QueryShape.size(-1) is 0 records, so such a log once matched an
-        # empty trace and passed every check
+        # a query of path length -1 once had 0 records, so such a log
+        # matched an empty trace and passed every check
         host, _ = run_workload(two_branch_graph, [])
         assert cli_audit(tmp_path, host, []) == 0
         (tmp_path / "queries.csv").write_text("u,v,path_len\n0,3,-1\n1,2,-1\n")
@@ -334,8 +350,8 @@ class TestMutations:
         trace.records = records
         report = audit_trace(trace, truths, geometry(host))
         assert report.shape_fault == (
-            f"query 0 ({truths[0].u},{truths[0].v}), record {end}: response of {CT_OVERHEAD + 3 + 2 * hops} bytes, "
-            f"expected {CT_OVERHEAD + 2 + 2 * hops} for {hops} hop(s)"
+            f"query 0 ({truths[0].u},{truths[0].v}), record {end}: EnclaveResponse of {CT_OVERHEAD + 3 + 2 * hops} "
+            f"bytes, expected EnclaveResponse of {CT_OVERHEAD + 2 + 2 * hops} bytes"
         )
 
     def test_requests_all_one_byte_wider_are_named(self, recursive_trace):
@@ -352,8 +368,8 @@ class TestMutations:
         report = audit_trace(trace, truths, geometry(host))
         assert not report.shape_ok
         assert report.shape_fault == (
-            f"query 0 ({truths[0].u},{truths[0].v}), record 0: request of {CT_OVERHEAD + 9} bytes, "
-            f"expected {CT_OVERHEAD + 8}"
+            f"query 0 ({truths[0].u},{truths[0].v}), record 0: EnclaveRequest of {CT_OVERHEAD + 9} bytes, "
+            f"expected EnclaveRequest of {CT_OVERHEAD + 8} bytes"
         )
 
     def test_record_after_the_last_query(self, recursive_trace, tmp_path):
@@ -366,6 +382,17 @@ class TestMutations:
             f"record {len(records) - 1}: 1 record(s) after the last query, query {len(truths) - 1}"
         )
         assert cli_audit(tmp_path, host, truths, records) == 2
+
+    def test_records_and_no_query_are_named(self, two_branch_graph, tmp_path, capsys):
+        # a header-only query log against a trace with records: no query
+        # can hold them, and the audit names the first
+        host, _ = run_workload(two_branch_graph, [(0, 2)])
+        assert len(host.trace) == 6
+        assert cli_audit(tmp_path, host, []) == 2
+        assert (
+            "query shape against the tree headers: FAIL (record 0: 6 record(s), and the query log holds no query)"
+            in capsys.readouterr().out.splitlines()
+        )
 
     def test_zeroed_map_leaves_fail_uniformity_per_tree(self, recursive_trace):
         host, truths = recursive_trace
@@ -428,3 +455,106 @@ class TestLinkage:
             assert p >= 0.001, f"leaves of consecutive runs are linked: p={p:.3g}"
         else:
             assert p < 1e-20, f"a predictable remap went unseen: p={p:.3g}"
+
+
+TYPES = ("EnclaveRequest", "ReadPath", "WritePath", "EnclaveResponse")
+
+
+@st.composite
+def geometries(draw):
+    """1 to 4 trees of depth 0 to 6, each caching no level or all but the
+    leaves, at any Z and payload width; framed or not."""
+    trees = {}
+    for t in range(draw(st.integers(1, 4))):
+        depth = draw(st.integers(0, 6))
+        trees[t] = TreeParams(depth, draw(st.integers(1, 8)), draw(st.integers(0, 40)), draw(st.sampled_from([0, depth])))
+    return trees, draw(st.booleans())
+
+
+def simulated_trace(trees, framed, path_lens, seed):
+    """A trace of one query per path length, each simulated with uniform
+    leaves, and its query log."""
+    rng = random.Random(seed)
+    trace = AccessTrace()
+    trace.records = [r for plen in path_lens for r in simulate(trees, framed, plen, rng)]
+    return trace, [QueryTruth(i, i, plen) for i, plen in enumerate(path_lens)]
+
+
+class TestSimulate:
+    """The audit compares a trace with the concatenation of its queries'
+    simulations: a simulated trace passes, and one edit of one record is
+    named at the first record that differs from the model."""
+
+    @given(geometries(), st.lists(st.integers(0, 5), min_size=1, max_size=4), st.integers(0, 2**32))
+    def test_simulated_trace_has_no_fault(self, geometry_, path_lens, seed):
+        trees, framed = geometry_
+        trace, truths = simulated_trace(trees, framed, path_lens, seed)
+        assert len(trace) == sum(2 * rounds(p) * len(trees) + 2 * framed for p in path_lens)
+        assert audit_trace(trace, truths, trees).shape_fault is None
+
+    @given(
+        geometries(),
+        st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        st.integers(0, 2**32),
+        st.sampled_from(["type", "tree", "wider", "narrower", "leaf count", "write leaf", "drop", "duplicate"]),
+        st.data(),
+    )
+    def test_one_edit_is_named_at_its_record(self, geometry_, path_lens, seed, kind, data):
+        trees, framed = geometry_
+        trace, truths = simulated_trace(trees, framed, path_lens, seed)
+        records = trace.records
+        wanted = {"leaf count": ("ReadPath", "WritePath"), "write leaf": ("WritePath",)}.get(kind, TYPES)
+        e = data.draw(st.sampled_from([i for i, r in enumerate(records) if r.msg_type in wanted]))
+        rec, expected = records[e], e
+        if kind == "type":
+            edited = [replace(rec, msg_type=data.draw(st.sampled_from([t for t in TYPES if t != rec.msg_type])))]
+        elif kind == "tree":
+            edited = [replace(rec, tree_id=data.draw(st.sampled_from([t for t in (None, *trees) if t != rec.tree_id])))]
+        elif kind in ("wider", "narrower"):
+            edited = [replace(rec, byte_count=rec.byte_count + (1 if kind == "wider" else -1))]
+        elif kind == "leaf count":
+            edited = [replace(rec, leaf=trees[rec.tree_id].leaves)]
+        elif kind == "write leaf":
+            # at depth 0 the one other leaf is the leaf count itself
+            edited = [replace(rec, leaf=rec.leaf ^ 1)]
+        elif kind == "drop":
+            edited = []
+        else:
+            edited, expected = [rec, rec], e + 1
+        trace.records = records[:e] + edited + records[e + 1 :]
+        if kind == "drop" and e == 0 and framed:
+            # the trace's first record shows whether queries are framed, so
+            # one that lost its first request reads as unframed up to its
+            # first response
+            expected = next(i for i, r in enumerate(trace.records) if r.msg_type == "EnclaveResponse")
+        fault = audit_trace(trace, truths, trees).shape_fault
+        assert fault is not None
+        assert FAULT.match(fault) or fault.startswith("record "), fault
+        assert int(re.search(r"record (\d+): ", fault).group(1)) == expected, fault
+
+    @pytest.mark.parametrize(
+        "mode, budget, chain_depth",
+        [("trivial", None, 0), ("enhanced", None, 0), ("enhanced", 64, 1)],
+        ids=["trivial", "enhanced-flat", "enhanced-chain"],
+    )
+    def test_round_classes_follow_from_the_simulator(self, mode, budget, chain_depth):
+        # every ordered pair of a 12-vertex graph with disconnected pairs,
+        # grouped by the host's view of its query with leaves masked, which
+        # is its simulated view: the groups are the attack lab's classes.
+        # An enhanced response tells |p| as the round count does
+        rng = random.Random(21)
+        g = random_graph(rng, 12, 0.12)
+        oracle = PathOracle(g)
+        assert any(u != v and oracle.path(u, v) is None for u in range(12) for v in range(12))
+        host, _, client = deploy_inprocess(setup(g, mode=mode, rng=rng, budget=budget), rng=rng)
+        trees = geometry(host)
+        assert len(trees) == 1 + chain_depth
+        groups = defaultdict(set)
+        for u in range(12):
+            for v in range(12):
+                before = len(host.trace)
+                path = client.query_path(u, v)
+                view = masked(host.trace.records[before:])
+                assert view == masked(simulate(trees, mode == "enhanced", len(path) - 1 if path else 0)), (u, v)
+                groups[tuple(view)].add((u, v))
+        assert sorted(map(sorted, groups.values())) == sorted(map(sorted, round_classes(g).values()))

@@ -18,6 +18,7 @@ from obge.gkt import GktScheme, save_token_log
 from obge.graph import load_graph
 from obge.protocol import STATE_VERSION
 from obge.server import Daemon, build_server
+from obge.storage import tree_geometry
 from conftest import serve_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -401,7 +402,11 @@ class TestAuditCommand:
         capsys.readouterr()
         rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
-        assert "query 0 (0,3), record 0: 124 bytes, tree 0 paths are " in capsys.readouterr().out
+        width = tree_geometry(enhanced)[0].path_width
+        assert (
+            f"query 0 (0,3), record 0: ReadPath on tree 0 of 124 bytes, expected ReadPath on tree 0 of {width} bytes"
+            in capsys.readouterr().out
+        )
 
     def test_no_tree_files_is_protocol_error(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -9,7 +9,9 @@ run, the record count and the SHA-256 of its records, one
 ``msg_type,tree_id,leaf,byte_count`` line each.
 
 A change to what the host sees (the rounds of a query, a width, the
-leaves drawn) re-records the fixture and says why:
+leaves drawn) edits the model first: ``audit.simulate``, which builds a
+query's records from its leakage, and ``protocol.rounds``, whose count it
+takes.  Then it re-records the fixture and says why:
 
     PYTHONPATH=src python tests/test_golden_trace.py > tests/data/golden_trace.json
 """
