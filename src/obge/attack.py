@@ -14,6 +14,11 @@ The oblivious scheme leaks a query's round count alone: its records are
 ``audit.simulate``'s for that count.  So the most that its trace admits
 for a query is the query's round class (``round_classes``): every pair
 with as many rounds, ``protocol.rounds(|p|)``.
+
+``obge attack GRAPH`` sets the two side by side: it queries every
+connected pair once through the baseline, in ``path_length_classes``
+order, so the closed world holds, and checks each candidate set against
+the query's round class.
 """
 
 from __future__ import annotations
@@ -232,12 +237,6 @@ class QueryRecovery:
             if not _kuhn_match(fc, tc, can_embed):
                 return False
         return True
-
-
-def query_recovery(
-    g: Graph, observed: list[list[bytes]], assume_complete: bool = False
-) -> list[set[tuple[int, int]]]:
-    return QueryRecovery(g).candidates(observed, assume_complete=assume_complete)
 
 
 def path_length_classes(g: Graph) -> dict[tuple[int, int], int]:

@@ -6,8 +6,9 @@ records, built from the leakage alone (the tree headers, whether queries
 are framed, and the round count).  ``audit_trace`` compares each query's
 records with its simulation (``first_fault``): every record's type, tree
 and width, each leaf below its tree's leaf count, and each write at its
-read's leaf.  The trace's first record shows whether queries are framed;
-the geometry is the trees' own, read from the tree file headers.
+read's leaf.  The geometry is the trees' own, read from the tree file
+headers, and so is whether queries are framed (``queries_framed``), but
+for a lone depth-0 tree, whose header fits both deployments.
 
 Over the queries that match, the auditor then runs two chi-square
 tests on leaf histograms of equal power-of-two bins.  Each tree's leaves
@@ -184,6 +185,19 @@ def simulate(trees: dict[int, TreeParams], framed: bool, path_len: int, rng=None
     return records
 
 
+def queries_framed(trees: dict[int, TreeParams], records: list[TraceRecord]) -> bool:
+    """Whether queries are framed by enclave records, as the enhanced
+    deployment's are.  The headers decide it where a map tree exists, which
+    only the enhanced deployment has, or where the data tree is deeper than
+    0: the enhanced deployment caches none of its levels (k = 0), the
+    trivial one all but the leaves (k = L).  A lone depth-0 tree fits both,
+    and the trace's first record decides."""
+    data = trees[0]
+    if len(trees) > 1 or data.depth > 0:
+        return len(trees) > 1 or data.cached < data.depth
+    return bool(records) and records[0].msg_type == "EnclaveRequest"
+
+
 def _key(rec: TraceRecord | None) -> tuple | None:
     """What a model record fixes: type, tree and width."""
     return rec and (rec.msg_type, rec.tree_id, rec.byte_count)
@@ -282,7 +296,7 @@ def audit_trace(trace: AccessTrace, truths: list[QueryTruth], trees: dict[int, T
     if not trees or sorted(trees) != list(range(len(trees))):
         raise ProtocolError(f"tree ids {sorted(trees)} are not 0..n-1")
     records = trace.records
-    framed = bool(records) and records[0].msg_type == "EnclaveRequest"
+    framed = queries_framed(trees, records)
     leaves: dict[int, list[int]] = {t: [] for t in sorted(trees)}
     by_query: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     fault = None

@@ -2,6 +2,11 @@
 
 Subcommands: setup, serve, query, audit, attack.  Exit codes:
 0 success, 1 usage, 2 protocol or integrity failure, 3 capacity.
+
+``obge attack GRAPH`` runs the query-recovery attack on the plain
+baseline over every connected pair, and exits 2 when a candidate set
+misses its own query or is coarser than the query's round class: the
+attack lab is then unsound.
 """
 
 from __future__ import annotations
@@ -49,8 +54,10 @@ def cmd_setup(args) -> int:
         save_state(out / "controller.bin", result.controller)
     else:
         (out / "controller.bin").unlink(missing_ok=True)
-    # older releases wrote a server config here, which nothing reads now
+    # older releases wrote a server config here, which nothing reads now;
+    # and a served deployment's trace was recorded on trees that are gone
     (out / "server.cfg").unlink(missing_ok=True)
+    (out / "trace.csv").unlink(missing_ok=True)
     tp = result.trees[0].params
     holder = "client" if args.mode == MODE_TRIVIAL else "controller"
     print(
@@ -112,11 +119,13 @@ def cmd_query(args) -> int:
         if isinstance(state, EnhancedState):
             path = EnhancedClient(state, enclave_transport(conn)).query_path(args.u, args.v)
         else:
-            # accesses remap blocks: the engine state is saved after each query
             path = TrivialClient(state, RemoteStore(conn)).query_path(args.u, args.v)
-            save_state(args.keys, state)
     finally:
         conn.close()
+        # accesses remap blocks: the engine state is saved after each query,
+        # and after a failed one too, whose completed rounds moved blocks
+        if isinstance(state, TrivialState):
+            save_state(args.keys, state)
     if path is None:
         print(f"no path from {args.u} to {args.v}", file=sys.stderr)
     else:
@@ -136,21 +145,43 @@ def cmd_audit(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from .attack import query_recovery
-    from .gkt import load_token_log
+    from collections import Counter
+
+    from .attack import QueryRecovery, path_length_classes, round_classes
+    from .gkt import GktScheme
+    from .protocol import rounds
 
     with open(args.graph) as f:
         g = load_graph(f, directed=not args.undirected)
-    sequences, truths = load_token_log(args.trace)
-    candidates = query_recovery(g, sequences, assume_complete=args.complete)
-    hits = 0
-    for i, cands in enumerate(candidates):
-        shown = " ".join(f"({u},{v})" for u, v in sorted(cands))
-        print(f"observation {i}: {len(cands)} candidate(s): {shown}")
-        if truths is not None and truths[i] in cands and len(cands) == 1:
-            hits += 1
-    if truths is not None:
-        print(f"exactly recovered: {hits}/{len(candidates)}")
+    # every connected pair is queried once, so each observed destination's
+    # fragment is its whole tree: the closed world holds by construction
+    lengths = path_length_classes(g)
+    pairs = list(lengths)
+    scheme = GktScheme(g)
+    candidates = QueryRecovery(g).candidates([scheme.query(u, v)[1] for u, v in pairs], assume_complete=True)
+    classes = round_classes(g)
+    round_class = [classes[rounds(lengths[pair])] for pair in pairs]
+    print(f"graph: {g.vertex_count} vertices, {len(g.edges)} edges, {len(pairs)} connected pairs")
+
+    exact = sum(c == {pair} for pair, c in zip(pairs, candidates))
+    print("\nbaseline (token-sequence leakage, full workload observed):")
+    print(f"  exactly recovered queries: {exact}/{len(pairs)}")
+    print(f"  candidate-set size histogram: {dict(sorted(Counter(map(len, candidates)).items()))}")
+    print("\noblivious scheme (round-count leakage only):")
+    print(f"  round-class size histogram: {dict(sorted(Counter(map(len, round_class)).items()))}")
+    if pairs:
+        mean_gkt = sum(map(len, candidates)) / len(pairs)
+        mean_obge = sum(map(len, round_class)) / len(pairs)
+        print(f"\nmean candidates per query: baseline {mean_gkt:.1f} vs round count only {mean_obge:.1f}")
+
+    unsound = [
+        f"({u},{v}): {'misses its query' if (u, v) not in c else 'is coarser than its round class'}"
+        for (u, v), c, admitted in zip(pairs, candidates, round_class)
+        if (u, v) not in c or not c <= admitted
+    ]
+    if unsound:
+        print(f"error: unsound: {len(unsound)} baseline candidate set(s); the first: {unsound[0]}", file=sys.stderr)
+        return EXIT_PROTOCOL
     return EXIT_OK
 
 
@@ -186,10 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("attack", help="query recovery from a token-sequence log")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--complete", action="store_true", help="assume all queries per destination observed")
+    p = sub.add_parser("attack", help="query recovery on the baseline, over every connected pair")
+    p.add_argument("graph", help="edge-list file (u<TAB>v[<TAB>weight])")
     p.add_argument("--undirected", action="store_true")
     p.set_defaults(func=cmd_attack)
     return ap

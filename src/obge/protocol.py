@@ -119,7 +119,7 @@ from .crypto import (
     pair_block,
     prf_eval,
 )
-from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError
+from .exceptions import CapacityError, ConfigError, IntegrityError, ProtocolError, StashOverflowError
 from .graph import Graph, compute_spdx
 from .oram import PathOram, oram_init
 from .recursive import TOP_ENTRY_BYTES, MapShape, RecursivePM, map_shape, rpm_build
@@ -378,9 +378,18 @@ class QueryEngine:
         w = u
         try:
             while True:
-                old_leaf, new_leaf = self.positions.get_and_remap(w * n + v)
+                addr = w * n + v
+                old_leaf, new_leaf = self.positions.get_and_remap(addr)
                 tk = prf_eval(self.prf, pair_block(w, v))
-                (hop,) = HOP.unpack(self.oram.access(tk, old_leaf, new_leaf).payload)
+                try:
+                    blk = self.oram.access(tk, old_leaf, new_leaf)
+                except StashOverflowError:
+                    raise  # raised once the held blocks carry the fresh leaf
+                except BaseException:
+                    # the block is still on its old path
+                    self.positions.restore(addr, old_leaf)
+                    raise
+                (hop,) = HOP.unpack(blk.payload)
                 if hop == w:
                     return resp
                 resp.append(hop)

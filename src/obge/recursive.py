@@ -265,6 +265,15 @@ class RecursivePM:
             old, fresh = captured[0], new
         return old, fresh
 
+    def restore(self, addr: int, old: int) -> None:
+        """Put an address's old leaf back after the data access that was to
+        move its block failed before the host took its write-back.  Only a
+        flat map can: a chain's last level has written the fresh leaf to
+        the host already, so a chain keeps it."""
+        if not self.levels:
+            w = self.shape.top_entry_width
+            write_entry(self.top, addr * w, w, old)
+
 
 def pack_entries(entries: array, w: int, count: int) -> bytearray:
     """count w-byte big-endian cells, the low w bytes of each entry of an

@@ -462,13 +462,20 @@ TYPES = ("EnclaveRequest", "ReadPath", "WritePath", "EnclaveResponse")
 
 @st.composite
 def geometries(draw):
-    """1 to 4 trees of depth 0 to 6, each caching no level or all but the
-    leaves, at any Z and payload width; framed or not."""
+    """A geometry a deployment can have, at any Z and payload width, and
+    whether its queries are framed: a trivial data tree of depth 0 to 6
+    that caches all but its leaves (k = L), unframed, or an enhanced one
+    that caches none (k = 0), with up to 3 map trees that cache none,
+    framed.  A lone depth-0 tree fits both, and its framing is the trace's
+    first record's, so a framed trace there that lost that record reads as
+    unframed; it is drawn unframed, and framed in its own test."""
+    enhanced = draw(st.booleans())
+    count = draw(st.integers(1, 4)) if enhanced else 1
     trees = {}
-    for t in range(draw(st.integers(1, 4))):
-        depth = draw(st.integers(0, 6))
-        trees[t] = TreeParams(depth, draw(st.integers(1, 8)), draw(st.integers(0, 40)), draw(st.sampled_from([0, depth])))
-    return trees, draw(st.booleans())
+    for t in range(count):
+        depth = draw(st.integers(1 if enhanced and count == 1 else 0, 6))
+        trees[t] = TreeParams(depth, draw(st.integers(1, 8)), draw(st.integers(0, 40)), 0 if enhanced else depth)
+    return trees, enhanced
 
 
 def simulated_trace(trees, framed, path_lens, seed):
@@ -522,15 +529,21 @@ class TestSimulate:
         else:
             edited, expected = [rec, rec], e + 1
         trace.records = records[:e] + edited + records[e + 1 :]
-        if kind == "drop" and e == 0 and framed:
-            # the trace's first record shows whether queries are framed, so
-            # one that lost its first request reads as unframed up to its
-            # first response
-            expected = next(i for i, r in enumerate(trace.records) if r.msg_type == "EnclaveResponse")
         fault = audit_trace(trace, truths, trees).shape_fault
         assert fault is not None
         assert FAULT.match(fault) or fault.startswith("record "), fault
         assert int(re.search(r"record (\d+): ", fault).group(1)) == expected, fault
+
+    def test_a_lone_depth_zero_tree_takes_framing_from_the_first_record(self):
+        # its header fits both deployments: a framed trace passes, and one
+        # that lost its first request reads as unframed, so its first query
+        # matches its rounds and the fault is named at its first response
+        trees = {0: TreeParams(0, 5, 2, 0)}
+        trace, truths = simulated_trace(trees, True, [2, 0], 1)
+        assert audit_trace(trace, truths, trees).shape_fault is None
+        trace.records = trace.records[1:]
+        fault = audit_trace(trace, truths, trees).shape_fault
+        assert fault.startswith("query 1 (1,1), record 6: EnclaveResponse of "), fault
 
     @pytest.mark.parametrize(
         "mode, budget, chain_depth",

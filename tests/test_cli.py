@@ -13,12 +13,9 @@ from pathlib import Path
 import pytest
 
 from obge.cli import main
-from obge.exceptions import StashOverflowError
-from obge.gkt import GktScheme, save_token_log
-from obge.graph import load_graph
-from obge.protocol import STATE_VERSION
+from obge.exceptions import ProtocolError, StashOverflowError
+from obge.protocol import REQUEST_WIDTH, STATE_VERSION
 from obge.server import Daemon, build_server
-from obge.storage import tree_geometry
 from conftest import serve_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -148,7 +145,11 @@ class TestSetupCommand:
 
     @pytest.mark.parametrize(
         "command, options",
-        [("setup", {"--mode", "--Z", "--out", "--budget", "--undirected"}), ("serve", {"--listen"})],
+        [
+            ("setup", {"--mode", "--Z", "--out", "--budget", "--undirected"}),
+            ("serve", {"--listen"}),
+            ("attack", {"--undirected"}),
+        ],
     )
     def test_commands_take_deployment_settings_alone(self, capsys, command, options):
         assert main([command, "--help"]) == 0
@@ -313,6 +314,38 @@ class TestQueryCommand:
         assert f"127.0.0.1:{port}" in err and "Traceback" not in err
         assert keys.read_bytes() == before
 
+    def test_failed_read_leaves_keys_usable(self, tmp_path, capsys, monkeypatch):
+        # the daemon refuses the third path read of (0, 29) once: the query
+        # exits 2, and keys.bin records the two rounds before it, whose
+        # writes the host applied, and the old leaf of the block the failed
+        # round was to move.  Missing either, the next query of the pair
+        # misses a block
+        graph = tmp_path / "chain.tsv"
+        graph.write_text(CHAIN_30_TSV)
+        out = run_setup(tmp_path, graph)
+        keys = out / "keys.bin"
+        d = make_daemon(out, 4)
+        read_path, reads = d.server.host.read_path, []
+
+        def fail_third(tree_id, leaf):
+            reads.append(leaf)
+            if len(reads) == 3:
+                raise ProtocolError("storage refuses reads")
+            return read_path(tree_id, leaf)
+
+        monkeypatch.setattr(d.server.host, "read_path", fail_third)
+        d.start()
+        capsys.readouterr()
+        try:
+            addr = f"127.0.0.1:{d.port}"
+            assert main(["query", "0", "29", "--keys", str(keys), "--addr", addr]) == 2
+            assert "storage refuses reads" in capsys.readouterr().err
+            for _ in range(2):
+                assert main(["query", "0", "29", "--keys", str(keys), "--addr", addr]) == 0
+                assert capsys.readouterr().out.strip() == " ".join(map(str, range(30)))
+        finally:
+            d.shutdown()
+
     def test_no_path_reported(self, daemon, capsys):
         out, d = daemon
         rc = main(["query", "3", "0", "--keys", str(out / "keys.bin"),
@@ -387,7 +420,8 @@ class TestAuditCommand:
     def test_wrong_trees_fail_the_shape(self, tmp_path, graph_file, capsys):
         # the trace of a trivial deployment, whose host path is the one
         # 124-byte leaf bucket, against the trees of an enhanced one, whose
-        # host keeps every level of its data tree
+        # headers say queries are framed: its first record is not the
+        # request that opens an enhanced query
         trivial = run_setup(tmp_path, graph_file)
         enhanced = tmp_path / "enhanced"
         assert main(["setup", str(graph_file), "--out", str(enhanced), "--mode", "enhanced"]) == 0
@@ -402,9 +436,8 @@ class TestAuditCommand:
         capsys.readouterr()
         rc = main(["audit", "--trace", str(trivial / "trace.csv"), "--queries", str(qlog), "--trees", str(enhanced)])
         assert rc == 2
-        width = tree_geometry(enhanced)[0].path_width
         assert (
-            f"query 0 (0,3), record 0: ReadPath on tree 0 of 124 bytes, expected ReadPath on tree 0 of {width} bytes"
+            f"query 0 (0,3), record 0: ReadPath on tree 0 of 124 bytes, expected EnclaveRequest of {REQUEST_WIDTH} bytes"
             in capsys.readouterr().out
         )
 
@@ -440,19 +473,22 @@ class TestAuditCommand:
 
 class TestAttackCommand:
     def test_recovers_unique_chain(self, tmp_path, capsys):
+        # every pair of a chain toward each destination is told apart
         chain = tmp_path / "chain.tsv"
         chain.write_text("0\t1\n1\t2\n2\t3\n")
-        with open(chain) as f:
-            g = load_graph(f, directed=True)
-        scheme = GktScheme(g)
-        _, seq = scheme.query(0, 3)
-        log = tmp_path / "tokens.jsonl"
-        save_token_log(log, [seq], truths=[(0, 3)])
-        rc = main(["attack", "--graph", str(chain), "--trace", str(log)])
-        assert rc == 0
+        assert main(["attack", str(chain)]) == 0
         out = capsys.readouterr().out
-        assert "(0,3)" in out
-        assert "exactly recovered: 1/1" in out
+        assert "graph: 4 vertices, 3 edges, 6 connected pairs" in out
+        assert "exactly recovered queries: 6/6" in out
+
+    @pytest.mark.parametrize("option", ["--trace", "--complete"])
+    def test_token_log_options_are_gone(self, tmp_path, capsys, option):
+        # the attack reads the graph alone: it makes its own observations
+        graph = tmp_path / "chain.tsv"
+        graph.write_text("0\t1\n")
+        argv = ["attack", str(graph), option] + (["tokens.jsonl"] if option == "--trace" else [])
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestDeploymentDirectory:
@@ -523,25 +559,36 @@ class TestDeploymentDirectory:
         ids=["enhanced-then-trivial", "chain-depth-2-then-1"],
     )
     def test_setup_again_leaves_no_file_of_the_old_deployment(self, tmp_path, capsys, first, again, chain_depths):
-        # setup into the directory of another deployment leaves what a
-        # fresh directory would hold: no controller.bin under a trivial
-        # setup, and no tree of a deeper chain under a shallower one.  Left
-        # behind, each made the daemon refuse to start
+        # setup into the directory of another deployment, served and
+        # queried, leaves what a fresh directory would hold: no
+        # controller.bin under a trivial setup, no tree of a deeper chain
+        # under a shallower one, and no trace.csv.  Left behind, the first
+        # two made the daemon refuse to start, and the trace, recorded on
+        # trees that are gone, passed an audit against the new ones
         graph = tmp_path / "chain.tsv"
         graph.write_text(CHAIN_30_TSV)
         out, fresh = tmp_path / "d", tmp_path / "fresh"
-        for directory, extra in ((out, first), (out, again), (fresh, again)):
-            assert main(["setup", str(graph), "--out", str(directory), *extra]) == 0
-        chains = [line for line in capsys.readouterr().out.splitlines() if line.startswith("position map: chain")]
+
+        def serve_and_query():
+            d = make_daemon(out, 1)
+            d.start()
+            try:
+                assert main(["query", "3", "9", "--keys", str(out / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
+            finally:
+                d.shutdown()
+            assert capsys.readouterr().out.splitlines()[-1] == "3 4 5 6 7 8 9"
+
+        assert main(["setup", str(graph), "--out", str(out), *first]) == 0
+        said = capsys.readouterr().out
+        serve_and_query()
+        assert (out / "trace.csv").exists()
+        for directory in (out, fresh):
+            assert main(["setup", str(graph), "--out", str(directory), *again]) == 0
+        said += capsys.readouterr().out
+        chains = [line for line in said.splitlines() if line.startswith("position map: chain")]
         assert chains == [f"position map: chain depth {depth}" for depth in chain_depths]
         assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
-        d = make_daemon(out, 1)
-        d.start()
-        try:
-            assert main(["query", "3", "9", "--keys", str(out / "keys.bin"), "--addr", f"127.0.0.1:{d.port}"]) == 0
-        finally:
-            d.shutdown()
-        assert capsys.readouterr().out.splitlines()[-1] == "3 4 5 6 7 8 9"
+        serve_and_query()
 
     def test_setup_removes_an_older_server_cfg(self, tmp_path, graph_file):
         # older releases wrote server.cfg beside the trees; setup again

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from obge import protocol, storage
 from obge.blocks import HOP, bucket_ad
 from obge.crypto import CT_OVERHEAD, Cipher, Prf, encode_pair, keygen, pair_block, prf_eval
-from obge.exceptions import ConfigError, IntegrityError, ProtocolError
+from obge.exceptions import ConfigError, IntegrityError, ProtocolError, StashOverflowError
 from obge.graph import Graph, PathOracle, compute_spdx, load_graph, spath_oracle
 from obge.oram import STASH_MAX
 from obge.protocol import (
@@ -374,15 +374,11 @@ class TestQueryReveal:
         _, _, _, client = deploy(g, mode)
         assert client.query_path(3, 0) == [3, 1, 2, 0]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=IntegrityError,
-        reason="ROADMAP item 8: a failed path read leaves the client's map on the fresh leaf of a block that stayed put",
-    )
     def test_failed_read_leaves_the_client_usable(self, monkeypatch):
         # the first path read of (0, 5) fails: get_and_remap has already
         # given the pair's block a fresh leaf, and the block was never read,
-        # so it is still on its old path and the same query misses it
+        # so it is still on its old path, where the map's old leaf, put
+        # back, finds it
         _, host, _, client = deploy(chain_graph(6), "trivial")
         read_path, reads = host.read_path, []
 
@@ -393,6 +389,49 @@ class TestQueryReveal:
             return read_path(tree_id, leaf)
 
         monkeypatch.setattr(host, "read_path", fail_first)
+        with pytest.raises(ProtocolError, match="storage refuses reads"):
+            client.query_path(0, 5)
+        assert client.query_path(0, 5) == [0, 1, 2, 3, 4, 5]
+
+    def test_stash_overflow_keeps_the_fresh_leaf(self, monkeypatch):
+        # an overflow is raised after the held blocks have taken the
+        # block's fresh leaf, so the map keeps it: put back, the old leaf
+        # would miss the block
+        _, _, _, client = deploy(chain_graph(6), "trivial")
+        oram = client.engine.oram
+        monkeypatch.setattr(oram, "held_max", -1)
+        with pytest.raises(StashOverflowError):
+            client.query_path(0, 5)
+        monkeypatch.undo()
+        assert client.query_path(0, 5) == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            None,
+            pytest.param(64, marks=pytest.mark.xfail(
+                strict=True,
+                raises=IntegrityError,
+                reason="ROADMAP item 8: a chain's last level holds the fresh leaf on the host, and the block stayed put",
+            )),
+        ],
+        ids=["flat", "chain"],
+    )
+    def test_failed_read_leaves_the_controller_usable(self, monkeypatch, budget):
+        # the controller's first data-tree read of (0, 5) fails: a flat map
+        # puts the pair's old leaf back, as the trivial client's does, but
+        # a chain has written the fresh one to its last level's tree
+        result, host, _, client = deploy(chain_graph(6), "enhanced", budget=budget)
+        assert result.controller.positions.chain_depth == (budget is not None)
+        read_path, failed = host.read_path, []
+
+        def fail_first_data_read(tree_id, leaf):
+            if tree_id == 0 and not failed:
+                failed.append(leaf)
+                raise ProtocolError("storage refuses reads")
+            return read_path(tree_id, leaf)
+
+        monkeypatch.setattr(host, "read_path", fail_first_data_read)
         with pytest.raises(ProtocolError, match="storage refuses reads"):
             client.query_path(0, 5)
         assert client.query_path(0, 5) == [0, 1, 2, 3, 4, 5]
